@@ -17,11 +17,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .elections import EnumerationLimitError
-from .exactlp import Feasible, Infeasible, solve_feasibility, verify_farkas
+
+# solve_feasibility is not called here; bench/layers.py wraps it by this name.
+from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
 from .fileio import (
     CertificateFormatError,
     ProfileFormatError,
@@ -35,13 +36,14 @@ from .fileio import (
     write_certificate,
 )
 from .proofs import (
-    build_program3,
     check_proposition1,
     enumerate_histories,
+    history_verdict,
     inequality_scan,
     iter_shapes,
+    program3_history,
 )
-from .rules import all_local_pav, global_pav, local_pav, recursive_pav
+from .rules import global_pav, local_pav, recursive_pav
 from .stability import Quota, find_deviation
 
 EXIT_OK = 0
@@ -223,15 +225,12 @@ def _prove_program3(args) -> int:
                 ["budget exceeded; partial results only"],
             )
             return EXIT_BUDGET
-        system = build_program3(args.k, shape)
-        verdict = solve_feasibility(system)
+        verdict = history_verdict(program3_history(args.k, shape))
         entry = {"size": shape.size, "overlap": shape.overlap}
-        if isinstance(verdict, Infeasible):
-            ok = verify_farkas(system, verdict.certificate)
+        if verdict.certificate is not None:
+            # history_verdict returns only certificates it verified exactly.
             entry["status"] = "infeasible"
-            entry["certificate_verified"] = ok
-            if not ok:
-                raise RuntimeError("emitted certificate failed verification")
+            entry["certificate_verified"] = True
             if out:
                 name = f"p3_k{args.k}_s{shape.size}_o{shape.overlap}.json"
                 write_certificate(
@@ -244,7 +243,7 @@ def _prove_program3(args) -> int:
             entry["status"] = "feasible"
             entry["witness"] = {
                 f"{sorted(_mask_to_labels(mask))}": format_fraction(w)
-                for mask, w in sorted(verdict.assignment.items())
+                for mask, w in verdict.witness.mask_items()
             }
         results.append(entry)
     payload = {
@@ -266,8 +265,6 @@ def _mask_to_labels(mask: int) -> list[str]:
 
 
 def _prove_histories(args) -> int:
-    if args.m is None:
-        raise ProfileFormatError("histories mode needs --m")
     result = enumerate_histories(
         args.m,
         args.k,
@@ -335,16 +332,20 @@ def _prove_histories(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    if args.k is None:
+        raise ProfileFormatError(f"{args.mode} mode needs --k")
+    if args.k < 1:
+        raise ProfileFormatError(f"--k must be at least 1, got {args.k}")
+    if args.threads < 1:
+        raise ProfileFormatError(f"--threads must be at least 1, got {args.threads}")
     if args.mode == "inequality":
-        if args.k is None:
-            raise ProfileFormatError("inequality mode needs --k")
         return _prove_inequality(args)
     if args.mode == "program3":
-        if args.k is None:
-            raise ProfileFormatError("program3 mode needs --k")
         return _prove_program3(args)
-    if args.k is None:
-        raise ProfileFormatError("histories mode needs --k")
+    if args.m is None:
+        raise ProfileFormatError("histories mode needs --m")
+    if args.k > args.m:
+        raise ProfileFormatError(f"histories mode needs k <= m, got k={args.k} m={args.m}")
     return _prove_histories(args)
 
 
@@ -357,15 +358,24 @@ def _check_one(path: Path):
     return (path.name, ok, "ok" if ok else "certificate does not verify")
 
 
+def _is_certificate_file(path: Path) -> bool:
+    """Whether a bundle file holds multipliers; every ``*.json`` file of a
+    bundle must hold a JSON object."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CertificateFormatError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CertificateFormatError(f"{path}: does not hold a JSON object")
+    return "multipliers" in payload
+
+
 def cmd_check_certificates(args) -> int:
     root = Path(args.bundle)
     if not root.exists():
         raise ProfileFormatError(f"no such bundle directory: {root}")
     files = sorted(
-        p
-        for p in root.rglob("*.json")
-        if p.is_file()
-        and "multipliers" in json.loads(p.read_text(encoding="utf-8") or "{}")
+        p for p in root.rglob("*.json") if p.is_file() and _is_certificate_file(p)
     )
     started = time.monotonic()
     if args.threads > 1 and len(files) > 1:

@@ -303,12 +303,20 @@ def swap_delta(
     if y in committee or not 0 <= y < committee.m:
         raise ValueError(f"swap target c{y + 1} must be a non-member")
     keep = _active_masks(profile, active)
-    w_mask = committee.mask
+    items = profile.mask_items()
+    if keep is not None:
+        items = [(mask, w) for mask, w in items if mask in keep]
+    return mask_swap_delta(items, committee.mask, x, y)
+
+
+def mask_swap_delta(
+    items: Iterable[tuple[int, Fraction]], w_mask: int, x: int, y: int
+) -> Fraction:
+    """`swap_delta` on (ballot mask, weight) pairs and a committee mask,
+    without checks: the one swap kernel of the package's hot loops."""
     x_bit, y_bit = 1 << x, 1 << y
     delta = Fraction(0)
-    for mask, weight in profile.mask_items():
-        if keep is not None and mask not in keep:
-            continue
+    for mask, weight in items:
         has_x, has_y = mask & x_bit, mask & y_bit
         if has_x and not has_y:
             delta -= weight / (mask & w_mask).bit_count()

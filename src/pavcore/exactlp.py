@@ -4,7 +4,8 @@ Systems are stored in the normal form ``row . x <= rhs``. Verdicts are
 produced by a two-phase simplex with Bland's anti-cycling rule running on
 exact rational arithmetic; infeasibility comes with an integer Farkas
 certificate (row multipliers y >= 0 with y.b < 0 and A^T y >= 0) that
-`verify_farkas` checks without any solver.
+`verify_farkas` checks without any solver; an optimum comes with a point
+and an LP-duality certificate that `verify_optimum` checks the same way.
 
 Wide systems (many variables, few non-trivial rows) are solved by column
 activation: the simplex works on a growing subset of columns, and after each
@@ -73,10 +74,9 @@ class LinearSystem:
     """An ordered inequality system ``Ax <= b`` over labelled variables.
 
     ``head_rows`` come first; if ``nonneg_block`` is set, one row
-    ``-x_j <= 0`` per variable follows (in variable order); ``tail_rows``
-    come last. The canonical systems of this package put normalization,
-    swap, and deviation rows in the head, the nonnegativity block in the
-    middle, and optional objective-bound rows in the tail.
+    ``-x_j <= 0`` per variable follows, in variable order. The canonical
+    systems of this package put normalization, swap and deviation rows in
+    the head and end with the nonnegativity block.
     """
 
     def __init__(
@@ -84,14 +84,12 @@ class LinearSystem:
         variables: Sequence[int],
         head_rows: Sequence[Row],
         nonneg_block: bool = False,
-        tail_rows: Sequence[Row] = (),
     ):
         self.variables: tuple[int, ...] = tuple(variables)
         self.head_rows: tuple[Row, ...] = tuple(head_rows)
         self.nonneg_block = bool(nonneg_block)
-        self.tail_rows: tuple[Row, ...] = tuple(tail_rows)
         n = len(self.variables)
-        for row in self.head_rows + self.tail_rows:
+        for row in self.head_rows:
             for j in row.coeffs:
                 if not 0 <= j < n:
                     raise ValueError(f"row {row.tag} references column {j}")
@@ -108,30 +106,20 @@ class LinearSystem:
 
     @property
     def n_rows(self) -> int:
-        return (
-            len(self.head_rows)
-            + (len(self.variables) if self.nonneg_block else 0)
-            + len(self.tail_rows)
+        return len(self.head_rows) + (
+            len(self.variables) if self.nonneg_block else 0
         )
 
     def row(self, index: int) -> Row:
+        if not 0 <= index < self.n_rows:
+            raise IndexError("row index out of range")
         n_head = len(self.head_rows)
-        if index < 0:
-            raise IndexError(index)
         if index < n_head:
             return self.head_rows[index]
         index -= n_head
-        if self.nonneg_block:
-            if index < len(self.variables):
-                return Row(
-                    {index: Fraction(-1)},
-                    Fraction(0),
-                    ("nonneg", self.variables[index]),
-                )
-            index -= len(self.variables)
-        if index < len(self.tail_rows):
-            return self.tail_rows[index]
-        raise IndexError("row index out of range")
+        return Row(
+            {index: Fraction(-1)}, Fraction(0), ("nonneg", self.variables[index])
+        )
 
     def iter_rows(self) -> Iterator[Row]:
         for i in range(self.n_rows):
@@ -139,24 +127,10 @@ class LinearSystem:
 
     def general_rows(self) -> tuple[Row, ...]:
         """All rows except the implicit nonnegativity block."""
-        return self.head_rows + self.tail_rows
+        return self.head_rows
 
     def general_row_indices(self) -> tuple[int, ...]:
-        head = tuple(range(len(self.head_rows)))
-        offset = len(self.head_rows) + (
-            len(self.variables) if self.nonneg_block else 0
-        )
-        tail = tuple(offset + i for i in range(len(self.tail_rows)))
-        return head + tail
-
-    def extended(self, extra_row: Row) -> "LinearSystem":
-        """A copy with one more row appended after everything else."""
-        return LinearSystem(
-            self.variables,
-            self.head_rows,
-            self.nonneg_block,
-            self.tail_rows + (extra_row,),
-        )
+        return tuple(range(len(self.head_rows)))
 
 
 @dataclass(frozen=True)
@@ -215,8 +189,13 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimum with its point and its LP-duality certificate: ``duals``
+    are multipliers ``y >= 0`` over the general rows (the rows other than
+    the per-variable bounds) with ``G^T y >= c`` and ``h . y = value``."""
+
     value: Fraction
     assignment: Mapping[int, Fraction]
+    duals: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -346,7 +325,7 @@ class _Master:
 
         if objective_per_key is None:
             x = self._extract(tab, basis)
-            duals = self._duals(z, sigma, S)
+            duals = self._duals(z, S)
             return ("optimal", x, Fraction(0), duals)
 
         # Phase 2 objective row.
@@ -370,7 +349,7 @@ class _Master:
             c = objective_per_key.get(key)
             if c:
                 value += _q(c) * v
-        duals = self._duals(z, sigma, S)
+        duals = self._duals(z, S)
         return ("optimal", x, value, duals)
 
     def _pivot_loop(self, tab, basis, z, allowed):
@@ -438,9 +417,12 @@ class _Master:
                 x[key] = x.get(key, _Q0) + delta
         return {k: v for k, v in x.items() if v}
 
-    def _duals(self, z, sigma, n_struct):
-        # reduced(slack_i) = -sigma_i * y_i, so y_i = -sigma_i * reduced.
-        return [-sigma[i] * z[n_struct + i] for i in range(len(sigma))]
+    def _duals(self, z, n_struct):
+        # Tableau row i is sigma_i times original row i, and so is the
+        # slack column of row i. The reduced cost of that slack is thus
+        # -y_i for the multiplier y_i of the original row, whatever the
+        # sign of sigma_i. At a minimum, y <= 0 and c - G^T y >= 0.
+        return [-z[n_struct + i] for i in range(self.n_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +490,26 @@ class _ScaledRows:
             for i in range(self.n_rows)
         ]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if self.matrix is not None:
-            v = int(self.matrix[i, j])
-        else:
-            v = self.int_rows[i].get(j, 0)
-        return Fraction(v, self.scales[i]) if v else Fraction(0)
-
     def rhs_fraction(self, i: int) -> Fraction:
         return _fr(self.rhs[i])
+
+    def times(self, x: Mapping[int, Fraction]) -> list[Fraction]:
+        """Exact ``G x`` for a sparse ``x`` given per column position."""
+        if not x:
+            return [Fraction(0)] * self.n_rows
+        cols = list(x)
+        denom = math.lcm(*(Fraction(v).denominator for v in x.values()))
+        ints = [int(x[j] * denom) for j in cols]
+        if self.matrix is not None:
+            sums = self.matrix[:, cols].astype(object) @ np.array(ints, dtype=object)
+        else:
+            sums = [
+                sum(row.get(j, 0) * v for j, v in zip(cols, ints))
+                for row in self.int_rows
+            ]
+        return [
+            Fraction(int(s), self.scales[i] * denom) for i, s in enumerate(sums)
+        ]
 
     def price(self, multipliers):
         """Exact ``factor * (G^T y)`` for all columns, ``factor > 0``.
@@ -573,9 +566,7 @@ def _split_rows(system: LinearSystem):
         for j in range(system.n_vars):
             if j not in bound_of:
                 bound_of[j] = n_head + j
-    offset = n_head + (system.n_vars if system.nonneg_block else 0)
-    tail_indices = [offset + i for i in range(len(system.tail_rows))]
-    return general_indices, tail_indices, bound_of
+    return general_indices, bound_of
 
 
 class _Problem:
@@ -597,8 +588,7 @@ class _Problem:
 
     @classmethod
     def from_system(cls, system: LinearSystem) -> "_Problem":
-        gen_head, gen_tail, bound_of = _split_rows(system)
-        general_row_ids = [*gen_head, *gen_tail]
+        general_row_ids, bound_of = _split_rows(system)
         rows = [system.row(i) for i in general_row_ids]
         free = frozenset(
             j for j in range(system.n_vars) if j not in bound_of
@@ -651,6 +641,22 @@ class _Problem:
             if u:
                 nonzero[self.general_row_ids[pos]] = int(u * denom)
         return FarkasCertificate(self.n_rows_total, nonzero)
+
+    def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
+        """Exact check that an assignment (per label, absent labels are 0)
+        satisfies every general row and every sign constraint."""
+        pos_of = {label: j for j, label in enumerate(self.variables)}
+        values = {}
+        for label, v in assignment.items():
+            j = pos_of.get(label)
+            if j is None or (v < 0 and j not in self.free):
+                return False
+            if v:
+                values[j] = Fraction(v)
+        totals = self.scaled.times(values)
+        return all(
+            t <= self.scaled.rhs_fraction(i) for i, t in enumerate(totals)
+        )
 
     def initial_active(self, seed: Optional[Sequence[int]]) -> list[int]:
         n = self.n_vars
@@ -718,23 +724,32 @@ def maximize(
             for j, c in enumerate(objective)
             if c
         }
-    by_position = {}
-    label_pos = {label: j for j, label in enumerate(system.variables)}
-    for label, c in objective.items():
+    return _maximize_problem(
+        _Problem.from_system(system), objective, seed_columns
+    )
+
+
+def _maximize_problem(
+    problem: _Problem,
+    objective: Mapping[int, Fraction],
+    seed_columns: Optional[Sequence[int]] = None,
+) -> MaximizeResult:
+    """`maximize` on a solver-facing problem; ``objective`` is per label.
+
+    An `Optimal` result carries its LP-duality certificate: multipliers
+    ``y >= 0`` over the general rows with ``G^T y >= c`` and ``h . y`` equal
+    to the optimum, which `verify_optimum` checks without a solver.
+    """
+    label_pos = {label: j for j, label in enumerate(problem.variables)}
+    for label in objective:
         if label not in label_pos:
             raise ValueError(f"objective references unknown variable {label}")
-        if c:
-            by_position[label_pos[label]] = Fraction(c)
-    problem = _Problem.from_system(system)
-    # minimize the negated objective
-    neg = {j: -c for j, c in by_position.items()}
+    # The master minimizes the negated objective.
+    neg = {label_pos[label]: -Fraction(c) for label, c in objective.items() if c}
     active = problem.initial_active(seed_columns)
-    known_obj = set(j for j in by_position)
-    active = sorted(set(active).union(known_obj))
-    full = system.n_vars
+    full = problem.n_vars
     while True:
-        master = problem.master(active)
-        result = master.solve(objective_per_key=neg)
+        result = problem.master(active).solve(objective_per_key=neg)
         if result[0] == "unbounded":
             return Unbounded()
         if result[0] == "infeasible":
@@ -751,4 +766,49 @@ def maximize(
             if violated:
                 active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
                 continue
-        return Optimal(_fr(-value), _assignment_with_labels(system.variables, x))
+        return Optimal(
+            _fr(-value),
+            _assignment_with_labels(problem.variables, x),
+            tuple(-_fr(y) for y in duals),
+        )
+
+
+def verify_optimum(
+    problem: _Problem, objective: Mapping[int, Fraction], optimum: Optimal
+) -> bool:
+    """Check exactly, without any solver, that ``optimum.value`` is the
+    maximum of ``objective . x`` (objective and assignment per label).
+
+    The assignment must satisfy every row with objective value equal to
+    ``optimum.value``; the duals ``y`` must be nonnegative, with
+    ``h . y = optimum.value`` and ``G^T y >= c`` on every column (``=`` on
+    free columns). Weak duality then bounds every feasible point by
+    ``h . y``, so the value is the maximum.
+    """
+    duals = [Fraction(y) for y in optimum.duals]
+    if len(duals) != problem.scaled.n_rows or any(y < 0 for y in duals):
+        return False
+    hy = sum(
+        (y * problem.scaled.rhs_fraction(i) for i, y in enumerate(duals) if y),
+        Fraction(0),
+    )
+    cx = sum(
+        (Fraction(c) * optimum.assignment.get(label, 0) for label, c in objective.items()),
+        Fraction(0),
+    )
+    if not hy == cx == optimum.value:
+        return False
+    if not problem.satisfied_by(optimum.assignment):
+        return False
+    label_pos = {label: j for j, label in enumerate(problem.variables)}
+    if any(label not in label_pos for label in objective):
+        return False
+    totals, factor = problem.scaled.price(duals)
+    scaled_c = {
+        label_pos[label]: Fraction(c) * factor for label, c in objective.items()
+    }
+    for j, t in enumerate(np.asarray(totals).tolist()):
+        cj = scaled_c.get(j, 0)
+        if t < cj or (j in problem.free and t != cj):
+            return False
+    return True

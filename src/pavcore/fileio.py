@@ -1,12 +1,14 @@
 """On-disk formats: election profiles and certificate bundles.
 
 Everything numeric is serialized as exact strings ("p/q" fractions, decimal
-integer strings); floats never touch the disk. Certificate files describe
-their system compactly (candidate count, committee size, and either the
-history steps or a deviation shape, plus an optional objective bound); the
-canonical row order makes the reconstruction bit-exact. Multipliers are
-stored for the non-nonnegativity rows only, since certificates produced
-here always carry zeros on the nonnegativity block.
+integer strings); floats never touch the disk. A certificate file describes
+its system compactly: candidate count, committee size and the history
+steps (``kind: "history"``). Files of the older ``kind: "shape"``, which
+name a deviation shape instead, are read as the shape's canonical one-step
+history, whose system is the same. The canonical row order makes the
+reconstruction bit-exact. Multipliers are stored for the
+non-nonnegativity rows only, since certificates produced here always carry
+zeros on the nonnegativity block.
 
 Candidate indices are 1-based in files, matching reports.
 """
@@ -18,16 +20,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .elections import CandidateSet, ElectionInstance, Profile
 from .exactlp import FarkasCertificate, LinearSystem
 from .proofs import (
     DeviationShape,
     History,
-    build_program3,
     history_system,
-    optimality_bound_row,
+    program3_history,
 )
 
 
@@ -54,9 +55,11 @@ def format_fraction(value: Fraction) -> str:
 
 
 def _indices_to_mask(indices, m: int) -> int:
+    if not isinstance(indices, list):
+        raise ProfileFormatError(f"candidate list expected, found {indices!r}")
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= m:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= m:
             raise ProfileFormatError(
                 f"candidate index {i!r} out of range 1..{m}"
             )
@@ -166,6 +169,8 @@ def parse_committee(text: str, m: int) -> CandidateSet:
                 f"committee range {part!r} out of 1..{m}"
             )
         for i in range(low, high + 1):
+            if (mask >> (i - 1)) & 1:
+                raise ProfileFormatError(f"candidate {i} listed twice")
             mask |= 1 << (i - 1)
     return CandidateSet(mask, m)
 
@@ -187,21 +192,34 @@ class CertificateRecord:
     payload: dict
 
 
-def _objective_from_descriptor(descriptor: dict, m: int, committee_mask: int):
-    target = descriptor.get("target")
-    if target == "ballot_weight":
-        mask = _indices_to_mask(descriptor["ballot"], m)
-        return {mask: Fraction(1)}
-    if target == "score_drop":
-        c = int(descriptor["candidate"]) - 1
-        if not 0 <= c < m:
-            raise CertificateFormatError("score_drop candidate out of range")
-        return {
-            mask: Fraction(-1, (mask & committee_mask).bit_count())
-            for mask in range(1, 1 << m)
-            if (mask >> c) & 1
-        }
-    raise CertificateFormatError(f"unknown objective target: {target!r}")
+def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
+    if kind == "history":
+        steps = payload.get("history")
+        if not isinstance(steps, list) or not all(
+            isinstance(step, dict) and {"W", "T"} <= step.keys() for step in steps
+        ):
+            raise CertificateFormatError("history must be a list of W/T steps")
+        return [
+            (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
+            for step in steps
+        ]
+    if kind == "shape":
+        shape_data = payload.get("shape")
+        if not isinstance(shape_data, dict):
+            raise CertificateFormatError("shape certificates need a shape")
+        try:
+            shape = DeviationShape(
+                int(shape_data["size"]), int(shape_data["overlap"])
+            )
+            history = program3_history(k, shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CertificateFormatError(str(exc)) from exc
+        if m != history.m:
+            raise CertificateFormatError(
+                "candidate count must equal k plus the outside part"
+            )
+        return history.mask_steps()
+    raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
 
 
 def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
@@ -211,48 +229,12 @@ def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
         kind = payload["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"missing field: {exc}") from exc
-    if kind == "history":
-        steps = [
-            (
-                _indices_to_mask(step["W"], m),
-                _indices_to_mask(step["T"], m),
-            )
-            for step in payload["history"]
-        ]
-        try:
-            history = History.from_masks(m, k, steps)
-        except ValueError as exc:
-            raise CertificateFormatError(str(exc)) from exc
-        return kind, m, k, history_system(history)
-    if kind in ("shape", "shape-objective"):
-        shape_data = payload.get("shape")
-        if not isinstance(shape_data, dict):
-            raise CertificateFormatError("shape certificates need a shape")
-        try:
-            shape = DeviationShape(
-                int(shape_data["size"]), int(shape_data["overlap"])
-            )
-        except (KeyError, ValueError) as exc:
-            raise CertificateFormatError(str(exc)) from exc
-        if m != k + shape.outside:
-            raise CertificateFormatError(
-                "candidate count must equal k plus the outside part"
-            )
-        system = build_program3(k, shape)
-        if kind == "shape":
-            return kind, m, k, system
-        descriptor = payload.get("objective")
-        if not isinstance(descriptor, dict):
-            raise CertificateFormatError("objective descriptor missing")
-        committee_mask = (1 << k) - 1
-        objective = _objective_from_descriptor(descriptor, m, committee_mask)
-        optimum = parse_fraction(descriptor["optimum"])
-        sense = descriptor["sense"]
-        if sense not in ("max", "min"):
-            raise CertificateFormatError("sense must be max or min")
-        row = optimality_bound_row(system, objective, sense, optimum)
-        return kind, m, k, system.extended(row)
-    raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
+    steps = _steps_from_payload(payload, kind, m, k)
+    try:
+        history = History.from_masks(m, k, steps)
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from exc
+    return kind, m, k, history_system(history)
 
 
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
@@ -286,24 +268,17 @@ def load_certificate(path: Union[str, Path]) -> CertificateRecord:
     return certificate_record_from_dict(payload)
 
 
-def _compact_multipliers(
-    system: LinearSystem, certificate: FarkasCertificate
-) -> list[str]:
-    general_ids = system.general_row_indices()
-    general_set = set(general_ids)
-    for idx, value in certificate.nonzero.items():
-        if value and idx not in general_set:
-            raise CertificateFormatError(
-                "certificate carries weight on a nonnegativity row; "
-                "cannot store compactly"
-            )
-    return [str(certificate.multiplier(idx)) for idx in general_ids]
-
-
 def history_certificate_dict(
     history: History, certificate: FarkasCertificate
 ) -> dict:
-    system = history_system(history)
+    """The file form of a history's certificate. Its general rows are all
+    rows but the ``2^m - 1`` nonnegativity rows, which come last."""
+    n_general = certificate.n_rows - ((1 << history.m) - 1)
+    if any(idx >= n_general for idx in certificate.nonzero):
+        raise CertificateFormatError(
+            "certificate carries weight on a nonnegativity row; "
+            "cannot store compactly"
+        )
     return {
         "kind": "history",
         "m": history.m,
@@ -312,39 +287,16 @@ def history_certificate_dict(
             {"W": _mask_to_indices(w.mask), "T": _mask_to_indices(t.mask)}
             for w, t in history.steps
         ],
-        "multipliers": _compact_multipliers(system, certificate),
+        "multipliers": [str(certificate.multiplier(i)) for i in range(n_general)],
     }
 
 
 def shape_certificate_dict(
     k: int, shape: DeviationShape, certificate: FarkasCertificate
 ) -> dict:
-    system = build_program3(k, shape)
-    return {
-        "kind": "shape",
-        "m": k + shape.outside,
-        "k": k,
-        "shape": {"size": shape.size, "overlap": shape.overlap},
-        "multipliers": _compact_multipliers(system, certificate),
-    }
-
-
-def objective_certificate_dict(
-    k: int,
-    shape: DeviationShape,
-    descriptor: dict,
-    certificate: FarkasCertificate,
-) -> dict:
-    payload = {
-        "kind": "shape-objective",
-        "m": k + shape.outside,
-        "k": k,
-        "shape": {"size": shape.size, "overlap": shape.overlap},
-        "objective": descriptor,
-    }
-    _, _, _, system = _system_from_payload(payload)
-    payload["multipliers"] = _compact_multipliers(system, certificate)
-    return payload
+    """The file form of a shape's certificate: that of its canonical
+    one-step history (`program3_history`)."""
+    return history_certificate_dict(program3_history(k, shape), certificate)
 
 
 def history_certificate_filename(history: History) -> str:

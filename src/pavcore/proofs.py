@@ -1,18 +1,27 @@
 """LP families and exhaustive searches behind the stability guarantees.
 
-This module builds three related families of exact linear systems and
-searches them for feasibility, producing machine-checkable evidence either
-way:
+The paper's argument is one family of exact linear systems: the system of a
+history of the recursive rule. This module decides them and produces
+machine-checkable evidence either way:
 
 * the per-ballot inequality scan over deviation shapes (`inequality_scan`),
   with matching analytically constructed Farkas certificates
   (`farkas_from_theorem1`);
-* the single-committee counterexample program for a deviation shape
-  (`build_program3`) and the optimality suite pinning down the structure of
-  the k = 8 counterexamples (`lemma2_suite`);
+* the counterexample program for a deviation shape, which is the system of
+  its canonical one-step history (`build_program3` materializes it), and
+  the optimality suite pinning down the structure of the k = 8
+  counterexamples (`lemma2_suite`), whose optima carry exact LP-duality
+  certificates;
 * the breadth-first enumeration of execution traces of the recursive rule
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
+
+Every LP goes one way: integer-scaled rows (`_HistoryRows`), the
+symmetry-collapsed quotient (`_Quotient`), the exact simplex, the lift back
+to the full system, and an exact check of the lifted witness or
+certificate. `_build_rows` is the pure-Python reference builder that the
+certificate checker uses, so the checker shares no row code with the
+solver.
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), negated deviation rows by step,
@@ -26,34 +35,26 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .elections import CandidateSet, Profile
+from .elections import CandidateSet, Profile, mask_swap_delta
 from .exactlp import (
     FarkasCertificate,
     Feasible,
-    Infeasible,
     LinearSystem,
     Optimal,
     Row,
+    _maximize_problem,
     _Problem,
     _ScaledRows,
     _solve_problem,
-    maximize,
-    solve_feasibility,
-    verify_farkas,
+    verify_optimum,
 )
-
-#: Margin used when certifying LP optima: the optimum v of "maximize f" is
-#: certified by an infeasibility certificate for the system extended with
-#: the row "f >= v + OPTIMALITY_MARGIN" (any positive rational works).
-OPTIMALITY_MARGIN = Fraction(1, 10**6)
 
 #: Hard cap on the candidate count for history enumeration.
 MAX_HISTORY_M = 16
@@ -249,11 +250,6 @@ def _build_rows(
     return rows, swap_meta
 
 
-def _system_for_steps(m: int, k: int, steps: Sequence[tuple[int, int]]) -> LinearSystem:
-    rows, _ = _build_rows(m, k, steps)
-    return LinearSystem(list(range(1, 1 << m)), rows, nonneg_block=True)
-
-
 def canonical_program3_sets(
     k: int, shape: DeviationShape
 ) -> tuple[CandidateSet, CandidateSet]:
@@ -270,17 +266,15 @@ def canonical_program3_sets(
 
 
 def build_program3(k: int, shape: DeviationShape) -> LinearSystem:
-    """The counterexample system for one deviation shape.
+    """The counterexample system for one deviation shape, materialized.
 
     Over the candidate set W ∪ T, a profile variable per nonempty ballot;
     the committee must be swap-optimal (all swap rows), and the deviation
     must be supported by weight at least |T|/k. Feasibility means a locally
-    optimal committee of size k can fail the core via this shape.
+    optimal committee of size k can fail the core via this shape. It is
+    the system of `program3_history`, which is how the proof modes solve it.
     """
-    committee, deviation = canonical_program3_sets(k, shape)
-    return _system_for_steps(
-        committee.m, k, [(committee.mask, deviation.mask)]
-    )
+    return history_system(program3_history(k, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +402,19 @@ class HistoryVerdict:
         return self.witness is not None
 
 
+def program3_history(k: int, shape: DeviationShape) -> History:
+    """The one-step history (W, T) of `canonical_program3_sets`."""
+    committee, deviation = canonical_program3_sets(k, shape)
+    return History(committee.m, k, ((committee, deviation),))
+
+
 def history_system(history: History) -> LinearSystem:
     """The canonical feasibility system deciding whether a profile realizes
     the history: swap rows over the still-active ballots for every step,
     one supported-deviation row per step, over all ballots of the full
-    candidate set."""
-    return _system_for_steps(history.m, history.k, history.mask_steps())
+    candidate set. Built by the reference builder `_build_rows`."""
+    rows, _ = _build_rows(history.m, history.k, history.mask_steps())
+    return LinearSystem(list(range(1, 1 << history.m)), rows, nonneg_block=True)
 
 
 def check_proposition1(histories: Iterable[History], k: int) -> bool:
@@ -755,16 +756,7 @@ def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
     """Exact row check of a feasible assignment (labels are ballot masks)."""
-    scaled = problem.scaled
-    for pos in range(scaled.n_rows):
-        total = Fraction(0)
-        for label, value in assignment.items():
-            coef = scaled.entry(pos, label - 1)
-            if coef:
-                total += coef * value
-        if not total <= scaled.rhs_fraction(pos):
-            return False
-    return all(v >= 0 for v in assignment.values())
+    return problem.satisfied_by(assignment)
 
 
 def _witness_realizes(
@@ -790,10 +782,7 @@ def _witness_realizes(
             return False
         for x in _bits(w_mask & ~fixed):
             for y in _bits(full & ~w_mask):
-                delta = Fraction(0)
-                for mask, weight in active.items():
-                    delta += weight * _swap_coefficient(mask, w_mask, x, y)
-                if delta > 0:
+                if mask_swap_delta(active.items(), w_mask, x, y) > 0:
                     return False
         fixed |= t_mask
         active = {
@@ -956,14 +945,24 @@ def _solve_child(
     return result
 
 
-def _bfs_worker(args):
-    m, k, parent_steps, continuations, parent_witness = args
-    prefix = _rows_for_steps(m, k, parent_steps)
-    results = []
-    for idx, (w_mask, t_mask) in enumerate(continuations):
-        child = prefix.child(w_mask, t_mask)
-        results.append((idx, _solve_child(child, parent_witness)))
-    return results
+def _bfs_worker(task):
+    """Decide one continuation of one history: ("feasible", witness items)
+    or ("infeasible", certificate items), both verified exactly.
+
+    The prefix rows are rebuilt from the steps, which is cheap, so a task
+    carries only masks. First steps of provably hopeless shapes get their
+    analytic certificate instead of an LP solve.
+    """
+    m, k, parent_steps, (w_mask, t_mask), seeds = task
+    child = _rows_for_steps(m, k, parent_steps + ((w_mask, t_mask),))
+    if not parent_steps and _is_lemma1_shape(w_mask, t_mask):
+        result = _finish_infeasible(
+            child.problem(), _analytic_step1_certificate(child)
+        )
+        if result is None:
+            raise RuntimeError("analytic certificate failed verification")
+        return result
+    return _solve_child(child, seeds)
 
 
 @dataclass
@@ -995,8 +994,13 @@ def enumerate_histories(
     infeasible ones are recorded with a verified Farkas certificate. At the
     first level, shapes that provably cannot support a deviation from a
     swap-optimal committee receive their analytic certificate instead of an
-    LP solve. The result includes the empty history. When the time budget
-    runs out the search stops and the result is flagged incomplete.
+    LP solve. The result includes the empty history.
+
+    Each (history, continuation) pair is one `_bfs_worker` task, run inline
+    or, with ``threads > 1``, on a process pool; results are taken in task
+    order, so both give the same result. The time budget is checked after
+    every task: when it runs out, the search stops and the result is
+    flagged incomplete.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -1018,8 +1022,6 @@ def enumerate_histories(
     histories = [root]
     certificates: dict[History, FarkasCertificate] = {}
     witnesses: dict[History, Profile] = {}
-    rows_cache: dict[tuple, _HistoryRows] = {(): _HistoryRows(m, k)}
-    witness_masks: dict[tuple, tuple[int, ...]] = {(): ()}
     frontier = [root]
     complete = True
     pool = None
@@ -1028,94 +1030,45 @@ def enumerate_histories(
 
         pool = mp.Pool(threads)
     try:
-        while frontier:
-            level_tasks = []
+        while frontier and complete:
+            children = []
+            tasks = []
             for parent in frontier:
-                parent_steps = parent.mask_steps()
-                prefix = rows_cache[parent_steps]
-                to_solve = []
-                for committee, deviation in canonical_continuations(parent):
-                    w_mask, t_mask = committee.mask, deviation.mask
-                    if len(parent) == 0 and _is_lemma1_shape(w_mask, t_mask):
-                        child_rows = prefix.child(w_mask, t_mask)
-                        cert = _analytic_step1_certificate(child_rows)
-                        if not _verify_certificate_fast(
-                            child_rows.problem(), cert
-                        ):
-                            raise RuntimeError(
-                                "analytic certificate failed verification"
-                            )
-                        certificates[parent.extended(committee, deviation)] = cert
-                    else:
-                        to_solve.append((w_mask, t_mask))
-                level_tasks.append((parent, to_solve))
-            next_frontier: list[History] = []
-            job_args = [
-                (
-                    m,
-                    k,
-                    parent.mask_steps(),
-                    to_solve,
-                    witness_masks[parent.mask_steps()],
+                seeds = (
+                    tuple(mask for mask, _ in witnesses[parent].mask_items())
+                    if parent.steps
+                    else ()
                 )
-                for parent, to_solve in level_tasks
-            ]
-            if pool is not None:
-                outcome_lists = pool.map(_bfs_worker, job_args)
-            else:
-                outcome_lists = []
-                for parent, to_solve in level_tasks:
-                    prefix = rows_cache[parent.mask_steps()]
-                    outcomes = []
-                    for idx, (w_mask, t_mask) in enumerate(to_solve):
-                        child = prefix.child(w_mask, t_mask)
-                        outcomes.append(
-                            (idx, _solve_child(child, witness_masks[parent.mask_steps()]))
-                        )
-                        if out_of_budget():
-                            break
-                    outcome_lists.append(outcomes)
-                    if out_of_budget():
-                        break
-            seen_pairs = 0
-            for (parent, to_solve), outcomes in zip(level_tasks, outcome_lists):
-                for idx, (kind, payload) in sorted(outcomes, key=lambda r: r[0]):
-                    w_mask, t_mask = to_solve[idx]
-                    child_hist = parent.extended(
-                        CandidateSet(w_mask, m), CandidateSet(t_mask, m)
+                for committee, deviation in canonical_continuations(parent):
+                    children.append(parent.extended(committee, deviation))
+                    tasks.append(
+                        (m, k, parent.mask_steps(), (committee.mask, deviation.mask), seeds)
                     )
-                    if kind == "feasible":
-                        profile = Profile(
-                            m,
-                            {mask: Fraction(nu, de) for mask, nu, de in payload},
-                        )
-                        witnesses[child_hist] = profile
-                        histories.append(child_hist)
-                        next_frontier.append(child_hist)
-                        child_steps = child_hist.mask_steps()
-                        rows_cache[child_steps] = rows_cache[
-                            parent.mask_steps()
-                        ].child(w_mask, t_mask)
-                        witness_masks[child_steps] = tuple(
-                            mask for mask, _, _ in payload
-                        )
-                    else:
-                        n_rows, items = payload
-                        certificates[child_hist] = FarkasCertificate(
-                            n_rows, dict(items)
-                        )
-                    seen_pairs += 1
-                if out_of_budget():
+            outcomes = (
+                map(_bfs_worker, tasks)
+                if pool is None
+                else pool.imap(_bfs_worker, tasks)
+            )
+            frontier = []
+            for done, (child, (kind, payload)) in enumerate(
+                zip(children, outcomes), start=1
+            ):
+                if kind == "feasible":
+                    witnesses[child] = Profile(
+                        m, {mask: Fraction(nu, de) for mask, nu, de in payload}
+                    )
+                    histories.append(child)
+                    frontier.append(child)
+                else:
+                    n_rows, items = payload
+                    certificates[child] = FarkasCertificate(n_rows, dict(items))
+                if out_of_budget() and (done < len(tasks) or frontier):
+                    complete = False
                     break
-            solved_count = sum(len(o) for o in outcome_lists)
-            expected = sum(len(t) for _, t in level_tasks)
-            if solved_count < expected or (out_of_budget() and next_frontier):
-                complete = False
-                break
-            frontier = next_frontier
     finally:
         if pool is not None:
-            pool.close()
+            # Every result read has been used; stop whatever still runs.
+            pool.terminate()
             pool.join()
     return HistorySearchResult(
         m=m,
@@ -1151,73 +1104,46 @@ def history_verdict(history: History) -> HistoryVerdict:
 
 @dataclass(frozen=True)
 class OptimalityRecord:
-    """An LP optimum together with its infeasibility-style certificate.
+    """An LP optimum with its exact certificate.
 
-    The certificate refutes the system extended with the row stating that
-    the objective beats the optimum by `OPTIMALITY_MARGIN`; checking it
-    needs no solver.
+    ``objective`` (per ballot mask) is optimized in direction ``sense``;
+    ``certificate`` is the `Optimal` of maximizing ``objective`` (``max``)
+    or its negation (``min``): a point attaining the optimum and LP-duality
+    multipliers that bound every feasible point by it. Checking it needs no
+    solver (`verify`).
     """
 
     label: str
     sense: str
     optimum: Fraction
     objective: Mapping[int, Fraction]
-    bound_row: Row
-    certificate: FarkasCertificate
+    certificate: Optimal
+
+    def verify(self, problem: _Problem) -> bool:
+        sign = 1 if self.sense == "max" else -1
+        maximized = {mask: sign * c for mask, c in self.objective.items()}
+        return sign * self.certificate.value == self.optimum and verify_optimum(
+            problem, maximized, self.certificate
+        )
 
 
-def _solve_sense(
-    system: LinearSystem, objective: Mapping[int, Fraction], sense: str
-) -> Fraction:
-    if sense == "max":
-        result = maximize(system, objective)
-        if not isinstance(result, Optimal):
-            raise RuntimeError(f"expected a bounded optimum, got {result}")
-        return result.value
-    negated = {label: -c for label, c in objective.items()}
-    result = maximize(system, negated)
-    if not isinstance(result, Optimal):
-        raise RuntimeError(f"expected a bounded optimum, got {result}")
-    return -result.value
-
-
-def optimality_bound_row(
-    system: LinearSystem,
+def _certified_optimum(
+    problem: _Problem,
     objective: Mapping[int, Fraction],
     sense: str,
-    optimum: Fraction,
-) -> Row:
-    """The row whose addition makes the system infeasible iff ``optimum``
-    really is the optimum (up to the fixed positive margin)."""
-    pos_of = {label: i for i, label in enumerate(system.variables)}
-    if sense == "max":
-        coeffs = {pos_of[lab]: -c for lab, c in objective.items() if c}
-        rhs = -(optimum + OPTIMALITY_MARGIN)
-    elif sense == "min":
-        coeffs = {pos_of[lab]: c for lab, c in objective.items() if c}
-        rhs = optimum - OPTIMALITY_MARGIN
-    else:
-        raise ValueError("sense must be 'max' or 'min'")
-    return Row(coeffs, rhs, ("objective_bound",))
-
-
-def certify_optimum(
-    system: LinearSystem,
-    objective: Mapping[int, Fraction],
-    sense: str,
-    optimum: Fraction,
     label: str,
+    seeds: Sequence[int],
 ) -> OptimalityRecord:
-    row = optimality_bound_row(system, objective, sense, optimum)
-    extended = system.extended(row)
-    verdict = solve_feasibility(extended)
-    if not isinstance(verdict, Infeasible):
-        raise RuntimeError(f"{label}: claimed optimum is not optimal")
-    if not verify_farkas(extended, verdict.certificate):
-        raise RuntimeError(f"{label}: optimality certificate failed")
-    return OptimalityRecord(
-        label, sense, optimum, dict(objective), row, verdict.certificate
+    sign = 1 if sense == "max" else -1
+    result = _maximize_problem(
+        problem, {mask: sign * c for mask, c in objective.items()}, seeds
     )
+    if not isinstance(result, Optimal):
+        raise RuntimeError(f"{label}: expected a bounded optimum, got {result}")
+    record = OptimalityRecord(label, sense, sign * result.value, dict(objective), result)
+    if not record.verify(problem):
+        raise RuntimeError(f"{label}: optimality certificate failed")
+    return record
 
 
 def verify_lemma2_structure(
@@ -1273,7 +1199,6 @@ def verify_lemma2_structure(
 class Lemma2Report:
     """All optima of the k = 8 structure suite, each certified."""
 
-    system: LinearSystem
     committee: CandidateSet
     deviation: CandidateSet
     witness: Profile
@@ -1293,103 +1218,103 @@ class Lemma2Report:
             and len(self.drop_records) == 12
         )
 
+    def all_certified(self) -> bool:
+        """Re-check every record against freshly built rows."""
+        problem = _rows_for_steps(
+            self.committee.m, len(self.committee),
+            [(self.committee.mask, self.deviation.mask)],
+        ).problem()
+        records = (
+            self.quarter_records
+            + (self.aggregate_zero_record,)
+            + self.zero_records
+            + self.drop_records
+        )
+        return all(r.verify(problem) for r in records)
+
 
 def lemma2_suite() -> Lemma2Report:
     """Solve and certify the programs pinning down k = 8 core failures.
 
+    All programs live on the rows of the (4, 2) shape's one-step history.
     The two special ballots each carry weight exactly 1/4 (four programs);
     every other ballot meeting the deviation carries weight exactly 0
-    (certified through one aggregate program whose certificate transfers to
-    each single-ballot program); and removing any of the six unnamed
-    committee members changes the score by exactly -1/12 (twelve programs).
+    (one aggregate program, whose point and duals also certify each
+    single-ballot maximum); and removing any of the six unnamed committee
+    members changes the score by exactly -1/12 (twelve programs). Every
+    optimum is certified by exact LP duality.
     """
     k = 8
-    shape = DeviationShape(4, 2)
-    committee, deviation = canonical_program3_sets(k, shape)
-    m = committee.m
-    system = build_program3(k, shape)
-    base = solve_feasibility(system)
-    if not isinstance(base, Feasible):
+    history = program3_history(k, DeviationShape(4, 2))
+    ((committee, deviation),) = history.steps
+    m = history.m
+    verdict = history_verdict(history)
+    if verdict.witness is None:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
-    witness = Profile(m, dict(base.assignment))
+    witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
+    problem = _rows_for_steps(m, k, history.mask_steps()).problem()
+    # Column activation starts from the witness's ballots, a feasible point.
+    seeds = [mask - 1 for mask, _ in witness.mask_items()]
 
     a, b = sorted(deviation & committee)
     x, y = sorted(deviation - committee)
     mask_abx = (1 << a) | (1 << b) | (1 << x)
     mask_aby = (1 << a) | (1 << b) | (1 << y)
 
-    quarter_records = []
-    for mask, who in ((mask_abx, "abx"), (mask_aby, "aby")):
-        for sense in ("max", "min"):
-            objective = {mask: Fraction(1)}
-            optimum = _solve_sense(system, objective, sense)
-            quarter_records.append(
-                certify_optimum(
-                    system, objective, sense, optimum, f"{sense} weight of {who}"
-                )
-            )
+    quarter_records = [
+        _certified_optimum(
+            problem, {mask: Fraction(1)}, sense, f"{sense} weight of {who}", seeds
+        )
+        for mask, who in ((mask_abx, "abx"), (mask_aby, "aby"))
+        for sense in ("max", "min")
+    ]
 
     bad_masks = [
         mask
         for mask in range(1, 1 << m)
         if mask & deviation.mask and mask not in (mask_abx, mask_aby)
     ]
-    aggregate_obj = {mask: Fraction(1) for mask in bad_masks}
-    aggregate_opt = _solve_sense(system, aggregate_obj, "max")
-    aggregate_record = certify_optimum(
-        system,
-        aggregate_obj,
+    aggregate_record = _certified_optimum(
+        problem,
+        {mask: Fraction(1) for mask in bad_masks},
         "max",
-        aggregate_opt,
         "max total weight of other deviation-meeting ballots",
+        seeds,
     )
-    # Every feasible weight is nonnegative and bounded by the aggregate, so
-    # each single-ballot maximum equals the aggregate optimum 0; dropping
-    # columns from the aggregate bound row only raises the certificate's
-    # column sums, so the same multipliers certify every single program.
+    # Weights are nonnegative, so the aggregate optimum bounds each single
+    # weight, and its duals (G^T y >= the aggregate objective >= each unit
+    # objective) certify each single maximum with the same point.
     zero_records = []
     for mask in bad_masks:
-        objective = {mask: Fraction(1)}
-        row = optimality_bound_row(system, objective, "max", aggregate_opt)
-        extended = system.extended(row)
-        certificate = FarkasCertificate(
-            extended.n_rows, dict(aggregate_record.certificate.nonzero)
+        record = OptimalityRecord(
+            f"max weight of ballot {mask:#x}",
+            "max",
+            aggregate_record.optimum,
+            {mask: Fraction(1)},
+            aggregate_record.certificate,
         )
-        if not verify_farkas(extended, certificate):
-            raise RuntimeError(f"transferred certificate failed for {mask:#x}")
-        zero_records.append(
-            OptimalityRecord(
-                f"max weight of ballot {mask:#x}",
-                "max",
-                aggregate_opt,
-                objective,
-                row,
-                certificate,
-            )
-        )
+        if not record.verify(problem):
+            raise RuntimeError(f"{record.label}: optimality certificate failed")
+        zero_records.append(record)
 
-    drop_records = []
-    for c in sorted(committee - deviation):
-        objective = {
-            mask: Fraction(-1, (mask & committee.mask).bit_count())
-            for mask in range(1, 1 << m)
-            if (mask >> c) & 1
-        }
-        for sense in ("max", "min"):
-            optimum = _solve_sense(system, objective, sense)
-            drop_records.append(
-                certify_optimum(
-                    system,
-                    objective,
-                    sense,
-                    optimum,
-                    f"{sense} score change when removing c{c + 1}",
-                )
-            )
+    drop_records = [
+        _certified_optimum(
+            problem,
+            {
+                mask: Fraction(-1, (mask & committee.mask).bit_count())
+                for mask in range(1, 1 << m)
+                if (mask >> c) & 1
+            },
+            sense,
+            f"{sense} score change when removing c{c + 1}",
+            seeds,
+        )
+        for c in sorted(committee - deviation)
+        for sense in ("max", "min")
+    ]
 
     return Lemma2Report(
-        system=system,
         committee=committee,
         deviation=deviation,
         witness=witness,

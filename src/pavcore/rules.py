@@ -18,7 +18,9 @@ from .elections import (
     CandidateSet,
     ElectionInstance,
     EnumerationLimitError,
+    _as_mask,
     harmonic,
+    mask_swap_delta,
 )
 from .stability import Quota, find_deviation
 
@@ -111,7 +113,7 @@ def local_pav(
     if fixed_mask.bit_count() > k:
         raise ValueError("fixed set is larger than the committee size")
     active_masks = (
-        None if active is None else frozenset(_mask_of(b, m) for b in active)
+        None if active is None else frozenset(_as_mask(b, m) for b in active)
     )
     if config.start is not None:
         committee = config.start.mask
@@ -134,18 +136,9 @@ def local_pav(
         movable = [i for i in range(m) if (committee >> i) & 1 and not (fixed_mask >> i) & 1]
         outside = [i for i in range(m) if not (committee >> i) & 1]
         for x in movable:
-            x_bit = 1 << x
             for y in outside:
-                y_bit = 1 << y
-                delta = Fraction(0)
-                for mask, weight in items:
-                    has_x, has_y = mask & x_bit, mask & y_bit
-                    if has_x and not has_y:
-                        delta -= weight / (mask & committee).bit_count()
-                    elif has_y and not has_x:
-                        delta += weight / ((mask & committee).bit_count() + 1)
-                if delta > epsilon:
-                    committee = (committee & ~x_bit) | y_bit
+                if mask_swap_delta(items, committee, x, y) > epsilon:
+                    committee = (committee & ~(1 << x)) | (1 << y)
                     improved = True
                     break
             if improved:
@@ -153,14 +146,6 @@ def local_pav(
     result = CandidateSet(committee, m)
     assert fixed_mask & ~committee == 0 and committee.bit_count() == k
     return result
-
-
-def _mask_of(ballot, m: int) -> int:
-    if isinstance(ballot, CandidateSet):
-        if ballot.m != m:
-            raise ValueError("ballot universe mismatch")
-        return ballot.mask
-    return int(ballot)
 
 
 def _check_enumeration_cap(m: int, k: int, cap: int) -> None:
@@ -213,24 +198,13 @@ def all_local_pav(
 
 
 def _is_swap_stable(items, w_mask: int, m: int) -> bool:
-    for x in range(m):
-        if not (w_mask >> x) & 1:
-            continue
-        x_bit = 1 << x
-        for y in range(m):
-            if (w_mask >> y) & 1:
-                continue
-            y_bit = 1 << y
-            delta = Fraction(0)
-            for mask, weight in items:
-                has_x, has_y = mask & x_bit, mask & y_bit
-                if has_x and not has_y:
-                    delta -= weight / (mask & w_mask).bit_count()
-                elif has_y and not has_x:
-                    delta += weight / ((mask & w_mask).bit_count() + 1)
-            if delta > 0:
-                return False
-    return True
+    members = [i for i in range(m) if (w_mask >> i) & 1]
+    outside = [i for i in range(m) if not (w_mask >> i) & 1]
+    return all(
+        mask_swap_delta(items, w_mask, x, y) <= 0
+        for x in members
+        for y in outside
+    )
 
 
 def recursive_pav(

@@ -74,12 +74,7 @@ def deviation_support(
     """Total weight of ballots that strictly prefer ``deviation`` to the committee."""
     if not deviation or len(deviation) > committee.m:
         raise ValueError("deviation must be nonempty")
-    w_mask, t_mask = committee.mask, deviation.mask
-    support = Fraction(0)
-    for mask, weight in profile.mask_items():
-        if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
-            support += weight
-    return support
+    return _supporters(profile, committee.mask, deviation.mask)[0]
 
 
 def _supporters(profile: Profile, w_mask: int, t_mask: int):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pavcore import exactlp
 from pavcore.exactlp import (
     FarkasCertificate,
     Feasible,
@@ -14,9 +15,12 @@ from pavcore.exactlp import (
     Optimal,
     Row,
     Unbounded,
+    _Master,
+    _Problem,
     maximize,
     solve_feasibility,
     verify_farkas,
+    verify_optimum,
 )
 
 
@@ -241,3 +245,110 @@ class TestColumnActivation:
         assert isinstance(result, Optimal)
         assert result.value == 2
         assert result.assignment[561] == 1
+
+
+class TestDuals:
+    def test_master_duals_on_negative_rhs_row(self):
+        # min x0 + 2 x1  st  x0 + x1 <= 2,  -x0 - x1 <= -1,  x >= 0.
+        # The optimum 1 sits at x0 = 1; the covering row (negative rhs)
+        # carries multiplier -1 and the packing row 0.
+        columns = [(0, [Fraction(1), Fraction(-1)]), (1, [Fraction(1), Fraction(-1)])]
+        rhs = [Fraction(2), Fraction(-1)]
+        cost = {0: Fraction(1), 1: Fraction(2)}
+        status, x, value, duals = _Master(columns, rhs).solve(objective_per_key=cost)
+        assert status == "optimal"
+        assert value == 1 and x == {0: 1}
+        assert list(duals) == [0, -1]
+        # Dual feasibility and strong duality for min c.x, Gx <= h, x >= 0.
+        assert all(y <= 0 for y in duals)
+        for key, col in columns:
+            assert cost[key] - sum(y * g for y, g in zip(duals, col)) >= 0
+        assert sum(y * h for y, h in zip(duals, rhs)) == value
+
+    def test_wide_maximize_with_negative_rhs_rows(self):
+        # Column activation prices with the duals; a wrong sign on the
+        # negative-rhs rows keeps flagging columns that are already active.
+        n = 300
+        rows = [
+            Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
+            Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
+            Row({0: Fraction(1), n - 1: Fraction(-2)}, Fraction(-1), ("link",)),
+        ]
+        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
+        result = maximize(system, {0: Fraction(1)})
+        assert isinstance(result, Optimal)
+        assert result.value == Fraction(1, 3)
+        assert verify_optimum(_Problem.from_system(system), {0: Fraction(1)}, result)
+
+    def test_activation_matches_all_columns(self, monkeypatch):
+        rng = random.Random(3)
+        cases = []
+        for _ in range(40):
+            n = 30
+            rows = [
+                Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
+                Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
+            ]
+            for r in range(3):
+                coeffs = {
+                    j: Fraction(rng.randint(-3, 3))
+                    for j in rng.sample(range(n), 6)
+                }
+                rows.append(Row(coeffs, Fraction(rng.randint(-2, 1), 2), ("r", r)))
+            objective = {j: Fraction(rng.randint(-2, 2)) for j in rng.sample(range(n), 4)}
+            cases.append((LinearSystem(list(range(n)), rows, nonneg_block=True), objective))
+        dense = [maximize(system, objective) for system, objective in cases]
+        monkeypatch.setattr(exactlp, "DENSE_COLUMN_LIMIT", 5)
+        monkeypatch.setattr(exactlp, "ACTIVATION_BATCH", 2)
+        for (system, objective), expected in zip(cases, dense):
+            result = maximize(system, objective)
+            assert type(result) is type(expected)
+            if isinstance(result, Optimal):
+                assert result.value == expected.value
+                problem = _Problem.from_system(system)
+                assert verify_optimum(problem, objective, result)
+
+
+class TestVerifyOptimum:
+    def setup_method(self):
+        # max x + y st x + 2y <= 4, 3x + y <= 6, x, y >= 0.
+        self.system = make_system(
+            [([1, 2], 4), ([3, 1], 6), ([-1, 0], 0), ([0, -1], 0)]
+        )
+        self.problem = _Problem.from_system(self.system)
+        self.objective = {0: Fraction(1), 1: Fraction(1)}
+        self.point = {0: Fraction(8, 5), 1: Fraction(6, 5)}
+
+    def test_accepts_the_optimum_with_its_duals(self):
+        claim = Optimal(Fraction(14, 5), self.point, (Fraction(2, 5), Fraction(1, 5)))
+        assert verify_optimum(self.problem, self.objective, claim)
+        solved = maximize(self.system, self.objective)
+        assert solved.duals == (Fraction(2, 5), Fraction(1, 5))
+        assert verify_optimum(self.problem, self.objective, solved)
+
+    def test_rejects_a_perturbed_dual(self):
+        for duals in (
+            (Fraction(2, 5), Fraction(1, 5) + Fraction(1, 100)),
+            (Fraction(7, 10), Fraction(0)),  # h.y still 14/5; column 0 fails
+            (Fraction(-2, 5), Fraction(1, 5)),
+        ):
+            claim = Optimal(Fraction(14, 5), self.point, duals)
+            assert not verify_optimum(self.problem, self.objective, claim), duals
+
+    def test_rejects_a_wrong_value(self):
+        duals = (Fraction(2, 5), Fraction(1, 5))
+        assert not verify_optimum(
+            self.problem, self.objective, Optimal(Fraction(3), self.point, duals)
+        )
+        # A feasible but suboptimal point cannot carry the optimum's value.
+        low = {0: Fraction(1), 1: Fraction(1)}
+        assert not verify_optimum(
+            self.problem, self.objective, Optimal(Fraction(2), low, duals)
+        )
+
+    def test_rejects_an_infeasible_point(self):
+        duals = (Fraction(2, 5), Fraction(1, 5))
+        far = {0: Fraction(2), 1: Fraction(4, 5)}  # value 14/5, 3x + y > 6
+        assert not verify_optimum(
+            self.problem, self.objective, Optimal(Fraction(14, 5), far, duals)
+        )

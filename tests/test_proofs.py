@@ -26,6 +26,7 @@ from pavcore.proofs import (
     history_verdict,
     inequality_scan,
     iter_shapes,
+    lemma2_suite,
     min_supporter_delta,
     supporter_bound,
     verify_lemma2_structure,
@@ -187,6 +188,15 @@ class TestLemma2Structure:
             verify_lemma2_structure(
                 profile, cs([1, 2, 5, 6, 7, 8, 9, 10], 10), cs([1, 2, 3], 10)
             )
+
+
+def test_lemma2_suite_optima_are_certified():
+    report = lemma2_suite()
+    assert report.structure_ok
+    assert report.all_optima_as_expected()
+    assert len(report.zero_records) == 958
+    # Every optimum carries a point and exact duals that the check accepts.
+    assert report.all_certified()
 
 
 class TestHistoryType:
