@@ -213,12 +213,14 @@ def _prove_program3(args) -> int:
     if out:
         out.mkdir(parents=True, exist_ok=True)
     deadline = (
-        time.monotonic() + args.budget_seconds if args.budget_seconds else None
+        None
+        if args.budget_seconds is None
+        else time.monotonic() + args.budget_seconds
     )
     results = []
     all_infeasible = True
     for shape in iter_shapes(args.k):
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             _emit(
                 args,
                 {"mode": "program3", "k": args.k, "complete": False, "results": results},
@@ -338,6 +340,10 @@ def cmd_prove(args) -> int:
         raise ProfileFormatError(f"--k must be at least 1, got {args.k}")
     if args.threads < 1:
         raise ProfileFormatError(f"--threads must be at least 1, got {args.threads}")
+    if args.budget_seconds is not None and not args.budget_seconds >= 0:
+        raise ProfileFormatError(
+            f"--budget-seconds must be at least 0, got {args.budget_seconds}"
+        )
     if args.mode == "inequality":
         return _prove_inequality(args)
     if args.mode == "program3":
@@ -373,9 +379,11 @@ def _is_certificate_file(path: Path) -> bool:
 def cmd_check_certificates(args) -> int:
     root = Path(args.bundle)
     if not root.exists():
-        raise ProfileFormatError(f"no such bundle directory: {root}")
+        raise ProfileFormatError(f"no such bundle: {root}")
+    # A file argument is a bundle of that one file.
+    paths = [root] if root.is_file() else root.rglob("*.json")
     files = sorted(
-        p for p in root.rglob("*.json") if p.is_file() and _is_certificate_file(p)
+        p for p in paths if p.is_file() and _is_certificate_file(p)
     )
     started = time.monotonic()
     if args.threads > 1 and len(files) > 1:
@@ -444,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check-certificates", help="re-verify a bundle without a solver"
     )
-    p.add_argument("bundle")
+    p.add_argument("bundle", help="bundle directory or one certificate file")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check_certificates)

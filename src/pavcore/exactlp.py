@@ -1,25 +1,24 @@
 """Exact linear-program feasibility and optimization over the rationals.
 
-Systems are stored in the normal form ``row . x <= rhs``. Verdicts are
-produced by a two-phase simplex with Bland's anti-cycling rule running on
-exact rational arithmetic; infeasibility comes with an integer Farkas
-certificate (row multipliers y >= 0 with y.b < 0 and A^T y >= 0) that
-`verify_farkas` checks without any solver; an optimum comes with a point
-and an LP-duality certificate that `verify_optimum` checks the same way.
+A system is ``Ax <= b`` over nonnegative variables: every variable is a
+ballot weight, so ``x >= 0`` is part of every problem, and rows that only
+restate it (``-x_j <= 0``) never reach the solver. Verdicts are produced by
+a two-phase simplex with Bland's anti-cycling rule running on exact
+rational arithmetic; infeasibility comes with an integer Farkas certificate
+(row multipliers y >= 0 with y.b < 0 and A^T y >= 0, which together rule
+out every x >= 0) that `verify_farkas` checks without any solver; an
+optimum comes with a point and an LP-duality certificate that
+`verify_optimum` checks the same way.
 
-Wide systems (many variables, few non-trivial rows) are solved by column
-activation: the simplex works on a growing subset of columns, and after each
-verdict every column of the full system is priced exactly (integer-scaled
-dot products) to either confirm the verdict or activate violated columns.
-Setting a variable to zero preserves feasibility, so a feasible restricted
-system is feasible in full; an infeasibility ray that prices clean on every
-column is a certificate for the full system.
-
-The ``A^T y >= 0`` form of the certificate check is sound for systems whose
-rows force the variables to be nonnegative, which is true for every system
-this package constructs (they all carry explicit nonnegativity rows).
-Certificates produced for systems with genuinely free variables satisfy the
-stronger ``A^T y = 0`` componentwise.
+The solver sees a system as one dense integer matrix with a positive scale
+and an exact right-hand side per row (`_ScaledRows`). Wide systems (many
+variables, few rows) are solved by column activation: the simplex works on
+a growing subset of columns, and after each verdict every column of the
+full system is priced exactly with integer dot products to either confirm
+the verdict or activate violated columns. Setting a variable to zero
+preserves feasibility, so a feasible restricted system is feasible in full;
+an infeasibility ray or an optimum's duals that price clean on every column
+hold for the full system.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ DENSE_COLUMN_LIMIT = 280
 #: How many violated columns to activate per pricing round.
 ACTIVATION_BATCH = 64
 
+#: Integer sums below this bound cannot overflow int64.
+_INT64_SAFE = 2**62
+
 
 def _fr(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -71,12 +73,15 @@ class Row:
 
 
 class LinearSystem:
-    """An ordered inequality system ``Ax <= b`` over labelled variables.
+    """An ordered inequality system ``Ax <= b`` over nonnegative labelled
+    variables.
 
     ``head_rows`` come first; if ``nonneg_block`` is set, one row
-    ``-x_j <= 0`` per variable follows, in variable order. The canonical
-    systems of this package put normalization, swap and deviation rows in
-    the head and end with the nonnegativity block.
+    ``-x_j <= 0`` per variable follows, in variable order. Those rows only
+    restate ``x >= 0``, which holds with or without them; they are there so
+    that certificates index the canonical row order. The canonical systems
+    of this package put normalization, swap and deviation rows in the head
+    and end with the nonnegativity block.
     """
 
     def __init__(
@@ -93,12 +98,6 @@ class LinearSystem:
             for j in row.coeffs:
                 if not 0 <= j < n:
                     raise ValueError(f"row {row.tag} references column {j}")
-
-    @classmethod
-    def from_rows(
-        cls, variables: Sequence[int], rows: Sequence[Row]
-    ) -> "LinearSystem":
-        return cls(variables, rows)
 
     @property
     def n_vars(self) -> int:
@@ -124,10 +123,6 @@ class LinearSystem:
     def iter_rows(self) -> Iterator[Row]:
         for i in range(self.n_rows):
             yield self.row(i)
-
-    def general_rows(self) -> tuple[Row, ...]:
-        """All rows except the implicit nonnegativity block."""
-        return self.head_rows
 
     def general_row_indices(self) -> tuple[int, ...]:
         return tuple(range(len(self.head_rows)))
@@ -164,12 +159,6 @@ class FarkasCertificate:
 
     def multiplier(self, row_index: int) -> int:
         return self.nonzero.get(row_index, 0)
-
-    def as_list(self) -> list[int]:
-        out = [0] * self.n_rows
-        for i, v in self.nonzero.items():
-            out[i] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -211,8 +200,9 @@ def verify_farkas(system: LinearSystem, certificate: FarkasCertificate) -> bool:
     """Check a Farkas certificate exactly, without any solver.
 
     True iff every multiplier is a nonnegative integer, ``y . b < 0``, and
-    ``A^T y >= 0`` componentwise. For systems whose rows force ``x >= 0``
-    (all systems built by this package) this soundly proves infeasibility.
+    ``A^T y >= 0`` componentwise. Then every ``x >= 0`` with ``Ax <= b``
+    would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
+    whose variables are all nonnegative, has no solution.
     """
     if certificate.n_rows != system.n_rows:
         raise ValueError(
@@ -248,30 +238,20 @@ _DEGENERACY_LIMIT = 12
 
 
 class _Master:
-    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0`` (+ split frees).
+    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0``.
 
     Rows are numpy object arrays of exact rationals. The entering column is
     chosen by most-negative reduced cost until the objective stalls, after
     which Bland's least-index rule takes over, guaranteeing termination.
     """
 
-    def __init__(self, columns, rhs, free_positions=frozenset()):
+    def __init__(self, columns, rhs):
         # columns: list of (key, dense list of _q over the general rows).
         self.n_rows = len(rhs)
-        self.keys = []
-        self.signs = []  # +1 for the positive part, -1 for a split negative
-        cols = []
-        for key, data in columns:
-            self.keys.append(key)
-            self.signs.append(1)
-            cols.append(data)
-            if key in free_positions:
-                self.keys.append(key)
-                self.signs.append(-1)
-                cols.append([-v for v in data])
-        self.n_struct = len(cols)
+        self.keys = [key for key, _ in columns]
+        self.cols = [data for _, data in columns]
+        self.n_struct = len(self.cols)
         self.rhs = [_q(v) for v in rhs]
-        self.cols = cols
 
     def solve(self, objective_per_key=None):
         """Run two-phase simplex; return a result tuple.
@@ -334,8 +314,7 @@ class _Master:
         for jj in range(S):
             c = objective_per_key.get(self.keys[jj])
             if c:
-                cost[jj] = _q(c) if self.signs[jj] > 0 else -_q(c)
-                z[jj] = cost[jj]
+                cost[jj] = z[jj] = _q(c)
         for i in range(R):
             b = basis[i]
             if b < width and cost[b]:
@@ -409,13 +388,11 @@ class _Master:
 
     def _extract(self, tab, basis):
         width = tab.shape[1] - 1
-        x: dict[object, object] = {}
-        for i, b in enumerate(basis):
-            if b < self.n_struct and tab[i, width]:
-                key = self.keys[b]
-                delta = tab[i, width] if self.signs[b] > 0 else -tab[i, width]
-                x[key] = x.get(key, _Q0) + delta
-        return {k: v for k, v in x.items() if v}
+        return {
+            self.keys[b]: tab[i, width]
+            for i, b in enumerate(basis)
+            if b < self.n_struct and tab[i, width]
+        }
 
     def _duals(self, z, n_struct):
         # Tableau row i is sigma_i times original row i, and so is the
@@ -430,63 +407,25 @@ class _Master:
 
 
 class _ScaledRows:
-    """Integer-scaled general rows for exact vectorized pricing."""
+    """General rows as one dense integer matrix, for exact vectorized
+    pricing: row i reads ``matrix[i] . x <= scales[i] * rhs[i]``.
 
-    def __init__(self, system: LinearSystem):
-        rows = system.general_rows()
-        self.n_vars = system.n_vars
-        self.n_rows = len(rows)
-        self.rhs = [_q(r.rhs) for r in rows]
-        self.scales: list[int] = []
-        int_rows: list[dict[int, int]] = []
-        for r in rows:
-            ints, _, scale = r.scaled_ints()
-            self.scales.append(scale)
-            int_rows.append(ints)
-        self.lcm_scale = 1
-        for s in self.scales:
-            self.lcm_scale = self.lcm_scale * s // math.gcd(self.lcm_scale, s)
-        max_abs = 0
-        self.matrix = np.zeros((self.n_rows, self.n_vars), dtype=np.int64)
-        overflow = False
-        for i, ints in enumerate(int_rows):
-            for j, v in ints.items():
-                if abs(v) > 2**60:
-                    overflow = True
-                max_abs = max(max_abs, abs(v))
-                if not overflow:
-                    self.matrix[i, j] = v
-        self.max_abs = max_abs
-        if overflow:  # exact fallback for pathological inputs
-            self.matrix = None
-            self.int_rows = int_rows
-        else:
-            self.int_rows = int_rows
+    The matrix is int64, or a numpy object array of Python ints when an
+    entry does not fit; every product below is exact either way.
+    """
 
-    @classmethod
-    def from_dense_int(cls, matrix, scales, rhs_exact, n_vars):
-        obj = cls.__new__(cls)
-        obj.matrix = matrix
-        obj.n_rows, obj.n_vars = matrix.shape
-        assert obj.n_vars == n_vars
-        obj.scales = list(scales)
-        obj.rhs = [_q(v) for v in rhs_exact]
-        obj.lcm_scale = 1
-        for s in obj.scales:
-            obj.lcm_scale = obj.lcm_scale * s // math.gcd(obj.lcm_scale, s)
-        obj.max_abs = int(np.abs(matrix).max(initial=0))
-        obj.int_rows = None
-        return obj
+    def __init__(self, matrix, scales, rhs_exact):
+        self.matrix = matrix
+        self.n_rows, self.n_vars = matrix.shape
+        self.scales = list(scales)
+        self.rhs = [_q(v) for v in rhs_exact]
+        self.lcm_scale = math.lcm(1, *self.scales)
+        self.max_abs = int(np.abs(matrix).max(initial=0))
 
     def exact_column(self, j: int) -> list:
-        if self.matrix is not None:
-            col = self.matrix[:, j]
-            return [
-                _q(int(col[i]), self.scales[i]) if col[i] else _Q0
-                for i in range(self.n_rows)
-            ]
+        col = self.matrix[:, j]
         return [
-            _q(self.int_rows[i].get(j, 0), self.scales[i])
+            _q(int(col[i]), self.scales[i]) if col[i] else _Q0
             for i in range(self.n_rows)
         ]
 
@@ -500,13 +439,7 @@ class _ScaledRows:
         cols = list(x)
         denom = math.lcm(*(Fraction(v).denominator for v in x.values()))
         ints = [int(x[j] * denom) for j in cols]
-        if self.matrix is not None:
-            sums = self.matrix[:, cols].astype(object) @ np.array(ints, dtype=object)
-        else:
-            sums = [
-                sum(row.get(j, 0) * v for j, v in zip(cols, ints))
-                for row in self.int_rows
-            ]
+        sums = self.matrix[:, cols].astype(object) @ np.array(ints, dtype=object)
         return [
             Fraction(int(s), self.scales[i] * denom) for i, s in enumerate(sums)
         ]
@@ -527,108 +460,86 @@ class _ScaledRows:
             int(u * denom) * (self.lcm_scale // self.scales[i])
             for i, u in enumerate(multipliers)
         ]
-        if self.matrix is not None:
-            bound = sum(abs(s) for s in scaled) * max(self.max_abs, 1)
-            if bound < 2**62:
-                return np.asarray(scaled, dtype=np.int64) @ self.matrix, factor
-            obj_vec = np.asarray(scaled, dtype=object)
-            return obj_vec @ self.matrix.astype(object), factor
-        totals = [0] * self.n_vars
-        for i, s in enumerate(scaled):
-            if s:
-                for j, v in self.int_rows[i].items():
-                    totals[j] += s * v
-        return totals, factor
+        bound = sum(abs(s) for s in scaled) * max(self.max_abs, 1)
+        if bound < _INT64_SAFE:
+            return np.asarray(scaled, dtype=np.int64) @ self.matrix, factor
+        obj_vec = np.asarray(scaled, dtype=object)
+        return obj_vec @ self.matrix.astype(object), factor
 
 
-def _split_rows(system: LinearSystem):
-    """Partition rows into general rows and per-variable bound rows.
-
-    A bound row is exactly ``-x_j <= 0``; the first such row per variable is
-    handled natively by the simplex (variables are nonnegative there), any
-    further ones are redundant and kept out of the master entirely.
-    """
-    general_indices: list[int] = []
-    bound_of: dict[int, int] = {}
-    redundant: list[int] = []
-    n_head = len(system.head_rows)
-    for i, row in enumerate(system.head_rows):
-        items = list(row.coeffs.items())
-        if len(items) == 1 and items[0][1] == -1 and row.rhs == 0:
-            j = items[0][0]
-            if j not in bound_of:
-                bound_of[j] = i
-            else:
-                redundant.append(i)
-            continue
-        general_indices.append(i)
-    if system.nonneg_block:
-        for j in range(system.n_vars):
-            if j not in bound_of:
-                bound_of[j] = n_head + j
-    return general_indices, bound_of
+def _split_rows(system: LinearSystem) -> list[int]:
+    """Indices of the general rows: the head rows except those reading
+    ``-x_j <= 0``, which only restate a variable's bound."""
+    return [
+        i
+        for i, row in enumerate(system.head_rows)
+        if not (
+            row.rhs == 0
+            and len(row.coeffs) == 1
+            and next(iter(row.coeffs.values())) == -1
+        )
+    ]
 
 
 class _Problem:
-    """The solver-facing view: general rows + native nonnegative columns.
+    """The solver-facing view: general rows over nonnegative columns.
 
-    Built either from a materialized `LinearSystem` or directly from
-    integer-scaled row data (the fast path used by the proof-search module,
-    which constructs the same canonical systems without materializing them).
+    Built from a `LinearSystem` (`from_system`) or directly from the
+    integer-scaled rows the proof-search module builds without
+    materializing the system. ``general_row_ids`` places each general row
+    in the full row order, which certificates index.
     """
 
-    def __init__(self, variables, n_rows_total, general_row_ids, free, scaled):
+    def __init__(self, variables, n_rows_total, general_row_ids, scaled):
         self.variables = tuple(variables)
         self.n_vars = len(self.variables)
         self.n_rows_total = n_rows_total
         self.general_row_ids = list(general_row_ids)
-        self.free = frozenset(free)
         self.scaled = scaled
         self.rhs = scaled.rhs
 
     @classmethod
     def from_system(cls, system: LinearSystem) -> "_Problem":
-        general_row_ids, bound_of = _split_rows(system)
-        rows = [system.row(i) for i in general_row_ids]
-        free = frozenset(
-            j for j in range(system.n_vars) if j not in bound_of
+        general_row_ids = _split_rows(system)
+        rows = [system.head_rows[i] for i in general_row_ids]
+        scaled = [row.scaled_ints() for row in rows]
+        wide = any(
+            abs(v) >= _INT64_SAFE for ints, _, _ in scaled for v in ints.values()
         )
-        scaled = _ScaledRows(
-            LinearSystem(system.variables, rows, nonneg_block=False)
+        matrix = np.zeros(
+            (len(rows), system.n_vars), dtype=object if wide else np.int64
         )
-        return cls(system.variables, system.n_rows, general_row_ids, free, scaled)
+        for i, (ints, _, _) in enumerate(scaled):
+            for j, v in ints.items():
+                matrix[i, j] = v
+        return cls(
+            system.variables,
+            system.n_rows,
+            general_row_ids,
+            _ScaledRows(matrix, [s for _, _, s in scaled], [r.rhs for r in rows]),
+        )
 
     def master(self, active: Sequence[int]) -> _Master:
         columns = [(j, self.scaled.exact_column(j)) for j in active]
-        return _Master(columns, self.rhs, free_positions=self.free)
+        return _Master(columns, self.rhs)
 
     def violations(self, duals, objective=None):
         """Columns whose exact reduced cost is negative, worst first.
 
         For a feasibility ray the reduced cost of column j is ``(G^T y)_j``;
-        with an objective (minimization) it is ``c_j - (G^T y)_j``. Columns
-        of free (sign-split) variables need reduced cost exactly zero.
+        with an objective (minimization) it is ``c_j - (G^T y)_j``.
         """
         totals, factor = self.scaled.price(duals)
         out = []
-        if objective is None:
-            for j in range(self.n_vars):
-                t = totals[j]
-                if j in self.free:
-                    if t != 0:
-                        out.append((-abs(t), j))
-                elif t < 0:
-                    out.append((t, j))
-        else:
-            for j in range(self.n_vars):
+        for j in range(self.n_vars):
+            if objective is None:
+                reduced = totals[j]
+            else:
                 c = objective.get(j)
-                lhs = c * factor if c else 0
-                if j in self.free:
-                    if totals[j] != lhs:
-                        out.append((-abs(lhs - totals[j]), j))
-                elif lhs < totals[j]:
-                    out.append((lhs - totals[j], j))
-        out.sort(key=lambda item: (item[0], item[1]))
+                reduced = (c * factor if c else 0) - totals[j]
+            if reduced < 0:
+                out.append((reduced, j))
+        out.sort()
         return [j for _, j in out]
 
     def certificate(self, ray) -> FarkasCertificate:
@@ -644,12 +555,12 @@ class _Problem:
 
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
         """Exact check that an assignment (per label, absent labels are 0)
-        satisfies every general row and every sign constraint."""
+        is nonnegative and satisfies every general row."""
         pos_of = {label: j for j, label in enumerate(self.variables)}
         values = {}
         for label, v in assignment.items():
             j = pos_of.get(label)
-            if j is None or (v < 0 and j not in self.free):
+            if j is None or v < 0:
                 return False
             if v:
                 values[j] = Fraction(v)
@@ -662,71 +573,70 @@ class _Problem:
         n = self.n_vars
         if n <= DENSE_COLUMN_LIMIT:
             return list(range(n))
-        active = set(self.free)
-        if seed:
-            active.update(j for j in seed if 0 <= j < n)
-        if not active:
-            active.update(range(min(n, ACTIVATION_BATCH)))
-        return sorted(active)
+        active = sorted({j for j in seed or () if 0 <= j < n})
+        return active or list(range(min(n, ACTIVATION_BATCH)))
 
 
 def _assignment_with_labels(variables, x) -> dict[int, Fraction]:
     return {variables[j]: _fr(v) for j, v in x.items() if v}
 
 
-def solve_feasibility(
-    system: LinearSystem, seed_columns: Optional[Sequence[int]] = None
-) -> LpVerdict:
-    """Exact feasibility verdict for ``Ax <= b``.
+def _activate(problem: _Problem, seed_columns, objective=None):
+    """Column activation: solve the master on the active columns, price
+    every column exactly against its verdict, and activate the worst
+    violated columns until none is left.
+
+    ``objective`` maps column positions to costs to minimize; without one
+    the master only decides feasibility, and a feasible verdict needs no
+    pricing, since zero on the inactive columns satisfies every row.
+    Returns the last master result and its active columns.
+    """
+    active = problem.initial_active(seed_columns)
+    while True:
+        result = problem.master(active).solve(objective)
+        if len(active) == problem.n_vars or result[0] == "unbounded":
+            return result, active
+        if result[0] == "infeasible":
+            violated = problem.violations(result[1])
+        elif objective is None:
+            return result, active
+        else:
+            violated = problem.violations(result[3], objective)
+        if not violated:
+            return result, active
+        # Exactness guarantees violated columns are inactive.
+        active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
+
+
+def solve_feasibility(system: LinearSystem) -> LpVerdict:
+    """Exact feasibility verdict for ``Ax <= b``, ``x >= 0``.
 
     Feasible systems yield an exact satisfying assignment; infeasible ones
     yield an integer Farkas certificate (the dual ray scaled by the least
     common multiple of its denominators) that passes `verify_farkas`.
     """
-    problem = _Problem.from_system(system)
-    return _solve_problem(problem, seed_columns)[0]
+    return _solve_problem(_Problem.from_system(system))[0]
 
 
-def _solve_problem(problem: _Problem, seed_columns=None):
-    active = problem.initial_active(seed_columns)
-    full = problem.n_vars
-    while True:
-        result = problem.master(active).solve()
-        if result[0] == "optimal":
-            _, x, _, _ = result
-            return Feasible(_assignment_with_labels(problem.variables, x)), active
-        ray = result[1]
-        if len(active) == full:
-            return Infeasible(problem.certificate(ray)), active
-        violated = problem.violations(ray)
-        if not violated:
-            return Infeasible(problem.certificate(ray)), active
-        # Exactness guarantees violated columns are inactive.
-        active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
+def _solve_problem(problem: _Problem):
+    """`solve_feasibility` on a solver-facing problem; returns the verdict
+    and the columns active at the end."""
+    result, active = _activate(problem, None)
+    if result[0] == "infeasible":
+        return Infeasible(problem.certificate(result[1])), active
+    return Feasible(_assignment_with_labels(problem.variables, result[1])), active
 
 
 def maximize(
-    system: LinearSystem,
-    objective: Union[Mapping[int, Fraction], Sequence[Fraction]],
-    seed_columns: Optional[Sequence[int]] = None,
+    system: LinearSystem, objective: Mapping[int, Fraction]
 ) -> MaximizeResult:
     """Exact maximum of ``objective . x`` subject to the system.
 
-    The objective is given per variable label (mapping) or as a dense vector
-    in variable order. Minimization is maximization of the negated
-    objective. Infeasible and unbounded systems are distinguished results.
+    The objective is given per variable label. Minimization is maximization
+    of the negated objective. Infeasible and unbounded systems are
+    distinguished results.
     """
-    if not isinstance(objective, Mapping):
-        if len(objective) != system.n_vars:
-            raise ValueError("objective length does not match variable count")
-        objective = {
-            system.variables[j]: Fraction(c)
-            for j, c in enumerate(objective)
-            if c
-        }
-    return _maximize_problem(
-        _Problem.from_system(system), objective, seed_columns
-    )
+    return _maximize_problem(_Problem.from_system(system), objective)
 
 
 def _maximize_problem(
@@ -746,31 +656,17 @@ def _maximize_problem(
             raise ValueError(f"objective references unknown variable {label}")
     # The master minimizes the negated objective.
     neg = {label_pos[label]: -Fraction(c) for label, c in objective.items() if c}
-    active = problem.initial_active(seed_columns)
-    full = problem.n_vars
-    while True:
-        result = problem.master(active).solve(objective_per_key=neg)
-        if result[0] == "unbounded":
-            return Unbounded()
-        if result[0] == "infeasible":
-            ray = result[1]
-            if len(active) < full:
-                violated = problem.violations(ray)
-                if violated:
-                    active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
-                    continue
-            return Infeasible(problem.certificate(ray))
-        _, x, value, duals = result
-        if len(active) < full:
-            violated = problem.violations(duals, objective=neg)
-            if violated:
-                active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
-                continue
-        return Optimal(
-            _fr(-value),
-            _assignment_with_labels(problem.variables, x),
-            tuple(-_fr(y) for y in duals),
-        )
+    result, _ = _activate(problem, seed_columns, neg)
+    if result[0] == "unbounded":
+        return Unbounded()
+    if result[0] == "infeasible":
+        return Infeasible(problem.certificate(result[1]))
+    _, x, value, duals = result
+    return Optimal(
+        _fr(-value),
+        _assignment_with_labels(problem.variables, x),
+        tuple(-_fr(y) for y in duals),
+    )
 
 
 def verify_optimum(
@@ -781,9 +677,9 @@ def verify_optimum(
 
     The assignment must satisfy every row with objective value equal to
     ``optimum.value``; the duals ``y`` must be nonnegative, with
-    ``h . y = optimum.value`` and ``G^T y >= c`` on every column (``=`` on
-    free columns). Weak duality then bounds every feasible point by
-    ``h . y``, so the value is the maximum.
+    ``h . y = optimum.value`` and ``G^T y >= c`` on every column. Weak
+    duality then bounds every feasible point by ``h . y``, so the value is
+    the maximum.
     """
     duals = [Fraction(y) for y in optimum.duals]
     if len(duals) != problem.scaled.n_rows or any(y < 0 for y in duals):
@@ -807,8 +703,6 @@ def verify_optimum(
     scaled_c = {
         label_pos[label]: Fraction(c) * factor for label, c in objective.items()
     }
-    for j, t in enumerate(np.asarray(totals).tolist()):
-        cj = scaled_c.get(j, 0)
-        if t < cj or (j in problem.free and t != cj):
-            return False
-    return True
+    return all(
+        t >= scaled_c.get(j, 0) for j, t in enumerate(np.asarray(totals).tolist())
+    )

@@ -25,6 +25,7 @@ from typing import Union
 from .elections import CandidateSet, ElectionInstance, Profile
 from .exactlp import FarkasCertificate, LinearSystem
 from .proofs import (
+    MAX_HISTORY_M,
     DeviationShape,
     History,
     history_system,
@@ -47,7 +48,10 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
         r"-?\d+(/\d+)?", text.strip()
     ):
         raise ProfileFormatError(f"not an exact fraction string: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ProfileFormatError(f"zero denominator in {text!r}") from exc
 
 
 def format_fraction(value: Fraction) -> str:
@@ -88,7 +92,7 @@ def instance_from_dict(data) -> ElectionInstance:
         m = int(data["m"])
         k = int(data["k"])
         ballots = data["ballots"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileFormatError(f"missing or malformed field: {exc}") from exc
     if not isinstance(ballots, list) or not ballots:
         raise ProfileFormatError("ballots must be a nonempty list")
@@ -115,7 +119,7 @@ def instance_from_dict(data) -> ElectionInstance:
         else:
             try:
                 c = int(entry["count"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ProfileFormatError(f"bad count: {exc}") from exc
             if c <= 0:
                 raise ProfileFormatError("counts must be positive integers")
@@ -227,8 +231,15 @@ def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
         m = int(payload["m"])
         k = int(payload["k"])
         kind = payload["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateFormatError(f"missing field: {exc}") from exc
+    # The system has 2^m - 1 columns: refuse a large m before building it.
+    if m > MAX_HISTORY_M:
+        raise CertificateFormatError(
+            f"m={m} exceeds the history cap m={MAX_HISTORY_M}"
+        )
+    if not 1 <= k <= m:
+        raise CertificateFormatError(f"need 1 <= k <= m, got k={k} m={m}")
     steps = _steps_from_payload(payload, kind, m, k)
     try:
         history = History.from_masks(m, k, steps)
@@ -244,7 +255,7 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
         raise CertificateFormatError("multipliers must be a list of strings")
     try:
         values = [int(v) for v in raw]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CertificateFormatError(f"bad multiplier: {exc}") from exc
     general_ids = system.general_row_indices()
     if len(values) != len(general_ids):

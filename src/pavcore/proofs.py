@@ -16,12 +16,15 @@ machine-checkable evidence either way:
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
 
-Every LP goes one way: integer-scaled rows (`_HistoryRows`), the
-symmetry-collapsed quotient (`_Quotient`), the exact simplex, the lift back
+Every LP goes one way (`_solve_child`): integer-scaled rows
+(`_HistoryRows`), the symmetry-collapsed quotient (`_Quotient`, which is
+the full system up to column order when no two candidates are
+interchangeable), the exact simplex with column activation, the lift back
 to the full system, and an exact check of the lifted witness or
-certificate. `_build_rows` is the pure-Python reference builder that the
-certificate checker uses, so the checker shares no row code with the
-solver.
+certificate, which raises if the check fails. There is no second solve
+path to fall back on. `_build_rows` is the pure-Python reference builder
+that the certificate checker uses, so the checker shares no row code with
+the solver.
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), negated deviation rows by step,
@@ -521,15 +524,11 @@ class _HistoryRows:
     def problem(self) -> _Problem:
         matrix, rhs, _, n_general = self.assemble()
         n = len(self.ballots)
-        scaled = _ScaledRows.from_dense_int(
-            matrix, [self.scale] * n_general, rhs, n
-        )
         return _Problem(
             variables=range(1, n + 1),
             n_rows_total=n_general + n,
             general_row_ids=range(n_general),
-            free=(),
-            scaled=scaled,
+            scaled=_ScaledRows(matrix, [self.scale] * n_general, rhs),
         )
 
 
@@ -555,30 +554,6 @@ def _prefix_mask(members: Sequence[int], count: int) -> int:
     for i in members[:count]:
         mask |= 1 << i
     return mask
-
-
-def _seed_positions(m: int, k: int, sets: Sequence[int], extra: Iterable[int] = ()) -> list[int]:
-    """Ballot columns likely to matter: prefix-unions of the signature
-    classes of the sets seen so far, plus caller-provided masks."""
-    classes = _signature_classes(m, sets)
-    sizes = [len(c) for c in classes]
-    depths = list(sizes)
-    budget = 140
-    while True:
-        product = 1
-        for d in depths:
-            product *= d + 1
-        if product <= budget or all(d <= 1 for d in depths):
-            break
-        depths[depths.index(max(depths))] -= 1
-    seeds = set(int(x) - 1 for x in extra if x)
-    for counts in itertools.product(*(range(d + 1) for d in depths)):
-        mask = 0
-        for cls, cnt in zip(classes, counts):
-            mask |= _prefix_mask(cls, cnt)
-        if mask:
-            seeds.add(mask - 1)
-    return sorted(seeds)
 
 
 class _Quotient:
@@ -662,7 +637,7 @@ class _Quotient:
         rhs.extend(dev_rhs)
         self.lift_info.extend(dev_info)
         matrix = np.vstack([r.reshape(1, n_types) for r in scaled_rows])
-        self.scaled = _ScaledRows.from_dense_int(matrix, scales, rhs, n_types)
+        self.scaled = _ScaledRows(matrix, scales, rhs)
         self.n_general = matrix.shape[0]
 
     def problem(self) -> _Problem:
@@ -671,7 +646,6 @@ class _Quotient:
             variables=range(n_types),
             n_rows_total=self.n_general + n_types,
             general_row_ids=range(self.n_general),
-            free=(),
             scaled=self.scaled,
         )
 
@@ -869,9 +843,9 @@ def _analytic_step1_certificate(
 
 def _finish_feasible(problem, assignment, m, k, steps):
     if not _verify_witness_fast(problem, assignment):
-        return None
+        raise RuntimeError("witness failed exact verification")
     if not _witness_realizes(assignment, m, k, steps):
-        return None
+        raise RuntimeError("witness does not realize the history")
     items = tuple(
         (mask, w.numerator, w.denominator)
         for mask, w in sorted(assignment.items())
@@ -881,26 +855,29 @@ def _finish_feasible(problem, assignment, m, k, steps):
 
 def _finish_infeasible(problem, certificate):
     if not _verify_certificate_fast(problem, certificate):
-        return None
+        raise RuntimeError("certificate failed exact verification")
     items = tuple(sorted(certificate.nonzero.items()))
     return ("infeasible", (certificate.n_rows, items))
 
 
-def _solve_child_quotient(child_rows: _HistoryRows) -> Optional[tuple[str, object]]:
-    """Solve the orbit-quotient LP and lift the witness or certificate.
+def _solve_child(child_rows: _HistoryRows) -> tuple[str, object]:
+    """Solve one history system; returns ("feasible", witness items) or
+    ("infeasible", certificate items).
 
-    The lift is verified exactly against the full system; a failed
-    verification returns None so the caller falls back to the direct solve.
+    The LP solved is always the orbit quotient (`_Quotient`); when no two
+    candidates are interchangeable it is the full system with its columns
+    in type order. Its witness or certificate is lifted to the full system
+    and verified exactly against the integer-scaled rows of `_HistoryRows`
+    (a witness also against the election semantics); a failed verification
+    raises `RuntimeError`, since it means a bug, not an input condition.
     """
-    m, k = child_rows.m, child_rows.k
-    quotient = _Quotient(m, k, child_rows.steps)
-    if quotient.types.shape[0] >= (1 << m) - 1:
-        return None  # no symmetry to exploit
-    verdict, _ = _solve_problem(quotient.problem(), None)
+    m, k, steps = child_rows.m, child_rows.k, child_rows.steps
+    quotient = _Quotient(m, k, steps)
+    verdict, _ = _solve_problem(quotient.problem())
     problem = child_rows.problem()
     if isinstance(verdict, Feasible):
         assignment = quotient.lift_assignment(verdict.assignment)
-        return _finish_feasible(problem, assignment, m, k, child_rows.steps)
+        return _finish_feasible(problem, assignment, m, k, steps)
     swap_index = {
         (t, x, y): 2 + pos
         for pos, (t, x, y) in enumerate(child_rows.swap_meta)
@@ -914,37 +891,6 @@ def _solve_child_quotient(child_rows: _HistoryRows) -> Optional[tuple[str, objec
     return _finish_infeasible(problem, lifted)
 
 
-def _solve_child(
-    child_rows: _HistoryRows, seed_extra: Iterable[int]
-) -> tuple[str, object]:
-    """Solve one continuation; returns ("feasible", witness items) or
-    ("infeasible", certificate items). Both outcomes are verified exactly
-    against the integer-scaled rows of the full system before returning.
-
-    The symmetry-collapsed system is tried first; since its lifted outcome
-    is verified like any other, the direct solve only runs when the lift
-    fails (which would indicate a bug, not an input condition).
-    """
-    m, k = child_rows.m, child_rows.k
-    result = _solve_child_quotient(child_rows)
-    if result is not None:
-        return result
-    problem = child_rows.problem()
-    sets = [s for step in child_rows.steps for s in step]
-    seeds = _seed_positions(m, k, sets, extra=seed_extra)
-    verdict, _ = _solve_problem(problem, seeds)
-    if isinstance(verdict, Feasible):
-        assignment = dict(verdict.assignment)
-        result = _finish_feasible(problem, assignment, m, k, child_rows.steps)
-        if result is None:
-            raise RuntimeError("witness failed exact verification")
-        return result
-    result = _finish_infeasible(problem, verdict.certificate)
-    if result is None:
-        raise RuntimeError("certificate failed exact verification")
-    return result
-
-
 def _bfs_worker(task):
     """Decide one continuation of one history: ("feasible", witness items)
     or ("infeasible", certificate items), both verified exactly.
@@ -953,16 +899,13 @@ def _bfs_worker(task):
     carries only masks. First steps of provably hopeless shapes get their
     analytic certificate instead of an LP solve.
     """
-    m, k, parent_steps, (w_mask, t_mask), seeds = task
+    m, k, parent_steps, (w_mask, t_mask) = task
     child = _rows_for_steps(m, k, parent_steps + ((w_mask, t_mask),))
     if not parent_steps and _is_lemma1_shape(w_mask, t_mask):
-        result = _finish_infeasible(
+        return _finish_infeasible(
             child.problem(), _analytic_step1_certificate(child)
         )
-        if result is None:
-            raise RuntimeError("analytic certificate failed verification")
-        return result
-    return _solve_child(child, seeds)
+    return _solve_child(child)
 
 
 @dataclass
@@ -1034,15 +977,10 @@ def enumerate_histories(
             children = []
             tasks = []
             for parent in frontier:
-                seeds = (
-                    tuple(mask for mask, _ in witnesses[parent].mask_items())
-                    if parent.steps
-                    else ()
-                )
                 for committee, deviation in canonical_continuations(parent):
                     children.append(parent.extended(committee, deviation))
                     tasks.append(
-                        (m, k, parent.mask_steps(), (committee.mask, deviation.mask), seeds)
+                        (m, k, parent.mask_steps(), (committee.mask, deviation.mask))
                     )
             outcomes = (
                 map(_bfs_worker, tasks)
@@ -1088,7 +1026,7 @@ def history_verdict(history: History) -> HistoryVerdict:
     Farkas certificate for the canonical system.
     """
     rows = _rows_for_steps(history.m, history.k, history.mask_steps())
-    kind, payload = _solve_child(rows, ())
+    kind, payload = _solve_child(rows)
     if kind == "feasible":
         profile = Profile(
             history.m, {mask: Fraction(nu, de) for mask, nu, de in payload}

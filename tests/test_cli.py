@@ -95,6 +95,15 @@ class TestRule:
         code, _, err = run(capsys, "rule", bad, "--rule", "pav-local")
         assert code == 2 and "True" in err
 
+    def test_zero_denominator_is_an_input_error(self, capsys, tmp_path):
+        bad = write_json(
+            tmp_path / "zero.json",
+            {"m": 2, "k": 1, "ballots": [{"approve": [1], "weight": "1/0"}]},
+        )
+        for argv in (["rule", bad], ["verify-core", bad, "1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "1/0" in err
+
     def test_size_budget(self, capsys, tmp_path):
         big = write_json(
             tmp_path / "big.json",
@@ -115,6 +124,9 @@ class TestProveInputs:
             ["--mode", "histories", "--k", "3"],
             ["--mode", "histories", "--m", "5", "--k", "3", "--threads", "0"],
             ["--mode", "program3", "--k", "3", "--threads", "-2"],
+            ["--mode", "program3", "--k", "3", "--budget-seconds", "-1"],
+            ["--mode", "histories", "--m", "5", "--k", "3", "--budget-seconds", "-0.5"],
+            ["--mode", "histories", "--m", "5", "--k", "3", "--budget-seconds", "nan"],
         ],
     )
     def test_input_errors(self, capsys, argv):
@@ -129,6 +141,9 @@ class TestProveInputs:
         argv = ["prove", "--mode", "histories", "--k", "8"]
         assert run(capsys, *argv, "--m", "17")[0] == 3
         assert run(capsys, *argv, "--m", "10", "--budget-seconds", "0")[0] == 3
+        # A zero budget is spent at once in every mode.
+        program3 = ["prove", "--mode", "program3", "--k", "3"]
+        assert run(capsys, *program3, "--budget-seconds", "0")[0] == 3
 
 
 class TestProgram3:
@@ -226,6 +241,34 @@ class TestCheckCertificates:
             },
         )
         assert run(capsys, "check-certificates", tmp_path)[0] == 2
+
+    def test_file_argument_is_a_one_file_bundle(self, capsys, tmp_path):
+        bundle = tmp_path / "p3"
+        assert run(capsys, "prove", "--mode", "program3", "--k", 4, "--out", bundle)[0] == 0
+        path = certificate_files(bundle)[3]
+        code, out, _ = run(capsys, "check-certificates", path, "--json")
+        assert code == 0 and json.loads(out)["checked"] == 1
+        negate_one_multiplier(path)
+        code, out, _ = run(capsys, "check-certificates", path, "--json")
+        assert code == 1 and json.loads(out)["failed"] == 1
+
+    def test_history_file_beyond_the_cap_is_refused(self, capsys, tmp_path):
+        # 2 normalization rows, 16 swap rows and 1 deviation row.
+        write_json(
+            tmp_path / "m17.json",
+            {
+                "kind": "history",
+                "m": 17,
+                "k": 1,
+                "history": [{"W": [1], "T": [2]}],
+                "multipliers": ["0"] * 19,
+            },
+        )
+        # An unreadable file in a bundle is a failed check, named with its reason.
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and "unreadable" in failure["reason"]
+        assert "m=17" in failure["reason"]
 
     def test_missing_bundle(self, capsys, tmp_path):
         assert run(capsys, "check-certificates", tmp_path / "none")[0] == 2

@@ -36,7 +36,7 @@ def make_system(rows, n_vars=None):
         )
         for i, (coeffs, rhs) in enumerate(rows)
     ]
-    return LinearSystem.from_rows(list(range(n_vars)), built)
+    return LinearSystem(list(range(n_vars)), built)
 
 
 def fourier_motzkin_feasible(rows, n_vars):
@@ -76,12 +76,12 @@ class TestSmallVerdicts:
         x = verdict.value(0)
         assert 0 <= x <= 1
 
-    def test_free_variable_feasible(self):
-        # x <= -1 alone is satisfiable by a negative x.
+    def test_negative_bound_infeasible(self):
+        # x <= -1 alone has no solution: every variable is nonnegative.
         system = make_system([([1], -1)])
         verdict = solve_feasibility(system)
-        assert isinstance(verdict, Feasible)
-        assert verdict.value(0) <= -1
+        assert isinstance(verdict, Infeasible)
+        assert verify_farkas(system, verdict.certificate)
 
     def test_free_variable_infeasible(self):
         # x <= 0 and x >= 1.
@@ -140,10 +140,10 @@ class TestMaximize:
         assert result.value == 1
 
     def test_minimize_via_negation(self):
-        system = make_system([([1], 1), ([-1], Fraction(1, 3))])
+        system = make_system([([1], 1), ([-1], Fraction(-1, 3))])
         result = maximize(system, {0: Fraction(-1)})
         assert isinstance(result, Optimal)
-        assert result.value == Fraction(1, 3)
+        assert result.value == Fraction(-1, 3)
 
     def test_unbounded(self):
         system = make_system([([-1], 0)])
@@ -181,15 +181,18 @@ class TestAgainstFourierMotzkin:
                 ]
                 rhs = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
                 rows.append((coeffs, rhs))
-            # Mix in nonnegativity rows about half the time.
+            # Every variable is nonnegative; the system states it as rows
+            # about half the time, the oracle always.
+            bounds = []
+            for j in range(n_vars):
+                unit = [Fraction(0)] * n_vars
+                unit[j] = Fraction(-1)
+                bounds.append((unit, Fraction(0)))
             if rng.random() < 0.5:
-                for j in range(n_vars):
-                    unit = [Fraction(0)] * n_vars
-                    unit[j] = Fraction(-1)
-                    rows.append((unit, Fraction(0)))
+                rows = rows + bounds
             system = make_system(rows, n_vars)
             verdict = solve_feasibility(system)
-            expected = fourier_motzkin_feasible(rows, n_vars)
+            expected = fourier_motzkin_feasible(rows + bounds, n_vars)
             if expected:
                 assert isinstance(verdict, Feasible), f"trial {trial}"
                 for row in system.iter_rows():
@@ -245,6 +248,31 @@ class TestColumnActivation:
         assert isinstance(result, Optimal)
         assert result.value == 2
         assert result.assignment[561] == 1
+
+
+class TestLargeEntries:
+    def test_entries_beyond_int64_stay_exact(self):
+        # x0 <= 1/4 through a 2^70 coefficient, x1 <= 1/4 through a 2^-70
+        # one; 300 columns so that column activation prices every round.
+        n = 300
+        rows = [
+            Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
+            Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
+            Row({0: Fraction(2**70)}, Fraction(2**68), ("big",)),
+            Row({1: Fraction(1, 2**70)}, Fraction(1, 2**72), ("small",)),
+        ]
+        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
+        problem = _Problem.from_system(system)
+        assert problem.scaled.matrix.dtype == object
+        objective = {0: Fraction(1), 1: Fraction(1)}
+        result = maximize(system, objective)
+        assert isinstance(result, Optimal) and result.value == Fraction(1, 2)
+        assert verify_optimum(problem, objective, result)
+        cut = Row({0: Fraction(-1), 1: Fraction(-1)}, Fraction(-2, 3), ("cut",))
+        system = LinearSystem(list(range(n)), rows + [cut], nonneg_block=True)
+        verdict = solve_feasibility(system)
+        assert isinstance(verdict, Infeasible)
+        assert verify_farkas(system, verdict.certificate)
 
 
 class TestDuals:

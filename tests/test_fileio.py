@@ -1,0 +1,100 @@
+"""Fuzz tests for the profile and certificate readers: on any JSON-like
+payload they either return or raise one of the two format errors."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pavcore.fileio import (
+    CertificateFormatError,
+    ProfileFormatError,
+    certificate_record_from_dict,
+    instance_from_dict,
+)
+
+FORMAT_ERRORS = (ProfileFormatError, CertificateFormatError)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "1/0", "0", "-1", "3/4", "x"])
+)
+json_like = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+small_m = st.integers(-1, 8) | scalars
+indices = st.lists(st.integers(-1, 9) | scalars, max_size=4) | scalars
+fraction = st.sampled_from(["1", "1/2", "1/3", "2/3", "0", "-1/2", "1/0"]) | scalars
+
+ballots = st.lists(
+    st.fixed_dictionaries(
+        {"approve": indices},
+        optional={"weight": fraction, "count": st.integers(-1, 3) | scalars},
+    )
+    | json_like,
+    max_size=4,
+)
+profiles = st.fixed_dictionaries(
+    {"m": small_m, "k": small_m, "ballots": ballots}
+) | json_like
+
+steps = st.lists(
+    st.fixed_dictionaries({"W": indices, "T": indices}) | json_like, max_size=3
+)
+certificates = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["history", "shape"]) | scalars,
+        "m": small_m,
+        "k": small_m,
+        "multipliers": st.lists(fraction, max_size=8) | scalars,
+    },
+    optional={
+        "history": steps | json_like,
+        "shape": st.fixed_dictionaries(
+            {"size": small_m, "overlap": small_m}
+        ) | json_like,
+    },
+) | json_like
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles)
+@example({"m": 2, "k": 1, "ballots": [{"approve": [1], "weight": "1/0"}]})
+@example({"m": 0, "k": 1, "ballots": [{"approve": [1], "count": 1}]})
+@example({"m": -1, "k": 1, "ballots": [{"approve": [1], "count": 1}]})
+@example({"m": float("inf"), "k": 1, "ballots": [{"approve": [1], "count": 1}]})
+def test_profile_reader_raises_only_format_errors(payload):
+    try:
+        instance_from_dict(payload)
+    except FORMAT_ERRORS:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificates)
+@example(
+    {
+        "kind": "history",
+        "m": 17,
+        "k": 1,
+        "history": [{"W": [1], "T": [2]}],
+        "multipliers": ["0"] * 19,
+    }
+)
+@example({"kind": "history", "m": 0, "k": 1, "history": [], "multipliers": []})
+@example({"kind": "history", "m": -1, "k": 1, "history": [], "multipliers": []})
+@example(
+    {"kind": "shape", "m": 3, "k": 10**12, "shape": {"size": 1, "overlap": 0},
+     "multipliers": []}
+)
+@example({"kind": "history", "m": 2, "k": 1, "history": [], "multipliers": ["1/0"]})
+def test_certificate_reader_raises_only_format_errors(payload):
+    try:
+        certificate_record_from_dict(payload)
+    except FORMAT_ERRORS:
+        pass

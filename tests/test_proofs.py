@@ -28,9 +28,11 @@ from pavcore.proofs import (
     iter_shapes,
     lemma2_suite,
     min_supporter_delta,
+    program3_history,
     supporter_bound,
     verify_lemma2_structure,
     _build_rows,
+    _Quotient,
     _rows_for_steps,
 )
 
@@ -265,6 +267,15 @@ class TestHistorySystem:
 
     def test_lemma1_shape_infeasible_at_step_one(self):
         h = History(5, 3, ((cs([1, 2, 3], 5), cs([1, 4], 5)),))
+        verdict = history_verdict(h)
+        assert not verdict.is_history
+        assert verify_farkas(history_system(h), verdict.certificate)
+
+    def test_asymmetric_history_solves_through_the_quotient(self):
+        # Program 3 at k = 2, shape (2, 1): W = {1, 2}, T = {1, 3} leave no
+        # two candidates interchangeable, so the quotient is the full system.
+        h = program3_history(2, DeviationShape(2, 1))
+        assert _Quotient(h.m, h.k, h.mask_steps()).types.shape[0] == (1 << h.m) - 1
         verdict = history_verdict(h)
         assert not verdict.is_history
         assert verify_farkas(history_system(h), verdict.certificate)
