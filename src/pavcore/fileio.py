@@ -42,7 +42,7 @@ class CertificateFormatError(ValueError):
 
 
 def parse_fraction(text: Union[str, int]) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not re.fullmatch(
         r"-?\d+(/\d+)?", text.strip()
@@ -52,6 +52,19 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise ProfileFormatError(f"zero denominator in {text!r}") from exc
+
+
+def _integer(value, error: type[ValueError], what: str) -> int:
+    """An int or a decimal-integer string, as an int. A bool, a float or
+    anything else raises ``error``: no value is truncated or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value.strip()):
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise error(f"{what}: {exc}") from exc
+    raise error(f"{what} must be an integer, found {value!r}")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -89,11 +102,11 @@ def instance_from_dict(data) -> ElectionInstance:
     if not isinstance(data, dict):
         raise ProfileFormatError("profile file must contain a JSON object")
     try:
-        m = int(data["m"])
-        k = int(data["k"])
+        m = _integer(data["m"], ProfileFormatError, "m")
+        k = _integer(data["k"], ProfileFormatError, "k")
         ballots = data["ballots"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ProfileFormatError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise ProfileFormatError(f"missing field: {exc}") from exc
     if not isinstance(ballots, list) or not ballots:
         raise ProfileFormatError("ballots must be a nonempty list")
     kinds = {("weight" in b) for b in ballots if isinstance(b, dict)}
@@ -117,10 +130,9 @@ def instance_from_dict(data) -> ElectionInstance:
                 raise ProfileFormatError("weights must be nonnegative")
             weights[mask] = weights.get(mask, Fraction(0)) + w
         else:
-            try:
-                c = int(entry["count"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ProfileFormatError(f"bad count: {exc}") from exc
+            if "count" not in entry:
+                raise ProfileFormatError("each ballot needs a weight or a count")
+            c = _integer(entry["count"], ProfileFormatError, "count")
             if c <= 0:
                 raise ProfileFormatError("counts must be positive integers")
             counts[mask] = counts.get(mask, 0) + c
@@ -203,20 +215,24 @@ def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
             isinstance(step, dict) and {"W", "T"} <= step.keys() for step in steps
         ):
             raise CertificateFormatError("history must be a list of W/T steps")
-        return [
-            (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
-            for step in steps
-        ]
+        try:
+            return [
+                (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
+                for step in steps
+            ]
+        except ProfileFormatError as exc:
+            raise CertificateFormatError(str(exc)) from exc
     if kind == "shape":
         shape_data = payload.get("shape")
         if not isinstance(shape_data, dict):
             raise CertificateFormatError("shape certificates need a shape")
         try:
             shape = DeviationShape(
-                int(shape_data["size"]), int(shape_data["overlap"])
+                _integer(shape_data["size"], CertificateFormatError, "size"),
+                _integer(shape_data["overlap"], CertificateFormatError, "overlap"),
             )
             history = program3_history(k, shape)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise CertificateFormatError(str(exc)) from exc
         if m != history.m:
             raise CertificateFormatError(
@@ -228,10 +244,10 @@ def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
 
 def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
     try:
-        m = int(payload["m"])
-        k = int(payload["k"])
+        m = _integer(payload["m"], CertificateFormatError, "m")
+        k = _integer(payload["k"], CertificateFormatError, "k")
         kind = payload["kind"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise CertificateFormatError(f"missing field: {exc}") from exc
     # The system has 2^m - 1 columns: refuse a large m before building it.
     if m > MAX_HISTORY_M:
@@ -249,14 +265,13 @@ def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
 
 
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
+    if not isinstance(payload, dict):
+        raise CertificateFormatError("a certificate must be a JSON object")
     kind, m, k, system = _system_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
-    try:
-        values = [int(v) for v in raw]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CertificateFormatError(f"bad multiplier: {exc}") from exc
+    values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
     general_ids = system.general_row_indices()
     if len(values) != len(general_ids):
         raise CertificateFormatError(
@@ -274,8 +289,6 @@ def load_certificate(path: Union[str, Path]) -> CertificateRecord:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CertificateFormatError(f"cannot read certificate: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CertificateFormatError("certificate file must hold an object")
     return certificate_record_from_dict(payload)
 
 

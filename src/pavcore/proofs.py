@@ -16,15 +16,17 @@ machine-checkable evidence either way:
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
 
-Every LP goes one way (`_solve_child`): integer-scaled rows
-(`_HistoryRows`), the symmetry-collapsed quotient (`_Quotient`, which is
-the full system up to column order when no two candidates are
-interchangeable), the exact simplex with column activation, the lift back
-to the full system, and an exact check of the lifted witness or
-certificate, which raises if the check fails. There is no second solve
-path to fall back on. `_build_rows` is the pure-Python reference builder
-that the certificate checker uses, so the checker shares no row code with
-the solver.
+Every LP goes one way (`_solve_child`): the symmetry-collapsed quotient
+(`_Quotient`), the exact simplex with column activation, the lift back to
+the full system (`_HistoryRows`), and an exact check of the lifted witness
+or certificate, which raises if the check fails. There is no second solve
+path to fall back on. One function builds the solver's rows
+(`_type_rows`): over ballot types for the quotient, and over singleton
+classes, where each ballot is its own type, for the full system. Every row
+carries a tag, and lifts and analytic certificates find rows by their
+tags. `_build_rows` is the pure-Python reference builder that the
+certificate checker uses, so the checker shares no row code with the
+solver.
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), negated deviation rows by step,
@@ -284,26 +286,6 @@ def build_program3(k: int, shape: DeviationShape) -> LinearSystem:
 # Analytic certificates for the swap-sum proof.
 
 
-def _theorem1_nonzero(
-    k: int,
-    w_mask: int,
-    t_mask: int,
-    swap_index: Mapping[tuple[int, int], int],
-    deviation_index: int,
-) -> dict[int, int]:
-    shape = DeviationShape(
-        t_mask.bit_count(), (t_mask & w_mask).bit_count()
-    )
-    alpha = shape.outside
-    gamma = alpha + min_supporter_delta(shape, k)
-    scale = gamma.denominator
-    nonzero = {0: alpha * scale, deviation_index: int(gamma * scale)}
-    for x in _bits(w_mask & ~t_mask):
-        for y in _bits(t_mask & ~w_mask):
-            nonzero[swap_index[(x, y)]] = scale
-    return nonzero
-
-
 def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
     """The analytic infeasibility certificate for `build_program3`.
 
@@ -313,20 +295,33 @@ def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
     verifies exactly when every supporter ballot type beats the bound
     (k/|T| - 1)|T\\W| strictly, so it fails for shapes with scan violations.
     """
-    committee, deviation = canonical_program3_sets(k, shape)
-    m = committee.m
-    w_mask, t_mask = committee.mask, deviation.mask
-    outside = _bits(((1 << m) - 1) & ~w_mask)
-    swap_index = {}
-    pos = 2
-    for x in range(k):
-        for y in outside:
-            swap_index[(x, y)] = pos
-            pos += 1
-    deviation_index = pos
-    n_rows = deviation_index + 1 + ((1 << m) - 1)
-    nonzero = _theorem1_nonzero(k, w_mask, t_mask, swap_index, deviation_index)
-    return FarkasCertificate(n_rows, nonzero)
+    history = program3_history(k, shape)
+    return _analytic_step1_certificate(
+        _HistoryRows(history.m, k, history.mask_steps())
+    )
+
+
+def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
+    """The Theorem 1 certificate (`farkas_from_theorem1`) of a one-step
+    history. It is valid for every k when the deviation is disjoint from
+    the committee or adds at most one outsider (`_is_lemma1_shape`)."""
+    ((w_mask, t_mask),) = rows.steps
+    shape = DeviationShape(t_mask.bit_count(), (t_mask & w_mask).bit_count())
+    alpha = shape.outside
+    gamma = alpha + min_supporter_delta(shape, rows.k)
+    scale = gamma.denominator
+    problem = rows.problem()
+    nonzero = {}
+    for i, tag in enumerate(rows.tags):
+        if tag == ("norm_upper",):
+            nonzero[i] = alpha * scale
+        elif tag == ("deviation", 1):
+            nonzero[i] = int(gamma * scale)
+        elif tag[0] == "swap":
+            _, _, x, y = tag
+            if (w_mask & ~t_mask) >> x & 1 and (t_mask & ~w_mask) >> y & 1:
+                nonzero[i] = scale
+    return FarkasCertificate(problem.n_rows_total, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -437,106 +432,108 @@ def _swap_scale(k: int) -> int:
     return scale
 
 
-class _HistoryRows:
-    """Incrementally built integer-scaled rows for one history.
+def _type_rows(
+    classes: Sequence[Sequence[int]],
+    types: np.ndarray,
+    k: int,
+    steps: Sequence[tuple[int, int]],
+) -> tuple[_ScaledRows, list[tuple]]:
+    """The general rows of a history's system over ballot types.
 
-    Each instance extends its parent by one (W, T) step; blocks are shared
-    between siblings through the parent reference. Coefficients are the
-    canonical rationals times ``L = lcm(1..k+1)``, so they are exact int64.
+    ``classes`` partitions the candidates into classes that every set of
+    the history contains whole or not at all; ``types[j, i]`` is how many
+    members of class i the ballots of type j approve, and column j is the
+    total weight of those ballots. Row ``("swap", t, i, j)`` is the sum of
+    the step-t swap rows over x in class i and y in class j, divided by the
+    number of those rows. With singleton classes the types are the ballots
+    and these are the full system's rows, tagged as `_build_rows` tags
+    them. Returns the rows, scaled to integers by ``L = lcm(1..k+1)``, and
+    one tag per row, both in the canonical row order.
     """
+    L = _swap_scale(k)
+    sizes = [len(members) for members in classes]
+    class_masks = [_prefix_mask(members, len(members)) for members in classes]
+    taken = np.ascontiguousarray(types.T)  # taken[i]: members of class i
+    left = np.array(sizes, dtype=np.int64)[:, None] - taken
+    n = types.shape[0]
+    rows = [np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)]
+    scales = [1, 1]
+    rhs = [Fraction(1), Fraction(-1)]
+    tags: list[tuple] = [("norm_upper",), ("norm_lower",)]
+    supporters = []
+    active = np.ones(n, dtype=bool)
+    fixed = 0
+    for t, (w_mask, t_mask) in enumerate(steps, start=1):
+        in_w = [i for i, cm in enumerate(class_masks) if cm & w_mask]
+        u = taken[in_w].sum(axis=0)
+        # Ballot types with a y but no x gain L/(u+1); with an x but no y
+        # they lose L/u (u > 0 there).
+        gain = np.where(active, L // (u + 1), 0)
+        loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
+        for i in in_w:
+            if class_masks[i] & fixed:
+                continue
+            gain_i, loss_i = left[i] * gain, taken[i] * loss
+            for j, cm in enumerate(class_masks):
+                if cm & w_mask:
+                    continue
+                rows.append(gain_i * taken[j] - loss_i * left[j])
+                scales.append(L * sizes[i] * sizes[j])
+                rhs.append(Fraction(0))
+                tags.append(("swap", t, i, j))
+        in_t = [i for i, cm in enumerate(class_masks) if cm & t_mask]
+        supp = taken[in_t].sum(axis=0) > u
+        supporters.append(supp)
+        active &= ~supp
+        fixed |= t_mask
+    for t, ((_, t_mask), supp) in enumerate(zip(steps, supporters), start=1):
+        rows.append(-supp.astype(np.int64))
+        scales.append(1)
+        rhs.append(Fraction(-t_mask.bit_count(), k))
+        tags.append(("deviation", t))
+    return _ScaledRows(np.vstack(rows), scales, rhs), tags
 
-    __slots__ = (
-        "m", "k", "steps", "scale", "ballots", "swap_blocks", "swap_meta",
-        "dev_rows", "dev_rhs", "active", "fixed",
+
+def _rows_problem(variables: Sequence[int], scaled: _ScaledRows) -> _Problem:
+    """General rows first, then one nonnegativity row per column."""
+    n_general = scaled.n_rows
+    return _Problem(
+        variables=variables,
+        n_rows_total=n_general + len(variables),
+        general_row_ids=range(n_general),
+        scaled=scaled,
     )
 
-    def __init__(self, m: int, k: int):
-        self.m, self.k = m, k
-        self.steps: tuple[tuple[int, int], ...] = ()
-        self.scale = _swap_scale(k)
-        n = (1 << m) - 1
-        self.ballots = np.arange(1, 1 << m, dtype=np.int64)
-        self.swap_blocks: list[np.ndarray] = []
-        self.swap_meta: list[tuple[int, int, int]] = []
-        self.dev_rows: list[np.ndarray] = []
-        self.dev_rhs: list[Fraction] = []
-        self.active = np.ones(n, dtype=bool)
-        self.fixed = 0
+
+class _HistoryRows:
+    """The full system of one history: the type rows over singleton classes.
+
+    Each ballot is its own type, in ascending bitmask order, so the columns
+    are the canonical variables and the rows (``problem``) and their tags
+    (``tags``) follow the canonical order. The rows are built when
+    ``problem`` is first called.
+    """
+
+    __slots__ = ("m", "k", "steps", "tags", "_problem")
+
+    def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]] = ()):
+        self.m, self.k, self.steps = m, k, tuple(steps)
+        self._problem: Optional[_Problem] = None
 
     def child(self, w_mask: int, t_mask: int) -> "_HistoryRows":
-        out = _HistoryRows.__new__(_HistoryRows)
-        out.m, out.k, out.scale = self.m, self.k, self.scale
-        out.ballots = self.ballots
-        out.steps = self.steps + ((w_mask, t_mask),)
-        t = len(out.steps)
-        L = self.scale
-        ballots = self.ballots
-        u = np.bitwise_count(ballots & w_mask).astype(np.int64)
-        block_rows = []
-        meta = []
-        act = self.active
-        full = (1 << self.m) - 1
-        for x in _bits(w_mask & ~self.fixed):
-            has_x = (ballots >> x) & 1 == 1
-            for y in _bits(full & ~w_mask):
-                has_y = (ballots >> y) & 1 == 1
-                row = np.zeros(len(ballots), dtype=np.int64)
-                inc = np.flatnonzero(act & has_y & ~has_x)
-                dec = np.flatnonzero(act & has_x & ~has_y)
-                if inc.size:
-                    row[inc] = L // (u[inc] + 1)
-                if dec.size:
-                    row[dec] = -(L // u[dec])
-                block_rows.append(row)
-                meta.append((t, x, y))
-        supp = np.bitwise_count(ballots & t_mask).astype(np.int64) > u
-        dev = np.where(supp, np.int64(-L), np.int64(0))
-        out.swap_blocks = self.swap_blocks + [
-            np.vstack(block_rows) if block_rows else np.zeros((0, len(ballots)), np.int64)
-        ]
-        out.swap_meta = self.swap_meta + meta
-        out.dev_rows = self.dev_rows + [dev]
-        out.dev_rhs = self.dev_rhs + [Fraction(-t_mask.bit_count(), self.k)]
-        out.active = act & ~supp
-        out.fixed = self.fixed | t_mask
-        return out
-
-    def assemble(self):
-        """(int64 matrix, exact rhs list, swap row index map, n_general)."""
-        n = len(self.ballots)
-        L = self.scale
-        parts = [
-            np.full((1, n), L, dtype=np.int64),
-            np.full((1, n), -L, dtype=np.int64),
-        ]
-        parts.extend(self.swap_blocks)
-        parts.extend(row.reshape(1, n) for row in self.dev_rows)
-        matrix = np.vstack(parts)
-        n_swaps = sum(b.shape[0] for b in self.swap_blocks)
-        rhs = [Fraction(1), Fraction(-1)]
-        rhs.extend([Fraction(0)] * n_swaps)
-        rhs.extend(self.dev_rhs)
-        swap_index = {
-            (t, x, y): 2 + pos for pos, (t, x, y) in enumerate(self.swap_meta)
-        }
-        return matrix, rhs, swap_index, matrix.shape[0]
+        """The rows of this history extended by one (W, T) step."""
+        return _HistoryRows(self.m, self.k, self.steps + ((w_mask, t_mask),))
 
     def problem(self) -> _Problem:
-        matrix, rhs, _, n_general = self.assemble()
-        n = len(self.ballots)
-        return _Problem(
-            variables=range(1, n + 1),
-            n_rows_total=n_general + n,
-            general_row_ids=range(n_general),
-            scaled=_ScaledRows(matrix, [self.scale] * n_general, rhs),
-        )
-
-
-def _rows_for_steps(m: int, k: int, steps: Sequence[tuple[int, int]]) -> _HistoryRows:
-    rows = _HistoryRows(m, k)
-    for w_mask, t_mask in steps:
-        rows = rows.child(w_mask, t_mask)
-    return rows
+        if self._problem is None:
+            m = self.m
+            ballots = np.arange(1, 1 << m, dtype=np.int64)
+            bits = (ballots[:, None] >> np.arange(m)) & 1
+            scaled, self.tags = _type_rows(
+                [[i] for i in range(m)], bits, self.k, self.steps
+            )
+            self._problem = _rows_problem(range(1, 1 << m), scaled)
+        return self._problem
 
 
 def _signature_classes(m: int, sets: Sequence[int]) -> list[list[int]]:
@@ -563,91 +560,26 @@ class _Quotient:
     the history) are interchangeable, so a ballot matters only through its
     type: how many members it takes from each class. The quotient LP has
     one nonnegative variable per type (the total weight of the orbit) and
-    one row per orbit of rows; a feasible quotient solution spreads into a
-    symmetric full solution, and a quotient ray, divided by the row-orbit
-    sizes, is a full-system Farkas ray. Both lifts are re-verified exactly
-    against the full system, so correctness never rests on this reduction.
+    one row per orbit of rows, both from `_type_rows`, which builds the
+    full system too (`_HistoryRows`, singleton classes). A feasible
+    quotient solution spreads into a symmetric full solution, and a
+    quotient ray, divided by the row-orbit sizes, is a full-system Farkas
+    ray. Both lifts are re-verified exactly against the full system, so
+    correctness never rests on this reduction.
     """
 
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]]):
-        self.m, self.k, self.steps = m, k, tuple(steps)
-        sets = [s for step in steps for s in step]
-        self.classes = _signature_classes(m, sets)
-        self.class_masks = [_prefix_mask(cls, len(cls)) for cls in self.classes]
-        self.sizes = [len(cls) for cls in self.classes]
-        q = len(self.classes)
+        self.classes = _signature_classes(m, [s for step in steps for s in step])
+        self.sizes = [len(members) for members in self.classes]
         grid = np.array(
             list(itertools.product(*(range(s + 1) for s in self.sizes))),
             dtype=np.int64,
         )
         self.types = grid[1:]  # drop the empty type
-        n_types = self.types.shape[0]
-        L = _swap_scale(k)
-        scaled_rows: list[np.ndarray] = [
-            np.full(n_types, 1, dtype=np.int64),
-            np.full(n_types, -1, dtype=np.int64),
-        ]
-        scales: list[int] = [1, 1]
-        rhs: list[Fraction] = [Fraction(1), Fraction(-1)]
-        self.lift_info: list[tuple] = [("norm",), ("norm",)]
-        dev_rows: list[np.ndarray] = []
-        dev_rhs: list[Fraction] = []
-        dev_info: list[tuple] = []
-        active = np.ones(n_types, dtype=bool)
-        fixed = 0
-        for t, (w_mask, t_mask) in enumerate(self.steps, start=1):
-            in_w = np.array(
-                [1 if cm & w_mask == cm else 0 for cm in self.class_masks],
-                dtype=np.int64,
-            )
-            in_t = np.array(
-                [1 if cm & t_mask == cm else 0 for cm in self.class_masks],
-                dtype=np.int64,
-            )
-            u = self.types @ in_w
-            x_classes = [
-                i
-                for i, cm in enumerate(self.class_masks)
-                if cm & w_mask == cm and cm & fixed == 0
-            ]
-            y_classes = [
-                i for i, cm in enumerate(self.class_masks) if cm & w_mask == 0
-            ]
-            for ci in x_classes:
-                sx = self.sizes[ci]
-                tx = self.types[:, ci]
-                for cj in y_classes:
-                    sy = self.sizes[cj]
-                    ty = self.types[:, cj]
-                    inc = (sx - tx) * ty * (L // (u + 1))
-                    dec = tx * (sy - ty) * np.where(u > 0, L // np.maximum(u, 1), 0)
-                    row = np.where(active, inc - dec, 0)
-                    scaled_rows.append(row)
-                    scales.append(L * sx * sy)
-                    rhs.append(Fraction(0))
-                    self.lift_info.append(("swap", t, ci, cj))
-            supp = (self.types @ in_t) > u
-            dev_rows.append(np.where(supp, np.int64(-1), np.int64(0)))
-            dev_rhs.append(Fraction(-t_mask.bit_count(), k))
-            dev_info.append(("dev", t))
-            active &= ~supp
-            fixed |= t_mask
-        scaled_rows.extend(dev_rows)
-        scales.extend([1] * len(dev_rows))
-        rhs.extend(dev_rhs)
-        self.lift_info.extend(dev_info)
-        matrix = np.vstack([r.reshape(1, n_types) for r in scaled_rows])
-        self.scaled = _ScaledRows(matrix, scales, rhs)
-        self.n_general = matrix.shape[0]
+        self.scaled, self.tags = _type_rows(self.classes, self.types, k, steps)
 
     def problem(self) -> _Problem:
-        n_types = self.types.shape[0]
-        return _Problem(
-            variables=range(n_types),
-            n_rows_total=self.n_general + n_types,
-            general_row_ids=range(self.n_general),
-            scaled=self.scaled,
-        )
+        return _rows_problem(range(self.types.shape[0]), self.scaled)
 
     def orbit_size(self, type_row) -> int:
         size = 1
@@ -680,33 +612,31 @@ class _Quotient:
         return full
 
     def lift_certificate(
-        self, certificate: FarkasCertificate, swap_index: Mapping[tuple[int, int, int], int],
-        n_rows_total: int, n_swaps: int,
+        self, certificate: FarkasCertificate, full: _HistoryRows
     ) -> FarkasCertificate:
-        """Spread quotient multipliers uniformly over each row orbit."""
+        """Spread each quotient multiplier uniformly over the full rows of
+        its orbit, found by their tags."""
+        problem = full.problem()
+        index = {tag: i for i, tag in enumerate(full.tags)}
         raw: dict[int, Fraction] = {}
-        for row_idx, value in certificate.nonzero.items():
-            info = self.lift_info[row_idx]
-            if info[0] == "norm":
-                raw[row_idx] = raw.get(row_idx, Fraction(0)) + value
-            elif info[0] == "swap":
-                _, t, ci, cj = info
-                sx, sy = self.sizes[ci], self.sizes[cj]
-                share = Fraction(value, sx * sy)
-                for x in self.classes[ci]:
-                    for y in self.classes[cj]:
-                        idx = swap_index[(t, x, y)]
-                        raw[idx] = raw.get(idx, Fraction(0)) + share
+        for row, value in certificate.nonzero.items():
+            tag = self.tags[row]
+            if tag[0] == "swap":
+                _, t, ci, cj = tag
+                share = Fraction(value, self.sizes[ci] * self.sizes[cj])
+                orbit = [
+                    ("swap", t, x, y)
+                    for x in self.classes[ci]
+                    for y in self.classes[cj]
+                ]
             else:
-                _, t = info
-                # Deviation rows sit after all swap rows in the full order.
-                idx = 2 + n_swaps + (t - 1)
-                raw[idx] = raw.get(idx, Fraction(0)) + value
-        denom = 1
-        for v in raw.values():
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        nonzero = {idx: int(v * denom) for idx, v in raw.items() if v}
-        return FarkasCertificate(n_rows_total, nonzero)
+                share, orbit = Fraction(value), [tag]
+            for full_tag in orbit:
+                i = index[full_tag]
+                raw[i] = raw.get(i, Fraction(0)) + share
+        denom = math.lcm(1, *(v.denominator for v in raw.values()))
+        nonzero = {i: int(v * denom) for i, v in raw.items() if v}
+        return FarkasCertificate(problem.n_rows_total, nonzero)
 
 
 def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
@@ -822,25 +752,6 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
     return t_mask & w_mask == 0 or (t_mask & ~w_mask).bit_count() <= 1
 
 
-def _analytic_step1_certificate(
-    child_rows: _HistoryRows,
-) -> FarkasCertificate:
-    """Certificate for a first-step continuation of a provably hopeless
-    shape (deviation disjoint from the committee, or adding at most one
-    outsider); valid for every k at those shapes."""
-    (w_mask, t_mask) = child_rows.steps[0]
-    swap_index = {
-        (x, y): 2 + pos for pos, (_, x, y) in enumerate(child_rows.swap_meta)
-    }
-    deviation_index = 2 + len(child_rows.swap_meta)
-    n_general = deviation_index + 1
-    n_rows_total = n_general + len(child_rows.ballots)
-    nonzero = _theorem1_nonzero(
-        child_rows.k, w_mask, t_mask, swap_index, deviation_index
-    )
-    return FarkasCertificate(n_rows_total, nonzero)
-
-
 def _finish_feasible(problem, assignment, m, k, steps):
     if not _verify_witness_fast(problem, assignment):
         raise RuntimeError("witness failed exact verification")
@@ -878,16 +789,7 @@ def _solve_child(child_rows: _HistoryRows) -> tuple[str, object]:
     if isinstance(verdict, Feasible):
         assignment = quotient.lift_assignment(verdict.assignment)
         return _finish_feasible(problem, assignment, m, k, steps)
-    swap_index = {
-        (t, x, y): 2 + pos
-        for pos, (t, x, y) in enumerate(child_rows.swap_meta)
-    }
-    lifted = quotient.lift_certificate(
-        verdict.certificate,
-        swap_index,
-        problem.n_rows_total,
-        len(child_rows.swap_meta),
-    )
+    lifted = quotient.lift_certificate(verdict.certificate, child_rows)
     return _finish_infeasible(problem, lifted)
 
 
@@ -895,12 +797,12 @@ def _bfs_worker(task):
     """Decide one continuation of one history: ("feasible", witness items)
     or ("infeasible", certificate items), both verified exactly.
 
-    The prefix rows are rebuilt from the steps, which is cheap, so a task
-    carries only masks. First steps of provably hopeless shapes get their
-    analytic certificate instead of an LP solve.
+    A task carries only masks; the rows are built from them. First steps
+    of provably hopeless shapes get their analytic certificate instead of
+    an LP solve.
     """
     m, k, parent_steps, (w_mask, t_mask) = task
-    child = _rows_for_steps(m, k, parent_steps + ((w_mask, t_mask),))
+    child = _HistoryRows(m, k, parent_steps).child(w_mask, t_mask)
     if not parent_steps and _is_lemma1_shape(w_mask, t_mask):
         return _finish_infeasible(
             child.problem(), _analytic_step1_certificate(child)
@@ -1025,7 +927,7 @@ def history_verdict(history: History) -> HistoryVerdict:
     against the election semantics); infeasible ones yield a verified
     Farkas certificate for the canonical system.
     """
-    rows = _rows_for_steps(history.m, history.k, history.mask_steps())
+    rows = _HistoryRows(history.m, history.k, history.mask_steps())
     kind, payload = _solve_child(rows)
     if kind == "feasible":
         profile = Profile(
@@ -1158,7 +1060,7 @@ class Lemma2Report:
 
     def all_certified(self) -> bool:
         """Re-check every record against freshly built rows."""
-        problem = _rows_for_steps(
+        problem = _HistoryRows(
             self.committee.m, len(self.committee),
             [(self.committee.mask, self.deviation.mask)],
         ).problem()
@@ -1191,7 +1093,7 @@ def lemma2_suite() -> Lemma2Report:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
-    problem = _rows_for_steps(m, k, history.mask_steps()).problem()
+    problem = _HistoryRows(m, k, history.mask_steps()).problem()
     # Column activation starts from the witness's ballots, a feasible point.
     seeds = [mask - 1 for mask, _ in witness.mask_items()]
 

@@ -95,6 +95,31 @@ class TestRule:
         code, _, err = run(capsys, "rule", bad, "--rule", "pav-local")
         assert code == 2 and "True" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("m", 3.9), ("k", 1.5), ("k", True), ("count", 2.7), ("count", True)],
+    )
+    def test_non_integer_is_an_input_error(self, capsys, tmp_path, field, value):
+        # Read as ints, these would load as m = 3, k = 1 and count 2 or 1.
+        payload = {
+            "m": 3,
+            "k": 1,
+            "ballots": [{"approve": [1], "count": 2}, {"approve": [2], "count": 1}],
+        }
+        (payload["ballots"][0] if field == "count" else payload)[field] = value
+        bad = write_json(tmp_path / "float.json", payload)
+        for argv in (["rule", bad], ["verify-core", bad, "1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and f"{field} must be an integer" in err
+
+    def test_boolean_weight_is_an_input_error(self, capsys, tmp_path):
+        bad = write_json(
+            tmp_path / "bool.json",
+            {"m": 2, "k": 1, "ballots": [{"approve": [1], "weight": True}]},
+        )
+        code, _, err = run(capsys, "rule", bad)
+        assert code == 2 and "True" in err
+
     def test_zero_denominator_is_an_input_error(self, capsys, tmp_path):
         bad = write_json(
             tmp_path / "zero.json",
@@ -229,7 +254,7 @@ class TestCheckCertificates:
         code, _, err = run(capsys, "check-certificates", tmp_path)
         assert code == 2 and "x.json" in err
 
-    def test_boolean_in_history_is_an_input_error(self, capsys, tmp_path):
+    def test_boolean_in_history_is_unreadable(self, capsys, tmp_path):
         write_json(
             tmp_path / "bool.json",
             {
@@ -240,7 +265,36 @@ class TestCheckCertificates:
                 "multipliers": ["1"],
             },
         )
-        assert run(capsys, "check-certificates", tmp_path)[0] == 2
+        # Like every other malformed certificate file: a failed check.
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and "unreadable" in failure["reason"]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("m", 3.5),
+            ("k", 2.0),
+            ("k", True),
+            ("size", 1.0),
+            ("overlap", False),
+            ("multiplier", float),
+        ],
+    )
+    def test_non_integer_is_unreadable(self, capsys, tmp_path, field, value):
+        # The file checks with m = 3, k = 2, size 1 and overlap 0; a float
+        # or a bool in their place is refused, not truncated.
+        path = self.shape_file(tmp_path, 2, DeviationShape(1, 0))
+        assert run(capsys, "check-certificates", tmp_path)[0] == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if field == "multiplier":
+            payload["multipliers"][0] = value(payload["multipliers"][0])
+        else:
+            (payload["shape"] if field in ("size", "overlap") else payload)[field] = value
+        write_json(path, payload)
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and f"{field} must be an integer" in failure["reason"]
 
     def test_file_argument_is_a_one_file_bundle(self, capsys, tmp_path):
         bundle = tmp_path / "p3"

@@ -68,6 +68,12 @@ certificates = st.fixed_dictionaries(
 @example({"m": 0, "k": 1, "ballots": [{"approve": [1], "count": 1}]})
 @example({"m": -1, "k": 1, "ballots": [{"approve": [1], "count": 1}]})
 @example({"m": float("inf"), "k": 1, "ballots": [{"approve": [1], "count": 1}]})
+@example(
+    {"m": 3.9, "k": 1.5,
+     "ballots": [{"approve": [1], "count": 2.7}, {"approve": [2], "count": True}]}
+)
+@example({"m": 3, "k": 1, "ballots": [{"approve": [1], "count": 2.7}]})
+@example({"m": 3, "k": 1, "ballots": [{"approve": [1], "count": True}]})
 def test_profile_reader_raises_only_format_errors(payload):
     try:
         instance_from_dict(payload)
@@ -93,8 +99,17 @@ def test_profile_reader_raises_only_format_errors(payload):
      "multipliers": []}
 )
 @example({"kind": "history", "m": 2, "k": 1, "history": [], "multipliers": ["1/0"]})
+@example({"kind": "history", "m": 3.5, "k": True, "history": [], "multipliers": []})
+@example(
+    {"kind": "shape", "m": 3, "k": 2, "shape": {"size": 1.0, "overlap": False},
+     "multipliers": ["0"] * 5}
+)
+@example(
+    {"kind": "history", "m": 3, "k": 2, "history": [{"W": [True, 2], "T": [3]}],
+     "multipliers": ["1"]}
+)
 def test_certificate_reader_raises_only_format_errors(payload):
     try:
         certificate_record_from_dict(payload)
-    except FORMAT_ERRORS:
+    except CertificateFormatError:
         pass

@@ -32,8 +32,8 @@ from pavcore.proofs import (
     supporter_bound,
     verify_lemma2_structure,
     _build_rows,
+    _HistoryRows,
     _Quotient,
-    _rows_for_steps,
 )
 
 from conftest import cs
@@ -253,17 +253,51 @@ class TestHistorySystem:
                 t1 |= 1 << i
             if t1.bit_count() > k:
                 continue
-            steps = [(w1, t1)]
-            ref_rows, _ = _build_rows(m, k, steps)
-            fast = _rows_for_steps(m, k, steps)
-            matrix, rhs, _, n_general = fast.assemble()
-            assert n_general == len(ref_rows)
-            for i, row in enumerate(ref_rows):
-                assert rhs[i] == row.rhs
-                for j in range(matrix.shape[1]):
-                    assert Fraction(int(matrix[i, j]), fast.scale) == row.coeffs.get(
-                        j, Fraction(0)
-                    )
+            self.assert_rows_match(m, k, [(w1, t1)])
+
+    def test_matches_reference_builder_over_several_steps(self):
+        # Valid 2- and 3-step histories: swap rows of later steps skip the
+        # fixed candidates and the ballots that supported earlier steps.
+        rng = random.Random(9)
+        checked = 0
+        while checked < 12:
+            m = rng.randint(4, 6)
+            k = rng.randint(2, m - 1)
+            steps, fixed = [], 0
+            for _ in range(rng.randint(2, 3)):
+                free = [i for i in range(m) if not (fixed >> i) & 1]
+                need = k - fixed.bit_count()
+                if need < 0 or need > len(free):
+                    break
+                w = fixed | sum(1 << i for i in rng.sample(free, need))
+                t = sum(1 << i for i in rng.sample(range(m), rng.randint(1, k)))
+                if not t & ~w:
+                    continue
+                steps.append((w, t))
+                fixed |= t
+            if len(steps) < 2:
+                continue
+            checked += 1
+            self.assert_rows_match(m, k, steps)
+            # k <= 5 here, so no history gets past its first step.
+            h = History.from_masks(m, k, steps)
+            verdict = history_verdict(h)
+            assert not verdict.is_history
+            assert verify_farkas(history_system(h), verdict.certificate)
+
+    @staticmethod
+    def assert_rows_match(m, k, steps):
+        ref_rows, _ = _build_rows(m, k, steps)
+        rows = _HistoryRows(m, k, steps)
+        scaled = rows.problem().scaled
+        assert rows.tags == [row.tag for row in ref_rows]
+        assert scaled.n_rows == len(ref_rows)
+        for i, row in enumerate(ref_rows):
+            assert scaled.rhs_fraction(i) == row.rhs
+            for j in range(scaled.n_vars):
+                assert Fraction(
+                    int(scaled.matrix[i, j]), scaled.scales[i]
+                ) == row.coeffs.get(j, Fraction(0))
 
     def test_lemma1_shape_infeasible_at_step_one(self):
         h = History(5, 3, ((cs([1, 2, 3], 5), cs([1, 4], 5)),))
@@ -388,3 +422,14 @@ class TestEnumerateHistories:
         assert {
             h.mask_steps(): c.nonzero for h, c in seq.certificates.items()
         } == {h.mask_steps(): c.nonzero for h, c in par.certificates.items()}
+
+
+@pytest.mark.paperscale
+def test_proposition1_at_k8_m10():
+    # The paper's k = 8 search at m = 10: the empty history and the (4, 2)
+    # step survive; every other continuation has a certificate.
+    res = enumerate_histories(10, 8)
+    assert res.complete
+    assert len(res.histories) == 2
+    assert len(res.certificates) == 99
+    assert check_proposition1(res.histories, 8)
