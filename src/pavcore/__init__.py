@@ -23,7 +23,6 @@ from .exactlp import (
     FarkasCertificate,
     Feasible,
     Infeasible,
-    LinearSystem,
     Optimal,
     Row,
     Unbounded,
@@ -36,7 +35,6 @@ from .proofs import (
     History,
     HistorySearchResult,
     HistoryVerdict,
-    build_program3,
     canonical_continuations,
     check_proposition1,
     delta_formula,
@@ -78,7 +76,6 @@ __all__ = [
     "HistorySearchResult",
     "HistoryVerdict",
     "Infeasible",
-    "LinearSystem",
     "Optimal",
     "Profile",
     "Quota",
@@ -89,7 +86,6 @@ __all__ = [
     "SearchConfig",
     "Unbounded",
     "all_local_pav",
-    "build_program3",
     "canonical_continuations",
     "check_proposition1",
     "check_special_deviations",

@@ -360,7 +360,7 @@ def _check_one(path: Path):
         record = load_certificate(path)
     except CertificateFormatError as exc:
         return (path.name, False, f"unreadable: {exc}")
-    ok = verify_farkas(record.system, record.certificate)
+    ok = verify_farkas(record.rows, record.certificate)
     return (path.name, ok, "ok" if ok else "certificate does not verify")
 
 
@@ -374,6 +374,23 @@ def _is_certificate_file(path: Path) -> bool:
     if not isinstance(payload, dict):
         raise CertificateFormatError(f"{path}: does not hold a JSON object")
     return "multipliers" in payload
+
+
+def _summary_failures(root: Path, files: list[Path]) -> list[tuple[str, str]]:
+    """A ``histories.json`` counts the certificates its search wrote; the
+    directory holding it must hold exactly that many certificate files."""
+    failures = []
+    for summary in sorted(p for p in root.rglob("histories.json") if p.is_file()):
+        expected = json.loads(summary.read_text(encoding="utf-8")).get("certificates")
+        found = sum(1 for p in files if summary.parent in p.parents)
+        if type(expected) is not int or expected != found:
+            failures.append(
+                (
+                    summary.relative_to(root).as_posix(),
+                    f"lists {expected!r} certificates, found {found} certificate files",
+                )
+            )
+    return failures
 
 
 def cmd_check_certificates(args) -> int:
@@ -395,6 +412,7 @@ def cmd_check_certificates(args) -> int:
         results = [_check_one(p) for p in files]
     elapsed = time.monotonic() - started
     failures = [(name, msg) for name, ok, msg in results if not ok]
+    failures += _summary_failures(root, files)
     payload = {
         "bundle": str(root),
         "checked": len(results),

@@ -1,14 +1,14 @@
 """Exact linear-program feasibility and optimization over the rationals.
 
-A system is ``Ax <= b`` over nonnegative variables: every variable is a
-ballot weight, so ``x >= 0`` is part of every problem, and rows that only
-restate it (``-x_j <= 0``) never reach the solver. Verdicts are produced by
-a two-phase simplex with Bland's anti-cycling rule running on exact
-rational arithmetic; infeasibility comes with an integer Farkas certificate
-(row multipliers y >= 0 with y.b < 0 and A^T y >= 0, which together rule
-out every x >= 0) that `verify_farkas` checks without any solver; an
-optimum comes with a point and an LP-duality certificate that
-`verify_optimum` checks the same way.
+A system is a list of rows ``Ax <= b`` over nonnegative variables: every
+variable is a ballot weight, so ``x >= 0`` is part of every problem without
+any row stating it. Verdicts are produced by a two-phase simplex with
+Bland's anti-cycling rule running on exact rational arithmetic;
+infeasibility comes with an integer Farkas certificate (one multiplier per
+row, y >= 0 with y.b < 0 and A^T y >= 0, which together rule out every
+x >= 0) that `verify_farkas` checks without any solver; an optimum comes
+with a point and an LP-duality certificate that `verify_optimum` checks
+the same way.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_ScaledRows`). Wide systems (many
@@ -26,17 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _q = Fraction
-
-_Q0 = _q(0)
-_Q1 = _q(1)
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 #: Systems with at most this many variables are solved with all columns
 #: active from the start; larger ones go through column activation.
@@ -49,12 +44,6 @@ ACTIVATION_BATCH = 64
 _INT64_SAFE = 2**62
 
 
-def _fr(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
 @dataclass(frozen=True)
 class Row:
     """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag."""
@@ -63,74 +52,11 @@ class Row:
     rhs: Fraction
     tag: tuple
 
-    def scaled_ints(self) -> tuple[dict[int, int], int, int]:
-        """Return (integer coeffs, integer rhs, positive scale L)."""
-        denom = self.rhs.denominator
-        for c in self.coeffs.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = {j: int(c * denom) for j, c in self.coeffs.items()}
-        return ints, int(self.rhs * denom), denom
-
-
-class LinearSystem:
-    """An ordered inequality system ``Ax <= b`` over nonnegative labelled
-    variables.
-
-    ``head_rows`` come first; if ``nonneg_block`` is set, one row
-    ``-x_j <= 0`` per variable follows, in variable order. Those rows only
-    restate ``x >= 0``, which holds with or without them; they are there so
-    that certificates index the canonical row order. The canonical systems
-    of this package put normalization, swap and deviation rows in the head
-    and end with the nonnegativity block.
-    """
-
-    def __init__(
-        self,
-        variables: Sequence[int],
-        head_rows: Sequence[Row],
-        nonneg_block: bool = False,
-    ):
-        self.variables: tuple[int, ...] = tuple(variables)
-        self.head_rows: tuple[Row, ...] = tuple(head_rows)
-        self.nonneg_block = bool(nonneg_block)
-        n = len(self.variables)
-        for row in self.head_rows:
-            for j in row.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row {row.tag} references column {j}")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.head_rows) + (
-            len(self.variables) if self.nonneg_block else 0
-        )
-
-    def row(self, index: int) -> Row:
-        if not 0 <= index < self.n_rows:
-            raise IndexError("row index out of range")
-        n_head = len(self.head_rows)
-        if index < n_head:
-            return self.head_rows[index]
-        index -= n_head
-        return Row(
-            {index: Fraction(-1)}, Fraction(0), ("nonneg", self.variables[index])
-        )
-
-    def iter_rows(self) -> Iterator[Row]:
-        for i in range(self.n_rows):
-            yield self.row(i)
-
-    def general_row_indices(self) -> tuple[int, ...]:
-        return tuple(range(len(self.head_rows)))
-
 
 @dataclass(frozen=True)
 class FarkasCertificate:
-    """Nonnegative integer row multipliers proving ``Ax <= b`` infeasible.
+    """Nonnegative integer row multipliers proving ``Ax <= b`` infeasible,
+    one per row of the system.
 
     Stored sparsely: ``nonzero`` maps row index to multiplier; all other
     rows carry multiplier 0. ``n_rows`` pins the system size the certificate
@@ -179,8 +105,8 @@ class Infeasible:
 @dataclass(frozen=True)
 class Optimal:
     """An optimum with its point and its LP-duality certificate: ``duals``
-    are multipliers ``y >= 0`` over the general rows (the rows other than
-    the per-variable bounds) with ``G^T y >= c`` and ``h . y = value``."""
+    are multipliers ``y >= 0`` over the rows with ``G^T y >= c`` and
+    ``h . y = value``."""
 
     value: Fraction
     assignment: Mapping[int, Fraction]
@@ -196,7 +122,7 @@ LpVerdict = Union[Feasible, Infeasible]
 MaximizeResult = Union[Optimal, Infeasible, Unbounded]
 
 
-def verify_farkas(system: LinearSystem, certificate: FarkasCertificate) -> bool:
+def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
     """Check a Farkas certificate exactly, without any solver.
 
     True iff every multiplier is a nonnegative integer, ``y . b < 0``, and
@@ -204,24 +130,24 @@ def verify_farkas(system: LinearSystem, certificate: FarkasCertificate) -> bool:
     would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
     whose variables are all nonnegative, has no solution.
     """
-    if certificate.n_rows != system.n_rows:
+    if certificate.n_rows != len(rows):
         raise ValueError(
             f"certificate has {certificate.n_rows} multipliers, "
-            f"system has {system.n_rows} rows"
+            f"system has {len(rows)} rows"
         )
     if any(v < 0 for v in certificate.nonzero.values()):
         return False
     yb = _Q0
-    col_sums: dict[int, object] = {}
+    col_sums: dict[int, Fraction] = {}
     for i, mult in certificate.nonzero.items():
-        row = system.row(i)
+        row = rows[i]
         if row.rhs:
-            yb += mult * _q(row.rhs)
+            yb += mult * row.rhs
         for j, coef in row.coeffs.items():
             if j in col_sums:
-                col_sums[j] += mult * _q(coef)
+                col_sums[j] += mult * coef
             else:
-                col_sums[j] = mult * _q(coef)
+                col_sums[j] = mult * coef
     if not yb < 0:
         return False
     return all(total >= 0 for total in col_sums.values())
@@ -246,17 +172,17 @@ class _Master:
     """
 
     def __init__(self, columns, rhs):
-        # columns: list of (key, dense list of _q over the general rows).
+        # columns: list of (key, dense list of Fractions over the rows).
         self.n_rows = len(rhs)
         self.keys = [key for key, _ in columns]
         self.cols = [data for _, data in columns]
         self.n_struct = len(self.cols)
-        self.rhs = [_q(v) for v in rhs]
+        self.rhs = [Fraction(v) for v in rhs]
 
     def solve(self, objective_per_key=None):
         """Run two-phase simplex; return a result tuple.
 
-        ("infeasible", ray)       ray over general rows, all >= 0
+        ("infeasible", ray)       ray over the rows, all >= 0
         ("optimal", x, value, duals)  x sparse over keys; duals over rows
         ("unbounded",)
         """
@@ -314,7 +240,7 @@ class _Master:
         for jj in range(S):
             c = objective_per_key.get(self.keys[jj])
             if c:
-                cost[jj] = z[jj] = _q(c)
+                cost[jj] = z[jj] = Fraction(c)
         for i in range(R):
             b = basis[i]
             if b < width and cost[b]:
@@ -327,7 +253,7 @@ class _Master:
         for key, v in x.items():
             c = objective_per_key.get(key)
             if c:
-                value += _q(c) * v
+                value += c * v
         duals = self._duals(z, S)
         return ("optimal", x, value, duals)
 
@@ -407,8 +333,8 @@ class _Master:
 
 
 class _ScaledRows:
-    """General rows as one dense integer matrix, for exact vectorized
-    pricing: row i reads ``matrix[i] . x <= scales[i] * rhs[i]``.
+    """Rows as one dense integer matrix, for exact vectorized pricing:
+    row i reads ``matrix[i] . x <= scales[i] * rhs[i]``.
 
     The matrix is int64, or a numpy object array of Python ints when an
     entry does not fit; every product below is exact either way.
@@ -418,19 +344,16 @@ class _ScaledRows:
         self.matrix = matrix
         self.n_rows, self.n_vars = matrix.shape
         self.scales = list(scales)
-        self.rhs = [_q(v) for v in rhs_exact]
+        self.rhs = [Fraction(v) for v in rhs_exact]
         self.lcm_scale = math.lcm(1, *self.scales)
         self.max_abs = int(np.abs(matrix).max(initial=0))
 
     def exact_column(self, j: int) -> list:
         col = self.matrix[:, j]
         return [
-            _q(int(col[i]), self.scales[i]) if col[i] else _Q0
+            Fraction(int(col[i]), self.scales[i]) if col[i] else _Q0
             for i in range(self.n_rows)
         ]
-
-    def rhs_fraction(self, i: int) -> Fraction:
-        return _fr(self.rhs[i])
 
     def times(self, x: Mapping[int, Fraction]) -> list[Fraction]:
         """Exact ``G x`` for a sparse ``x`` given per column position."""
@@ -447,7 +370,7 @@ class _ScaledRows:
     def price(self, multipliers):
         """Exact ``factor * (G^T y)`` for all columns, ``factor > 0``.
 
-        ``multipliers`` are exact rationals over the general rows. Returns
+        ``multipliers`` are exact rationals over the rows. Returns
         ``(totals, factor)`` with integer totals, so ``sign(totals[j])``
         equals ``sign((G^T y)_j)``.
         """
@@ -467,57 +390,15 @@ class _ScaledRows:
         return obj_vec @ self.matrix.astype(object), factor
 
 
-def _split_rows(system: LinearSystem) -> list[int]:
-    """Indices of the general rows: the head rows except those reading
-    ``-x_j <= 0``, which only restate a variable's bound."""
-    return [
-        i
-        for i, row in enumerate(system.head_rows)
-        if not (
-            row.rhs == 0
-            and len(row.coeffs) == 1
-            and next(iter(row.coeffs.values())) == -1
-        )
-    ]
-
-
 class _Problem:
-    """The solver-facing view: general rows over nonnegative columns.
+    """The solver-facing view: rows over nonnegative columns, which carry
+    the given variable labels."""
 
-    Built from a `LinearSystem` (`from_system`) or directly from the
-    integer-scaled rows the proof-search module builds without
-    materializing the system. ``general_row_ids`` places each general row
-    in the full row order, which certificates index.
-    """
-
-    def __init__(self, variables, n_rows_total, general_row_ids, scaled):
+    def __init__(self, variables, scaled: _ScaledRows):
         self.variables = tuple(variables)
         self.n_vars = len(self.variables)
-        self.n_rows_total = n_rows_total
-        self.general_row_ids = list(general_row_ids)
         self.scaled = scaled
         self.rhs = scaled.rhs
-
-    @classmethod
-    def from_system(cls, system: LinearSystem) -> "_Problem":
-        general_row_ids = _split_rows(system)
-        rows = [system.head_rows[i] for i in general_row_ids]
-        scaled = [row.scaled_ints() for row in rows]
-        wide = any(
-            abs(v) >= _INT64_SAFE for ints, _, _ in scaled for v in ints.values()
-        )
-        matrix = np.zeros(
-            (len(rows), system.n_vars), dtype=object if wide else np.int64
-        )
-        for i, (ints, _, _) in enumerate(scaled):
-            for j, v in ints.items():
-                matrix[i, j] = v
-        return cls(
-            system.variables,
-            system.n_rows,
-            general_row_ids,
-            _ScaledRows(matrix, [s for _, _, s in scaled], [r.rhs for r in rows]),
-        )
 
     def master(self, active: Sequence[int]) -> _Master:
         columns = [(j, self.scaled.exact_column(j)) for j in active]
@@ -547,15 +428,12 @@ class _Problem:
         for u in ray:
             d = int(u.denominator)
             denom = denom * d // math.gcd(denom, d)
-        nonzero = {}
-        for pos, u in enumerate(ray):
-            if u:
-                nonzero[self.general_row_ids[pos]] = int(u * denom)
-        return FarkasCertificate(self.n_rows_total, nonzero)
+        nonzero = {i: int(u * denom) for i, u in enumerate(ray) if u}
+        return FarkasCertificate(self.scaled.n_rows, nonzero)
 
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
         """Exact check that an assignment (per label, absent labels are 0)
-        is nonnegative and satisfies every general row."""
+        is nonnegative and satisfies every row."""
         pos_of = {label: j for j, label in enumerate(self.variables)}
         values = {}
         for label, v in assignment.items():
@@ -565,9 +443,7 @@ class _Problem:
             if v:
                 values[j] = Fraction(v)
         totals = self.scaled.times(values)
-        return all(
-            t <= self.scaled.rhs_fraction(i) for i, t in enumerate(totals)
-        )
+        return all(t <= b for t, b in zip(totals, self.rhs))
 
     def initial_active(self, seed: Optional[Sequence[int]]) -> list[int]:
         n = self.n_vars
@@ -578,7 +454,7 @@ class _Problem:
 
 
 def _assignment_with_labels(variables, x) -> dict[int, Fraction]:
-    return {variables[j]: _fr(v) for j, v in x.items() if v}
+    return {variables[j]: v for j, v in x.items() if v}
 
 
 def _activate(problem: _Problem, seed_columns, objective=None):
@@ -608,19 +484,18 @@ def _activate(problem: _Problem, seed_columns, objective=None):
         active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
 
 
-def solve_feasibility(system: LinearSystem) -> LpVerdict:
+def solve_feasibility(problem: _Problem) -> LpVerdict:
     """Exact feasibility verdict for ``Ax <= b``, ``x >= 0``.
 
     Feasible systems yield an exact satisfying assignment; infeasible ones
     yield an integer Farkas certificate (the dual ray scaled by the least
     common multiple of its denominators) that passes `verify_farkas`.
     """
-    return _solve_problem(_Problem.from_system(system))[0]
+    return _solve_problem(problem)[0]
 
 
 def _solve_problem(problem: _Problem):
-    """`solve_feasibility` on a solver-facing problem; returns the verdict
-    and the columns active at the end."""
+    """`solve_feasibility`, also returning the columns active at the end."""
     result, active = _activate(problem, None)
     if result[0] == "infeasible":
         return Infeasible(problem.certificate(result[1])), active
@@ -628,27 +503,19 @@ def _solve_problem(problem: _Problem):
 
 
 def maximize(
-    system: LinearSystem, objective: Mapping[int, Fraction]
-) -> MaximizeResult:
-    """Exact maximum of ``objective . x`` subject to the system.
-
-    The objective is given per variable label. Minimization is maximization
-    of the negated objective. Infeasible and unbounded systems are
-    distinguished results.
-    """
-    return _maximize_problem(_Problem.from_system(system), objective)
-
-
-def _maximize_problem(
     problem: _Problem,
     objective: Mapping[int, Fraction],
     seed_columns: Optional[Sequence[int]] = None,
 ) -> MaximizeResult:
-    """`maximize` on a solver-facing problem; ``objective`` is per label.
+    """Exact maximum of ``objective . x`` subject to the rows.
 
-    An `Optimal` result carries its LP-duality certificate: multipliers
-    ``y >= 0`` over the general rows with ``G^T y >= c`` and ``h . y`` equal
-    to the optimum, which `verify_optimum` checks without a solver.
+    The objective is given per variable label; column activation starts
+    from ``seed_columns`` (positions) when there are any. Minimization is
+    maximization of the negated objective. Infeasible and unbounded systems
+    are distinguished results. An `Optimal` result carries its LP-duality
+    certificate: multipliers ``y >= 0`` over the rows with ``G^T y >= c``
+    and ``h . y`` equal to the optimum, which `verify_optimum` checks
+    without a solver.
     """
     label_pos = {label: j for j, label in enumerate(problem.variables)}
     for label in objective:
@@ -663,9 +530,9 @@ def _maximize_problem(
         return Infeasible(problem.certificate(result[1]))
     _, x, value, duals = result
     return Optimal(
-        _fr(-value),
+        -value,
         _assignment_with_labels(problem.variables, x),
-        tuple(-_fr(y) for y in duals),
+        tuple(-y for y in duals),
     )
 
 
@@ -684,10 +551,7 @@ def verify_optimum(
     duals = [Fraction(y) for y in optimum.duals]
     if len(duals) != problem.scaled.n_rows or any(y < 0 for y in duals):
         return False
-    hy = sum(
-        (y * problem.scaled.rhs_fraction(i) for i, y in enumerate(duals) if y),
-        Fraction(0),
-    )
+    hy = sum((y * b for y, b in zip(duals, problem.rhs) if y), Fraction(0))
     cx = sum(
         (Fraction(c) * optimum.assignment.get(label, 0) for label, c in objective.items()),
         Fraction(0),

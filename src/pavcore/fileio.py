@@ -5,10 +5,10 @@ integer strings); floats never touch the disk. A certificate file describes
 its system compactly: candidate count, committee size and the history
 steps (``kind: "history"``). Files of the older ``kind: "shape"``, which
 name a deviation shape instead, are read as the shape's canonical one-step
-history, whose system is the same. The canonical row order makes the
-reconstruction bit-exact. Multipliers are stored for the
-non-nonnegativity rows only, since certificates produced here always carry
-zeros on the nonnegativity block.
+history, whose system is the same. The canonical row order, which ends
+with the deviation rows, makes the reconstruction bit-exact. Every
+variable is nonnegative without any row stating it, so a file holds one
+multiplier per row of the system.
 
 Candidate indices are 1-based in files, matching reports.
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Union
 
 from .elections import CandidateSet, ElectionInstance, Profile
-from .exactlp import FarkasCertificate, LinearSystem
+from .exactlp import FarkasCertificate, Row
 from .proofs import (
     MAX_HISTORY_M,
     DeviationShape,
@@ -197,13 +197,13 @@ def parse_committee(text: str, m: int) -> CandidateSet:
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    """A certificate file in memory: a reconstructible system plus the
-    multipliers, ready for the solver-free checker."""
+    """A certificate file in memory: the rows of its reconstructed system
+    plus the multipliers, ready for the solver-free checker."""
 
     kind: str
     m: int
     k: int
-    system: LinearSystem
+    rows: list[Row]
     certificate: FarkasCertificate
     payload: dict
 
@@ -242,7 +242,7 @@ def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
     raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
 
 
-def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
+def _rows_from_payload(payload: dict) -> tuple[str, int, int, list[Row]]:
     try:
         m = _integer(payload["m"], CertificateFormatError, "m")
         k = _integer(payload["k"], CertificateFormatError, "k")
@@ -267,21 +267,17 @@ def _system_from_payload(payload: dict) -> tuple[str, int, int, LinearSystem]:
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     if not isinstance(payload, dict):
         raise CertificateFormatError("a certificate must be a JSON object")
-    kind, m, k, system = _system_from_payload(payload)
+    kind, m, k, rows = _rows_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
     values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
-    general_ids = system.general_row_indices()
-    if len(values) != len(general_ids):
+    if len(values) != len(rows):
         raise CertificateFormatError(
-            f"expected {len(general_ids)} multipliers, found {len(values)}"
+            f"expected {len(rows)} multipliers, found {len(values)}"
         )
-    nonzero = {
-        idx: v for idx, v in zip(general_ids, values) if v != 0
-    }
-    certificate = FarkasCertificate(system.n_rows, nonzero)
-    return CertificateRecord(kind, m, k, system, certificate, payload)
+    certificate = FarkasCertificate.from_list(values)
+    return CertificateRecord(kind, m, k, rows, certificate, payload)
 
 
 def load_certificate(path: Union[str, Path]) -> CertificateRecord:
@@ -295,14 +291,7 @@ def load_certificate(path: Union[str, Path]) -> CertificateRecord:
 def history_certificate_dict(
     history: History, certificate: FarkasCertificate
 ) -> dict:
-    """The file form of a history's certificate. Its general rows are all
-    rows but the ``2^m - 1`` nonnegativity rows, which come last."""
-    n_general = certificate.n_rows - ((1 << history.m) - 1)
-    if any(idx >= n_general for idx in certificate.nonzero):
-        raise CertificateFormatError(
-            "certificate carries weight on a nonnegativity row; "
-            "cannot store compactly"
-        )
+    """The file form of a history's certificate: one multiplier per row."""
     return {
         "kind": "history",
         "m": history.m,
@@ -311,7 +300,9 @@ def history_certificate_dict(
             {"W": _mask_to_indices(w.mask), "T": _mask_to_indices(t.mask)}
             for w, t in history.steps
         ],
-        "multipliers": [str(certificate.multiplier(i)) for i in range(n_general)],
+        "multipliers": [
+            str(certificate.multiplier(i)) for i in range(certificate.n_rows)
+        ],
     }
 
 

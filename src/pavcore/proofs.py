@@ -8,8 +8,8 @@ machine-checkable evidence either way:
   with matching analytically constructed Farkas certificates
   (`farkas_from_theorem1`);
 * the counterexample program for a deviation shape, which is the system of
-  its canonical one-step history (`build_program3` materializes it), and
-  the optimality suite pinning down the structure of the k = 8
+  its canonical one-step history (`program3_history`), and the optimality
+  suite pinning down the structure of the k = 8
   counterexamples (`lemma2_suite`), whose optima carry exact LP-duality
   certificates;
 * the breadth-first enumeration of execution traces of the recursive rule
@@ -29,11 +29,11 @@ certificate checker uses, so the checker shares no row code with the
 solver.
 
 All systems share one canonical row order: the normalization pair, swap
-rows grouped by step and ordered by (x, y), negated deviation rows by step,
-then one nonnegativity row per ballot in ascending bitmask order. Variables
-are the nonempty ballots over the candidate universe, in ascending bitmask
-order. Certificates refer to rows by that order, so they can be re-checked
-from a compact description of the system.
+rows grouped by step and ordered by (x, y), then negated deviation rows by
+step. Variables are the nonempty ballots over the candidate universe, in
+ascending bitmask order, and every variable is nonnegative without any row
+stating it. Certificates hold one multiplier per row in that order, so
+they can be re-checked from a compact description of the system.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ from .elections import CandidateSet, Profile, mask_swap_delta
 from .exactlp import (
     FarkasCertificate,
     Feasible,
-    LinearSystem,
     Optimal,
     Row,
-    _maximize_problem,
     _Problem,
     _ScaledRows,
     _solve_problem,
+    maximize,
     verify_optimum,
 )
 
@@ -211,7 +210,7 @@ def _bits(mask: int) -> list[int]:
 def _build_rows(
     m: int, k: int, steps: Sequence[tuple[int, int]]
 ) -> tuple[list[Row], list[tuple[int, int, int]]]:
-    """Head rows of the canonical system for a sequence of (W, T) masks.
+    """Rows of the canonical system for a sequence of (W, T) masks.
 
     Returns the rows plus the (step, x, y) index of each swap row. Pure
     Python reference implementation; the enumeration uses a vectorized
@@ -270,24 +269,13 @@ def canonical_program3_sets(
     return CandidateSet(w_mask, m), CandidateSet(t_mask, m)
 
 
-def build_program3(k: int, shape: DeviationShape) -> LinearSystem:
-    """The counterexample system for one deviation shape, materialized.
-
-    Over the candidate set W ∪ T, a profile variable per nonempty ballot;
-    the committee must be swap-optimal (all swap rows), and the deviation
-    must be supported by weight at least |T|/k. Feasibility means a locally
-    optimal committee of size k can fail the core via this shape. It is
-    the system of `program3_history`, which is how the proof modes solve it.
-    """
-    return history_system(program3_history(k, shape))
-
-
 # ---------------------------------------------------------------------------
 # Analytic certificates for the swap-sum proof.
 
 
 def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
-    """The analytic infeasibility certificate for `build_program3`.
+    """The analytic infeasibility certificate for the system of
+    `program3_history`.
 
     Multipliers: |T\\W| on the upper normalization row, 1 on every swap row
     with x in W\\T and y in T\\W, and |T\\W| plus the minimal supporter swap
@@ -321,7 +309,7 @@ def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
             _, _, x, y = tag
             if (w_mask & ~t_mask) >> x & 1 and (t_mask & ~w_mask) >> y & 1:
                 nonzero[i] = scale
-    return FarkasCertificate(problem.n_rows_total, nonzero)
+    return FarkasCertificate(problem.scaled.n_rows, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +389,27 @@ class HistoryVerdict:
 
 
 def program3_history(k: int, shape: DeviationShape) -> History:
-    """The one-step history (W, T) of `canonical_program3_sets`."""
+    """The counterexample history for one deviation shape: the one step
+    (W, T) of `canonical_program3_sets`.
+
+    Over the candidate set W ∪ T, its system has a profile variable per
+    nonempty ballot; the committee must be swap-optimal (all swap rows),
+    and the deviation must be supported by weight at least |T|/k.
+    Feasibility means a locally optimal committee of size k can fail the
+    core via this shape.
+    """
     committee, deviation = canonical_program3_sets(k, shape)
     return History(committee.m, k, ((committee, deviation),))
 
 
-def history_system(history: History) -> LinearSystem:
-    """The canonical feasibility system deciding whether a profile realizes
-    the history: swap rows over the still-active ballots for every step,
-    one supported-deviation row per step, over all ballots of the full
-    candidate set. Built by the reference builder `_build_rows`."""
+def history_system(history: History) -> list[Row]:
+    """The rows of the canonical feasibility system deciding whether a
+    profile realizes the history: swap rows over the still-active ballots
+    for every step, one supported-deviation row per step, over all ballots
+    of the full candidate set (column j is ballot mask j + 1). Built by the
+    reference builder `_build_rows`."""
     rows, _ = _build_rows(history.m, history.k, history.mask_steps())
-    return LinearSystem(list(range(1, 1 << history.m)), rows, nonneg_block=True)
+    return rows
 
 
 def check_proposition1(histories: Iterable[History], k: int) -> bool:
@@ -438,7 +435,7 @@ def _type_rows(
     k: int,
     steps: Sequence[tuple[int, int]],
 ) -> tuple[_ScaledRows, list[tuple]]:
-    """The general rows of a history's system over ballot types.
+    """The rows of a history's system over ballot types.
 
     ``classes`` partitions the candidates into classes that every set of
     the history contains whole or not at all; ``types[j, i]`` is how many
@@ -494,17 +491,6 @@ def _type_rows(
     return _ScaledRows(np.vstack(rows), scales, rhs), tags
 
 
-def _rows_problem(variables: Sequence[int], scaled: _ScaledRows) -> _Problem:
-    """General rows first, then one nonnegativity row per column."""
-    n_general = scaled.n_rows
-    return _Problem(
-        variables=variables,
-        n_rows_total=n_general + len(variables),
-        general_row_ids=range(n_general),
-        scaled=scaled,
-    )
-
-
 class _HistoryRows:
     """The full system of one history: the type rows over singleton classes.
 
@@ -532,7 +518,7 @@ class _HistoryRows:
             scaled, self.tags = _type_rows(
                 [[i] for i in range(m)], bits, self.k, self.steps
             )
-            self._problem = _rows_problem(range(1, 1 << m), scaled)
+            self._problem = _Problem(range(1, 1 << m), scaled)
         return self._problem
 
 
@@ -579,7 +565,7 @@ class _Quotient:
         self.scaled, self.tags = _type_rows(self.classes, self.types, k, steps)
 
     def problem(self) -> _Problem:
-        return _rows_problem(range(self.types.shape[0]), self.scaled)
+        return _Problem(range(self.types.shape[0]), self.scaled)
 
     def orbit_size(self, type_row) -> int:
         size = 1
@@ -636,26 +622,22 @@ class _Quotient:
                 raw[i] = raw.get(i, Fraction(0)) + share
         denom = math.lcm(1, *(v.denominator for v in raw.values()))
         nonzero = {i: int(v * denom) for i, v in raw.items() if v}
-        return FarkasCertificate(problem.n_rows_total, nonzero)
+        return FarkasCertificate(problem.scaled.n_rows, nonzero)
 
 
 def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
     """Exact certificate check against the integer-scaled rows."""
     if any(v < 0 for v in certificate.nonzero.values()):
         return False
-    multipliers = [Fraction(0)] * len(problem.general_row_ids)
+    multipliers = [Fraction(0)] * problem.scaled.n_rows
     yb = Fraction(0)
     for row_idx, value in certificate.nonzero.items():
-        if row_idx >= len(problem.general_row_ids):
-            return False  # nonnegativity rows never carry weight here
         multipliers[row_idx] = Fraction(value)
-        yb += value * problem.scaled.rhs_fraction(row_idx)
+        yb += value * problem.rhs[row_idx]
     if not yb < 0:
         return False
     totals, _ = problem.scaled.price(multipliers)
-    return bool(np.all(np.asarray(totals) >= 0)) if isinstance(totals, np.ndarray) else all(
-        t >= 0 for t in totals
-    )
+    return bool(np.all(totals >= 0))
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
@@ -975,7 +957,7 @@ def _certified_optimum(
     seeds: Sequence[int],
 ) -> OptimalityRecord:
     sign = 1 if sense == "max" else -1
-    result = _maximize_problem(
+    result = maximize(
         problem, {mask: sign * c for mask, c in objective.items()}, seeds
     )
     if not isinstance(result, Optimal):

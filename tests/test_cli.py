@@ -5,14 +5,17 @@ Exit codes: 0 when the claim holds, 1 when it fails, 2 on input errors,
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from pavcore.cli import main
 from pavcore.proofs import (
     DeviationShape,
-    build_program3,
     enumerate_histories,
     farkas_from_theorem1,
 )
@@ -54,6 +57,21 @@ def negate_one_multiplier(path):
     i = next(i for i, v in enumerate(payload["multipliers"]) if int(v))
     payload["multipliers"][i] = str(-int(payload["multipliers"][i]))
     write_json(path, payload)
+
+
+def test_python_m_pavcore_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pavcore", "prove", "--mode", "inequality", "--k", "3", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["violations"] == []
 
 
 class TestVerifyCore:
@@ -216,6 +234,18 @@ class TestHistories:
         negate_one_multiplier(files[0])
         assert run(capsys, "check-certificates", bundle)[0] == 1
 
+    def test_missing_certificate_fails(self, capsys, tmp_path):
+        bundle = tmp_path / "h"
+        argv = ["prove", "--mode", "histories", "--m", 9, "--k", 8, "--out", bundle]
+        assert run(capsys, *argv)[0] == 0
+        certificate_files(bundle)[2].unlink()
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["checked"] == 7
+        (failure,) = payload["failures"]
+        assert failure["file"] == "histories.json"
+        assert "lists 8 certificates, found 7" in failure["reason"]
+
     def test_budget_stops_a_threaded_search(self):
         started = time.monotonic()
         result = enumerate_histories(10, 8, threads=2, budget_seconds=1)
@@ -226,10 +256,10 @@ class TestHistories:
 class TestCheckCertificates:
     def shape_file(self, bundle, k, shape, multipliers=None):
         """A certificate in the older ``kind: "shape"`` format."""
-        system = build_program3(k, shape)
         certificate = farkas_from_theorem1(k, shape)
-        n_general = len(system.head_rows)
-        values = multipliers or [certificate.multiplier(i) for i in range(n_general)]
+        values = multipliers or [
+            certificate.multiplier(i) for i in range(certificate.n_rows)
+        ]
         return write_json(
             bundle / f"shape_{shape.size}_{shape.overlap}.json",
             {

@@ -1,9 +1,11 @@
 """Tests for the exact LP engine: simplex verdicts, certificates, duality."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pavcore import exactlp
@@ -11,12 +13,12 @@ from pavcore.exactlp import (
     FarkasCertificate,
     Feasible,
     Infeasible,
-    LinearSystem,
     Optimal,
     Row,
     Unbounded,
     _Master,
     _Problem,
+    _ScaledRows,
     maximize,
     solve_feasibility,
     verify_farkas,
@@ -24,8 +26,30 @@ from pavcore.exactlp import (
 )
 
 
+def make_problem(rows, n_vars):
+    """The solver's form of `Row`s over ``n_vars`` nonnegative columns:
+    each row scaled to integers by the lcm of its denominators, in an int64
+    matrix, or an object matrix when an entry reaches 2^62."""
+    scaled = []
+    for row in rows:
+        denom = math.lcm(
+            row.rhs.denominator, *(c.denominator for c in row.coeffs.values())
+        )
+        scaled.append(({j: int(c * denom) for j, c in row.coeffs.items()}, denom))
+    wide = any(abs(v) >= 2**62 for ints, _ in scaled for v in ints.values())
+    matrix = np.zeros((len(rows), n_vars), dtype=object if wide else np.int64)
+    for i, (ints, _) in enumerate(scaled):
+        for j, v in ints.items():
+            matrix[i, j] = v
+    return _Problem(
+        range(n_vars),
+        _ScaledRows(matrix, [s for _, s in scaled], [row.rhs for row in rows]),
+    )
+
+
 def make_system(rows, n_vars=None):
-    """rows: list of (dense coeff list, rhs)."""
+    """rows: list of (dense coeff list, rhs). Returns the `Row`s, which
+    `verify_farkas` checks, and their solver form."""
     if n_vars is None:
         n_vars = max(len(c) for c, _ in rows)
     built = [
@@ -36,7 +60,7 @@ def make_system(rows, n_vars=None):
         )
         for i, (coeffs, rhs) in enumerate(rows)
     ]
-    return LinearSystem(list(range(n_vars)), built)
+    return built, make_problem(built, n_vars)
 
 
 def fourier_motzkin_feasible(rows, n_vars):
@@ -62,36 +86,36 @@ def fourier_motzkin_feasible(rows, n_vars):
 
 class TestSmallVerdicts:
     def test_contradiction_pair(self):
-        system = make_system([([1], -1), ([-1], 0)])
-        verdict = solve_feasibility(system)
+        rows, problem = make_system([([1], -1), ([-1], 0)])
+        verdict = solve_feasibility(problem)
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(rows, verdict.certificate)
         # The textbook certificate for this pair also verifies.
-        assert verify_farkas(system, FarkasCertificate.from_list([1, 1]))
+        assert verify_farkas(rows, FarkasCertificate.from_list([1, 1]))
 
     def test_simple_feasible(self):
-        system = make_system([([1], 1), ([-1], 0)])
-        verdict = solve_feasibility(system)
+        _, problem = make_system([([1], 1), ([-1], 0)])
+        verdict = solve_feasibility(problem)
         assert isinstance(verdict, Feasible)
         x = verdict.value(0)
         assert 0 <= x <= 1
 
     def test_negative_bound_infeasible(self):
         # x <= -1 alone has no solution: every variable is nonnegative.
-        system = make_system([([1], -1)])
-        verdict = solve_feasibility(system)
+        rows, problem = make_system([([1], -1)])
+        verdict = solve_feasibility(problem)
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(rows, verdict.certificate)
 
     def test_free_variable_infeasible(self):
         # x <= 0 and x >= 1.
-        system = make_system([([1], 0), ([-1], -1)])
-        verdict = solve_feasibility(system)
+        rows, problem = make_system([([1], 0), ([-1], -1)])
+        verdict = solve_feasibility(problem)
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(rows, verdict.certificate)
 
     def test_feasible_assignment_satisfies_rows_exactly(self):
-        system = make_system(
+        rows, problem = make_system(
             [
                 ([1, 1, 0], Fraction(3, 2)),
                 ([-1, 2, 1], Fraction(-1, 3)),
@@ -100,11 +124,11 @@ class TestSmallVerdicts:
                 ([0, 0, -1], 0),
             ]
         )
-        verdict = solve_feasibility(system)
+        verdict = solve_feasibility(problem)
         assert isinstance(verdict, Feasible)
-        for row in system.iter_rows():
+        for row in rows:
             total = sum(
-                (coef * verdict.value(system.variables[j]) for j, coef in row.coeffs.items()),
+                (coef * verdict.value(j) for j, coef in row.coeffs.items()),
                 Fraction(0),
             )
             assert total <= row.rhs
@@ -112,55 +136,55 @@ class TestSmallVerdicts:
 
 class TestVerifyFarkas:
     def test_rejects_wrong_sign_product(self):
-        system = make_system([([1], -1), ([-1], 0)])
+        rows, _ = make_system([([1], -1), ([-1], 0)])
         # y.b = 0, not < 0.
-        assert not verify_farkas(system, FarkasCertificate.from_list([0, 1]))
+        assert not verify_farkas(rows, FarkasCertificate.from_list([0, 1]))
 
     def test_rejects_negative_multiplier(self):
-        system = make_system([([1], -1), ([-1], 0)])
-        assert not verify_farkas(system, FarkasCertificate.from_list([1, -1]))
+        rows, _ = make_system([([1], -1), ([-1], 0)])
+        assert not verify_farkas(rows, FarkasCertificate.from_list([1, -1]))
 
     def test_dimension_mismatch_is_error(self):
-        system = make_system([([1], -1), ([-1], 0)])
+        rows, _ = make_system([([1], -1), ([-1], 0)])
         with pytest.raises(ValueError):
-            verify_farkas(system, FarkasCertificate.from_list([1, 1, 1]))
+            verify_farkas(rows, FarkasCertificate.from_list([1, 1, 1]))
 
     def test_rejects_violated_column_sum(self):
         # x0 - x1 <= -1 with nonnegativity on both: feasible, so no valid
         # certificate exists; this candidate fails the A^T y >= 0 test.
-        system = make_system([([1, -1], -1), ([-1, 0], 0), ([0, -1], 0)])
-        assert not verify_farkas(system, FarkasCertificate.from_list([1, 0, 0]))
+        rows, _ = make_system([([1, -1], -1), ([-1, 0], 0), ([0, -1], 0)])
+        assert not verify_farkas(rows, FarkasCertificate.from_list([1, 0, 0]))
 
 
 class TestMaximize:
     def test_bounded_maximum(self):
-        system = make_system([([1], 1), ([-1], 0)])
-        result = maximize(system, {0: Fraction(1)})
+        _, problem = make_system([([1], 1), ([-1], 0)])
+        result = maximize(problem, {0: Fraction(1)})
         assert isinstance(result, Optimal)
         assert result.value == 1
 
     def test_minimize_via_negation(self):
-        system = make_system([([1], 1), ([-1], Fraction(-1, 3))])
-        result = maximize(system, {0: Fraction(-1)})
+        _, problem = make_system([([1], 1), ([-1], Fraction(-1, 3))])
+        result = maximize(problem, {0: Fraction(-1)})
         assert isinstance(result, Optimal)
         assert result.value == Fraction(-1, 3)
 
     def test_unbounded(self):
-        system = make_system([([-1], 0)])
-        assert isinstance(maximize(system, {0: Fraction(1)}), Unbounded)
+        _, problem = make_system([([-1], 0)])
+        assert isinstance(maximize(problem, {0: Fraction(1)}), Unbounded)
 
     def test_infeasible(self):
-        system = make_system([([1], -1), ([-1], 0)])
-        result = maximize(system, {0: Fraction(1)})
+        rows, problem = make_system([([1], -1), ([-1], 0)])
+        result = maximize(problem, {0: Fraction(1)})
         assert isinstance(result, Infeasible)
-        assert verify_farkas(system, result.certificate)
+        assert verify_farkas(rows, result.certificate)
 
     def test_two_variable_lp(self):
         # max x + y st x + 2y <= 4, 3x + y <= 6, x,y >= 0 -> (8/5, 6/5).
-        system = make_system(
+        _, problem = make_system(
             [([1, 2], 4), ([3, 1], 6), ([-1, 0], 0), ([0, -1], 0)]
         )
-        result = maximize(system, {0: Fraction(1), 1: Fraction(1)})
+        result = maximize(problem, {0: Fraction(1), 1: Fraction(1)})
         assert isinstance(result, Optimal)
         assert result.value == Fraction(14, 5)
         assert result.assignment[0] == Fraction(8, 5)
@@ -190,12 +214,12 @@ class TestAgainstFourierMotzkin:
                 bounds.append((unit, Fraction(0)))
             if rng.random() < 0.5:
                 rows = rows + bounds
-            system = make_system(rows, n_vars)
-            verdict = solve_feasibility(system)
+            built, problem = make_system(rows, n_vars)
+            verdict = solve_feasibility(problem)
             expected = fourier_motzkin_feasible(rows + bounds, n_vars)
             if expected:
                 assert isinstance(verdict, Feasible), f"trial {trial}"
-                for row in system.iter_rows():
+                for row in built:
                     total = sum(
                         (c * verdict.value(j) for j, c in row.coeffs.items()),
                         Fraction(0),
@@ -203,7 +227,7 @@ class TestAgainstFourierMotzkin:
                     assert total <= row.rhs
             else:
                 assert isinstance(verdict, Infeasible), f"trial {trial}"
-                assert verify_farkas(system, verdict.certificate)
+                assert verify_farkas(built, verdict.certificate)
 
 
 class TestColumnActivation:
@@ -215,8 +239,7 @@ class TestColumnActivation:
             Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
             Row({2718: Fraction(-1)}, Fraction(-1, 2), ("need",)),
         ]
-        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
-        verdict = solve_feasibility(system)
+        verdict = solve_feasibility(make_problem(rows, n))
         assert isinstance(verdict, Feasible)
         assert verdict.value(2718) >= Fraction(1, 2)
         total = sum(verdict.assignment.values(), Fraction(0))
@@ -232,10 +255,9 @@ class TestColumnActivation:
         ]
         for j in range(n):
             rows.append(Row({j: Fraction(1)}, Fraction(1, 3 * n), ("cap", j)))
-        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
-        verdict = solve_feasibility(system)
+        verdict = solve_feasibility(make_problem(rows, n))
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(rows, verdict.certificate)
 
     def test_wide_maximize(self):
         n = 2000
@@ -243,8 +265,7 @@ class TestColumnActivation:
             Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
             Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
         ]
-        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
-        result = maximize(system, {561: Fraction(2)})
+        result = maximize(make_problem(rows, n), {561: Fraction(2)})
         assert isinstance(result, Optimal)
         assert result.value == 2
         assert result.assignment[561] == 1
@@ -261,18 +282,16 @@ class TestLargeEntries:
             Row({0: Fraction(2**70)}, Fraction(2**68), ("big",)),
             Row({1: Fraction(1, 2**70)}, Fraction(1, 2**72), ("small",)),
         ]
-        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
-        problem = _Problem.from_system(system)
+        problem = make_problem(rows, n)
         assert problem.scaled.matrix.dtype == object
         objective = {0: Fraction(1), 1: Fraction(1)}
-        result = maximize(system, objective)
+        result = maximize(problem, objective)
         assert isinstance(result, Optimal) and result.value == Fraction(1, 2)
         assert verify_optimum(problem, objective, result)
         cut = Row({0: Fraction(-1), 1: Fraction(-1)}, Fraction(-2, 3), ("cut",))
-        system = LinearSystem(list(range(n)), rows + [cut], nonneg_block=True)
-        verdict = solve_feasibility(system)
+        verdict = solve_feasibility(make_problem(rows + [cut], n))
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(rows + [cut], verdict.certificate)
 
 
 class TestDuals:
@@ -302,11 +321,11 @@ class TestDuals:
             Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
             Row({0: Fraction(1), n - 1: Fraction(-2)}, Fraction(-1), ("link",)),
         ]
-        system = LinearSystem(list(range(n)), rows, nonneg_block=True)
-        result = maximize(system, {0: Fraction(1)})
+        problem = make_problem(rows, n)
+        result = maximize(problem, {0: Fraction(1)})
         assert isinstance(result, Optimal)
         assert result.value == Fraction(1, 3)
-        assert verify_optimum(_Problem.from_system(system), {0: Fraction(1)}, result)
+        assert verify_optimum(problem, {0: Fraction(1)}, result)
 
     def test_activation_matches_all_columns(self, monkeypatch):
         rng = random.Random(3)
@@ -324,33 +343,29 @@ class TestDuals:
                 }
                 rows.append(Row(coeffs, Fraction(rng.randint(-2, 1), 2), ("r", r)))
             objective = {j: Fraction(rng.randint(-2, 2)) for j in rng.sample(range(n), 4)}
-            cases.append((LinearSystem(list(range(n)), rows, nonneg_block=True), objective))
-        dense = [maximize(system, objective) for system, objective in cases]
+            cases.append((make_problem(rows, n), objective))
+        dense = [maximize(problem, objective) for problem, objective in cases]
         monkeypatch.setattr(exactlp, "DENSE_COLUMN_LIMIT", 5)
         monkeypatch.setattr(exactlp, "ACTIVATION_BATCH", 2)
-        for (system, objective), expected in zip(cases, dense):
-            result = maximize(system, objective)
+        for (problem, objective), expected in zip(cases, dense):
+            result = maximize(problem, objective)
             assert type(result) is type(expected)
             if isinstance(result, Optimal):
                 assert result.value == expected.value
-                problem = _Problem.from_system(system)
                 assert verify_optimum(problem, objective, result)
 
 
 class TestVerifyOptimum:
     def setup_method(self):
-        # max x + y st x + 2y <= 4, 3x + y <= 6, x, y >= 0.
-        self.system = make_system(
-            [([1, 2], 4), ([3, 1], 6), ([-1, 0], 0), ([0, -1], 0)]
-        )
-        self.problem = _Problem.from_system(self.system)
+        # max x + y st x + 2y <= 4, 3x + y <= 6 over nonnegative x, y.
+        _, self.problem = make_system([([1, 2], 4), ([3, 1], 6)])
         self.objective = {0: Fraction(1), 1: Fraction(1)}
         self.point = {0: Fraction(8, 5), 1: Fraction(6, 5)}
 
     def test_accepts_the_optimum_with_its_duals(self):
         claim = Optimal(Fraction(14, 5), self.point, (Fraction(2, 5), Fraction(1, 5)))
         assert verify_optimum(self.problem, self.objective, claim)
-        solved = maximize(self.system, self.objective)
+        solved = maximize(self.problem, self.objective)
         assert solved.duals == (Fraction(2, 5), Fraction(1, 5))
         assert verify_optimum(self.problem, self.objective, solved)
 

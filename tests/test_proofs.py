@@ -15,7 +15,6 @@ from pavcore.exactlp import (
 from pavcore.proofs import (
     DeviationShape,
     History,
-    build_program3,
     canonical_continuations,
     canonical_program3_sets,
     check_proposition1,
@@ -106,34 +105,38 @@ class TestInequalityScan:
                 (v.shape.size, v.shape.overlap) for v in inequality_scan(k)
             }
             cert = farkas_from_theorem1(k, shape)
-            system = build_program3(k, shape)
+            rows = history_system(program3_history(k, shape))
             expected = (shape.size, shape.overlap) not in violating
-            assert verify_farkas(system, cert) is expected, (k, shape)
+            assert verify_farkas(rows, cert) is expected, (k, shape)
 
 
 class TestProgram3:
+    @staticmethod
+    def full_problem(h):
+        return _HistoryRows(h.m, h.k, h.mask_steps()).problem()
+
     def test_row_layout_smallest_case(self):
-        system = build_program3(2, DeviationShape(1, 0))
-        assert system.n_vars == 7
-        assert system.n_rows == 12
-        tags = [row.tag for row in system.iter_rows()]
-        assert tags[0] == ("norm_upper",)
-        assert tags[1] == ("norm_lower",)
-        assert tags[2] == ("swap", 1, 0, 2)
-        assert tags[3] == ("swap", 1, 1, 2)
-        assert tags[4] == ("deviation", 1)
-        assert all(t[0] == "nonneg" for t in tags[5:])
-        assert list(system.variables) == list(range(1, 8))
+        h = program3_history(2, DeviationShape(1, 0))
+        rows = history_system(h)
+        assert [row.tag for row in rows] == [
+            ("norm_upper",),
+            ("norm_lower",),
+            ("swap", 1, 0, 2),
+            ("swap", 1, 1, 2),
+            ("deviation", 1),
+        ]
+        assert {j for row in rows for j in row.coeffs} <= set(range(7))
+        assert self.full_problem(h).variables == tuple(range(1, 8))
 
     def test_smallest_case_infeasible(self):
-        system = build_program3(2, DeviationShape(1, 0))
-        verdict = solve_feasibility(system)
+        h = program3_history(2, DeviationShape(1, 0))
+        verdict = solve_feasibility(self.full_problem(h))
         assert isinstance(verdict, Infeasible)
-        assert verify_farkas(system, verdict.certificate)
+        assert verify_farkas(history_system(h), verdict.certificate)
 
     def test_k8_shape42_feasible_with_structure(self):
-        system = build_program3(8, DeviationShape(4, 2))
-        verdict = solve_feasibility(system)
+        h = program3_history(8, DeviationShape(4, 2))
+        verdict = solve_feasibility(self.full_problem(h))
         assert isinstance(verdict, Feasible)
         committee, deviation = canonical_program3_sets(8, DeviationShape(4, 2))
         profile = Profile(committee.m, dict(verdict.assignment))
@@ -293,7 +296,7 @@ class TestHistorySystem:
         assert rows.tags == [row.tag for row in ref_rows]
         assert scaled.n_rows == len(ref_rows)
         for i, row in enumerate(ref_rows):
-            assert scaled.rhs_fraction(i) == row.rhs
+            assert scaled.rhs[i] == row.rhs
             for j in range(scaled.n_vars):
                 assert Fraction(
                     int(scaled.matrix[i, j]), scaled.scales[i]
@@ -318,12 +321,7 @@ class TestHistorySystem:
         shape = DeviationShape(2, 1)
         committee, deviation = canonical_program3_sets(3, shape)
         h = History(committee.m, 3, ((committee, deviation),))
-        a = build_program3(3, shape)
-        b = history_system(h)
-        assert a.variables == b.variables
-        assert len(a.head_rows) == len(b.head_rows)
-        for ra, rb in zip(a.head_rows, rb_list := b.head_rows):
-            assert ra.coeffs == rb.coeffs and ra.rhs == rb.rhs and ra.tag == rb.tag
+        assert program3_history(3, shape) == h
 
 
 class TestCanonicalContinuations:
