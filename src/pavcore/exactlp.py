@@ -2,13 +2,16 @@
 
 A system is a list of rows ``Ax <= b`` over nonnegative variables: every
 variable is a ballot weight, so ``x >= 0`` is part of every problem without
-any row stating it. Verdicts are produced by a two-phase simplex with
-Bland's anti-cycling rule running on exact rational arithmetic;
-infeasibility comes with an integer Farkas certificate (one multiplier per
-row, y >= 0 with y.b < 0 and A^T y >= 0, which together rule out every
-x >= 0) that `verify_farkas` checks without any solver; an optimum comes
-with a point and an LP-duality certificate that `verify_optimum` checks
-the same way.
+any row stating it. Verdicts are produced by an exact two-phase simplex
+whose tableau is fraction-free: each row is a vector of Python ints over
+one positive row denominator, and a pivot updates a row with integer
+products and one gcd (Edmonds 1967; Bareiss 1968), so no `Fraction` is
+made inside the pivot loop. The entering rule falls back to Bland's
+anti-cycling rule when the objective stalls. Infeasibility comes with an
+integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
+and A^T y >= 0, which together rule out every x >= 0) that `verify_farkas`
+checks without any solver; an optimum comes with a point and an LP-duality
+certificate that `verify_optimum` checks the same way.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_ScaledRows`). Wide systems (many
@@ -31,7 +34,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 #: Systems with at most this many variables are solved with all columns
 #: active from the start; larger ones go through column activation.
@@ -164,20 +166,28 @@ _DEGENERACY_LIMIT = 12
 
 
 class _Master:
-    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0``.
+    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0``, in integers.
 
-    Rows are numpy object arrays of exact rationals. The entering column is
-    chosen by most-negative reduced cost until the objective stalls, after
-    which Bland's least-index rule takes over, guaranteeing termination.
+    Row i of ``G x <= h`` reads ``block[i] . x <= scales[i] * rhs[i]``, as
+    in `_ScaledRows`: an integer ``block`` (int64 or Python ints), positive
+    integer scales and exact right-hand sides; column j carries
+    ``keys[j]``. Each tableau row, and the objective row below them, is a
+    numpy object array of Python ints over one positive row denominator,
+    kept in lowest terms: a pivot updates every other row without division
+    and then divides it by one gcd. The entering column is chosen by
+    most-negative reduced cost until the objective stalls, after which
+    Bland's least-index rule takes over, guaranteeing termination. The
+    reduced costs share the objective row's denominator, so their
+    numerators decide; ratios compare by cross-multiplication. Values leave
+    the tableau as `Fraction`s.
     """
 
-    def __init__(self, columns, rhs):
-        # columns: list of (key, dense list of Fractions over the rows).
-        self.n_rows = len(rhs)
-        self.keys = [key for key, _ in columns]
-        self.cols = [data for _, data in columns]
-        self.n_struct = len(self.cols)
-        self.rhs = [Fraction(v) for v in rhs]
+    def __init__(self, keys, block, scales, rhs):
+        self.keys = list(keys)
+        self.block = block
+        self.scales = scales
+        self.rhs = rhs
+        self.n_rows, self.n_struct = block.shape
 
     def solve(self, objective_per_key=None):
         """Run two-phase simplex; return a result tuple.
@@ -187,145 +197,146 @@ class _Master:
         ("unbounded",)
         """
         R, S = self.n_rows, self.n_struct
-        sigma = [1 if self.rhs[i] >= 0 else -1 for i in range(R)]
+        h = [b * s for b, s in zip(self.rhs, self.scales)]
+        sigma = [1 if b >= 0 else -1 for b in h]
         art_rows = [i for i in range(R) if sigma[i] < 0]
-        n_art = len(art_rows)
-        width = S + R + n_art
-        # Column layout: structural | slacks | artificials.
-        tab = np.full((R, width + 1), _Q0, dtype=object)
+        width = S + R + len(art_rows)
+        # Column layout: structural | slacks | artificials | rhs. Row i is
+        # sigma_i times original row i, over den[i]; row R is the objective.
+        tab = np.zeros((R + 1, width + 1), dtype=object)
+        mult = np.array([si * b.denominator for si, b in zip(sigma, h)], dtype=object)
+        tab[:R, :S] = self.block.astype(object) * mult[:, None]
+        den = [b.denominator * s for b, s in zip(h, self.scales)] + [1]
         for i in range(R):
-            si = sigma[i]
-            for jj in range(S):
-                v = self.cols[jj][i]
-                if v:
-                    tab[i, jj] = v if si > 0 else -v
-            tab[i, S + i] = _Q1 if si > 0 else -_Q1
-            tab[i, width] = self.rhs[i] if si > 0 else -self.rhs[i]
-        for a, i in enumerate(art_rows):
-            tab[i, S + R + a] = _Q1
+            tab[i, S + i] = sigma[i] * den[i]
+            tab[i, width] = sigma[i] * h[i].numerator
         basis = [S + i for i in range(R)]
         for a, i in enumerate(art_rows):
+            tab[i, S + R + a] = den[i]
             basis[i] = S + R + a
+        for i in range(R):
+            _lowest_terms(tab, den, i, den[i])
 
         # Phase 1: minimize the sum of artificials.
-        z = np.full(width + 1, _Q0, dtype=object)
+        tab[R, S + R : width] = 1
         for i in art_rows:
-            z -= tab[i]
-        for a in range(n_art):
-            z[S + R + a] += _Q1
-        self._pivot_loop(tab, basis, z, allowed=width)
-        w_star = -z[width]
-        if w_star > 0:
+            _eliminate(tab, den, R, i, basis[i])
+        self._pivot_loop(tab, den, basis, allowed=width)
+        if tab[R, width] < 0:
             # Farkas ray: phase-1 reduced costs of the slack columns.
-            ray = [z[S + i] for i in range(R)]
+            ray = [Fraction(tab[R, S + i], den[R]) for i in range(R)]
             return ("infeasible", ray)
 
         # Drive leftover artificial basics out (degenerate pivots).
         for i in range(R):
             if basis[i] >= S + R:
-                for j in range(S + R):
-                    if tab[i, j]:
-                        self._pivot(tab, basis, z, i, j)
-                        break
+                nonzero = np.flatnonzero(tab[i, : S + R])
+                if nonzero.size:
+                    self._pivot(tab, den, basis, i, int(nonzero[0]))
                 # An all-zero row is redundant; its artificial stays at 0.
 
         if objective_per_key is None:
-            x = self._extract(tab, basis)
-            duals = self._duals(z, S)
-            return ("optimal", x, Fraction(0), duals)
+            x = self._extract(tab, den, basis)
+            return ("optimal", x, Fraction(0), self._duals(tab, den))
 
-        # Phase 2 objective row.
-        z = np.full(width + 1, _Q0, dtype=object)
-        cost = [_Q0] * width
-        for jj in range(S):
-            c = objective_per_key.get(self.keys[jj])
-            if c:
-                cost[jj] = z[jj] = Fraction(c)
-        for i in range(R):
-            b = basis[i]
-            if b < width and cost[b]:
-                z -= cost[b] * tab[i]
-        status = self._pivot_loop(tab, basis, z, allowed=S + R)
+        # Phase 2 objective row, reduced against the basis.
+        cost = [Fraction(objective_per_key.get(key, 0)) for key in self.keys]
+        den[R] = math.lcm(1, *(c.denominator for c in cost))
+        tab[R] = 0
+        tab[R, :S] = [c.numerator * (den[R] // c.denominator) for c in cost]
+        for i, b in enumerate(basis):
+            if b < S and tab[R, b]:
+                _eliminate(tab, den, R, i, b)
+        status = self._pivot_loop(tab, den, basis, allowed=S + R)
         if status == "unbounded":
             return ("unbounded",)
-        x = self._extract(tab, basis)
+        x = self._extract(tab, den, basis)
         value = _Q0
         for key, v in x.items():
             c = objective_per_key.get(key)
             if c:
                 value += c * v
-        duals = self._duals(z, S)
-        return ("optimal", x, value, duals)
+        return ("optimal", x, value, self._duals(tab, den))
 
-    def _pivot_loop(self, tab, basis, z, allowed):
-        width = len(z) - 1
+    def _pivot_loop(self, tab, den, basis, allowed):
+        R = self.n_rows
         bland = False
         stall = 0
         while True:
-            enter = -1
+            costs = tab[R, :allowed]
             if bland:
-                for j in range(allowed):
-                    if z[j] < 0:
-                        enter = j
-                        break
+                negative = np.flatnonzero(costs < 0)
+                enter = int(negative[0]) if negative.size else -1
             else:
-                best = _Q0
-                for j in range(allowed):
-                    zj = z[j]
-                    if zj < best:
-                        best, enter = zj, j
+                enter = int(np.argmin(costs))
+                if not costs[enter] < 0:
+                    enter = -1
             if enter < 0:
                 return "optimal"
-            leave, best_ratio = -1, None
-            for i in range(self.n_rows):
-                a = tab[i, enter]
-                if a > 0:
-                    ratio = tab[i, width] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio, leave = ratio, i
+            # Least ratio rhs / entry over positive entries; the row
+            # denominator cancels in each ratio.
+            leave = -1
+            for i in np.flatnonzero(tab[:R, enter] > 0):
+                a, b = tab[i, enter], tab[i, -1]
+                if leave >= 0:
+                    mine, best = b * best_a, best_b * a
+                    if mine > best or (mine == best and basis[i] > basis[leave]):
+                        continue
+                leave, best_a, best_b = i, a, b
             if leave < 0:
                 return "unbounded"
             if not bland:
-                stall = stall + 1 if best_ratio == 0 else 0
+                stall = stall + 1 if best_b == 0 else 0
                 if stall > _DEGENERACY_LIMIT:
                     bland = True
-            self._pivot(tab, basis, z, leave, enter)
+            self._pivot(tab, den, basis, int(leave), enter)
 
     @staticmethod
-    def _pivot(tab, basis, z, pivot_row, pivot_col):
+    def _pivot(tab, den, basis, pivot_row, pivot_col):
         row = tab[pivot_row]
-        piv = row[pivot_col]
-        if piv != 1:
-            np.multiply(row, _Q1 / piv, out=row)
-        for i in range(tab.shape[0]):
-            if i == pivot_row:
-                continue
-            factor = tab[i, pivot_col]
-            if factor:
-                np.subtract(tab[i], factor * row, out=tab[i])
-        factor = z[pivot_col]
-        if factor:
-            np.subtract(z, factor * row, out=z)
+        if row[pivot_col] < 0:
+            np.negative(row, out=row)
+        # Scaled so its pivot entry is its denominator, the row reads 1 there.
+        _lowest_terms(tab, den, pivot_row, row[pivot_col])
+        for i in np.flatnonzero(tab[:, pivot_col]):
+            if i != pivot_row:
+                _eliminate(tab, den, i, pivot_row, pivot_col)
         basis[pivot_row] = pivot_col
 
-    def _extract(self, tab, basis):
-        width = tab.shape[1] - 1
+    def _extract(self, tab, den, basis):
         return {
-            self.keys[b]: tab[i, width]
+            self.keys[b]: Fraction(tab[i, -1], den[i])
             for i, b in enumerate(basis)
-            if b < self.n_struct and tab[i, width]
+            if b < self.n_struct and tab[i, -1]
         }
 
-    def _duals(self, z, n_struct):
+    def _duals(self, tab, den):
         # Tableau row i is sigma_i times original row i, and so is the
         # slack column of row i. The reduced cost of that slack is thus
         # -y_i for the multiplier y_i of the original row, whatever the
         # sign of sigma_i. At a minimum, y <= 0 and c - G^T y >= 0.
-        return [-z[n_struct + i] for i in range(self.n_rows)]
+        R, S = self.n_rows, self.n_struct
+        return [Fraction(-tab[R, S + i], den[R]) for i in range(R)]
+
+
+def _eliminate(tab, den, i, r, c):
+    """Subtract from row i the multiple of row r that zeroes column c;
+    row r must read 1 there, i.e. hold its positive denominator q:
+    ``N[i]/d[i] - (N[i,c]/d[i]) * N[r]/q = (q*N[i] - N[i,c]*N[r]) / (d[i]*q)``.
+    """
+    q = tab[r, c]
+    tab[i] = q * tab[i] - tab[i, c] * tab[r]
+    _lowest_terms(tab, den, i, den[i] * q)
+
+
+def _lowest_terms(tab, den, i, d):
+    """Give row i the denominator ``d > 0``, dividing out the gcd of the
+    row and ``d``."""
+    g = math.gcd(d, *tab[i])
+    if g > 1:
+        tab[i] //= g
+        d //= g
+    den[i] = d
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +358,6 @@ class _ScaledRows:
         self.rhs = [Fraction(v) for v in rhs_exact]
         self.lcm_scale = math.lcm(1, *self.scales)
         self.max_abs = int(np.abs(matrix).max(initial=0))
-
-    def exact_column(self, j: int) -> list:
-        col = self.matrix[:, j]
-        return [
-            Fraction(int(col[i]), self.scales[i]) if col[i] else _Q0
-            for i in range(self.n_rows)
-        ]
 
     def times(self, x: Mapping[int, Fraction]) -> list[Fraction]:
         """Exact ``G x`` for a sparse ``x`` given per column position."""
@@ -401,8 +405,8 @@ class _Problem:
         self.rhs = scaled.rhs
 
     def master(self, active: Sequence[int]) -> _Master:
-        columns = [(j, self.scaled.exact_column(j)) for j in active]
-        return _Master(columns, self.rhs)
+        scaled = self.scaled
+        return _Master(active, scaled.matrix[:, active], scaled.scales, self.rhs)
 
     def violations(self, duals, objective=None):
         """Columns whose exact reduced cost is negative, worst first.

@@ -248,7 +248,7 @@ class TestHistories:
 
     def test_budget_stops_a_threaded_search(self):
         started = time.monotonic()
-        result = enumerate_histories(10, 8, threads=2, budget_seconds=1)
+        result = enumerate_histories(11, 8, threads=2, budget_seconds=1)
         assert not result.complete
         assert time.monotonic() - started < 10
 

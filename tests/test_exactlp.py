@@ -191,6 +191,38 @@ class TestMaximize:
         assert result.assignment[1] == Fraction(6, 5)
 
 
+class TestAntiCycling:
+    def test_beale_cycle_ends_under_blands_rule(self, monkeypatch):
+        # Beale's LP: min -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4 cycles under the
+        # most-negative reduced cost rule. The stall counter must hand the
+        # entering choice to Bland's rule after _DEGENERACY_LIMIT pivots.
+        _, problem = make_system(
+            [
+                ([Fraction(1, 4), -8, -1, 9], 0),
+                ([Fraction(1, 2), -12, Fraction(-1, 2), 3], 0),
+                ([0, 0, 1, 0], 1),
+            ]
+        )
+        pivots = []
+        pivot = _Master._pivot
+
+        def counted(*args):
+            pivots.append(args[-2:])
+            assert len(pivots) < 200, "the simplex cycles"
+            return pivot(*args)
+
+        monkeypatch.setattr(_Master, "_pivot", staticmethod(counted))
+        objective = {
+            0: Fraction(3, 4), 1: Fraction(-20), 2: Fraction(1, 2), 3: Fraction(-6)
+        }
+        result = maximize(problem, objective)
+        assert isinstance(result, Optimal)
+        assert result.value == Fraction(5, 4)
+        assert result.assignment.get(0) == 1 and result.assignment.get(2) == 1
+        assert verify_optimum(problem, objective, result)
+        assert len(pivots) > exactlp._DEGENERACY_LIMIT
+
+
 class TestAgainstFourierMotzkin:
     def test_random_small_systems(self):
         rng = random.Random(20250809)
@@ -299,16 +331,18 @@ class TestDuals:
         # min x0 + 2 x1  st  x0 + x1 <= 2,  -x0 - x1 <= -1,  x >= 0.
         # The optimum 1 sits at x0 = 1; the covering row (negative rhs)
         # carries multiplier -1 and the packing row 0.
-        columns = [(0, [Fraction(1), Fraction(-1)]), (1, [Fraction(1), Fraction(-1)])]
+        block = np.array([[1, 1], [-1, -1]], dtype=np.int64)
         rhs = [Fraction(2), Fraction(-1)]
         cost = {0: Fraction(1), 1: Fraction(2)}
-        status, x, value, duals = _Master(columns, rhs).solve(objective_per_key=cost)
+        master = _Master([0, 1], block, [1, 1], rhs)
+        status, x, value, duals = master.solve(objective_per_key=cost)
         assert status == "optimal"
         assert value == 1 and x == {0: 1}
         assert list(duals) == [0, -1]
         # Dual feasibility and strong duality for min c.x, Gx <= h, x >= 0.
         assert all(y <= 0 for y in duals)
-        for key, col in columns:
+        for key in (0, 1):
+            col = block[:, key].tolist()
             assert cost[key] - sum(y * g for y, g in zip(duals, col)) >= 0
         assert sum(y * h for y, h in zip(duals, rhs)) == value
 

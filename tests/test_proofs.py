@@ -422,7 +422,6 @@ class TestEnumerateHistories:
         } == {h.mask_steps(): c.nonzero for h, c in par.certificates.items()}
 
 
-@pytest.mark.paperscale
 def test_proposition1_at_k8_m10():
     # The paper's k = 8 search at m = 10: the empty history and the (4, 2)
     # step survive; every other continuation has a certificate.
@@ -431,3 +430,15 @@ def test_proposition1_at_k8_m10():
     assert len(res.histories) == 2
     assert len(res.certificates) == 99
     assert check_proposition1(res.histories, 8)
+
+
+@pytest.mark.paperscale
+@pytest.mark.parametrize(
+    "m, k, n_histories, n_certificates", [(11, 9, 5, 425), (11, 8, 2, 421)]
+)
+def test_proposition1_at_m11(m, k, n_histories, n_certificates):
+    res = enumerate_histories(m, k)
+    assert res.complete
+    assert len(res.histories) == n_histories
+    assert len(res.certificates) == n_certificates
+    assert check_proposition1(res.histories, k)
