@@ -11,13 +11,9 @@ from .elections import (
     ElectionInstance,
     EnumerationLimitError,
     Profile,
-    Rational,
-    RestrictedProfile,
     harmonic,
     pav_score,
-    restrict_profile,
     swap_delta,
-    utility,
 )
 from .exactlp import (
     FarkasCertificate,
@@ -26,8 +22,6 @@ from .exactlp import (
     Optimal,
     Row,
     Unbounded,
-    maximize,
-    solve_feasibility,
     verify_farkas,
 )
 from .proofs import (
@@ -48,7 +42,6 @@ from .proofs import (
 )
 from .rules import (
     RuleOutcome,
-    SearchConfig,
     all_local_pav,
     global_pav,
     local_pav,
@@ -79,11 +72,8 @@ __all__ = [
     "Optimal",
     "Profile",
     "Quota",
-    "Rational",
-    "RestrictedProfile",
     "Row",
     "RuleOutcome",
-    "SearchConfig",
     "Unbounded",
     "all_local_pav",
     "canonical_continuations",
@@ -101,13 +91,9 @@ __all__ = [
     "inequality_scan",
     "lemma2_suite",
     "local_pav",
-    "maximize",
     "pav_score",
     "recursive_pav",
-    "restrict_profile",
-    "solve_feasibility",
     "swap_delta",
-    "utility",
     "verify_farkas",
     "verify_lemma2_structure",
 ]

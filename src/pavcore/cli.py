@@ -110,7 +110,7 @@ def cmd_rule(args) -> int:
         committee = local_pav(instance)
         from .elections import pav_score
 
-        score = pav_score(instance.profile, None, committee)
+        score = pav_score(instance.profile, committee)
         _emit(
             args,
             {
@@ -128,7 +128,7 @@ def cmd_rule(args) -> int:
         winners = sorted(global_pav(instance), key=lambda w: w.mask)
         from .elections import pav_score
 
-        score = pav_score(instance.profile, None, winners[0])
+        score = pav_score(instance.profile, winners[0])
         _emit(
             args,
             {
@@ -154,7 +154,7 @@ def cmd_rule(args) -> int:
         return EXIT_CLAIM_FAILS
     from .elections import pav_score
 
-    score = pav_score(instance.profile, None, outcome.committee)
+    score = pav_score(instance.profile, outcome.committee)
     _emit(
         args,
         {

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Union
-
-#: The universal numeric type of the package. Always in lowest terms,
-#: denominator positive, arithmetic exact.
-Rational = Fraction
-
-RationalLike = Union[Rational, int, str]
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class EnumerationLimitError(RuntimeError):
@@ -146,7 +140,7 @@ class Profile:
     def __init__(
         self,
         m: int,
-        entries: Mapping[Union[CandidateSet, int], RationalLike],
+        entries: Mapping[Union[CandidateSet, int], Union[Fraction, int, str]],
     ):
         if m < 1:
             raise ValueError("need at least one candidate")
@@ -247,54 +241,30 @@ def harmonic(n: int) -> Fraction:
     return harmonic(n - 1) + Fraction(1, n)
 
 
-def utility(ballot: CandidateSet, committee: CandidateSet) -> int:
-    """Number of committee members the ballot approves, ``|A ∩ W|``."""
-    ballot._check_same_universe(committee)
-    return (ballot.mask & committee.mask).bit_count()
-
-
-def _active_masks(profile_like, active) -> Optional[frozenset[int]]:
-    if active is None:
-        return None
-    return frozenset(_as_mask(ballot, profile_like.m) for ballot in active)
-
-
-def pav_score(
-    profile,
-    active: Optional[Iterable[Union[CandidateSet, int]]],
-    committee: CandidateSet,
-) -> Fraction:
-    """Exact PAV score of a committee, optionally restricted to active ballots.
-
-    The score is ``sum of weight(A) * H(|A ∩ W|)`` over the active ballots;
-    pass ``active=None`` to score over the whole profile. Works on `Profile`
-    and on the unnormalized result of `restrict_profile`.
-    """
+def pav_score(profile: Profile, committee: CandidateSet) -> Fraction:
+    """Exact PAV score of a committee, ``sum of weight(A) * H(|A ∩ W|)``
+    over the ballots of the profile."""
     if committee.m != profile.m:
         raise ValueError("committee universe does not match profile")
-    keep = _active_masks(profile, active)
-    w_mask = committee.mask
-    score = Fraction(0)
-    for mask, weight in profile.mask_items():
-        if keep is not None and mask not in keep:
-            continue
-        score += weight * harmonic((mask & w_mask).bit_count())
-    return score
+    return mask_pav_score(profile.mask_items(), committee.mask)
 
 
-def swap_delta(
-    profile,
-    active: Optional[Iterable[Union[CandidateSet, int]]],
-    committee: CandidateSet,
-    x: int,
-    y: int,
-) -> Fraction:
+def mask_pav_score(items: Iterable[tuple[int, Fraction]], w_mask: int) -> Fraction:
+    """`pav_score` on (ballot mask, weight) pairs and a committee mask,
+    without checks: the one score kernel of the package's hot loops."""
+    return sum(
+        (weight * harmonic((mask & w_mask).bit_count()) for mask, weight in items),
+        Fraction(0),
+    )
+
+
+def swap_delta(profile: Profile, committee: CandidateSet, x: int, y: int) -> Fraction:
     """Exact change in PAV score when committee member ``x`` is swapped for ``y``.
 
     Requires ``x in committee`` and ``y not in committee``. Per ballot the
     contribution is ``1/(u+1)`` if the ballot approves ``y`` but not ``x``,
     ``-1/u`` if it approves ``x`` but not ``y``, and 0 otherwise, where ``u``
-    is the ballot's utility for the unmodified committee.
+    is ``|A ∩ W|`` for the unmodified committee.
     """
     if committee.m != profile.m:
         raise ValueError("committee universe does not match profile")
@@ -302,11 +272,7 @@ def swap_delta(
         raise ValueError(f"swap source c{x + 1} is not in the committee")
     if y in committee or not 0 <= y < committee.m:
         raise ValueError(f"swap target c{y + 1} must be a non-member")
-    keep = _active_masks(profile, active)
-    items = profile.mask_items()
-    if keep is not None:
-        items = [(mask, w) for mask, w in items if mask in keep]
-    return mask_swap_delta(items, committee.mask, x, y)
+    return mask_swap_delta(profile.mask_items(), committee.mask, x, y)
 
 
 def mask_swap_delta(
@@ -323,71 +289,3 @@ def mask_swap_delta(
         elif has_y and not has_x:
             delta += weight / ((mask & w_mask).bit_count() + 1)
     return delta
-
-
-@dataclass(frozen=True)
-class RestrictedProfile:
-    """Result of deleting candidates from a profile, without renormalizing.
-
-    ``weights`` maps surviving (re-indexed) ballots to their original weights;
-    they sum to ``1 - inactive_mass``. Ballots whose intersection with the
-    kept set is empty are dropped and their weight accumulates in
-    ``inactive_mass``; if everything is dropped, ``weights`` is empty and
-    ``inactive_mass == 1``. ``index_map`` sends old candidate indices to the
-    new dense indices.
-    """
-
-    m: int
-    weights: Mapping[CandidateSet, Fraction]
-    inactive_mass: Fraction
-    index_map: Mapping[int, int]
-
-    def mask_items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(
-            sorted((ballot.mask, w) for ballot, w in self.weights.items())
-        )
-
-    def ballots(self) -> tuple[CandidateSet, ...]:
-        return tuple(sorted(self.weights, key=lambda b: b.mask))
-
-    def renormalized(self) -> Profile:
-        """Rescale the surviving weights into a proper profile."""
-        live = 1 - self.inactive_mass
-        if live == 0:
-            raise ValueError("no surviving ballots to renormalize")
-        return Profile(
-            self.m, {ballot: w / live for ballot, w in self.weights.items()}
-        )
-
-
-def restrict_profile(profile: Profile, keep: CandidateSet) -> RestrictedProfile:
-    """Intersect every ballot with ``keep`` and re-index candidates densely.
-
-    The surviving weights are deliberately not rescaled back to mass 1;
-    callers that need a probability profile must renormalize explicitly.
-    """
-    if keep.m != profile.m:
-        raise ValueError("keep-set universe does not match profile")
-    if not keep:
-        raise ValueError("keep-set must be nonempty")
-    old_indices = list(keep)
-    index_map = {old: new for new, old in enumerate(old_indices)}
-    new_m = len(old_indices)
-    weights: dict[CandidateSet, Fraction] = {}
-    inactive = Fraction(0)
-    for mask, weight in profile.mask_items():
-        inter = mask & keep.mask
-        if inter == 0:
-            inactive += weight
-            continue
-        new_mask = 0
-        rest = inter
-        while rest:
-            low = rest & -rest
-            new_mask |= 1 << index_map[low.bit_length() - 1]
-            rest ^= low
-        ballot = CandidateSet(new_mask, new_m)
-        weights[ballot] = weights.get(ballot, Fraction(0)) + weight
-    return RestrictedProfile(
-        m=new_m, weights=weights, inactive_mass=inactive, index_map=index_map
-    )

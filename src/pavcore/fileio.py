@@ -146,27 +146,6 @@ def instance_from_dict(data) -> ElectionInstance:
         raise ProfileFormatError(str(exc)) from exc
 
 
-def instance_to_dict(instance: ElectionInstance) -> dict:
-    return {
-        "m": instance.m,
-        "k": instance.k,
-        "ballots": [
-            {
-                "approve": _mask_to_indices(ballot.mask),
-                "weight": format_fraction(weight),
-            }
-            for ballot, weight in instance.profile.items()
-        ],
-    }
-
-
-def save_instance(instance: ElectionInstance, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(instance), indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 def parse_committee(text: str, m: int) -> CandidateSet:
     """Parse a 1-based committee spec like ``1,2,5-10`` (``..`` also works)."""
     mask = 0

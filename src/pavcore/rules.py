@@ -1,9 +1,10 @@
-"""Committee rules built on the PAV objective.
+"""Committee rules built on the PAV objective, all in exact arithmetic.
 
-`local_pav` runs deterministic first-improvement local search, `global_pav`
-and `all_local_pav` enumerate all committees exhaustively (guarded by a size
-cap), and `recursive_pav` repeatedly fixes successful deviations into the
-committee until it is core stable or the fixed set no longer fits.
+`local_pav` runs deterministic first-improvement swap search to a
+swap-optimal committee, `global_pav` and `all_local_pav` enumerate all
+committees exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
+`recursive_pav` repeatedly fixes successful deviations into the committee
+until it is core stable or the fixed set no longer fits.
 """
 
 from __future__ import annotations
@@ -19,32 +20,13 @@ from .elections import (
     ElectionInstance,
     EnumerationLimitError,
     _as_mask,
-    harmonic,
+    mask_pav_score,
     mask_swap_delta,
 )
 from .stability import Quota, find_deviation
 
-#: Refuse exhaustive enumeration above this many committees by default.
+#: Refuse exhaustive enumeration above this many committees.
 DEFAULT_MAX_COMMITTEES = 10**7
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tuning knobs for local search.
-
-    ``epsilon`` is the swap-stability tolerance: the search stops once no
-    swap improves the score by more than ``epsilon`` (0 with exact
-    arithmetic; positive values replicate approximate-stability runs).
-    ``start`` optionally pins the start committee instead of the default
-    greedy seeding by approval weight.
-    """
-
-    epsilon: Fraction = Fraction(0)
-    start: Optional[CandidateSet] = None
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -60,23 +42,16 @@ class RuleOutcome:
         return self.status == "success"
 
 
-def _greedy_start(
-    instance: ElectionInstance,
-    fixed_mask: int,
-    active: Optional[frozenset[int]],
-) -> int:
+def _greedy_start(items, m: int, k: int, fixed_mask: int) -> int:
     """Fill the committee with the approval-weight top-up of the fixed set.
 
-    Candidates are ranked by total active approval weight, ties broken by
-    lowest index. This reproduces the documented runs of the recursive rule
-    (the seed is swap-optimized afterwards, so any deterministic choice of
-    start committee is admissible).
+    Candidates are ranked by total approval weight over ``items``, ties
+    broken by lowest index. This reproduces the documented runs of the
+    recursive rule (the seed is swap-optimized afterwards, so any
+    deterministic choice of start committee is admissible).
     """
-    profile, k, m = instance.profile, instance.k, instance.m
     weight_of = [Fraction(0)] * m
-    for mask, weight in profile.mask_items():
-        if active is not None and mask not in active:
-            continue
+    for mask, weight in items:
         rest = mask
         while rest:
             low = rest & -rest
@@ -95,41 +70,28 @@ def local_pav(
     instance: ElectionInstance,
     fixed: Optional[CandidateSet] = None,
     active=None,
-    config: Optional[SearchConfig] = None,
 ) -> CandidateSet:
-    """Find a committee that no single swap can improve by more than epsilon.
+    """Find a committee that no single swap improves.
 
     The returned committee contains ``fixed`` and has size ``k``; only swaps
-    that remove a non-fixed member are considered. Starting from the seed
-    committee, the first strictly improving swap in lexicographic ``(x, y)``
-    order is applied until none exists. Termination is guaranteed since the
-    exact score increases by more than epsilon with every swap.
+    that remove a non-fixed member are considered. Scores count only the
+    ``active`` ballots (every ballot when ``active`` is None). Starting from
+    the greedy seed, the first strictly improving swap in lexicographic
+    ``(x, y)`` order is applied until none exists. Termination is
+    guaranteed since the exact score increases with every swap.
     """
     profile, k, m = instance.profile, instance.k, instance.m
-    config = config or SearchConfig()
     fixed_mask = fixed.mask if fixed is not None else 0
     if fixed is not None and fixed.m != m:
         raise ValueError("fixed-set universe does not match the instance")
     if fixed_mask.bit_count() > k:
         raise ValueError("fixed set is larger than the committee size")
-    active_masks = (
-        None if active is None else frozenset(_as_mask(b, m) for b in active)
-    )
-    if config.start is not None:
-        committee = config.start.mask
-        if config.start.m != m or committee.bit_count() != k:
-            raise ValueError("start committee must have size k")
-        if fixed_mask & ~committee:
-            raise ValueError("start committee must contain the fixed set")
-    else:
-        committee = _greedy_start(instance, fixed_mask, active_masks)
+    items = profile.mask_items()
+    if active is not None:
+        keep = frozenset(_as_mask(b, m) for b in active)
+        items = [(mask, weight) for mask, weight in items if mask in keep]
+    committee = _greedy_start(items, m, k, fixed_mask)
 
-    items = [
-        (mask, weight)
-        for mask, weight in profile.mask_items()
-        if active_masks is None or mask in active_masks
-    ]
-    epsilon = config.epsilon
     improved = True
     while improved:
         improved = False
@@ -137,7 +99,7 @@ def local_pav(
         outside = [i for i in range(m) if not (committee >> i) & 1]
         for x in movable:
             for y in outside:
-                if mask_swap_delta(items, committee, x, y) > epsilon:
+                if mask_swap_delta(items, committee, x, y) > 0:
                     committee = (committee & ~(1 << x)) | (1 << y)
                     improved = True
                     break
@@ -148,20 +110,19 @@ def local_pav(
     return result
 
 
-def _check_enumeration_cap(m: int, k: int, cap: int) -> None:
+def _check_enumeration_cap(m: int, k: int) -> None:
     total = math.comb(m, k)
-    if total > cap:
+    if total > DEFAULT_MAX_COMMITTEES:
         raise EnumerationLimitError(
-            f"enumerating C({m},{k}) = {total} committees exceeds the cap of {cap}"
+            f"enumerating C({m},{k}) = {total} committees exceeds the cap of "
+            f"{DEFAULT_MAX_COMMITTEES}"
         )
 
 
-def global_pav(
-    instance: ElectionInstance, max_committees: int = DEFAULT_MAX_COMMITTEES
-) -> set[CandidateSet]:
+def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
     """All committees attaining the maximum exact PAV score."""
     profile, k, m = instance.profile, instance.k, instance.m
-    _check_enumeration_cap(m, k, max_committees)
+    _check_enumeration_cap(m, k)
     items = profile.mask_items()
     best: Optional[Fraction] = None
     winners: list[int] = []
@@ -169,10 +130,7 @@ def global_pav(
         w_mask = 0
         for i in combo:
             w_mask |= 1 << i
-        score = sum(
-            (weight * harmonic((mask & w_mask).bit_count()) for mask, weight in items),
-            Fraction(0),
-        )
+        score = mask_pav_score(items, w_mask)
         if best is None or score > best:
             best, winners = score, [w_mask]
         elif score == best:
@@ -180,12 +138,10 @@ def global_pav(
     return {CandidateSet(mask, m) for mask in winners}
 
 
-def all_local_pav(
-    instance: ElectionInstance, max_committees: int = DEFAULT_MAX_COMMITTEES
-) -> set[CandidateSet]:
+def all_local_pav(instance: ElectionInstance) -> set[CandidateSet]:
     """All committees from which no single swap increases the PAV score."""
     profile, k, m = instance.profile, instance.k, instance.m
-    _check_enumeration_cap(m, k, max_committees)
+    _check_enumeration_cap(m, k)
     items = profile.mask_items()
     result: set[CandidateSet] = set()
     for combo in itertools.combinations(range(m), k):
@@ -208,9 +164,7 @@ def _is_swap_stable(items, w_mask: int, m: int) -> bool:
 
 
 def recursive_pav(
-    instance: ElectionInstance,
-    quota: Quota = Quota.HARE,
-    config: Optional[SearchConfig] = None,
+    instance: ElectionInstance, quota: Quota = Quota.HARE
 ) -> RuleOutcome:
     """Fix every successful deviation into the committee until stable.
 
@@ -225,14 +179,10 @@ def recursive_pav(
     active: frozenset[int] = frozenset(mask for mask, _ in profile.mask_items())
     fixed = CandidateSet.empty(instance.m)
     trace: list[tuple[CandidateSet, CandidateSet]] = []
-    round_config = config
     while True:
         if len(fixed) > k:
             return RuleOutcome(committee=None, trace=tuple(trace), status="failed")
-        committee = local_pav(instance, fixed=fixed, active=active, config=round_config)
-        # A pinned start committee only makes sense for the first round.
-        if round_config is not None and round_config.start is not None:
-            round_config = SearchConfig(epsilon=round_config.epsilon)
+        committee = local_pav(instance, fixed=fixed, active=active)
         report = find_deviation(instance, committee, quota)
         if report is None:
             return RuleOutcome(

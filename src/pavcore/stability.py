@@ -23,7 +23,7 @@ from .elections import (
     Profile,
 )
 
-#: Deviation search is exponential in m; refuse above this by default.
+#: Deviation search is exponential in m; refuse above this.
 DEFAULT_MAX_M = 20
 
 
@@ -87,11 +87,22 @@ def _supporters(profile: Profile, w_mask: int, t_mask: int):
     return support, backers
 
 
+def _report(
+    m: int, k: int, t_mask: int, support: Fraction, backers, quota: Quota
+) -> DeviationReport:
+    return DeviationReport(
+        deviation=CandidateSet(t_mask, m),
+        support=support,
+        threshold=quota.threshold(t_mask.bit_count(), k),
+        quota=quota,
+        supporters=tuple(CandidateSet(b, m) for b in backers),
+    )
+
+
 def find_deviation(
     instance: ElectionInstance,
     committee: CandidateSet,
     quota: Quota = Quota.HARE,
-    max_m: int = DEFAULT_MAX_M,
 ) -> Optional[DeviationReport]:
     """Search all potential deviations; return the first successful one.
 
@@ -102,26 +113,19 @@ def find_deviation(
     profile, k, m = instance.profile, instance.k, instance.m
     if len(committee) != k:
         raise ValueError(f"committee must have exactly {k} members")
-    if m > max_m:
+    if m > DEFAULT_MAX_M:
         raise EnumerationLimitError(
-            f"deviation search over m={m} exceeds the cap of {max_m}"
+            f"deviation search over m={m} exceeds the cap of {DEFAULT_MAX_M}"
         )
     w_mask = committee.mask
     for size in range(1, k + 1):
-        threshold = quota.threshold(size, k)
         for combo in itertools.combinations(range(m), size):
             t_mask = 0
             for i in combo:
                 t_mask |= 1 << i
             support, backers = _supporters(profile, w_mask, t_mask)
             if quota.succeeds(support, size, k):
-                return DeviationReport(
-                    deviation=CandidateSet(t_mask, m),
-                    support=support,
-                    threshold=threshold,
-                    quota=quota,
-                    supporters=tuple(CandidateSet(b, m) for b in backers),
-                )
+                return _report(m, k, t_mask, support, backers, quota)
     return None
 
 
@@ -154,15 +158,7 @@ def check_special_deviations(
             return
         support, backers = _supporters(profile, w_mask, t_mask)
         if quota.succeeds(support, size, k):
-            hits.append(
-                DeviationReport(
-                    deviation=CandidateSet(t_mask, m),
-                    support=support,
-                    threshold=quota.threshold(size, k),
-                    quota=quota,
-                    supporters=tuple(CandidateSet(b, m) for b in backers),
-                )
-            )
+            hits.append(_report(m, k, t_mask, support, backers, quota))
 
     # Shape (i): T entirely outside the committee.
     for size in range(1, min(k, len(outside)) + 1):

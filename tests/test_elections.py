@@ -14,9 +14,7 @@ from pavcore.elections import (
     Profile,
     harmonic,
     pav_score,
-    restrict_profile,
     swap_delta,
-    utility,
 )
 
 from conftest import cs
@@ -95,56 +93,47 @@ class TestHarmonic:
         for n in range(1, 21):
             assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
 
+    @given(st.integers(min_value=0, max_value=40))
+    @settings(max_examples=41, deadline=None)
+    def test_harmonic_monotone(self, n):
+        assert harmonic(n + 1) > harmonic(n)
+
 
 class TestUtilityAndScore:
-    def test_utility_examples(self, tied_pair_8):
-        m = 10
-        v1 = cs([1, 2, 3], m)
-        blue = cs([1, 2, 5, 6, 7, 8, 9, 10], m)
-        assert utility(v1, blue) == 2
-        assert utility(v1, CandidateSet.empty(m)) == 0
-        assert utility(v1, v1) == 3
-
     def test_pav_score_of_tied_committees(self, tied_pair_8):
         profile = tied_pair_8.profile
         blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
         alt = cs([1, 2, 3, 5, 6, 7, 8, 9], 10)
-        assert pav_score(profile, None, blue) == Fraction(79, 40)
-        assert pav_score(profile, None, alt) == Fraction(79, 40)
+        assert pav_score(profile, blue) == Fraction(79, 40)
+        assert pav_score(profile, alt) == Fraction(79, 40)
 
     def test_pav_score_zero_when_disjoint(self):
         p = Profile(6, {cs([1, 2], 6): 1})
-        assert pav_score(p, None, cs([5, 6], 6)) == 0
-
-    def test_active_restriction(self, tied_pair_8):
-        profile = tied_pair_8.profile
-        blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
-        only_big = [cs([5, 6, 7, 8, 9, 10], 10)]
-        assert pav_score(profile, only_big, blue) == Fraction(1, 2) * harmonic(6)
+        assert pav_score(p, cs([5, 6], 6)) == 0
 
 
 class TestSwapDelta:
     def test_near_stable_swap_is_one_fortieth(self, near_stable_6):
         committee = cs([1, 4, 5, 6, 7, 8], 8)
-        assert swap_delta(near_stable_6.profile, None, committee, 3, 1) == Fraction(
+        assert swap_delta(near_stable_6.profile, committee, 3, 1) == Fraction(
             1, 40
         )
 
     def test_zero_when_neither_candidate_approved(self):
         p = Profile(6, {cs([1, 2], 6): 1})
         committee = cs([1, 2, 5], 6)
-        assert swap_delta(p, None, committee, 4, 5) == 0
+        assert swap_delta(p, committee, 4, 5) == 0
 
     def test_tied_swap_in_tied_pair_instance(self, tied_pair_8):
         blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
-        assert swap_delta(tied_pair_8.profile, None, blue, 9, 2) == 0
+        assert swap_delta(tied_pair_8.profile, blue, 9, 2) == 0
 
     def test_precondition_violations(self, tied_pair_8):
         blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
         with pytest.raises(ValueError):
-            swap_delta(tied_pair_8.profile, None, blue, 2, 3)
+            swap_delta(tied_pair_8.profile, blue, 2, 3)
         with pytest.raises(ValueError):
-            swap_delta(tied_pair_8.profile, None, blue, 0, 1)
+            swap_delta(tied_pair_8.profile, blue, 0, 1)
 
     def test_matches_score_difference_exhaustively(self):
         rng = random.Random(20240811)
@@ -164,59 +153,6 @@ class TestSwapDelta:
                         if (w_mask >> y) & 1:
                             continue
                         swapped = CandidateSet((w_mask & ~(1 << x)) | (1 << y), m)
-                        assert pav_score(profile, None, swapped) - pav_score(
-                            profile, None, committee
-                        ) == swap_delta(profile, None, committee, x, y)
-
-
-class TestRestrictProfile:
-    def test_identity_restriction(self, tied_pair_8):
-        profile = tied_pair_8.profile
-        res = restrict_profile(profile, CandidateSet.full(10))
-        assert res.inactive_mass == 0
-        assert res.index_map == {i: i for i in range(10)}
-        assert dict(res.weights) == dict(profile.items())
-
-    def test_partial_restriction(self, tied_pair_8):
-        res = restrict_profile(tied_pair_8.profile, cs([1, 2, 3, 4], 10))
-        assert res.m == 4
-        assert res.inactive_mass == Fraction(1, 2)
-        assert res.weights[cs([1, 2, 3], 4)] == Fraction(1, 4)
-        assert res.weights[cs([1, 2, 4], 4)] == Fraction(1, 4)
-
-    def test_everything_dropped(self):
-        p = Profile(3, {cs([1], 3): 1})
-        res = restrict_profile(p, cs([2], 3))
-        assert res.inactive_mass == 1
-        assert not res.weights
-        with pytest.raises(ValueError):
-            res.renormalized()
-
-    def test_swap_delta_invariant_under_restriction(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            m = rng.randint(3, 7)
-            ballots = {}
-            for _ in range(rng.randint(1, 4)):
-                mask = rng.randint(1, (1 << m) - 1)
-                ballots[mask] = ballots.get(mask, 0) + rng.randint(1, 3)
-            profile = Profile.from_counts(m, ballots)
-            k = rng.randint(1, m - 1)
-            w = CandidateSet.from_indices(rng.sample(range(m), k), m)
-            outside = [i for i in range(m) if i not in w]
-            y = rng.choice(outside)
-            x = rng.choice(list(w))
-            keep_extra = [i for i in outside if i != y and rng.random() < 0.5]
-            keep = w | CandidateSet.from_indices([y] + keep_extra, m)
-            res = restrict_profile(profile, keep)
-            w_new = CandidateSet.from_indices(
-                [res.index_map[i] for i in w], res.m
-            )
-            assert swap_delta(profile, None, w, x, y) == swap_delta(
-                res, None, w_new, res.index_map[x], res.index_map[y]
-            )
-
-    @given(st.integers(min_value=0, max_value=40))
-    @settings(max_examples=41, deadline=None)
-    def test_harmonic_monotone(self, n):
-        assert harmonic(n + 1) > harmonic(n)
+                        assert pav_score(profile, swapped) - pav_score(
+                            profile, committee
+                        ) == swap_delta(profile, committee, x, y)

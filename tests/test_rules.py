@@ -10,11 +10,12 @@ from pavcore.elections import (
     ElectionInstance,
     EnumerationLimitError,
     Profile,
+    harmonic,
+    mask_swap_delta,
     pav_score,
     swap_delta,
 )
 from pavcore.rules import (
-    SearchConfig,
     all_local_pav,
     global_pav,
     local_pav,
@@ -23,20 +24,56 @@ from pavcore.rules import (
 from pavcore.stability import Quota, check_special_deviations, find_deviation
 
 from conftest import cs
-from test_stability import random_instance
+from test_stability import brute_force_deviations, random_instance
 
 
-def assert_swap_stable(instance, committee, fixed=None, active=None, epsilon=0):
+def assert_swap_stable(instance, committee, fixed=None, active=None):
     fixed_mask = fixed.mask if fixed is not None else 0
+    if active is not None:
+        keep = {ballot.mask for ballot in active}
+        items = [(mask, w) for mask, w in instance.profile.mask_items() if mask in keep]
     for x in committee:
         if (fixed_mask >> x) & 1:
             continue
         for y in range(instance.m):
             if y in committee:
                 continue
-            assert swap_delta(
-                instance.profile, active, committee, x, y
-            ) <= epsilon
+            if active is None:
+                assert swap_delta(instance.profile, committee, x, y) <= 0
+            else:
+                assert mask_swap_delta(items, committee.mask, x, y) <= 0
+
+
+def replay_recursive_pav(instance):
+    """Check a Hare run of `recursive_pav` round by round against the
+    brute-force deviation scan and PAV scores summed from `harmonic`;
+    return the number of trace steps."""
+
+    def score(ballots, w_mask):
+        return sum(
+            (w * harmonic((b.mask & w_mask).bit_count()) for b, w in ballots),
+            Fraction(0),
+        )
+
+    m = instance.m
+    outcome = recursive_pav(instance, Quota.HARE)
+    assert outcome.succeeded
+    assert not brute_force_deviations(instance, outcome.committee, Quota.HARE)
+    fixed = CandidateSet.empty(m)
+    active = list(instance.profile.items())
+    for w, t in outcome.trace + ((outcome.committee, None),):
+        assert fixed <= w
+        # No swap of a non-fixed member gains over the ballots still active.
+        best = score(active, w.mask)
+        for x in w - fixed:
+            for y in range(m):
+                if y not in w:
+                    assert score(active, (w.mask & ~(1 << x)) | (1 << y)) <= best
+        if t is not None:
+            assert t == brute_force_deviations(instance, w, Quota.HARE)[0][0]
+            fixed = fixed | t
+            active = [(b, v) for b, v in active if len(b & t) <= len(b & w)]
+    return len(outcome.trace)
 
 
 class TestLocalPav:
@@ -52,7 +89,7 @@ class TestLocalPav:
 
     def test_tied_pair_unconstrained(self, tied_pair_8):
         committee = local_pav(tied_pair_8)
-        assert pav_score(tied_pair_8.profile, None, committee) == Fraction(79, 40)
+        assert pav_score(tied_pair_8.profile, committee) == Fraction(79, 40)
         assert_swap_stable(tied_pair_8, committee)
 
     def test_tied_pair_fixed_prefix(self, tied_pair_8):
@@ -75,20 +112,6 @@ class TestLocalPav:
             assert fixed <= committee
             assert_swap_stable(instance, committee, fixed=fixed)
 
-    def test_start_committee_respected(self, near_stable_6):
-        start = cs([1, 4, 5, 6, 7, 8], 8)
-        # With a large tolerance the start committee is already stable.
-        config = SearchConfig(epsilon=Fraction(1, 36), start=start)
-        assert local_pav(near_stable_6, config=config) == start
-        # With exact tolerance the 1/40 improvement is taken.
-        exact = local_pav(near_stable_6, config=SearchConfig(start=start))
-        assert exact != start
-        assert_swap_stable(near_stable_6, exact)
-
-    def test_epsilon_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            SearchConfig(epsilon=Fraction(-1, 2))
-
 
 class TestGlobalPav:
     def test_single_ballot(self):
@@ -99,15 +122,17 @@ class TestGlobalPav:
         winners = global_pav(tied_pair_8)
         assert cs([1, 2, 5, 6, 7, 8, 9, 10], 10) in winners
         assert cs([1, 2, 3, 5, 6, 7, 8, 9], 10) in winners
-        scores = {pav_score(tied_pair_8.profile, None, w) for w in winners}
+        scores = {pav_score(tied_pair_8.profile, w) for w in winners}
         assert scores == {Fraction(79, 40)}
 
     def test_unique_9_is_unique(self, unique_9):
         assert global_pav(unique_9) == {cs([1, 2, 5, 6, 7, 8, 9, 10, 11], 11)}
 
-    def test_cap_refusal(self, tied_pair_8):
+    def test_cap_refusal(self):
+        # C(30, 15) = 155117520 committees, over the cap of 10^7.
+        instance = ElectionInstance(Profile(30, {cs([1], 30): 1}), k=15)
         with pytest.raises(EnumerationLimitError):
-            global_pav(tied_pair_8, max_committees=10)
+            global_pav(instance)
 
 
 class TestAllLocalPav:
@@ -169,6 +194,17 @@ class TestRecursivePav:
             for (w, t), w_next in zip(outcome.trace, committees[1:]):
                 fixed = fixed | t
                 assert fixed <= w_next
+
+    def test_agrees_with_brute_force(self):
+        # By the k <= 7 theorem these traces are empty: the rule's first
+        # swap-optimal committee is already core stable.
+        rng = random.Random(2501)
+        for _ in range(200):
+            assert replay_recursive_pav(random_instance(rng, max_m=7)) == 0
+
+    def test_trace_steps_agree_with_brute_force(self, tied_pair_8, unique_9):
+        assert replay_recursive_pav(tied_pair_8) == 1
+        assert replay_recursive_pav(unique_9) == 1
 
 
 class TestLocalImpliesCore:

@@ -114,10 +114,10 @@ class TestFindDeviation:
         assert report.support == Fraction(12, 27) == Fraction(4, 9)
         assert report.threshold == Fraction(4, 9)
 
-    def test_m_cap(self, tied_pair_8):
-        blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
+    def test_m_cap(self):
+        instance = ElectionInstance(Profile(21, {cs([1], 21): 1}), k=2)
         with pytest.raises(EnumerationLimitError):
-            find_deviation(tied_pair_8, blue, Quota.HARE, max_m=9)
+            find_deviation(instance, cs([1, 2], 21), Quota.HARE)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(99)
