@@ -10,8 +10,9 @@ made inside the pivot loop. The entering rule falls back to Bland's
 anti-cycling rule when the objective stalls. Infeasibility comes with an
 integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
 and A^T y >= 0, which together rule out every x >= 0) that `verify_farkas`
-checks without any solver; an optimum comes with a point and an LP-duality
-certificate that `verify_optimum` checks the same way.
+checks without any solver, in ints over one common denominator; an optimum
+comes with a point and an LP-duality certificate that `verify_optimum`
+checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_ScaledRows`). Wide systems (many
@@ -131,6 +132,9 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
     ``A^T y >= 0`` componentwise. Then every ``x >= 0`` with ``Ax <= b``
     would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
     whose variables are all nonnegative, has no solution.
+
+    Both sums are ints scaled by ``L > 0``, the lcm of the denominators in
+    the rows with a nonzero multiplier, so their signs are the exact ones.
     """
     if certificate.n_rows != len(rows):
         raise ValueError(
@@ -139,17 +143,17 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
         )
     if any(v < 0 for v in certificate.nonzero.values()):
         return False
-    yb = _Q0
-    col_sums: dict[int, Fraction] = {}
-    for i, mult in certificate.nonzero.items():
-        row = rows[i]
-        if row.rhs:
-            yb += mult * row.rhs
+    used = [(mult, rows[i]) for i, mult in certificate.nonzero.items()]
+    dens = {c.denominator for _, row in used for c in (row.rhs, *row.coeffs.values())}
+    L = math.lcm(*dens)
+    yb = 0
+    col_sums: dict[int, int] = {}
+    for mult, row in used:
+        yb += mult * row.rhs.numerator * (L // row.rhs.denominator)
+        scale = {d: mult * (L // d) for d in dens}
         for j, coef in row.coeffs.items():
-            if j in col_sums:
-                col_sums[j] += mult * coef
-            else:
-                col_sums[j] = mult * coef
+            num, den = coef.as_integer_ratio()
+            col_sums[j] = col_sums.get(j, 0) + num * scale[den]
     if not yb < 0:
         return False
     return all(total >= 0 for total in col_sums.values())

@@ -26,7 +26,8 @@ classes, where each ballot is its own type, for the full system. Every row
 carries a tag, and lifts and analytic certificates find rows by their
 tags. `_build_rows` is the pure-Python reference builder that the
 certificate checker uses, so the checker shares no row code with the
-solver.
+solver. It builds each swap row in one pass over the step's active ballots,
+with coefficients from a per-step table of shared `Fraction`s.
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), then negated deviation rows by
@@ -188,16 +189,6 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
 # Canonical system construction (reference implementation).
 
 
-def _swap_coefficient(mask: int, w_mask: int, x: int, y: int) -> Fraction:
-    has_x = (mask >> x) & 1
-    has_y = (mask >> y) & 1
-    if has_y and not has_x:
-        return Fraction(1, (mask & w_mask).bit_count() + 1)
-    if has_x and not has_y:
-        return Fraction(-1, (mask & w_mask).bit_count())
-    return Fraction(0)
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -214,43 +205,44 @@ def _build_rows(
 
     Returns the rows plus the (step, x, y) index of each swap row. Pure
     Python reference implementation; the enumeration uses a vectorized
-    equivalent that is tested against this one.
+    equivalent that is tested against this one. In swap row (x, y) an
+    active ballot with u = |ballot ∩ W| gains 1/(u+1) if it holds y but
+    not x, and loses 1/u (u >= 1) if it holds x but not y.
     """
     n = (1 << m) - 1
-    full = n
-    ones = {j: Fraction(1) for j in range(n)}
-    neg_ones = {j: Fraction(-1) for j in range(n)}
+    one, neg_one, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows = [
-        Row(ones, Fraction(1), ("norm_upper",)),
-        Row(neg_ones, Fraction(-1), ("norm_lower",)),
+        Row(dict.fromkeys(range(n), one), one, ("norm_upper",)),
+        Row(dict.fromkeys(range(n), neg_one), neg_one, ("norm_lower",)),
     ]
     swap_meta: list[tuple[int, int, int]] = []
-    active = [True] * (n + 1)  # indexed by mask
+    active = range(1, n + 1)  # ballot masks not yet deactivated
     fixed = 0
     for t, (w_mask, t_mask) in enumerate(steps, start=1):
+        overlap = [(mask, (mask & w_mask).bit_count()) for mask in active]
+        gain = [Fraction(1, u + 1) for u in range(w_mask.bit_count() + 1)]
+        loss = [None] + [Fraction(-1, u) for u in range(1, w_mask.bit_count() + 1)]
         for x in _bits(w_mask & ~fixed):
-            for y in _bits(full & ~w_mask):
+            for y in _bits(n & ~w_mask):
+                bx, by = 1 << x, 1 << y
+                both = bx | by
                 coeffs = {}
-                for mask in range(1, n + 1):
-                    if not active[mask]:
-                        continue
-                    coef = _swap_coefficient(mask, w_mask, x, y)
-                    if coef:
-                        coeffs[mask - 1] = coef
-                rows.append(Row(coeffs, Fraction(0), ("swap", t, x, y)))
+                for mask, u in overlap:
+                    hit = mask & both
+                    if hit == by:
+                        coeffs[mask - 1] = gain[u]
+                    elif hit == bx:
+                        coeffs[mask - 1] = loss[u]
+                rows.append(Row(coeffs, zero, ("swap", t, x, y)))
                 swap_meta.append((t, x, y))
         fixed |= t_mask
-        for mask in range(1, n + 1):
-            if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
-                active[mask] = False
+        active = [mask for mask, u in overlap if (mask & t_mask).bit_count() <= u]
     for t, (w_mask, t_mask) in enumerate(steps, start=1):
         coeffs = {}
         for mask in range(1, n + 1):
             if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
-                coeffs[mask - 1] = Fraction(-1)
-        rows.append(
-            Row(coeffs, Fraction(-t_mask.bit_count(), k), ("deviation", t))
-        )
+                coeffs[mask - 1] = neg_one
+        rows.append(Row(coeffs, Fraction(-t_mask.bit_count(), k), ("deviation", t)))
     return rows, swap_meta
 
 

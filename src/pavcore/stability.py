@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -48,6 +49,11 @@ class Quota(enum.Enum):
         if self is Quota.HARE:
             return support >= bar
         return support > bar
+
+    def least_support(self, deviation_size: int, k: int, denominator: int) -> int:
+        """The least integer s for which support s/denominator succeeds."""
+        bar = self.threshold(deviation_size, k) * denominator
+        return math.ceil(bar) if self is Quota.HARE else math.floor(bar) + 1
 
 
 @dataclass(frozen=True)
@@ -118,13 +124,21 @@ def find_deviation(
             f"deviation search over m={m} exceeds the cap of {DEFAULT_MAX_M}"
         )
     w_mask = committee.mask
+    items = profile.mask_items()
+    scale = math.lcm(*(w.denominator for _, w in items))
+    ballots = [  # (mask, |mask ∩ W|, weight as an int over scale)
+        (mask, (mask & w_mask).bit_count(), w.numerator * (scale // w.denominator))
+        for mask, w in items
+    ]
     for size in range(1, k + 1):
+        need = quota.least_support(size, k, scale)
         for combo in itertools.combinations(range(m), size):
             t_mask = 0
             for i in combo:
                 t_mask |= 1 << i
-            support, backers = _supporters(profile, w_mask, t_mask)
-            if quota.succeeds(support, size, k):
+            scaled = sum(w for b, u, w in ballots if (b & t_mask).bit_count() > u)
+            if scaled >= need:
+                support, backers = _supporters(profile, w_mask, t_mask)
                 return _report(m, k, t_mask, support, backers, quota)
     return None
 

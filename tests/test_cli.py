@@ -14,11 +14,15 @@ from pathlib import Path
 import pytest
 
 from pavcore.cli import main
+from pavcore.exactlp import FarkasCertificate
+from pavcore.fileio import certificate_record_from_dict
 from pavcore.proofs import (
     DeviationShape,
     enumerate_histories,
     farkas_from_theorem1,
 )
+
+from test_exactlp import fraction_verify_farkas
 
 
 def run(capsys, *argv):
@@ -57,6 +61,27 @@ def negate_one_multiplier(path):
     i = next(i for i, v in enumerate(payload["multipliers"]) if int(v))
     payload["multipliers"][i] = str(-int(payload["multipliers"][i]))
     write_json(path, payload)
+
+
+def zero_a_needed_multiplier(files, kind):
+    """Set to 0 the first nonzero multiplier of a ``kind`` row without
+    which its certificate fails the Fraction reference check, and return
+    that file. The sign test passes a zero. A swap row has rhs 0, so only
+    the A^T y test can reject its loss; a deviation row has no positive
+    coefficient, so only the y.b test can."""
+    for path in files:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        rows = certificate_record_from_dict(payload).rows
+        values = [int(v) for v in payload["multipliers"]]
+        for i, v in enumerate(values):
+            if not v or rows[i].tag[0] != kind:
+                continue
+            zeroed = FarkasCertificate.from_list(values[:i] + [0] + values[i + 1 :])
+            if not fraction_verify_farkas(rows, zeroed):
+                payload["multipliers"][i] = "0"
+                write_json(path, payload)
+                return path
+    raise AssertionError(f"no certificate needs the multiplier of a {kind} row")
 
 
 def test_python_m_pavcore_runs_the_cli():
@@ -220,6 +245,23 @@ class TestProgram3:
         assert code == 1
         assert [f["file"] for f in json.loads(out)["failures"]] == [files[3].name]
 
+    def test_zeroed_multiplier_fails(self, capsys, tmp_path):
+        bundle = tmp_path / "p3"
+        assert run(capsys, "prove", "--mode", "program3", "--k", 4, "--out", bundle)[0] == 0
+        broken = zero_a_needed_multiplier(certificate_files(bundle), "swap")
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        assert code == 1
+        assert [f["file"] for f in json.loads(out)["failures"]] == [broken.name]
+
+    @pytest.mark.paperscale
+    def test_k8_bundle_checks(self, capsys, tmp_path):
+        # m reaches 16 here; only (4, 2) is feasible, so the proof exits 1.
+        bundle = tmp_path / "p3"
+        assert run(capsys, "prove", "--mode", "program3", "--k", 8, "--out", bundle)[0] == 1
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["checked"] == 35 and payload["failed"] == 0
+
 
 class TestHistories:
     def test_round_trip(self, capsys, tmp_path):
@@ -233,6 +275,15 @@ class TestHistories:
         assert run(capsys, "check-certificates", bundle)[0] == 0
         negate_one_multiplier(files[0])
         assert run(capsys, "check-certificates", bundle)[0] == 1
+
+    def test_zeroed_multiplier_fails(self, capsys, tmp_path):
+        bundle = tmp_path / "h"
+        argv = ["prove", "--mode", "histories", "--m", 9, "--k", 8, "--out", bundle]
+        assert run(capsys, *argv)[0] == 0
+        broken = zero_a_needed_multiplier(certificate_files(bundle), "deviation")
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        assert code == 1
+        assert [f["file"] for f in json.loads(out)["failures"]] == [broken.name]
 
     def test_missing_certificate_fails(self, capsys, tmp_path):
         bundle = tmp_path / "h"

@@ -84,6 +84,63 @@ def fourier_motzkin_feasible(rows, n_vars):
     return all(rhs >= 0 for _, rhs in system)
 
 
+
+def fraction_verify_farkas(rows, certificate):
+    """The reference for `verify_farkas`: the same three tests, with one
+    `Fraction` multiply and one add per entry of every used row."""
+    if certificate.n_rows != len(rows):
+        raise ValueError("multiplier count does not match the rows")
+    if any(v < 0 for v in certificate.nonzero.values()):
+        return False
+    yb = Fraction(0)
+    col_sums = {}
+    for i, mult in certificate.nonzero.items():
+        row = rows[i]
+        yb += mult * row.rhs
+        for j, coef in row.coeffs.items():
+            col_sums[j] = col_sums.get(j, 0) + mult * coef
+    return yb < 0 and all(total >= 0 for total in col_sums.values())
+
+
+def random_entry(rng):
+    """0, a small int, a Fraction over one of several denominators, or an
+    entry of size 2^70."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 5:
+        return rng.choice([2**70, -(2**70), Fraction(2**70, 3)])
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 9, 12]))
+
+
+def random_certified_system(rng):
+    """Random rows and multipliers, then one more row with multiplier 1
+    that lifts every negative column sum to 0 or above and sets y.b to -1,
+    0 or 1, so that about a third of the certificates hold."""
+    n_cols = rng.randint(1, 5)
+    rows = []
+    for i in range(rng.randint(1, 5)):
+        if rng.random() < 0.2:  # an all-zero row, stored or sparse
+            coeffs = dict.fromkeys(range(n_cols), 0) if rng.random() < 0.5 else {}
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
+            coeffs = {j: random_entry(rng) for j in cols}
+        rows.append(Row(coeffs, random_entry(rng), ("row", i)))
+    mults = [rng.choice([0, 1, 2, 5, 2**40]) for _ in rows]
+    sums = {}
+    for mult, row in zip(mults, rows):
+        for j, c in row.coeffs.items():
+            sums[j] = sums.get(j, 0) + mult * c
+    lift = {j: rng.choice([0, Fraction(1, 5)]) - min(s, 0) for j, s in sums.items()}
+    yb = sum((mult * row.rhs for mult, row in zip(mults, rows)), Fraction(0))
+    rhs = rng.choice([-1, 0, 1]) * Fraction(1, rng.choice([1, 6])) - yb
+    at = rng.randint(0, len(rows))
+    rows.insert(at, Row(lift, rhs, ("lift",)))
+    mults.insert(at, 1)
+    return rows, mults
+
 class TestSmallVerdicts:
     def test_contradiction_pair(self):
         rows, problem = make_system([([1], -1), ([-1], 0)])
@@ -148,6 +205,27 @@ class TestVerifyFarkas:
         rows, _ = make_system([([1], -1), ([-1], 0)])
         with pytest.raises(ValueError):
             verify_farkas(rows, FarkasCertificate.from_list([1, 1, 1]))
+
+    def test_matches_the_fraction_loop_on_random_systems(self):
+        rng = random.Random(2007)
+        verdicts = []
+        for _ in range(600):
+            rows, mults = random_certified_system(rng)
+            change = rng.random()
+            i = rng.randrange(len(mults))
+            if change < 0.2:
+                mults[i] = -rng.randint(1, 3)
+            elif change < 0.4:
+                mults[i] = 0
+            certificate = FarkasCertificate.from_list(mults)
+            verdict = verify_farkas(rows, certificate)
+            assert verdict == fraction_verify_farkas(rows, certificate), (rows, mults)
+            verdicts.append(verdict)
+            longer = FarkasCertificate.from_list(mults + [1])
+            for check in (verify_farkas, fraction_verify_farkas):
+                with pytest.raises(ValueError):
+                    check(rows, longer)
+        assert 100 < sum(verdicts) < 500
 
     def test_rejects_violated_column_sum(self):
         # x0 - x1 <= -1 with nonnegativity on both: feasible, so no valid

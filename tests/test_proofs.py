@@ -9,6 +9,7 @@ from pavcore.elections import CandidateSet, Profile
 from pavcore.exactlp import (
     Feasible,
     Infeasible,
+    Row,
     solve_feasibility,
     verify_farkas,
 )
@@ -36,6 +37,81 @@ from pavcore.proofs import (
 )
 
 from conftest import cs
+
+
+def multi_step_histories(count=12):
+    """Valid 2- and 3-step histories: swap rows of later steps skip the
+    fixed candidates and the ballots that supported earlier steps."""
+    rng = random.Random(9)
+    found = []
+    while len(found) < count:
+        m = rng.randint(4, 6)
+        k = rng.randint(2, m - 1)
+        steps, fixed = [], 0
+        for _ in range(rng.randint(2, 3)):
+            free = [i for i in range(m) if not (fixed >> i) & 1]
+            need = k - fixed.bit_count()
+            if need < 0 or need > len(free):
+                break
+            w = fixed | sum(1 << i for i in rng.sample(free, need))
+            t = sum(1 << i for i in rng.sample(range(m), rng.randint(1, k)))
+            if not t & ~w:
+                continue
+            steps.append((w, t))
+            fixed |= t
+        if len(steps) >= 2:
+            found.append((m, k, steps))
+    return found
+
+
+def _swap_coefficient(mask, w_mask, x, y):
+    has_x = (mask >> x) & 1
+    has_y = (mask >> y) & 1
+    if has_y and not has_x:
+        return Fraction(1, (mask & w_mask).bit_count() + 1)
+    if has_x and not has_y:
+        return Fraction(-1, (mask & w_mask).bit_count())
+    return Fraction(0)
+
+
+def per_mask_build_rows(m, k, steps):
+    """The reference for `_build_rows`: every coefficient of every row is
+    worked out on its own, one `Fraction` per ballot."""
+    n = (1 << m) - 1
+    rows = [
+        Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("norm_upper",)),
+        Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("norm_lower",)),
+    ]
+    swap_meta = []
+    active = [True] * (n + 1)  # indexed by mask
+    fixed = 0
+    for t, (w_mask, t_mask) in enumerate(steps, start=1):
+        for x in range(m):
+            if not (w_mask & ~fixed) >> x & 1:
+                continue
+            for y in range(m):
+                if w_mask >> y & 1:
+                    continue
+                coeffs = {}
+                for mask in range(1, n + 1):
+                    if not active[mask]:
+                        continue
+                    coef = _swap_coefficient(mask, w_mask, x, y)
+                    if coef:
+                        coeffs[mask - 1] = coef
+                rows.append(Row(coeffs, Fraction(0), ("swap", t, x, y)))
+                swap_meta.append((t, x, y))
+        fixed |= t_mask
+        for mask in range(1, n + 1):
+            if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
+                active[mask] = False
+    for t, (w_mask, t_mask) in enumerate(steps, start=1):
+        coeffs = {}
+        for mask in range(1, n + 1):
+            if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
+                coeffs[mask - 1] = Fraction(-1)
+        rows.append(Row(coeffs, Fraction(-t_mask.bit_count(), k), ("deviation", t)))
+    return rows, swap_meta
 
 
 class TestDeltaFormula:
@@ -259,34 +335,22 @@ class TestHistorySystem:
             self.assert_rows_match(m, k, [(w1, t1)])
 
     def test_matches_reference_builder_over_several_steps(self):
-        # Valid 2- and 3-step histories: swap rows of later steps skip the
-        # fixed candidates and the ballots that supported earlier steps.
-        rng = random.Random(9)
-        checked = 0
-        while checked < 12:
-            m = rng.randint(4, 6)
-            k = rng.randint(2, m - 1)
-            steps, fixed = [], 0
-            for _ in range(rng.randint(2, 3)):
-                free = [i for i in range(m) if not (fixed >> i) & 1]
-                need = k - fixed.bit_count()
-                if need < 0 or need > len(free):
-                    break
-                w = fixed | sum(1 << i for i in rng.sample(free, need))
-                t = sum(1 << i for i in rng.sample(range(m), rng.randint(1, k)))
-                if not t & ~w:
-                    continue
-                steps.append((w, t))
-                fixed |= t
-            if len(steps) < 2:
-                continue
-            checked += 1
+        for m, k, steps in multi_step_histories():
             self.assert_rows_match(m, k, steps)
             # k <= 5 here, so no history gets past its first step.
             h = History.from_masks(m, k, steps)
             verdict = history_verdict(h)
             assert not verdict.is_history
             assert verify_farkas(history_system(h), verdict.certificate)
+
+    @pytest.mark.parametrize(
+        "h",
+        [History.from_masks(*case) for case in multi_step_histories()]
+        + [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)],
+    )
+    def test_build_rows_equals_the_per_mask_builder(self, h):
+        args = (h.m, h.k, h.mask_steps())
+        assert _build_rows(*args) == per_mask_build_rows(*args)
 
     @staticmethod
     def assert_rows_match(m, k, steps):

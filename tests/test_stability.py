@@ -64,6 +64,17 @@ class TestQuota:
         assert not Quota.DROOP.succeeds(Fraction(4, 7), 4, 6)
         assert Quota.DROOP.succeeds(Fraction(14, 24), 4, 6)
 
+    @pytest.mark.parametrize("quota", list(Quota))
+    def test_least_support_is_the_boundary_of_succeeds(self, quota):
+        # Denominators that divide k or k + 1 put a support exactly on the
+        # threshold, where the two quotas differ.
+        for k in range(1, 10):
+            for size in range(1, k + 1):
+                for denominator in (1, k, k + 1, k * (k + 1), 97, 2520):
+                    need = quota.least_support(size, k, denominator)
+                    assert quota.succeeds(Fraction(need, denominator), size, k)
+                    assert not quota.succeeds(Fraction(need - 1, denominator), size, k)
+
 
 class TestDeviationSupport:
     def test_tied_pair_support(self, tied_pair_8):
