@@ -1,9 +1,12 @@
 """Exact data model for approval-based committee elections.
 
-Everything that can influence a verdict is computed in exact rational
-arithmetic: ballot weights, scores and swap deltas are `fractions.Fraction`,
-candidate sets are immutable bitmasks. Floating point never appears in any
-value returned from this module.
+Everything that can influence a verdict is computed exactly: ballot
+weights and swap deltas are `fractions.Fraction`, candidate sets are
+immutable bitmasks. PAV scores are summed and compared as Python ints over
+the one denominator D · lcm(1..k), where D is the lcm of the ballot weights'
+denominators (`Profile.scaled_mask_items`) and k the committee size
+(`harmonic_table`); `pav_score` still returns the exact `Fraction`.
+Floating point never appears in any value returned from this module.
 
 Candidates are 0-indexed internally and rendered 1-indexed (``c1``, ``c2``,
 ...) in reports.
@@ -11,6 +14,7 @@ Candidates are 0-indexed internally and rendered 1-indexed (``c1``, ``c2``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -191,6 +195,16 @@ class Profile:
         """(bitmask, weight) pairs in ascending mask order, for hot loops."""
         return tuple(self._weights.items())
 
+    def scaled_mask_items(self) -> tuple[int, list[tuple[int, int]]]:
+        """``(D, [(mask, weight * D)])`` in `mask_items` order, where D is
+        the lcm of the weight denominators, so every scaled weight is an int
+        and they sum to D."""
+        scale = math.lcm(*(w.denominator for w in self._weights.values()))
+        return scale, [
+            (mask, w.numerator * (scale // w.denominator))
+            for mask, w in self._weights.items()
+        ]
+
     def weight(self, ballot: Union[CandidateSet, int]) -> Fraction:
         return self._weights.get(_as_mask(ballot, self.m), Fraction(0))
 
@@ -241,21 +255,30 @@ def harmonic(n: int) -> Fraction:
     return harmonic(n - 1) + Fraction(1, n)
 
 
+@lru_cache(maxsize=None)
+def harmonic_table(n: int) -> tuple[int, tuple[int, ...]]:
+    """``(L, h)`` with ``L = lcm(1..n)`` and ``h[u] = L * harmonic(u)`` for
+    ``u = 0..n``: the harmonic numbers up to n as ints over one denominator."""
+    scale = math.lcm(*range(1, n + 1))
+    return scale, tuple(int(harmonic(u) * scale) for u in range(n + 1))
+
+
 def pav_score(profile: Profile, committee: CandidateSet) -> Fraction:
     """Exact PAV score of a committee, ``sum of weight(A) * H(|A ∩ W|)``
     over the ballots of the profile."""
     if committee.m != profile.m:
         raise ValueError("committee universe does not match profile")
-    return mask_pav_score(profile.mask_items(), committee.mask)
+    scale, items = profile.scaled_mask_items()
+    lcm_k, h = harmonic_table(len(committee))
+    return Fraction(mask_pav_score(items, committee.mask, h), scale * lcm_k)
 
 
-def mask_pav_score(items: Iterable[tuple[int, Fraction]], w_mask: int) -> Fraction:
-    """`pav_score` on (ballot mask, weight) pairs and a committee mask,
-    without checks: the one score kernel of the package's hot loops."""
-    return sum(
-        (weight * harmonic((mask & w_mask).bit_count()) for mask, weight in items),
-        Fraction(0),
-    )
+def mask_pav_score(items: Iterable[tuple[int, int]], w_mask: int, h) -> int:
+    """`pav_score` times D * L, without checks, on the scaled (ballot mask,
+    weight) pairs of `Profile.scaled_mask_items` and the table ``h`` of
+    `harmonic_table` (L) for at least the committee size: the one score
+    kernel of the package's hot loops."""
+    return sum(weight * h[(mask & w_mask).bit_count()] for mask, weight in items)
 
 
 def swap_delta(profile: Profile, committee: CandidateSet, x: int, y: int) -> Fraction:

@@ -4,7 +4,8 @@
 swap-optimal committee, `global_pav` and `all_local_pav` enumerate all
 committees exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
 `recursive_pav` repeatedly fixes successful deviations into the committee
-until it is core stable or the fixed set no longer fits.
+until it is core stable or the fixed set no longer fits. `global_pav`
+compares scores as ints over one denominator (`elections.mask_pav_score`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .elections import (
     ElectionInstance,
     EnumerationLimitError,
     _as_mask,
+    harmonic_table,
     mask_pav_score,
     mask_swap_delta,
 )
@@ -123,15 +125,16 @@ def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
     """All committees attaining the maximum exact PAV score."""
     profile, k, m = instance.profile, instance.k, instance.m
     _check_enumeration_cap(m, k)
-    items = profile.mask_items()
-    best: Optional[Fraction] = None
+    _, items = profile.scaled_mask_items()
+    _, h = harmonic_table(k)
+    best = -1
     winners: list[int] = []
     for combo in itertools.combinations(range(m), k):
         w_mask = 0
         for i in combo:
             w_mask |= 1 << i
-        score = mask_pav_score(items, w_mask)
-        if best is None or score > best:
+        score = mask_pav_score(items, w_mask, h)
+        if score > best:
             best, winners = score, [w_mask]
         elif score == best:
             winners.append(w_mask)

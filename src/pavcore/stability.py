@@ -15,7 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .elections import (
     CandidateSet,
@@ -105,6 +108,22 @@ def _report(
     )
 
 
+@lru_cache(maxsize=None)
+def _subset_masks(m: int, size: int) -> np.ndarray:
+    """The bitmasks of the ``size``-subsets of ``range(m)`` as a read-only
+    int64 array, in `itertools.combinations` order: the subsets whose least
+    member is i come before those whose least member is i + 1."""
+    if size == 0:
+        masks = np.zeros(1, dtype=np.int64)
+    else:
+        masks = np.concatenate([
+            (_subset_masks(m - i - 1, size - 1) << (i + 1)) | (1 << i)
+            for i in range(m - size + 1)
+        ])
+    masks.setflags(write=False)
+    return masks
+
+
 def find_deviation(
     instance: ElectionInstance,
     committee: CandidateSet,
@@ -112,9 +131,12 @@ def find_deviation(
 ) -> Optional[DeviationReport]:
     """Search all potential deviations; return the first successful one.
 
-    Candidate sets T are scanned by ascending size and then ascending
-    bitmask, so a returned report is a minimal witness. ``None`` means the
-    committee is core stable under the given quota.
+    Candidate sets T are scanned by ascending size and, within one size, in
+    `itertools.combinations` order over the candidate indices (at m = 4,
+    {c1, c4} comes before {c2, c3}), so a returned report is a minimal
+    witness. ``None`` means the committee is core stable under the given
+    quota. The support of every T of one size is summed at once, in ints
+    over the lcm D of the weight denominators.
     """
     profile, k, m = instance.profile, instance.k, instance.m
     if len(committee) != k:
@@ -124,22 +146,23 @@ def find_deviation(
             f"deviation search over m={m} exceeds the cap of {DEFAULT_MAX_M}"
         )
     w_mask = committee.mask
-    items = profile.mask_items()
-    scale = math.lcm(*(w.denominator for _, w in items))
-    ballots = [  # (mask, |mask ∩ W|, weight as an int over scale)
-        (mask, (mask & w_mask).bit_count(), w.numerator * (scale // w.denominator))
-        for mask, w in items
+    scale, items = profile.scaled_mask_items()
+    # Supports never exceed D, so int64 holds them unless D is this large.
+    dtype = np.int64 if scale < 1 << 62 else object
+    ballots = [  # (mask, |mask ∩ W|, scaled weight) of the ballots not inside W
+        (mask, (mask & w_mask).bit_count(), w) for mask, w in items if mask & ~w_mask
     ]
     for size in range(1, k + 1):
-        need = quota.least_support(size, k, scale)
-        for combo in itertools.combinations(range(m), size):
-            t_mask = 0
-            for i in combo:
-                t_mask |= 1 << i
-            scaled = sum(w for b, u, w in ballots if (b & t_mask).bit_count() > u)
-            if scaled >= need:
-                support, backers = _supporters(profile, w_mask, t_mask)
-                return _report(m, k, t_mask, support, backers, quota)
+        t_masks = _subset_masks(m, size)
+        support = np.zeros(len(t_masks), dtype=dtype)
+        for mask, u, w in ballots:
+            if u < size:  # else |A ∩ T| <= size <= u for every T of this size
+                support[np.bitwise_count(t_masks & mask) > u] += w
+        hits = np.flatnonzero(support >= quota.least_support(size, k, scale))
+        if hits.size:
+            t_mask = int(t_masks[hits[0]])
+            support, backers = _supporters(profile, w_mask, t_mask)
+            return _report(m, k, t_mask, support, backers, quota)
     return None
 
 

@@ -1,5 +1,6 @@
 """Tests for local, global, and recursive PAV committee computation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from pavcore.rules import (
 from pavcore.stability import Quota, check_special_deviations, find_deviation
 
 from conftest import cs
-from test_stability import brute_force_deviations, random_instance
+from test_stability import PROFILE_SHAPES, brute_force_deviations, random_instance
 
 
 def assert_swap_stable(instance, committee, fixed=None, active=None):
@@ -44,17 +45,32 @@ def assert_swap_stable(instance, committee, fixed=None, active=None):
                 assert mask_swap_delta(items, committee.mask, x, y) <= 0
 
 
+def fraction_score(ballots, w_mask):
+    """PAV score over (ballot, weight) pairs summed in `Fraction`s from
+    `harmonic`: the oracle for the int score kernel."""
+    return sum(
+        (w * harmonic((b.mask & w_mask).bit_count()) for b, w in ballots),
+        Fraction(0),
+    )
+
+
+def brute_force_global_pav(instance):
+    scores = {
+        combo: fraction_score(instance.profile.items(), sum(1 << i for i in combo))
+        for combo in itertools.combinations(range(instance.m), instance.k)
+    }
+    best = max(scores.values())
+    return {
+        CandidateSet.from_indices(combo, instance.m)
+        for combo, score in scores.items()
+        if score == best
+    }
+
+
 def replay_recursive_pav(instance):
     """Check a Hare run of `recursive_pav` round by round against the
-    brute-force deviation scan and PAV scores summed from `harmonic`;
-    return the number of trace steps."""
-
-    def score(ballots, w_mask):
-        return sum(
-            (w * harmonic((b.mask & w_mask).bit_count()) for b, w in ballots),
-            Fraction(0),
-        )
-
+    brute-force deviation scan and `fraction_score`; return the number of
+    trace steps."""
     m = instance.m
     outcome = recursive_pav(instance, Quota.HARE)
     assert outcome.succeeded
@@ -64,16 +80,34 @@ def replay_recursive_pav(instance):
     for w, t in outcome.trace + ((outcome.committee, None),):
         assert fixed <= w
         # No swap of a non-fixed member gains over the ballots still active.
-        best = score(active, w.mask)
+        best = fraction_score(active, w.mask)
         for x in w - fixed:
             for y in range(m):
                 if y not in w:
-                    assert score(active, (w.mask & ~(1 << x)) | (1 << y)) <= best
+                    assert fraction_score(active, (w.mask & ~(1 << x)) | (1 << y)) <= best
         if t is not None:
             assert t == brute_force_deviations(instance, w, Quota.HARE)[0][0]
             fixed = fixed | t
             active = [(b, v) for b, v in active if len(b & t) <= len(b & w)]
     return len(outcome.trace)
+
+
+class TestPavScore:
+    @pytest.mark.parametrize("max_ballots, max_count", PROFILE_SHAPES)
+    def test_agrees_with_fraction_oracle(self, max_ballots, max_count):
+        # Committees of every size, including the empty one and sizes
+        # other than k.
+        rng = random.Random(5511 + max_ballots)
+        for _ in range(60):
+            instance = random_instance(
+                rng, max_m=9, max_ballots=max_ballots, max_count=max_count
+            )
+            m = instance.m
+            committee = CandidateSet.from_indices(
+                rng.sample(range(m), rng.randint(0, m)), m
+            )
+            expected = fraction_score(instance.profile.items(), committee.mask)
+            assert pav_score(instance.profile, committee) == expected
 
 
 class TestLocalPav:
@@ -127,6 +161,15 @@ class TestGlobalPav:
 
     def test_unique_9_is_unique(self, unique_9):
         assert global_pav(unique_9) == {cs([1, 2, 5, 6, 7, 8, 9, 10, 11], 11)}
+
+    @pytest.mark.parametrize("max_ballots, max_count", PROFILE_SHAPES)
+    def test_agrees_with_fraction_oracle(self, max_ballots, max_count):
+        rng = random.Random(4411 + max_ballots)
+        for _ in range(40):
+            instance = random_instance(
+                rng, max_m=8, max_ballots=max_ballots, max_count=max_count
+            )
+            assert global_pav(instance) == brute_force_global_pav(instance)
 
     def test_cap_refusal(self):
         # C(30, 15) = 155117520 committees, over the cap of 10^7.
@@ -201,6 +244,30 @@ class TestRecursivePav:
         rng = random.Random(2501)
         for _ in range(200):
             assert replay_recursive_pav(random_instance(rng, max_m=7)) == 0
+
+    def test_deactivated_ballots_leave_later_rounds(self):
+        # unique_9 at weights 60/270, 60/270 and 149/270, plus 1/270 on
+        # {c3, c4, c11}. That ballot backs T = {c1, c2, c3, c4} (two of T
+        # against one member) and is deactivated with the special ballots.
+        # Over the block alone c5..c11 tie, and the lowest indices take the
+        # five free seats; scored over every ballot, c11 would take one.
+        profile = Profile.from_counts(
+            11,
+            {
+                cs([1, 2, 3], 11): 60,
+                cs([1, 2, 4], 11): 60,
+                cs([5, 6, 7, 8, 9, 10, 11], 11): 149,
+                cs([3, 4, 11], 11): 1,
+            },
+        )
+        instance = ElectionInstance(profile, k=9)
+        t = cs([1, 2, 3, 4], 11)
+        for quota in Quota:
+            outcome = recursive_pav(instance, quota)
+            assert outcome.trace == ((cs([1, 2, 5, 6, 7, 8, 9, 10, 11], 11), t),)
+            assert outcome.committee == cs([1, 2, 3, 4, 5, 6, 7, 8, 9], 11)
+        assert local_pav(instance, fixed=t) == cs([1, 2, 3, 4, 5, 6, 7, 8, 11], 11)
+        assert replay_recursive_pav(instance) == 1
 
     def test_trace_steps_agree_with_brute_force(self, tied_pair_8, unique_9):
         assert replay_recursive_pav(tied_pair_8) == 1

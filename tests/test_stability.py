@@ -42,12 +42,17 @@ def brute_force_deviations(instance, committee, quota):
     return hits
 
 
-def random_instance(rng, max_m=7, max_ballots=5):
+#: (max_ballots, max_count) of the differential tests' random profiles; the
+#: last gives weight denominators far above 2**62.
+PROFILE_SHAPES = [(5, 5), (12, 99), (8, 2**70)]
+
+
+def random_instance(rng, max_m=7, max_ballots=5, max_count=5):
     m = rng.randint(2, max_m)
     ballots = {}
     for _ in range(rng.randint(1, max_ballots)):
         mask = rng.randint(1, (1 << m) - 1)
-        ballots[mask] = ballots.get(mask, 0) + rng.randint(1, 5)
+        ballots[mask] = ballots.get(mask, 0) + rng.randint(1, max_count)
     profile = Profile.from_counts(m, ballots)
     k = rng.randint(1, m)
     return ElectionInstance(profile, k)
@@ -130,6 +135,38 @@ class TestFindDeviation:
         with pytest.raises(EnumerationLimitError):
             find_deviation(instance, cs([1, 2], 21), Quota.HARE)
 
+    def test_scan_follows_combinations_order(self):
+        # Six pairs succeed under Droop. By combinations order {c1, c4}
+        # comes first; by ascending bitmask it would be {c2, c3} (6 < 9).
+        profile = Profile.from_counts(
+            7, {cs([1, 4, 5], 7): 3, cs([2, 3, 6], 7): 3, cs([1, 2, 3, 4], 7): 2}
+        )
+        instance = ElectionInstance(profile, k=3)
+        committee = cs([5, 6, 7], 7)
+        hits = [t for t, _ in brute_force_deviations(instance, committee, Quota.DROOP)]
+        assert hits[0] == cs([1, 4], 7)
+        assert min(hits, key=lambda t: t.mask) == cs([2, 3], 7)
+        report = find_deviation(instance, committee, Quota.DROOP)
+        assert report.deviation == cs([1, 4], 7)
+        assert report.support == Fraction(5, 8)
+        assert report.supporters == (cs([1, 2, 3, 4], 7), cs([1, 4, 5], 7))
+        assert find_deviation(instance, committee, Quota.HARE) is None
+
+    @staticmethod
+    def assert_agrees_with_brute_force(instance, committee):
+        for quota in (Quota.HARE, Quota.DROOP):
+            hits = brute_force_deviations(instance, committee, quota)
+            report = find_deviation(instance, committee, quota)
+            if report is None:
+                assert not hits
+            else:
+                assert (report.deviation, report.support) == hits[0]
+                assert report.supporters == tuple(
+                    b
+                    for b, _ in instance.profile.items()
+                    if len(b & report.deviation) > len(b & committee)
+                )
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(99)
         for _ in range(120):
@@ -137,18 +174,37 @@ class TestFindDeviation:
             committee = CandidateSet.from_indices(
                 rng.sample(range(instance.m), instance.k), instance.m
             )
-            for quota in (Quota.HARE, Quota.DROOP):
-                hits = brute_force_deviations(instance, committee, quota)
-                report = find_deviation(instance, committee, quota)
-                if report is None:
-                    assert not hits
-                else:
-                    assert (report.deviation, report.support) == hits[0]
-                    assert report.supporters == tuple(
-                        b
-                        for b, _ in instance.profile.items()
-                        if len(b & report.deviation) > len(b & committee)
-                    )
+            self.assert_agrees_with_brute_force(instance, committee)
+
+    @pytest.mark.parametrize("max_ballots, max_count", PROFILE_SHAPES)
+    def test_agrees_with_brute_force_on_wider_profiles(self, max_ballots, max_count):
+        rng = random.Random(1801 + max_ballots)
+        for _ in range(40):
+            instance = random_instance(
+                rng, max_m=9, max_ballots=max_ballots, max_count=max_count
+            )
+            committee = CandidateSet.from_indices(
+                rng.sample(range(instance.m), instance.k), instance.m
+            )
+            self.assert_agrees_with_brute_force(instance, committee)
+
+    def test_weights_over_a_denominator_above_2_to_the_62(self):
+        # Supports are summed as Python ints here instead of int64.
+        n = 2**64 + 1
+        profile = Profile(
+            6,
+            {
+                cs([1, 2], 6): Fraction(2**62, n),
+                cs([1, 3], 6): Fraction(2**62, n),
+                cs([4, 5, 6], 6): Fraction(2**63 + 1, n),
+            },
+        )
+        assert profile.scaled_mask_items()[0] == n
+        instance = ElectionInstance(profile, k=3)
+        report = find_deviation(instance, cs([4, 5, 6], 6), Quota.HARE)
+        assert report.deviation == cs([1], 6)
+        assert report.support == Fraction(2**63, n)
+        self.assert_agrees_with_brute_force(instance, cs([4, 5, 6], 6))
 
     def test_droop_stable_implies_hare_stable(self):
         rng = random.Random(12345)
