@@ -1,12 +1,13 @@
 """Exact data model for approval-based committee elections.
 
 Everything that can influence a verdict is computed exactly: ballot
-weights and swap deltas are `fractions.Fraction`, candidate sets are
-immutable bitmasks. PAV scores are summed and compared as Python ints over
-the one denominator D · lcm(1..k), where D is the lcm of the ballot weights'
-denominators (`Profile.scaled_mask_items`) and k the committee size
-(`harmonic_table`); `pav_score` still returns the exact `Fraction`.
-Floating point never appears in any value returned from this module.
+weights are `fractions.Fraction`, candidate sets are immutable bitmasks.
+PAV scores are ints over the one denominator D · lcm(1..k), where D is the
+lcm of the ballot weights' denominators (`Profile.scaled_mask_items`) and k
+the committee size (`harmonic_table`): `mask_pav_score` sums them and
+`first_improving_swap` compares them; `pav_score` and `swap_delta` return
+exact `Fraction`s. Floating point never appears in any value returned from
+this module.
 
 Candidates are 0-indexed internally and rendered 1-indexed (``c1``, ``c2``,
 ...) in reports.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class EnumerationLimitError(RuntimeError):
@@ -284,10 +285,7 @@ def mask_pav_score(items: Iterable[tuple[int, int]], w_mask: int, h) -> int:
 def swap_delta(profile: Profile, committee: CandidateSet, x: int, y: int) -> Fraction:
     """Exact change in PAV score when committee member ``x`` is swapped for ``y``.
 
-    Requires ``x in committee`` and ``y not in committee``. Per ballot the
-    contribution is ``1/(u+1)`` if the ballot approves ``y`` but not ``x``,
-    ``-1/u`` if it approves ``x`` but not ``y``, and 0 otherwise, where ``u``
-    is ``|A ∩ W|`` for the unmodified committee.
+    Requires ``x in committee`` and ``y not in committee``.
     """
     if committee.m != profile.m:
         raise ValueError("committee universe does not match profile")
@@ -295,20 +293,23 @@ def swap_delta(profile: Profile, committee: CandidateSet, x: int, y: int) -> Fra
         raise ValueError(f"swap source c{x + 1} is not in the committee")
     if y in committee or not 0 <= y < committee.m:
         raise ValueError(f"swap target c{y + 1} must be a non-member")
-    return mask_swap_delta(profile.mask_items(), committee.mask, x, y)
+    swapped = CandidateSet(committee.mask ^ (1 << x) ^ (1 << y), committee.m)
+    return pav_score(profile, swapped) - pav_score(profile, committee)
 
 
-def mask_swap_delta(
-    items: Iterable[tuple[int, Fraction]], w_mask: int, x: int, y: int
-) -> Fraction:
-    """`swap_delta` on (ballot mask, weight) pairs and a committee mask,
-    without checks: the one swap kernel of the package's hot loops."""
-    x_bit, y_bit = 1 << x, 1 << y
-    delta = Fraction(0)
-    for mask, weight in items:
-        has_x, has_y = mask & x_bit, mask & y_bit
-        if has_x and not has_y:
-            delta -= weight / (mask & w_mask).bit_count()
-        elif has_y and not has_x:
-            delta += weight / ((mask & w_mask).bit_count() + 1)
-    return delta
+def first_improving_swap(
+    items: Sequence[tuple[int, int]], w_mask: int, movable: int, m: int, h
+) -> Optional[tuple[int, int]]:
+    """The first (x, y) in lexicographic order, x a member in the mask
+    ``movable`` and y a non-member of ``range(m)``, whose swap raises
+    `mask_pav_score` over ``items``; None if the committee is swap-optimal.
+    The one swap test of the package."""
+    base = mask_pav_score(items, w_mask, h)
+    outside = [y for y in range(m) if not (w_mask >> y) & 1]
+    for x in range(m):
+        if (movable >> x) & 1:
+            rest = w_mask & ~(1 << x)
+            for y in outside:
+                if mask_pav_score(items, rest | (1 << y), h) > base:
+                    return x, y
+    return None

@@ -48,7 +48,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .elections import CandidateSet, Profile, mask_swap_delta
+from .elections import (
+    CandidateSet,
+    EnumerationLimitError,
+    Profile,
+    first_improving_swap,
+    harmonic_table,
+)
 from .exactlp import (
     FarkasCertificate,
     Feasible,
@@ -60,9 +66,17 @@ from .exactlp import (
     maximize,
     verify_optimum,
 )
+from .stability import Quota, _supporters
 
-#: Hard cap on the candidate count for history enumeration.
+#: Hard cap on the candidate count of a history system.
 MAX_HISTORY_M = 16
+
+
+def _check_history_m(m: int) -> None:
+    if m > MAX_HISTORY_M:
+        raise EnumerationLimitError(
+            f"history systems support at most m={MAX_HISTORY_M}, got m={m}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +154,18 @@ def supporter_bound(shape: DeviationShape, k: int) -> Fraction:
     return (Fraction(k, shape.size) - 1) * shape.outside
 
 
-def min_supporter_delta(shape: DeviationShape, k: int) -> Fraction:
-    """Minimum of `delta_formula` over ballot types preferring T to W."""
-    w_out = k - shape.overlap
-    best: Optional[Fraction] = None
-    for a in range(w_out + 1):
+def _supporter_deltas(shape: DeviationShape, k: int):
+    """``(a, b, c, delta_formula(shape, k, a, b, c))`` for every ballot type
+    that prefers T to W (c > a)."""
+    for a in range(k - shape.overlap + 1):
         for b in range(shape.overlap + 1):
             for c in range(a + 1, shape.outside + 1):
-                d = delta_formula(shape, k, a, b, c)
-                if best is None or d < best:
-                    best = d
+                yield a, b, c, delta_formula(shape, k, a, b, c)
+
+
+def min_supporter_delta(shape: DeviationShape, k: int) -> Fraction:
+    """Minimum of `delta_formula` over ballot types preferring T to W."""
+    best = min((d for *_, d in _supporter_deltas(shape, k)), default=None)
     assert best is not None, "c = a + 1 <= |T\\W| always yields a supporter"
     return best
 
@@ -173,15 +189,9 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
     violations = []
     for shape in iter_shapes(k):
         bound = supporter_bound(shape, k)
-        w_out = k - shape.overlap
-        for a in range(w_out + 1):
-            for b in range(shape.overlap + 1):
-                for c in range(a + 1, shape.outside + 1):
-                    d = delta_formula(shape, k, a, b, c)
-                    if d <= bound:
-                        violations.append(
-                            InequalityViolation(shape, a, b, c, d, bound)
-                        )
+        for a, b, c, d in _supporter_deltas(shape, k):
+            if d <= bound:
+                violations.append(InequalityViolation(shape, a, b, c, d, bound))
     return violations
 
 
@@ -641,33 +651,27 @@ def _witness_realizes(
     witness: Mapping[int, Fraction], m: int, k: int, steps: Sequence[tuple[int, int]]
 ) -> bool:
     """Directly re-check that a profile realizes a history, using election
-    semantics only: each deviation gathers support at least |T|/k from the
-    full profile, and each committee admits no improving swap over the
-    ballots still active at its step."""
-    if sum(witness.values(), Fraction(0)) != 1:
+    semantics only, by replaying the steps of `rules.recursive_pav`: the
+    witness must be a `Profile`, each deviation must succeed under the Hare
+    quota on the full profile, each committee must admit no improving swap
+    of a non-fixed member over the ballots still active at its step, and
+    each deviation's supporters then leave the active ballots."""
+    try:
+        profile = Profile(m, witness)
+    except ValueError:
         return False
-    if any(w < 0 for w in witness.values()):
-        return False
-    active = {mask: w for mask, w in witness.items() if w}
+    _, items = profile.scaled_mask_items()
     fixed = 0
-    full = (1 << m) - 1
     for w_mask, t_mask in steps:
-        support = Fraction(0)
-        for mask, weight in witness.items():
-            if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
-                support += weight
-        if support < Fraction(t_mask.bit_count(), k):
+        support, backers = _supporters(profile, w_mask, t_mask)
+        if not Quota.HARE.succeeds(support, t_mask.bit_count(), k):
             return False
-        for x in _bits(w_mask & ~fixed):
-            for y in _bits(full & ~w_mask):
-                if mask_swap_delta(active.items(), w_mask, x, y) > 0:
-                    return False
+        _, h = harmonic_table(w_mask.bit_count())
+        if first_improving_swap(items, w_mask, w_mask & ~fixed, m, h):
+            return False
         fixed |= t_mask
-        active = {
-            mask: w
-            for mask, w in active.items()
-            if (mask & t_mask).bit_count() <= (mask & w_mask).bit_count()
-        }
+        gone = set(backers)
+        items = [(mask, w) for mask, w in items if mask not in gone]
     return True
 
 
@@ -823,12 +827,7 @@ def enumerate_histories(
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    if m > MAX_HISTORY_M:
-        from .elections import EnumerationLimitError
-
-        raise EnumerationLimitError(
-            f"history enumeration supports at most m={MAX_HISTORY_M}"
-        )
+    _check_history_m(m)
     start = time.monotonic()
 
     def out_of_budget() -> bool:
@@ -899,8 +898,10 @@ def history_verdict(history: History) -> HistoryVerdict:
 
     Feasible systems yield an exact witness profile (re-checked directly
     against the election semantics); infeasible ones yield a verified
-    Farkas certificate for the canonical system.
+    Farkas certificate for the canonical system. Systems over more than
+    `MAX_HISTORY_M` candidates raise `EnumerationLimitError`.
     """
+    _check_history_m(history.m)
     rows = _HistoryRows(history.m, history.k, history.mask_steps())
     kind, payload = _solve_child(rows)
     if kind == "feasible":

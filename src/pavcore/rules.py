@@ -4,8 +4,9 @@
 swap-optimal committee, `global_pav` and `all_local_pav` enumerate all
 committees exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
 `recursive_pav` repeatedly fixes successful deviations into the committee
-until it is core stable or the fixed set no longer fits. `global_pav`
-compares scores as ints over one denominator (`elections.mask_pav_score`).
+until it is core stable or the fixed set no longer fits. Scores are ints
+over one denominator (`elections.mask_pav_score`), and every swap test is
+`elections.first_improving_swap`.
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .elections import (
     CandidateSet,
     ElectionInstance,
     EnumerationLimitError,
     _as_mask,
+    first_improving_swap,
     harmonic_table,
     mask_pav_score,
-    mask_swap_delta,
 )
 from .stability import Quota, find_deviation
 
@@ -52,13 +52,7 @@ def _greedy_start(items, m: int, k: int, fixed_mask: int) -> int:
     recursive rule (the seed is swap-optimized afterwards, so any
     deterministic choice of start committee is admissible).
     """
-    weight_of = [Fraction(0)] * m
-    for mask, weight in items:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            weight_of[low.bit_length() - 1] += weight
-            rest ^= low
+    weight_of = [sum(w for mask, w in items if (mask >> i) & 1) for i in range(m)]
     candidates = [i for i in range(m) if not (fixed_mask >> i) & 1]
     candidates.sort(key=lambda i: (-weight_of[i], i))
     committee = fixed_mask
@@ -88,51 +82,40 @@ def local_pav(
         raise ValueError("fixed-set universe does not match the instance")
     if fixed_mask.bit_count() > k:
         raise ValueError("fixed set is larger than the committee size")
-    items = profile.mask_items()
+    _, items = profile.scaled_mask_items()
     if active is not None:
         keep = frozenset(_as_mask(b, m) for b in active)
         items = [(mask, weight) for mask, weight in items if mask in keep]
+    _, h = harmonic_table(k)
     committee = _greedy_start(items, m, k, fixed_mask)
-
-    improved = True
-    while improved:
-        improved = False
-        movable = [i for i in range(m) if (committee >> i) & 1 and not (fixed_mask >> i) & 1]
-        outside = [i for i in range(m) if not (committee >> i) & 1]
-        for x in movable:
-            for y in outside:
-                if mask_swap_delta(items, committee, x, y) > 0:
-                    committee = (committee & ~(1 << x)) | (1 << y)
-                    improved = True
-                    break
-            if improved:
-                break
+    while swap := first_improving_swap(items, committee, committee & ~fixed_mask, m, h):
+        x, y = swap
+        committee ^= (1 << x) | (1 << y)
     result = CandidateSet(committee, m)
     assert fixed_mask & ~committee == 0 and committee.bit_count() == k
     return result
 
 
-def _check_enumeration_cap(m: int, k: int) -> None:
+def _committee_masks(m: int, k: int) -> Iterator[int]:
+    """Every committee of size k as a bitmask, in `itertools.combinations`
+    order; refused above `DEFAULT_MAX_COMMITTEES`."""
     total = math.comb(m, k)
     if total > DEFAULT_MAX_COMMITTEES:
         raise EnumerationLimitError(
             f"enumerating C({m},{k}) = {total} committees exceeds the cap of "
             f"{DEFAULT_MAX_COMMITTEES}"
         )
+    return map(sum, itertools.combinations([1 << i for i in range(m)], k))
 
 
 def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
     """All committees attaining the maximum exact PAV score."""
     profile, k, m = instance.profile, instance.k, instance.m
-    _check_enumeration_cap(m, k)
     _, items = profile.scaled_mask_items()
     _, h = harmonic_table(k)
     best = -1
     winners: list[int] = []
-    for combo in itertools.combinations(range(m), k):
-        w_mask = 0
-        for i in combo:
-            w_mask |= 1 << i
+    for w_mask in _committee_masks(m, k):
         score = mask_pav_score(items, w_mask, h)
         if score > best:
             best, winners = score, [w_mask]
@@ -144,26 +127,13 @@ def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
 def all_local_pav(instance: ElectionInstance) -> set[CandidateSet]:
     """All committees from which no single swap increases the PAV score."""
     profile, k, m = instance.profile, instance.k, instance.m
-    _check_enumeration_cap(m, k)
-    items = profile.mask_items()
-    result: set[CandidateSet] = set()
-    for combo in itertools.combinations(range(m), k):
-        w_mask = 0
-        for i in combo:
-            w_mask |= 1 << i
-        if _is_swap_stable(items, w_mask, m):
-            result.add(CandidateSet(w_mask, m))
-    return result
-
-
-def _is_swap_stable(items, w_mask: int, m: int) -> bool:
-    members = [i for i in range(m) if (w_mask >> i) & 1]
-    outside = [i for i in range(m) if not (w_mask >> i) & 1]
-    return all(
-        mask_swap_delta(items, w_mask, x, y) <= 0
-        for x in members
-        for y in outside
-    )
+    _, items = profile.scaled_mask_items()
+    _, h = harmonic_table(k)
+    return {
+        CandidateSet(w_mask, m)
+        for w_mask in _committee_masks(m, k)
+        if first_improving_swap(items, w_mask, w_mask, m, h) is None
+    }
 
 
 def recursive_pav(
@@ -191,12 +161,6 @@ def recursive_pav(
             return RuleOutcome(
                 committee=committee, trace=tuple(trace), status="success"
             )
-        deviation = report.deviation
-        trace.append((committee, deviation))
-        fixed = fixed | deviation
-        w_mask, t_mask = committee.mask, deviation.mask
-        active = frozenset(
-            mask
-            for mask in active
-            if (mask & t_mask).bit_count() <= (mask & w_mask).bit_count()
-        )
+        trace.append((committee, report.deviation))
+        fixed = fixed | report.deviation
+        active = active - {b.mask for b in report.supporters}

@@ -19,6 +19,22 @@ def cs(indices_1based, m):
     return CandidateSet.from_indices([i - 1 for i in indices_1based], m)
 
 
+def fraction_swap_delta(items, w_mask, x, y):
+    """Change in PAV score when member x is swapped for non-member y, over
+    (ballot mask, `Fraction` weight) pairs: a ballot with u = |A ∩ W| gains
+    1/(u+1) if it approves y but not x and loses 1/u if it approves x but
+    not y. The oracle for the int swap kernel."""
+    x_bit, y_bit = 1 << x, 1 << y
+    delta = Fraction(0)
+    for mask, weight in items:
+        has_x, has_y = mask & x_bit, mask & y_bit
+        if has_x and not has_y:
+            delta -= weight / (mask & w_mask).bit_count()
+        elif has_y and not has_x:
+            delta += weight / ((mask & w_mask).bit_count() + 1)
+    return delta
+
+
 @pytest.fixture(scope="session")
 def tied_pair_8() -> ElectionInstance:
     profile = Profile.from_counts(

@@ -213,6 +213,12 @@ class TestProveInputs:
         program3 = ["prove", "--mode", "program3", "--k", "3"]
         assert run(capsys, *program3, "--budget-seconds", "0")[0] == 3
 
+    def test_program3_caps_the_candidate_count(self, capsys):
+        # The first shape, (|T|, |T∩W|) = (1, 0), has m = 41 candidates.
+        code, out, err = run(capsys, "prove", "--mode", "program3", "--k", 40)
+        assert code == 3 and not out
+        assert err.startswith("budget: ") and "Traceback" not in err
+
 
 class TestProgram3:
     @pytest.mark.parametrize("k", range(1, 8))

@@ -12,12 +12,15 @@ from pavcore.elections import (
     CandidateSet,
     ElectionInstance,
     Profile,
+    first_improving_swap,
     harmonic,
+    harmonic_table,
     pav_score,
     swap_delta,
 )
 
-from conftest import cs
+from conftest import cs, fraction_swap_delta
+from test_stability import PROFILE_SHAPES, random_instance
 
 
 class TestCandidateSet:
@@ -113,20 +116,27 @@ class TestUtilityAndScore:
 
 
 class TestSwapDelta:
+    @staticmethod
+    def oracle(profile, committee, x, y):
+        return fraction_swap_delta(profile.mask_items(), committee.mask, x, y)
+
     def test_near_stable_swap_is_one_fortieth(self, near_stable_6):
         committee = cs([1, 4, 5, 6, 7, 8], 8)
         assert swap_delta(near_stable_6.profile, committee, 3, 1) == Fraction(
             1, 40
         )
+        assert self.oracle(near_stable_6.profile, committee, 3, 1) == Fraction(1, 40)
 
     def test_zero_when_neither_candidate_approved(self):
         p = Profile(6, {cs([1, 2], 6): 1})
         committee = cs([1, 2, 5], 6)
         assert swap_delta(p, committee, 4, 5) == 0
+        assert self.oracle(p, committee, 4, 5) == 0
 
     def test_tied_swap_in_tied_pair_instance(self, tied_pair_8):
         blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
         assert swap_delta(tied_pair_8.profile, blue, 9, 2) == 0
+        assert self.oracle(tied_pair_8.profile, blue, 9, 2) == 0
 
     def test_precondition_violations(self, tied_pair_8):
         blue = cs([1, 2, 5, 6, 7, 8, 9, 10], 10)
@@ -153,6 +163,51 @@ class TestSwapDelta:
                         if (w_mask >> y) & 1:
                             continue
                         swapped = CandidateSet((w_mask & ~(1 << x)) | (1 << y), m)
+                        delta = swap_delta(profile, committee, x, y)
                         assert pav_score(profile, swapped) - pav_score(
                             profile, committee
-                        ) == swap_delta(profile, committee, x, y)
+                        ) == delta
+                        assert self.oracle(profile, committee, x, y) == delta
+
+
+def oracle_first_improving_swap(items, w_mask, movable, m):
+    """`first_improving_swap` over (mask, `Fraction` weight) pairs, one
+    `fraction_swap_delta` per pair."""
+    for x in range(m):
+        if (movable >> x) & 1:
+            for y in range(m):
+                if not (w_mask >> y) & 1 and fraction_swap_delta(items, w_mask, x, y) > 0:
+                    return x, y
+    return None
+
+
+class TestFirstImprovingSwap:
+    @pytest.mark.parametrize("max_ballots, max_count", PROFILE_SHAPES)
+    def test_agrees_with_fraction_oracle(self, max_ballots, max_count):
+        # Random committees of every size, fixed subsets and active subsets
+        # of the ballots, on scaled items over the full profile's D.
+        rng = random.Random(6100 + max_ballots)
+        found = none = huge = 0
+        for _ in range(150):
+            instance = random_instance(
+                rng, max_m=8, max_ballots=max_ballots, max_count=max_count
+            )
+            m, profile = instance.m, instance.profile
+            w_mask = sum(1 << i for i in rng.sample(range(m), rng.randint(1, m)))
+            movable = w_mask & rng.randint(0, (1 << m) - 1)
+            keep = {mask for mask, _ in profile.mask_items() if rng.random() < 0.7}
+            scale, scaled = profile.scaled_mask_items()
+            huge += scale > 1 << 62
+            items = [(mask, w) for mask, w in scaled if mask in keep]
+            _, h = harmonic_table(w_mask.bit_count())
+            swap = first_improving_swap(items, w_mask, movable, m, h)
+            expected = oracle_first_improving_swap(
+                [(mask, w) for mask, w in profile.mask_items() if mask in keep],
+                w_mask, movable, m,
+            )
+            assert swap == expected
+            found += swap is not None
+            none += swap is None
+        assert found > 20 and none > 20
+        if max_count > 1 << 62:
+            assert huge > 100  # scaled weights past int64

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from pavcore.elections import CandidateSet, Profile
+from pavcore.elections import (
+    CandidateSet,
+    EnumerationLimitError,
+    Profile,
+    swap_delta,
+)
 from pavcore.exactlp import (
     Feasible,
     Infeasible,
@@ -34,6 +39,7 @@ from pavcore.proofs import (
     _build_rows,
     _HistoryRows,
     _Quotient,
+    _witness_realizes,
 )
 
 from conftest import cs
@@ -203,6 +209,11 @@ class TestProgram3:
         ]
         assert {j for row in rows for j in row.coeffs} <= set(range(7))
         assert self.full_problem(h).variables == tuple(range(1, 8))
+
+    def test_history_cap(self):
+        # k + |T \ W| = 17 candidates, one past MAX_HISTORY_M.
+        with pytest.raises(EnumerationLimitError):
+            history_verdict(program3_history(9, DeviationShape(8, 0)))
 
     def test_smallest_case_infeasible(self):
         h = program3_history(2, DeviationShape(1, 0))
@@ -433,6 +444,46 @@ class TestCanonicalContinuations:
         )
         # fixed = {c1, c2, c3, c4} has 4 > k members: nothing can continue.
         assert canonical_continuations(h) == []
+
+
+class TestWitnessRealizes:
+    # The re-check tests only the two election conditions of each step, not
+    # the shape of the steps (`History` does that), so committees smaller
+    # than k keep the profile small. {c2, c4} backs T1 = {c2} and leaves
+    # the active ballots; without it, no swap of c1 or c3 gains at step 2.
+    BACKER, OTHER = cs([2, 4], 5).mask, cs([1], 5).mask
+    W2, T2 = cs([1, 2, 3], 5).mask, cs([2, 4], 5).mask
+    STEPS = ((cs([1], 5).mask, cs([2], 5).mask), (W2, T2))
+    WITNESS = {BACKER: Fraction(1, 3), OTHER: Fraction(2, 3)}
+
+    def test_accepts_a_swap_only_deactivated_ballots_want(self):
+        assert _witness_realizes(self.WITNESS, 5, 6, self.STEPS)
+        profile = Profile(5, self.WITNESS)
+        # Over every ballot, c3 -> c4 gains 1/3 * 1/2 for {c2, c4}.
+        assert swap_delta(profile, CandidateSet(self.W2, 5), 2, 3) == Fraction(1, 6)
+
+    def test_rejects_an_improving_swap_among_active_ballots(self):
+        # The same second step taken first: {c2, c4} is still active.
+        assert not _witness_realizes(self.WITNESS, 5, 6, [(self.W2, self.T2)])
+
+    def test_rejects_an_under_supported_deviation(self):
+        # At k = 3, T2 needs 2/3 and has the 1/3 of {c2, c4}.
+        assert _witness_realizes(self.WITNESS, 5, 3, self.STEPS[:1])
+        assert not _witness_realizes(self.WITNESS, 5, 3, self.STEPS)
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), Fraction(5, 6)])
+    def test_rejects_weights_that_do_not_sum_to_one(self, other):
+        witness = {self.BACKER: Fraction(1, 3), self.OTHER: other}
+        assert not _witness_realizes(witness, 5, 6, self.STEPS)
+
+    def test_rejects_a_negative_weight(self):
+        # Summing to 1, and passing both steps if -1/6 were a weight.
+        witness = {
+            self.BACKER: Fraction(1, 3),
+            self.OTHER: Fraction(5, 6),
+            cs([5], 5).mask: Fraction(-1, 6),
+        }
+        assert not _witness_realizes(witness, 5, 6, self.STEPS)
 
 
 class TestEnumerateHistories:

@@ -12,7 +12,6 @@ from pavcore.elections import (
     EnumerationLimitError,
     Profile,
     harmonic,
-    mask_swap_delta,
     pav_score,
     swap_delta,
 )
@@ -24,15 +23,16 @@ from pavcore.rules import (
 )
 from pavcore.stability import Quota, check_special_deviations, find_deviation
 
-from conftest import cs
+from conftest import cs, fraction_swap_delta
 from test_stability import PROFILE_SHAPES, brute_force_deviations, random_instance
 
 
 def assert_swap_stable(instance, committee, fixed=None, active=None):
     fixed_mask = fixed.mask if fixed is not None else 0
+    items = instance.profile.mask_items()
     if active is not None:
         keep = {ballot.mask for ballot in active}
-        items = [(mask, w) for mask, w in instance.profile.mask_items() if mask in keep]
+        items = [(mask, w) for mask, w in items if mask in keep]
     for x in committee:
         if (fixed_mask >> x) & 1:
             continue
@@ -41,8 +41,7 @@ def assert_swap_stable(instance, committee, fixed=None, active=None):
                 continue
             if active is None:
                 assert swap_delta(instance.profile, committee, x, y) <= 0
-            else:
-                assert mask_swap_delta(items, committee.mask, x, y) <= 0
+            assert fraction_swap_delta(items, committee.mask, x, y) <= 0
 
 
 def fraction_score(ballots, w_mask):
