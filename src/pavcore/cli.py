@@ -243,10 +243,7 @@ def _prove_program3(args) -> int:
         else:
             all_infeasible = False
             entry["status"] = "feasible"
-            entry["witness"] = {
-                f"{sorted(_mask_to_labels(mask))}": format_fraction(w)
-                for mask, w in verdict.witness.mask_items()
-            }
+            entry["witness"] = _witness_entries(verdict.witness)
         results.append(entry)
     payload = {
         "mode": "program3",
@@ -262,8 +259,13 @@ def _prove_program3(args) -> int:
     return EXIT_OK if all_infeasible else EXIT_CLAIM_FAILS
 
 
-def _mask_to_labels(mask: int) -> list[str]:
-    return [f"c{i + 1}" for i in range(mask.bit_length()) if (mask >> i) & 1]
+def _witness_entries(profile) -> list[dict]:
+    """A witness profile as ``{"approve": [labels], "weight": "p/q"}``
+    entries in ballot order."""
+    return [
+        {"approve": _labels(ballot), "weight": format_fraction(weight)}
+        for ballot, weight in profile.items()
+    ]
 
 
 def _prove_histories(args) -> int:
@@ -293,13 +295,7 @@ def _prove_histories(args) -> int:
                     "steps": [
                         {"W": _labels(w), "T": _labels(t)} for w, t in h.steps
                     ],
-                    "witness": [
-                        {
-                            "approve": _mask_to_labels(ballot.mask),
-                            "weight": format_fraction(weight),
-                        }
-                        for ballot, weight in result.witnesses[h].items()
-                    ]
+                    "witness": _witness_entries(result.witnesses[h])
                     if h.steps
                     else [],
                 }
@@ -333,13 +329,17 @@ def _prove_histories(args) -> int:
     return EXIT_OK if prop1 else EXIT_CLAIM_FAILS
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ProfileFormatError(f"--threads must be at least 1, got {args.threads}")
+
+
 def cmd_prove(args) -> int:
     if args.k is None:
         raise ProfileFormatError(f"{args.mode} mode needs --k")
     if args.k < 1:
         raise ProfileFormatError(f"--k must be at least 1, got {args.k}")
-    if args.threads < 1:
-        raise ProfileFormatError(f"--threads must be at least 1, got {args.threads}")
+    _check_threads(args)
     if args.budget_seconds is not None and not args.budget_seconds >= 0:
         raise ProfileFormatError(
             f"--budget-seconds must be at least 0, got {args.budget_seconds}"
@@ -394,6 +394,7 @@ def _summary_failures(root: Path, files: list[Path]) -> list[tuple[str, str]]:
 
 
 def cmd_check_certificates(args) -> int:
+    _check_threads(args)
     root = Path(args.bundle)
     if not root.exists():
         raise ProfileFormatError(f"no such bundle: {root}")

@@ -15,13 +15,16 @@ comes with a point and an LP-duality certificate that `verify_optimum`
 checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
-and an exact right-hand side per row (`_ScaledRows`). Wide systems (many
-variables, few rows) are solved by column activation: the simplex works on
-a growing subset of columns, and after each verdict every column of the
-full system is priced exactly with integer dot products to either confirm
-the verdict or activate violated columns. Setting a variable to zero
-preserves feasibility, so a feasible restricted system is feasible in full;
-an infeasibility ray or an optimum's duals that price clean on every column
+and an exact right-hand side per row (`_Problem`); column j is variable j.
+One pricing kernel (`_Problem.column_gaps`) computes ``G^T y - c`` for every
+column exactly, with integer dot products: for column activation, for the
+optimum check, and for the certificate check of the searches in `proofs`.
+Wide systems (many variables, few rows) are solved by column activation:
+the simplex works on a growing subset of columns, and after each verdict
+every column of the full system is priced to either confirm the verdict or
+activate violated columns. Setting a variable to zero preserves
+feasibility, so a feasible restricted system is feasible in full; an
+infeasibility ray or an optimum's duals that price clean on every column
 hold for the full system.
 """
 
@@ -92,12 +95,12 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class Feasible:
-    """A satisfying assignment; variables absent from the map are zero."""
+    """A satisfying assignment per column; absent columns are zero."""
 
     assignment: Mapping[int, Fraction]
 
-    def value(self, label: int) -> Fraction:
-        return self.assignment.get(label, Fraction(0))
+    def value(self, column: int) -> Fraction:
+        return self.assignment.get(column, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -173,17 +176,17 @@ class _Master:
     """Dense exact tableau for ``min c.x : Gx <= h, x >= 0``, in integers.
 
     Row i of ``G x <= h`` reads ``block[i] . x <= scales[i] * rhs[i]``, as
-    in `_ScaledRows`: an integer ``block`` (int64 or Python ints), positive
-    integer scales and exact right-hand sides; column j carries
-    ``keys[j]``. Each tableau row, and the objective row below them, is a
-    numpy object array of Python ints over one positive row denominator,
-    kept in lowest terms: a pivot updates every other row without division
-    and then divides it by one gcd. The entering column is chosen by
-    most-negative reduced cost until the objective stalls, after which
-    Bland's least-index rule takes over, guaranteeing termination. The
-    reduced costs share the objective row's denominator, so their
-    numerators decide; ratios compare by cross-multiplication. Values leave
-    the tableau as `Fraction`s.
+    in `_Problem`: an integer ``block`` (int64 or Python ints), positive
+    integer scales and exact right-hand sides; column j of ``block`` is
+    column ``keys[j]`` of the problem. Each tableau row, and the objective
+    row below them, is a numpy object array of Python ints over one
+    positive row denominator, kept in lowest terms: a pivot updates every
+    other row without division and then divides it by one gcd. The
+    entering column is chosen by most-negative reduced cost until the
+    objective stalls, after which Bland's least-index rule takes over,
+    guaranteeing termination. The reduced costs share the objective row's
+    denominator, so their numerators decide; ratios compare by
+    cross-multiplication. Values leave the tableau as `Fraction`s.
     """
 
     def __init__(self, keys, block, scales, rhs):
@@ -347,111 +350,85 @@ def _lowest_terms(tab, den, i, d):
 # Column activation around the master problem.
 
 
-class _ScaledRows:
-    """Rows as one dense integer matrix, for exact vectorized pricing:
+class _Problem:
+    """Integer rows over nonnegative columns, column j being variable j:
     row i reads ``matrix[i] . x <= scales[i] * rhs[i]``.
 
     The matrix is int64, or a numpy object array of Python ints when an
-    entry does not fit; every product below is exact either way.
+    entry does not fit; the scales are positive integers and the
+    right-hand sides exact. Every product below is exact either way.
     """
 
-    def __init__(self, matrix, scales, rhs_exact):
+    def __init__(self, matrix, scales, rhs):
         self.matrix = matrix
         self.n_rows, self.n_vars = matrix.shape
         self.scales = list(scales)
-        self.rhs = [Fraction(v) for v in rhs_exact]
+        self.rhs = [Fraction(v) for v in rhs]
         self.lcm_scale = math.lcm(1, *self.scales)
         self.max_abs = int(np.abs(matrix).max(initial=0))
 
-    def times(self, x: Mapping[int, Fraction]) -> list[Fraction]:
-        """Exact ``G x`` for a sparse ``x`` given per column position."""
-        if not x:
-            return [Fraction(0)] * self.n_rows
-        cols = list(x)
-        denom = math.lcm(*(Fraction(v).denominator for v in x.values()))
-        ints = [int(x[j] * denom) for j in cols]
-        sums = self.matrix[:, cols].astype(object) @ np.array(ints, dtype=object)
-        return [
-            Fraction(int(s), self.scales[i] * denom) for i, s in enumerate(sums)
-        ]
+    def master(self, active: Sequence[int]) -> _Master:
+        return _Master(active, self.matrix[:, active], self.scales, self.rhs)
 
-    def price(self, multipliers):
-        """Exact ``factor * (G^T y)`` for all columns, ``factor > 0``.
+    def column_gaps(self, y, c: Optional[Mapping[int, Fraction]] = None):
+        """Exact ``factor * (G^T y - c)`` for every column, ``factor > 0``.
 
-        ``multipliers`` are exact rationals over the rows. Returns
-        ``(totals, factor)`` with integer totals, so ``sign(totals[j])``
-        equals ``sign((G^T y)_j)``.
+        ``y`` holds one exact multiplier per row, ints or `Fraction`s;
+        ``c`` maps columns to exact costs, absent columns cost 0. Returns
+        one integer per column, whose sign is the sign of
+        ``(G^T y - c)_j``: an int64 array when no sum can overflow, else an
+        object array of Python ints.
         """
-        denom = 1
-        for u in multipliers:
-            d = int(u.denominator)
-            denom = denom * d // math.gcd(denom, d)
+        c = {j: Fraction(v) for j, v in (c or {}).items() if v}
+        denom = math.lcm(
+            1, *(u.denominator for u in y), *(v.denominator for v in c.values())
+        )
         factor = denom * self.lcm_scale
         scaled = [
-            int(u * denom) * (self.lcm_scale // self.scales[i])
-            for i, u in enumerate(multipliers)
+            u.numerator * (denom // u.denominator) * (self.lcm_scale // s)
+            for u, s in zip(y, self.scales)
         ]
+        costs = [v.numerator * (factor // v.denominator) for v in c.values()]
         bound = sum(abs(s) for s in scaled) * max(self.max_abs, 1)
+        bound += max(map(abs, costs), default=0)
         if bound < _INT64_SAFE:
-            return np.asarray(scaled, dtype=np.int64) @ self.matrix, factor
-        obj_vec = np.asarray(scaled, dtype=object)
-        return obj_vec @ self.matrix.astype(object), factor
-
-
-class _Problem:
-    """The solver-facing view: rows over nonnegative columns, which carry
-    the given variable labels."""
-
-    def __init__(self, variables, scaled: _ScaledRows):
-        self.variables = tuple(variables)
-        self.n_vars = len(self.variables)
-        self.scaled = scaled
-        self.rhs = scaled.rhs
-
-    def master(self, active: Sequence[int]) -> _Master:
-        scaled = self.scaled
-        return _Master(active, scaled.matrix[:, active], scaled.scales, self.rhs)
+            gaps = np.asarray(scaled, dtype=np.int64) @ self.matrix
+        else:
+            gaps = np.asarray(scaled, dtype=object) @ self.matrix.astype(object)
+        if c:
+            gaps[list(c)] -= np.asarray(costs, dtype=gaps.dtype)
+        return gaps
 
     def violations(self, duals, objective=None):
-        """Columns whose exact reduced cost is negative, worst first.
+        """Columns whose exact reduced cost is negative, worst first, ties
+        in column order.
 
         For a feasibility ray the reduced cost of column j is ``(G^T y)_j``;
         with an objective (minimization) it is ``c_j - (G^T y)_j``.
         """
-        totals, factor = self.scaled.price(duals)
-        out = []
-        for j in range(self.n_vars):
-            if objective is None:
-                reduced = totals[j]
-            else:
-                c = objective.get(j)
-                reduced = (c * factor if c else 0) - totals[j]
-            if reduced < 0:
-                out.append((reduced, j))
-        out.sort()
-        return [j for _, j in out]
+        gaps = self.column_gaps(duals, objective)
+        reduced = gaps if objective is None else -gaps
+        worst = np.flatnonzero(reduced < 0)
+        return worst[np.argsort(reduced[worst], kind="stable")].tolist()
 
     def certificate(self, ray) -> FarkasCertificate:
-        denom = 1
-        for u in ray:
-            d = int(u.denominator)
-            denom = denom * d // math.gcd(denom, d)
+        denom = math.lcm(1, *(u.denominator for u in ray))
         nonzero = {i: int(u * denom) for i, u in enumerate(ray) if u}
-        return FarkasCertificate(self.scaled.n_rows, nonzero)
+        return FarkasCertificate(self.n_rows, nonzero)
 
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
-        """Exact check that an assignment (per label, absent labels are 0)
+        """Exact check that an assignment (per column, absent columns are 0)
         is nonnegative and satisfies every row."""
-        pos_of = {label: j for j, label in enumerate(self.variables)}
-        values = {}
-        for label, v in assignment.items():
-            j = pos_of.get(label)
-            if j is None or v < 0:
-                return False
-            if v:
-                values[j] = Fraction(v)
-        totals = self.scaled.times(values)
-        return all(t <= b for t, b in zip(totals, self.rhs))
+        if any(not 0 <= j < self.n_vars or v < 0 for j, v in assignment.items()):
+            return False
+        x = {j: Fraction(v) for j, v in assignment.items() if v}
+        denom = math.lcm(1, *(v.denominator for v in x.values()))
+        ints = [v.numerator * (denom // v.denominator) for v in x.values()]
+        sums = self.matrix[:, list(x)].astype(object) @ np.array(ints, dtype=object)
+        return all(
+            Fraction(int(t), s * denom) <= b
+            for t, s, b in zip(sums, self.scales, self.rhs)
+        )
 
     def initial_active(self, seed: Optional[Sequence[int]]) -> list[int]:
         n = self.n_vars
@@ -459,10 +436,6 @@ class _Problem:
             return list(range(n))
         active = sorted({j for j in seed or () if 0 <= j < n})
         return active or list(range(min(n, ACTIVATION_BATCH)))
-
-
-def _assignment_with_labels(variables, x) -> dict[int, Fraction]:
-    return {variables[j]: v for j, v in x.items() if v}
 
 
 def _activate(problem: _Problem, seed_columns, objective=None):
@@ -507,7 +480,7 @@ def _solve_problem(problem: _Problem):
     result, active = _activate(problem, None)
     if result[0] == "infeasible":
         return Infeasible(problem.certificate(result[1])), active
-    return Feasible(_assignment_with_labels(problem.variables, result[1])), active
+    return Feasible(result[1]), active
 
 
 def maximize(
@@ -517,38 +490,32 @@ def maximize(
 ) -> MaximizeResult:
     """Exact maximum of ``objective . x`` subject to the rows.
 
-    The objective is given per variable label; column activation starts
-    from ``seed_columns`` (positions) when there are any. Minimization is
-    maximization of the negated objective. Infeasible and unbounded systems
-    are distinguished results. An `Optimal` result carries its LP-duality
+    The objective maps columns to costs; column activation starts from
+    ``seed_columns`` when there are any. Minimization is maximization of
+    the negated objective. Infeasible and unbounded systems are
+    distinguished results. An `Optimal` result carries its LP-duality
     certificate: multipliers ``y >= 0`` over the rows with ``G^T y >= c``
     and ``h . y`` equal to the optimum, which `verify_optimum` checks
     without a solver.
     """
-    label_pos = {label: j for j, label in enumerate(problem.variables)}
-    for label in objective:
-        if label not in label_pos:
-            raise ValueError(f"objective references unknown variable {label}")
+    if any(not 0 <= j < problem.n_vars for j in objective):
+        raise ValueError("objective references an unknown column")
     # The master minimizes the negated objective.
-    neg = {label_pos[label]: -Fraction(c) for label, c in objective.items() if c}
+    neg = {j: -Fraction(c) for j, c in objective.items() if c}
     result, _ = _activate(problem, seed_columns, neg)
     if result[0] == "unbounded":
         return Unbounded()
     if result[0] == "infeasible":
         return Infeasible(problem.certificate(result[1]))
     _, x, value, duals = result
-    return Optimal(
-        -value,
-        _assignment_with_labels(problem.variables, x),
-        tuple(-y for y in duals),
-    )
+    return Optimal(-value, x, tuple(-y for y in duals))
 
 
 def verify_optimum(
     problem: _Problem, objective: Mapping[int, Fraction], optimum: Optimal
 ) -> bool:
     """Check exactly, without any solver, that ``optimum.value`` is the
-    maximum of ``objective . x`` (objective and assignment per label).
+    maximum of ``objective . x`` (objective and assignment per column).
 
     The assignment must satisfy every row with objective value equal to
     ``optimum.value``; the duals ``y`` must be nonnegative, with
@@ -557,24 +524,17 @@ def verify_optimum(
     the maximum.
     """
     duals = [Fraction(y) for y in optimum.duals]
-    if len(duals) != problem.scaled.n_rows or any(y < 0 for y in duals):
+    if len(duals) != problem.n_rows or any(y < 0 for y in duals):
+        return False
+    if any(not 0 <= j < problem.n_vars for j in objective):
         return False
     hy = sum((y * b for y, b in zip(duals, problem.rhs) if y), Fraction(0))
     cx = sum(
-        (Fraction(c) * optimum.assignment.get(label, 0) for label, c in objective.items()),
+        (Fraction(c) * optimum.assignment.get(j, 0) for j, c in objective.items()),
         Fraction(0),
     )
-    if not hy == cx == optimum.value:
-        return False
-    if not problem.satisfied_by(optimum.assignment):
-        return False
-    label_pos = {label: j for j, label in enumerate(problem.variables)}
-    if any(label not in label_pos for label in objective):
-        return False
-    totals, factor = problem.scaled.price(duals)
-    scaled_c = {
-        label_pos[label]: Fraction(c) * factor for label, c in objective.items()
-    }
-    return all(
-        t >= scaled_c.get(j, 0) for j, t in enumerate(np.asarray(totals).tolist())
+    return (
+        hy == cx == optimum.value
+        and problem.satisfied_by(optimum.assignment)
+        and not (problem.column_gaps(duals, objective) < 0).any()
     )

@@ -61,7 +61,6 @@ from .exactlp import (
     Optimal,
     Row,
     _Problem,
-    _ScaledRows,
     _solve_problem,
     maximize,
     verify_optimum,
@@ -311,7 +310,7 @@ def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
             _, _, x, y = tag
             if (w_mask & ~t_mask) >> x & 1 and (t_mask & ~w_mask) >> y & 1:
                 nonzero[i] = scale
-    return FarkasCertificate(problem.scaled.n_rows, nonzero)
+    return FarkasCertificate(problem.n_rows, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,7 @@ def _type_rows(
     types: np.ndarray,
     k: int,
     steps: Sequence[tuple[int, int]],
-) -> tuple[_ScaledRows, list[tuple]]:
+) -> tuple[_Problem, list[tuple]]:
     """The rows of a history's system over ballot types.
 
     ``classes`` partitions the candidates into classes that every set of
@@ -446,8 +445,9 @@ def _type_rows(
     the step-t swap rows over x in class i and y in class j, divided by the
     number of those rows. With singleton classes the types are the ballots
     and these are the full system's rows, tagged as `_build_rows` tags
-    them. Returns the rows, scaled to integers by ``L = lcm(1..k+1)``, and
-    one tag per row, both in the canonical row order.
+    them. Returns the rows as a `_Problem`, scaled to integers by
+    ``L = lcm(1..k+1)``, whose column j is type j, and one tag per row, both
+    in the canonical row order.
     """
     L = _swap_scale(k)
     sizes = [len(members) for members in classes]
@@ -490,16 +490,16 @@ def _type_rows(
         scales.append(1)
         rhs.append(Fraction(-t_mask.bit_count(), k))
         tags.append(("deviation", t))
-    return _ScaledRows(np.vstack(rows), scales, rhs), tags
+    return _Problem(np.vstack(rows), scales, rhs), tags
 
 
 class _HistoryRows:
     """The full system of one history: the type rows over singleton classes.
 
-    Each ballot is its own type, in ascending bitmask order, so the columns
-    are the canonical variables and the rows (``problem``) and their tags
-    (``tags``) follow the canonical order. The rows are built when
-    ``problem`` is first called.
+    Each ballot is its own type, in ascending bitmask order, so column j is
+    ballot j + 1, the canonical variables, and the rows (``problem``) and
+    their tags (``tags``) follow the canonical order. The rows are built
+    when ``problem`` is first called.
     """
 
     __slots__ = ("m", "k", "steps", "tags", "_problem")
@@ -517,10 +517,9 @@ class _HistoryRows:
             m = self.m
             ballots = np.arange(1, 1 << m, dtype=np.int64)
             bits = (ballots[:, None] >> np.arange(m)) & 1
-            scaled, self.tags = _type_rows(
+            self._problem, self.tags = _type_rows(
                 [[i] for i in range(m)], bits, self.k, self.steps
             )
-            self._problem = _Problem(range(1, 1 << m), scaled)
         return self._problem
 
 
@@ -564,10 +563,10 @@ class _Quotient:
             dtype=np.int64,
         )
         self.types = grid[1:]  # drop the empty type
-        self.scaled, self.tags = _type_rows(self.classes, self.types, k, steps)
+        self._problem, self.tags = _type_rows(self.classes, self.types, k, steps)
 
     def problem(self) -> _Problem:
-        return _Problem(range(self.types.shape[0]), self.scaled)
+        return self._problem
 
     def orbit_size(self, type_row) -> int:
         size = 1
@@ -592,8 +591,8 @@ class _Quotient:
 
     def lift_assignment(self, assignment: Mapping[int, Fraction]) -> dict[int, Fraction]:
         full: dict[int, Fraction] = {}
-        for label, total in assignment.items():
-            type_row = self.types[label]
+        for j, total in assignment.items():
+            type_row = self.types[j]
             share = total / self.orbit_size(type_row)
             for mask in self.expand_type(type_row):
                 full[mask] = share
@@ -624,27 +623,26 @@ class _Quotient:
                 raw[i] = raw.get(i, Fraction(0)) + share
         denom = math.lcm(1, *(v.denominator for v in raw.values()))
         nonzero = {i: int(v * denom) for i, v in raw.items() if v}
-        return FarkasCertificate(problem.scaled.n_rows, nonzero)
+        return FarkasCertificate(problem.n_rows, nonzero)
 
 
 def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
-    """Exact certificate check against the integer-scaled rows."""
-    if any(v < 0 for v in certificate.nonzero.values()):
+    """Exact certificate check against the integer-scaled rows: the integer
+    multipliers y are nonnegative, ``y . b < 0``, and no column has a
+    negative ``(G^T y)_j``."""
+    if certificate.n_rows != problem.n_rows:
         return False
-    multipliers = [Fraction(0)] * problem.scaled.n_rows
-    yb = Fraction(0)
-    for row_idx, value in certificate.nonzero.items():
-        multipliers[row_idx] = Fraction(value)
-        yb += value * problem.rhs[row_idx]
-    if not yb < 0:
-        return False
-    totals, _ = problem.scaled.price(multipliers)
-    return bool(np.all(totals >= 0))
+    y = [0] * problem.n_rows
+    for i, v in certificate.nonzero.items():
+        y[i] = v
+    yb = sum((v * b for v, b in zip(y, problem.rhs) if v), Fraction(0))
+    return min(y) >= 0 and yb < 0 and not (problem.column_gaps(y) < 0).any()
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
-    """Exact row check of a feasible assignment (labels are ballot masks)."""
-    return problem.satisfied_by(assignment)
+    """Exact row check of a feasible assignment over ballot masks, on a
+    full system, whose column j is ballot j + 1."""
+    return problem.satisfied_by({mask - 1: w for mask, w in assignment.items()})
 
 
 def _witness_realizes(
@@ -921,7 +919,7 @@ def history_verdict(history: History) -> HistoryVerdict:
 class OptimalityRecord:
     """An LP optimum with its exact certificate.
 
-    ``objective`` (per ballot mask) is optimized in direction ``sense``;
+    ``objective`` (per column) is optimized in direction ``sense``;
     ``certificate`` is the `Optimal` of maximizing ``objective`` (``max``)
     or its negation (``min``): a point attaining the optimum and LP-duality
     multipliers that bound every feasible point by it. Checking it needs no
@@ -936,7 +934,7 @@ class OptimalityRecord:
 
     def verify(self, problem: _Problem) -> bool:
         sign = 1 if self.sense == "max" else -1
-        maximized = {mask: sign * c for mask, c in self.objective.items()}
+        maximized = {j: sign * c for j, c in self.objective.items()}
         return sign * self.certificate.value == self.optimum and verify_optimum(
             problem, maximized, self.certificate
         )
@@ -950,9 +948,7 @@ def _certified_optimum(
     seeds: Sequence[int],
 ) -> OptimalityRecord:
     sign = 1 if sense == "max" else -1
-    result = maximize(
-        problem, {mask: sign * c for mask, c in objective.items()}, seeds
-    )
+    result = maximize(problem, {j: sign * c for j, c in objective.items()}, seeds)
     if not isinstance(result, Optimal):
         raise RuntimeError(f"{label}: expected a bounded optimum, got {result}")
     record = OptimalityRecord(label, sense, sign * result.value, dict(objective), result)
@@ -1079,7 +1075,7 @@ def lemma2_suite() -> Lemma2Report:
 
     quarter_records = [
         _certified_optimum(
-            problem, {mask: Fraction(1)}, sense, f"{sense} weight of {who}", seeds
+            problem, {mask - 1: Fraction(1)}, sense, f"{sense} weight of {who}", seeds
         )
         for mask, who in ((mask_abx, "abx"), (mask_aby, "aby"))
         for sense in ("max", "min")
@@ -1092,7 +1088,7 @@ def lemma2_suite() -> Lemma2Report:
     ]
     aggregate_record = _certified_optimum(
         problem,
-        {mask: Fraction(1) for mask in bad_masks},
+        {mask - 1: Fraction(1) for mask in bad_masks},
         "max",
         "max total weight of other deviation-meeting ballots",
         seeds,
@@ -1106,7 +1102,7 @@ def lemma2_suite() -> Lemma2Report:
             f"max weight of ballot {mask:#x}",
             "max",
             aggregate_record.optimum,
-            {mask: Fraction(1)},
+            {mask - 1: Fraction(1)},
             aggregate_record.certificate,
         )
         if not record.verify(problem):
@@ -1117,7 +1113,7 @@ def lemma2_suite() -> Lemma2Report:
         _certified_optimum(
             problem,
             {
-                mask: Fraction(-1, (mask & committee.mask).bit_count())
+                mask - 1: Fraction(-1, (mask & committee.mask).bit_count())
                 for mask in range(1, 1 << m)
                 if (mask >> c) & 1
             },

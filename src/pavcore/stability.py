@@ -43,18 +43,17 @@ class Quota(enum.Enum):
         return Fraction(deviation_size, k + 1)
 
     def succeeds(self, support: Fraction, deviation_size: int, k: int) -> bool:
-        """Whether `support` is enough to object with a set of this size.
+        """Whether `support` is enough to object with a set of this size:
+        support p/q succeeds iff p is at least `least_support` over q."""
+        p, q = Fraction(support).as_integer_ratio()
+        return p >= self.least_support(deviation_size, k, q)
+
+    def least_support(self, deviation_size: int, k: int, denominator: int) -> int:
+        """The least integer s for which support s/denominator succeeds.
 
         Hare objections need support >= |T|/k; Droop objections need
         support strictly above |T|/(k+1).
         """
-        bar = self.threshold(deviation_size, k)
-        if self is Quota.HARE:
-            return support >= bar
-        return support > bar
-
-    def least_support(self, deviation_size: int, k: int, denominator: int) -> int:
-        """The least integer s for which support s/denominator succeeds."""
         bar = self.threshold(deviation_size, k) * denominator
         return math.ceil(bar) if self is Quota.HARE else math.floor(bar) + 1
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,17 @@ class TestProgram3:
         ]
         assert code == 1 and feasible == [(4, 2)]
 
+    def test_k8_witness_is_a_ballot_list(self, capsys):
+        # As in histories.json: labels in candidate order, ballots in mask
+        # order, weights that sum to 1.
+        _, out, _ = run(capsys, "prove", "--mode", "program3", "--k", 8, "--json")
+        (entry,) = [e for e in json.loads(out)["results"] if e["status"] == "feasible"]
+        numbers = [[int(c[1:]) for c in b["approve"]] for b in entry["witness"]]
+        assert all(ballot == sorted(ballot) for ballot in numbers)
+        masks = [sum(1 << (n - 1) for n in ballot) for ballot in numbers]
+        assert masks == sorted(masks) and max(max(b) for b in numbers) == 10
+        assert sum(Fraction(b["weight"]) for b in entry["witness"]) == 1
+
     def test_round_trip(self, capsys, tmp_path):
         bundle = tmp_path / "p3"
         assert run(capsys, "prove", "--mode", "program3", "--k", 4, "--out", bundle)[0] == 0
@@ -413,3 +425,11 @@ class TestCheckCertificates:
 
     def test_missing_bundle(self, capsys, tmp_path):
         assert run(capsys, "check-certificates", tmp_path / "none")[0] == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_an_input_error(self, capsys, tmp_path, threads):
+        self.shape_file(tmp_path, 3, DeviationShape(1, 0))
+        argv = ["check-certificates", tmp_path, "--threads", threads]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: --threads must be at least 1, got {threads}\n"

@@ -18,7 +18,6 @@ from pavcore.exactlp import (
     Unbounded,
     _Master,
     _Problem,
-    _ScaledRows,
     maximize,
     solve_feasibility,
     verify_farkas,
@@ -41,10 +40,7 @@ def make_problem(rows, n_vars):
     for i, (ints, _) in enumerate(scaled):
         for j, v in ints.items():
             matrix[i, j] = v
-    return _Problem(
-        range(n_vars),
-        _ScaledRows(matrix, [s for _, s in scaled], [row.rhs for row in rows]),
-    )
+    return _Problem(matrix, [s for _, s in scaled], [row.rhs for row in rows])
 
 
 def make_system(rows, n_vars=None):
@@ -140,6 +136,106 @@ def random_certified_system(rng):
     rows.insert(at, Row(lift, rhs, ("lift",)))
     mults.insert(at, 1)
     return rows, mults
+
+def price(problem, multipliers):
+    """The reference for `_Problem.column_gaps` without costs, as the solver
+    once priced: exact ``(totals, factor)`` with ``totals = factor * G^T y``
+    and ``factor > 0``, in int64 when no sum can overflow."""
+    denom = 1
+    for u in multipliers:
+        d = int(u.denominator)
+        denom = denom * d // math.gcd(denom, d)
+    factor = denom * problem.lcm_scale
+    scaled = [
+        int(u * denom) * (problem.lcm_scale // problem.scales[i])
+        for i, u in enumerate(multipliers)
+    ]
+    bound = sum(abs(s) for s in scaled) * max(problem.max_abs, 1)
+    if bound < 2**62:
+        return np.asarray(scaled, dtype=np.int64) @ problem.matrix, factor
+    obj_vec = np.asarray(scaled, dtype=object)
+    return obj_vec @ problem.matrix.astype(object), factor
+
+
+def loop_violations(problem, duals, objective=None):
+    """The reference for `_Problem.violations`: one Python step per column,
+    then a sort on (reduced cost, column)."""
+    totals, factor = price(problem, duals)
+    out = []
+    for j in range(problem.n_vars):
+        if objective is None:
+            reduced = totals[j]
+        else:
+            c = objective.get(j)
+            reduced = (c * factor if c else 0) - totals[j]
+        if reduced < 0:
+            out.append((reduced, j))
+    out.sort()
+    return [j for _, j in out]
+
+
+def random_pricing_case(rng):
+    """A random problem, int64 or with entries of 2^62 and above, with
+    `Fraction` or int multipliers and an objective or none."""
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 40)
+    wide = rng.random() < 0.4
+    matrix = np.zeros((n_rows, n_cols), dtype=object if wide else np.int64)
+    for i in range(n_rows):
+        for j in rng.sample(range(n_cols), rng.randint(0, n_cols)):
+            if wide and rng.random() < 0.3:
+                big = rng.choice([2**62, 2**63 + 1, 2**70])
+                matrix[i, j] = rng.choice([-1, 1]) * big
+            else:
+                matrix[i, j] = rng.randint(-4, 4)
+    scales = [rng.choice([1, 2, 3, 6, 12, 420]) for _ in range(n_rows)]
+    problem = _Problem(matrix, scales, [0] * n_rows)
+    as_fractions = rng.random() < 0.5
+    y = [
+        Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7, 12]))
+        if as_fractions
+        else rng.choice([0, 1, -2, 3, 2**40, -(2**61), 2**63])
+        for _ in range(n_rows)
+    ]
+    objective = None
+    if rng.random() < 0.6:
+        costs = [0, Fraction(2**64, 3)] + [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 3, 11])) for _ in range(3)
+        ]
+        cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
+        objective = {j: Fraction(rng.choice(costs)) for j in cols}
+    return problem, y, objective
+
+
+class TestPricingKernel:
+    def test_matches_the_column_loop_on_random_systems(self):
+        rng = random.Random(1812)
+        kinds = set()
+        for _ in range(400):
+            problem, y, objective = random_pricing_case(rng)
+            kinds.add((problem.matrix.dtype == object, type(y[0]), objective is None))
+            case = (problem.matrix.tolist(), problem.scales, y, objective)
+            assert problem.violations(y, objective) == loop_violations(
+                problem, y, objective
+            ), case
+            gaps = problem.column_gaps(y, objective)
+            for j, gap in enumerate(gaps.tolist()):
+                exact = sum(
+                    (Fraction(int(problem.matrix[i, j]) * u, s)
+                     for i, (u, s) in enumerate(zip(y, problem.scales))),
+                    Fraction(0),
+                ) - (objective or {}).get(j, 0)
+                assert (gap > 0) - (gap < 0) == (exact > 0) - (exact < 0), (case, j)
+        assert len(kinds) == 8
+
+    def test_falls_back_to_python_ints_past_int64(self):
+        matrix = np.array([[1, -1], [2, 0]], dtype=np.int64)
+        problem = _Problem(matrix, [1, 1], [0, 0])
+        assert problem.column_gaps([1, 1]).dtype == np.int64
+        gaps = problem.column_gaps([2**62, 2**62])
+        assert gaps.dtype == object and gaps.tolist() == [3 * 2**62, -(2**62)]
+        gaps = problem.column_gaps([1, 0], {0: Fraction(2**63)})
+        assert gaps.dtype == object and gaps.tolist() == [1 - 2**63, -1]
+
 
 class TestSmallVerdicts:
     def test_contradiction_pair(self):
@@ -393,7 +489,7 @@ class TestLargeEntries:
             Row({1: Fraction(1, 2**70)}, Fraction(1, 2**72), ("small",)),
         ]
         problem = make_problem(rows, n)
-        assert problem.scaled.matrix.dtype == object
+        assert problem.matrix.dtype == object
         objective = {0: Fraction(1), 1: Fraction(1)}
         result = maximize(problem, objective)
         assert isinstance(result, Optimal) and result.value == Fraction(1, 2)

@@ -208,7 +208,7 @@ class TestProgram3:
             ("deviation", 1),
         ]
         assert {j for row in rows for j in row.coeffs} <= set(range(7))
-        assert self.full_problem(h).variables == tuple(range(1, 8))
+        assert self.full_problem(h).n_vars == 7
 
     def test_history_cap(self):
         # k + |T \ W| = 17 candidates, one past MAX_HISTORY_M.
@@ -226,7 +226,7 @@ class TestProgram3:
         verdict = solve_feasibility(self.full_problem(h))
         assert isinstance(verdict, Feasible)
         committee, deviation = canonical_program3_sets(8, DeviationShape(4, 2))
-        profile = Profile(committee.m, dict(verdict.assignment))
+        profile = Profile(committee.m, {j + 1: w for j, w in verdict.assignment.items()})
         assert verify_lemma2_structure(profile, committee, deviation)
 
     def test_certificate_support_size(self):
@@ -367,7 +367,7 @@ class TestHistorySystem:
     def assert_rows_match(m, k, steps):
         ref_rows, _ = _build_rows(m, k, steps)
         rows = _HistoryRows(m, k, steps)
-        scaled = rows.problem().scaled
+        scaled = rows.problem()
         assert rows.tags == [row.tag for row in ref_rows]
         assert scaled.n_rows == len(ref_rows)
         for i, row in enumerate(ref_rows):
