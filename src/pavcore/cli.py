@@ -144,12 +144,15 @@ def cmd_rule(args) -> int:
     trace_payload = [
         {"W": _labels(w), "T": _labels(t)} for w, t in outcome.trace
     ]
+    rounds = [
+        f"  round {i + 1}: W={{{', '.join(t['W'])}}} fixed T={{{', '.join(t['T'])}}}"
+        for i, t in enumerate(trace_payload)
+    ]
     if not outcome.succeeded:
         _emit(
             args,
             {"rule": args.rule, "status": "failed", "trace": trace_payload},
-            ["failed: the fixed set outgrew the committee size"]
-            + [f"  round {i + 1}: W={t['W']} T={t['T']}" for i, t in enumerate(trace_payload)],
+            ["failed: the fixed set outgrew the committee size"] + rounds,
         )
         return EXIT_CLAIM_FAILS
     from .elections import pav_score
@@ -166,10 +169,7 @@ def cmd_rule(args) -> int:
             "trace": trace_payload,
         },
         [f"committee: {', '.join(outcome.committee.labels())}", f"score: {score}"]
-        + [
-            f"  round {i + 1}: W={{{', '.join(t['W'])}}} fixed T={{{', '.join(t['T'])}}}"
-            for i, t in enumerate(trace_payload)
-        ],
+        + rounds,
     )
     return EXIT_OK
 

@@ -2,30 +2,29 @@
 
 A system is a list of rows ``Ax <= b`` over nonnegative variables: every
 variable is a ballot weight, so ``x >= 0`` is part of every problem without
-any row stating it. Verdicts are produced by an exact two-phase simplex
-whose tableau is fraction-free: each row is a vector of Python ints over
-one positive row denominator, and a pivot updates a row with integer
-products and one gcd (Edmonds 1967; Bareiss 1968), so no `Fraction` is
-made inside the pivot loop. The entering rule falls back to Bland's
-anti-cycling rule when the objective stalls. Infeasibility comes with an
-integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
-and A^T y >= 0, which together rule out every x >= 0) that `verify_farkas`
-checks without any solver, in ints over one common denominator; an optimum
-comes with a point and an LP-duality certificate that `verify_optimum`
-checks exactly.
+any row stating it. Verdicts are produced by an exact two-phase revised
+simplex whose tableau is fraction-free: each row is a vector of Python ints
+over one positive row denominator, and a pivot updates the rows with
+integer products and one gcd per row (Edmonds 1967; Bareiss 1968), so no
+`Fraction` is made inside the pivot loop. The entering rule falls back to
+Bland's anti-cycling rule when the objective stalls. Infeasibility comes
+with an integer Farkas certificate (one multiplier per row, y >= 0 with
+y.b < 0 and A^T y >= 0, which together rule out every x >= 0) that
+`verify_farkas` checks without any solver, in ints over one common
+denominator; an optimum comes with a point and an LP-duality certificate
+that `verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_Problem`); column j is variable j.
-One pricing kernel (`_Problem.column_gaps`) computes ``G^T y - c`` for every
-column exactly, with integer dot products: for column activation, for the
-optimum check, and for the certificate check of the searches in `proofs`.
-Wide systems (many variables, few rows) are solved by column activation:
-the simplex works on a growing subset of columns, and after each verdict
-every column of the full system is priced to either confirm the verdict or
-activate violated columns. Setting a variable to zero preserves
-feasibility, so a feasible restricted system is feasible in full; an
-infeasibility ray or an optimum's duals that price clean on every column
-hold for the full system.
+The systems are short and wide (tens of rows, up to thousands of
+columns), so the tableau (`_Master`) holds only the basis inverse: the
+slack and artificial columns and the right-hand side, one row per
+constraint. A structural column's tableau column is formed only when it
+enters. One pricing kernel (`_Problem.column_gaps`) computes
+``G^T y - c`` for every column exactly, with integer dot products: on
+every pivot, against the objective row's duals, for the optimum check, and
+for the certificate check of the searches in `proofs`. A verdict is thus
+always reached with every column priced clean, as in a dense tableau.
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 _Q0 = Fraction(0)
-
-#: Systems with at most this many variables are solved with all columns
-#: active from the start; larger ones go through column activation.
-DENSE_COLUMN_LIMIT = 280
-
-#: How many violated columns to activate per pricing round.
-ACTIVATION_BATCH = 64
 
 #: Integer sums below this bound cannot overflow int64.
 _INT64_SAFE = 2**62
@@ -163,191 +155,7 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex on the active-column master problem.
-
-
-#: Consecutive non-improving pivots tolerated before switching the
-#: entering rule from steepest (Dantzig) to Bland's rule, which cannot
-#: cycle; the verdict itself is exact either way.
-_DEGENERACY_LIMIT = 12
-
-
-class _Master:
-    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0``, in integers.
-
-    Row i of ``G x <= h`` reads ``block[i] . x <= scales[i] * rhs[i]``, as
-    in `_Problem`: an integer ``block`` (int64 or Python ints), positive
-    integer scales and exact right-hand sides; column j of ``block`` is
-    column ``keys[j]`` of the problem. Each tableau row, and the objective
-    row below them, is a numpy object array of Python ints over one
-    positive row denominator, kept in lowest terms: a pivot updates every
-    other row without division and then divides it by one gcd. The
-    entering column is chosen by most-negative reduced cost until the
-    objective stalls, after which Bland's least-index rule takes over,
-    guaranteeing termination. The reduced costs share the objective row's
-    denominator, so their numerators decide; ratios compare by
-    cross-multiplication. Values leave the tableau as `Fraction`s.
-    """
-
-    def __init__(self, keys, block, scales, rhs):
-        self.keys = list(keys)
-        self.block = block
-        self.scales = scales
-        self.rhs = rhs
-        self.n_rows, self.n_struct = block.shape
-
-    def solve(self, objective_per_key=None):
-        """Run two-phase simplex; return a result tuple.
-
-        ("infeasible", ray)       ray over the rows, all >= 0
-        ("optimal", x, value, duals)  x sparse over keys; duals over rows
-        ("unbounded",)
-        """
-        R, S = self.n_rows, self.n_struct
-        h = [b * s for b, s in zip(self.rhs, self.scales)]
-        sigma = [1 if b >= 0 else -1 for b in h]
-        art_rows = [i for i in range(R) if sigma[i] < 0]
-        width = S + R + len(art_rows)
-        # Column layout: structural | slacks | artificials | rhs. Row i is
-        # sigma_i times original row i, over den[i]; row R is the objective.
-        tab = np.zeros((R + 1, width + 1), dtype=object)
-        mult = np.array([si * b.denominator for si, b in zip(sigma, h)], dtype=object)
-        tab[:R, :S] = self.block.astype(object) * mult[:, None]
-        den = [b.denominator * s for b, s in zip(h, self.scales)] + [1]
-        for i in range(R):
-            tab[i, S + i] = sigma[i] * den[i]
-            tab[i, width] = sigma[i] * h[i].numerator
-        basis = [S + i for i in range(R)]
-        for a, i in enumerate(art_rows):
-            tab[i, S + R + a] = den[i]
-            basis[i] = S + R + a
-        for i in range(R):
-            _lowest_terms(tab, den, i, den[i])
-
-        # Phase 1: minimize the sum of artificials.
-        tab[R, S + R : width] = 1
-        for i in art_rows:
-            _eliminate(tab, den, R, i, basis[i])
-        self._pivot_loop(tab, den, basis, allowed=width)
-        if tab[R, width] < 0:
-            # Farkas ray: phase-1 reduced costs of the slack columns.
-            ray = [Fraction(tab[R, S + i], den[R]) for i in range(R)]
-            return ("infeasible", ray)
-
-        # Drive leftover artificial basics out (degenerate pivots).
-        for i in range(R):
-            if basis[i] >= S + R:
-                nonzero = np.flatnonzero(tab[i, : S + R])
-                if nonzero.size:
-                    self._pivot(tab, den, basis, i, int(nonzero[0]))
-                # An all-zero row is redundant; its artificial stays at 0.
-
-        if objective_per_key is None:
-            x = self._extract(tab, den, basis)
-            return ("optimal", x, Fraction(0), self._duals(tab, den))
-
-        # Phase 2 objective row, reduced against the basis.
-        cost = [Fraction(objective_per_key.get(key, 0)) for key in self.keys]
-        den[R] = math.lcm(1, *(c.denominator for c in cost))
-        tab[R] = 0
-        tab[R, :S] = [c.numerator * (den[R] // c.denominator) for c in cost]
-        for i, b in enumerate(basis):
-            if b < S and tab[R, b]:
-                _eliminate(tab, den, R, i, b)
-        status = self._pivot_loop(tab, den, basis, allowed=S + R)
-        if status == "unbounded":
-            return ("unbounded",)
-        x = self._extract(tab, den, basis)
-        value = _Q0
-        for key, v in x.items():
-            c = objective_per_key.get(key)
-            if c:
-                value += c * v
-        return ("optimal", x, value, self._duals(tab, den))
-
-    def _pivot_loop(self, tab, den, basis, allowed):
-        R = self.n_rows
-        bland = False
-        stall = 0
-        while True:
-            costs = tab[R, :allowed]
-            if bland:
-                negative = np.flatnonzero(costs < 0)
-                enter = int(negative[0]) if negative.size else -1
-            else:
-                enter = int(np.argmin(costs))
-                if not costs[enter] < 0:
-                    enter = -1
-            if enter < 0:
-                return "optimal"
-            # Least ratio rhs / entry over positive entries; the row
-            # denominator cancels in each ratio.
-            leave = -1
-            for i in np.flatnonzero(tab[:R, enter] > 0):
-                a, b = tab[i, enter], tab[i, -1]
-                if leave >= 0:
-                    mine, best = b * best_a, best_b * a
-                    if mine > best or (mine == best and basis[i] > basis[leave]):
-                        continue
-                leave, best_a, best_b = i, a, b
-            if leave < 0:
-                return "unbounded"
-            if not bland:
-                stall = stall + 1 if best_b == 0 else 0
-                if stall > _DEGENERACY_LIMIT:
-                    bland = True
-            self._pivot(tab, den, basis, int(leave), enter)
-
-    @staticmethod
-    def _pivot(tab, den, basis, pivot_row, pivot_col):
-        row = tab[pivot_row]
-        if row[pivot_col] < 0:
-            np.negative(row, out=row)
-        # Scaled so its pivot entry is its denominator, the row reads 1 there.
-        _lowest_terms(tab, den, pivot_row, row[pivot_col])
-        for i in np.flatnonzero(tab[:, pivot_col]):
-            if i != pivot_row:
-                _eliminate(tab, den, i, pivot_row, pivot_col)
-        basis[pivot_row] = pivot_col
-
-    def _extract(self, tab, den, basis):
-        return {
-            self.keys[b]: Fraction(tab[i, -1], den[i])
-            for i, b in enumerate(basis)
-            if b < self.n_struct and tab[i, -1]
-        }
-
-    def _duals(self, tab, den):
-        # Tableau row i is sigma_i times original row i, and so is the
-        # slack column of row i. The reduced cost of that slack is thus
-        # -y_i for the multiplier y_i of the original row, whatever the
-        # sign of sigma_i. At a minimum, y <= 0 and c - G^T y >= 0.
-        R, S = self.n_rows, self.n_struct
-        return [Fraction(-tab[R, S + i], den[R]) for i in range(R)]
-
-
-def _eliminate(tab, den, i, r, c):
-    """Subtract from row i the multiple of row r that zeroes column c;
-    row r must read 1 there, i.e. hold its positive denominator q:
-    ``N[i]/d[i] - (N[i,c]/d[i]) * N[r]/q = (q*N[i] - N[i,c]*N[r]) / (d[i]*q)``.
-    """
-    q = tab[r, c]
-    tab[i] = q * tab[i] - tab[i, c] * tab[r]
-    _lowest_terms(tab, den, i, den[i] * q)
-
-
-def _lowest_terms(tab, den, i, d):
-    """Give row i the denominator ``d > 0``, dividing out the gcd of the
-    row and ``d``."""
-    g = math.gcd(d, *tab[i])
-    if g > 1:
-        tab[i] //= g
-        d //= g
-    den[i] = d
-
-
-# ---------------------------------------------------------------------------
-# Column activation around the master problem.
+# The problem and its pricing kernel.
 
 
 class _Problem:
@@ -365,10 +173,9 @@ class _Problem:
         self.scales = list(scales)
         self.rhs = [Fraction(v) for v in rhs]
         self.lcm_scale = math.lcm(1, *self.scales)
+        #: ``weights[i] * matrix[i]`` is row i over ``lcm_scale``.
+        self.weights = [self.lcm_scale // s for s in self.scales]
         self.max_abs = int(np.abs(matrix).max(initial=0))
-
-    def master(self, active: Sequence[int]) -> _Master:
-        return _Master(active, self.matrix[:, active], self.scales, self.rhs)
 
     def column_gaps(self, y, c: Optional[Mapping[int, Fraction]] = None):
         """Exact ``factor * (G^T y - c)`` for every column, ``factor > 0``.
@@ -385,8 +192,7 @@ class _Problem:
         )
         factor = denom * self.lcm_scale
         scaled = [
-            u.numerator * (denom // u.denominator) * (self.lcm_scale // s)
-            for u, s in zip(y, self.scales)
+            u.numerator * (denom // u.denominator) * w for u, w in zip(y, self.weights)
         ]
         costs = [v.numerator * (factor // v.denominator) for v in c.values()]
         bound = sum(abs(s) for s in scaled) * max(self.max_abs, 1)
@@ -430,39 +236,222 @@ class _Problem:
             for t, s, b in zip(sums, self.scales, self.rhs)
         )
 
-    def initial_active(self, seed: Optional[Sequence[int]]) -> list[int]:
-        n = self.n_vars
-        if n <= DENSE_COLUMN_LIMIT:
-            return list(range(n))
-        active = sorted({j for j in seed or () if 0 <= j < n})
-        return active or list(range(min(n, ACTIVATION_BATCH)))
+
+# ---------------------------------------------------------------------------
+# Revised exact two-phase simplex over every column of a problem.
 
 
-def _activate(problem: _Problem, seed_columns, objective=None):
-    """Column activation: solve the master on the active columns, price
-    every column exactly against its verdict, and activate the worst
-    violated columns until none is left.
+#: Consecutive non-improving pivots tolerated before switching the
+#: entering rule from steepest (Dantzig) to Bland's rule, which cannot
+#: cycle; the verdict itself is exact either way.
+_DEGENERACY_LIMIT = 12
 
-    ``objective`` maps column positions to costs to minimize; without one
-    the master only decides feasibility, and a feasible verdict needs no
-    pricing, since zero on the inactive columns satisfies every row.
-    Returns the last master result and its active columns.
+
+class _Master:
+    """Revised exact simplex for ``min c.x`` over the rows of a `_Problem`
+    and ``x >= 0``, in integers, with every column of the problem.
+
+    Row i, ``(G_i / s_i) . x <= h_i`` for the matrix ``G``, the row scales
+    ``s`` and the right-hand sides ``h``, is an equation with a slack,
+    times the sign ``sigma_i`` that makes its right-hand side nonnegative,
+    plus an artificial when ``sigma_i < 0``. The basis is ``B``. The
+    tableau keeps only the columns a structural column does not
+    determine: the slack block ``T = B^-1 diag(sigma)``, the artificials,
+    the right-hand side and one scratch column, in R constraint rows and
+    an objective row. Each row is a numpy object array of Python ints over
+    one positive row denominator, kept in lowest terms.
+
+    The tableau column of structural column j is ``T (G_j / s)``, formed in
+    the scratch column only for the column that enters. The objective
+    row's slack entries are the negated duals, so every pivot prices all
+    structural columns at once against them (`_Problem.violations`). The
+    entering column is the most negative reduced cost (ties to the lower
+    index, structurals before slacks before artificials) until the
+    objective stalls, after which Bland's least-index rule takes over,
+    guaranteeing termination. Values leave the tableau as `Fraction`s.
     """
-    active = problem.initial_active(seed_columns)
-    while True:
-        result = problem.master(active).solve(objective)
-        if len(active) == problem.n_vars or result[0] == "unbounded":
-            return result, active
-        if result[0] == "infeasible":
-            violated = problem.violations(result[1])
-        elif objective is None:
-            return result, active
-        else:
-            violated = problem.violations(result[3], objective)
-        if not violated:
-            return result, active
-        # Exactness guarantees violated columns are inactive.
-        active = sorted(set(active).union(violated[:ACTIVATION_BATCH]))
+
+    def __init__(self, problem: _Problem):
+        self.problem = problem
+        self.n_rows, self.n_struct = problem.n_rows, problem.n_vars
+
+    def solve(self, objective=None):
+        """Run two-phase simplex; ``objective`` maps columns to costs to
+        minimize, and without one only feasibility is decided.
+
+        ("infeasible", ray)       ray over the rows, all >= 0
+        ("optimal", x, value, duals)  x sparse over columns; duals over rows
+        ("unbounded",)
+        """
+        R, S = self.n_rows, self.n_struct
+        rhs = self.problem.rhs
+        art_rows = [i for i in range(R) if rhs[i] < 0]
+        A = len(art_rows)
+        # Column layout: slacks | artificials | rhs | scratch. Row i is
+        # sigma_i times problem row i with its slack, over den[i].
+        tab = np.zeros((R + 1, R + A + 2), dtype=object)
+        den = np.array([b.denominator for b in rhs] + [1], dtype=object)
+        basis = [S + i for i in range(R)]
+        for i, b in enumerate(rhs):
+            tab[i, i] = den[i] if b >= 0 else -den[i]
+            tab[i, R + A] = abs(b.numerator)
+        for a, i in enumerate(art_rows):
+            tab[i, R + a] = den[i]
+            basis[i] = S + R + a
+
+        # Phase 1: minimize the sum of artificials.
+        tab[R, R : R + A] = 1
+        for i in art_rows:
+            _subtract(tab, den, R, i, 1)
+        self._pivot_loop(tab, den, basis, {}, allowed=R + A)
+        if tab[R, R + A] < 0:
+            # Farkas ray: phase-1 reduced costs of the slack columns.
+            return ("infeasible", [Fraction(v, den[R]) for v in tab[R, :R]])
+        if objective is None:
+            # Artificials left basic are at zero: x satisfies every row.
+            return ("optimal", self._extract(tab, den, basis), _Q0, [])
+
+        # Drive leftover artificial basics out (degenerate pivots): enter
+        # the first structural column with a nonzero entry in the row, else
+        # the first such slack, which exists since the slack block is
+        # nonsingular.
+        for i in range(R):
+            if basis[i] >= S + R:
+                struct = np.flatnonzero(self.problem.column_gaps(tab[i, :R].tolist()))
+                if struct.size:
+                    j = int(struct[0])
+                    self._pivot(tab, den, basis, i, j, self._load(tab, den, j, 1, {}))
+                else:
+                    k = int(np.flatnonzero(tab[i, :R])[0])
+                    tab[:, -1] = tab[:, k]
+                    self._pivot(tab, den, basis, i, S + k, 1)
+
+        # Phase 2 objective row, reduced against the basis.
+        cost = {j: Fraction(c) for j, c in objective.items() if c}
+        tab[R] = 0
+        den[R] = 1
+        for i, b in enumerate(basis):
+            if b in cost:
+                _subtract(tab, den, R, i, cost[b])
+        if self._pivot_loop(tab, den, basis, cost, allowed=R) == "unbounded":
+            return ("unbounded",)
+        x = self._extract(tab, den, basis)
+        value = sum((cost[j] * v for j, v in x.items() if j in cost), _Q0)
+        # Tableau row i is sigma_i times problem row i, and so is the slack
+        # column of row i. The reduced cost of that slack is thus -y_i for
+        # the multiplier y_i of the problem row, whatever the sign of
+        # sigma_i. At a minimum, y <= 0 and c - G^T y >= 0.
+        return ("optimal", x, value, [Fraction(-v, den[R]) for v in tab[R, :R]])
+
+    def _load(self, tab, den, j, dc, cost):
+        """Write structural column j into the scratch column, with its
+        reduced cost in the objective row; ``dc`` is a common denominator
+        of the costs. Returns the scale of the column: entry i is over
+        ``den[i] * scale``."""
+        R, L, w = self.n_rows, self.problem.lcm_scale, self.problem.weights
+        g = self.problem.matrix[:, j]
+        rows = np.flatnonzero(g)
+        col = [w[i] * v for i, v in zip(rows.tolist(), g[rows].tolist())]
+        tab[:, -1] = (tab[:, rows] @ np.array(col, dtype=object)) * dc
+        if j in cost:
+            tab[R, -1] += int(cost[j] * dc) * den[R] * L
+        return dc * L
+
+    def _pivot_loop(self, tab, den, basis, cost, allowed):
+        """Pivot until no column prices negative. ``cost`` holds the
+        structural costs; the objective row holds the others, and only its
+        first ``allowed`` stored columns may enter."""
+        R, S = self.n_rows, self.n_struct
+        dc = math.lcm(1, *(c.denominator for c in cost.values()))
+        bland = False
+        stall = 0
+        while True:
+            # Reduced costs times den[R]: c_j * den[R] - (G^T y)_j, with y
+            # the negated slack entries of the objective row.
+            priced = self.problem.violations(
+                (-tab[R, :R]).tolist(), {j: c * den[R] for j, c in cost.items()}
+            )
+            negative = np.flatnonzero(tab[R, :allowed] < 0)
+            enter = -1
+            if priced:
+                enter = min(priced) if bland else priced[0]
+                scale = self._load(tab, den, enter, dc, cost)
+            if negative.size and (enter < 0 or not bland):
+                k = negative[0] if bland else negative[np.argmin(tab[R, negative])]
+                # A stored column enters only if it prices strictly lower.
+                if enter < 0 or tab[R, k] * scale < tab[R, -1]:
+                    enter, scale = S + int(k), 1
+                    tab[:, -1] = tab[:, k]
+            if enter < 0:
+                return "optimal"
+            # Least ratio rhs / entry over positive entries; the row
+            # denominators and the scale cancel in each ratio.
+            leave = -1
+            for i in np.flatnonzero(tab[:R, -1] > 0):
+                a, b = tab[i, -1], tab[i, -2]
+                if leave >= 0:
+                    mine, best = b * best_a, best_b * a
+                    if mine > best or (mine == best and basis[i] > basis[leave]):
+                        continue
+                leave, best_a, best_b = i, a, b
+            if leave < 0:
+                return "unbounded"
+            if not bland:
+                stall = stall + 1 if best_b == 0 else 0
+                if stall > _DEGENERACY_LIMIT:
+                    bland = True
+            self._pivot(tab, den, basis, int(leave), enter, scale)
+
+    @staticmethod
+    def _pivot(tab, den, basis, pivot_row, pivot_col, scale):
+        """Make ``pivot_col`` basic in ``pivot_row``. The entering column
+        is in the scratch column, entry i over ``den[i] * scale``.
+
+        Every row i with a nonzero entry ``u_i`` becomes
+        ``(q * N_i - u_i * N_r) / (den[i] * q)`` for the pivot row ``N_r``
+        with its entry ``q > 0``; the scale cancels there. The pivot row
+        itself becomes ``N_r * scale / q``. Each changed row then drops its
+        gcd.
+        """
+        col = tab[:, -1].copy()
+        q = col[pivot_row]
+        row = tab[pivot_row] * (1 if q > 0 else -1)
+        q = abs(q)
+        rows = np.flatnonzero(col)
+        tab[rows] = q * tab[rows] - np.outer(col[rows], row)
+        den[rows] *= q
+        tab[pivot_row] = row * scale
+        den[pivot_row] = q
+        _reduce(tab, den, rows)
+        basis[pivot_row] = pivot_col
+
+    def _extract(self, tab, den, basis):
+        return {
+            b: Fraction(tab[i, -2], den[i])
+            for i, b in enumerate(basis)
+            if b < self.n_struct and tab[i, -2]
+        }
+
+
+def _subtract(tab, den, t, i, c):
+    """Subtract ``c`` times row i from row t, for an exact ``c``:
+    ``N[t]/d[t] - (p/q) N[i]/d[i] = (q d[i] N[t] - p d[t] N[i]) / (q d[i] d[t])``.
+    """
+    p, q = Fraction(c).as_integer_ratio()
+    tab[t] = q * den[i] * tab[t] - p * den[t] * tab[i]
+    den[t] *= q * den[i]
+    _reduce(tab, den, [t])
+
+
+def _reduce(tab, den, rows):
+    """Divide each of ``rows`` and its denominator by their gcd."""
+    block = tab[rows]
+    g = np.array(
+        [math.gcd(d, *row) for d, row in zip(den[rows].tolist(), block.tolist())],
+        dtype=object,
+    )
+    tab[rows] = block // g[:, None]
+    den[rows] //= g
 
 
 def solve_feasibility(problem: _Problem) -> LpVerdict:
@@ -476,33 +465,31 @@ def solve_feasibility(problem: _Problem) -> LpVerdict:
 
 
 def _solve_problem(problem: _Problem):
-    """`solve_feasibility`, also returning the columns active at the end."""
-    result, active = _activate(problem, None)
+    """`solve_feasibility`, also returning the columns priced on each
+    pivot: all of them."""
+    result = _Master(problem).solve()
+    columns = range(problem.n_vars)
     if result[0] == "infeasible":
-        return Infeasible(problem.certificate(result[1])), active
-    return Feasible(result[1]), active
+        return Infeasible(problem.certificate(result[1])), columns
+    return Feasible(result[1]), columns
 
 
-def maximize(
-    problem: _Problem,
-    objective: Mapping[int, Fraction],
-    seed_columns: Optional[Sequence[int]] = None,
-) -> MaximizeResult:
+def maximize(problem: _Problem, objective: Mapping[int, Fraction]) -> MaximizeResult:
     """Exact maximum of ``objective . x`` subject to the rows.
 
-    The objective maps columns to costs; column activation starts from
-    ``seed_columns`` when there are any. Minimization is maximization of
-    the negated objective. Infeasible and unbounded systems are
-    distinguished results. An `Optimal` result carries its LP-duality
-    certificate: multipliers ``y >= 0`` over the rows with ``G^T y >= c``
-    and ``h . y`` equal to the optimum, which `verify_optimum` checks
-    without a solver.
+    The objective maps columns to costs; phase 2 of the simplex that
+    decides feasibility minimizes its negation. Minimization is
+    maximization of the negated objective. Infeasible and unbounded
+    systems are distinguished results. An `Optimal` result carries its
+    LP-duality certificate: multipliers ``y >= 0`` over the rows with
+    ``G^T y >= c`` and ``h . y`` equal to the optimum, which
+    `verify_optimum` checks without a solver.
     """
     if any(not 0 <= j < problem.n_vars for j in objective):
         raise ValueError("objective references an unknown column")
     # The master minimizes the negated objective.
     neg = {j: -Fraction(c) for j, c in objective.items() if c}
-    result, _ = _activate(problem, seed_columns, neg)
+    result = _Master(problem).solve(neg)
     if result[0] == "unbounded":
         return Unbounded()
     if result[0] == "infeasible":

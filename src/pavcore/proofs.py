@@ -17,9 +17,9 @@ machine-checkable evidence either way:
   canonical count vectors (`canonical_continuations`).
 
 Every LP goes one way (`_solve_child`): the symmetry-collapsed quotient
-(`_Quotient`), the exact simplex with column activation, the lift back to
-the full system (`_HistoryRows`), and an exact check of the lifted witness
-or certificate, which raises if the check fails. There is no second solve
+(`_Quotient`), the revised exact simplex (`exactlp`), the lift back to the
+full system (`_HistoryRows`), and an exact check of the lifted witness or
+certificate, which raises if the check fails. There is no second solve
 path to fall back on. One function builds the solver's rows
 (`_type_rows`): over ballot types for the quotient, and over singleton
 classes, where each ballot is its own type, for the full system. Every row
@@ -945,10 +945,9 @@ def _certified_optimum(
     objective: Mapping[int, Fraction],
     sense: str,
     label: str,
-    seeds: Sequence[int],
 ) -> OptimalityRecord:
     sign = 1 if sense == "max" else -1
-    result = maximize(problem, {j: sign * c for j, c in objective.items()}, seeds)
+    result = maximize(problem, {j: sign * c for j, c in objective.items()})
     if not isinstance(result, Optimal):
         raise RuntimeError(f"{label}: expected a bounded optimum, got {result}")
     record = OptimalityRecord(label, sense, sign * result.value, dict(objective), result)
@@ -1064,9 +1063,8 @@ def lemma2_suite() -> Lemma2Report:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
+    # Each program is solved over all 2^m - 1 ballots, from the slack basis.
     problem = _HistoryRows(m, k, history.mask_steps()).problem()
-    # Column activation starts from the witness's ballots, a feasible point.
-    seeds = [mask - 1 for mask, _ in witness.mask_items()]
 
     a, b = sorted(deviation & committee)
     x, y = sorted(deviation - committee)
@@ -1075,7 +1073,7 @@ def lemma2_suite() -> Lemma2Report:
 
     quarter_records = [
         _certified_optimum(
-            problem, {mask - 1: Fraction(1)}, sense, f"{sense} weight of {who}", seeds
+            problem, {mask - 1: Fraction(1)}, sense, f"{sense} weight of {who}"
         )
         for mask, who in ((mask_abx, "abx"), (mask_aby, "aby"))
         for sense in ("max", "min")
@@ -1091,7 +1089,6 @@ def lemma2_suite() -> Lemma2Report:
         {mask - 1: Fraction(1) for mask in bad_masks},
         "max",
         "max total weight of other deviation-meeting ballots",
-        seeds,
     )
     # Weights are nonnegative, so the aggregate optimum bounds each single
     # weight, and its duals (G^T y >= the aggregate objective >= each unit
@@ -1119,7 +1116,6 @@ def lemma2_suite() -> Lemma2Report:
             },
             sense,
             f"{sense} score change when removing c{c + 1}",
-            seeds,
         )
         for c in sorted(committee - deviation)
         for sense in ("max", "min")

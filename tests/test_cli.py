@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from pavcore import rules
 from pavcore.cli import main
+from pavcore.elections import CandidateSet
 from pavcore.exactlp import FarkasCertificate
 from pavcore.fileio import certificate_record_from_dict
 from pavcore.proofs import (
@@ -22,6 +24,7 @@ from pavcore.proofs import (
     enumerate_histories,
     farkas_from_theorem1,
 )
+from pavcore.stability import DeviationReport
 
 from test_exactlp import fraction_verify_farkas
 
@@ -172,6 +175,43 @@ class TestRule:
         for argv in (["rule", bad], ["verify-core", bad, "1"]):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "1/0" in err
+
+    def test_fixed_set_outgrowing_k_exits_1(self, capsys, tmp_path, monkeypatch):
+        # No known profile makes the rule fail (none with m <= 15 can), so a
+        # stub stands in for the deviation search: it objects to every
+        # committee with the next two candidates, and the second objection
+        # takes the fixed set to 4 > k = 2.
+        profile = write_json(
+            tmp_path / "p.json",
+            {"m": 6, "k": 2, "ballots": [{"approve": [1, 2], "count": 3},
+                                         {"approve": [5], "count": 1}]},
+        )
+        objections = []
+
+        def stub(instance, committee, quota):
+            deviation = CandidateSet(0b11 << 2 * len(objections), instance.m)
+            objections.append(committee)
+            return DeviationReport(deviation, Fraction(1), Fraction(1), quota, ())
+
+        monkeypatch.setattr(rules, "find_deviation", stub)
+        code, out, err = run(capsys, "rule", profile, "--rule", "recursive-pav", "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "rule": "recursive-pav",
+            "status": "failed",
+            "trace": [
+                {"W": ["c1", "c2"], "T": ["c1", "c2"]},
+                {"W": ["c1", "c2"], "T": ["c3", "c4"]},
+            ],
+        }
+        objections.clear()
+        code, out, err = run(capsys, "rule", profile, "--rule", "recursive-pav")
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "failed: the fixed set outgrew the committee size",
+            "  round 1: W={c1, c2} fixed T={c1, c2}",
+            "  round 2: W={c1, c2} fixed T={c3, c4}",
+        ]
 
     def test_size_budget(self, capsys, tmp_path):
         big = write_json(

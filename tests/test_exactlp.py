@@ -1,5 +1,6 @@
 """Tests for the exact LP engine: simplex verdicts, certificates, duality."""
 
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import tableau_oracle
 from pavcore import exactlp
 from pavcore.exactlp import (
     FarkasCertificate,
@@ -453,8 +455,8 @@ class TestColumnActivation:
 
     def test_wide_infeasible_system(self):
         # Total weight 1 but every column is capped well below 1/n; the
-        # certificate must touch every cap row, the worst case for column
-        # activation.
+        # certificate must touch every cap row, and the system is as tall as
+        # it is wide.
         n = 600
         rows = [
             Row({j: Fraction(-1) for j in range(n)}, Fraction(-1), ("lo",)),
@@ -480,7 +482,7 @@ class TestColumnActivation:
 class TestLargeEntries:
     def test_entries_beyond_int64_stay_exact(self):
         # x0 <= 1/4 through a 2^70 coefficient, x1 <= 1/4 through a 2^-70
-        # one; 300 columns so that column activation prices every round.
+        # one, so that every pivot prices 300 columns in Python ints.
         n = 300
         rows = [
             Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
@@ -508,8 +510,8 @@ class TestDuals:
         block = np.array([[1, 1], [-1, -1]], dtype=np.int64)
         rhs = [Fraction(2), Fraction(-1)]
         cost = {0: Fraction(1), 1: Fraction(2)}
-        master = _Master([0, 1], block, [1, 1], rhs)
-        status, x, value, duals = master.solve(objective_per_key=cost)
+        master = _Master(_Problem(block, [1, 1], rhs))
+        status, x, value, duals = master.solve(objective=cost)
         assert status == "optimal"
         assert value == 1 and x == {0: 1}
         assert list(duals) == [0, -1]
@@ -521,8 +523,8 @@ class TestDuals:
         assert sum(y * h for y, h in zip(duals, rhs)) == value
 
     def test_wide_maximize_with_negative_rhs_rows(self):
-        # Column activation prices with the duals; a wrong sign on the
-        # negative-rhs rows keeps flagging columns that are already active.
+        # Every pivot prices with the duals; a wrong sign on the
+        # negative-rhs rows flags columns that are already basic.
         n = 300
         rows = [
             Row({j: Fraction(1) for j in range(n)}, Fraction(1), ("up",)),
@@ -535,7 +537,9 @@ class TestDuals:
         assert result.value == Fraction(1, 3)
         assert verify_optimum(problem, {0: Fraction(1)}, result)
 
-    def test_activation_matches_all_columns(self, monkeypatch):
+    def test_activation_matches_all_columns(self):
+        # The full-tableau solver with column activation, activating two
+        # columns per round from five, must find the same optima.
         rng = random.Random(3)
         cases = []
         for _ in range(40):
@@ -552,15 +556,111 @@ class TestDuals:
                 rows.append(Row(coeffs, Fraction(rng.randint(-2, 1), 2), ("r", r)))
             objective = {j: Fraction(rng.randint(-2, 2)) for j in rng.sample(range(n), 4)}
             cases.append((make_problem(rows, n), objective))
-        dense = [maximize(problem, objective) for problem, objective in cases]
-        monkeypatch.setattr(exactlp, "DENSE_COLUMN_LIMIT", 5)
-        monkeypatch.setattr(exactlp, "ACTIVATION_BATCH", 2)
-        for (problem, objective), expected in zip(cases, dense):
+        activated = [
+            tableau_oracle.maximize(problem, objective, dense_limit=5, batch=2)
+            for problem, objective in cases
+        ]
+        for (problem, objective), expected in zip(cases, activated):
             result = maximize(problem, objective)
             assert type(result) is type(expected)
             if isinstance(result, Optimal):
                 assert result.value == expected.value
                 assert verify_optimum(problem, objective, result)
+
+
+def random_lp(rng):
+    """Random rows, some with negative right-hand sides, some all-zero,
+    some repeated (redundant once one copy is tight), and in about one
+    system in six an entry of 2^63 or more; a row capping the total weight
+    half the time, and an objective or none."""
+    n = rng.randint(1, 8) if rng.random() < 0.85 else rng.randint(20, 60)
+    big = rng.random() < 0.17
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.1:
+            coeffs, rhs = {}, Fraction(rng.choice([0, 0, 0, 1, -1]))
+        else:
+            cols = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            coeffs = {
+                j: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for j in cols
+            }
+            if big and rng.random() < 0.4:
+                big_entry = rng.choice([1, -1]) * (2**63 + rng.randint(0, 9))
+                coeffs[cols[0]] = Fraction(big_entry)
+            rhs = Fraction(rng.randint(-3, 4), rng.choice([1, 2, 5]))
+        rows.append(Row(coeffs, rhs, ("r", len(rows))))
+        if rng.random() < 0.15:
+            rows.append(Row(coeffs, rhs, ("r", len(rows))))
+    if rng.random() < 0.5:
+        cap = Fraction(rng.randint(1, 5))
+        rows.append(Row({j: Fraction(1) for j in range(n)}, cap, ("cap",)))
+    objective = None
+    if rng.random() < 0.6:
+        cols = rng.sample(range(n), rng.randint(1, n))
+        objective = {
+            j: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for j in cols
+        }
+    return rows, make_problem(rows, n), objective
+
+
+class TestAgainstTableauOracle:
+    def test_same_verdicts_on_random_systems(self, monkeypatch):
+        object_pricing = []
+        gaps = _Problem.column_gaps
+
+        def spy(self, y, c=None):
+            out = gaps(self, y, c)
+            object_pricing.append(out.dtype == object)
+            return out
+
+        monkeypatch.setattr(_Problem, "column_gaps", spy)
+        pivots = {_Master: [], tableau_oracle.Master: []}
+        for owner, log in pivots.items():
+            pivot = owner._pivot
+
+            def logged(*args, pivot=pivot, log=log):
+                log.append(args[3:5])  # (pivot row, entering column)
+                return pivot(*args)
+
+            monkeypatch.setattr(owner, "_pivot", staticmethod(logged))
+        rng = random.Random(13)
+        kinds = collections.Counter()
+        same_pivots = 0
+        for trial in range(500):
+            rows, problem, objective = random_lp(rng)
+            case = (trial, rows, objective)
+            knobs = rng.choice([{}, {"dense_limit": 3, "batch": 2}])
+            for log in pivots.values():
+                log.clear()
+            if objective is None:
+                result = solve_feasibility(problem)
+                expected = tableau_oracle.solve_feasibility(problem, **knobs)
+            else:
+                result = maximize(problem, objective)
+                expected = tableau_oracle.maximize(problem, objective, **knobs)
+            assert type(result) is type(expected), case
+            if not knobs:
+                # With every column in its tableau, the oracle makes the same
+                # pivots; a feasibility verdict skips its last ones, which
+                # only drive artificials out of the basis.
+                new, old = pivots[_Master], pivots[tableau_oracle.Master]
+                assert new == old[: len(new) if objective is None else None], case
+                same_pivots += 1
+            kinds[type(result).__name__, objective is None] += 1
+            if isinstance(result, Infeasible):
+                assert verify_farkas(rows, result.certificate), case
+            elif isinstance(result, Feasible):
+                assert problem.satisfied_by(result.assignment), case
+            elif isinstance(result, Optimal):
+                assert result.value == expected.value, case
+                assert verify_optimum(problem, objective, result), case
+        assert set(kinds) == {
+            ("Feasible", True), ("Infeasible", True), ("Infeasible", False),
+            ("Optimal", False), ("Unbounded", False),
+        }
+        assert min(kinds.values()) >= 20, kinds
+        assert same_pivots > 200
+        assert any(object_pricing) and not all(object_pricing)
 
 
 class TestVerifyOptimum:
