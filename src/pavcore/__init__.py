@@ -13,7 +13,6 @@ from .elections import (
     Profile,
     harmonic,
     pav_score,
-    swap_delta,
 )
 from .exactlp import (
     FarkasCertificate,
@@ -42,7 +41,6 @@ from .proofs import (
 )
 from .rules import (
     RuleOutcome,
-    all_local_pav,
     global_pav,
     local_pav,
     recursive_pav,
@@ -50,8 +48,6 @@ from .rules import (
 from .stability import (
     DeviationReport,
     Quota,
-    check_special_deviations,
-    deviation_support,
     find_deviation,
 )
 
@@ -75,12 +71,9 @@ __all__ = [
     "Row",
     "RuleOutcome",
     "Unbounded",
-    "all_local_pav",
     "canonical_continuations",
     "check_proposition1",
-    "check_special_deviations",
     "delta_formula",
-    "deviation_support",
     "enumerate_histories",
     "farkas_from_theorem1",
     "find_deviation",
@@ -93,7 +86,6 @@ __all__ = [
     "local_pav",
     "pav_score",
     "recursive_pav",
-    "swap_delta",
     "verify_farkas",
     "verify_lemma2_structure",
 ]

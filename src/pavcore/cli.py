@@ -26,6 +26,7 @@ from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
 from .fileio import (
     CertificateFormatError,
     ProfileFormatError,
+    _read_json,
     format_fraction,
     history_certificate_dict,
     history_certificate_filename,
@@ -367,10 +368,7 @@ def _check_one(path: Path):
 def _is_certificate_file(path: Path) -> bool:
     """Whether a bundle file holds multipliers; every ``*.json`` file of a
     bundle must hold a JSON object."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CertificateFormatError(f"{path}: not a JSON file: {exc}") from exc
+    payload = _read_json(path, CertificateFormatError)
     if not isinstance(payload, dict):
         raise CertificateFormatError(f"{path}: does not hold a JSON object")
     return "multipliers" in payload

@@ -5,8 +5,8 @@ weights are `fractions.Fraction`, candidate sets are immutable bitmasks.
 PAV scores are ints over the one denominator D · lcm(1..k), where D is the
 lcm of the ballot weights' denominators (`Profile.scaled_mask_items`) and k
 the committee size (`harmonic_table`): `mask_pav_score` sums them and
-`first_improving_swap` compares them; `pav_score` and `swap_delta` return
-exact `Fraction`s. Floating point never appears in any value returned from
+`first_improving_swap` compares them; `pav_score` returns an exact
+`Fraction`. Floating point never appears in any value returned from
 this module.
 
 Candidates are 0-indexed internally and rendered 1-indexed (``c1``, ``c2``,
@@ -280,21 +280,6 @@ def mask_pav_score(items: Iterable[tuple[int, int]], w_mask: int, h) -> int:
     `harmonic_table` (L) for at least the committee size: the one score
     kernel of the package's hot loops."""
     return sum(weight * h[(mask & w_mask).bit_count()] for mask, weight in items)
-
-
-def swap_delta(profile: Profile, committee: CandidateSet, x: int, y: int) -> Fraction:
-    """Exact change in PAV score when committee member ``x`` is swapped for ``y``.
-
-    Requires ``x in committee`` and ``y not in committee``.
-    """
-    if committee.m != profile.m:
-        raise ValueError("committee universe does not match profile")
-    if x not in committee:
-        raise ValueError(f"swap source c{x + 1} is not in the committee")
-    if y in committee or not 0 <= y < committee.m:
-        raise ValueError(f"swap target c{y + 1} must be a non-member")
-    swapped = CandidateSet(committee.mask ^ (1 << x) ^ (1 << y), committee.m)
-    return pav_score(profile, swapped) - pav_score(profile, committee)
 
 
 def first_improving_swap(

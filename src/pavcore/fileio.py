@@ -88,14 +88,19 @@ def _mask_to_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def _read_json(path: Union[str, Path], error: type[ValueError]):
+    """The JSON value a file holds. A file that cannot be read, is not
+    UTF-8 or is not JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def load_instance(path: Union[str, Path]) -> ElectionInstance:
     """Read an election from JSON: candidate count, committee size, and
     ballots carrying either exact weights (summing to 1) or voter counts."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProfileFormatError(f"cannot read profile file: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(_read_json(path, ProfileFormatError))
 
 
 def instance_from_dict(data) -> ElectionInstance:
@@ -179,12 +184,8 @@ class CertificateRecord:
     """A certificate file in memory: the rows of its reconstructed system
     plus the multipliers, ready for the solver-free checker."""
 
-    kind: str
-    m: int
-    k: int
     rows: list[Row]
     certificate: FarkasCertificate
-    payload: dict
 
 
 def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
@@ -221,7 +222,7 @@ def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
     raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
 
 
-def _rows_from_payload(payload: dict) -> tuple[str, int, int, list[Row]]:
+def _rows_from_payload(payload: dict) -> list[Row]:
     try:
         m = _integer(payload["m"], CertificateFormatError, "m")
         k = _integer(payload["k"], CertificateFormatError, "k")
@@ -240,13 +241,13 @@ def _rows_from_payload(payload: dict) -> tuple[str, int, int, list[Row]]:
         history = History.from_masks(m, k, steps)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from exc
-    return kind, m, k, history_system(history)
+    return history_system(history)
 
 
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     if not isinstance(payload, dict):
         raise CertificateFormatError("a certificate must be a JSON object")
-    kind, m, k, rows = _rows_from_payload(payload)
+    rows = _rows_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
@@ -256,15 +257,11 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
             f"expected {len(rows)} multipliers, found {len(values)}"
         )
     certificate = FarkasCertificate.from_list(values)
-    return CertificateRecord(kind, m, k, rows, certificate, payload)
+    return CertificateRecord(rows, certificate)
 
 
 def load_certificate(path: Union[str, Path]) -> CertificateRecord:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CertificateFormatError(f"cannot read certificate: {exc}") from exc
-    return certificate_record_from_dict(payload)
+    return certificate_record_from_dict(_read_json(path, CertificateFormatError))
 
 
 def history_certificate_dict(

@@ -728,28 +728,28 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
     return t_mask & w_mask == 0 or (t_mask & ~w_mask).bit_count() <= 1
 
 
-def _finish_feasible(problem, assignment, m, k, steps):
+#: A verified verdict: (witness, None) or (None, certificate). The witness
+#: maps ballot masks to weights; unlike a `Profile`, both halves pickle.
+_Verdict = tuple[Optional[dict[int, Fraction]], Optional[FarkasCertificate]]
+
+
+def _finish_feasible(problem, assignment, m, k, steps) -> _Verdict:
     if not _verify_witness_fast(problem, assignment):
         raise RuntimeError("witness failed exact verification")
     if not _witness_realizes(assignment, m, k, steps):
         raise RuntimeError("witness does not realize the history")
-    items = tuple(
-        (mask, w.numerator, w.denominator)
-        for mask, w in sorted(assignment.items())
-    )
-    return ("feasible", items)
+    return assignment, None
 
 
-def _finish_infeasible(problem, certificate):
+def _finish_infeasible(problem, certificate) -> _Verdict:
     if not _verify_certificate_fast(problem, certificate):
         raise RuntimeError("certificate failed exact verification")
-    items = tuple(sorted(certificate.nonzero.items()))
-    return ("infeasible", (certificate.n_rows, items))
+    return None, certificate
 
 
-def _solve_child(child_rows: _HistoryRows) -> tuple[str, object]:
-    """Solve one history system; returns ("feasible", witness items) or
-    ("infeasible", certificate items).
+def _solve_child(child_rows: _HistoryRows) -> _Verdict:
+    """Solve one history system; returns (witness, None) or
+    (None, certificate).
 
     The LP solved is always the orbit quotient (`_Quotient`); when no two
     candidates are interchangeable it is the full system with its columns
@@ -769,9 +769,9 @@ def _solve_child(child_rows: _HistoryRows) -> tuple[str, object]:
     return _finish_infeasible(problem, lifted)
 
 
-def _bfs_worker(task):
-    """Decide one continuation of one history: ("feasible", witness items)
-    or ("infeasible", certificate items), both verified exactly.
+def _bfs_worker(task) -> _Verdict:
+    """Decide one continuation of one history: (witness, None) or
+    (None, certificate), both verified exactly.
 
     A task carries only masks; the rows are built from them. First steps
     of provably hopeless shapes get their analytic certificate instead of
@@ -861,18 +861,15 @@ def enumerate_histories(
                 else pool.imap(_bfs_worker, tasks)
             )
             frontier = []
-            for done, (child, (kind, payload)) in enumerate(
+            for done, (child, (witness, certificate)) in enumerate(
                 zip(children, outcomes), start=1
             ):
-                if kind == "feasible":
-                    witnesses[child] = Profile(
-                        m, {mask: Fraction(nu, de) for mask, nu, de in payload}
-                    )
+                if witness is not None:
+                    witnesses[child] = Profile(m, witness)
                     histories.append(child)
                     frontier.append(child)
                 else:
-                    n_rows, items = payload
-                    certificates[child] = FarkasCertificate(n_rows, dict(items))
+                    certificates[child] = certificate
                 if out_of_budget() and (done < len(tasks) or frontier):
                     complete = False
                     break
@@ -901,14 +898,10 @@ def history_verdict(history: History) -> HistoryVerdict:
     """
     _check_history_m(history.m)
     rows = _HistoryRows(history.m, history.k, history.mask_steps())
-    kind, payload = _solve_child(rows)
-    if kind == "feasible":
-        profile = Profile(
-            history.m, {mask: Fraction(nu, de) for mask, nu, de in payload}
-        )
-        return HistoryVerdict(history, profile, None)
-    n_rows, items = payload
-    return HistoryVerdict(history, None, FarkasCertificate(n_rows, dict(items)))
+    witness, certificate = _solve_child(rows)
+    if witness is not None:
+        return HistoryVerdict(history, Profile(history.m, witness), None)
+    return HistoryVerdict(history, None, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1000,9 @@ def verify_lemma2_structure(
 
 @dataclass(frozen=True)
 class Lemma2Report:
-    """All optima of the k = 8 structure suite, each certified."""
+    """All 17 optima of the k = 8 structure suite, each certified: four
+    quarter-weight records, one aggregate zero record over every other
+    ballot meeting the deviation, and twelve score-drop records."""
 
     committee: CandidateSet
     deviation: CandidateSet
@@ -1015,7 +1010,6 @@ class Lemma2Report:
     structure_ok: bool
     quarter_records: tuple[OptimalityRecord, ...]
     aggregate_zero_record: OptimalityRecord
-    zero_records: tuple[OptimalityRecord, ...]
     drop_records: tuple[OptimalityRecord, ...]
 
     def all_optima_as_expected(self) -> bool:
@@ -1023,7 +1017,6 @@ class Lemma2Report:
             all(r.optimum == Fraction(1, 4) for r in self.quarter_records)
             and len(self.quarter_records) == 4
             and self.aggregate_zero_record.optimum == 0
-            and all(r.optimum == 0 for r in self.zero_records)
             and all(r.optimum == Fraction(-1, 12) for r in self.drop_records)
             and len(self.drop_records) == 12
         )
@@ -1037,7 +1030,6 @@ class Lemma2Report:
         records = (
             self.quarter_records
             + (self.aggregate_zero_record,)
-            + self.zero_records
             + self.drop_records
         )
         return all(r.verify(problem) for r in records)
@@ -1049,10 +1041,10 @@ def lemma2_suite() -> Lemma2Report:
     All programs live on the rows of the (4, 2) shape's one-step history.
     The two special ballots each carry weight exactly 1/4 (four programs);
     every other ballot meeting the deviation carries weight exactly 0
-    (one aggregate program, whose point and duals also certify each
-    single-ballot maximum); and removing any of the six unnamed committee
-    members changes the score by exactly -1/12 (twelve programs). Every
-    optimum is certified by exact LP duality.
+    (one aggregate program, whose optimum bounds each of them); and
+    removing any of the six unnamed committee members changes the score by
+    exactly -1/12 (twelve programs). Every optimum is certified by exact LP
+    duality.
     """
     k = 8
     history = program3_history(k, DeviationShape(4, 2))
@@ -1090,21 +1082,8 @@ def lemma2_suite() -> Lemma2Report:
         "max",
         "max total weight of other deviation-meeting ballots",
     )
-    # Weights are nonnegative, so the aggregate optimum bounds each single
-    # weight, and its duals (G^T y >= the aggregate objective >= each unit
-    # objective) certify each single maximum with the same point.
-    zero_records = []
-    for mask in bad_masks:
-        record = OptimalityRecord(
-            f"max weight of ballot {mask:#x}",
-            "max",
-            aggregate_record.optimum,
-            {mask - 1: Fraction(1)},
-            aggregate_record.certificate,
-        )
-        if not record.verify(problem):
-            raise RuntimeError(f"{record.label}: optimality certificate failed")
-        zero_records.append(record)
+    # Weights are nonnegative, so an aggregate optimum of 0 puts each of
+    # these ballots at weight 0: it certifies every single-ballot maximum.
 
     drop_records = [
         _certified_optimum(
@@ -1128,6 +1107,5 @@ def lemma2_suite() -> Lemma2Report:
         structure_ok=structure_ok,
         quarter_records=tuple(quarter_records),
         aggregate_zero_record=aggregate_record,
-        zero_records=tuple(zero_records),
         drop_records=tuple(drop_records),
     )

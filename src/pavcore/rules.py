@@ -1,8 +1,8 @@
 """Committee rules built on the PAV objective, all in exact arithmetic.
 
 `local_pav` runs deterministic first-improvement swap search to a
-swap-optimal committee, `global_pav` and `all_local_pav` enumerate all
-committees exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
+swap-optimal committee, `global_pav` enumerates all committees
+exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
 `recursive_pav` repeatedly fixes successful deviations into the committee
 until it is core stable or the fixed set no longer fits. Scores are ints
 over one denominator (`elections.mask_pav_score`), and every swap test is
@@ -122,18 +122,6 @@ def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
         elif score == best:
             winners.append(w_mask)
     return {CandidateSet(mask, m) for mask in winners}
-
-
-def all_local_pav(instance: ElectionInstance) -> set[CandidateSet]:
-    """All committees from which no single swap increases the PAV score."""
-    profile, k, m = instance.profile, instance.k, instance.m
-    _, items = profile.scaled_mask_items()
-    _, h = harmonic_table(k)
-    return {
-        CandidateSet(w_mask, m)
-        for w_mask in _committee_masks(m, k)
-        if first_improving_swap(items, w_mask, w_mask, m, h) is None
-    }
 
 
 def recursive_pav(

@@ -11,7 +11,6 @@ directions out of the search loops.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,15 +73,6 @@ class DeviationReport:
             f"deviation {{{names}}} supported by {self.support} "
             f"({self.quota.value} threshold {self.threshold})"
         )
-
-
-def deviation_support(
-    profile: Profile, committee: CandidateSet, deviation: CandidateSet
-) -> Fraction:
-    """Total weight of ballots that strictly prefer ``deviation`` to the committee."""
-    if not deviation or len(deviation) > committee.m:
-        raise ValueError("deviation must be nonempty")
-    return _supporters(profile, committee.mask, deviation.mask)[0]
 
 
 def _supporters(profile: Profile, w_mask: int, t_mask: int):
@@ -163,54 +153,3 @@ def find_deviation(
             support, backers = _supporters(profile, w_mask, t_mask)
             return _report(m, k, t_mask, support, backers, quota)
     return None
-
-
-def check_special_deviations(
-    instance: ElectionInstance,
-    committee: CandidateSet,
-    quota: Quota = Quota.HARE,
-) -> list[DeviationReport]:
-    """Scan only deviations that are disjoint from the committee or add
-    at most one outsider, returning any that succeed.
-
-    Against a locally swap-optimal committee both shapes are provably
-    hopeless, so the expected result is an empty list.
-    """
-    profile, k, m = instance.profile, instance.k, instance.m
-    if len(committee) != k:
-        raise ValueError(f"committee must have exactly {k} members")
-    w_mask = committee.mask
-    outside = [i for i in range(m) if not (w_mask >> i) & 1]
-    inside = [i for i in range(m) if (w_mask >> i) & 1]
-    seen: set[int] = set()
-    hits: list[DeviationReport] = []
-
-    def consider(t_mask: int) -> None:
-        if t_mask == 0 or t_mask in seen:
-            return
-        seen.add(t_mask)
-        size = t_mask.bit_count()
-        if size > k:
-            return
-        support, backers = _supporters(profile, w_mask, t_mask)
-        if quota.succeeds(support, size, k):
-            hits.append(_report(m, k, t_mask, support, backers, quota))
-
-    # Shape (i): T entirely outside the committee.
-    for size in range(1, min(k, len(outside)) + 1):
-        for combo in itertools.combinations(outside, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            consider(mask)
-    # Shape (ii): at most one member of T is an outsider.
-    for inner_size in range(0, k + 1):
-        for combo in itertools.combinations(inside, inner_size):
-            base = 0
-            for i in combo:
-                base |= 1 << i
-            consider(base)
-            if inner_size < k:
-                for extra in outside:
-                    consider(base | (1 << extra))
-    return hits

@@ -12,7 +12,17 @@ from fractions import Fraction
 
 import pytest
 
-from pavcore.elections import CandidateSet, ElectionInstance, Profile
+from pavcore.elections import (
+    CandidateSet,
+    ElectionInstance,
+    Profile,
+    first_improving_swap,
+    harmonic_table,
+    pav_score,
+)
+from pavcore.proofs import _is_lemma1_shape
+from pavcore.rules import _committee_masks
+from pavcore.stability import Quota, _supporters
 
 
 def cs(indices_1based, m):
@@ -33,6 +43,38 @@ def fraction_swap_delta(items, w_mask, x, y):
         elif has_y and not has_x:
             delta += weight / ((mask & w_mask).bit_count() + 1)
     return delta
+
+
+def score_swap_delta(profile, committee, x, y):
+    """Change in `pav_score` when member x is swapped for non-member y."""
+    swapped = CandidateSet(committee.mask ^ (1 << x) ^ (1 << y), committee.m)
+    return pav_score(profile, swapped) - pav_score(profile, committee)
+
+
+def local_optima(instance):
+    """Every committee from which no single swap raises the PAV score."""
+    _, items = instance.profile.scaled_mask_items()
+    _, h = harmonic_table(instance.k)
+    return {
+        CandidateSet(w_mask, instance.m)
+        for w_mask in _committee_masks(instance.m, instance.k)
+        if first_improving_swap(items, w_mask, w_mask, instance.m, h) is None
+    }
+
+
+def special_deviations(instance, committee):
+    """Every successful Hare deviation T, 1 <= |T| <= k, of a Lemma 1 shape:
+    T is disjoint from the committee or adds at most one outsider. Against
+    a swap-optimal committee the list is empty."""
+    profile, k, m = instance.profile, instance.k, instance.m
+    w_mask = committee.mask
+    return [
+        CandidateSet(t_mask, m)
+        for size in range(1, k + 1)
+        for t_mask in _committee_masks(m, size)
+        if _is_lemma1_shape(w_mask, t_mask)
+        and Quota.HARE.succeeds(_supporters(profile, w_mask, t_mask)[0], size, k)
+    ]
 
 
 @pytest.fixture(scope="session")

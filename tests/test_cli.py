@@ -176,6 +176,15 @@ class TestRule:
             code, _, err = run(capsys, *argv)
             assert code == 2 and "1/0" in err
 
+    def test_undecodable_profile_is_an_input_error(self, capsys, tmp_path):
+        # A UTF-16 byte-order mark is not UTF-8: no profile, and no claim fails.
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(TIED_PAIR_8).encode("utf-16-le"))
+        for argv in (["rule", bad], ["verify-core", bad, "1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error: ")
+            assert "Traceback" not in err
+
     def test_fixed_set_outgrowing_k_exits_1(self, capsys, tmp_path, monkeypatch):
         # No known profile makes the rule fail (none with m <= 15 can), so a
         # stub stands in for the deviation search: it objects to every

@@ -1,6 +1,8 @@
 """Fuzz tests for the profile and certificate readers: on any JSON-like
-payload they either return or raise one of the two format errors."""
+payload they either return or raise one of the two format errors, and so
+do the file readers on a file they cannot decode."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,8 @@ from pavcore.fileio import (
     ProfileFormatError,
     certificate_record_from_dict,
     instance_from_dict,
+    load_certificate,
+    load_instance,
 )
 
 FORMAT_ERRORS = (ProfileFormatError, CertificateFormatError)
@@ -113,3 +117,14 @@ def test_certificate_reader_raises_only_format_errors(payload):
         certificate_record_from_dict(payload)
     except CertificateFormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [(load_instance, ProfileFormatError), (load_certificate, CertificateFormatError)],
+)
+def test_file_readers_refuse_undecodable_bytes(tmp_path, load, error):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark is not UTF-8
+    with pytest.raises(error):
+        load(path)

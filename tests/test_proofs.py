@@ -9,7 +9,6 @@ from pavcore.elections import (
     CandidateSet,
     EnumerationLimitError,
     Profile,
-    swap_delta,
 )
 from pavcore.exactlp import (
     Feasible,
@@ -42,7 +41,7 @@ from pavcore.proofs import (
     _witness_realizes,
 )
 
-from conftest import cs
+from conftest import cs, score_swap_delta
 
 
 def multi_step_histories(count=12):
@@ -286,7 +285,8 @@ def test_lemma2_suite_optima_are_certified():
     report = lemma2_suite()
     assert report.structure_ok
     assert report.all_optima_as_expected()
-    assert len(report.zero_records) == 958
+    # One aggregate program covers the 958 other deviation-meeting ballots.
+    assert len(report.aggregate_zero_record.objective) == 958
     # Every optimum carries a point and exact duals that the check accepts.
     assert report.all_certified()
 
@@ -460,7 +460,8 @@ class TestWitnessRealizes:
         assert _witness_realizes(self.WITNESS, 5, 6, self.STEPS)
         profile = Profile(5, self.WITNESS)
         # Over every ballot, c3 -> c4 gains 1/3 * 1/2 for {c2, c4}.
-        assert swap_delta(profile, CandidateSet(self.W2, 5), 2, 3) == Fraction(1, 6)
+        delta = score_swap_delta(profile, CandidateSet(self.W2, 5), 2, 3)
+        assert delta == Fraction(1, 6)
 
     def test_rejects_an_improving_swap_among_active_ballots(self):
         # The same second step taken first: {c2, c4} is still active.

@@ -13,17 +13,21 @@ from pavcore.elections import (
     Profile,
     harmonic,
     pav_score,
-    swap_delta,
 )
 from pavcore.rules import (
-    all_local_pav,
     global_pav,
     local_pav,
     recursive_pav,
 )
-from pavcore.stability import Quota, check_special_deviations, find_deviation
+from pavcore.stability import Quota, find_deviation
 
-from conftest import cs, fraction_swap_delta
+from conftest import (
+    cs,
+    fraction_swap_delta,
+    local_optima,
+    score_swap_delta,
+    special_deviations,
+)
 from test_stability import PROFILE_SHAPES, brute_force_deviations, random_instance
 
 
@@ -40,7 +44,7 @@ def assert_swap_stable(instance, committee, fixed=None, active=None):
             if y in committee:
                 continue
             if active is None:
-                assert swap_delta(instance.profile, committee, x, y) <= 0
+                assert score_swap_delta(instance.profile, committee, x, y) <= 0
             assert fraction_swap_delta(items, committee.mask, x, y) <= 0
 
 
@@ -179,17 +183,17 @@ class TestGlobalPav:
 
 class TestAllLocalPav:
     def test_unique_9_unique_local(self, unique_9):
-        assert all_local_pav(unique_9) == {cs([1, 2, 5, 6, 7, 8, 9, 10, 11], 11)}
+        assert local_optima(unique_9) == {cs([1, 2, 5, 6, 7, 8, 9, 10, 11], 11)}
 
     def test_droop_6_unique_global_and_local(self, droop_6):
         expected = {cs([1, 2, 5, 6, 7, 8], 8)}
-        assert all_local_pav(droop_6) == expected
+        assert local_optima(droop_6) == expected
         assert global_pav(droop_6) == expected
 
     def test_single_heavy_ballot(self):
         p = Profile(5, {cs([1, 2, 3, 4], 5): 1})
         instance = ElectionInstance(p, k=3)
-        locals_ = all_local_pav(instance)
+        locals_ = local_optima(instance)
         # Exactly the committees maximizing overlap with the ballot.
         assert locals_ == {
             CandidateSet.from_indices(c, 5)
@@ -200,7 +204,7 @@ class TestAllLocalPav:
         rng = random.Random(31337)
         for _ in range(60):
             instance = random_instance(rng, max_m=6)
-            assert global_pav(instance) <= all_local_pav(instance)
+            assert global_pav(instance) <= local_optima(instance)
 
 
 class TestRecursivePav:
@@ -282,7 +286,7 @@ class TestLocalImpliesCore:
             instance = random_instance(rng, max_m=7)
             if instance.k > 7:
                 continue
-            for committee in all_local_pav(instance):
+            for committee in local_optima(instance):
                 assert find_deviation(instance, committee, Quota.HARE) is None
                 checked += 1
         assert checked > 50
@@ -293,5 +297,5 @@ class TestLocalImpliesCore:
             instance = random_instance(rng, max_m=8)
             if instance.k > 8:
                 continue
-            for committee in all_local_pav(instance):
-                assert check_special_deviations(instance, committee) == []
+            for committee in local_optima(instance):
+                assert special_deviations(instance, committee) == []
