@@ -9,6 +9,11 @@ Exit codes are a stable contract: 0 when the run succeeds and the claim
 holds, 1 when the claim fails (deviation found, rule failed, violations or
 a bad certificate), 2 on input errors, 3 when a size or time budget was
 exceeded.
+
+Every prove mode runs through one `proofs.Runner`, so the options mean the
+same in each: ``--threads N`` runs the work on N processes with the same
+output as one, and ``--budget-seconds S`` stops the run S seconds after it
+starts, exiting 3 if work is left (0 always exits 3).
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
-from .elections import EnumerationLimitError
+from .elections import EnumerationLimitError, Profile
 
 # solve_feasibility is not called here; bench/layers.py wraps it by this name.
 from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
@@ -37,12 +43,14 @@ from .fileio import (
     write_certificate,
 )
 from .proofs import (
+    Runner,
+    _decide,
+    _HistoryRows,
     check_proposition1,
     enumerate_histories,
-    history_verdict,
-    inequality_scan,
     iter_shapes,
     program3_history,
+    shape_violations,
 )
 from .rules import global_pav, local_pav, recursive_pav
 from .stability import Quota, find_deviation
@@ -175,11 +183,22 @@ def cmd_rule(args) -> int:
     return EXIT_OK
 
 
+def _budget_exceeded(args, payload: dict) -> int:
+    _emit(args, payload, ["budget exceeded; partial results only"])
+    return EXIT_BUDGET
+
+
 def _prove_inequality(args) -> int:
-    violations = inequality_scan(args.k)
+    with Runner(args.threads, args.budget_seconds) as runner:
+        violations = [
+            v
+            for found in runner.map(partial(shape_violations, args.k), iter_shapes(args.k))
+            for v in found
+        ]
     payload = {
         "mode": "inequality",
         "k": args.k,
+        "complete": runner.complete,
         "violations": [
             {
                 "size": v.shape.size,
@@ -193,6 +212,8 @@ def _prove_inequality(args) -> int:
             for v in violations
         ],
     }
+    if not runner.complete:
+        return _budget_exceeded(args, payload)
     lines = [f"k={args.k}: {len(violations)} violation(s)"]
     for v in violations:
         lines.append(
@@ -213,39 +234,36 @@ def _prove_program3(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    deadline = (
-        None
-        if args.budget_seconds is None
-        else time.monotonic() + args.budget_seconds
-    )
+    shapes = list(iter_shapes(args.k))
+    histories = [program3_history(args.k, shape) for shape in shapes]
     results = []
     all_infeasible = True
-    for shape in iter_shapes(args.k):
-        if deadline is not None and time.monotonic() >= deadline:
-            _emit(
-                args,
-                {"mode": "program3", "k": args.k, "complete": False, "results": results},
-                ["budget exceeded; partial results only"],
-            )
-            return EXIT_BUDGET
-        verdict = history_verdict(program3_history(args.k, shape))
-        entry = {"size": shape.size, "overlap": shape.overlap}
-        if verdict.certificate is not None:
-            # history_verdict returns only certificates it verified exactly.
-            entry["status"] = "infeasible"
-            entry["certificate_verified"] = True
-            if out:
-                name = f"p3_k{args.k}_s{shape.size}_o{shape.overlap}.json"
-                write_certificate(
-                    shape_certificate_dict(args.k, shape, verdict.certificate),
-                    out / name,
-                )
-                entry["file"] = name
-        else:
-            all_infeasible = False
-            entry["status"] = "feasible"
-            entry["witness"] = _witness_entries(verdict.witness)
-        results.append(entry)
+    with Runner(args.threads, args.budget_seconds) as runner:
+        verdicts = runner.map(
+            _decide, [_HistoryRows(h.m, h.k, h.mask_steps()) for h in histories]
+        )
+        for shape, history, (witness, certificate) in zip(shapes, histories, verdicts):
+            entry = {"size": shape.size, "overlap": shape.overlap}
+            if certificate is not None:
+                # _decide returns only certificates it verified exactly.
+                entry["status"] = "infeasible"
+                entry["certificate_verified"] = True
+                if out:
+                    name = f"p3_k{args.k}_s{shape.size}_o{shape.overlap}.json"
+                    write_certificate(
+                        shape_certificate_dict(args.k, shape, certificate),
+                        out / name,
+                    )
+                    entry["file"] = name
+            else:
+                all_infeasible = False
+                entry["status"] = "feasible"
+                entry["witness"] = _witness_entries(Profile(history.m, witness))
+            results.append(entry)
+    if not runner.complete:
+        return _budget_exceeded(
+            args, {"mode": "program3", "k": args.k, "complete": False, "results": results}
+        )
     payload = {
         "mode": "program3",
         "k": args.k,
@@ -402,13 +420,8 @@ def cmd_check_certificates(args) -> int:
         p for p in paths if p.is_file() and _is_certificate_file(p)
     )
     started = time.monotonic()
-    if args.threads > 1 and len(files) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.threads) as pool:
-            results = pool.map(_check_one, files)
-    else:
-        results = [_check_one(p) for p in files]
+    with Runner(args.threads) as runner:
+        results = list(runner.map(_check_one, files))
     elapsed = time.monotonic() - started
     failures = [(name, msg) for name, ok, msg in results if not ok]
     failures += _summary_failures(root, files)

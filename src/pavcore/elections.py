@@ -64,9 +64,6 @@ class CandidateSet:
     def empty(cls, m: int) -> "CandidateSet":
         return cls(0, m)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def _check_same_universe(self, other: "CandidateSet") -> None:
         if self.m != other.m:
             raise ValueError("candidate sets live in different universes")
@@ -185,9 +182,6 @@ class Profile:
             raise ValueError("profile needs at least one voter")
         return cls(m, {mask: Fraction(c, total) for mask, c in merged.items()})
 
-    def ballots(self) -> tuple[CandidateSet, ...]:
-        return tuple(CandidateSet(mask, self.m) for mask in self._weights)
-
     def items(self) -> Iterator[tuple[CandidateSet, Fraction]]:
         for mask, w in self._weights.items():
             yield CandidateSet(mask, self.m), w
@@ -205,9 +199,6 @@ class Profile:
             (mask, w.numerator * (scale // w.denominator))
             for mask, w in self._weights.items()
         ]
-
-    def weight(self, ballot: Union[CandidateSet, int]) -> Fraction:
-        return self._weights.get(_as_mask(ballot, self.m), Fraction(0))
 
     def __len__(self) -> int:
         return len(self._weights)

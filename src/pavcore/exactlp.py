@@ -91,9 +91,6 @@ class Feasible:
 
     assignment: Mapping[int, Fraction]
 
-    def value(self, column: int) -> Fraction:
-        return self.assignment.get(column, Fraction(0))
-
 
 @dataclass(frozen=True)
 class Infeasible:

@@ -90,10 +90,10 @@ def _mask_to_indices(mask: int) -> list[int]:
 
 def _read_json(path: Union[str, Path], error: type[ValueError]):
     """The JSON value a file holds. A file that cannot be read, is not
-    UTF-8 or is not JSON raises ``error``."""
+    UTF-8, is not JSON or nests too deeply to decode raises ``error``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+    except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 
 

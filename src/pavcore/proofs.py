@@ -16,11 +16,14 @@ machine-checkable evidence either way:
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
 
-Every LP goes one way (`_solve_child`): the symmetry-collapsed quotient
-(`_Quotient`), the revised exact simplex (`exactlp`), the lift back to the
-full system (`_HistoryRows`), and an exact check of the lifted witness or
-certificate, which raises if the check fails. There is no second solve
-path to fall back on. One function builds the solver's rows
+Every history system is decided one way (`_decide`), whichever mode asks.
+The shortcut rule: a history of exactly one step of a Lemma 1 shape
+(`_is_lemma1_shape`) gets its Theorem 1 certificate with no LP. Every other
+system goes through the symmetry-collapsed quotient (`_Quotient`), the
+revised exact simplex (`exactlp`) and the lift back to the full system
+(`_HistoryRows`). Either way the result is checked exactly, and a failed
+check raises. Every batch of work runs through one `Runner`, which owns
+the process pool and the time budget. One function builds the solver's rows
 (`_type_rows`): over ballot types for the quotient, and over singleton
 classes, where each ballot is its own type, for the full system. Every row
 carries a tag, and lifts and analytic certificates find rows by their
@@ -44,7 +47,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -176,6 +179,17 @@ def iter_shapes(k: int) -> Iterable[DeviationShape]:
             yield DeviationShape(size, overlap)
 
 
+def shape_violations(k: int, shape: DeviationShape) -> list[InequalityViolation]:
+    """The ballot types of one shape whose swap sum fails to exceed the
+    supporter bound strictly."""
+    bound = supporter_bound(shape, k)
+    return [
+        InequalityViolation(shape, a, b, c, d, bound)
+        for a, b, c, d in _supporter_deltas(shape, k)
+        if d <= bound
+    ]
+
+
 def inequality_scan(k: int) -> list[InequalityViolation]:
     """Exhaustively test the supporter bound for every shape and ballot type.
 
@@ -185,13 +199,7 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    violations = []
-    for shape in iter_shapes(k):
-        bound = supporter_bound(shape, k)
-        for a, b, c, d in _supporter_deltas(shape, k):
-            if d <= bound:
-                violations.append(InequalityViolation(shape, a, b, c, d, bound))
-    return violations
+    return [v for shape in iter_shapes(k) for v in shape_violations(k, shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
 def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
     """The Theorem 1 certificate (`farkas_from_theorem1`) of a one-step
     history. It is valid for every k when the deviation is disjoint from
-    the committee or adds at most one outsider (`_is_lemma1_shape`)."""
+    the committee or adds exactly one outsider (`_is_lemma1_shape`)."""
     ((w_mask, t_mask),) = rows.steps
     shape = DeviationShape(t_mask.bit_count(), (t_mask & w_mask).bit_count())
     alpha = shape.outside
@@ -366,9 +374,6 @@ class History:
     def extended(self, committee: CandidateSet, deviation: CandidateSet) -> "History":
         return History(self.m, self.k, self.steps + ((committee, deviation),))
 
-    def prefix(self, length: int) -> "History":
-        return History(self.m, self.k, self.steps[:length])
-
     def total_deviation_size(self) -> int:
         return sum(len(t) for _, t in self.steps)
 
@@ -383,10 +388,6 @@ class HistoryVerdict:
     history: History
     witness: Optional[Profile]
     certificate: Optional[FarkasCertificate]
-
-    @property
-    def is_history(self) -> bool:
-        return self.witness is not None
 
 
 def program3_history(k: int, shape: DeviationShape) -> History:
@@ -725,7 +726,10 @@ def canonical_continuations(
 
 
 def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
-    return t_mask & w_mask == 0 or (t_mask & ~w_mask).bit_count() <= 1
+    """Whether Lemma 1 rules the deviation out against a swap-optimal
+    committee: T leaves W and is disjoint from it, or adds one outsider."""
+    outside = (t_mask & ~w_mask).bit_count()
+    return outside == 1 or (outside > 1 and not t_mask & w_mask)
 
 
 #: A verified verdict: (witness, None) or (None, certificate). The witness
@@ -733,57 +737,83 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
 _Verdict = tuple[Optional[dict[int, Fraction]], Optional[FarkasCertificate]]
 
 
-def _finish_feasible(problem, assignment, m, k, steps) -> _Verdict:
-    if not _verify_witness_fast(problem, assignment):
-        raise RuntimeError("witness failed exact verification")
-    if not _witness_realizes(assignment, m, k, steps):
-        raise RuntimeError("witness does not realize the history")
-    return assignment, None
+def _decide(rows: _HistoryRows) -> _Verdict:
+    """Decide one history system: (witness, None) or (None, certificate).
 
-
-def _finish_infeasible(problem, certificate) -> _Verdict:
-    if not _verify_certificate_fast(problem, certificate):
+    After the shortcut rule of the module docstring, the orbit quotient is
+    solved and its result lifted. Either way the result is verified against
+    the integer-scaled rows of `_HistoryRows`, a witness also against the
+    election semantics; a failed check raises `RuntimeError`, since it means
+    a bug. Over `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
+    """
+    m, k, steps = rows.m, rows.k, rows.steps
+    _check_history_m(m)
+    if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
+        certificate = _analytic_step1_certificate(rows)
+    else:
+        quotient = _Quotient(m, k, steps)
+        verdict, _ = _solve_problem(quotient.problem())
+        if isinstance(verdict, Feasible):
+            witness = quotient.lift_assignment(verdict.assignment)
+            if not _verify_witness_fast(rows.problem(), witness):
+                raise RuntimeError("witness failed exact verification")
+            if not _witness_realizes(witness, m, k, steps):
+                raise RuntimeError("witness does not realize the history")
+            return witness, None
+        certificate = quotient.lift_certificate(verdict.certificate, rows)
+    if not _verify_certificate_fast(rows.problem(), certificate):
         raise RuntimeError("certificate failed exact verification")
     return None, certificate
 
 
-def _solve_child(child_rows: _HistoryRows) -> _Verdict:
-    """Solve one history system; returns (witness, None) or
-    (None, certificate).
-
-    The LP solved is always the orbit quotient (`_Quotient`); when no two
-    candidates are interchangeable it is the full system with its columns
-    in type order. Its witness or certificate is lifted to the full system
-    and verified exactly against the integer-scaled rows of `_HistoryRows`
-    (a witness also against the election semantics); a failed verification
-    raises `RuntimeError`, since it means a bug, not an input condition.
-    """
-    m, k, steps = child_rows.m, child_rows.k, child_rows.steps
-    quotient = _Quotient(m, k, steps)
-    verdict, _ = _solve_problem(quotient.problem())
-    problem = child_rows.problem()
-    if isinstance(verdict, Feasible):
-        assignment = quotient.lift_assignment(verdict.assignment)
-        return _finish_feasible(problem, assignment, m, k, steps)
-    lifted = quotient.lift_certificate(verdict.certificate, child_rows)
-    return _finish_infeasible(problem, lifted)
-
-
 def _bfs_worker(task) -> _Verdict:
-    """Decide one continuation of one history: (witness, None) or
-    (None, certificate), both verified exactly.
-
-    A task carries only masks; the rows are built from them. First steps
-    of provably hopeless shapes get their analytic certificate instead of
-    an LP solve.
-    """
+    """Decide one continuation of one history from a task of masks only,
+    ``(m, k, parent_steps, (w_mask, t_mask))``."""
     m, k, parent_steps, (w_mask, t_mask) = task
-    child = _HistoryRows(m, k, parent_steps).child(w_mask, t_mask)
-    if not parent_steps and _is_lemma1_shape(w_mask, t_mask):
-        return _finish_infeasible(
-            child.problem(), _analytic_step1_certificate(child)
+    return _decide(_HistoryRows(m, k, parent_steps).child(w_mask, t_mask))
+
+
+class Runner:
+    """Runs the batches of tasks of a proof mode or a check.
+
+    With one thread each batch runs inline. With more, one process pool
+    starts at the first batch of two or more tasks and stops when the
+    runner closes. Results come back in task order either way, and only
+    while the time budget, counted from the runner's creation, lasts; a
+    batch it cuts short sets ``complete`` to False.
+    """
+
+    def __init__(self, threads: int = 1, budget_seconds: Optional[float] = None):
+        self.threads = threads
+        self.deadline = (
+            None if budget_seconds is None else time.monotonic() + budget_seconds
         )
-    return _solve_child(child)
+        self.complete = True
+        self._pool = None
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            # Every result taken has been used; stop whatever still runs.
+            self._pool.terminate()
+            self._pool.join()
+
+    def map(self, func, tasks: Iterable) -> Iterator:
+        """``func(task)`` for each task in order, while the budget lasts."""
+        tasks = list(tasks)
+        if self.threads > 1 and len(tasks) > 1 and self._pool is None:
+            import multiprocessing
+
+            # Spawned, not forked: the parent may hold threads (numpy's).
+            self._pool = multiprocessing.get_context("spawn").Pool(self.threads)
+        results = map(func, tasks) if self._pool is None else self._pool.imap(func, tasks)
+        for _ in tasks:
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                self.complete = False
+                return
+            yield next(results)
 
 
 @dataclass
@@ -812,41 +842,24 @@ def enumerate_histories(
     """Breadth-first search over canonical continuations.
 
     Feasible continuations become histories and are expanded further;
-    infeasible ones are recorded with a verified Farkas certificate. At the
-    first level, shapes that provably cannot support a deviation from a
-    swap-optimal committee receive their analytic certificate instead of an
-    LP solve. The result includes the empty history.
+    infeasible ones are recorded with a verified Farkas certificate, each
+    decided by `_decide`. The result includes the empty history.
 
-    Each (history, continuation) pair is one `_bfs_worker` task, run inline
-    or, with ``threads > 1``, on a process pool; results are taken in task
-    order, so both give the same result. The time budget is checked after
-    every task: when it runs out, the search stops and the result is
+    Each level is one batch of `_bfs_worker` tasks, one per (history,
+    continuation) pair, on one `Runner` for the whole search. When the
+    budget runs out with tasks left, the search stops and the result is
     flagged incomplete.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     _check_history_m(m)
-    start = time.monotonic()
-
-    def out_of_budget() -> bool:
-        return (
-            budget_seconds is not None
-            and time.monotonic() - start > budget_seconds
-        )
-
     root = History(m, k, ())
     histories = [root]
     certificates: dict[History, FarkasCertificate] = {}
     witnesses: dict[History, Profile] = {}
     frontier = [root]
-    complete = True
-    pool = None
-    if threads > 1:
-        import multiprocessing as mp
-
-        pool = mp.Pool(threads)
-    try:
-        while frontier and complete:
+    with Runner(threads, budget_seconds) as runner:
+        while frontier and runner.complete:
             children = []
             tasks = []
             for parent in frontier:
@@ -855,14 +868,9 @@ def enumerate_histories(
                     tasks.append(
                         (m, k, parent.mask_steps(), (committee.mask, deviation.mask))
                     )
-            outcomes = (
-                map(_bfs_worker, tasks)
-                if pool is None
-                else pool.imap(_bfs_worker, tasks)
-            )
             frontier = []
-            for done, (child, (witness, certificate)) in enumerate(
-                zip(children, outcomes), start=1
+            for child, (witness, certificate) in zip(
+                children, runner.map(_bfs_worker, tasks)
             ):
                 if witness is not None:
                     witnesses[child] = Profile(m, witness)
@@ -870,38 +878,28 @@ def enumerate_histories(
                     frontier.append(child)
                 else:
                     certificates[child] = certificate
-                if out_of_budget() and (done < len(tasks) or frontier):
-                    complete = False
-                    break
-    finally:
-        if pool is not None:
-            # Every result read has been used; stop whatever still runs.
-            pool.terminate()
-            pool.join()
     return HistorySearchResult(
         m=m,
         k=k,
         histories=histories,
         certificates=certificates,
         witnesses=witnesses,
-        complete=complete,
+        complete=runner.complete,
     )
 
 
 def history_verdict(history: History) -> HistoryVerdict:
-    """Decide whether a potential history is realizable by some profile.
-
-    Feasible systems yield an exact witness profile (re-checked directly
-    against the election semantics); infeasible ones yield a verified
-    Farkas certificate for the canonical system. Systems over more than
-    `MAX_HISTORY_M` candidates raise `EnumerationLimitError`.
+    """Decide whether a potential history is realizable by some profile
+    (`_decide`): an exact witness profile, re-checked against the election
+    semantics, or a verified Farkas certificate for the canonical system.
+    Systems over more than `MAX_HISTORY_M` candidates raise
+    `EnumerationLimitError`.
     """
-    _check_history_m(history.m)
-    rows = _HistoryRows(history.m, history.k, history.mask_steps())
-    witness, certificate = _solve_child(rows)
-    if witness is not None:
-        return HistoryVerdict(history, Profile(history.m, witness), None)
-    return HistoryVerdict(history, None, certificate)
+    witness, certificate = _decide(
+        _HistoryRows(history.m, history.k, history.mask_steps())
+    )
+    profile = None if witness is None else Profile(history.m, witness)
+    return HistoryVerdict(history, profile, certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ from pavcore.exactlp import FarkasCertificate
 from pavcore.fileio import certificate_record_from_dict
 from pavcore.proofs import (
     DeviationShape,
+    _is_lemma1_shape,
+    canonical_program3_sets,
     enumerate_histories,
     farkas_from_theorem1,
+    history_verdict,
+    iter_shapes,
+    program3_history,
 )
 from pavcore.stability import DeviationReport
 
@@ -86,6 +91,12 @@ def zero_a_needed_multiplier(files, kind):
                 write_json(path, payload)
                 return path
     raise AssertionError(f"no certificate needs the multiplier of a {kind} row")
+
+
+def write_deeply_nested(path):
+    """A file of 100000 ``[``: too deep for the JSON decoder."""
+    path.write_text("[" * 100000, encoding="utf-8")
+    return path
 
 
 def test_python_m_pavcore_runs_the_cli():
@@ -185,6 +196,12 @@ class TestRule:
             assert code == 2 and err.startswith("error: ")
             assert "Traceback" not in err
 
+    def test_deeply_nested_profile_is_an_input_error(self, capsys, tmp_path):
+        deep = write_deeply_nested(tmp_path / "deep.json")
+        code, _, err = run(capsys, "rule", deep)
+        assert code == 2 and err.startswith("error: ") and "deep.json" in err
+        assert "Traceback" not in err
+
     def test_fixed_set_outgrowing_k_exits_1(self, capsys, tmp_path, monkeypatch):
         # No known profile makes the rule fail (none with m <= 15 can), so a
         # stub stands in for the deviation search: it objects to every
@@ -262,6 +279,26 @@ class TestProveInputs:
         # A zero budget is spent at once in every mode.
         program3 = ["prove", "--mode", "program3", "--k", "3"]
         assert run(capsys, *program3, "--budget-seconds", "0")[0] == 3
+        inequality = ["prove", "--mode", "inequality", "--k", "8"]
+        assert run(capsys, *inequality, "--budget-seconds", "0")[0] == 3
+        # The k = 60 scan takes far longer than its budget, and stops there.
+        started = time.monotonic()
+        code, out, _ = run(
+            capsys, "prove", "--mode", "inequality", "--k", "60", "--budget-seconds", "0.2"
+        )
+        assert code == 3 and out == "budget exceeded; partial results only\n"
+        assert time.monotonic() - started < 5
+
+    @pytest.mark.parametrize("argv", [["program3", "--k", "5"], ["inequality", "--k", "8"]])
+    def test_threads_do_not_change_the_output(self, capsys, tmp_path, argv):
+        outputs = []
+        for threads in (1, 2):
+            bundle = tmp_path / str(threads)
+            code, out, _ = run(
+                capsys, "prove", "--mode", *argv, "--json", "--out", bundle, "--threads", threads
+            )
+            outputs.append((code, out, {p.name: p.read_bytes() for p in bundle.iterdir()}))
+        assert outputs[0] == outputs[1]
 
     def test_program3_caps_the_candidate_count(self, capsys):
         # The first shape, (|T|, |T∩W|) = (1, 0), has m = 41 candidates.
@@ -297,6 +334,21 @@ class TestProgram3:
         masks = [sum(1 << (n - 1) for n in ballot) for ballot in numbers]
         assert masks == sorted(masks) and max(max(b) for b in numbers) == 10
         assert sum(Fraction(b["weight"]) for b in entry["witness"]) == 1
+
+    def test_lemma1_shapes_carry_the_theorem1_certificate(self, capsys, tmp_path):
+        for k in range(1, 6):
+            bundle = tmp_path / f"k{k}"
+            assert run(capsys, "prove", "--mode", "program3", "--k", k, "--out", bundle)[0] == 0
+            for shape in iter_shapes(k):
+                committee, deviation = canonical_program3_sets(k, shape)
+                if not _is_lemma1_shape(committee.mask, deviation.mask):
+                    continue
+                expected = farkas_from_theorem1(k, shape)
+                path = bundle / f"p3_k{k}_s{shape.size}_o{shape.overlap}.json"
+                assert json.loads(path.read_text(encoding="utf-8"))["multipliers"] == [
+                    str(expected.multiplier(i)) for i in range(expected.n_rows)
+                ]
+                assert history_verdict(program3_history(k, shape)).certificate == expected
 
     def test_round_trip(self, capsys, tmp_path):
         bundle = tmp_path / "p3"
@@ -401,6 +453,14 @@ class TestCheckCertificates:
         (tmp_path / "x.json").write_text(content, encoding="utf-8")
         code, _, err = run(capsys, "check-certificates", tmp_path)
         assert code == 2 and "x.json" in err
+
+    def test_deeply_nested_file_is_an_input_error(self, capsys, tmp_path):
+        self.shape_file(tmp_path, 3, DeviationShape(1, 0))
+        write_deeply_nested(tmp_path / "deep.json")
+        code, out, err = run(capsys, "check-certificates", tmp_path)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "deep.json" in err
+        assert "Traceback" not in err
 
     def test_boolean_in_history_is_unreadable(self, capsys, tmp_path):
         write_json(

@@ -26,9 +26,9 @@ class TestCandidateSet:
     def test_set_algebra(self):
         a = CandidateSet.from_indices([0, 1, 2], 5)
         b = CandidateSet.from_indices([2, 3], 5)
-        assert (a & b).indices() == (2,)
-        assert (a | b).indices() == (0, 1, 2, 3)
-        assert (a - b).indices() == (0, 1)
+        assert (a & b).mask == 0b00100
+        assert (a | b).mask == 0b01111
+        assert (a - b).mask == 0b00011
         assert len(a) == 3
         assert 1 in a and 3 not in a
         assert b <= (a | b)
@@ -60,7 +60,7 @@ class TestProfile:
 
     def test_zero_weight_entries_dropped(self):
         p = Profile(3, {cs([1], 3): 1, cs([2], 3): 0})
-        assert p.ballots() == (cs([1], 3),)
+        assert p.mask_items() == ((cs([1], 3).mask, Fraction(1)),)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -72,8 +72,10 @@ class TestProfile:
 
     def test_from_counts_merges_and_normalizes(self):
         p = Profile.from_counts(4, {cs([1, 2], 4): 2, 0b0011: 1, cs([3], 4): 1})
-        assert p.weight(cs([1, 2], 4)) == Fraction(3, 4)
-        assert p.weight(cs([3], 4)) == Fraction(1, 4)
+        assert dict(p.mask_items()) == {
+            cs([1, 2], 4).mask: Fraction(3, 4),
+            cs([3], 4).mask: Fraction(1, 4),
+        }
 
     def test_instance_validates_k(self):
         p = Profile(3, {cs([1], 3): 1})

@@ -252,7 +252,7 @@ class TestSmallVerdicts:
         _, problem = make_system([([1], 1), ([-1], 0)])
         verdict = solve_feasibility(problem)
         assert isinstance(verdict, Feasible)
-        x = verdict.value(0)
+        x = verdict.assignment.get(0, Fraction(0))
         assert 0 <= x <= 1
 
     def test_negative_bound_infeasible(self):
@@ -283,7 +283,10 @@ class TestSmallVerdicts:
         assert isinstance(verdict, Feasible)
         for row in rows:
             total = sum(
-                (coef * verdict.value(j) for j, coef in row.coeffs.items()),
+                (
+                    coef * verdict.assignment.get(j, Fraction(0))
+                    for j, coef in row.coeffs.items()
+                ),
                 Fraction(0),
             )
             assert total <= row.rhs
@@ -429,7 +432,10 @@ class TestAgainstFourierMotzkin:
                 assert isinstance(verdict, Feasible), f"trial {trial}"
                 for row in built:
                     total = sum(
-                        (c * verdict.value(j) for j, c in row.coeffs.items()),
+                        (
+                            c * verdict.assignment.get(j, Fraction(0))
+                            for j, c in row.coeffs.items()
+                        ),
                         Fraction(0),
                     )
                     assert total <= row.rhs
@@ -449,7 +455,7 @@ class TestColumnActivation:
         ]
         verdict = solve_feasibility(make_problem(rows, n))
         assert isinstance(verdict, Feasible)
-        assert verdict.value(2718) >= Fraction(1, 2)
+        assert verdict.assignment.get(2718, Fraction(0)) >= Fraction(1, 2)
         total = sum(verdict.assignment.values(), Fraction(0))
         assert total == 1
 

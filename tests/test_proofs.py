@@ -324,8 +324,8 @@ class TestHistoryType:
         w = cs([1, 2], 4)
         t = cs([3], 4)
         h = History(4, 2, ((w, t),))
-        assert h.prefix(0).steps == ()
-        assert h.prefix(1) == h
+        assert History(4, 2, h.steps[:0]).steps == ()
+        assert History(4, 2, h.steps[:1]) == h
 
 
 class TestHistorySystem:
@@ -351,7 +351,7 @@ class TestHistorySystem:
             # k <= 5 here, so no history gets past its first step.
             h = History.from_masks(m, k, steps)
             verdict = history_verdict(h)
-            assert not verdict.is_history
+            assert verdict.witness is None
             assert verify_farkas(history_system(h), verdict.certificate)
 
     @pytest.mark.parametrize(
@@ -380,7 +380,15 @@ class TestHistorySystem:
     def test_lemma1_shape_infeasible_at_step_one(self):
         h = History(5, 3, ((cs([1, 2, 3], 5), cs([1, 4], 5)),))
         verdict = history_verdict(h)
-        assert not verdict.is_history
+        assert verdict.witness is None
+        assert verify_farkas(history_system(h), verdict.certificate)
+
+    def test_deviation_inside_the_committee_is_refuted(self):
+        # No ballot strictly prefers T ⊆ W to W: not a Lemma 1 shape, so
+        # the LP refutes it.
+        h = History(5, 3, ((cs([1, 2, 3], 5), cs([1, 2], 5)),))
+        verdict = history_verdict(h)
+        assert verdict.witness is None
         assert verify_farkas(history_system(h), verdict.certificate)
 
     def test_asymmetric_history_solves_through_the_quotient(self):
@@ -389,7 +397,7 @@ class TestHistorySystem:
         h = program3_history(2, DeviationShape(2, 1))
         assert _Quotient(h.m, h.k, h.mask_steps()).types.shape[0] == (1 << h.m) - 1
         verdict = history_verdict(h)
-        assert not verdict.is_history
+        assert verdict.witness is None
         assert verify_farkas(history_system(h), verdict.certificate)
 
     def test_program3_equals_one_step_history_system(self):
@@ -521,7 +529,7 @@ class TestEnumerateHistories:
             if not hist.steps:
                 continue
             verdict = history_verdict(hist)
-            assert verdict.is_history
+            assert verdict.witness is not None
 
     def test_budget_flagging(self):
         res = enumerate_histories(10, 8, budget_seconds=0.0)
