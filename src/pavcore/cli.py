@@ -231,12 +231,10 @@ def _prove_inequality(args) -> int:
 
 
 def _prove_program3(args) -> int:
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     shapes = list(iter_shapes(args.k))
     histories = [program3_history(args.k, shape) for shape in shapes]
     results = []
+    files = {}
     all_infeasible = True
     with Runner(args.threads, args.budget_seconds) as runner:
         verdicts = runner.map(
@@ -248,12 +246,9 @@ def _prove_program3(args) -> int:
                 # _decide returns only certificates it verified exactly.
                 entry["status"] = "infeasible"
                 entry["certificate_verified"] = True
-                if out:
+                if args.out:
                     name = f"p3_k{args.k}_s{shape.size}_o{shape.overlap}.json"
-                    write_certificate(
-                        shape_certificate_dict(args.k, shape, certificate),
-                        out / name,
-                    )
+                    files[name] = shape_certificate_dict(args.k, shape, certificate)
                     entry["file"] = name
             else:
                 all_infeasible = False
@@ -264,6 +259,12 @@ def _prove_program3(args) -> int:
         return _budget_exceeded(
             args, {"mode": "program3", "k": args.k, "complete": False, "results": results}
         )
+    # A bundle is written only whole: a cut-short run leaves no directory.
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            write_certificate(payload, out / name)
     payload = {
         "mode": "program3",
         "k": args.k,
@@ -393,18 +394,20 @@ def _is_certificate_file(path: Path) -> bool:
 
 
 def _summary_failures(root: Path, files: list[Path]) -> list[tuple[str, str]]:
-    """A ``histories.json`` counts the certificates its search wrote; the
-    directory holding it must hold exactly that many certificate files."""
+    """A ``histories.json`` records a complete search and counts the
+    certificates it wrote; the directory holding it must hold exactly that
+    many certificate files."""
     failures = []
     for summary in sorted(p for p in root.rglob("histories.json") if p.is_file()):
-        expected = json.loads(summary.read_text(encoding="utf-8")).get("certificates")
+        name = summary.relative_to(root).as_posix()
+        data = json.loads(summary.read_text(encoding="utf-8"))
+        if data.get("complete") is not True:
+            failures.append((name, "records an incomplete search"))
+        expected = data.get("certificates")
         found = sum(1 for p in files if summary.parent in p.parents)
         if type(expected) is not int or expected != found:
             failures.append(
-                (
-                    summary.relative_to(root).as_posix(),
-                    f"lists {expected!r} certificates, found {found} certificate files",
-                )
+                (name, f"lists {expected!r} certificates, found {found} certificate files")
             )
     return failures
 

@@ -7,12 +7,13 @@ simplex whose tableau is fraction-free: each row is a vector of Python ints
 over one positive row denominator, and a pivot updates the rows with
 integer products and one gcd per row (Edmonds 1967; Bareiss 1968), so no
 `Fraction` is made inside the pivot loop. The entering rule falls back to
-Bland's anti-cycling rule when the objective stalls. Infeasibility comes
-with an integer Farkas certificate (one multiplier per row, y >= 0 with
-y.b < 0 and A^T y >= 0, which together rule out every x >= 0) that
-`verify_farkas` checks without any solver, in ints over one common
-denominator; an optimum comes with a point and an LP-duality certificate
-that `verify_optimum` checks exactly.
+Bland's anti-cycling rule when the objective stalls. The simplex answers
+with this module's verdict objects. Infeasibility is `Infeasible`, with an
+integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
+and A^T y >= 0, which together rule out every x >= 0) that `verify_farkas`
+checks without any solver, in ints over one common denominator. A maximum
+is `Optimal`, with a point and an LP-duality certificate that
+`verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_Problem`); column j is variable j.
@@ -105,7 +106,7 @@ class Optimal:
 
     value: Fraction
     assignment: Mapping[int, Fraction]
-    duals: tuple[Fraction, ...] = ()
+    duals: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,9 @@ _DEGENERACY_LIMIT = 12
 
 
 class _Master:
-    """Revised exact simplex for ``min c.x`` over the rows of a `_Problem`
-    and ``x >= 0``, in integers, with every column of the problem.
+    """Revised exact simplex for ``max c.x`` over the rows of a `_Problem`
+    and ``x >= 0``, in integers, with every column of the problem. Phase 2
+    minimizes ``-c.x``.
 
     Row i, ``(G_i / s_i) . x <= h_i`` for the matrix ``G``, the row scales
     ``s`` and the right-hand sides ``h``, is an equation with a slack,
@@ -260,7 +262,8 @@ class _Master:
 
     The tableau column of structural column j is ``T (G_j / s)``, formed in
     the scratch column only for the column that enters. The objective
-    row's slack entries are the negated duals, so every pivot prices all
+    row's slack entries are the negated duals of phase 2's minimization,
+    which are the duals of the maximum, so every pivot prices all
     structural columns at once against them (`_Problem.violations`). The
     entering column is the most negative reduced cost (ties to the lower
     index, structurals before slacks before artificials) until the
@@ -273,12 +276,12 @@ class _Master:
         self.n_rows, self.n_struct = problem.n_rows, problem.n_vars
 
     def solve(self, objective=None):
-        """Run two-phase simplex; ``objective`` maps columns to costs to
-        minimize, and without one only feasibility is decided.
+        """Run two-phase simplex. ``objective`` maps columns to costs to
+        maximize; without one only feasibility is decided.
 
-        ("infeasible", ray)       ray over the rows, all >= 0
-        ("optimal", x, value, duals)  x sparse over columns; duals over rows
-        ("unbounded",)
+        Returns `Infeasible` with the certificate of the phase-1 ray,
+        `Feasible` when there is no objective, else `Optimal` with
+        nonnegative duals over the rows, or `Unbounded`.
         """
         R, S = self.n_rows, self.n_struct
         rhs = self.problem.rhs
@@ -303,10 +306,11 @@ class _Master:
         self._pivot_loop(tab, den, basis, {}, allowed=R + A)
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs of the slack columns.
-            return ("infeasible", [Fraction(v, den[R]) for v in tab[R, :R]])
+            ray = [Fraction(v, den[R]) for v in tab[R, :R]]
+            return Infeasible(self.problem.certificate(ray))
         if objective is None:
             # Artificials left basic are at zero: x satisfies every row.
-            return ("optimal", self._extract(tab, den, basis), _Q0, [])
+            return Feasible(self._extract(tab, den, basis))
 
         # Drive leftover artificial basics out (degenerate pivots): enter
         # the first structural column with a nonzero entry in the row, else
@@ -323,22 +327,23 @@ class _Master:
                     tab[:, -1] = tab[:, k]
                     self._pivot(tab, den, basis, i, S + k, 1)
 
-        # Phase 2 objective row, reduced against the basis.
-        cost = {j: Fraction(c) for j, c in objective.items() if c}
+        # Phase 2 minimizes the negated objective; its row is reduced
+        # against the basis.
+        cost = {j: -Fraction(c) for j, c in objective.items() if c}
         tab[R] = 0
         den[R] = 1
         for i, b in enumerate(basis):
             if b in cost:
                 _subtract(tab, den, R, i, cost[b])
         if self._pivot_loop(tab, den, basis, cost, allowed=R) == "unbounded":
-            return ("unbounded",)
+            return Unbounded()
         x = self._extract(tab, den, basis)
-        value = sum((cost[j] * v for j, v in x.items() if j in cost), _Q0)
+        value = -sum((cost[j] * v for j, v in x.items() if j in cost), _Q0)
         # Tableau row i is sigma_i times problem row i, and so is the slack
-        # column of row i. The reduced cost of that slack is thus -y_i for
-        # the multiplier y_i of the problem row, whatever the sign of
-        # sigma_i. At a minimum, y <= 0 and c - G^T y >= 0.
-        return ("optimal", x, value, [Fraction(-v, den[R]) for v in tab[R, :R]])
+        # column of row i. The reduced cost of that slack is thus y_i for
+        # the multiplier y_i >= 0 of the problem row in the maximization,
+        # whatever the sign of sigma_i, with G^T y >= c.
+        return Optimal(value, x, tuple(Fraction(v, den[R]) for v in tab[R, :R]))
 
     def _load(self, tab, den, j, dc, cost):
         """Write structural column j into the scratch column, with its
@@ -464,35 +469,21 @@ def solve_feasibility(problem: _Problem) -> LpVerdict:
 def _solve_problem(problem: _Problem):
     """`solve_feasibility`, also returning the columns priced on each
     pivot: all of them."""
-    result = _Master(problem).solve()
-    columns = range(problem.n_vars)
-    if result[0] == "infeasible":
-        return Infeasible(problem.certificate(result[1])), columns
-    return Feasible(result[1]), columns
+    return _Master(problem).solve(), range(problem.n_vars)
 
 
 def maximize(problem: _Problem, objective: Mapping[int, Fraction]) -> MaximizeResult:
     """Exact maximum of ``objective . x`` subject to the rows.
 
-    The objective maps columns to costs; phase 2 of the simplex that
-    decides feasibility minimizes its negation. Minimization is
-    maximization of the negated objective. Infeasible and unbounded
-    systems are distinguished results. An `Optimal` result carries its
-    LP-duality certificate: multipliers ``y >= 0`` over the rows with
-    ``G^T y >= c`` and ``h . y`` equal to the optimum, which
-    `verify_optimum` checks without a solver.
+    The objective maps columns to costs. Infeasible and unbounded systems
+    are distinguished results. An `Optimal` result carries its LP-duality
+    certificate: multipliers ``y >= 0`` over the rows with ``G^T y >= c``
+    and ``h . y`` equal to the optimum, which `verify_optimum` checks
+    without a solver.
     """
     if any(not 0 <= j < problem.n_vars for j in objective):
         raise ValueError("objective references an unknown column")
-    # The master minimizes the negated objective.
-    neg = {j: -Fraction(c) for j, c in objective.items() if c}
-    result = _Master(problem).solve(neg)
-    if result[0] == "unbounded":
-        return Unbounded()
-    if result[0] == "infeasible":
-        return Infeasible(problem.certificate(result[1]))
-    _, x, value, duals = result
-    return Optimal(-value, x, tuple(-y for y in duals))
+    return _Master(problem).solve(objective)
 
 
 def verify_optimum(

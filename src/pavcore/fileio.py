@@ -3,10 +3,8 @@
 Everything numeric is serialized as exact strings ("p/q" fractions, decimal
 integer strings); floats never touch the disk. A certificate file describes
 its system compactly: candidate count, committee size and the history
-steps (``kind: "history"``). Files of the older ``kind: "shape"``, which
-name a deviation shape instead, are read as the shape's canonical one-step
-history, whose system is the same. The canonical row order, which ends
-with the deviation rows, makes the reconstruction bit-exact. Every
+steps (``kind: "history"``, the only kind). The canonical row order, which
+ends with the deviation rows, makes the reconstruction bit-exact. Every
 variable is nonnegative without any row stating it, so a file holds one
 multiplier per row of the system.
 
@@ -188,40 +186,6 @@ class CertificateRecord:
     certificate: FarkasCertificate
 
 
-def _steps_from_payload(payload: dict, kind: str, m: int, k: int):
-    if kind == "history":
-        steps = payload.get("history")
-        if not isinstance(steps, list) or not all(
-            isinstance(step, dict) and {"W", "T"} <= step.keys() for step in steps
-        ):
-            raise CertificateFormatError("history must be a list of W/T steps")
-        try:
-            return [
-                (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
-                for step in steps
-            ]
-        except ProfileFormatError as exc:
-            raise CertificateFormatError(str(exc)) from exc
-    if kind == "shape":
-        shape_data = payload.get("shape")
-        if not isinstance(shape_data, dict):
-            raise CertificateFormatError("shape certificates need a shape")
-        try:
-            shape = DeviationShape(
-                _integer(shape_data["size"], CertificateFormatError, "size"),
-                _integer(shape_data["overlap"], CertificateFormatError, "overlap"),
-            )
-            history = program3_history(k, shape)
-        except (KeyError, ValueError) as exc:
-            raise CertificateFormatError(str(exc)) from exc
-        if m != history.m:
-            raise CertificateFormatError(
-                "candidate count must equal k plus the outside part"
-            )
-        return history.mask_steps()
-    raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
-
-
 def _rows_from_payload(payload: dict) -> list[Row]:
     try:
         m = _integer(payload["m"], CertificateFormatError, "m")
@@ -236,9 +200,19 @@ def _rows_from_payload(payload: dict) -> list[Row]:
         )
     if not 1 <= k <= m:
         raise CertificateFormatError(f"need 1 <= k <= m, got k={k} m={m}")
-    steps = _steps_from_payload(payload, kind, m, k)
+    if kind != "history":
+        raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
+    steps = payload.get("history")
+    if not isinstance(steps, list) or not all(
+        isinstance(step, dict) and {"W", "T"} <= step.keys() for step in steps
+    ):
+        raise CertificateFormatError("history must be a list of W/T steps")
     try:
-        history = History.from_masks(m, k, steps)
+        masks = [
+            (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
+            for step in steps
+        ]
+        history = History.from_masks(m, k, masks)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from exc
     return history_system(history)

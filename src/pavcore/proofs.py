@@ -424,13 +424,6 @@ def check_proposition1(histories: Iterable[History], k: int) -> bool:
 # Vectorized construction of history systems (exact, integer-scaled).
 
 
-def _swap_scale(k: int) -> int:
-    scale = 1
-    for i in range(1, k + 2):
-        scale = scale * i // math.gcd(scale, i)
-    return scale
-
-
 def _type_rows(
     classes: Sequence[Sequence[int]],
     types: np.ndarray,
@@ -447,10 +440,10 @@ def _type_rows(
     number of those rows. With singleton classes the types are the ballots
     and these are the full system's rows, tagged as `_build_rows` tags
     them. Returns the rows as a `_Problem`, scaled to integers by
-    ``L = lcm(1..k+1)``, whose column j is type j, and one tag per row, both
-    in the canonical row order.
+    ``L = lcm(1..k+1)`` (`harmonic_table`), whose column j is type j, and
+    one tag per row, both in the canonical row order.
     """
-    L = _swap_scale(k)
+    L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
     class_masks = [_prefix_mask(members, len(members)) for members in classes]
     taken = np.ascontiguousarray(types.T)  # taken[i]: members of class i
@@ -606,7 +599,7 @@ class _Quotient:
         its orbit, found by their tags."""
         problem = full.problem()
         index = {tag: i for i, tag in enumerate(full.tags)}
-        raw: dict[int, Fraction] = {}
+        ray = [Fraction(0)] * problem.n_rows
         for row, value in certificate.nonzero.items():
             tag = self.tags[row]
             if tag[0] == "swap":
@@ -620,11 +613,8 @@ class _Quotient:
             else:
                 share, orbit = Fraction(value), [tag]
             for full_tag in orbit:
-                i = index[full_tag]
-                raw[i] = raw.get(i, Fraction(0)) + share
-        denom = math.lcm(1, *(v.denominator for v in raw.values()))
-        nonzero = {i: int(v * denom) for i, v in raw.items() if v}
-        return FarkasCertificate(problem.n_rows, nonzero)
+                ray[index[full_tag]] += share
+        return problem.certificate(ray)
 
 
 def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
@@ -745,32 +735,31 @@ def _decide(rows: _HistoryRows) -> _Verdict:
     the integer-scaled rows of `_HistoryRows`, a witness also against the
     election semantics; a failed check raises `RuntimeError`, since it means
     a bug. Over `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
+    The full rows built for the checks are dropped on return.
     """
     m, k, steps = rows.m, rows.k, rows.steps
     _check_history_m(m)
-    if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
-        certificate = _analytic_step1_certificate(rows)
-    else:
-        quotient = _Quotient(m, k, steps)
-        verdict, _ = _solve_problem(quotient.problem())
-        if isinstance(verdict, Feasible):
-            witness = quotient.lift_assignment(verdict.assignment)
-            if not _verify_witness_fast(rows.problem(), witness):
-                raise RuntimeError("witness failed exact verification")
-            if not _witness_realizes(witness, m, k, steps):
-                raise RuntimeError("witness does not realize the history")
-            return witness, None
-        certificate = quotient.lift_certificate(verdict.certificate, rows)
-    if not _verify_certificate_fast(rows.problem(), certificate):
-        raise RuntimeError("certificate failed exact verification")
-    return None, certificate
-
-
-def _bfs_worker(task) -> _Verdict:
-    """Decide one continuation of one history from a task of masks only,
-    ``(m, k, parent_steps, (w_mask, t_mask))``."""
-    m, k, parent_steps, (w_mask, t_mask) = task
-    return _decide(_HistoryRows(m, k, parent_steps).child(w_mask, t_mask))
+    try:
+        if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
+            certificate = _analytic_step1_certificate(rows)
+        else:
+            quotient = _Quotient(m, k, steps)
+            verdict, _ = _solve_problem(quotient.problem())
+            if isinstance(verdict, Feasible):
+                witness = quotient.lift_assignment(verdict.assignment)
+                if not _verify_witness_fast(rows.problem(), witness):
+                    raise RuntimeError("witness failed exact verification")
+                if not _witness_realizes(witness, m, k, steps):
+                    raise RuntimeError("witness does not realize the history")
+                return witness, None
+            certificate = quotient.lift_certificate(verdict.certificate, rows)
+        if not _verify_certificate_fast(rows.problem(), certificate):
+            raise RuntimeError("certificate failed exact verification")
+        return None, certificate
+    finally:
+        # A decided task keeps only its masks; a batch of tasks would
+        # otherwise hold one full system of 2^m - 1 columns per task.
+        rows._problem = rows.tags = None
 
 
 class Runner:
@@ -845,10 +834,10 @@ def enumerate_histories(
     infeasible ones are recorded with a verified Farkas certificate, each
     decided by `_decide`. The result includes the empty history.
 
-    Each level is one batch of `_bfs_worker` tasks, one per (history,
-    continuation) pair, on one `Runner` for the whole search. When the
-    budget runs out with tasks left, the search stops and the result is
-    flagged incomplete.
+    Each level is one batch of `_decide` tasks on one `Runner` for the
+    whole search: the `_HistoryRows` of each parent, extended by each of
+    its continuations (`_HistoryRows.child`). When the budget runs out with
+    tasks left, the search stops and the result is flagged incomplete.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -863,14 +852,13 @@ def enumerate_histories(
             children = []
             tasks = []
             for parent in frontier:
+                rows = _HistoryRows(m, k, parent.mask_steps())
                 for committee, deviation in canonical_continuations(parent):
                     children.append(parent.extended(committee, deviation))
-                    tasks.append(
-                        (m, k, parent.mask_steps(), (committee.mask, deviation.mask))
-                    )
+                    tasks.append(rows.child(committee.mask, deviation.mask))
             frontier = []
             for child, (witness, certificate) in zip(
-                children, runner.map(_bfs_worker, tasks)
+                children, runner.map(_decide, tasks)
             ):
                 if witness is not None:
                     witnesses[child] = Profile(m, witness)

@@ -4,6 +4,7 @@ Exit codes: 0 when the claim holds, 1 when it fails, 2 on input errors,
 3 when a size or time budget is exceeded.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,14 +12,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from pavcore import rules
+from pavcore import proofs, rules
 from pavcore.cli import main
 from pavcore.elections import CandidateSet
 from pavcore.exactlp import FarkasCertificate
-from pavcore.fileio import certificate_record_from_dict
+from pavcore.fileio import certificate_record_from_dict, history_certificate_dict
 from pavcore.proofs import (
     DeviationShape,
     _is_lemma1_shape,
@@ -289,7 +291,14 @@ class TestProveInputs:
         assert code == 3 and out == "budget exceeded; partial results only\n"
         assert time.monotonic() - started < 5
 
-    @pytest.mark.parametrize("argv", [["program3", "--k", "5"], ["inequality", "--k", "8"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["program3", "--k", "5"],
+            ["inequality", "--k", "8"],
+            ["histories", "--m", "9", "--k", "8"],
+        ],
+    )
     def test_threads_do_not_change_the_output(self, capsys, tmp_path, argv):
         outputs = []
         for threads in (1, 2):
@@ -297,7 +306,12 @@ class TestProveInputs:
             code, out, _ = run(
                 capsys, "prove", "--mode", *argv, "--json", "--out", bundle, "--threads", threads
             )
-            outputs.append((code, out, {p.name: p.read_bytes() for p in bundle.iterdir()}))
+            files = {
+                p.relative_to(bundle).as_posix(): p.read_bytes()
+                for p in bundle.rglob("*")
+                if p.is_file()
+            }
+            outputs.append((code, out, files))
         assert outputs[0] == outputs[1]
 
     def test_program3_caps_the_candidate_count(self, capsys):
@@ -349,6 +363,18 @@ class TestProgram3:
                     str(expected.multiplier(i)) for i in range(expected.n_rows)
                 ]
                 assert history_verdict(program3_history(k, shape)).certificate == expected
+
+    def test_cut_short_run_writes_no_bundle(self, capsys, tmp_path, monkeypatch):
+        # A clock that advances 1 s per reading cuts the run after three
+        # of the 36 shapes; no partial bundle may be left to check.
+        clock = itertools.count()
+        monkeypatch.setattr(proofs, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        bundle = tmp_path / "p3"
+        argv = ["prove", "--mode", "program3", "--k", 8, "--out", bundle, "--json"]
+        argv += ["--budget-seconds", 3.5]
+        code, out, _ = run(capsys, *argv)
+        assert code == 3 and len(json.loads(out)["results"]) == 3
+        assert not bundle.exists()
 
     def test_round_trip(self, capsys, tmp_path):
         bundle = tmp_path / "p3"
@@ -416,6 +442,15 @@ class TestHistories:
         assert failure["file"] == "histories.json"
         assert "lists 8 certificates, found 7" in failure["reason"]
 
+    def test_incomplete_search_fails(self, capsys, tmp_path):
+        bundle = tmp_path / "h"
+        argv = ["prove", "--mode", "histories", "--m", 9, "--k", 8, "--out", bundle]
+        assert run(capsys, *argv, "--budget-seconds", 0)[0] == 3
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and failure["file"] == "histories.json"
+        assert failure["reason"] == "records an incomplete search"
+
     def test_budget_stops_a_threaded_search(self):
         started = time.monotonic()
         result = enumerate_histories(11, 8, threads=2, budget_seconds=1)
@@ -424,28 +459,31 @@ class TestHistories:
 
 
 class TestCheckCertificates:
-    def shape_file(self, bundle, k, shape, multipliers=None):
-        """A certificate in the older ``kind: "shape"`` format."""
-        certificate = farkas_from_theorem1(k, shape)
-        values = multipliers or [
-            certificate.multiplier(i) for i in range(certificate.n_rows)
-        ]
+    def shape_file(self, bundle, k, shape):
+        """The Theorem 1 certificate of a shape, as the history file of its
+        canonical one-step history."""
         return write_json(
             bundle / f"shape_{shape.size}_{shape.overlap}.json",
-            {
-                "kind": "shape",
-                "m": k + shape.outside,
-                "k": k,
-                "shape": {"size": shape.size, "overlap": shape.overlap},
-                "multipliers": [str(v) for v in values],
-            },
+            history_certificate_dict(
+                program3_history(k, shape), farkas_from_theorem1(k, shape)
+            ),
         )
 
-    def test_shape_format_still_checks(self, capsys, tmp_path):
-        path = self.shape_file(tmp_path, 4, DeviationShape(3, 1))
+    def test_shape_format_is_unreadable(self, capsys, tmp_path):
+        # A kind: "shape" file names a deviation shape instead of the
+        # history steps; it is not a certificate file the checker reads.
+        shape = DeviationShape(3, 1)
+        path = self.shape_file(tmp_path, 4, shape)
         assert run(capsys, "check-certificates", tmp_path)[0] == 0
-        negate_one_multiplier(path)
-        assert run(capsys, "check-certificates", tmp_path)[0] == 1
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["history"]
+        payload["kind"] = "shape"
+        payload["shape"] = {"size": shape.size, "overlap": shape.overlap}
+        write_json(path, payload)
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and "unreadable" in failure["reason"]
+        assert "unknown certificate kind: 'shape'" in failure["reason"]
 
     @pytest.mark.parametrize("content", ["not json", "5", "[1, 2]", ""])
     def test_non_object_file_is_an_input_error(self, capsys, tmp_path, content):
@@ -484,21 +522,19 @@ class TestCheckCertificates:
             ("m", 3.5),
             ("k", 2.0),
             ("k", True),
-            ("size", 1.0),
-            ("overlap", False),
             ("multiplier", float),
         ],
     )
     def test_non_integer_is_unreadable(self, capsys, tmp_path, field, value):
-        # The file checks with m = 3, k = 2, size 1 and overlap 0; a float
-        # or a bool in their place is refused, not truncated.
+        # The file checks with m = 3 and k = 2; a float or a bool in their
+        # place is refused, not truncated.
         path = self.shape_file(tmp_path, 2, DeviationShape(1, 0))
         assert run(capsys, "check-certificates", tmp_path)[0] == 0
         payload = json.loads(path.read_text(encoding="utf-8"))
         if field == "multiplier":
             payload["multipliers"][0] = value(payload["multipliers"][0])
         else:
-            (payload["shape"] if field in ("size", "overlap") else payload)[field] = value
+            payload[field] = value
         write_json(path, payload)
         code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
         (failure,) = json.loads(out)["failures"]

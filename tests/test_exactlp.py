@@ -510,23 +510,23 @@ class TestLargeEntries:
 
 class TestDuals:
     def test_master_duals_on_negative_rhs_row(self):
-        # min x0 + 2 x1  st  x0 + x1 <= 2,  -x0 - x1 <= -1,  x >= 0.
-        # The optimum 1 sits at x0 = 1; the covering row (negative rhs)
-        # carries multiplier -1 and the packing row 0.
+        # max -x0 - 2 x1  st  x0 + x1 <= 2,  -x0 - x1 <= -1,  x >= 0.
+        # The optimum -1 sits at x0 = 1; the covering row (negative rhs)
+        # carries multiplier 1 and the packing row 0.
         block = np.array([[1, 1], [-1, -1]], dtype=np.int64)
         rhs = [Fraction(2), Fraction(-1)]
-        cost = {0: Fraction(1), 1: Fraction(2)}
+        objective = {0: Fraction(-1), 1: Fraction(-2)}
         master = _Master(_Problem(block, [1, 1], rhs))
-        status, x, value, duals = master.solve(objective=cost)
-        assert status == "optimal"
-        assert value == 1 and x == {0: 1}
-        assert list(duals) == [0, -1]
-        # Dual feasibility and strong duality for min c.x, Gx <= h, x >= 0.
-        assert all(y <= 0 for y in duals)
+        result = master.solve(objective)
+        assert isinstance(result, Optimal)
+        assert result.value == -1 and result.assignment == {0: 1}
+        assert list(result.duals) == [0, 1]
+        # Dual feasibility and strong duality for max c.x, Gx <= h, x >= 0.
+        assert all(y >= 0 for y in result.duals)
         for key in (0, 1):
             col = block[:, key].tolist()
-            assert cost[key] - sum(y * g for y, g in zip(duals, col)) >= 0
-        assert sum(y * h for y, h in zip(duals, rhs)) == value
+            assert sum(y * g for y, g in zip(result.duals, col)) - objective[key] >= 0
+        assert sum(y * h for y, h in zip(result.duals, rhs)) == result.value
 
     def test_wide_maximize_with_negative_rhs_rows(self):
         # Every pivot prices with the duals; a wrong sign on the

@@ -36,6 +36,7 @@ from pavcore.proofs import (
     supporter_bound,
     verify_lemma2_structure,
     _build_rows,
+    _decide,
     _HistoryRows,
     _Quotient,
     _witness_realizes,
@@ -544,6 +545,20 @@ class TestEnumerateHistories:
         assert {
             h.mask_steps(): c.nonzero for h, c in seq.certificates.items()
         } == {h.mask_steps(): c.nonzero for h, c in par.certificates.items()}
+
+    @pytest.mark.parametrize(
+        "k,shape",
+        [(4, DeviationShape(1, 0)), (4, DeviationShape(4, 2)), (8, DeviationShape(4, 2))],
+    )
+    def test_a_decided_task_keeps_no_full_rows(self, k, shape):
+        # A search level holds all its tasks until the level ends, so each
+        # must drop the full system it built, whichever way it was decided:
+        # the Theorem 1 shortcut, an LP refutation or an LP witness.
+        h = program3_history(k, shape)
+        rows = _HistoryRows(h.m, k).child(*h.mask_steps()[0])
+        witness, _ = _decide(rows)
+        assert (witness is not None) == (k == 8)
+        assert rows._problem is None
 
 
 def test_proposition1_at_k8_m10():
