@@ -25,7 +25,8 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .elections import EnumerationLimitError, Profile
+from . import elections
+from .elections import EnumerationLimitError
 
 # solve_feasibility is not called here; bench/layers.py wraps it by this name.
 from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
@@ -117,9 +118,7 @@ def cmd_rule(args) -> int:
     quota = _quota(args.quota)
     if args.rule == "pav-local":
         committee = local_pav(instance)
-        from .elections import pav_score
-
-        score = pav_score(instance.profile, committee)
+        score = elections.pav_score(instance.profile, committee)
         _emit(
             args,
             {
@@ -135,9 +134,7 @@ def cmd_rule(args) -> int:
         return EXIT_OK
     if args.rule == "pav-global":
         winners = sorted(global_pav(instance), key=lambda w: w.mask)
-        from .elections import pav_score
-
-        score = pav_score(instance.profile, winners[0])
+        score = elections.pav_score(instance.profile, winners[0])
         _emit(
             args,
             {
@@ -164,9 +161,7 @@ def cmd_rule(args) -> int:
             ["failed: the fixed set outgrew the committee size"] + rounds,
         )
         return EXIT_CLAIM_FAILS
-    from .elections import pav_score
-
-    score = pav_score(instance.profile, outcome.committee)
+    score = elections.pav_score(instance.profile, outcome.committee)
     _emit(
         args,
         {
@@ -240,20 +235,20 @@ def _prove_program3(args) -> int:
         verdicts = runner.map(
             _decide, [_HistoryRows(h.m, h.k, h.mask_steps()) for h in histories]
         )
-        for shape, history, (witness, certificate) in zip(shapes, histories, verdicts):
+        for shape, verdict in zip(shapes, verdicts):
             entry = {"size": shape.size, "overlap": shape.overlap}
-            if certificate is not None:
+            if verdict.certificate is not None:
                 # _decide returns only certificates it verified exactly.
                 entry["status"] = "infeasible"
                 entry["certificate_verified"] = True
                 if args.out:
                     name = f"p3_k{args.k}_s{shape.size}_o{shape.overlap}.json"
-                    files[name] = shape_certificate_dict(args.k, shape, certificate)
+                    files[name] = shape_certificate_dict(args.k, shape, verdict.certificate)
                     entry["file"] = name
             else:
                 all_infeasible = False
                 entry["status"] = "feasible"
-                entry["witness"] = _witness_entries(Profile(history.m, witness))
+                entry["witness"] = _witness_entries(verdict.witness)
             results.append(entry)
     if not runner.complete:
         return _budget_exceeded(
@@ -417,11 +412,15 @@ def cmd_check_certificates(args) -> int:
     root = Path(args.bundle)
     if not root.exists():
         raise ProfileFormatError(f"no such bundle: {root}")
-    # A file argument is a bundle of that one file.
-    paths = [root] if root.is_file() else root.rglob("*.json")
-    files = sorted(
-        p for p in paths if p.is_file() and _is_certificate_file(p)
-    )
+    if root.is_file():
+        # A file argument is a bundle of that one file, which must be one.
+        if not _is_certificate_file(root):
+            raise CertificateFormatError(f"{root}: holds no certificate multipliers")
+        files = [root]
+    else:
+        files = sorted(
+            p for p in root.rglob("*.json") if p.is_file() and _is_certificate_file(p)
+        )
     started = time.monotonic()
     with Runner(args.threads) as runner:
         results = list(runner.map(_check_one, files))

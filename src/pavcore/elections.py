@@ -30,8 +30,8 @@ class CandidateSet:
     """An immutable set of candidates, stored as a bitmask over ``0..m-1``.
 
     Supports the usual set algebra (``&``, ``|``, ``-``, ``in``, ``<=``,
-    ``len``) and iteration in ascending index order. Instances are hashable
-    and can be used as dictionary keys.
+    ``len``) and iteration in ascending index order. Instances are hashable,
+    so they can be dictionary keys, and they pickle and copy by value.
     """
 
     __slots__ = ("mask", "m")
@@ -46,6 +46,9 @@ class CandidateSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("CandidateSet is immutable")
+
+    def __reduce__(self):
+        return CandidateSet, (self.mask, self.m)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], m: int) -> "CandidateSet":
@@ -134,7 +137,8 @@ class Profile:
 
     Ballots are nonempty candidate sets; weights are positive rationals that
     sum to exactly 1. Zero-weight entries are dropped on construction, and
-    any other violation raises ``ValueError``.
+    any other violation raises ``ValueError``. Profiles pickle and copy by
+    value.
     """
 
     __slots__ = ("m", "_weights")
@@ -165,6 +169,9 @@ class Profile:
 
     def __setattr__(self, name, value):
         raise AttributeError("Profile is immutable")
+
+    def __reduce__(self):
+        return Profile, (self.m, self._weights)
 
     @classmethod
     def from_counts(

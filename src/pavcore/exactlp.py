@@ -158,22 +158,25 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
 
 class _Problem:
     """Integer rows over nonnegative columns, column j being variable j:
-    row i reads ``matrix[i] . x <= scales[i] * rhs[i]``.
+    row i reads ``matrix[i] . x <= scales[i] * rhs[i]`` and carries the
+    provenance tag ``tags[i]``, as a `Row` does.
 
     The matrix is int64, or a numpy object array of Python ints when an
     entry does not fit; the scales are positive integers and the
     right-hand sides exact. Every product below is exact either way.
     """
 
-    def __init__(self, matrix, scales, rhs):
+    def __init__(self, matrix, scales, rhs, tags):
         self.matrix = matrix
         self.n_rows, self.n_vars = matrix.shape
         self.scales = list(scales)
         self.rhs = [Fraction(v) for v in rhs]
+        self.tags = list(tags)
         self.lcm_scale = math.lcm(1, *self.scales)
         #: ``weights[i] * matrix[i]`` is row i over ``lcm_scale``.
         self.weights = [self.lcm_scale // s for s in self.scales]
-        self.max_abs = int(np.abs(matrix).max(initial=0))
+        # Python ints, and no full-size temporary as np.abs would make.
+        self.max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
 
     def column_gaps(self, y, c: Optional[Mapping[int, Fraction]] = None):
         """Exact ``factor * (G^T y - c)`` for every column, ``factor > 0``.

@@ -293,23 +293,23 @@ def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
     (k/|T| - 1)|T\\W| strictly, so it fails for shapes with scan violations.
     """
     history = program3_history(k, shape)
-    return _analytic_step1_certificate(
-        _HistoryRows(history.m, k, history.mask_steps())
-    )
+    full = _HistoryRows(history.m, k, history.mask_steps()).problem()
+    return _analytic_step1_certificate(full, k, *history.mask_steps()[0])
 
 
-def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
-    """The Theorem 1 certificate (`farkas_from_theorem1`) of a one-step
-    history. It is valid for every k when the deviation is disjoint from
-    the committee or adds exactly one outsider (`_is_lemma1_shape`)."""
-    ((w_mask, t_mask),) = rows.steps
+def _analytic_step1_certificate(
+    full: _Problem, k: int, w_mask: int, t_mask: int
+) -> FarkasCertificate:
+    """The Theorem 1 certificate (`farkas_from_theorem1`) of the one-step
+    history (W, T), on its full system. It is valid for every k when the
+    deviation is disjoint from the committee or adds exactly one outsider
+    (`_is_lemma1_shape`)."""
     shape = DeviationShape(t_mask.bit_count(), (t_mask & w_mask).bit_count())
     alpha = shape.outside
-    gamma = alpha + min_supporter_delta(shape, rows.k)
+    gamma = alpha + min_supporter_delta(shape, k)
     scale = gamma.denominator
-    problem = rows.problem()
     nonzero = {}
-    for i, tag in enumerate(rows.tags):
+    for i, tag in enumerate(full.tags):
         if tag == ("norm_upper",):
             nonzero[i] = alpha * scale
         elif tag == ("deviation", 1):
@@ -318,7 +318,7 @@ def _analytic_step1_certificate(rows: _HistoryRows) -> FarkasCertificate:
             _, _, x, y = tag
             if (w_mask & ~t_mask) >> x & 1 and (t_mask & ~w_mask) >> y & 1:
                 nonzero[i] = scale
-    return FarkasCertificate(problem.n_rows, nonzero)
+    return FarkasCertificate(full.n_rows, nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +371,14 @@ class History:
     def mask_steps(self) -> tuple[tuple[int, int], ...]:
         return tuple((w.mask, t.mask) for w, t in self.steps)
 
-    def extended(self, committee: CandidateSet, deviation: CandidateSet) -> "History":
-        return History(self.m, self.k, self.steps + ((committee, deviation),))
-
     def total_deviation_size(self) -> int:
         return sum(len(t) for _, t in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
 class HistoryVerdict:
-    """Realizability of a potential history: a witness profile or a refutation."""
+    """Realizability of a potential history: a witness profile or a
+    refutation. A plain value: it pickles, so it crosses a process pool."""
 
     history: History
     witness: Optional[Profile]
@@ -429,8 +424,8 @@ def _type_rows(
     types: np.ndarray,
     k: int,
     steps: Sequence[tuple[int, int]],
-) -> tuple[_Problem, list[tuple]]:
-    """The rows of a history's system over ballot types.
+) -> _Problem:
+    """The system of a history over ballot types, as one `_Problem`.
 
     ``classes`` partitions the candidates into classes that every set of
     the history contains whole or not at all; ``types[j, i]`` is how many
@@ -439,82 +434,78 @@ def _type_rows(
     the step-t swap rows over x in class i and y in class j, divided by the
     number of those rows. With singleton classes the types are the ballots
     and these are the full system's rows, tagged as `_build_rows` tags
-    them. Returns the rows as a `_Problem`, scaled to integers by
-    ``L = lcm(1..k+1)`` (`harmonic_table`), whose column j is type j, and
-    one tag per row, both in the canonical row order.
+    them. The rows, scaled to integers by ``L = lcm(1..k+1)``
+    (`harmonic_table`), and their tags are in the canonical row order;
+    they fill one preallocated int64 matrix, so the system is held once.
     """
     L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
     class_masks = [_prefix_mask(members, len(members)) for members in classes]
+    # The tags, and so the row count, follow from the masks alone: swap
+    # rows pair each movable class of W with each class outside W.
+    blocks, fixed = [], 0
+    for w_mask, t_mask in steps:
+        blocks.append((
+            [i for i, cm in enumerate(class_masks) if cm & w_mask and not cm & fixed],
+            [j for j, cm in enumerate(class_masks) if not cm & w_mask],
+        ))
+        fixed |= t_mask
+    swaps = [(t, i, j) for t, (xs, ys) in enumerate(blocks, start=1) for i in xs for j in ys]
+    tags = [("norm_upper",), ("norm_lower",)] + [("swap", *swap) for swap in swaps]
+    tags += [("deviation", t) for t in range(1, len(steps) + 1)]
+    scales = [1, 1] + [L * sizes[i] * sizes[j] for _, i, j in swaps] + [1] * len(steps)
+    rhs = [1, -1] + [0] * len(swaps)
+    rhs += [Fraction(-t_mask.bit_count(), k) for _, t_mask in steps]
+
     taken = np.ascontiguousarray(types.T)  # taken[i]: members of class i
     left = np.array(sizes, dtype=np.int64)[:, None] - taken
-    n = types.shape[0]
-    rows = [np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)]
-    scales = [1, 1]
-    rhs = [Fraction(1), Fraction(-1)]
-    tags: list[tuple] = [("norm_upper",), ("norm_lower",)]
-    supporters = []
-    active = np.ones(n, dtype=bool)
-    fixed = 0
-    for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        in_w = [i for i, cm in enumerate(class_masks) if cm & w_mask]
-        u = taken[in_w].sum(axis=0)
+    matrix = np.empty((len(tags), types.shape[0]), dtype=np.int64)
+    matrix[0], matrix[1] = 1, -1
+    row, deviation_row = 2, 2 + len(swaps)
+    active = np.ones(types.shape[0], dtype=bool)
+    for (w_mask, t_mask), (xs, ys) in zip(steps, blocks):
+        u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
         # Ballot types with a y but no x gain L/(u+1); with an x but no y
         # they lose L/u (u > 0 there).
         gain = np.where(active, L // (u + 1), 0)
         loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
-        for i in in_w:
-            if class_masks[i] & fixed:
-                continue
+        for i in xs:
             gain_i, loss_i = left[i] * gain, taken[i] * loss
-            for j, cm in enumerate(class_masks):
-                if cm & w_mask:
-                    continue
-                rows.append(gain_i * taken[j] - loss_i * left[j])
-                scales.append(L * sizes[i] * sizes[j])
-                rhs.append(Fraction(0))
-                tags.append(("swap", t, i, j))
+            for j in ys:
+                matrix[row] = gain_i * taken[j] - loss_i * left[j]
+                row += 1
         in_t = [i for i, cm in enumerate(class_masks) if cm & t_mask]
         supp = taken[in_t].sum(axis=0) > u
-        supporters.append(supp)
+        matrix[deviation_row] = -supp.astype(np.int64)
+        deviation_row += 1
         active &= ~supp
-        fixed |= t_mask
-    for t, ((_, t_mask), supp) in enumerate(zip(steps, supporters), start=1):
-        rows.append(-supp.astype(np.int64))
-        scales.append(1)
-        rhs.append(Fraction(-t_mask.bit_count(), k))
-        tags.append(("deviation", t))
-    return _Problem(np.vstack(rows), scales, rhs), tags
+    return _Problem(matrix, scales, rhs, tags)
 
 
 class _HistoryRows:
-    """The full system of one history: the type rows over singleton classes.
+    """A search task: the candidate count, k and the (W, T) masks of one
+    history, and nothing else, so a batch of tasks stays small.
 
-    Each ballot is its own type, in ascending bitmask order, so column j is
-    ballot j + 1, the canonical variables, and the rows (``problem``) and
-    their tags (``tags``) follow the canonical order. The rows are built
-    when ``problem`` is first called.
+    ``problem`` builds the history's full system on each call: the type
+    rows over singleton classes, so each ballot is its own type, in
+    ascending bitmask order, and column j is ballot j + 1, the canonical
+    variables, with the rows and their tags in the canonical order.
     """
 
-    __slots__ = ("m", "k", "steps", "tags", "_problem")
+    __slots__ = ("m", "k", "steps")
 
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]] = ()):
         self.m, self.k, self.steps = m, k, tuple(steps)
-        self._problem: Optional[_Problem] = None
 
     def child(self, w_mask: int, t_mask: int) -> "_HistoryRows":
         """The rows of this history extended by one (W, T) step."""
         return _HistoryRows(self.m, self.k, self.steps + ((w_mask, t_mask),))
 
     def problem(self) -> _Problem:
-        if self._problem is None:
-            m = self.m
-            ballots = np.arange(1, 1 << m, dtype=np.int64)
-            bits = (ballots[:, None] >> np.arange(m)) & 1
-            self._problem, self.tags = _type_rows(
-                [[i] for i in range(m)], bits, self.k, self.steps
-            )
-        return self._problem
+        m = self.m
+        ballots = np.arange(1, 1 << m, dtype=np.int64)
+        bits = (ballots >> np.arange(m)[:, None]) & 1  # bits[i]: holds i
+        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.steps)
 
 
 def _signature_classes(m: int, sets: Sequence[int]) -> list[list[int]]:
@@ -557,7 +548,7 @@ class _Quotient:
             dtype=np.int64,
         )
         self.types = grid[1:]  # drop the empty type
-        self._problem, self.tags = _type_rows(self.classes, self.types, k, steps)
+        self._problem = _type_rows(self.classes, self.types, k, steps)
 
     def problem(self) -> _Problem:
         return self._problem
@@ -593,15 +584,14 @@ class _Quotient:
         return full
 
     def lift_certificate(
-        self, certificate: FarkasCertificate, full: _HistoryRows
+        self, certificate: FarkasCertificate, full: _Problem
     ) -> FarkasCertificate:
-        """Spread each quotient multiplier uniformly over the full rows of
-        its orbit, found by their tags."""
-        problem = full.problem()
+        """Spread each quotient multiplier uniformly over the rows of its
+        orbit in the full system, found by their tags."""
         index = {tag: i for i, tag in enumerate(full.tags)}
-        ray = [Fraction(0)] * problem.n_rows
+        ray = [Fraction(0)] * full.n_rows
         for row, value in certificate.nonzero.items():
-            tag = self.tags[row]
+            tag = self._problem.tags[row]
             if tag[0] == "swap":
                 _, t, ci, cj = tag
                 share = Fraction(value, self.sizes[ci] * self.sizes[cj])
@@ -614,7 +604,7 @@ class _Quotient:
                 share, orbit = Fraction(value), [tag]
             for full_tag in orbit:
                 ray[index[full_tag]] += share
-        return problem.certificate(ray)
+        return full.certificate(ray)
 
 
 def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
@@ -722,44 +712,39 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
     return outside == 1 or (outside > 1 and not t_mask & w_mask)
 
 
-#: A verified verdict: (witness, None) or (None, certificate). The witness
-#: maps ballot masks to weights; unlike a `Profile`, both halves pickle.
-_Verdict = tuple[Optional[dict[int, Fraction]], Optional[FarkasCertificate]]
-
-
-def _decide(rows: _HistoryRows) -> _Verdict:
-    """Decide one history system: (witness, None) or (None, certificate).
+def _decide(rows: _HistoryRows) -> HistoryVerdict:
+    """Decide one history system: its `HistoryVerdict`, which carries a
+    witness `Profile` or a Farkas certificate.
 
     After the shortcut rule of the module docstring, the orbit quotient is
     solved and its result lifted. Either way the result is verified against
-    the integer-scaled rows of `_HistoryRows`, a witness also against the
-    election semantics; a failed check raises `RuntimeError`, since it means
-    a bug. Over `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
-    The full rows built for the checks are dropped on return.
+    the full system (`_HistoryRows.problem`), built once per call, after
+    any LP, and dropped on return; a witness is also re-checked against
+    the election semantics. A failed check raises `RuntimeError`, since it
+    means a bug. Over `MAX_HISTORY_M` candidates raises
+    `EnumerationLimitError`.
     """
     m, k, steps = rows.m, rows.k, rows.steps
     _check_history_m(m)
-    try:
-        if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
-            certificate = _analytic_step1_certificate(rows)
-        else:
-            quotient = _Quotient(m, k, steps)
-            verdict, _ = _solve_problem(quotient.problem())
-            if isinstance(verdict, Feasible):
-                witness = quotient.lift_assignment(verdict.assignment)
-                if not _verify_witness_fast(rows.problem(), witness):
-                    raise RuntimeError("witness failed exact verification")
-                if not _witness_realizes(witness, m, k, steps):
-                    raise RuntimeError("witness does not realize the history")
-                return witness, None
-            certificate = quotient.lift_certificate(verdict.certificate, rows)
-        if not _verify_certificate_fast(rows.problem(), certificate):
-            raise RuntimeError("certificate failed exact verification")
-        return None, certificate
-    finally:
-        # A decided task keeps only its masks; a batch of tasks would
-        # otherwise hold one full system of 2^m - 1 columns per task.
-        rows._problem = rows.tags = None
+    history = History.from_masks(m, k, steps)
+    if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
+        full = rows.problem()
+        certificate = _analytic_step1_certificate(full, k, *steps[0])
+    else:
+        quotient = _Quotient(m, k, steps)
+        verdict, _ = _solve_problem(quotient.problem())
+        full = rows.problem()
+        if isinstance(verdict, Feasible):
+            witness = quotient.lift_assignment(verdict.assignment)
+            if not _verify_witness_fast(full, witness):
+                raise RuntimeError("witness failed exact verification")
+            if not _witness_realizes(witness, m, k, steps):
+                raise RuntimeError("witness does not realize the history")
+            return HistoryVerdict(history, Profile(m, witness), None)
+        certificate = quotient.lift_certificate(verdict.certificate, full)
+    if not _verify_certificate_fast(full, certificate):
+        raise RuntimeError("certificate failed exact verification")
+    return HistoryVerdict(history, None, certificate)
 
 
 class Runner:
@@ -849,23 +834,19 @@ def enumerate_histories(
     frontier = [root]
     with Runner(threads, budget_seconds) as runner:
         while frontier and runner.complete:
-            children = []
             tasks = []
             for parent in frontier:
                 rows = _HistoryRows(m, k, parent.mask_steps())
                 for committee, deviation in canonical_continuations(parent):
-                    children.append(parent.extended(committee, deviation))
                     tasks.append(rows.child(committee.mask, deviation.mask))
             frontier = []
-            for child, (witness, certificate) in zip(
-                children, runner.map(_decide, tasks)
-            ):
-                if witness is not None:
-                    witnesses[child] = Profile(m, witness)
-                    histories.append(child)
-                    frontier.append(child)
+            for verdict in runner.map(_decide, tasks):
+                if verdict.witness is not None:
+                    witnesses[verdict.history] = verdict.witness
+                    histories.append(verdict.history)
+                    frontier.append(verdict.history)
                 else:
-                    certificates[child] = certificate
+                    certificates[verdict.history] = verdict.certificate
     return HistorySearchResult(
         m=m,
         k=k,
@@ -883,11 +864,7 @@ def history_verdict(history: History) -> HistoryVerdict:
     Systems over more than `MAX_HISTORY_M` candidates raise
     `EnumerationLimitError`.
     """
-    witness, certificate = _decide(
-        _HistoryRows(history.m, history.k, history.mask_steps())
-    )
-    profile = None if witness is None else Profile(history.m, witness)
-    return HistoryVerdict(history, profile, certificate)
+    return _decide(_HistoryRows(history.m, history.k, history.mask_steps()))
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ class RuleOutcome:
 
     committee: Optional[CandidateSet]
     trace: tuple[tuple[CandidateSet, CandidateSet], ...]
-    status: str  # "success" or "failed"
 
     @property
     def succeeded(self) -> bool:
-        return self.status == "success"
+        return self.committee is not None
 
 
 def _greedy_start(items, m: int, k: int, fixed_mask: int) -> int:
@@ -142,13 +141,11 @@ def recursive_pav(
     trace: list[tuple[CandidateSet, CandidateSet]] = []
     while True:
         if len(fixed) > k:
-            return RuleOutcome(committee=None, trace=tuple(trace), status="failed")
+            return RuleOutcome(committee=None, trace=tuple(trace))
         committee = local_pav(instance, fixed=fixed, active=active)
         report = find_deviation(instance, committee, quota)
         if report is None:
-            return RuleOutcome(
-                committee=committee, trace=tuple(trace), status="success"
-            )
+            return RuleOutcome(committee=committee, trace=tuple(trace))
         trace.append((committee, report.deviation))
         fixed = fixed | report.deviation
         active = active - {b.mask for b in report.supporters}

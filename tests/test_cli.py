@@ -550,6 +550,13 @@ class TestCheckCertificates:
         code, out, _ = run(capsys, "check-certificates", path, "--json")
         assert code == 1 and json.loads(out)["failed"] == 1
 
+    def test_file_argument_without_multipliers_is_an_input_error(self, capsys, tmp_path):
+        # A profile is not a one-file bundle that checks nothing.
+        path = write_json(tmp_path / "profile.json", TIED_PAIR_8)
+        code, out, err = run(capsys, "check-certificates", path)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "profile.json" in err
+
     def test_history_file_beyond_the_cap_is_refused(self, capsys, tmp_path):
         # 2 normalization rows, 16 swap rows and 1 deviation row.
         write_json(

@@ -42,7 +42,9 @@ def make_problem(rows, n_vars):
     for i, (ints, _) in enumerate(scaled):
         for j, v in ints.items():
             matrix[i, j] = v
-    return _Problem(matrix, [s for _, s in scaled], [row.rhs for row in rows])
+    return _Problem(
+        matrix, [s for _, s in scaled], [row.rhs for row in rows], [row.tag for row in rows]
+    )
 
 
 def make_system(rows, n_vars=None):
@@ -190,7 +192,7 @@ def random_pricing_case(rng):
             else:
                 matrix[i, j] = rng.randint(-4, 4)
     scales = [rng.choice([1, 2, 3, 6, 12, 420]) for _ in range(n_rows)]
-    problem = _Problem(matrix, scales, [0] * n_rows)
+    problem = _Problem(matrix, scales, [0] * n_rows, [("row", i) for i in range(n_rows)])
     as_fractions = rng.random() < 0.5
     y = [
         Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 7, 12]))
@@ -231,7 +233,7 @@ class TestPricingKernel:
 
     def test_falls_back_to_python_ints_past_int64(self):
         matrix = np.array([[1, -1], [2, 0]], dtype=np.int64)
-        problem = _Problem(matrix, [1, 1], [0, 0])
+        problem = _Problem(matrix, [1, 1], [0, 0], [("row", 0), ("row", 1)])
         assert problem.column_gaps([1, 1]).dtype == np.int64
         gaps = problem.column_gaps([2**62, 2**62])
         assert gaps.dtype == object and gaps.tolist() == [3 * 2**62, -(2**62)]
@@ -516,7 +518,7 @@ class TestDuals:
         block = np.array([[1, 1], [-1, -1]], dtype=np.int64)
         rhs = [Fraction(2), Fraction(-1)]
         objective = {0: Fraction(-1), 1: Fraction(-2)}
-        master = _Master(_Problem(block, [1, 1], rhs))
+        master = _Master(_Problem(block, [1, 1], rhs, [("packing",), ("covering",)]))
         result = master.solve(objective)
         assert isinstance(result, Optimal)
         assert result.value == -1 and result.assignment == {0: 1}

@@ -1,6 +1,7 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pavcore.exactlp import (
 from pavcore.proofs import (
     DeviationShape,
     History,
+    HistoryVerdict,
     canonical_continuations,
     canonical_program3_sets,
     check_proposition1,
@@ -364,12 +366,26 @@ class TestHistorySystem:
         args = (h.m, h.k, h.mask_steps())
         assert _build_rows(*args) == per_mask_build_rows(*args)
 
+    def test_full_system_is_held_once_while_built(self):
+        # The k = 8 (8, 0) system: m = 16, 67 rows over 65535 ballots, the
+        # largest that program3 builds. Its build may hold little more than
+        # the one matrix.
+        h = program3_history(8, DeviationShape(8, 0))
+        rows = _HistoryRows(h.m, h.k, h.mask_steps())
+        tracemalloc.start()
+        try:
+            problem = rows.problem()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problem.matrix.shape == (67, 65535)
+        assert peak < 2.5 * problem.matrix.nbytes
+
     @staticmethod
     def assert_rows_match(m, k, steps):
         ref_rows, _ = _build_rows(m, k, steps)
-        rows = _HistoryRows(m, k, steps)
-        scaled = rows.problem()
-        assert rows.tags == [row.tag for row in ref_rows]
+        scaled = _HistoryRows(m, k, steps).problem()
+        assert scaled.tags == [row.tag for row in ref_rows]
         assert scaled.n_rows == len(ref_rows)
         for i, row in enumerate(ref_rows):
             assert scaled.rhs[i] == row.rhs
@@ -516,7 +532,7 @@ class TestEnumerateHistories:
         conts = canonical_continuations(root)
         assert len(res.certificates) == len(conts)
         for committee, deviation in conts:
-            child = root.extended(committee, deviation)
+            child = History(root.m, root.k, ((committee, deviation),))
             assert child in res.certificates
 
     def test_certificates_verify_against_materialized_systems(self):
@@ -551,14 +567,14 @@ class TestEnumerateHistories:
         [(4, DeviationShape(1, 0)), (4, DeviationShape(4, 2)), (8, DeviationShape(4, 2))],
     )
     def test_a_decided_task_keeps_no_full_rows(self, k, shape):
-        # A search level holds all its tasks until the level ends, so each
-        # must drop the full system it built, whichever way it was decided:
-        # the Theorem 1 shortcut, an LP refutation or an LP witness.
+        # A search level holds all its tasks until the level ends, so a
+        # task holds only its masks, whichever way it is decided: the
+        # Theorem 1 shortcut, an LP refutation or an LP witness.
+        assert _HistoryRows.__slots__ == ("m", "k", "steps")
         h = program3_history(k, shape)
-        rows = _HistoryRows(h.m, k).child(*h.mask_steps()[0])
-        witness, _ = _decide(rows)
-        assert (witness is not None) == (k == 8)
-        assert rows._problem is None
+        verdict = _decide(_HistoryRows(h.m, k).child(*h.mask_steps()[0]))
+        assert isinstance(verdict, HistoryVerdict) and verdict.history == h
+        assert (verdict.witness is not None) == (k == 8)
 
 
 def test_proposition1_at_k8_m10():
