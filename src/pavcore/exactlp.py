@@ -10,9 +10,11 @@ integer products and one gcd per row (Edmonds 1967; Bareiss 1968), so no
 Bland's anti-cycling rule when the objective stalls. The simplex answers
 with this module's verdict objects. Infeasibility is `Infeasible`, with an
 integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
-and A^T y >= 0, which together rule out every x >= 0) that `verify_farkas`
-checks without any solver, in ints over one common denominator. A maximum
-is `Optimal`, with a point and an LP-duality certificate that
+and A^T y >= 0, which together rule out every x >= 0). `verify_farkas`
+checks such a certificate without any solver, on `Row`s: each row holds
+its coefficients as integer arrays over one denominator, and the check
+sums the rows with a nonzero multiplier as integer arrays. A maximum is
+`Optimal`, with a point and an LP-duality certificate that
 `verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
@@ -30,9 +32,11 @@ always reached with every column priced clean, as in a dense tableau.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -43,13 +47,73 @@ _Q0 = Fraction(0)
 _INT64_SAFE = 2**62
 
 
-@dataclass(frozen=True)
 class Row:
-    """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag."""
+    """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag.
 
-    coeffs: Mapping[int, Fraction]  # column position -> coefficient
-    rhs: Fraction
-    tag: tuple
+    The coefficients have one integer form: coefficient ``nums[i] / den``
+    sits at column ``cols[i]``. ``cols`` is an int64 array in strictly
+    increasing order; ``nums`` is int64, or a numpy object array of Python
+    ints when an entry reaches 2^62; ``den`` is a positive int. A mapping
+    passed to the constructor is converted to that form once, explicit
+    zeros included; `from_arrays` takes the arrays as they are. ``coeffs``
+    reads the row back as a read-only mapping of columns to `Fraction`s.
+    Rows are equal when their coefficients, right-hand sides and tags are.
+    """
+
+    def __init__(self, coeffs: Mapping[int, Fraction], rhs, tag: tuple):
+        items = sorted((int(j), Fraction(c)) for j, c in coeffs.items())
+        den = math.lcm(1, *(c.denominator for _, c in items))
+        nums = [c.numerator * (den // c.denominator) for _, c in items]
+        wide = any(abs(v) >= _INT64_SAFE for v in nums)
+        self._set(
+            np.array([j for j, _ in items], dtype=np.int64),
+            np.array(nums, dtype=object if wide else np.int64),
+            den,
+            rhs,
+            tag,
+        )
+
+    @classmethod
+    def from_arrays(cls, cols: np.ndarray, nums: np.ndarray, den: int, rhs, tag: tuple) -> "Row":
+        """The row with ``nums[i] / den`` at column ``cols[i]``; the arrays
+        become the row's own, read-only."""
+        row = cls.__new__(cls)
+        row._set(cols, nums, den, rhs, tag)
+        return row
+
+    def _set(self, cols, nums, den, rhs, tag) -> None:
+        if cols.dtype != np.int64 or nums.dtype not in (np.int64, object):
+            raise TypeError("a row holds int64 columns and int64 or object numerators")
+        if cols.shape != nums.shape or cols.ndim != 1 or den < 1:
+            raise ValueError("a row needs one numerator per column and a positive denominator")
+        if cols.size and (cols[0] < 0 or (cols[1:] <= cols[:-1]).any()):
+            raise ValueError("row columns must be nonnegative and strictly increasing")
+        cols.flags.writeable = nums.flags.writeable = False
+        self.cols, self.nums, self.den = cols, nums, int(den)
+        self.rhs, self.tag = Fraction(rhs), tag
+
+    @functools.cached_property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """Column position -> coefficient."""
+        den = self.den
+        return MappingProxyType(
+            {j: Fraction(v, den) for j, v in zip(self.cols.tolist(), self.nums.tolist())}
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Row):
+            return NotImplemented
+        return (
+            self.tag == other.tag
+            and self.rhs == other.rhs
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(
+                self.nums.astype(object) * other.den, other.nums.astype(object) * self.den
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"Row(coeffs={dict(self.coeffs)!r}, rhs={self.rhs!r}, tag={self.tag!r})"
 
 
 @dataclass(frozen=True)
@@ -126,8 +190,11 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
     would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
     whose variables are all nonnegative, has no solution.
 
-    Both sums are ints scaled by ``L > 0``, the lcm of the denominators in
-    the rows with a nonzero multiplier, so their signs are the exact ones.
+    Only the rows with a nonzero multiplier are read. ``y . b`` is summed in
+    Python ints over the lcm of their right-hand sides' denominators.
+    ``A^T y`` is summed over ``L``, the lcm of their row denominators, as
+    ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound shows
+    that no sum can overflow, else in Python ints. Both signs are exact.
     """
     if certificate.n_rows != len(rows):
         raise ValueError(
@@ -137,19 +204,22 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
     if any(v < 0 for v in certificate.nonzero.values()):
         return False
     used = [(mult, rows[i]) for i, mult in certificate.nonzero.items()]
-    dens = {c.denominator for _, row in used for c in (row.rhs, *row.coeffs.values())}
-    L = math.lcm(*dens)
-    yb = 0
-    col_sums: dict[int, int] = {}
-    for mult, row in used:
-        yb += mult * row.rhs.numerator * (L // row.rhs.denominator)
-        scale = {d: mult * (L // d) for d in dens}
-        for j, coef in row.coeffs.items():
-            num, den = coef.as_integer_ratio()
-            col_sums[j] = col_sums.get(j, 0) + num * scale[den]
-    if not yb < 0:
+    d = math.lcm(1, *(row.rhs.denominator for _, row in used))
+    if not sum(mult * row.rhs.numerator * (d // row.rhs.denominator) for mult, row in used) < 0:
         return False
-    return all(total >= 0 for total in col_sums.values())
+    L = math.lcm(1, *(row.den for _, row in used))
+    scaled = [(mult * (L // row.den), row) for mult, row in used]
+    # At least s per row, so that s itself fits int64 even on a zero row.
+    bound = sum(
+        s * max(1, int(row.nums.max(initial=0)), -int(row.nums.min(initial=0)))
+        for s, row in scaled
+    )
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    width = max((int(row.cols[-1]) + 1 for _, row in used if row.cols.size), default=0)
+    sums = np.zeros(width, dtype=dtype)
+    for s, row in scaled:
+        sums[row.cols] += row.nums.astype(dtype, copy=False) * s
+    return not (sums < 0).any()
 
 
 # ---------------------------------------------------------------------------

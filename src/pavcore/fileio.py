@@ -179,14 +179,15 @@ def parse_committee(text: str, m: int) -> CandidateSet:
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    """A certificate file in memory: the rows of its reconstructed system
-    plus the multipliers, ready for the solver-free checker."""
+    """A certificate file in memory: the rows of its reconstructed system,
+    each in the integer form of `Row`, plus one multiplier per row, ready
+    for the solver-free checker."""
 
     rows: list[Row]
     certificate: FarkasCertificate
 
 
-def _rows_from_payload(payload: dict) -> list[Row]:
+def _history_from_payload(payload: dict) -> History:
     try:
         m = _integer(payload["m"], CertificateFormatError, "m")
         k = _integer(payload["k"], CertificateFormatError, "k")
@@ -212,26 +213,38 @@ def _rows_from_payload(payload: dict) -> list[Row]:
             (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
             for step in steps
         ]
-        history = History.from_masks(m, k, masks)
+        return History.from_masks(m, k, masks)
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from exc
-    return history_system(history)
+
+
+def _row_count(history: History) -> int:
+    """The number of rows of a history's system, from its masks alone: the
+    normalization pair, a swap row per step for each member of W not fixed
+    before it and each of the m - k candidates outside W, and a deviation
+    row per step."""
+    count, fixed = 2 + len(history.steps), 0
+    for w_mask, t_mask in history.mask_steps():
+        count += (w_mask & ~fixed).bit_count() * (history.m - history.k)
+        fixed |= t_mask
+    return count
 
 
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
+    """The record of a certificate file. The multiplier count is checked
+    against the row count before any row is built, so a file cannot make
+    the reader build a system that its multipliers do not fit."""
     if not isinstance(payload, dict):
         raise CertificateFormatError("a certificate must be a JSON object")
-    rows = _rows_from_payload(payload)
+    history = _history_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
     values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
-    if len(values) != len(rows):
-        raise CertificateFormatError(
-            f"expected {len(rows)} multipliers, found {len(values)}"
-        )
-    certificate = FarkasCertificate.from_list(values)
-    return CertificateRecord(rows, certificate)
+    expected = _row_count(history)
+    if len(values) != expected:
+        raise CertificateFormatError(f"expected {expected} multipliers, found {len(values)}")
+    return CertificateRecord(history_system(history), FarkasCertificate.from_list(values))
 
 
 def load_certificate(path: Union[str, Path]) -> CertificateRecord:

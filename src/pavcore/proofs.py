@@ -27,10 +27,10 @@ the process pool and the time budget. One function builds the solver's rows
 (`_type_rows`): over ballot types for the quotient, and over singleton
 classes, where each ballot is its own type, for the full system. Every row
 carries a tag, and lifts and analytic certificates find rows by their
-tags. `_build_rows` is the pure-Python reference builder that the
-certificate checker uses, so the checker shares no row code with the
-solver. It builds each swap row in one pass over the step's active ballots,
-with coefficients from a per-step table of shared `Fraction`s.
+tags. `_build_rows` is the reference builder that the certificate checker
+uses, so the checker shares no row code with the solver. It builds each
+row at once over the array of ballot masks, as an integer `Row` over
+lcm(1..k+1).
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), then negated deviation rows by
@@ -220,46 +220,54 @@ def _build_rows(
 ) -> tuple[list[Row], list[tuple[int, int, int]]]:
     """Rows of the canonical system for a sequence of (W, T) masks.
 
-    Returns the rows plus the (step, x, y) index of each swap row. Pure
-    Python reference implementation; the enumeration uses a vectorized
-    equivalent that is tested against this one. In swap row (x, y) an
-    active ballot with u = |ballot ∩ W| gains 1/(u+1) if it holds y but
-    not x, and loses 1/u (u >= 1) if it holds x but not y.
+    Returns the rows plus the (step, x, y) index of each swap row. This is
+    the reference builder that the certificate checker uses; it shares no
+    code with the solver's `_type_rows`. Each row is built at once over the
+    array of ballot masks, as integers over L = lcm(1..k+1). In swap row
+    (x, y) an active ballot with u = |ballot ∩ W| gains L/(u+1) if it holds
+    y but not x, and loses L/u (u >= 1) if it holds x but not y. A ballot
+    that holds more of a step's T than of its W is inactive in every later
+    step.
     """
     n = (1 << m) - 1
-    one, neg_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+    L = math.lcm(*range(1, k + 2))
+    masks = np.arange(1, n + 1, dtype=np.int64)
+    every, ones = masks - 1, np.ones(n, dtype=np.int64)
     rows = [
-        Row(dict.fromkeys(range(n), one), one, ("norm_upper",)),
-        Row(dict.fromkeys(range(n), neg_one), neg_one, ("norm_lower",)),
+        Row.from_arrays(every, ones, 1, 1, ("norm_upper",)),
+        Row.from_arrays(every, -ones, 1, -1, ("norm_lower",)),
     ]
     swap_meta: list[tuple[int, int, int]] = []
-    active = range(1, n + 1)  # ballot masks not yet deactivated
+    active = masks  # ballot masks not yet deactivated
     fixed = 0
     for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        overlap = [(mask, (mask & w_mask).bit_count()) for mask in active]
-        gain = [Fraction(1, u + 1) for u in range(w_mask.bit_count() + 1)]
-        loss = [None] + [Fraction(-1, u) for u in range(1, w_mask.bit_count() + 1)]
+        u = np.bitwise_count(active & w_mask).astype(np.int64)
+        gain, loss = L // (u + 1), -(L // np.maximum(u, 1))
+        outsiders = []
+        for y in _bits(n & ~w_mask):
+            holds_y = (active >> y & 1).astype(bool)
+            outsiders.append((y, holds_y, np.where(holds_y, gain, loss)))
         for x in _bits(w_mask & ~fixed):
-            for y in _bits(n & ~w_mask):
-                bx, by = 1 << x, 1 << y
-                both = bx | by
-                coeffs = {}
-                for mask, u in overlap:
-                    hit = mask & both
-                    if hit == by:
-                        coeffs[mask - 1] = gain[u]
-                    elif hit == bx:
-                        coeffs[mask - 1] = loss[u]
-                rows.append(Row(coeffs, zero, ("swap", t, x, y)))
+            holds_x = (active >> x & 1).astype(bool)
+            for y, holds_y, change in outsiders:
+                moved = holds_x != holds_y
+                rows.append(
+                    Row.from_arrays(active[moved] - 1, change[moved], L, 0, ("swap", t, x, y))
+                )
                 swap_meta.append((t, x, y))
         fixed |= t_mask
-        active = [mask for mask, u in overlap if (mask & t_mask).bit_count() <= u]
+        active = active[np.bitwise_count(active & t_mask) <= u]
     for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        coeffs = {}
-        for mask in range(1, n + 1):
-            if (mask & t_mask).bit_count() > (mask & w_mask).bit_count():
-                coeffs[mask - 1] = neg_one
-        rows.append(Row(coeffs, Fraction(-t_mask.bit_count(), k), ("deviation", t)))
+        supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
+        rows.append(
+            Row.from_arrays(
+                masks[supports] - 1,
+                np.full(int(supports.sum()), -1, dtype=np.int64),
+                1,
+                Fraction(-t_mask.bit_count(), k),
+                ("deviation", t),
+            )
+        )
     return rows, swap_meta
 
 

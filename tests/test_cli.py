@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pavcore import proofs, rules
+from pavcore import fileio, proofs, rules
 from pavcore.cli import main
 from pavcore.elections import CandidateSet
 from pavcore.exactlp import FarkasCertificate
@@ -398,7 +398,6 @@ class TestProgram3:
         assert code == 1
         assert [f["file"] for f in json.loads(out)["failures"]] == [broken.name]
 
-    @pytest.mark.paperscale
     def test_k8_bundle_checks(self, capsys, tmp_path):
         # m reaches 16 here; only (4, 2) is feasible, so the proof exits 1.
         bundle = tmp_path / "p3"
@@ -574,6 +573,27 @@ class TestCheckCertificates:
         (failure,) = json.loads(out)["failures"]
         assert code == 1 and "unreadable" in failure["reason"]
         assert "m=17" in failure["reason"]
+
+    def test_wrong_multiplier_count_is_refused_before_any_row(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 401 valid steps at m = 12, k = 7 make 12438 rows: 2 normalization
+        # rows, 35 swap rows at the first step and 30 at each later one (8
+        # is fixed), and 401 deviation rows. Three multipliers cannot fit,
+        # and the file is refused without building any of them.
+        step = {"W": [1, 2, 3, 4, 5, 6, 8], "T": [8]}
+        payload = {"kind": "history", "m": 12, "k": 7, "history": [step] * 401}
+        assert fileio._row_count(fileio._history_from_payload(payload)) == 12438
+
+        def refuse(*args):
+            raise AssertionError("rows were built")
+
+        monkeypatch.setattr(proofs, "_build_rows", refuse)
+        write_json(tmp_path / "long.json", {**payload, "multipliers": ["1"] * 3})
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and "unreadable" in failure["reason"]
+        assert "expected 12438 multipliers, found 3" in failure["reason"]
 
     def test_missing_bundle(self, capsys, tmp_path):
         assert run(capsys, "check-certificates", tmp_path / "none")[0] == 2

@@ -141,6 +141,20 @@ def random_certified_system(rng):
     mults.insert(at, 1)
     return rows, mults
 
+def disjoint_rows_system(rng):
+    """Rows over pairwise disjoint columns, some over none, with
+    multipliers that may all be 0: the used rows share no column, or no
+    row is used at all."""
+    rows, col = [], 0
+    for i in range(rng.randint(1, 5)):
+        width = rng.randint(0, 3)
+        coeffs = {col + j: abs(random_entry(rng)) * rng.choice([1, 1, -1]) for j in range(width)}
+        col += width
+        rows.append(Row(coeffs, random_entry(rng), ("row", i)))
+    if rng.random() < 0.2:
+        return rows, [0] * len(rows)
+    return rows, [rng.choice([0, 1, 3, 2**40, 2**100]) for _ in rows]
+
 def price(problem, multipliers):
     """The reference for `_Problem.column_gaps` without costs, as the solver
     once priced: exact ``(totals, factor)`` with ``totals = factor * G^T y``
@@ -294,6 +308,49 @@ class TestSmallVerdicts:
             assert total <= row.rhs
 
 
+class TestRow:
+    def test_a_mapping_reads_back_as_given(self):
+        coeffs = {
+            7: Fraction(1, 6),
+            0: Fraction(2**70, 3),
+            3: Fraction(0),
+            5: -(2**63),
+            9: 0,
+        }
+        row = Row(coeffs, Fraction(-1, 2), ("big",))
+        assert row.coeffs == coeffs and list(row.coeffs) == [0, 3, 5, 7, 9]
+        assert row.cols.tolist() == [0, 3, 5, 7, 9] and row.den == 6
+        assert row.nums.dtype == object  # entries reach 2^62
+        small = Row({2: Fraction(1, 3), 1: Fraction(0), 4: -5}, 0, ("small",))
+        assert small.nums.dtype == np.int64
+        assert small.coeffs == {1: 0, 2: Fraction(1, 3), 4: -5}
+        with pytest.raises(TypeError):
+            small.coeffs[2] = Fraction(1)
+
+    def test_mapping_and_arrays_build_equal_rows(self):
+        tag = ("swap", 1, 0, 3)
+        row = Row({4: Fraction(-1, 3), 0: Fraction(1, 2)}, 0, tag)
+        for den in (6, 12, 2520):
+            nums = np.array([den // 2, -(den // 3)], dtype=np.int64)
+            assert row == Row.from_arrays(np.array([0, 4]), nums, den, 0, tag)
+        wide = np.array([2**70, -1], dtype=object)
+        assert Row({0: 2**70, 1: -1}, 1, ("w",)) == Row.from_arrays(
+            np.array([0, 1]), wide, 1, 1, ("w",)
+        )
+        cols, nums = np.array([0, 4]), np.array([3, -2])
+        assert row != Row.from_arrays(cols, nums, 6, Fraction(1), tag)
+        assert row != Row.from_arrays(cols, nums, 6, 0, ("swap", 1, 0, 4))
+        assert row != Row({4: Fraction(-1, 3), 0: Fraction(1, 2), 2: 0}, 0, tag)
+
+    @pytest.mark.parametrize(
+        "cols, nums, den",
+        [([1, 0], [1, 1], 1), ([0, 0], [1, 1], 1), ([-1, 2], [1, 1], 1), ([0, 1], [1], 1), ([0], [1], 0)],
+    )
+    def test_from_arrays_refuses_a_malformed_row(self, cols, nums, den):
+        with pytest.raises(ValueError):
+            Row.from_arrays(np.array(cols), np.array(nums), den, 0, ("bad",))
+
+
 class TestVerifyFarkas:
     def test_rejects_wrong_sign_product(self):
         rows, _ = make_system([([1], -1), ([-1], 0)])
@@ -329,6 +386,19 @@ class TestVerifyFarkas:
                 with pytest.raises(ValueError):
                     check(rows, longer)
         assert 100 < sum(verdicts) < 500
+
+    def test_matches_the_fraction_loop_on_disjoint_and_empty_certificates(self):
+        rng = random.Random(2018)
+        verdicts = collections.Counter()
+        for _ in range(400):
+            rows, mults = disjoint_rows_system(rng)
+            certificate = FarkasCertificate.from_list(mults)
+            verdict = verify_farkas(rows, certificate)
+            assert verdict == fraction_verify_farkas(rows, certificate), (rows, mults)
+            verdicts[verdict, bool(certificate.nonzero)] += 1
+        # Every kind occurs; a certificate that uses no row has y.b = 0.
+        assert verdicts[True, True] > 20 and verdicts[False, True] > 20
+        assert verdicts[False, False] > 20 and not verdicts[True, False]
 
     def test_rejects_violated_column_sum(self):
         # x0 - x1 <= -1 with nonnegativity on both: feasible, so no valid

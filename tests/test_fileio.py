@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from pavcore.fileio import (
     CertificateFormatError,
     ProfileFormatError,
+    _row_count,
     certificate_record_from_dict,
     instance_from_dict,
     load_certificate,
     load_instance,
 )
+from pavcore.proofs import History, history_system, iter_shapes, program3_history
+
+from test_proofs import k8_children, multi_step_histories
 
 FORMAT_ERRORS = (ProfileFormatError, CertificateFormatError)
 
@@ -128,3 +132,11 @@ def test_file_readers_refuse_undecodable_bytes(tmp_path, load, error):
     path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark is not UTF-8
     with pytest.raises(error):
         load(path)
+
+
+def test_row_count_from_the_masks_is_the_built_count():
+    # The reader checks the multiplier count against this before it builds.
+    histories = [History.from_masks(*case) for case in multi_step_histories()]
+    histories += [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)]
+    for h in histories + k8_children()[::6]:
+        assert _row_count(h) == len(history_system(h)), h.mask_steps()

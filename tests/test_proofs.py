@@ -72,6 +72,14 @@ def multi_step_histories(count=12):
     return found
 
 
+def k8_children():
+    """The two-step children of the k = 8 (4, 2) history at m = 10, the
+    smallest m it fits: L = lcm(1..9) = 2520, and the ballots that support
+    the first deviation drop out of the second step's swap rows."""
+    h = program3_history(8, DeviationShape(4, 2))
+    return [History(h.m, h.k, h.steps + (step,)) for step in canonical_continuations(h)]
+
+
 def _swap_coefficient(mask, w_mask, x, y):
     has_x = (mask >> x) & 1
     has_y = (mask >> y) & 1
@@ -360,11 +368,15 @@ class TestHistorySystem:
     @pytest.mark.parametrize(
         "h",
         [History.from_masks(*case) for case in multi_step_histories()]
-        + [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)],
+        + [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)]
+        + k8_children()[::6],
     )
     def test_build_rows_equals_the_per_mask_builder(self, h):
         args = (h.m, h.k, h.mask_steps())
-        assert _build_rows(*args) == per_mask_build_rows(*args)
+        rows, swap_meta = _build_rows(*args)
+        ref_rows, ref_meta = per_mask_build_rows(*args)
+        assert swap_meta == ref_meta
+        assert rows == ref_rows
 
     def test_full_system_is_held_once_while_built(self):
         # The k = 8 (8, 0) system: m = 16, 67 rows over 65535 ballots, the
@@ -380,6 +392,23 @@ class TestHistorySystem:
             tracemalloc.stop()
         assert problem.matrix.shape == (67, 65535)
         assert peak < 2.5 * problem.matrix.nbytes
+
+    def test_reference_rows_are_held_once_while_built(self):
+        # The same (8, 0) system from the checker's builder: one int64
+        # column and one int64 numerator per nonzero coefficient, and the
+        # build may hold little more than those arrays.
+        h = program3_history(8, DeviationShape(8, 0))
+        tracemalloc.start()
+        try:
+            rows, _ = _build_rows(h.m, h.k, h.mask_steps())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 67
+        entries = sum(row.cols.size for row in rows)
+        held = sum(row.cols.nbytes + row.nums.nbytes for row in rows)
+        assert held == 16 * entries
+        assert peak < 1.5 * held
 
     @staticmethod
     def assert_rows_match(m, k, steps):
