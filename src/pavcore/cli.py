@@ -14,6 +14,9 @@ Every prove mode runs through one `proofs.Runner`, so the options mean the
 same in each: ``--threads N`` runs the work on N processes with the same
 output as one, and ``--budget-seconds S`` stops the run S seconds after it
 starts, exiting 3 if work is left (0 always exits 3).
+
+`main` builds its parser once per process, on its first call, and looks up
+the command function ``cmd_<command>`` when it runs the command.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import elections
@@ -456,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("committee", help="1-based members, e.g. '1,2,5-10'")
     p.add_argument("--quota", choices=["hare", "droop"], default="hare")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_core)
 
     p = sub.add_parser("rule", help="compute a committee")
     p.add_argument("profile")
@@ -467,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--quota", choices=["hare", "droop"], default="hare")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rule)
 
     p = sub.add_parser("prove", help="run a proof mode, write certificates")
     p.add_argument(
@@ -479,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser(
         "check-certificates", help="re-verify a bundle without a solver"
@@ -487,16 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="bundle directory or one certificate file")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_certificates)
 
     return parser
 
 
+_parser = cache(lambda: build_parser())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ProfileFormatError, CertificateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -4,10 +4,11 @@ Everything that can influence a verdict is computed exactly: ballot
 weights are `fractions.Fraction`, candidate sets are immutable bitmasks.
 PAV scores are ints over the one denominator D · lcm(1..k), where D is the
 lcm of the ballot weights' denominators (`Profile.scaled_mask_items`) and k
-the committee size (`harmonic_table`): `mask_pav_score` sums them and
-`first_improving_swap` compares them; `pav_score` returns an exact
-`Fraction`. Floating point never appears in any value returned from
-this module.
+the committee size (`harmonic_table`): the array kernel `pav_scores` sums
+them for many committees at once, `first_improving_swap` compares them and
+`pav_score` returns an exact `Fraction`. `_subset_masks` enumerates the
+k-subsets as one array. Floating point never appears in any value returned
+from this module.
 
 Candidates are 0-indexed internally and rendered 1-indexed (``c1``, ``c2``,
 ...) in reports.
@@ -20,6 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
+
+#: The most (committee, ballot) pairs that `pav_scores` counts at once, so
+#: that each int64 array of a block takes 128 KB.
+PAV_BLOCK = 1 << 14
 
 
 class EnumerationLimitError(RuntimeError):
@@ -262,6 +269,28 @@ def harmonic_table(n: int) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(int(harmonic(u) * scale) for u in range(n + 1))
 
 
+def _mask_array(masks, m: int) -> np.ndarray:
+    """Bitmasks over ``range(m)`` as int64, or as Python ints above m = 62."""
+    return np.array(masks, dtype=np.int64 if m <= 62 else object)
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(m: int, size: int) -> np.ndarray:
+    """The bitmasks of the ``size``-subsets of ``range(m)`` as a read-only
+    `_mask_array`, in `itertools.combinations` order: the one k-subset
+    enumerator of the package. Round r turns the (r - 1)-subsets of
+    ``range(size - r + 1, m)`` into the r-subsets of ``range(size - r, m)``:
+    those whose least member is c are c joined to a suffix of the last table."""
+    masks = _mask_array([0], m)
+    for r in range(1, size + 1):
+        masks = np.concatenate([
+            masks[len(masks) - math.comb(m - c - 1, r - 1):] | (1 << c)
+            for c in range(size - r, m - r + 1)
+        ])
+    masks.setflags(write=False)
+    return masks
+
+
 def pav_score(profile: Profile, committee: CandidateSet) -> Fraction:
     """Exact PAV score of a committee, ``sum of weight(A) * H(|A ∩ W|)``
     over the ballots of the profile."""
@@ -269,30 +298,44 @@ def pav_score(profile: Profile, committee: CandidateSet) -> Fraction:
         raise ValueError("committee universe does not match profile")
     scale, items = profile.scaled_mask_items()
     lcm_k, h = harmonic_table(len(committee))
-    return Fraction(mask_pav_score(items, committee.mask, h), scale * lcm_k)
+    score = pav_scores(items, _mask_array([committee.mask], profile.m), h)[0]
+    return Fraction(int(score), scale * lcm_k)
 
 
-def mask_pav_score(items: Iterable[tuple[int, int]], w_mask: int, h) -> int:
-    """`pav_score` times D * L, without checks, on the scaled (ballot mask,
-    weight) pairs of `Profile.scaled_mask_items` and the table ``h`` of
-    `harmonic_table` (L) for at least the committee size: the one score
-    kernel of the package's hot loops."""
-    return sum(weight * h[(mask & w_mask).bit_count()] for mask, weight in items)
+def pav_scores(items: Sequence[tuple[int, int]], w_masks: np.ndarray, h) -> np.ndarray:
+    """`pav_score` times D * L of each committee in the `_mask_array`
+    ``w_masks``, without checks, on the scaled (ballot mask, weight) pairs of
+    `Profile.scaled_mask_items` and the table ``h`` of `harmonic_table` (L)
+    for at least the committee size: the one score kernel of the package.
+    Blocks of at most `PAV_BLOCK` (committee, ballot) pairs are popcounted,
+    looked up in ``h`` and dotted with the weights, in int64 while the
+    weights' sum times ``h[-1]`` (each at least 1) is below 2**62 and in
+    Python ints above."""
+    ballots = np.array([mask for mask, _ in items], dtype=w_masks.dtype)
+    weights = [weight for _, weight in items]
+    dtype = np.int64 if max(1, sum(weights)) * max(1, h[-1]) < 1 << 62 else object
+    table, weights = np.array(h, dtype=dtype), np.array(weights, dtype=dtype)
+    wide = w_masks.dtype == object
+    popcount = np.vectorize(int.bit_count, otypes=[np.intp]) if wide else np.bitwise_count
+    scores = np.empty(len(w_masks), dtype=dtype)
+    step = max(1, PAV_BLOCK // max(1, len(ballots)))
+    for start in range(0, len(w_masks), step):
+        counts = popcount(w_masks[start:start + step, None] & ballots)
+        scores[start:start + step] = table[counts] @ weights
+    return scores
 
 
 def first_improving_swap(
     items: Sequence[tuple[int, int]], w_mask: int, movable: int, m: int, h
 ) -> Optional[tuple[int, int]]:
     """The first (x, y) in lexicographic order, x a member in the mask
-    ``movable`` and y a non-member of ``range(m)``, whose swap raises
-    `mask_pav_score` over ``items``; None if the committee is swap-optimal.
-    The one swap test of the package."""
-    base = mask_pav_score(items, w_mask, h)
+    ``movable`` and y a non-member of ``range(m)``, whose swap raises the
+    `pav_scores` score over ``items``; None if the committee is
+    swap-optimal. The one swap test of the package: it scores the committee
+    and all those swaps in one call."""
     outside = [y for y in range(m) if not (w_mask >> y) & 1]
-    for x in range(m):
-        if (movable >> x) & 1:
-            rest = w_mask & ~(1 << x)
-            for y in outside:
-                if mask_pav_score(items, rest | (1 << y), h) > base:
-                    return x, y
-    return None
+    swaps = [(x, y) for x in range(m) if (movable >> x) & 1 for y in outside]
+    masks = [w_mask] + [w_mask ^ (1 << x) ^ (1 << y) for x, y in swaps]
+    scores = pav_scores(items, _mask_array(masks, m), h)
+    better = np.flatnonzero(scores[1:] > scores[0])
+    return swaps[better[0]] if better.size else None

@@ -5,25 +5,25 @@ swap-optimal committee, `global_pav` enumerates all committees
 exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
 `recursive_pav` repeatedly fixes successful deviations into the committee
 until it is core stable or the fixed set no longer fits. Scores are ints
-over one denominator (`elections.mask_pav_score`), and every swap test is
-`elections.first_improving_swap`.
+over one denominator from the array kernel `elections.pav_scores`, and
+every swap test is `elections.first_improving_swap`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .elections import (
     CandidateSet,
     ElectionInstance,
     EnumerationLimitError,
     _as_mask,
+    _subset_masks,
     first_improving_swap,
     harmonic_table,
-    mask_pav_score,
+    pav_scores,
 )
 from .stability import Quota, find_deviation
 
@@ -95,32 +95,22 @@ def local_pav(
     return result
 
 
-def _committee_masks(m: int, k: int) -> Iterator[int]:
-    """Every committee of size k as a bitmask, in `itertools.combinations`
-    order; refused above `DEFAULT_MAX_COMMITTEES`."""
+def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
+    """All committees attaining the maximum exact PAV score, found by
+    scoring every committee; refused above `DEFAULT_MAX_COMMITTEES`."""
+    profile, k, m = instance.profile, instance.k, instance.m
     total = math.comb(m, k)
     if total > DEFAULT_MAX_COMMITTEES:
         raise EnumerationLimitError(
             f"enumerating C({m},{k}) = {total} committees exceeds the cap of "
             f"{DEFAULT_MAX_COMMITTEES}"
         )
-    return map(sum, itertools.combinations([1 << i for i in range(m)], k))
-
-
-def global_pav(instance: ElectionInstance) -> set[CandidateSet]:
-    """All committees attaining the maximum exact PAV score."""
-    profile, k, m = instance.profile, instance.k, instance.m
     _, items = profile.scaled_mask_items()
     _, h = harmonic_table(k)
-    best = -1
-    winners: list[int] = []
-    for w_mask in _committee_masks(m, k):
-        score = mask_pav_score(items, w_mask, h)
-        if score > best:
-            best, winners = score, [w_mask]
-        elif score == best:
-            winners.append(w_mask)
-    return {CandidateSet(mask, m) for mask in winners}
+    # Uncached: a table of up to 10**7 masks must not outlive the call.
+    masks = _subset_masks.__wrapped__(m, k)
+    scores = pav_scores(items, masks, h)
+    return {CandidateSet(int(mask), m) for mask in masks[scores == scores.max()]}
 
 
 def recursive_pav(

@@ -14,7 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -24,6 +23,7 @@ from .elections import (
     ElectionInstance,
     EnumerationLimitError,
     Profile,
+    _subset_masks,
 )
 
 #: Deviation search is exponential in m; refuse above this.
@@ -95,22 +95,6 @@ def _report(
         quota=quota,
         supporters=tuple(CandidateSet(b, m) for b in backers),
     )
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(m: int, size: int) -> np.ndarray:
-    """The bitmasks of the ``size``-subsets of ``range(m)`` as a read-only
-    int64 array, in `itertools.combinations` order: the subsets whose least
-    member is i come before those whose least member is i + 1."""
-    if size == 0:
-        masks = np.zeros(1, dtype=np.int64)
-    else:
-        masks = np.concatenate([
-            (_subset_masks(m - i - 1, size - 1) << (i + 1)) | (1 << i)
-            for i in range(m - size + 1)
-        ])
-    masks.setflags(write=False)
-    return masks
 
 
 def find_deviation(

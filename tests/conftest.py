@@ -16,12 +16,12 @@ from pavcore.elections import (
     CandidateSet,
     ElectionInstance,
     Profile,
+    _subset_masks,
     first_improving_swap,
     harmonic_table,
     pav_score,
 )
 from pavcore.proofs import _is_lemma1_shape
-from pavcore.rules import _committee_masks
 from pavcore.stability import Quota, _supporters
 
 
@@ -57,7 +57,7 @@ def local_optima(instance):
     _, h = harmonic_table(instance.k)
     return {
         CandidateSet(w_mask, instance.m)
-        for w_mask in _committee_masks(instance.m, instance.k)
+        for w_mask in _subset_masks(instance.m, instance.k).tolist()
         if first_improving_swap(items, w_mask, w_mask, instance.m, h) is None
     }
 
@@ -71,7 +71,7 @@ def special_deviations(instance, committee):
     return [
         CandidateSet(t_mask, m)
         for size in range(1, k + 1)
-        for t_mask in _committee_masks(m, size)
+        for t_mask in _subset_masks(m, size).tolist()
         if _is_lemma1_shape(w_mask, t_mask)
         and Quota.HARE.succeeds(_supporters(profile, w_mask, t_mask)[0], size, k)
     ]

@@ -4,6 +4,7 @@ Exit codes: 0 when the claim holds, 1 when it fails, 2 on input errors,
 3 when a size or time budget is exceeded.
 """
 
+import argparse
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pavcore import fileio, proofs, rules
+from pavcore import cli, fileio, proofs, rules
 from pavcore.cli import main
 from pavcore.elections import CandidateSet
 from pavcore.exactlp import FarkasCertificate
@@ -114,6 +115,53 @@ def test_python_m_pavcore_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["violations"] == []
+
+
+class TestParser:
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch, tied_pair_file):
+        # Options of one call must not leak into the next: --json, --rule
+        # and --quota are given, then left to their defaults.
+        calls = [
+            ["rule", tied_pair_file, "--rule", "pav-global", "--json"],
+            ["rule", tied_pair_file],
+            ["verify-core", tied_pair_file, "1,2,5-10", "--quota", "droop"],
+            ["verify-core", tied_pair_file, "1,2,5-10"],
+            ["verify-core", tied_pair_file, "1-8", "--bogus"],
+            ["verify-core", tied_pair_file, "1-8", "--json"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert [code for code, _ in fresh] == [0, 0, 1, 1, 2, 0]
+        assert "hare" in fresh[3][1] and "droop" in fresh[2][1]
+        built = []
+        build = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert [self.outcome(capsys, argv) for argv in calls] == fresh
+        assert built == [1]
+
+    def test_no_action_has_a_mutable_default(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command in sub.choices.values():
+            for action in command._actions:
+                assert isinstance(action.default, (type(None), bool, int, float, str))
+
+    def test_commands_are_looked_up_when_called(self, capsys, monkeypatch, tied_pair_file):
+        main(["rule", str(tied_pair_file)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_rule", lambda args: 7)
+        assert main(["rule", str(tied_pair_file)]) == 7
 
 
 class TestVerifyCore:

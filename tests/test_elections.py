@@ -4,21 +4,26 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pavcore import elections
 from pavcore.elections import (
     CandidateSet,
     ElectionInstance,
     Profile,
+    _subset_masks,
     first_improving_swap,
     harmonic,
     harmonic_table,
     pav_score,
+    pav_scores,
 )
 
 from conftest import cs, fraction_swap_delta, score_swap_delta
+from test_rules import fraction_score
 from test_stability import PROFILE_SHAPES, random_instance
 
 
@@ -114,6 +119,60 @@ class TestUtilityAndScore:
     def test_pav_score_zero_when_disjoint(self):
         p = Profile(6, {cs([1, 2], 6): 1})
         assert pav_score(p, cs([5, 6], 6)) == 0
+
+
+class TestSubsetMasks:
+    @pytest.mark.parametrize(
+        "m, sizes", [(1, range(2)), (5, range(6)), (8, range(9)), (63, (0, 1, 2)), (70, (1, 2))]
+    )
+    def test_combinations_order(self, m, sizes):
+        # Past m = 62 the masks are Python ints.
+        for size in sizes:
+            masks = _subset_masks(m, size)
+            assert masks.dtype == (object if m > 62 else np.int64)
+            assert masks.tolist() == [
+                sum(1 << i for i in combo)
+                for combo in itertools.combinations(range(m), size)
+            ]
+
+
+class TestPavScores:
+    @staticmethod
+    def assert_oracle_scores(profile, size, scores):
+        scale, _ = profile.scaled_mask_items()
+        lcm_k, _ = harmonic_table(size)
+        assert [Fraction(int(s), scale * lcm_k) for s in scores] == [
+            fraction_score(profile.items(), w_mask)
+            for w_mask in _subset_masks(profile.m, size).tolist()
+        ]
+
+    @pytest.mark.parametrize("max_ballots, max_count", PROFILE_SHAPES)
+    def test_agrees_with_fraction_oracle(self, max_ballots, max_count):
+        # Every committee of every size, including the empty one.
+        rng = random.Random(7300 + max_ballots)
+        wide = 0
+        for _ in range(30):
+            instance = random_instance(
+                rng, max_m=7, max_ballots=max_ballots, max_count=max_count
+            )
+            profile = instance.profile
+            _, items = profile.scaled_mask_items()
+            for size in range(profile.m + 1):
+                _, h = harmonic_table(size)
+                scores = pav_scores(items, _subset_masks(profile.m, size), h)
+                self.assert_oracle_scores(profile, size, scores)
+                wide += scores.dtype == object
+        if max_count > 1 << 62:
+            assert wide > 50  # scores past int64 take the Python-int path
+
+    def test_blocks_cross_committee_boundaries(self, monkeypatch, unique_9):
+        # Two committees of three ballots per block: C(11, 9) = 55
+        # committees fill 27 blocks and one committee more.
+        profile = unique_9.profile
+        _, items = profile.scaled_mask_items()
+        _, h = harmonic_table(9)
+        monkeypatch.setattr(elections, "PAV_BLOCK", 2 * len(items) + 1)
+        self.assert_oracle_scores(profile, 9, pav_scores(items, _subset_masks(11, 9), h))
 
 
 class TestSwapDelta:

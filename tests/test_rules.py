@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from pavcore.elections import (
     ElectionInstance,
     EnumerationLimitError,
     Profile,
+    _subset_masks,
     harmonic,
     pav_score,
 )
@@ -173,6 +175,49 @@ class TestGlobalPav:
                 rng, max_m=8, max_ballots=max_ballots, max_count=max_count
             )
             assert global_pav(instance) == brute_force_global_pav(instance)
+
+    def test_masks_past_int64(self):
+        # Candidates c63..c70 lie past bit 62, so committee and ballot masks
+        # are Python ints; C(70, 2) = 2415 committees, three of them optimal.
+        m = 70
+        profile = Profile.from_counts(
+            m,
+            {
+                cs([1, 70], m): 3,
+                cs([69, 70], m): 2,
+                cs([64, 65, 66], m): 2,
+                cs([2, 68], m): 1,
+                cs([67], m): 1,
+            },
+        )
+        instance = ElectionInstance(profile, k=2)
+        winners = global_pav(instance)
+        assert winners == brute_force_global_pav(instance) and len(winners) == 3
+        assert_swap_stable(instance, local_pav(instance))
+
+    def test_committees_are_scored_in_blocks(self):
+        # C(20, 10) = 184756 committees: their mask table takes 1.5 MB, and
+        # one (committee, ballot) array of all of them would take 16 times
+        # that. The search may hold the table and 4 MB more, and keeps no
+        # table after it returns.
+        rng = random.Random(2010)
+        m = 20
+        counts = {
+            sum(1 << i for i in rng.sample(range(m), rng.randint(2, 6))): rng.randint(1, 99)
+            for _ in range(16)
+        }
+        instance = ElectionInstance(Profile.from_counts(m, counts), k=10)
+        cached = _subset_masks.cache_info().currsize
+        tracemalloc.start()
+        try:
+            winners = global_pav(instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = 8 * 184756
+        assert peak < table + (4 << 20)
+        assert _subset_masks.cache_info().currsize == cached
+        assert winners and all(len(w) == 10 for w in winners)
 
     def test_cap_refusal(self):
         # C(30, 15) = 155117520 committees, over the cap of 10^7.
