@@ -48,10 +48,9 @@ from .fileio import (
 )
 from .proofs import (
     Runner,
-    _decide,
-    _HistoryRows,
     check_proposition1,
     enumerate_histories,
+    history_verdict,
     iter_shapes,
     program3_history,
     shape_violations,
@@ -235,13 +234,11 @@ def _prove_program3(args) -> int:
     files = {}
     all_infeasible = True
     with Runner(args.threads, args.budget_seconds) as runner:
-        verdicts = runner.map(
-            _decide, [_HistoryRows(h.m, h.k, h.mask_steps()) for h in histories]
-        )
+        verdicts = runner.map(history_verdict, histories)
         for shape, verdict in zip(shapes, verdicts):
             entry = {"size": shape.size, "overlap": shape.overlap}
             if verdict.certificate is not None:
-                # _decide returns only certificates it verified exactly.
+                # history_verdict returns only certificates it verified exactly.
                 entry["status"] = "infeasible"
                 entry["certificate_verified"] = True
                 if args.out:

@@ -16,21 +16,23 @@ machine-checkable evidence either way:
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
 
-Every history system is decided one way (`_decide`), whichever mode asks.
-The shortcut rule: a history of exactly one step of a Lemma 1 shape
-(`_is_lemma1_shape`) gets its Theorem 1 certificate with no LP. Every other
-system goes through the symmetry-collapsed quotient (`_Quotient`), the
-revised exact simplex (`exactlp`) and the lift back to the full system
-(`_HistoryRows`). Either way the result is checked exactly, and a failed
-check raises. Every batch of work runs through one `Runner`, which owns
-the process pool and the time budget. One function builds the solver's rows
-(`_type_rows`): over ballot types for the quotient, and over singleton
-classes, where each ballot is its own type, for the full system. Every row
-carries a tag, and lifts and analytic certificates find rows by their
-tags. `_build_rows` is the reference builder that the certificate checker
-uses, so the checker shares no row code with the solver. It builds each
-row at once over the array of ballot masks, as an integer `Row` over
-lcm(1..k+1).
+A history is one value, `History`: the search extends it by one step
+(`History.child`), hands it to the process pool as a task, and keys the
+verdict by it. Every history system is decided one way (`history_verdict`),
+whichever mode asks. The shortcut rule: a history of exactly one step of a
+Lemma 1 shape (`_is_lemma1_shape`) gets its Theorem 1 certificate with no
+LP. Every other system goes through the symmetry-collapsed quotient
+(`_Quotient`), the revised exact simplex (`exactlp`) and the lift back to
+the full system (`History.problem`). Either way the result is checked
+exactly, and a failed check raises. Every batch of work runs through one
+`Runner`, which owns the process pool and the time budget. One function
+builds the solver's rows (`_type_rows`): over ballot types for the
+quotient, and over singleton classes, where each ballot is its own type,
+for the full system. Every row carries a tag, and lifts and analytic
+certificates find rows by their tags. `_build_rows` is the reference
+builder that the certificate checker uses, so the checker shares no row
+code with the solver. It builds each row at once over the array of ballot
+masks, as an integer `Row` over lcm(1..k+1).
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), then negated deviation rows by
@@ -301,8 +303,7 @@ def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
     (k/|T| - 1)|T\\W| strictly, so it fails for shapes with scan violations.
     """
     history = program3_history(k, shape)
-    full = _HistoryRows(history.m, k, history.mask_steps()).problem()
-    return _analytic_step1_certificate(full, k, *history.mask_steps()[0])
+    return _analytic_step1_certificate(history.problem(), k, *history.mask_steps()[0])
 
 
 def _analytic_step1_certificate(
@@ -379,6 +380,23 @@ class History:
     def mask_steps(self) -> tuple[tuple[int, int], ...]:
         return tuple((w.mask, t.mask) for w, t in self.steps)
 
+    def child(self, committee: CandidateSet, deviation: CandidateSet) -> "History":
+        """This history extended by one (W, T) step. An invalid step raises
+        `ValueError` here, before the child goes anywhere."""
+        return History(self.m, self.k, self.steps + ((committee, deviation),))
+
+    def problem(self) -> _Problem:
+        """The full system, built on each call: the type rows
+        (`_type_rows`) over singleton classes, so each ballot is its own
+        type, in ascending bitmask order, and column j is ballot j + 1, the
+        canonical variables, with the rows and their tags in the canonical
+        order. The history holds only its steps, so a batch of histories
+        stays small."""
+        m = self.m
+        ballots = np.arange(1, 1 << m, dtype=np.int64)
+        bits = (ballots >> np.arange(m)[:, None]) & 1  # bits[i]: holds i
+        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.mask_steps())
+
     def total_deviation_size(self) -> int:
         return sum(len(t) for _, t in self.steps)
 
@@ -441,10 +459,11 @@ def _type_rows(
     total weight of those ballots. Row ``("swap", t, i, j)`` is the sum of
     the step-t swap rows over x in class i and y in class j, divided by the
     number of those rows. With singleton classes the types are the ballots
-    and these are the full system's rows, tagged as `_build_rows` tags
-    them. The rows, scaled to integers by ``L = lcm(1..k+1)``
-    (`harmonic_table`), and their tags are in the canonical row order;
-    they fill one preallocated int64 matrix, so the system is held once.
+    and these are the full system's rows (`History.problem`), tagged as
+    `_build_rows` tags them. The rows, scaled to integers by
+    ``L = lcm(1..k+1)`` (`harmonic_table`), and their tags are in the
+    canonical row order; they fill one preallocated int64 matrix, so the
+    system is held once.
     """
     L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
@@ -490,30 +509,8 @@ def _type_rows(
     return _Problem(matrix, scales, rhs, tags)
 
 
-class _HistoryRows:
-    """A search task: the candidate count, k and the (W, T) masks of one
-    history, and nothing else, so a batch of tasks stays small.
-
-    ``problem`` builds the history's full system on each call: the type
-    rows over singleton classes, so each ballot is its own type, in
-    ascending bitmask order, and column j is ballot j + 1, the canonical
-    variables, with the rows and their tags in the canonical order.
-    """
-
-    __slots__ = ("m", "k", "steps")
-
-    def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]] = ()):
-        self.m, self.k, self.steps = m, k, tuple(steps)
-
-    def child(self, w_mask: int, t_mask: int) -> "_HistoryRows":
-        """The rows of this history extended by one (W, T) step."""
-        return _HistoryRows(self.m, self.k, self.steps + ((w_mask, t_mask),))
-
-    def problem(self) -> _Problem:
-        m = self.m
-        ballots = np.arange(1, 1 << m, dtype=np.int64)
-        bits = (ballots >> np.arange(m)[:, None]) & 1  # bits[i]: holds i
-        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.steps)
+# bench/layers.py times `History.child` and `History.problem` by this name.
+_HistoryRows = History
 
 
 def _signature_classes(m: int, sets: Sequence[int]) -> list[list[int]]:
@@ -541,11 +538,12 @@ class _Quotient:
     type: how many members it takes from each class. The quotient LP has
     one nonnegative variable per type (the total weight of the orbit) and
     one row per orbit of rows, both from `_type_rows`, which builds the
-    full system too (`_HistoryRows`, singleton classes). A feasible
+    full system too (`History.problem`, singleton classes). A feasible
     quotient solution spreads into a symmetric full solution, and a
     quotient ray, divided by the row-orbit sizes, is a full-system Farkas
     ray. Both lifts are re-verified exactly against the full system, so
-    correctness never rests on this reduction.
+    correctness never rests on this reduction. It is built from the
+    history's masks (`History.mask_steps`).
     """
 
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]]):
@@ -720,28 +718,28 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
     return outside == 1 or (outside > 1 and not t_mask & w_mask)
 
 
-def _decide(rows: _HistoryRows) -> HistoryVerdict:
-    """Decide one history system: its `HistoryVerdict`, which carries a
-    witness `Profile` or a Farkas certificate.
+def history_verdict(history: History) -> HistoryVerdict:
+    """Decide whether a potential history is realizable by some profile:
+    its `HistoryVerdict`, which carries an exact witness `Profile` or a
+    Farkas certificate for the canonical system.
 
     After the shortcut rule of the module docstring, the orbit quotient is
     solved and its result lifted. Either way the result is verified against
-    the full system (`_HistoryRows.problem`), built once per call, after
-    any LP, and dropped on return; a witness is also re-checked against
-    the election semantics. A failed check raises `RuntimeError`, since it
+    the full system (`History.problem`), built once per call, after any LP,
+    and dropped on return; a witness is also re-checked against the
+    election semantics. A failed check raises `RuntimeError`, since it
     means a bug. Over `MAX_HISTORY_M` candidates raises
     `EnumerationLimitError`.
     """
-    m, k, steps = rows.m, rows.k, rows.steps
+    m, k, steps = history.m, history.k, history.mask_steps()
     _check_history_m(m)
-    history = History.from_masks(m, k, steps)
     if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
-        full = rows.problem()
+        full = history.problem()
         certificate = _analytic_step1_certificate(full, k, *steps[0])
     else:
         quotient = _Quotient(m, k, steps)
         verdict, _ = _solve_problem(quotient.problem())
-        full = rows.problem()
+        full = history.problem()
         if isinstance(verdict, Feasible):
             witness = quotient.lift_assignment(verdict.assignment)
             if not _verify_witness_fast(full, witness):
@@ -825,12 +823,12 @@ def enumerate_histories(
 
     Feasible continuations become histories and are expanded further;
     infeasible ones are recorded with a verified Farkas certificate, each
-    decided by `_decide`. The result includes the empty history.
+    decided by `history_verdict`. The result includes the empty history.
 
-    Each level is one batch of `_decide` tasks on one `Runner` for the
-    whole search: the `_HistoryRows` of each parent, extended by each of
-    its continuations (`_HistoryRows.child`). When the budget runs out with
-    tasks left, the search stops and the result is flagged incomplete.
+    Each level is one batch of `history_verdict` tasks on one `Runner` for
+    the whole search: each parent extended by each of its canonical
+    continuations (`History.child`). When the budget runs out with tasks
+    left, the search stops and the result is flagged incomplete.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -842,13 +840,13 @@ def enumerate_histories(
     frontier = [root]
     with Runner(threads, budget_seconds) as runner:
         while frontier and runner.complete:
-            tasks = []
-            for parent in frontier:
-                rows = _HistoryRows(m, k, parent.mask_steps())
-                for committee, deviation in canonical_continuations(parent):
-                    tasks.append(rows.child(committee.mask, deviation.mask))
+            tasks = [
+                parent.child(committee, deviation)
+                for parent in frontier
+                for committee, deviation in canonical_continuations(parent)
+            ]
             frontier = []
-            for verdict in runner.map(_decide, tasks):
+            for verdict in runner.map(history_verdict, tasks):
                 if verdict.witness is not None:
                     witnesses[verdict.history] = verdict.witness
                     histories.append(verdict.history)
@@ -863,16 +861,6 @@ def enumerate_histories(
         witnesses=witnesses,
         complete=runner.complete,
     )
-
-
-def history_verdict(history: History) -> HistoryVerdict:
-    """Decide whether a potential history is realizable by some profile
-    (`_decide`): an exact witness profile, re-checked against the election
-    semantics, or a verified Farkas certificate for the canonical system.
-    Systems over more than `MAX_HISTORY_M` candidates raise
-    `EnumerationLimitError`.
-    """
-    return _decide(_HistoryRows(history.m, history.k, history.mask_steps()))
 
 
 # ---------------------------------------------------------------------------
@@ -994,10 +982,8 @@ class Lemma2Report:
 
     def all_certified(self) -> bool:
         """Re-check every record against freshly built rows."""
-        problem = _HistoryRows(
-            self.committee.m, len(self.committee),
-            [(self.committee.mask, self.deviation.mask)],
-        ).problem()
+        step = (self.committee, self.deviation)
+        problem = History(self.committee.m, len(self.committee), (step,)).problem()
         records = (
             self.quarter_records
             + (self.aggregate_zero_record,)
@@ -1027,7 +1013,7 @@ def lemma2_suite() -> Lemma2Report:
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
     # Each program is solved over all 2^m - 1 ballots, from the slack basis.
-    problem = _HistoryRows(m, k, history.mask_steps()).problem()
+    problem = history.problem()
 
     a, b = sorted(deviation & committee)
     x, y = sorted(deviation - committee)

@@ -1,5 +1,6 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -38,8 +39,6 @@ from pavcore.proofs import (
     supporter_bound,
     verify_lemma2_structure,
     _build_rows,
-    _decide,
-    _HistoryRows,
     _Quotient,
     _witness_realizes,
 )
@@ -77,7 +76,7 @@ def k8_children():
     smallest m it fits: L = lcm(1..9) = 2520, and the ballots that support
     the first deviation drop out of the second step's swap rows."""
     h = program3_history(8, DeviationShape(4, 2))
-    return [History(h.m, h.k, h.steps + (step,)) for step in canonical_continuations(h)]
+    return [h.child(*step) for step in canonical_continuations(h)]
 
 
 def _swap_coefficient(mask, w_mask, x, y):
@@ -203,10 +202,6 @@ class TestInequalityScan:
 
 
 class TestProgram3:
-    @staticmethod
-    def full_problem(h):
-        return _HistoryRows(h.m, h.k, h.mask_steps()).problem()
-
     def test_row_layout_smallest_case(self):
         h = program3_history(2, DeviationShape(1, 0))
         rows = history_system(h)
@@ -218,7 +213,7 @@ class TestProgram3:
             ("deviation", 1),
         ]
         assert {j for row in rows for j in row.coeffs} <= set(range(7))
-        assert self.full_problem(h).n_vars == 7
+        assert h.problem().n_vars == 7
 
     def test_history_cap(self):
         # k + |T \ W| = 17 candidates, one past MAX_HISTORY_M.
@@ -227,13 +222,13 @@ class TestProgram3:
 
     def test_smallest_case_infeasible(self):
         h = program3_history(2, DeviationShape(1, 0))
-        verdict = solve_feasibility(self.full_problem(h))
+        verdict = solve_feasibility(h.problem())
         assert isinstance(verdict, Infeasible)
         assert verify_farkas(history_system(h), verdict.certificate)
 
     def test_k8_shape42_feasible_with_structure(self):
         h = program3_history(8, DeviationShape(4, 2))
-        verdict = solve_feasibility(self.full_problem(h))
+        verdict = solve_feasibility(h.problem())
         assert isinstance(verdict, Feasible)
         committee, deviation = canonical_program3_sets(8, DeviationShape(4, 2))
         profile = Profile(committee.m, {j + 1: w for j, w in verdict.assignment.items()})
@@ -339,6 +334,30 @@ class TestHistoryType:
         assert History(4, 2, h.steps[:1]) == h
 
 
+class TestHistoryChild:
+    def test_child_extends_the_masks_by_one_step(self):
+        for m, k, steps in multi_step_histories():
+            parent = History.from_masks(m, k, steps[:-1])
+            w, t = steps[-1]
+            child = parent.child(CandidateSet(w, m), CandidateSet(t, m))
+            assert child == History.from_masks(m, k, parent.mask_steps() + ((w, t),))
+            assert child.steps[:-1] == parent.steps
+
+    def test_an_invalid_step_raises_at_child(self):
+        h = History(4, 2, ((cs([1, 2], 4), cs([3], 4)),))
+        with pytest.raises(ValueError):
+            h.child(cs([1, 2], 4), cs([4], 4))  # drops the fixed candidate c3
+        with pytest.raises(ValueError):
+            h.child(cs([1, 2, 3], 4), cs([4], 4))  # committee of size 3
+        with pytest.raises(ValueError):
+            h.child(cs([1, 3], 5), cs([4], 5))  # another universe
+
+    def test_child_survives_pickle(self):
+        for child in k8_children()[::6]:
+            again = pickle.loads(pickle.dumps(child))
+            assert again == child and hash(again) == hash(child)
+
+
 class TestHistorySystem:
     def test_matches_reference_builder(self):
         rng = random.Random(8)
@@ -383,10 +402,9 @@ class TestHistorySystem:
         # largest that program3 builds. Its build may hold little more than
         # the one matrix.
         h = program3_history(8, DeviationShape(8, 0))
-        rows = _HistoryRows(h.m, h.k, h.mask_steps())
         tracemalloc.start()
         try:
-            problem = rows.problem()
+            problem = h.problem()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -413,7 +431,7 @@ class TestHistorySystem:
     @staticmethod
     def assert_rows_match(m, k, steps):
         ref_rows, _ = _build_rows(m, k, steps)
-        scaled = _HistoryRows(m, k, steps).problem()
+        scaled = History.from_masks(m, k, steps).problem()
         assert scaled.tags == [row.tag for row in ref_rows]
         assert scaled.n_rows == len(ref_rows)
         for i, row in enumerate(ref_rows):
@@ -597,11 +615,12 @@ class TestEnumerateHistories:
     )
     def test_a_decided_task_keeps_no_full_rows(self, k, shape):
         # A search level holds all its tasks until the level ends, so a
-        # task holds only its masks, whichever way it is decided: the
+        # task holds only its steps, whichever way it is decided: the
         # Theorem 1 shortcut, an LP refutation or an LP witness.
-        assert _HistoryRows.__slots__ == ("m", "k", "steps")
         h = program3_history(k, shape)
-        verdict = _decide(_HistoryRows(h.m, k).child(*h.mask_steps()[0]))
+        task = History(h.m, k, ()).child(*h.steps[0])
+        verdict = history_verdict(task)
+        assert vars(task).keys() == {"m", "k", "steps"}
         assert isinstance(verdict, HistoryVerdict) and verdict.history == h
         assert (verdict.witness is not None) == (k == 8)
 

@@ -1,10 +1,13 @@
 """The names the benchmark's per-layer tracer wraps (`bench/layers.py`)
 must be the ones the commands call: a traced prove and check of a
-program3 bundle counts one write, one reference-row build and one Farkas
-check per certificate file, and the election commands count every round
-of the recursive rule and every deviation search."""
+program3 or histories bundle counts one write, one reference-row build and
+one Farkas check per certificate file, the history search times the rows
+it builds, and the election commands count every round of the recursive
+rule and every deviation search."""
 
 from pathlib import Path
+
+import pytest
 
 from pavcore import cli
 
@@ -37,6 +40,28 @@ def test_traced_program3_round_trip_counts_every_file(tmp_path, monkeypatch):
     assert counts["proofs.reference_rows_calls"] == n_files
     assert counts["fileio.files_written"] == n_files
     assert counts["exactlp.lps"] > 0
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_traced_histories_round_times_the_rows_the_search_builds(tmp_path, monkeypatch, m):
+    # The tracer wraps the history's `child` and `problem` under the name
+    # `proofs._HistoryRows`; the search must still call what it wraps. At
+    # m = 9 every continuation of the empty history has one candidate
+    # outside W, so each gets its Theorem 1 certificate with no quotient;
+    # at m = 10 the (4, 2) step and its children go through the quotient.
+    tracer = _tracer(monkeypatch)
+    try:
+        bundle = tmp_path / f"h{m}8"
+        argv = ["prove", "--mode", "histories", "--m", str(m), "--k", "8", "--out", str(bundle)]
+        assert cli.main(argv) == 0
+        assert cli.main(["check-certificates", str(bundle)]) == 0
+    finally:
+        tracer.uninstall()
+    times, counts = tracer.take()
+    assert times["proofs.rows"] > 0
+    assert ("proofs.quotient" in times) == (m == 10)
+    assert counts["fileio.files_written"] == counts["exactlp.verify_farkas_calls"] > 0
+    assert counts["proofs.reference_rows_calls"] == counts["exactlp.verify_farkas_calls"]
 
 
 def test_traced_election_commands_count_rounds_and_searches(tmp_path, monkeypatch):
