@@ -46,6 +46,8 @@ _Q0 = Fraction(0)
 #: Integer sums below this bound cannot overflow int64.
 _INT64_SAFE = 2**62
 
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+
 
 class Row:
     """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag.
@@ -82,15 +84,18 @@ class Row:
         return row
 
     def _set(self, cols, nums, den, rhs, tag) -> None:
-        if cols.dtype != np.int64 or nums.dtype not in (np.int64, object):
+        # Kept cheap, since a checked file builds thousands of rows: dtypes
+        # compare with dtype objects, and np.count_nonzero counts the bad
+        # column pairs without a ufunc reduction.
+        if cols.dtype != _INT64 or (nums.dtype != _INT64 and nums.dtype != _OBJECT):
             raise TypeError("a row holds int64 columns and int64 or object numerators")
         if cols.shape != nums.shape or cols.ndim != 1 or den < 1:
             raise ValueError("a row needs one numerator per column and a positive denominator")
-        if cols.size and (cols[0] < 0 or (cols[1:] <= cols[:-1]).any()):
+        if cols.size and (cols[0] < 0 or np.count_nonzero(cols[1:] <= cols[:-1])):
             raise ValueError("row columns must be nonnegative and strictly increasing")
         cols.flags.writeable = nums.flags.writeable = False
         self.cols, self.nums, self.den = cols, nums, int(den)
-        self.rhs, self.tag = Fraction(rhs), tag
+        self.rhs, self.tag = rhs if type(rhs) is Fraction else Fraction(rhs), tag
 
     @functools.cached_property
     def coeffs(self) -> Mapping[int, Fraction]:
@@ -146,6 +151,13 @@ class FarkasCertificate:
             {i: int(v) for i, v in enumerate(multipliers) if v != 0},
         )
 
+    @classmethod
+    def from_ray(cls, ray: Sequence[Fraction]) -> "FarkasCertificate":
+        """The certificate of a rational ray, one entry per row, scaled to
+        integers by the lcm of its denominators."""
+        denom = math.lcm(1, *(u.denominator for u in ray))
+        return cls(len(ray), {i: int(u * denom) for i, u in enumerate(ray) if u})
+
     def multiplier(self, row_index: int) -> int:
         return self.nonzero.get(row_index, 0)
 
@@ -182,7 +194,7 @@ LpVerdict = Union[Feasible, Infeasible]
 MaximizeResult = Union[Optimal, Infeasible, Unbounded]
 
 
-def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
+def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate) -> bool:
     """Check a Farkas certificate exactly, without any solver.
 
     True iff every multiplier is a nonnegative integer, ``y . b < 0``, and
@@ -190,8 +202,9 @@ def verify_farkas(rows: Sequence[Row], certificate: FarkasCertificate) -> bool:
     would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
     whose variables are all nonnegative, has no solution.
 
-    Only the rows with a nonzero multiplier are read. ``y . b`` is summed in
-    Python ints over the lcm of their right-hand sides' denominators.
+    Only the rows with a nonzero multiplier are read, so the others may be
+    None (`fileio.CertificateRecord`). ``y . b`` is summed in Python ints
+    over the lcm of their right-hand sides' denominators.
     ``A^T y`` is summed over ``L``, the lcm of their row denominators, as
     ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound shows
     that no sum can overflow, else in Python ints. Both signs are exact.
@@ -288,11 +301,6 @@ class _Problem:
         worst = np.flatnonzero(reduced < 0)
         return worst[np.argsort(reduced[worst], kind="stable")].tolist()
 
-    def certificate(self, ray) -> FarkasCertificate:
-        denom = math.lcm(1, *(u.denominator for u in ray))
-        nonzero = {i: int(u * denom) for i, u in enumerate(ray) if u}
-        return FarkasCertificate(self.n_rows, nonzero)
-
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
         """Exact check that an assignment (per column, absent columns are 0)
         is nonnegative and satisfies every row."""
@@ -380,7 +388,7 @@ class _Master:
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs of the slack columns.
             ray = [Fraction(v, den[R]) for v in tab[R, :R]]
-            return Infeasible(self.problem.certificate(ray))
+            return Infeasible(FarkasCertificate.from_ray(ray))
         if objective is None:
             # Artificials left basic are at zero: x satisfies every row.
             return Feasible(self._extract(tab, den, basis))

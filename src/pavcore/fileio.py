@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .elections import CandidateSet, ElectionInstance, Profile
 from .exactlp import FarkasCertificate, Row
@@ -179,11 +179,13 @@ def parse_committee(text: str, m: int) -> CandidateSet:
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    """A certificate file in memory: the rows of its reconstructed system,
-    each in the integer form of `Row`, plus one multiplier per row, ready
-    for the solver-free checker."""
+    """A certificate file in memory: one multiplier per row of its
+    reconstructed system, and the rows it is checked on, ready for the
+    solver-free checker. ``rows`` has one entry per row of the system: the
+    rows with a nonzero multiplier, each in the integer form of `Row`, and
+    None for the others, which add nothing to the check."""
 
-    rows: list[Row]
+    rows: list[Optional[Row]]
     certificate: FarkasCertificate
 
 
@@ -230,21 +232,40 @@ def _row_count(history: History) -> int:
     return count
 
 
+def _multiplier(value) -> int:
+    """An int or a decimal-integer string, as an int, exactly as `_integer`
+    reads it, but with string tests in place of a regular expression."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError as exc:  # too many digits, or a space int() refuses
+                raise CertificateFormatError(f"multiplier: {exc}") from exc
+    raise CertificateFormatError(f"multiplier must be an integer, found {value!r}")
+
+
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     """The record of a certificate file. The multiplier count is checked
     against the row count before any row is built, so a file cannot make
-    the reader build a system that its multipliers do not fit."""
+    the reader build a system that its multipliers do not fit. Then only
+    the rows with a nonzero multiplier are built, in one `_build_rows`
+    call."""
     if not isinstance(payload, dict):
         raise CertificateFormatError("a certificate must be a JSON object")
     history = _history_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
-    values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
+    values = [_multiplier(v) for v in raw]
     expected = _row_count(history)
     if len(values) != expected:
         raise CertificateFormatError(f"expected {expected} multipliers, found {len(values)}")
-    return CertificateRecord(history_system(history), FarkasCertificate.from_list(values))
+    certificate = FarkasCertificate.from_list(values)
+    return CertificateRecord(history_system(history, certificate.nonzero), certificate)
 
 
 def load_certificate(path: Union[str, Path]) -> CertificateRecord:

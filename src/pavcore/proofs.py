@@ -23,16 +23,20 @@ whichever mode asks. The shortcut rule: a history of exactly one step of a
 Lemma 1 shape (`_is_lemma1_shape`) gets its Theorem 1 certificate with no
 LP. Every other system goes through the symmetry-collapsed quotient
 (`_Quotient`), the revised exact simplex (`exactlp`) and the lift back to
-the full system (`History.problem`). Either way the result is checked
-exactly, and a failed check raises. Every batch of work runs through one
-`Runner`, which owns the process pool and the time budget. One function
-builds the solver's rows (`_type_rows`): over ballot types for the
-quotient, and over singleton classes, where each ballot is its own type,
-for the full system. Every row carries a tag, and lifts and analytic
-certificates find rows by their tags. `_build_rows` is the reference
-builder that the certificate checker uses, so the checker shares no row
-code with the solver. It builds each row at once over the array of ballot
-masks, as an integer `Row` over lcm(1..k+1).
+the full system. Either way the result is checked exactly, and a failed
+check raises: a certificate on the rows it uses, the ones with a nonzero
+multiplier, and a witness on the full system (`History.problem`). Every
+batch of work runs through one `Runner`, which owns the process pool and
+the time budget. One function builds the solver's rows (`_type_rows`):
+over ballot types for the quotient, and over singleton classes, where each
+ballot is its own type, for the full system or a selection of its rows.
+Every row carries a tag. The tags follow from the masks alone
+(`History.tags`), and lifts and analytic certificates find rows by them,
+so a certificate exists before any full row is built. `_build_rows` is the
+reference builder that the certificate checker uses, so the checker shares
+no row code with the solver. It builds each row at once over the array of
+ballot masks, as an integer `Row` over lcm(1..k+1), and it too builds only
+the rows that a certificate uses.
 
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), then negated deviation rows by
@@ -208,6 +212,9 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
 # Canonical system construction (reference implementation).
 
 
+_ZERO = Fraction(0)
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -218,27 +225,36 @@ def _bits(mask: int) -> list[int]:
 
 
 def _build_rows(
-    m: int, k: int, steps: Sequence[tuple[int, int]]
-) -> tuple[list[Row], list[tuple[int, int, int]]]:
+    m: int,
+    k: int,
+    steps: Sequence[tuple[int, int]],
+    rows: Optional[Iterable[int]] = None,
+) -> tuple[list[Optional[Row]], list[tuple[int, int, int]]]:
     """Rows of the canonical system for a sequence of (W, T) masks.
 
-    Returns the rows plus the (step, x, y) index of each swap row. This is
-    the reference builder that the certificate checker uses; it shares no
-    code with the solver's `_type_rows`. Each row is built at once over the
-    array of ballot masks, as integers over L = lcm(1..k+1). In swap row
-    (x, y) an active ballot with u = |ballot ∩ W| gains L/(u+1) if it holds
-    y but not x, and loses L/u (u >= 1) if it holds x but not y. A ballot
-    that holds more of a step's T than of its W is inactive in every later
-    step.
+    Returns the rows plus the (step, x, y) index of each swap row. Given
+    the indices ``rows``, it builds only those rows and puts None in the
+    place of every other, so a certificate is checked on the rows it uses.
+    This is the reference builder that the certificate checker uses; it
+    shares no code with the solver's `_type_rows`. Each row is built at
+    once over the array of ballot masks, as integers over L = lcm(1..k+1).
+    In swap row (x, y) an active ballot with u = |ballot ∩ W| gains L/(u+1)
+    if it holds y but not x, and loses L/u (u >= 1) if it holds x but not
+    y. A ballot that holds more of a step's T than of its W is inactive in
+    every later step.
     """
     n = (1 << m) - 1
     L = math.lcm(*range(1, k + 2))
     masks = np.arange(1, n + 1, dtype=np.int64)
+    chosen = None if rows is None else set(rows)
+    built: list[Optional[Row]] = []
+
+    def wanted() -> bool:  # whether to build the next row
+        return chosen is None or len(built) in chosen
+
     every, ones = masks - 1, np.ones(n, dtype=np.int64)
-    rows = [
-        Row.from_arrays(every, ones, 1, 1, ("norm_upper",)),
-        Row.from_arrays(every, -ones, 1, -1, ("norm_lower",)),
-    ]
+    for sign, tag in ((1, "norm_upper"), (-1, "norm_lower")):
+        built.append(Row.from_arrays(every, sign * ones, 1, sign, (tag,)) if wanted() else None)
     swap_meta: list[tuple[int, int, int]] = []
     active = masks  # ballot masks not yet deactivated
     fixed = 0
@@ -250,27 +266,32 @@ def _build_rows(
             holds_y = (active >> y & 1).astype(bool)
             outsiders.append((y, holds_y, np.where(holds_y, gain, loss)))
         for x in _bits(w_mask & ~fixed):
-            holds_x = (active >> x & 1).astype(bool)
+            holds_x = None  # made for the first row of x that is built
             for y, holds_y, change in outsiders:
-                moved = holds_x != holds_y
-                rows.append(
-                    Row.from_arrays(active[moved] - 1, change[moved], L, 0, ("swap", t, x, y))
-                )
+                row = None
+                if wanted():
+                    if holds_x is None:
+                        holds_x = (active >> x & 1).astype(bool)
+                    moved = holds_x != holds_y
+                    tag = ("swap", t, x, y)
+                    row = Row.from_arrays(active[moved] - 1, change[moved], L, _ZERO, tag)
+                built.append(row)
                 swap_meta.append((t, x, y))
         fixed |= t_mask
         active = active[np.bitwise_count(active & t_mask) <= u]
     for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
-        rows.append(
-            Row.from_arrays(
+        row = None
+        if wanted():
+            supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
+            row = Row.from_arrays(
                 masks[supports] - 1,
                 np.full(int(supports.sum()), -1, dtype=np.int64),
                 1,
                 Fraction(-t_mask.bit_count(), k),
                 ("deviation", t),
             )
-        )
-    return rows, swap_meta
+        built.append(row)
+    return built, swap_meta
 
 
 def canonical_program3_sets(
@@ -303,22 +324,23 @@ def farkas_from_theorem1(k: int, shape: DeviationShape) -> FarkasCertificate:
     (k/|T| - 1)|T\\W| strictly, so it fails for shapes with scan violations.
     """
     history = program3_history(k, shape)
-    return _analytic_step1_certificate(history.problem(), k, *history.mask_steps()[0])
+    return _analytic_step1_certificate(history.tags(), k, *history.mask_steps()[0])
 
 
 def _analytic_step1_certificate(
-    full: _Problem, k: int, w_mask: int, t_mask: int
+    tags: Sequence[tuple], k: int, w_mask: int, t_mask: int
 ) -> FarkasCertificate:
     """The Theorem 1 certificate (`farkas_from_theorem1`) of the one-step
-    history (W, T), on its full system. It is valid for every k when the
-    deviation is disjoint from the committee or adds exactly one outsider
+    history (W, T), from the tags of its full system's rows
+    (`History.tags`). It is valid for every k when the deviation is
+    disjoint from the committee or adds exactly one outsider
     (`_is_lemma1_shape`)."""
     shape = DeviationShape(t_mask.bit_count(), (t_mask & w_mask).bit_count())
     alpha = shape.outside
     gamma = alpha + min_supporter_delta(shape, k)
     scale = gamma.denominator
     nonzero = {}
-    for i, tag in enumerate(full.tags):
+    for i, tag in enumerate(tags):
         if tag == ("norm_upper",):
             nonzero[i] = alpha * scale
         elif tag == ("deviation", 1):
@@ -327,7 +349,7 @@ def _analytic_step1_certificate(
             _, _, x, y = tag
             if (w_mask & ~t_mask) >> x & 1 and (t_mask & ~w_mask) >> y & 1:
                 nonzero[i] = scale
-    return FarkasCertificate(full.n_rows, nonzero)
+    return FarkasCertificate(len(tags), nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +407,9 @@ class History:
         `ValueError` here, before the child goes anywhere."""
         return History(self.m, self.k, self.steps + ((committee, deviation),))
 
-    def problem(self) -> _Problem:
-        """The full system, built on each call: the type rows
+    def problem(self, rows: Optional[Sequence[int]] = None) -> _Problem:
+        """The full system, or only the rows with the distinct indices
+        ``rows``, in that order, built on each call: the type rows
         (`_type_rows`) over singleton classes, so each ballot is its own
         type, in ascending bitmask order, and column j is ballot j + 1, the
         canonical variables, with the rows and their tags in the canonical
@@ -394,8 +417,16 @@ class History:
         stays small."""
         m = self.m
         ballots = np.arange(1, 1 << m, dtype=np.int64)
-        bits = (ballots >> np.arange(m)[:, None]) & 1  # bits[i]: holds i
-        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.mask_steps())
+        # bits[i]: holds i. One byte per entry: the system's matrix is the
+        # only array of its size that the build holds.
+        bits = ((ballots >> np.arange(m)[:, None]) & 1).astype(np.int8)
+        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.mask_steps(), rows)
+
+    def tags(self) -> list[tuple]:
+        """The tags of the full system's rows, in the canonical order, from
+        the masks alone: ``problem().tags`` without building a row."""
+        _, tags = _row_layout([1 << i for i in range(self.m)], self.mask_steps())
+        return tags
 
     def total_deviation_size(self) -> int:
         return sum(len(t) for _, t in self.steps)
@@ -425,14 +456,18 @@ def program3_history(k: int, shape: DeviationShape) -> History:
     return History(committee.m, k, ((committee, deviation),))
 
 
-def history_system(history: History) -> list[Row]:
+def history_system(
+    history: History, rows: Optional[Iterable[int]] = None
+) -> list[Optional[Row]]:
     """The rows of the canonical feasibility system deciding whether a
     profile realizes the history: swap rows over the still-active ballots
     for every step, one supported-deviation row per step, over all ballots
     of the full candidate set (column j is ballot mask j + 1). Built by the
-    reference builder `_build_rows`."""
-    rows, _ = _build_rows(history.m, history.k, history.mask_steps())
-    return rows
+    reference builder `_build_rows`: every row, or only the rows ``rows``,
+    with None in the place of every other, so that a certificate is checked
+    on the rows it uses."""
+    built, _ = _build_rows(history.m, history.k, history.mask_steps(), rows)
+    return built
 
 
 def check_proposition1(histories: Iterable[History], k: int) -> bool:
@@ -445,13 +480,31 @@ def check_proposition1(histories: Iterable[History], k: int) -> bool:
 # Vectorized construction of history systems (exact, integer-scaled).
 
 
+def _row_layout(class_masks: Sequence[int], steps: Sequence[tuple[int, int]]):
+    """The swap blocks of a history system over candidate classes and its
+    row tags in the canonical order, from the masks alone. A step's block
+    is its classes of W not fixed before it and its classes outside W; its
+    swap rows pair each of the first with each of the second."""
+    blocks, fixed = [], 0
+    tags = [("norm_upper",), ("norm_lower",)]
+    for t, (w_mask, t_mask) in enumerate(steps, start=1):
+        xs = [i for i, cm in enumerate(class_masks) if cm & w_mask and not cm & fixed]
+        ys = [j for j, cm in enumerate(class_masks) if not cm & w_mask]
+        blocks.append((xs, ys))
+        tags += [("swap", t, i, j) for i in xs for j in ys]
+        fixed |= t_mask
+    return blocks, tags + [("deviation", t) for t in range(1, len(steps) + 1)]
+
+
 def _type_rows(
     classes: Sequence[Sequence[int]],
     types: np.ndarray,
     k: int,
     steps: Sequence[tuple[int, int]],
+    rows: Optional[Sequence[int]] = None,
 ) -> _Problem:
-    """The system of a history over ballot types, as one `_Problem`.
+    """The system of a history over ballot types, as one `_Problem`, or
+    only the rows with the distinct indices ``rows``, in that order.
 
     ``classes`` partitions the candidates into classes that every set of
     the history contains whole or not at all; ``types[j, i]`` is how many
@@ -462,33 +515,29 @@ def _type_rows(
     and these are the full system's rows (`History.problem`), tagged as
     `_build_rows` tags them. The rows, scaled to integers by
     ``L = lcm(1..k+1)`` (`harmonic_table`), and their tags are in the
-    canonical row order; they fill one preallocated int64 matrix, so the
-    system is held once.
+    canonical row order; the rows asked for fill one preallocated int64
+    matrix, so the system is held once.
     """
     L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
     class_masks = [_prefix_mask(members, len(members)) for members in classes]
-    # The tags, and so the row count, follow from the masks alone: swap
-    # rows pair each movable class of W with each class outside W.
-    blocks, fixed = [], 0
-    for w_mask, t_mask in steps:
-        blocks.append((
-            [i for i, cm in enumerate(class_masks) if cm & w_mask and not cm & fixed],
-            [j for j, cm in enumerate(class_masks) if not cm & w_mask],
-        ))
-        fixed |= t_mask
-    swaps = [(t, i, j) for t, (xs, ys) in enumerate(blocks, start=1) for i in xs for j in ys]
-    tags = [("norm_upper",), ("norm_lower",)] + [("swap", *swap) for swap in swaps]
-    tags += [("deviation", t) for t in range(1, len(steps) + 1)]
-    scales = [1, 1] + [L * sizes[i] * sizes[j] for _, i, j in swaps] + [1] * len(steps)
-    rhs = [1, -1] + [0] * len(swaps)
+    blocks, tags = _row_layout(class_masks, steps)
+    scales = [L * sizes[tag[2]] * sizes[tag[3]] if tag[0] == "swap" else 1 for tag in tags]
+    rhs = [1, -1] + [0] * (len(tags) - 2 - len(steps))
     rhs += [Fraction(-t_mask.bit_count(), k) for _, t_mask in steps]
+    rows = range(len(tags)) if rows is None else rows
+    # slot[r]: the matrix row that holds system row r.
+    slot = {r: s for s, r in enumerate(rows)}
+    if len(slot) != len(rows) or not all(0 <= r < len(tags) for r in slot):
+        raise ValueError(f"rows must be distinct indices below {len(tags)}")
 
     taken = np.ascontiguousarray(types.T)  # taken[i]: members of class i
-    left = np.array(sizes, dtype=np.int64)[:, None] - taken
-    matrix = np.empty((len(tags), types.shape[0]), dtype=np.int64)
-    matrix[0], matrix[1] = 1, -1
-    row, deviation_row = 2, 2 + len(swaps)
+    left = np.array(sizes, dtype=taken.dtype)[:, None] - taken
+    matrix = np.empty((len(rows), types.shape[0]), dtype=np.int64)
+    for r, sign in ((0, 1), (1, -1)):
+        if r in slot:
+            matrix[slot[r]] = sign
+    row, deviation_row = 2, len(tags) - len(steps)
     active = np.ones(types.shape[0], dtype=bool)
     for (w_mask, t_mask), (xs, ys) in zip(steps, blocks):
         u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
@@ -497,16 +546,21 @@ def _type_rows(
         gain = np.where(active, L // (u + 1), 0)
         loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
         for i in xs:
-            gain_i, loss_i = left[i] * gain, taken[i] * loss
-            for j in ys:
-                matrix[row] = gain_i * taken[j] - loss_i * left[j]
-                row += 1
+            wanted = [(slot[r], j) for r, j in enumerate(ys, start=row) if r in slot]
+            row += len(ys)
+            if wanted:
+                gain_i, loss_i = left[i] * gain, taken[i] * loss
+                for s, j in wanted:
+                    matrix[s] = gain_i * taken[j] - loss_i * left[j]
         in_t = [i for i, cm in enumerate(class_masks) if cm & t_mask]
         supp = taken[in_t].sum(axis=0) > u
-        matrix[deviation_row] = -supp.astype(np.int64)
+        if deviation_row in slot:
+            matrix[slot[deviation_row]] = -supp.astype(np.int64)
         deviation_row += 1
         active &= ~supp
-    return _Problem(matrix, scales, rhs, tags)
+    return _Problem(
+        matrix, [scales[r] for r in rows], [rhs[r] for r in rows], [tags[r] for r in rows]
+    )
 
 
 # bench/layers.py times `History.child` and `History.problem` by this name.
@@ -541,9 +595,9 @@ class _Quotient:
     full system too (`History.problem`, singleton classes). A feasible
     quotient solution spreads into a symmetric full solution, and a
     quotient ray, divided by the row-orbit sizes, is a full-system Farkas
-    ray. Both lifts are re-verified exactly against the full system, so
-    correctness never rests on this reduction. It is built from the
-    history's masks (`History.mask_steps`).
+    ray. Both lifts are re-verified exactly, a ray on the full system's
+    rows that it uses, so correctness never rests on this reduction. It is
+    built from the history's masks (`History.mask_steps`).
     """
 
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]]):
@@ -590,12 +644,12 @@ class _Quotient:
         return full
 
     def lift_certificate(
-        self, certificate: FarkasCertificate, full: _Problem
+        self, certificate: FarkasCertificate, tags: Sequence[tuple]
     ) -> FarkasCertificate:
         """Spread each quotient multiplier uniformly over the rows of its
-        orbit in the full system, found by their tags."""
-        index = {tag: i for i, tag in enumerate(full.tags)}
-        ray = [Fraction(0)] * full.n_rows
+        orbit in the full system, found by their tags (`History.tags`)."""
+        index = {tag: i for i, tag in enumerate(tags)}
+        ray = [Fraction(0)] * len(tags)
         for row, value in certificate.nonzero.items():
             tag = self._problem.tags[row]
             if tag[0] == "swap":
@@ -610,20 +664,25 @@ class _Quotient:
                 share, orbit = Fraction(value), [tag]
             for full_tag in orbit:
                 ray[index[full_tag]] += share
-        return full.certificate(ray)
+        return FarkasCertificate.from_ray(ray)
 
 
-def _verify_certificate_fast(problem: _Problem, certificate: FarkasCertificate) -> bool:
-    """Exact certificate check against the integer-scaled rows: the integer
-    multipliers y are nonnegative, ``y . b < 0``, and no column has a
-    negative ``(G^T y)_j``."""
-    if certificate.n_rows != problem.n_rows:
+def _verify_certificate_fast(
+    problem: _Problem, certificate: FarkasCertificate, tags: Sequence[tuple]
+) -> bool:
+    """Exact check of a certificate for the system whose rows are tagged
+    ``tags``, on the rows it uses: ``problem`` must hold exactly the rows
+    with a nonzero multiplier, in the canonical order (`History.problem`),
+    since a row with multiplier 0 adds nothing to ``y . b`` or ``G^T y``.
+    The certificate has one multiplier per row, its integer multipliers y
+    are nonnegative, ``y . b < 0``, and no column has a negative
+    ``(G^T y)_j``."""
+    used = sorted(certificate.nonzero)
+    if certificate.n_rows != len(tags) or problem.tags != [tags[i] for i in used]:
         return False
-    y = [0] * problem.n_rows
-    for i, v in certificate.nonzero.items():
-        y[i] = v
-    yb = sum((v * b for v, b in zip(y, problem.rhs) if v), Fraction(0))
-    return min(y) >= 0 and yb < 0 and not (problem.column_gaps(y) < 0).any()
+    y = [certificate.nonzero[i] for i in used]
+    yb = sum((v * b for v, b in zip(y, problem.rhs)), Fraction(0))
+    return all(v > 0 for v in y) and yb < 0 and not (problem.column_gaps(y) < 0).any()
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
@@ -724,31 +783,32 @@ def history_verdict(history: History) -> HistoryVerdict:
     Farkas certificate for the canonical system.
 
     After the shortcut rule of the module docstring, the orbit quotient is
-    solved and its result lifted. Either way the result is verified against
-    the full system (`History.problem`), built once per call, after any LP,
-    and dropped on return; a witness is also re-checked against the
-    election semantics. A failed check raises `RuntimeError`, since it
-    means a bug. Over `MAX_HISTORY_M` candidates raises
-    `EnumerationLimitError`.
+    solved and its result lifted. The certificate follows from the row
+    tags alone (`History.tags`), and it is checked exactly on the rows it
+    uses: `History.problem` builds only the rows with a nonzero multiplier,
+    once per call, after any LP, and they are dropped on return. A witness
+    is checked on the full system and against the election semantics. A
+    failed check raises `RuntimeError`, since it means a bug. Over
+    `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
     """
     m, k, steps = history.m, history.k, history.mask_steps()
     _check_history_m(m)
+    tags = history.tags()
     if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
-        full = history.problem()
-        certificate = _analytic_step1_certificate(full, k, *steps[0])
+        certificate = _analytic_step1_certificate(tags, k, *steps[0])
     else:
         quotient = _Quotient(m, k, steps)
         verdict, _ = _solve_problem(quotient.problem())
-        full = history.problem()
         if isinstance(verdict, Feasible):
             witness = quotient.lift_assignment(verdict.assignment)
-            if not _verify_witness_fast(full, witness):
+            if not _verify_witness_fast(history.problem(), witness):
                 raise RuntimeError("witness failed exact verification")
             if not _witness_realizes(witness, m, k, steps):
                 raise RuntimeError("witness does not realize the history")
             return HistoryVerdict(history, Profile(m, witness), None)
-        certificate = quotient.lift_certificate(verdict.certificate, full)
-    if not _verify_certificate_fast(full, certificate):
+        certificate = quotient.lift_certificate(verdict.certificate, tags)
+    used = history.problem(sorted(certificate.nonzero))
+    if not _verify_certificate_fast(used, certificate, tags):
         raise RuntimeError("certificate failed exact verification")
     return HistoryVerdict(history, None, certificate)
 

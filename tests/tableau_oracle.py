@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from pavcore.exactlp import (
+    FarkasCertificate,
     Feasible,
     Infeasible,
     Optimal,
@@ -176,7 +177,7 @@ def activate(problem: _Problem, objective=None, dense_limit=280, batch=64):
 def solve_feasibility(problem: _Problem, **knobs):
     result = activate(problem, None, **knobs)
     if result[0] == "infeasible":
-        return Infeasible(problem.certificate(result[1]))
+        return Infeasible(FarkasCertificate.from_ray(result[1]))
     return Feasible(result[1])
 
 
@@ -186,6 +187,6 @@ def maximize(problem: _Problem, objective, **knobs):
     if result[0] == "unbounded":
         return Unbounded()
     if result[0] == "infeasible":
-        return Infeasible(problem.certificate(result[1]))
+        return Infeasible(FarkasCertificate.from_ray(result[1]))
     _, x, value, duals = result
     return Optimal(-value, x, tuple(-y for y in duals))

@@ -350,6 +350,30 @@ class TestRow:
         with pytest.raises(ValueError):
             Row.from_arrays(np.array(cols), np.array(nums), den, 0, ("bad",))
 
+    @pytest.mark.parametrize(
+        "cols, nums, error",
+        [
+            (np.array([0.0, 1.0]), np.array([1, 1]), TypeError),
+            (np.array([0, 1], dtype=np.int32), np.array([1, 1]), TypeError),
+            (np.array([0, 1], dtype=">i8"), np.array([1, 1]), TypeError),
+            (np.array([0, 1]), np.array([1.0, 1.0]), TypeError),
+            (np.array([0, 1]), np.array([1, 1], dtype=np.int32), TypeError),
+            (np.array([[0, 1]]), np.array([[1, 1]]), ValueError),
+            (np.array([0, 1, 2, 5, 4, 6]), np.ones(6, dtype=np.int64), ValueError),
+        ],
+    )
+    def test_from_arrays_refuses_wrong_dtypes_shapes_and_orders(self, cols, nums, error):
+        with pytest.raises(error):
+            Row.from_arrays(cols, nums, 1, 0, ("bad",))
+
+    def test_from_arrays_keeps_an_exact_right_hand_side(self):
+        cols, nums = np.array([0, 2]), np.array([1, -1])
+        half = Fraction(1, 2)
+        assert Row.from_arrays(cols, nums, 1, half, ("r",)).rhs is half
+        for rhs in (0, -3, np.int64(4)):
+            row = Row.from_arrays(cols.copy(), nums.copy(), 1, rhs, ("r",))
+            assert type(row.rhs) is Fraction and row.rhs == rhs
+
 
 class TestVerifyFarkas:
     def test_rejects_wrong_sign_product(self):

@@ -6,16 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pavcore import proofs
 from pavcore.fileio import (
     CertificateFormatError,
     ProfileFormatError,
+    _integer,
+    _multiplier,
     _row_count,
     certificate_record_from_dict,
+    history_certificate_dict,
     instance_from_dict,
     load_certificate,
     load_instance,
 )
-from pavcore.proofs import History, history_system, iter_shapes, program3_history
+from pavcore.proofs import (
+    History,
+    history_system,
+    history_verdict,
+    iter_shapes,
+    program3_history,
+)
 
 from test_proofs import k8_children, multi_step_histories
 
@@ -140,3 +150,60 @@ def test_row_count_from_the_masks_is_the_built_count():
     histories += [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)]
     for h in histories + k8_children()[::6]:
         assert _row_count(h) == len(history_system(h)), h.mask_steps()
+
+
+multiplier_values = (
+    st.integers()
+    | st.booleans()
+    | st.floats()
+    | st.none()
+    | st.text(max_size=6)
+    | st.from_regex(r"\s?-?[0-9]{1,4}\s?", fullmatch=True)
+    | st.sampled_from(
+        ["0", "-0", "007", "+1", "1_000", "--1", "-", "", " ", "1e3", "0x1", "1.0",
+         "١", "²", "-٢", "\t-12\n", "- 1", "1 2", "0\x1f", "\x1c5", "9" * 5000]
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(multiplier_values)
+def test_multipliers_are_read_as_integer_fields_are(value):
+    # Certificate multipliers skip the regular expression of `_integer`,
+    # but accept and refuse exactly what it does, with the same value.
+    try:
+        expected = _integer(value, CertificateFormatError, "multiplier")
+    except CertificateFormatError:
+        with pytest.raises(CertificateFormatError):
+            _multiplier(value)
+    else:
+        got = _multiplier(value)
+        assert got == expected and type(got) is type(expected)
+
+
+def test_the_reader_builds_only_the_rows_with_a_nonzero_multiplier():
+    histories = [History.from_masks(*case) for case in multi_step_histories()]
+    histories += [program3_history(k, s) for k in range(1, 5) for s in iter_shapes(k)]
+    for h in histories:
+        certificate = history_verdict(h).certificate
+        record = certificate_record_from_dict(history_certificate_dict(h, certificate))
+        assert record.certificate == certificate
+        full = history_system(h)
+        assert len(record.rows) == len(full) == certificate.n_rows
+        for i, row in enumerate(record.rows):
+            assert row == (full[i] if certificate.multiplier(i) else None), (h, i)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_wrong_multiplier_count_is_refused_before_any_row(monkeypatch, extra):
+    h = History.from_masks(*multi_step_histories()[0])
+    payload = history_certificate_dict(h, history_verdict(h).certificate)
+    n_rows = len(payload["multipliers"])
+    payload["multipliers"] = ["1"] * (n_rows + extra)
+
+    def refuse(*args):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr(proofs, "_build_rows", refuse)
+    with pytest.raises(CertificateFormatError, match=f"expected {n_rows} multipliers"):
+        certificate_record_from_dict(payload)

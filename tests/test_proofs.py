@@ -5,14 +5,17 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pavcore import proofs
 from pavcore.elections import (
     CandidateSet,
     EnumerationLimitError,
     Profile,
 )
 from pavcore.exactlp import (
+    FarkasCertificate,
     Feasible,
     Infeasible,
     Row,
@@ -40,6 +43,7 @@ from pavcore.proofs import (
     verify_lemma2_structure,
     _build_rows,
     _Quotient,
+    _verify_certificate_fast,
     _witness_realizes,
 )
 
@@ -469,6 +473,142 @@ class TestHistorySystem:
         committee, deviation = canonical_program3_sets(3, shape)
         h = History(committee.m, 3, ((committee, deviation),))
         assert program3_history(3, shape) == h
+
+
+def root_continuations(m, k):
+    """The children of the empty history: one per canonical continuation."""
+    root = History(m, k, ())
+    return [root.child(*step) for step in canonical_continuations(root)]
+
+
+def row_selections(n_rows, seed):
+    """Row selections of a system of ``n_rows`` rows: none, each end, a
+    seeded random third and half, and all."""
+    rng = random.Random(seed)
+    everything = list(range(n_rows))
+    return [
+        [],
+        [0],
+        [n_rows - 1],
+        sorted(rng.sample(everything, n_rows // 3)),
+        sorted(rng.sample(everything, n_rows // 2)),
+        everything,
+    ]
+
+
+SELECTION_HISTORIES = (
+    [History.from_masks(*case) for case in multi_step_histories()]
+    + root_continuations(10, 8)
+    + [program3_history(k, s) for k in range(1, 5) for s in iter_shapes(k)]
+)
+
+
+class TestUsedRows:
+    """A certificate is checked on the rows it uses: both row builders
+    build a selection of rows that equals the same rows of the full build."""
+
+    @pytest.mark.parametrize("h", SELECTION_HISTORIES)
+    def test_selected_rows_equal_the_full_build(self, h):
+        full = h.problem()
+        assert h.tags() == full.tags
+        ref_rows, ref_meta = _build_rows(h.m, h.k, h.mask_steps())
+        per_mask, _ = per_mask_build_rows(h.m, h.k, h.mask_steps())
+        assert ref_rows == per_mask
+        selections = row_selections(full.n_rows, repr(h.mask_steps()))
+        verdict = history_verdict(h)
+        if verdict.certificate is not None:
+            selections.append(sorted(verdict.certificate.nonzero))
+        for rows in selections:
+            part = h.problem(rows)
+            assert part.matrix.shape == (len(rows), full.n_vars)
+            assert np.array_equal(part.matrix, full.matrix[rows])
+            assert part.scales == [full.scales[r] for r in rows]
+            assert part.rhs == [full.rhs[r] for r in rows]
+            assert part.tags == [full.tags[r] for r in rows]
+            built, swap_meta = _build_rows(h.m, h.k, h.mask_steps(), rows)
+            assert swap_meta == ref_meta and len(built) == len(ref_rows)
+            for r, row in enumerate(built):
+                assert row == (ref_rows[r] if r in rows else None), (rows, r)
+
+    @pytest.mark.parametrize("rows", [[0, 0], [-1], [19]])
+    def test_problem_refuses_a_repeated_or_unknown_row(self, rows):
+        (h, *_) = root_continuations(10, 8)
+        assert len(h.tags()) == 19
+        with pytest.raises(ValueError):
+            h.problem(rows)
+
+    @pytest.mark.parametrize("path", ["analytic", "lift"])
+    @pytest.mark.parametrize(
+        "corrupt", ["negate", "zero_norm_upper", "zero_deviations", "inflate_deviation", "extend"]
+    )
+    def test_a_corrupted_certificate_raises(self, monkeypatch, path, corrupt):
+        # Each corruption changes the multiplier of a row the certificate
+        # uses, or the multiplier count. Without the upper normalization
+        # row a ballot that only loses in the swap rows prices negative;
+        # without the deviation rows only the y.b test fails.
+        if path == "analytic":
+            h, name = program3_history(4, DeviationShape(2, 0)), "_analytic_step1_certificate"
+            original, owner = proofs._analytic_step1_certificate, proofs
+        else:
+            h, name = History.from_masks(*multi_step_histories()[0]), "lift_certificate"
+            original, owner = proofs._Quotient.lift_certificate, proofs._Quotient
+        tags = h.tags()
+
+        def corrupted(*args):
+            good = original(*args)
+            y = {i: good.multiplier(i) for i in range(good.n_rows)}
+            deviation = next(i for i in sorted(good.nonzero) if tags[i][0] == "deviation")
+            if corrupt == "negate":
+                y[deviation] = -y[deviation]
+            elif corrupt == "zero_norm_upper":
+                assert y[0] > 0
+                y[0] = 0
+            elif corrupt == "zero_deviations":
+                y.update((i, 0) for i in y if tags[i][0] == "deviation")
+            elif corrupt == "inflate_deviation":
+                y[deviation] *= 10**9
+            else:
+                y[good.n_rows] = 0
+            return FarkasCertificate.from_list([y[i] for i in sorted(y)])
+
+        assert history_verdict(h).certificate is not None
+        monkeypatch.setattr(owner, name, corrupted)
+        with pytest.raises(RuntimeError, match="certificate failed exact verification"):
+            history_verdict(h)
+
+    def test_the_check_needs_exactly_the_used_rows(self):
+        h = History.from_masks(*multi_step_histories()[0])
+        certificate, tags = history_verdict(h).certificate, h.tags()
+        used = sorted(certificate.nonzero)
+        assert _verify_certificate_fast(h.problem(used), certificate, tags)
+        unused = next(r for r in range(len(tags)) if r not in certificate.nonzero)
+        for rows in (used[:-1], used[1:], sorted(used + [unused]), list(range(len(tags)))):
+            assert not _verify_certificate_fast(h.problem(rows), certificate, tags)
+        assert not _verify_certificate_fast(h.problem(used), certificate, tags[:-1])
+        # The rows must be the used ones by their tags, not only by count.
+        renamed = tags[: used[0]] + [("renamed",)] + tags[used[0] + 1 :]
+        assert not _verify_certificate_fast(h.problem(used), certificate, renamed)
+
+    def test_deciding_builds_only_the_used_rows(self):
+        # Both are Theorem 1 histories at k = 8 over m = 16 candidates, whose
+        # full systems have 67 rows over 65535 ballots. The (8, 0) shape's
+        # certificate uses 66 of them, so its check may hold little more
+        # than one full matrix; with one outsider it uses 10, well under one.
+        full_matrix = 67 * 65535 * 8
+        cases = [
+            (program3_history(8, DeviationShape(8, 0)), 66, 1.25),
+            (History.from_masks(16, 8, [(0xFF, 1 << 8)]), 10, 0.5),
+        ]
+        for h, n_used, bound in cases:
+            tracemalloc.start()
+            try:
+                verdict = history_verdict(h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert verdict.certificate.n_rows == 67
+            assert len(verdict.certificate.nonzero) == n_used
+            assert peak < bound * full_matrix, (h.mask_steps(), peak / full_matrix)
 
 
 class TestCanonicalContinuations:
