@@ -46,8 +46,6 @@ _Q0 = Fraction(0)
 #: Integer sums below this bound cannot overflow int64.
 _INT64_SAFE = 2**62
 
-_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
-
 
 class Row:
     """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag.
@@ -84,18 +82,15 @@ class Row:
         return row
 
     def _set(self, cols, nums, den, rhs, tag) -> None:
-        # Kept cheap, since a checked file builds thousands of rows: dtypes
-        # compare with dtype objects, and np.count_nonzero counts the bad
-        # column pairs without a ufunc reduction.
-        if cols.dtype != _INT64 or (nums.dtype != _INT64 and nums.dtype != _OBJECT):
+        if cols.dtype != np.int64 or nums.dtype not in (np.int64, object):
             raise TypeError("a row holds int64 columns and int64 or object numerators")
         if cols.shape != nums.shape or cols.ndim != 1 or den < 1:
             raise ValueError("a row needs one numerator per column and a positive denominator")
-        if cols.size and (cols[0] < 0 or np.count_nonzero(cols[1:] <= cols[:-1])):
+        if cols.size and (cols[0] < 0 or (cols[1:] <= cols[:-1]).any()):
             raise ValueError("row columns must be nonnegative and strictly increasing")
         cols.flags.writeable = nums.flags.writeable = False
         self.cols, self.nums, self.den = cols, nums, int(den)
-        self.rhs, self.tag = rhs if type(rhs) is Fraction else Fraction(rhs), tag
+        self.rhs, self.tag = Fraction(rhs), tag
 
     @functools.cached_property
     def coeffs(self) -> Mapping[int, Fraction]:

@@ -53,15 +53,19 @@ def parse_fraction(text: Union[str, int]) -> Fraction:
 
 
 def _integer(value, error: type[ValueError], what: str) -> int:
-    """An int or a decimal-integer string, as an int. A bool, a float or
+    """An int or a decimal-integer string (ASCII digits with an optional
+    leading ``-``, between whitespace), as an int. A bool, a float or
     anything else raises ``error``: no value is truncated or coerced."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value.strip()):
-        try:
-            return int(value)
-        except ValueError as exc:  # more digits than int() converts
-            raise error(f"{what}: {exc}") from exc
+    if isinstance(value, str):
+        text = value.strip()
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError as exc:  # too many digits, or a space int() refuses
+                raise error(f"{what}: {exc}") from exc
     raise error(f"{what} must be an integer, found {value!r}")
 
 
@@ -232,22 +236,6 @@ def _row_count(history: History) -> int:
     return count
 
 
-def _multiplier(value) -> int:
-    """An int or a decimal-integer string, as an int, exactly as `_integer`
-    reads it, but with string tests in place of a regular expression."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        digits = text[1:] if text[:1] == "-" else text
-        if digits.isascii() and digits.isdigit():
-            try:
-                return int(value)
-            except ValueError as exc:  # too many digits, or a space int() refuses
-                raise CertificateFormatError(f"multiplier: {exc}") from exc
-    raise CertificateFormatError(f"multiplier must be an integer, found {value!r}")
-
-
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     """The record of a certificate file. The multiplier count is checked
     against the row count before any row is built, so a file cannot make
@@ -260,7 +248,7 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
-    values = [_multiplier(v) for v in raw]
+    values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
     expected = _row_count(history)
     if len(values) != expected:
         raise CertificateFormatError(f"expected {expected} multipliers, found {len(values)}")

@@ -212,9 +212,6 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
 # Canonical system construction (reference implementation).
 
 
-_ZERO = Fraction(0)
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -274,7 +271,7 @@ def _build_rows(
                         holds_x = (active >> x & 1).astype(bool)
                     moved = holds_x != holds_y
                     tag = ("swap", t, x, y)
-                    row = Row.from_arrays(active[moved] - 1, change[moved], L, _ZERO, tag)
+                    row = Row.from_arrays(active[moved] - 1, change[moved], L, 0, tag)
                 built.append(row)
                 swap_meta.append((t, x, y))
         fixed |= t_mask

@@ -366,11 +366,9 @@ class TestRow:
         with pytest.raises(error):
             Row.from_arrays(cols, nums, 1, 0, ("bad",))
 
-    def test_from_arrays_keeps_an_exact_right_hand_side(self):
+    def test_from_arrays_makes_an_exact_right_hand_side(self):
         cols, nums = np.array([0, 2]), np.array([1, -1])
-        half = Fraction(1, 2)
-        assert Row.from_arrays(cols, nums, 1, half, ("r",)).rhs is half
-        for rhs in (0, -3, np.int64(4)):
+        for rhs in (Fraction(1, 2), 0, -3, np.int64(4)):
             row = Row.from_arrays(cols.copy(), nums.copy(), 1, rhs, ("r",))
             assert type(row.rhs) is Fraction and row.rhs == rhs
 

@@ -2,6 +2,8 @@
 payload they either return or raise one of the two format errors, and so
 do the file readers on a file they cannot decode."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from pavcore.fileio import (
     CertificateFormatError,
     ProfileFormatError,
     _integer,
-    _multiplier,
     _row_count,
     certificate_record_from_dict,
     history_certificate_dict,
@@ -166,18 +167,29 @@ multiplier_values = (
 )
 
 
+def integer_oracle(value) -> int:
+    """A decimal integer as a regular expression reads it: an int that is
+    not a bool, or a string of ASCII digits with an optional leading "-"
+    between whitespace, converted by int(). Anything else is a ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value.strip()):
+        return int(value)
+    raise ValueError(value)
+
+
 @settings(max_examples=500, deadline=None)
 @given(multiplier_values)
-def test_multipliers_are_read_as_integer_fields_are(value):
-    # Certificate multipliers skip the regular expression of `_integer`,
-    # but accept and refuse exactly what it does, with the same value.
+def test_integer_fields_are_read_as_the_regular_expression_reads_them(value):
+    # `_integer` tests the string without a regular expression, but accepts
+    # and refuses exactly what the oracle does, with the same value.
     try:
-        expected = _integer(value, CertificateFormatError, "multiplier")
-    except CertificateFormatError:
+        expected = integer_oracle(value)
+    except ValueError:
         with pytest.raises(CertificateFormatError):
-            _multiplier(value)
+            _integer(value, CertificateFormatError, "multiplier")
     else:
-        got = _multiplier(value)
+        got = _integer(value, CertificateFormatError, "multiplier")
         assert got == expected and type(got) is type(expected)
 
 
