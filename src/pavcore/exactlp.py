@@ -28,6 +28,16 @@ enters. One pricing kernel (`_Problem.column_gaps`) computes
 every pivot, against the objective row's duals, for the optimum check, and
 for the certificate check of the searches in `proofs`. A verdict is thus
 always reached with every column priced clean, as in a dense tableau.
+
+Phase 1 starts from a basis found in floats and confirmed in exact
+arithmetic (QSopt_ex: Applegate, Cook, Dash & Espinoza 2007).
+`_float_pivots` runs phase 1 as a dense float64 revised simplex with the
+exact solver's rules, and the exact tableau installs its last basis with
+integer pivots, row for row. The exact simplex prices every column from
+there and makes no pivot when that basis is optimal. A basis that is
+singular or infeasible in exact arithmetic is dropped for the slack
+start. So every verdict, ray, point and dual is exact, and it is the
+slack start's whenever the float pass makes the slack start's pivots.
 """
 
 from __future__ import annotations
@@ -345,6 +355,15 @@ class _Master:
     index, structurals before slacks before artificials) until the
     objective stalls, after which Bland's least-index rule takes over,
     guaranteeing termination. Values leave the tableau as `Fraction`s.
+
+    Phase 1 starts where a float64 phase 1 with these rules ends
+    (`_float_pivots`): its basic columns enter the slack tableau by exact
+    pivots, and the rows take its order (`_install`), so that when the
+    float pass makes the slack start's pivots, phase 1 ends at the slack
+    start's basis row for row. `_pivot_loop` then prices that basis
+    exactly and pivots on from it if it is not optimal. A float basis
+    that is singular, or whose exact right-hand side has a negative entry,
+    gives way to the slack start.
     """
 
     def __init__(self, problem: _Problem):
@@ -360,25 +379,11 @@ class _Master:
         nonnegative duals over the rows, or `Unbounded`.
         """
         R, S = self.n_rows, self.n_struct
-        rhs = self.problem.rhs
-        art_rows = [i for i in range(R) if rhs[i] < 0]
-        A = len(art_rows)
-        # Column layout: slacks | artificials | rhs | scratch. Row i is
-        # sigma_i times problem row i with its slack, over den[i].
-        tab = np.zeros((R + 1, R + A + 2), dtype=object)
-        den = np.array([b.denominator for b in rhs] + [1], dtype=object)
-        basis = [S + i for i in range(R)]
-        for i, b in enumerate(rhs):
-            tab[i, i] = den[i] if b >= 0 else -den[i]
-            tab[i, R + A] = abs(b.numerator)
-        for a, i in enumerate(art_rows):
-            tab[i, R + a] = den[i]
-            basis[i] = S + R + a
-
-        # Phase 1: minimize the sum of artificials.
-        tab[R, R : R + A] = 1
-        for i in art_rows:
-            _subtract(tab, den, R, i, 1)
+        A = sum(b < 0 for b in self.problem.rhs)
+        tab, den, basis = self._slack_start()
+        pivots = _float_pivots(self.problem)
+        if pivots and not self._install(tab, den, basis, pivots):
+            tab, den, basis = self._slack_start()
         self._pivot_loop(tab, den, basis, {}, allowed=R + A)
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs of the slack columns.
@@ -420,6 +425,64 @@ class _Master:
         # the multiplier y_i >= 0 of the problem row in the maximization,
         # whatever the sign of sigma_i, with G^T y >= c.
         return Optimal(value, x, tuple(Fraction(v, den[R]) for v in tab[R, :R]))
+
+    def _slack_start(self):
+        """The phase-1 tableau at the basis of slacks and artificials.
+
+        Column layout: slacks | artificials | rhs | scratch. Row i is
+        sigma_i times problem row i with its slack, over ``den[i]``; the
+        objective row is the sum of the artificials, reduced against the
+        basis.
+        """
+        R, S = self.n_rows, self.n_struct
+        rhs = self.problem.rhs
+        art_rows = [i for i in range(R) if rhs[i] < 0]
+        A = len(art_rows)
+        tab = np.zeros((R + 1, R + A + 2), dtype=object)
+        den = np.array([b.denominator for b in rhs] + [1], dtype=object)
+        basis = [S + i for i in range(R)]
+        for i, b in enumerate(rhs):
+            tab[i, i] = den[i] if b >= 0 else -den[i]
+            tab[i, R + A] = abs(b.numerator)
+        for a, i in enumerate(art_rows):
+            tab[i, R + a] = den[i]
+            basis[i] = S + R + a
+        tab[R, R : R + A] = 1
+        for i in art_rows:
+            _subtract(tab, den, R, i, 1)
+        return tab, den, basis
+
+    def _install(self, tab, den, basis, pivots):
+        """Install the basis that ``pivots`` reach from the slack start:
+        pivot each of its columns into a row whose basic column it does not
+        hold, then order the rows as ``pivots`` left them. False when a
+        column has no nonzero entry left to pivot on (a singular basis),
+        or when the basis has a negative exact right-hand side; the
+        tableau is then spoilt."""
+        R, S = self.n_rows, self.n_struct
+        start = list(basis)
+        for i, j in pivots:
+            start[i] = j
+        wanted = set(start)
+        if len(wanted) < R:
+            return False
+        for j in start:
+            if j in basis:
+                continue
+            if j < S:
+                scale = self._load(tab, den, j, 1, {})
+            else:
+                tab[:, -1] = tab[:, j - S]
+                scale = 1
+            free = [i for i in range(R) if basis[i] not in wanted and tab[i, -1]]
+            if not free:
+                return False
+            self._pivot(tab, den, basis, free[0], j, scale)
+        order = [basis.index(j) for j in start]
+        tab[:R] = tab[order]
+        den[:R] = den[order]
+        basis[:] = start
+        return not (tab[:R, -2] < 0).any()
 
     def _load(self, tab, den, j, dc, cost):
         """Write structural column j into the scratch column, with its
@@ -509,6 +572,88 @@ class _Master:
             for i, b in enumerate(basis)
             if b < self.n_struct and tab[i, -2]
         }
+
+
+#: Integers below this bound are exact in float64.
+_FLOAT_EXACT = 2**53
+
+#: The float pass's relative tolerance for ties and zeros.
+_FLOAT_TOL = 1e-9
+
+#: Pivots between fresh inverses of the float basis (R of them for R > 16
+#: rows, which bounds the cost of inverting); rounding builds up only
+#: between two.
+_FLOAT_REFRESH = 16
+
+
+def _float_pivots(problem: _Problem) -> Optional[list]:
+    """The pivots, (row, column) each, of a float64 phase 1 with
+    `_Master`'s entering, leaving and anti-cycling rules, or None when
+    there is no float start.
+
+    Columns are numbered as in `_Master`'s basis: structurals | slacks |
+    artificials. Without artificials the slack basis is already optimal;
+    a matrix of Python ints, or an entry, scale or right-hand side of 2^53
+    or more, is not exact in float64. Rounding can cost `_Master` pivots,
+    but never a wrong verdict.
+    """
+    rhs = problem.rhs
+    sigma = np.array([1.0 if b >= 0 else -1.0 for b in rhs])
+    art_rows = np.flatnonzero(sigma < 0)
+    if not art_rows.size or problem.matrix.dtype != np.int64:
+        return None
+    if max(problem.max_abs, *problem.scales, *map(abs, rhs)) >= _FLOAT_EXACT:
+        return None
+    (R, S), A = problem.matrix.shape, art_rows.size
+    M = np.zeros((R, S + R + A))
+    M[:, :S] = problem.matrix * (sigma / np.array(problem.scales, dtype=float))[:, None]
+    M[:, S : S + R] = np.diag(sigma)
+    M[art_rows, S + R + np.arange(A)] = 1.0
+    h = np.array([abs(float(b)) for b in rhs])
+    c = np.zeros(S + R + A)
+    c[S + R :] = 1.0
+    basis = list(range(S, S + R))
+    for a, i in enumerate(art_rows.tolist()):
+        basis[i] = S + R + a
+    basic_cost = c[basis]
+    pivots = []
+    bland, stall = False, 0
+    # Bland's rule ends in exact arithmetic; the bound ends it in floats.
+    for n in range(4 * (S + R + A)):
+        if n % max(_FLOAT_REFRESH, R) == 0:
+            try:
+                inverse = np.linalg.inv(M[:, basis])
+            except np.linalg.LinAlgError:
+                return None
+            x = inverse @ h
+        cost = c - (basic_cost @ inverse) @ M
+        low = cost.min()
+        tol = _FLOAT_TOL * max(1.0, -low)
+        if low >= -tol:
+            return pivots
+        # The first column within the tolerance of the least reduced cost,
+        # or under Bland's rule the first that prices negative.
+        enter = int(np.argmax(cost < -tol if bland else cost <= low + tol))
+        col = inverse @ M[:, enter]
+        rows = np.flatnonzero(col > _FLOAT_TOL * np.abs(col).max())
+        if not rows.size:
+            return None
+        ratios = np.maximum(x[rows], 0.0) / col[rows]
+        step = ratios.min()
+        # The least ratio, ties to the least basic column.
+        tied = rows[ratios <= step + _FLOAT_TOL * max(1.0, step)].tolist()
+        leave = min(tied, key=basis.__getitem__)
+        if not bland:
+            stall = stall + 1 if step <= _FLOAT_TOL else 0
+            bland = stall > _DEGENERACY_LIMIT
+        pivots.append((leave, enter))
+        basis[leave], basic_cost[leave] = enter, c[enter]
+        x -= step * col
+        x[leave] = step
+        row = inverse[leave] / col[leave]
+        inverse -= np.outer(col, row)
+        inverse[leave] = row
+    return None
 
 
 def _subtract(tab, den, t, i, c):

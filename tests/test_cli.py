@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pavcore import cli, fileio, proofs, rules
+from pavcore import cli, exactlp, fileio, proofs, rules
 from pavcore.cli import main
 from pavcore.elections import CandidateSet
 from pavcore.exactlp import FarkasCertificate
@@ -503,6 +503,31 @@ class TestHistories:
         result = enumerate_histories(11, 8, threads=2, budget_seconds=1)
         assert not result.complete
         assert time.monotonic() - started < 10
+
+
+class TestFloatStart:
+    @pytest.mark.parametrize(
+        "argv",
+        [["histories", "--m", "10", "--k", "8"], ["program3", "--k", "8"]],
+        ids=["histories-10-8", "program3-8"],
+    )
+    def test_bundles_equal_the_slack_starts(self, capsys, tmp_path, monkeypatch, argv):
+        # The float start only saves pivots: with the slack start in its
+        # place, the bundle and stdout are the same bytes.
+        outputs = []
+        for start in ("float", "slack"):
+            if start == "slack":
+                monkeypatch.setattr(exactlp, "_float_pivots", lambda problem: None)
+            bundle = tmp_path / start
+            code, out, _ = run(capsys, "prove", "--mode", *argv, "--out", bundle)
+            files = {
+                p.relative_to(bundle).as_posix(): p.read_bytes()
+                for p in bundle.rglob("*")
+                if p.is_file()
+            }
+            outputs.append((code, out, files))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2]
 
 
 class TestCheckCertificates:

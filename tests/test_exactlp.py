@@ -714,23 +714,40 @@ class TestAgainstTableauOracle:
             return out
 
         monkeypatch.setattr(_Problem, "column_gaps", spy)
-        pivots = {_Master: [], tableau_oracle.Master: []}
-        for owner, log in pivots.items():
-            pivot = owner._pivot
+        float_runs = []
+        float_pivots = exactlp._float_pivots
 
-            def logged(*args, pivot=pivot, log=log):
-                log.append(args[3:5])  # (pivot row, entering column)
+        def float_logged(problem):
+            float_runs.append(float_pivots(problem))
+            return float_runs[-1]
+
+        monkeypatch.setattr(exactlp, "_float_pivots", float_logged)
+        # Per solver: its pivots, (pivot row, entering column) each, and the
+        # number of pivots and the basis at the end of each pivot loop.
+        pivots = {_Master: [], tableau_oracle.Master: []}
+        loops = {_Master: [], tableau_oracle.Master: []}
+        for owner in pivots:
+            pivot, loop = owner._pivot, owner._pivot_loop
+
+            def logged(*args, pivot=pivot, log=pivots[owner]):
+                log.append(args[3:5])
                 return pivot(*args)
 
+            def looped(self, tab, den, basis, *args, loop=loop, log=pivots[owner], **kw):
+                out = loop(self, tab, den, basis, *args, **kw)
+                loops[type(self)].append((len(log), list(basis)))
+                return out
+
             monkeypatch.setattr(owner, "_pivot", staticmethod(logged))
+            monkeypatch.setattr(owner, "_pivot_loop", looped)
         rng = random.Random(13)
         kinds = collections.Counter()
-        same_pivots = 0
+        same = collections.Counter()
         for trial in range(500):
             rows, problem, objective = random_lp(rng)
             case = (trial, rows, objective)
             knobs = rng.choice([{}, {"dense_limit": 3, "batch": 2}])
-            for log in pivots.values():
+            for log in [*pivots.values(), *loops.values(), float_runs]:
                 log.clear()
             if objective is None:
                 result = solve_feasibility(problem)
@@ -740,12 +757,25 @@ class TestAgainstTableauOracle:
                 expected = tableau_oracle.maximize(problem, objective, **knobs)
             assert type(result) is type(expected), case
             if not knobs:
-                # With every column in its tableau, the oracle makes the same
-                # pivots; a feasibility verdict skips its last ones, which
-                # only drive artificials out of the basis.
                 new, old = pivots[_Master], pivots[tableau_oracle.Master]
-                assert new == old[: len(new) if objective is None else None], case
-                same_pivots += 1
+                phase1 = loops[tableau_oracle.Master][0][0]
+                if float_runs[0] is not None:
+                    # The float pass makes the oracle's phase-1 pivots; the
+                    # exact solve only installs their basis.
+                    assert float_runs[0] == old[:phase1], case
+                    same["float pivots"] += 1
+                else:
+                    # Without a float start, the oracle makes the same
+                    # pivots; a feasibility verdict skips its last ones,
+                    # which only drive artificials out of the basis.
+                    assert new == old[: len(new) if objective is None else None], case
+                    same["slack pivots"] += 1
+                # Either way each phase ends at the oracle's basis, row for
+                # row, with the oracle's certificate, point and duals.
+                ends = [basis for _, basis in loops[_Master]]
+                assert ends == [basis for _, basis in loops[tableau_oracle.Master]], case
+                assert result == expected, case
+                same[type(result).__name__] += 1
             kinds[type(result).__name__, objective is None] += 1
             if isinstance(result, Infeasible):
                 assert verify_farkas(rows, result.certificate), case
@@ -759,8 +789,97 @@ class TestAgainstTableauOracle:
             ("Optimal", False), ("Unbounded", False),
         }
         assert min(kinds.values()) >= 20, kinds
-        assert same_pivots > 200
+        assert same["float pivots"] > 150 and same["slack pivots"] > 50, same
+        assert same["Infeasible"] > 100, same
         assert any(object_pricing) and not all(object_pricing)
+
+
+def slack_started(monkeypatch, solve):
+    """``solve()`` with the float start replaced by the slack start."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlp, "_float_pivots", lambda problem: None)
+        return solve()
+
+
+def beale_phase_one(bound):
+    """Beale's cycling LP as a phase 1: its rows and ``c.x >= bound`` for its
+    objective c, whose maximum is 5/4. The artificial of the last row prices
+    the structural columns as Beale's objective does."""
+    c = [Fraction(3, 4), -20, Fraction(1, 2), -6]
+    return make_system(
+        [
+            ([Fraction(1, 4), -8, -1, 9], 0),
+            ([Fraction(1, 2), -12, Fraction(-1, 2), 3], 0),
+            ([0, 0, 1, 0], 1),
+            ([-v for v in c], -bound),
+        ]
+    )
+
+
+class TestFloatStart:
+    # x0 + x1 <= 2, x0 + x1 >= 1, x0 - x1 <= 0, and x3 a copy of x0.
+    ROWS = [([1, 1, 0, 1], 2), ([-1, -1, 0, -1], -1), ([1, -1, 0, 1], 0)]
+
+    @pytest.mark.parametrize(
+        "pivots",
+        [
+            # x0 basic in the covering row: s2 = 0 - x0 = -1 < 0.
+            [(1, 0)],
+            # x0 and its copy x3 both basic: no nonzero entry is left for x3.
+            [(0, 0), (1, 3)],
+            # One column basic in two rows.
+            [(0, 0), (1, 0)],
+        ],
+        ids=["infeasible", "singular", "repeated"],
+    )
+    @pytest.mark.parametrize("objective", [None, {0: Fraction(1), 1: Fraction(-2)}])
+    def test_a_wrong_basis_falls_back_to_the_slack_start(self, monkeypatch, pivots, objective):
+        _, problem = make_system(self.ROWS)
+        solve = lambda: (
+            solve_feasibility(problem) if objective is None else maximize(problem, objective)
+        )
+        expected = slack_started(monkeypatch, solve)
+        installed = []
+        install = _Master._install
+
+        def spy(self, *args):
+            installed.append(install(self, *args))
+            return installed[-1]
+
+        monkeypatch.setattr(_Master, "_install", spy)
+        monkeypatch.setattr(exactlp, "_float_pivots", lambda p: list(pivots))
+        assert solve() == expected
+        assert installed == [False]
+        if objective is not None:
+            assert verify_optimum(problem, objective, expected)
+
+    @pytest.mark.parametrize("big", [2**53 - 1, 2**53, 2**63])
+    @pytest.mark.parametrize("where", ["entry", "rhs"])
+    def test_numbers_from_2_53_skip_the_float_pass(self, big, where):
+        entry, rhs = (big, -1) if where == "entry" else (1, -big)
+        rows = [Row({0: Fraction(entry), 1: Fraction(1)}, Fraction(rhs), ("big",))]
+        rows.append(Row({1: Fraction(1)}, Fraction(-1, 3), ("small",)))
+        problem = make_problem(rows, 2)
+        assert (exactlp._float_pivots(problem) is None) == (big >= 2**53)
+        assert problem.matrix.dtype == (object if entry >= 2**62 else np.int64)
+        assert isinstance(solve_feasibility(problem), Infeasible)
+
+    @pytest.mark.parametrize("bound", [Fraction(5, 4), Fraction(5, 4) + Fraction(1, 100)])
+    def test_beale_cycle_ends_in_the_float_pass(self, monkeypatch, bound):
+        # Dantzig's rule runs Beale's six-pivot cycle until the stall counter
+        # hands the entering choice to Bland's rule; the bound is the maximum
+        # 5/4, then just above it.
+        rows, problem = beale_phase_one(bound)
+        pivots = exactlp._float_pivots(problem)
+        assert pivots[:6] == pivots[6:12]
+        assert len(pivots) > exactlp._DEGENERACY_LIMIT
+        result = solve_feasibility(problem)
+        assert result == slack_started(monkeypatch, lambda: solve_feasibility(problem))
+        assert result == tableau_oracle.solve_feasibility(problem)
+        if bound == Fraction(5, 4):
+            assert problem.satisfied_by(result.assignment)
+        else:
+            assert verify_farkas(rows, result.certificate)
 
 
 class TestVerifyOptimum:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pavcore import proofs
+from pavcore import exactlp, proofs
 from pavcore.elections import (
     CandidateSet,
     EnumerationLimitError,
@@ -299,6 +299,14 @@ def test_lemma2_suite_optima_are_certified():
     assert len(report.aggregate_zero_record.objective) == 958
     # Every optimum carries a point and exact duals that the check accepts.
     assert report.all_certified()
+
+
+def test_lemma2_suite_is_the_same_from_the_slack_start(monkeypatch):
+    # The float start installs its basis row for row, so even the order of
+    # each optimum's point is the slack start's.
+    from_float = repr(lemma2_suite())
+    monkeypatch.setattr(exactlp, "_float_pivots", lambda problem: None)
+    assert repr(lemma2_suite()) == from_float
 
 
 class TestHistoryType:
