@@ -10,12 +10,12 @@ integer products and one gcd per row (Edmonds 1967; Bareiss 1968), so no
 Bland's anti-cycling rule when the objective stalls. The simplex answers
 with this module's verdict objects. Infeasibility is `Infeasible`, with an
 integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
-and A^T y >= 0, which together rule out every x >= 0). `verify_farkas`
-checks such a certificate without any solver, on `Row`s: each row holds
-its coefficients as integer arrays over one denominator, and the check
-sums the rows with a nonzero multiplier as integer arrays. A maximum is
-`Optimal`, with a point and an LP-duality certificate that
-`verify_optimum` checks exactly.
+and A^T y >= 0, which together rule out every x >= 0) that leaves the
+tableau as integers. `verify_farkas` checks such a certificate without
+any solver, on `Row`s: each row holds its coefficients as integer arrays
+over one denominator, and the check sums the rows with a nonzero
+multiplier as integer arrays. A maximum is `Optimal`, with a point and an
+LP-duality certificate that `verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_Problem`); column j is variable j.
@@ -155,13 +155,6 @@ class FarkasCertificate:
             len(multipliers),
             {i: int(v) for i, v in enumerate(multipliers) if v != 0},
         )
-
-    @classmethod
-    def from_ray(cls, ray: Sequence[Fraction]) -> "FarkasCertificate":
-        """The certificate of a rational ray, one entry per row, scaled to
-        integers by the lcm of its denominators."""
-        denom = math.lcm(1, *(u.denominator for u in ray))
-        return cls(len(ray), {i: int(u * denom) for i, u in enumerate(ray) if u})
 
     def multiplier(self, row_index: int) -> int:
         return self.nonzero.get(row_index, 0)
@@ -354,7 +347,8 @@ class _Master:
     entering column is the most negative reduced cost (ties to the lower
     index, structurals before slacks before artificials) until the
     objective stalls, after which Bland's least-index rule takes over,
-    guaranteeing termination. Values leave the tableau as `Fraction`s.
+    guaranteeing termination. A Farkas certificate leaves the tableau as
+    integers; points and duals leave it as `Fraction`s.
 
     Phase 1 starts where a float64 phase 1 with these rules ends
     (`_float_pivots`): its basic columns enter the slack tableau by exact
@@ -374,7 +368,7 @@ class _Master:
         """Run two-phase simplex. ``objective`` maps columns to costs to
         maximize; without one only feasibility is decided.
 
-        Returns `Infeasible` with the certificate of the phase-1 ray,
+        Returns `Infeasible` with the integer certificate of the phase-1 ray,
         `Feasible` when there is no objective, else `Optimal` with
         nonnegative duals over the rows, or `Unbounded`.
         """
@@ -386,9 +380,10 @@ class _Master:
             tab, den, basis = self._slack_start()
         self._pivot_loop(tab, den, basis, {}, allowed=R + A)
         if tab[R, R + A] < 0:
-            # Farkas ray: phase-1 reduced costs of the slack columns.
-            ray = [Fraction(v, den[R]) for v in tab[R, :R]]
-            return Infeasible(FarkasCertificate.from_ray(ray))
+            # Farkas ray: phase-1 reduced costs t_i / den[R] of the slacks.
+            ray = tab[R, :R].tolist()
+            g = math.gcd(den[R], *ray)
+            return Infeasible(FarkasCertificate(R, {i: t // g for i, t in enumerate(ray) if t}))
         if objective is None:
             # Artificials left basic are at zero: x satisfies every row.
             return Feasible(self._extract(tab, den, basis))
@@ -402,15 +397,18 @@ class _Master:
                 struct = np.flatnonzero(self.problem.column_gaps(tab[i, :R].tolist()))
                 if struct.size:
                     j = int(struct[0])
-                    self._pivot(tab, den, basis, i, j, self._load(tab, den, j, 1, {}))
+                    self._pivot(tab, den, basis, i, j, self._load(tab, den, j, {}))
                 else:
                     k = int(np.flatnonzero(tab[i, :R])[0])
                     tab[:, -1] = tab[:, k]
                     self._pivot(tab, den, basis, i, S + k, 1)
 
-        # Phase 2 minimizes the negated objective; its row is reduced
-        # against the basis.
-        cost = {j: -Fraction(c) for j, c in objective.items() if c}
+        # Phase 2 minimizes the negated objective times the lcm D of its
+        # denominators, which changes no pivot; its row is reduced against
+        # the basis.
+        objective = {j: Fraction(c) for j, c in objective.items() if c}
+        D = math.lcm(1, *(c.denominator for c in objective.values()))
+        cost = {j: -int(c * D) for j, c in objective.items()}
         tab[R] = 0
         den[R] = 1
         for i, b in enumerate(basis):
@@ -419,12 +417,12 @@ class _Master:
         if self._pivot_loop(tab, den, basis, cost, allowed=R) == "unbounded":
             return Unbounded()
         x = self._extract(tab, den, basis)
-        value = -sum((cost[j] * v for j, v in x.items() if j in cost), _Q0)
+        value = sum((objective[j] * v for j, v in x.items() if j in objective), _Q0)
         # Tableau row i is sigma_i times problem row i, and so is the slack
-        # column of row i. The reduced cost of that slack is thus y_i for
+        # column of row i. The reduced cost of that slack is thus D y_i for
         # the multiplier y_i >= 0 of the problem row in the maximization,
         # whatever the sign of sigma_i, with G^T y >= c.
-        return Optimal(value, x, tuple(Fraction(v, den[R]) for v in tab[R, :R]))
+        return Optimal(value, x, tuple(Fraction(v, den[R] * D) for v in tab[R, :R]))
 
     def _slack_start(self):
         """The phase-1 tableau at the basis of slacks and artificials.
@@ -470,7 +468,7 @@ class _Master:
             if j in basis:
                 continue
             if j < S:
-                scale = self._load(tab, den, j, 1, {})
+                scale = self._load(tab, den, j, {})
             else:
                 tab[:, -1] = tab[:, j - S]
                 scale = 1
@@ -484,26 +482,24 @@ class _Master:
         basis[:] = start
         return not (tab[:R, -2] < 0).any()
 
-    def _load(self, tab, den, j, dc, cost):
+    def _load(self, tab, den, j, cost):
         """Write structural column j into the scratch column, with its
-        reduced cost in the objective row; ``dc`` is a common denominator
-        of the costs. Returns the scale of the column: entry i is over
-        ``den[i] * scale``."""
+        reduced cost for the integer costs in the objective row. Returns
+        the scale of the column: entry i is over ``den[i] * scale``."""
         R, L, w = self.n_rows, self.problem.lcm_scale, self.problem.weights
         g = self.problem.matrix[:, j]
         rows = np.flatnonzero(g)
         col = [w[i] * v for i, v in zip(rows.tolist(), g[rows].tolist())]
-        tab[:, -1] = (tab[:, rows] @ np.array(col, dtype=object)) * dc
+        tab[:, -1] = tab[:, rows] @ np.array(col, dtype=object)
         if j in cost:
-            tab[R, -1] += int(cost[j] * dc) * den[R] * L
-        return dc * L
+            tab[R, -1] += cost[j] * den[R] * L
+        return L
 
     def _pivot_loop(self, tab, den, basis, cost, allowed):
         """Pivot until no column prices negative. ``cost`` holds the
-        structural costs; the objective row holds the others, and only its
-        first ``allowed`` stored columns may enter."""
+        structural costs, as integers; the objective row holds the others,
+        and only its first ``allowed`` stored columns may enter."""
         R, S = self.n_rows, self.n_struct
-        dc = math.lcm(1, *(c.denominator for c in cost.values()))
         bland = False
         stall = 0
         while True:
@@ -516,7 +512,7 @@ class _Master:
             enter = -1
             if priced:
                 enter = min(priced) if bland else priced[0]
-                scale = self._load(tab, den, enter, dc, cost)
+                scale = self._load(tab, den, enter, cost)
             if negative.size and (enter < 0 or not bland):
                 k = negative[0] if bland else negative[np.argmin(tab[R, negative])]
                 # A stored column enters only if it prices strictly lower.
@@ -657,12 +653,11 @@ def _float_pivots(problem: _Problem) -> Optional[list]:
 
 
 def _subtract(tab, den, t, i, c):
-    """Subtract ``c`` times row i from row t, for an exact ``c``:
-    ``N[t]/d[t] - (p/q) N[i]/d[i] = (q d[i] N[t] - p d[t] N[i]) / (q d[i] d[t])``.
+    """Subtract ``c`` times row i from row t, for an integer ``c``:
+    ``N[t]/d[t] - c N[i]/d[i] = (d[i] N[t] - c d[t] N[i]) / (d[i] d[t])``.
     """
-    p, q = Fraction(c).as_integer_ratio()
-    tab[t] = q * den[i] * tab[t] - p * den[t] * tab[i]
-    den[t] *= q * den[i]
+    tab[t] = den[i] * tab[t] - c * den[t] * tab[i]
+    den[t] *= den[i]
     _reduce(tab, den, [t])
 
 
@@ -681,8 +676,8 @@ def solve_feasibility(problem: _Problem) -> LpVerdict:
     """Exact feasibility verdict for ``Ax <= b``, ``x >= 0``.
 
     Feasible systems yield an exact satisfying assignment; infeasible ones
-    yield an integer Farkas certificate (the dual ray scaled by the least
-    common multiple of its denominators) that passes `verify_farkas`.
+    yield an integer Farkas certificate, read off the tableau as integers,
+    that passes `verify_farkas`.
     """
     return _solve_problem(problem)[0]
 

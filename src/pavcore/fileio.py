@@ -40,16 +40,14 @@ class CertificateFormatError(ValueError):
 
 
 def parse_fraction(text: Union[str, int]) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str) or not re.fullmatch(
-        r"-?\d+(/\d+)?", text.strip()
-    ):
-        raise ProfileFormatError(f"not an exact fraction string: {text!r}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError as exc:
-        raise ProfileFormatError(f"zero denominator in {text!r}") from exc
+    """An int, or a string ``p`` or ``p/q`` with ``q > 0``, as an exact
+    fraction. Each part is read as `_integer` reads an integer field."""
+    num, slash, den = text.partition("/") if isinstance(text, str) else (text, "", "")
+    p = _integer(num, ProfileFormatError, f"the numerator of {text!r}")
+    q = _integer(den, ProfileFormatError, f"the denominator of {text!r}") if slash else 1
+    if q < 1:
+        raise ProfileFormatError(f"the denominator of {text!r} must be positive")
+    return Fraction(p, q)
 
 
 def _integer(value, error: type[ValueError], what: str) -> int:
@@ -161,7 +159,7 @@ def parse_committee(text: str, m: int) -> CandidateSet:
         raise ProfileFormatError("empty committee specification")
     for part in cleaned.split(","):
         part = part.strip()
-        match = re.fullmatch(r"(\d+)(?:-(\d+))?", part)
+        match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", part)
         if not match:
             raise ProfileFormatError(f"bad committee element: {part!r}")
         low = int(match.group(1))
@@ -224,24 +222,12 @@ def _history_from_payload(payload: dict) -> History:
         raise CertificateFormatError(str(exc)) from exc
 
 
-def _row_count(history: History) -> int:
-    """The number of rows of a history's system, from its masks alone: the
-    normalization pair, a swap row per step for each member of W not fixed
-    before it and each of the m - k candidates outside W, and a deviation
-    row per step."""
-    count, fixed = 2 + len(history.steps), 0
-    for w_mask, t_mask in history.mask_steps():
-        count += (w_mask & ~fixed).bit_count() * (history.m - history.k)
-        fixed |= t_mask
-    return count
-
-
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     """The record of a certificate file. The multiplier count is checked
-    against the row count before any row is built, so a file cannot make
-    the reader build a system that its multipliers do not fit. Then only
-    the rows with a nonzero multiplier are built, in one `_build_rows`
-    call."""
+    against the row count, from the row tags (`History.tags`), before any
+    row is built, so a file cannot make the reader build a system that its
+    multipliers do not fit. Then only the rows with a nonzero multiplier
+    are built, in one `_build_rows` call."""
     if not isinstance(payload, dict):
         raise CertificateFormatError("a certificate must be a JSON object")
     history = _history_from_payload(payload)
@@ -249,7 +235,7 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     if not isinstance(raw, list):
         raise CertificateFormatError("multipliers must be a list of strings")
     values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
-    expected = _row_count(history)
+    expected = len(history.tags())
     if len(values) != expected:
         raise CertificateFormatError(f"expected {expected} multipliers, found {len(values)}")
     certificate = FarkasCertificate.from_list(values)

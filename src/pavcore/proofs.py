@@ -610,12 +610,6 @@ class _Quotient:
     def problem(self) -> _Problem:
         return self._problem
 
-    def orbit_size(self, type_row) -> int:
-        size = 1
-        for s, t in zip(self.sizes, type_row):
-            size *= math.comb(s, int(t))
-        return size
-
     def expand_type(self, type_row) -> list[int]:
         """All ballot masks of one type."""
         per_class = []
@@ -634,34 +628,30 @@ class _Quotient:
     def lift_assignment(self, assignment: Mapping[int, Fraction]) -> dict[int, Fraction]:
         full: dict[int, Fraction] = {}
         for j, total in assignment.items():
-            type_row = self.types[j]
-            share = total / self.orbit_size(type_row)
-            for mask in self.expand_type(type_row):
-                full[mask] = share
+            masks = self.expand_type(self.types[j])
+            full.update(dict.fromkeys(masks, total / len(masks)))
         return full
 
     def lift_certificate(
         self, certificate: FarkasCertificate, tags: Sequence[tuple]
     ) -> FarkasCertificate:
         """Spread each quotient multiplier uniformly over the rows of its
-        orbit in the full system, found by their tags (`History.tags`)."""
-        index = {tag: i for i, tag in enumerate(tags)}
-        ray = [Fraction(0)] * len(tags)
+        orbit in the full system, found by their tags (`History.tags`).
+        Each of the n rows of an orbit with multiplier v gets ``v / n``
+        times S, the lcm of the denominators ``n / gcd(v, n)`` over the
+        orbits used, so every multiplier is an integer."""
+        orbits = []
         for row, value in certificate.nonzero.items():
             tag = self._problem.tags[row]
+            orbit = [tag]
             if tag[0] == "swap":
                 _, t, ci, cj = tag
-                share = Fraction(value, self.sizes[ci] * self.sizes[cj])
-                orbit = [
-                    ("swap", t, x, y)
-                    for x in self.classes[ci]
-                    for y in self.classes[cj]
-                ]
-            else:
-                share, orbit = Fraction(value), [tag]
-            for full_tag in orbit:
-                ray[index[full_tag]] += share
-        return FarkasCertificate.from_ray(ray)
+                orbit = [("swap", t, x, y) for x in self.classes[ci] for y in self.classes[cj]]
+            orbits.append((value, orbit))
+        S = math.lcm(1, *(len(orbit) // math.gcd(v, len(orbit)) for v, orbit in orbits))
+        index = {tag: i for i, tag in enumerate(tags)}
+        nonzero = {index[tag]: v * S // len(orbit) for v, orbit in orbits for tag in orbit}
+        return FarkasCertificate(len(tags), dict(sorted(nonzero.items())))
 
 
 def _verify_certificate_fast(
@@ -1069,7 +1059,8 @@ def lemma2_suite() -> Lemma2Report:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
-    # Each program is solved over all 2^m - 1 ballots, from the slack basis.
+    # Each program is solved over all 2^m - 1 ballots; its phase 1 starts
+    # from the float pass's basis (`exactlp._float_pivots`).
     problem = history.problem()
 
     a, b = sorted(deviation & committee)

@@ -174,10 +174,17 @@ def activate(problem: _Problem, objective=None, dense_limit=280, batch=64):
         active = sorted(set(active).union(violated[:batch]))
 
 
+def ray_certificate(ray) -> FarkasCertificate:
+    """The certificate of a rational ray, one entry per row, scaled to
+    integers by the lcm of its denominators."""
+    denom = math.lcm(1, *(u.denominator for u in ray))
+    return FarkasCertificate(len(ray), {i: int(u * denom) for i, u in enumerate(ray) if u})
+
+
 def solve_feasibility(problem: _Problem, **knobs):
     result = activate(problem, None, **knobs)
     if result[0] == "infeasible":
-        return Infeasible(FarkasCertificate.from_ray(result[1]))
+        return Infeasible(ray_certificate(result[1]))
     return Feasible(result[1])
 
 
@@ -187,6 +194,6 @@ def maximize(problem: _Problem, objective, **knobs):
     if result[0] == "unbounded":
         return Unbounded()
     if result[0] == "infeasible":
-        return Infeasible(FarkasCertificate.from_ray(result[1]))
+        return Infeasible(ray_certificate(result[1]))
     _, x, value, duals = result
     return Optimal(-value, x, tuple(-y for y in duals))

@@ -182,6 +182,12 @@ class TestVerifyCore:
         code, _, err = run(capsys, "verify-core", small, "1,1,2")
         assert code == 2 and "twice" in err
 
+    @pytest.mark.parametrize("spec", ["\u0661,2", "1-\u0662"])
+    def test_non_ascii_committee_digits_are_an_input_error(self, capsys, tied_pair_file, spec):
+        # Arabic-Indic digits: members are ASCII digits, as every number is.
+        code, _, err = run(capsys, "verify-core", tied_pair_file, spec)
+        assert code == 2 and "bad committee element" in err
+
     def test_size_budget(self, capsys, tmp_path):
         wide = write_json(
             tmp_path / "wide.json",
@@ -227,6 +233,17 @@ class TestRule:
         )
         code, _, err = run(capsys, "rule", bad)
         assert code == 2 and "True" in err
+
+    def test_non_ascii_digits_in_a_weight_are_an_input_error(self, capsys, tmp_path):
+        # Arabic-Indic one half: a weight is read with the digits of a count.
+        bad = write_json(
+            tmp_path / "arabic.json",
+            {"m": 2, "k": 1, "ballots": [{"approve": [1], "weight": "\u0661/\u0662"}]},
+        )
+        for argv in (["rule", bad], ["verify-core", bad, "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert "the numerator of '\u0661/\u0662' must be an integer" in err
 
     def test_zero_denominator_is_an_input_error(self, capsys, tmp_path):
         bad = write_json(
@@ -656,7 +673,7 @@ class TestCheckCertificates:
         # and the file is refused without building any of them.
         step = {"W": [1, 2, 3, 4, 5, 6, 8], "T": [8]}
         payload = {"kind": "history", "m": 12, "k": 7, "history": [step] * 401}
-        assert fileio._row_count(fileio._history_from_payload(payload)) == 12438
+        assert len(fileio._history_from_payload(payload).tags()) == 12438
 
         def refuse(*args):
             raise AssertionError("rows were built")

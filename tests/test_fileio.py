@@ -3,6 +3,7 @@ payload they either return or raise one of the two format errors, and so
 do the file readers on a file they cannot decode."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +14,12 @@ from pavcore.fileio import (
     CertificateFormatError,
     ProfileFormatError,
     _integer,
-    _row_count,
     certificate_record_from_dict,
     history_certificate_dict,
     instance_from_dict,
     load_certificate,
     load_instance,
+    parse_fraction,
 )
 from pavcore.proofs import (
     History,
@@ -146,11 +147,12 @@ def test_file_readers_refuse_undecodable_bytes(tmp_path, load, error):
 
 
 def test_row_count_from_the_masks_is_the_built_count():
-    # The reader checks the multiplier count against this before it builds.
+    # The reader checks the multiplier count against the tags' count, from
+    # the masks alone, before it builds any row.
     histories = [History.from_masks(*case) for case in multi_step_histories()]
     histories += [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)]
     for h in histories + k8_children()[::6]:
-        assert _row_count(h) == len(history_system(h)), h.mask_steps()
+        assert len(h.tags()) == len(history_system(h)), h.mask_steps()
 
 
 multiplier_values = (
@@ -191,6 +193,40 @@ def test_integer_fields_are_read_as_the_regular_expression_reads_them(value):
     else:
         got = _integer(value, CertificateFormatError, "multiplier")
         assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (3, Fraction(3)),
+        (-2, Fraction(-2)),
+        ("1/2", Fraction(1, 2)),
+        (" 1/2 ", Fraction(1, 2)),
+        ("\t-3/4\n", Fraction(-3, 4)),
+        ("007/014", Fraction(1, 2)),
+        ("-0/5", Fraction(0)),
+        ("12", Fraction(12)),
+        # Each side of the slash is an integer field, between whitespace.
+        ("1 / 2", Fraction(1, 2)),
+    ],
+)
+def test_weights_read_exactly(value, expected):
+    got = parse_fraction(value)
+    assert got == expected and type(got) is Fraction
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "1/-2", "1/0", "-1/0", "1.5", "1/2.0", "1/2/3", "/2", "1/", "", " ", "+1/2", "1/+2",
+        "1e3", "1_0/2", "\u0661/\u0662", "1/\u0662", "\u0661", "\u00b2", "1 2/3",
+        pytest.param("9" * 5000 + "/2", id="5000-digit numerator"),
+        True, False, 0.5, 1.0, None, [1, 2], {"1": 2},
+    ],
+)
+def test_weights_refuse_what_is_not_an_exact_fraction(value):
+    with pytest.raises(ProfileFormatError):
+        parse_fraction(value)
 
 
 def test_the_reader_builds_only_the_rows_with_a_nonzero_multiplier():

@@ -1,5 +1,6 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
+import functools
 import pickle
 import random
 import tracemalloc
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavcore import exactlp, proofs
 from pavcore.elections import (
@@ -48,6 +51,7 @@ from pavcore.proofs import (
 )
 
 from conftest import cs, score_swap_delta
+from tableau_oracle import ray_certificate
 
 
 def multi_step_histories(count=12):
@@ -617,6 +621,88 @@ class TestUsedRows:
             assert verdict.certificate.n_rows == 67
             assert len(verdict.certificate.nonzero) == n_used
             assert peak < bound * full_matrix, (h.mask_steps(), peak / full_matrix)
+
+
+def fraction_lift_certificate(quotient, certificate, tags):
+    """The lift of a quotient certificate as a `Fraction` ray over the full
+    rows, each row of an orbit getting the orbit's multiplier over the
+    orbit's size, scaled to integers by the lcm of its denominators: the
+    oracle for the integer `_Quotient.lift_certificate`."""
+    index = {tag: i for i, tag in enumerate(tags)}
+    ray = [Fraction(0)] * len(tags)
+    for row, value in certificate.nonzero.items():
+        tag = quotient.problem().tags[row]
+        if tag[0] == "swap":
+            _, t, ci, cj = tag
+            share = Fraction(value, quotient.sizes[ci] * quotient.sizes[cj])
+            orbit = [
+                ("swap", t, x, y) for x in quotient.classes[ci] for y in quotient.classes[cj]
+            ]
+        else:
+            share, orbit = Fraction(value), [tag]
+        for full_tag in orbit:
+            ray[index[full_tag]] += share
+    return ray_certificate(ray)
+
+
+LIFT_HISTORIES = (
+    [History.from_masks(*case) for case in multi_step_histories()]
+    + [program3_history(8, DeviationShape(4, 2)), program3_history(6, DeviationShape(3, 1))]
+    + k8_children()[::40]
+)
+
+
+@functools.cache
+def lift_quotient(i):
+    h = LIFT_HISTORIES[i]
+    return _Quotient(h.m, h.k, h.mask_steps()), h.tags()
+
+
+@st.composite
+def quotient_multipliers(draw):
+    """A quotient of `LIFT_HISTORIES` and nonzero multipliers on some of
+    its rows, each a small integer times a divisor of its orbit's size."""
+    quotient, tags = lift_quotient(draw(st.integers(0, len(LIFT_HISTORIES) - 1)))
+    nonzero = {}
+    for row in draw(st.lists(st.integers(0, quotient.problem().n_rows - 1), unique=True)):
+        tag = quotient.problem().tags[row]
+        n = quotient.sizes[tag[2]] * quotient.sizes[tag[3]] if tag[0] == "swap" else 1
+        divisor = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        nonzero[row] = draw(st.integers(1, 40)) * divisor
+    return quotient, FarkasCertificate(quotient.problem().n_rows, nonzero), tags
+
+
+class TestIntegerLift:
+    @staticmethod
+    def assert_lift_is_the_scaled_ray(quotient, certificate, tags):
+        lifted = quotient.lift_certificate(certificate, tags)
+        expected = fraction_lift_certificate(quotient, certificate, tags)
+        assert lifted.n_rows == expected.n_rows == len(tags)
+        # The same multipliers, in the same (row) order.
+        assert list(lifted.nonzero.items()) == list(expected.nonzero.items())
+
+    def test_every_quotient_certificate_of_the_searches(self, monkeypatch):
+        lifts = []
+        original = _Quotient.lift_certificate
+
+        def logged(self, certificate, tags):
+            lifts.append((self, certificate, tags))
+            return original(self, certificate, tags)
+
+        monkeypatch.setattr(_Quotient, "lift_certificate", logged)
+        assert len(enumerate_histories(10, 8).certificates) == 99
+        searched = len(lifts)
+        for case in multi_step_histories():
+            history_verdict(History.from_masks(*case))
+        monkeypatch.undo()
+        assert searched > 80 and len(lifts) > searched
+        for args in lifts:
+            self.assert_lift_is_the_scaled_ray(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_multipliers())
+    def test_multipliers_that_share_factors_with_their_orbit_sizes(self, case):
+        self.assert_lift_is_the_scaled_ray(*case)
 
 
 class TestCanonicalContinuations:
