@@ -8,12 +8,14 @@ solver).
 Exit codes are a stable contract: 0 when the run succeeds and the claim
 holds, 1 when the claim fails (deviation found, rule failed, violations or
 a bad certificate), 2 on input errors, 3 when a size or time budget was
-exceeded.
+exceeded. Every input error is a `fileio.InputError`, which `main` reports
+on stderr.
 
 Every prove mode runs through one `proofs.Runner`, so the options mean the
-same in each: ``--threads N`` runs the work on N processes with the same
-output as one, and ``--budget-seconds S`` stops the run S seconds after it
-starts, exiting 3 if work is left (0 always exits 3).
+same in each: ``--threads N`` runs the work on up to N processes, at most
+one per CPU, with the same output as one, and ``--budget-seconds S`` stops
+the run S seconds after it starts, exiting 3 if work is left (0 always
+exits 3).
 
 `main` builds its parser once per process, on its first call, and looks up
 the command function ``cmd_<command>`` when it runs the command.
@@ -34,10 +36,8 @@ from .elections import EnumerationLimitError
 # solve_feasibility is not called here; bench/layers.py wraps it by this name.
 from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
 from .fileio import (
-    CertificateFormatError,
-    ProfileFormatError,
+    InputError,
     _read_json,
-    format_fraction,
     history_certificate_dict,
     history_certificate_filename,
     load_certificate,
@@ -64,14 +64,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _quota(name: str) -> Quota:
-    return Quota.DROOP if name == "droop" else Quota.HARE
-
-
-def _labels(candidate_set) -> list[str]:
-    return list(candidate_set.labels())
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -84,54 +76,39 @@ def cmd_verify_core(args) -> int:
     instance = load_instance(args.profile)
     committee = parse_committee(args.committee, instance.m)
     if len(committee) != instance.k:
-        raise ProfileFormatError(
-            f"committee has {len(committee)} members, expected k={instance.k}"
-        )
-    quota = _quota(args.quota)
+        raise InputError(f"committee has {len(committee)} members, expected k={instance.k}")
+    quota = Quota(args.quota)
     report = find_deviation(instance, committee, quota)
     if report is None:
         _emit(
             args,
-            {"stable": True, "quota": quota.value, "committee": _labels(committee)},
+            {"stable": True, "quota": quota.value, "committee": committee.labels()},
             [f"stable: no successful deviation under the {quota.value} quota"],
         )
         return EXIT_OK
     payload = {
         "stable": False,
         "quota": quota.value,
-        "committee": _labels(committee),
-        "deviation": _labels(report.deviation),
-        "support": format_fraction(report.support),
-        "threshold": format_fraction(report.threshold),
-        "supporters": [_labels(b) for b in report.supporters],
+        "committee": committee.labels(),
+        "deviation": report.deviation.labels(),
+        "support": str(report.support),
+        "threshold": str(report.threshold),
+        "supporters": [b.labels() for b in report.supporters],
     }
-    _emit(
-        args,
-        payload,
-        [
-            "unstable: " + report.describe(),
-        ],
-    )
+    _emit(args, payload, ["unstable: " + report.describe()])
     return EXIT_CLAIM_FAILS
 
 
 def cmd_rule(args) -> int:
     instance = load_instance(args.profile)
-    quota = _quota(args.quota)
+    quota = Quota(args.quota)
     if args.rule == "pav-local":
         committee = local_pav(instance)
         score = elections.pav_score(instance.profile, committee)
         _emit(
             args,
-            {
-                "rule": args.rule,
-                "committee": _labels(committee),
-                "score": format_fraction(score),
-            },
-            [
-                f"committee: {', '.join(committee.labels())}",
-                f"score: {score}",
-            ],
+            {"rule": args.rule, "committee": committee.labels(), "score": str(score)},
+            [f"committee: {', '.join(committee.labels())}", f"score: {score}"],
         )
         return EXIT_OK
     if args.rule == "pav-global":
@@ -141,17 +118,15 @@ def cmd_rule(args) -> int:
             args,
             {
                 "rule": args.rule,
-                "committees": [_labels(w) for w in winners],
-                "score": format_fraction(score),
+                "committees": [w.labels() for w in winners],
+                "score": str(score),
             },
             [f"{len(winners)} optimal committee(s), score {score}:"]
             + [f"  {', '.join(w.labels())}" for w in winners],
         )
         return EXIT_OK
     outcome = recursive_pav(instance, quota)
-    trace_payload = [
-        {"W": _labels(w), "T": _labels(t)} for w, t in outcome.trace
-    ]
+    trace_payload = [{"W": w.labels(), "T": t.labels()} for w, t in outcome.trace]
     rounds = [
         f"  round {i + 1}: W={{{', '.join(t['W'])}}} fixed T={{{', '.join(t['T'])}}}"
         for i, t in enumerate(trace_payload)
@@ -170,8 +145,8 @@ def cmd_rule(args) -> int:
             "rule": args.rule,
             "status": "success",
             "quota": quota.value,
-            "committee": _labels(outcome.committee),
-            "score": format_fraction(score),
+            "committee": outcome.committee.labels(),
+            "score": str(score),
             "trace": trace_payload,
         },
         [f"committee: {', '.join(outcome.committee.labels())}", f"score: {score}"]
@@ -203,8 +178,8 @@ def _prove_inequality(args) -> int:
                 "a": v.a,
                 "b": v.b,
                 "c": v.c,
-                "delta": format_fraction(v.delta),
-                "bound": format_fraction(v.bound),
+                "delta": str(v.delta),
+                "bound": str(v.bound),
             }
             for v in violations
         ],
@@ -278,7 +253,7 @@ def _witness_entries(profile) -> list[dict]:
     """A witness profile as ``{"approve": [labels], "weight": "p/q"}``
     entries in ballot order."""
     return [
-        {"approve": _labels(ballot), "weight": format_fraction(weight)}
+        {"approve": ballot.labels(), "weight": str(weight)}
         for ballot, weight in profile.items()
     ]
 
@@ -308,7 +283,7 @@ def _prove_histories(args) -> int:
             "histories": [
                 {
                     "steps": [
-                        {"W": _labels(w), "T": _labels(t)} for w, t in h.steps
+                        {"W": w.labels(), "T": t.labels()} for w, t in h.steps
                     ],
                     "witness": _witness_entries(result.witnesses[h])
                     if h.steps
@@ -346,17 +321,17 @@ def _prove_histories(args) -> int:
 
 def _check_threads(args) -> None:
     if args.threads < 1:
-        raise ProfileFormatError(f"--threads must be at least 1, got {args.threads}")
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
 
 
 def cmd_prove(args) -> int:
     if args.k is None:
-        raise ProfileFormatError(f"{args.mode} mode needs --k")
+        raise InputError(f"{args.mode} mode needs --k")
     if args.k < 1:
-        raise ProfileFormatError(f"--k must be at least 1, got {args.k}")
+        raise InputError(f"--k must be at least 1, got {args.k}")
     _check_threads(args)
     if args.budget_seconds is not None and not args.budget_seconds >= 0:
-        raise ProfileFormatError(
+        raise InputError(
             f"--budget-seconds must be at least 0, got {args.budget_seconds}"
         )
     if args.mode == "inequality":
@@ -364,16 +339,16 @@ def cmd_prove(args) -> int:
     if args.mode == "program3":
         return _prove_program3(args)
     if args.m is None:
-        raise ProfileFormatError("histories mode needs --m")
+        raise InputError("histories mode needs --m")
     if args.k > args.m:
-        raise ProfileFormatError(f"histories mode needs k <= m, got k={args.k} m={args.m}")
+        raise InputError(f"histories mode needs k <= m, got k={args.k} m={args.m}")
     return _prove_histories(args)
 
 
 def _check_one(path: Path):
     try:
         record = load_certificate(path)
-    except CertificateFormatError as exc:
+    except InputError as exc:
         return (path.name, False, f"unreadable: {exc}")
     ok = verify_farkas(record.rows, record.certificate)
     return (path.name, ok, "ok" if ok else "certificate does not verify")
@@ -382,9 +357,9 @@ def _check_one(path: Path):
 def _is_certificate_file(path: Path) -> bool:
     """Whether a bundle file holds multipliers; every ``*.json`` file of a
     bundle must hold a JSON object."""
-    payload = _read_json(path, CertificateFormatError)
+    payload = _read_json(path)
     if not isinstance(payload, dict):
-        raise CertificateFormatError(f"{path}: does not hold a JSON object")
+        raise InputError(f"{path}: does not hold a JSON object")
     return "multipliers" in payload
 
 
@@ -395,7 +370,7 @@ def _summary_failures(root: Path, files: list[Path]) -> list[tuple[str, str]]:
     failures = []
     for summary in sorted(p for p in root.rglob("histories.json") if p.is_file()):
         name = summary.relative_to(root).as_posix()
-        data = json.loads(summary.read_text(encoding="utf-8"))
+        data = _read_json(summary)
         if data.get("complete") is not True:
             failures.append((name, "records an incomplete search"))
         expected = data.get("certificates")
@@ -411,11 +386,11 @@ def cmd_check_certificates(args) -> int:
     _check_threads(args)
     root = Path(args.bundle)
     if not root.exists():
-        raise ProfileFormatError(f"no such bundle: {root}")
+        raise InputError(f"no such bundle: {root}")
     if root.is_file():
         # A file argument is a bundle of that one file, which must be one.
         if not _is_certificate_file(root):
-            raise CertificateFormatError(f"{root}: holds no certificate multipliers")
+            raise InputError(f"{root}: holds no certificate multipliers")
         files = [root]
     else:
         files = sorted(
@@ -496,7 +471,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ProfileFormatError, CertificateFormatError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EnumerationLimitError as exc:

@@ -8,7 +8,8 @@ ends with the deviation rows, makes the reconstruction bit-exact. Every
 variable is nonnegative without any row stating it, so a file holds one
 multiplier per row of the system.
 
-Candidate indices are 1-based in files, matching reports.
+Candidate indices are 1-based in files, matching reports. Every reader
+refuses what it cannot use with the one `InputError`.
 """
 
 from __future__ import annotations
@@ -31,29 +32,26 @@ from .proofs import (
 )
 
 
-class ProfileFormatError(ValueError):
-    """A profile file violates the schema or its invariants."""
-
-
-class CertificateFormatError(ValueError):
-    """A certificate file violates the schema or cannot be reconstructed."""
+class InputError(ValueError):
+    """Input the commands refuse: a file that cannot be read, violates its
+    schema or cannot be reconstructed, or an argument out of range."""
 
 
 def parse_fraction(text: Union[str, int]) -> Fraction:
     """An int, or a string ``p`` or ``p/q`` with ``q > 0``, as an exact
     fraction. Each part is read as `_integer` reads an integer field."""
     num, slash, den = text.partition("/") if isinstance(text, str) else (text, "", "")
-    p = _integer(num, ProfileFormatError, f"the numerator of {text!r}")
-    q = _integer(den, ProfileFormatError, f"the denominator of {text!r}") if slash else 1
+    p = _integer(num, f"the numerator of {text!r}")
+    q = _integer(den, f"the denominator of {text!r}") if slash else 1
     if q < 1:
-        raise ProfileFormatError(f"the denominator of {text!r} must be positive")
+        raise InputError(f"the denominator of {text!r} must be positive")
     return Fraction(p, q)
 
 
-def _integer(value, error: type[ValueError], what: str) -> int:
+def _integer(value, what: str) -> int:
     """An int or a decimal-integer string (ASCII digits with an optional
     leading ``-``, between whitespace), as an int. A bool, a float or
-    anything else raises ``error``: no value is truncated or coerced."""
+    anything else raises `InputError`: no value is truncated or coerced."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -63,23 +61,17 @@ def _integer(value, error: type[ValueError], what: str) -> int:
             try:
                 return int(value)
             except ValueError as exc:  # too many digits, or a space int() refuses
-                raise error(f"{what}: {exc}") from exc
-    raise error(f"{what} must be an integer, found {value!r}")
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
+                raise InputError(f"{what}: {exc}") from exc
+    raise InputError(f"{what} must be an integer, found {value!r}")
 
 
 def _indices_to_mask(indices, m: int) -> int:
     if not isinstance(indices, list):
-        raise ProfileFormatError(f"candidate list expected, found {indices!r}")
+        raise InputError(f"candidate list expected, found {indices!r}")
     mask = 0
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= m:
-            raise ProfileFormatError(
-                f"candidate index {i!r} out of range 1..{m}"
-            )
+            raise InputError(f"candidate index {i!r} out of range 1..{m}")
         mask |= 1 << (i - 1)
     return mask
 
@@ -88,58 +80,56 @@ def _mask_to_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
-def _read_json(path: Union[str, Path], error: type[ValueError]):
+def _read_json(path: Union[str, Path]):
     """The JSON value a file holds. A file that cannot be read, is not
-    UTF-8, is not JSON or nests too deeply to decode raises ``error``."""
+    UTF-8, is not JSON or nests too deeply to decode raises `InputError`."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def load_instance(path: Union[str, Path]) -> ElectionInstance:
     """Read an election from JSON: candidate count, committee size, and
     ballots carrying either exact weights (summing to 1) or voter counts."""
-    return instance_from_dict(_read_json(path, ProfileFormatError))
+    return instance_from_dict(_read_json(path))
 
 
 def instance_from_dict(data) -> ElectionInstance:
     if not isinstance(data, dict):
-        raise ProfileFormatError("profile file must contain a JSON object")
+        raise InputError("profile file must contain a JSON object")
     try:
-        m = _integer(data["m"], ProfileFormatError, "m")
-        k = _integer(data["k"], ProfileFormatError, "k")
+        m = _integer(data["m"], "m")
+        k = _integer(data["k"], "k")
         ballots = data["ballots"]
     except KeyError as exc:
-        raise ProfileFormatError(f"missing field: {exc}") from exc
+        raise InputError(f"missing field: {exc}") from exc
     if not isinstance(ballots, list) or not ballots:
-        raise ProfileFormatError("ballots must be a nonempty list")
+        raise InputError("ballots must be a nonempty list")
     kinds = {("weight" in b) for b in ballots if isinstance(b, dict)}
     if len(kinds) != 1:
-        raise ProfileFormatError(
-            "ballots must uniformly use either weight or count"
-        )
+        raise InputError("ballots must uniformly use either weight or count")
     use_weights = kinds.pop()
     weights: dict[int, Fraction] = {}
     counts: dict[int, int] = {}
     for entry in ballots:
         if not isinstance(entry, dict) or "approve" not in entry:
-            raise ProfileFormatError("each ballot needs an approve list")
+            raise InputError("each ballot needs an approve list")
         approve = entry["approve"]
         if not isinstance(approve, list) or not approve:
-            raise ProfileFormatError("approve lists must be nonempty")
+            raise InputError("approve lists must be nonempty")
         mask = _indices_to_mask(approve, m)
         if use_weights:
             w = parse_fraction(entry["weight"])
             if w < 0:
-                raise ProfileFormatError("weights must be nonnegative")
+                raise InputError("weights must be nonnegative")
             weights[mask] = weights.get(mask, Fraction(0)) + w
         else:
             if "count" not in entry:
-                raise ProfileFormatError("each ballot needs a weight or a count")
-            c = _integer(entry["count"], ProfileFormatError, "count")
+                raise InputError("each ballot needs a weight or a count")
+            c = _integer(entry["count"], "count")
             if c <= 0:
-                raise ProfileFormatError("counts must be positive integers")
+                raise InputError("counts must be positive integers")
             counts[mask] = counts.get(mask, 0) + c
     try:
         if use_weights:
@@ -148,7 +138,7 @@ def instance_from_dict(data) -> ElectionInstance:
             profile = Profile.from_counts(m, counts)
         return ElectionInstance(profile, k)
     except ValueError as exc:
-        raise ProfileFormatError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def parse_committee(text: str, m: int) -> CandidateSet:
@@ -156,21 +146,19 @@ def parse_committee(text: str, m: int) -> CandidateSet:
     mask = 0
     cleaned = text.replace("..", "-").strip()
     if not cleaned:
-        raise ProfileFormatError("empty committee specification")
+        raise InputError("empty committee specification")
     for part in cleaned.split(","):
         part = part.strip()
         match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", part)
         if not match:
-            raise ProfileFormatError(f"bad committee element: {part!r}")
+            raise InputError(f"bad committee element: {part!r}")
         low = int(match.group(1))
         high = int(match.group(2)) if match.group(2) else low
         if not (1 <= low <= high <= m):
-            raise ProfileFormatError(
-                f"committee range {part!r} out of 1..{m}"
-            )
+            raise InputError(f"committee range {part!r} out of 1..{m}")
         for i in range(low, high + 1):
             if (mask >> (i - 1)) & 1:
-                raise ProfileFormatError(f"candidate {i} listed twice")
+                raise InputError(f"candidate {i} listed twice")
             mask |= 1 << (i - 1)
     return CandidateSet(mask, m)
 
@@ -193,25 +181,23 @@ class CertificateRecord:
 
 def _history_from_payload(payload: dict) -> History:
     try:
-        m = _integer(payload["m"], CertificateFormatError, "m")
-        k = _integer(payload["k"], CertificateFormatError, "k")
+        m = _integer(payload["m"], "m")
+        k = _integer(payload["k"], "k")
         kind = payload["kind"]
     except KeyError as exc:
-        raise CertificateFormatError(f"missing field: {exc}") from exc
+        raise InputError(f"missing field: {exc}") from exc
     # The system has 2^m - 1 columns: refuse a large m before building it.
     if m > MAX_HISTORY_M:
-        raise CertificateFormatError(
-            f"m={m} exceeds the history cap m={MAX_HISTORY_M}"
-        )
+        raise InputError(f"m={m} exceeds the history cap m={MAX_HISTORY_M}")
     if not 1 <= k <= m:
-        raise CertificateFormatError(f"need 1 <= k <= m, got k={k} m={m}")
+        raise InputError(f"need 1 <= k <= m, got k={k} m={m}")
     if kind != "history":
-        raise CertificateFormatError(f"unknown certificate kind: {kind!r}")
+        raise InputError(f"unknown certificate kind: {kind!r}")
     steps = payload.get("history")
     if not isinstance(steps, list) or not all(
         isinstance(step, dict) and {"W", "T"} <= step.keys() for step in steps
     ):
-        raise CertificateFormatError("history must be a list of W/T steps")
+        raise InputError("history must be a list of W/T steps")
     try:
         masks = [
             (_indices_to_mask(step["W"], m), _indices_to_mask(step["T"], m))
@@ -219,7 +205,7 @@ def _history_from_payload(payload: dict) -> History:
         ]
         return History.from_masks(m, k, masks)
     except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
@@ -229,21 +215,21 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     multipliers do not fit. Then only the rows with a nonzero multiplier
     are built, in one `_build_rows` call."""
     if not isinstance(payload, dict):
-        raise CertificateFormatError("a certificate must be a JSON object")
+        raise InputError("a certificate must be a JSON object")
     history = _history_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
-        raise CertificateFormatError("multipliers must be a list of strings")
-    values = [_integer(v, CertificateFormatError, "multiplier") for v in raw]
+        raise InputError("multipliers must be a list of strings")
+    values = [_integer(v, "multiplier") for v in raw]
     expected = len(history.tags())
     if len(values) != expected:
-        raise CertificateFormatError(f"expected {expected} multipliers, found {len(values)}")
+        raise InputError(f"expected {expected} multipliers, found {len(values)}")
     certificate = FarkasCertificate.from_list(values)
     return CertificateRecord(history_system(history, certificate.nonzero), certificate)
 
 
 def load_certificate(path: Union[str, Path]) -> CertificateRecord:
-    return certificate_record_from_dict(_read_json(path, CertificateFormatError))
+    return certificate_record_from_dict(_read_json(path))
 
 
 def history_certificate_dict(

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,7 @@ from .elections import (
     Profile,
     first_improving_swap,
     harmonic_table,
+    pav_score,
 )
 from .exactlp import (
     FarkasCertificate,
@@ -611,19 +613,13 @@ class _Quotient:
         return self._problem
 
     def expand_type(self, type_row) -> list[int]:
-        """All ballot masks of one type."""
-        per_class = []
-        for cls, t in zip(self.classes, type_row):
-            per_class.append(
-                [sum(1 << i for i in combo) for combo in itertools.combinations(cls, int(t))]
-            )
-        masks = []
-        for pieces in itertools.product(*per_class):
-            mask = 0
-            for p in pieces:
-                mask |= p
-            masks.append(mask)
-        return masks
+        """All ballot masks of one type: a choice of ``t`` members of each
+        class, for its entry ``t`` of the type."""
+        choices = (itertools.combinations(c, int(t)) for c, t in zip(self.classes, type_row))
+        return [
+            sum(1 << i for combo in pieces for i in combo)
+            for pieces in itertools.product(*choices)
+        ]
 
     def lift_assignment(self, assignment: Mapping[int, Fraction]) -> dict[int, Fraction]:
         full: dict[int, Fraction] = {}
@@ -803,11 +799,12 @@ def history_verdict(history: History) -> HistoryVerdict:
 class Runner:
     """Runs the batches of tasks of a proof mode or a check.
 
-    With one thread each batch runs inline. With more, one process pool
-    starts at the first batch of two or more tasks and stops when the
-    runner closes. Results come back in task order either way, and only
-    while the time budget, counted from the runner's creation, lasts; a
-    batch it cuts short sets ``complete`` to False.
+    With one thread each batch runs inline. With more, one process pool of
+    at most ``os.cpu_count()`` processes starts at the first batch of two
+    or more tasks and stops when the runner closes. Results come back in
+    task order either way, and only while the time budget, counted from
+    the runner's creation, lasts; a batch it cuts short sets ``complete``
+    to False.
     """
 
     def __init__(self, threads: int = 1, budget_seconds: Optional[float] = None):
@@ -834,7 +831,8 @@ class Runner:
             import multiprocessing
 
             # Spawned, not forked: the parent may hold threads (numpy's).
-            self._pool = multiprocessing.get_context("spawn").Pool(self.threads)
+            processes = min(self.threads, os.cpu_count() or 1)
+            self._pool = multiprocessing.get_context("spawn").Pool(processes)
         results = map(func, tasks) if self._pool is None else self._pool.imap(func, tasks)
         for _ in tasks:
             if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -992,16 +990,13 @@ def verify_lemma2_structure(
         return False
     if disjoint != Fraction(1, 2):
         return False
-    for c in committee:
-        if c in (a, b):
-            continue
-        drop = Fraction(0)
-        for mask, weight in profile.mask_items():
-            if (mask >> c) & 1:
-                drop += weight / (mask & committee.mask).bit_count()
-        if drop != Fraction(1, 12):
-            return False
-    return True
+    score = pav_score(profile, committee)
+    return all(
+        score - pav_score(profile, committee - CandidateSet.from_indices([c], committee.m))
+        == Fraction(1, 12)
+        for c in committee
+        if c not in (a, b)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 `local_pav` runs deterministic first-improvement swap search to a
 swap-optimal committee, `global_pav` enumerates all committees
-exhaustively (refused above `DEFAULT_MAX_COMMITTEES`), and
+exhaustively (both refused above `DEFAULT_MAX_COMMITTEES`), and
 `recursive_pav` repeatedly fixes successful deviations into the committee
 until it is core stable or the fixed set no longer fits. Scores are ints
 over one denominator from the array kernel `elections.pav_scores`, and
@@ -27,7 +27,8 @@ from .elections import (
 )
 from .stability import Quota, find_deviation
 
-#: Refuse exhaustive enumeration above this many committees.
+#: Refuse exhaustive enumeration above this many committees, and a swap
+#: table above this many 62-bit words.
 DEFAULT_MAX_COMMITTEES = 10**7
 
 
@@ -73,9 +74,17 @@ def local_pav(
     ``active`` ballots (every ballot when ``active`` is None). Starting from
     the greedy seed, the first strictly improving swap in lexicographic
     ``(x, y)`` order is applied until none exists. Termination is
-    guaranteed since the exact score increases with every swap.
+    guaranteed since the exact score increases with every swap. Refused
+    when the table of a swap test, 1 + k·(m − k) committees of ceil(m / 62)
+    words each, exceeds `DEFAULT_MAX_COMMITTEES` words.
     """
     profile, k, m = instance.profile, instance.k, instance.m
+    committees, width = 1 + k * (m - k), -(-m // 62)
+    if committees * width > DEFAULT_MAX_COMMITTEES:
+        raise EnumerationLimitError(
+            f"a swap test at m={m}, k={k} scores {committees} committees of "
+            f"{width} words each, over the cap of {DEFAULT_MAX_COMMITTEES} words"
+        )
     fixed_mask = fixed.mask if fixed is not None else 0
     if fixed is not None and fixed.m != m:
         raise ValueError("fixed-set universe does not match the instance")

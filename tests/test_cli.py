@@ -58,6 +58,18 @@ TIED_PAIR_8 = {
     ],
 }
 
+# Three ballots over 200000 candidates: a swap table of m-bit masks would
+# not fit in memory.
+SHORT_WIDE_PROFILE = {
+    "m": 200000,
+    "k": 2,
+    "ballots": [
+        {"approve": [1, 2], "count": 1},
+        {"approve": [3], "count": 1},
+        {"approve": [1, 200000], "count": 1},
+    ],
+}
+
 
 @pytest.fixture
 def tied_pair_file(tmp_path):
@@ -312,6 +324,27 @@ class TestRule:
             {"m": 30, "k": 15, "ballots": [{"approve": [1, 2], "count": 1}]},
         )
         assert run(capsys, "rule", big, "--rule", "pav-global")[0] == 3
+
+    def test_swap_table_budget(self, capsys, tmp_path):
+        # A swap test scores 1 + k(m - k) committees of ceil(m / 62) words:
+        # about 1.3e9 words here, refused before the table is built.
+        short = write_json(tmp_path / "short.json", SHORT_WIDE_PROFILE)
+        started = time.monotonic()
+        for rule in ("pav-local", "pav-global", "recursive-pav"):
+            code, out, err = run(capsys, "rule", short, "--rule", rule)
+            assert code == 3 and not out and err.startswith("budget: "), rule
+        assert time.monotonic() - started < 10
+
+    def test_swap_table_budget_admits_every_m_up_to_62(self, capsys, tmp_path):
+        # The widest swap table at m = 62: 1 + 31 * 31 one-word committees.
+        profile = {
+            "m": 62,
+            "k": 31,
+            "ballots": [{"approve": list(range(1, 32)), "count": 1}, {"approve": [62], "count": 1}],
+        }
+        path = write_json(tmp_path / "p.json", profile)
+        code, out, _ = run(capsys, "rule", path, "--rule", "pav-local")
+        assert code == 0 and out.startswith("committee: ")
 
 
 class TestProveInputs:

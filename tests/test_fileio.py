@@ -1,6 +1,6 @@
 """Fuzz tests for the profile and certificate readers: on any JSON-like
-payload they either return or raise one of the two format errors, and so
-do the file readers on a file they cannot decode."""
+payload they either return or raise `InputError`, and so do the file
+readers on a file they cannot decode."""
 
 import re
 from fractions import Fraction
@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from pavcore import proofs
 from pavcore.fileio import (
-    CertificateFormatError,
-    ProfileFormatError,
+    InputError,
     _integer,
     certificate_record_from_dict,
     history_certificate_dict,
@@ -30,8 +29,6 @@ from pavcore.proofs import (
 )
 
 from test_proofs import k8_children, multi_step_histories
-
-FORMAT_ERRORS = (ProfileFormatError, CertificateFormatError)
 
 scalars = (
     st.none()
@@ -97,7 +94,7 @@ certificates = st.fixed_dictionaries(
 def test_profile_reader_raises_only_format_errors(payload):
     try:
         instance_from_dict(payload)
-    except FORMAT_ERRORS:
+    except InputError:
         pass
 
 
@@ -131,18 +128,15 @@ def test_profile_reader_raises_only_format_errors(payload):
 def test_certificate_reader_raises_only_format_errors(payload):
     try:
         certificate_record_from_dict(payload)
-    except CertificateFormatError:
+    except InputError:
         pass
 
 
-@pytest.mark.parametrize(
-    "load, error",
-    [(load_instance, ProfileFormatError), (load_certificate, CertificateFormatError)],
-)
-def test_file_readers_refuse_undecodable_bytes(tmp_path, load, error):
+@pytest.mark.parametrize("load", [load_instance, load_certificate])
+def test_file_readers_refuse_undecodable_bytes(tmp_path, load):
     path = tmp_path / "x.json"
     path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark is not UTF-8
-    with pytest.raises(error):
+    with pytest.raises(InputError):
         load(path)
 
 
@@ -188,10 +182,10 @@ def test_integer_fields_are_read_as_the_regular_expression_reads_them(value):
     try:
         expected = integer_oracle(value)
     except ValueError:
-        with pytest.raises(CertificateFormatError):
-            _integer(value, CertificateFormatError, "multiplier")
+        with pytest.raises(InputError):
+            _integer(value, "multiplier")
     else:
-        got = _integer(value, CertificateFormatError, "multiplier")
+        got = _integer(value, "multiplier")
         assert got == expected and type(got) is type(expected)
 
 
@@ -225,7 +219,7 @@ def test_weights_read_exactly(value, expected):
     ],
 )
 def test_weights_refuse_what_is_not_an_exact_fraction(value):
-    with pytest.raises(ProfileFormatError):
+    with pytest.raises(InputError):
         parse_fraction(value)
 
 
@@ -253,5 +247,5 @@ def test_a_wrong_multiplier_count_is_refused_before_any_row(monkeypatch, extra):
         raise AssertionError("rows were built")
 
     monkeypatch.setattr(proofs, "_build_rows", refuse)
-    with pytest.raises(CertificateFormatError, match=f"expected {n_rows} multipliers"):
+    with pytest.raises(InputError, match=f"expected {n_rows} multipliers"):
         certificate_record_from_dict(payload)

@@ -1,10 +1,13 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
 import functools
+import multiprocessing
+import os
 import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from pavcore.proofs import (
     DeviationShape,
     History,
     HistoryVerdict,
+    Runner,
     canonical_continuations,
     canonical_program3_sets,
     check_proposition1,
@@ -275,6 +279,22 @@ class TestLemma2Structure:
                 cs([1, 2, 3], 10): Fraction(26, 100),
                 cs([1, 2, 4], 10): Fraction(24, 100),
                 cs([5, 6, 7, 8, 9, 10], 10): Fraction(1, 2),
+            },
+        )
+        assert not verify_lemma2_structure(
+            profile, cs([1, 2, 5, 6, 7, 8, 9, 10], 10), cs([1, 2, 3, 4], 10)
+        )
+
+    def test_unequal_drops_fail(self):
+        # The quarters and the disjoint half hold, but removing c10 lowers
+        # the score by 1/24 only.
+        profile = Profile(
+            10,
+            {
+                cs([1, 2, 3], 10): Fraction(1, 4),
+                cs([1, 2, 4], 10): Fraction(1, 4),
+                cs([5, 6, 7, 8, 9, 10], 10): Fraction(1, 4),
+                cs([5, 6, 7, 8, 9], 10): Fraction(1, 4),
             },
         )
         assert not verify_lemma2_structure(
@@ -842,6 +862,31 @@ class TestEnumerateHistories:
         assert {
             h.mask_steps(): c.nonzero for h, c in seq.certificates.items()
         } == {h.mask_steps(): c.nonzero for h, c in par.certificates.items()}
+
+    @pytest.mark.parametrize("threads, cpus, processes", [(1000, 3, 3), (2, 8, 2), (4, None, 1)])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, threads, cpus, processes):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool)
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with Runner(threads) as runner:
+            assert list(runner.map(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert sizes == [processes]
 
     @pytest.mark.parametrize(
         "k,shape",
