@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache, partial
@@ -65,11 +66,12 @@ EXIT_BUDGET = 3
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
+    try:
+        for line in [json.dumps(payload, indent=2)] if args.json else text_lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone (`| head`): the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_verify_core(args) -> int:

@@ -148,7 +148,7 @@ class Profile:
     value.
     """
 
-    __slots__ = ("m", "_weights")
+    __slots__ = ("m", "_weights", "_scaled")
 
     def __init__(
         self,
@@ -167,12 +167,16 @@ class Profile:
                 raise ValueError("ballot weights must be nonnegative")
             if w == 0:
                 continue
-            weights[mask] = weights.get(mask, Fraction(0)) + w
-        total = sum(weights.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"ballot weights must sum to 1, got {total}")
+            weights[mask] = weights[mask] + w if mask in weights else w
+        weights = dict(sorted(weights.items()))
+        scale = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = tuple((b, w.numerator * (scale // w.denominator)) for b, w in weights.items())
+        total = sum(w for _, w in scaled)
+        if total != scale:
+            raise ValueError(f"ballot weights must sum to 1, got {Fraction(total, scale)}")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_weights", dict(sorted(weights.items())))
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_scaled", (scale, scaled))
 
     def __setattr__(self, name, value):
         raise AttributeError("Profile is immutable")
@@ -204,15 +208,11 @@ class Profile:
         """(bitmask, weight) pairs in ascending mask order, for hot loops."""
         return tuple(self._weights.items())
 
-    def scaled_mask_items(self) -> tuple[int, list[tuple[int, int]]]:
-        """``(D, [(mask, weight * D)])`` in `mask_items` order, where D is
-        the lcm of the weight denominators, so every scaled weight is an int
-        and they sum to D."""
-        scale = math.lcm(*(w.denominator for w in self._weights.values()))
-        return scale, [
-            (mask, w.numerator * (scale // w.denominator))
-            for mask, w in self._weights.items()
-        ]
+    def scaled_mask_items(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(D, ((mask, weight * D), ...))`` in `mask_items` order, where D
+        is the lcm of the weight denominators, so every scaled weight is an
+        int and they sum to D. Made once, when the profile is validated."""
+        return self._scaled
 
     def __len__(self) -> int:
         return len(self._weights)

@@ -5,7 +5,10 @@ A committee fails the (Hare) core if some nonempty candidate set T with
 whom strictly prefers T to the committee. The Droop variant uses the
 threshold |T|/(k+1) and requires strictly more support than the threshold.
 Both success tests are encoded once, in `Quota`, to keep the inequality
-directions out of the search loops.
+directions out of the search loops. A voter with ballot A backs T only if
+|A ∩ T| > |A ∩ W|, and |A ∩ T| <= |T|; so a size s of T can succeed only if
+the ballots with |A ∩ W| < s reach the quota together, and the search skips
+every other size.
 """
 
 from __future__ import annotations
@@ -109,7 +112,9 @@ def find_deviation(
     {c1, c4} comes before {c2, c3}), so a returned report is a minimal
     witness. ``None`` means the committee is core stable under the given
     quota. The support of every T of one size is summed at once, in ints
-    over the lcm D of the weight denominators.
+    over the lcm D of the weight denominators, from the ballots A with
+    |A ∩ W| < |T| only; a size whose such ballots weigh less than the
+    quota's least support cannot succeed and is skipped.
     """
     profile, k, m = instance.profile, instance.k, instance.m
     if len(committee) != k:
@@ -122,16 +127,22 @@ def find_deviation(
     scale, items = profile.scaled_mask_items()
     # Supports never exceed D, so int64 holds them unless D is this large.
     dtype = np.int64 if scale < 1 << 62 else object
-    ballots = [  # (mask, |mask ∩ W|, scaled weight) of the ballots not inside W
-        (mask, (mask & w_mask).bit_count(), w) for mask, w in items if mask & ~w_mask
-    ]
+    ballots = sorted(  # (|mask ∩ W|, mask, scaled weight) of the ballots not inside W
+        ((mask & w_mask).bit_count(), mask, w) for mask, w in items if mask & ~w_mask
+    )
+    live = reach = 0  # ballots[:live] have u < size and weigh reach in all
     for size in range(1, k + 1):
+        while live < len(ballots) and ballots[live][0] < size:
+            reach += ballots[live][2]
+            live += 1
+        need = quota.least_support(size, k, scale)
+        if reach < need:  # no T of this size can gather enough support
+            continue
         t_masks = _subset_masks(m, size)
         support = np.zeros(len(t_masks), dtype=dtype)
-        for mask, u, w in ballots:
-            if u < size:  # else |A ∩ T| <= size <= u for every T of this size
-                support[np.bitwise_count(t_masks & mask) > u] += w
-        hits = np.flatnonzero(support >= quota.least_support(size, k, scale))
+        for u, mask, w in ballots[:live]:
+            support[np.bitwise_count(t_masks & mask) > u] += w
+        hits = np.flatnonzero(support >= need)
         if hits.size:
             t_mask = int(t_masks[hits[0]])
             support, backers = _supporters(profile, w_mask, t_mask)

@@ -114,19 +114,35 @@ def write_deeply_nested(path):
     return path
 
 
-def test_python_m_pavcore_runs_the_cli():
+def run_python_m_pavcore(argv, **kwargs):
+    """``python -m pavcore ARGV`` in a subprocess, on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "pavcore", "prove", "--mode", "inequality", "--k", "3", "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    command = [sys.executable, "-m", "pavcore", *argv]
+    return subprocess.run(command, text=True, env=env, timeout=60, **kwargs)
+
+
+def test_python_m_pavcore_runs_the_cli():
+    argv = ["prove", "--mode", "inequality", "--k", "3", "--json"]
+    done = run_python_m_pavcore(argv, capture_output=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["violations"] == []
+
+
+@pytest.mark.parametrize("output", [["--json"], []])
+def test_closed_stdout_keeps_the_exit_code(output):
+    # The pipe's read end closes before the command starts, so its first
+    # write fails as it does behind `| head -c 10` on a longer output.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = ["prove", "--mode", "program3", "--k", "4", *output]
+        done = run_python_m_pavcore(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == 0
 
 
 class TestParser:

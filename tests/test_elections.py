@@ -1,6 +1,8 @@
 """Unit tests for the exact election data model."""
 
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -81,6 +83,48 @@ class TestProfile:
             cs([1, 2], 4).mask: Fraction(3, 4),
             cs([3], 4).mask: Fraction(1, 4),
         }
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_maps_that_sum_to_one(self, data):
+        m = data.draw(st.integers(1, 4))
+        # (mask, as a CandidateSet?, weight); one mask may come in both key
+        # forms, whose weights then merge.
+        drawn = data.draw(st.lists(st.tuples(
+            st.integers(1, (1 << m) - 1),
+            st.booleans(),
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+        ), max_size=6))
+        weights = {CandidateSet(mask, m) if as_set else mask: w for mask, as_set, w in drawn}
+        total = sum(weights.values(), Fraction(0))
+        if total and data.draw(st.booleans()):
+            weights = {key: w / total for key, w in weights.items()}
+        entries = {
+            key: data.draw(st.sampled_from(
+                [w, str(w)] + ([int(w)] if w.denominator == 1 else [])
+            ))
+            for key, w in weights.items()
+        }
+        merged = {}
+        for key, w in weights.items():
+            mask = key.mask if isinstance(key, CandidateSet) else key
+            if w:
+                merged[mask] = merged.get(mask, 0) + w
+        total = sum(merged.values(), Fraction(0))
+        if total != 1:
+            with pytest.raises(ValueError, match=f"sum to 1, got {total}$"):
+                Profile(m, entries)
+            return
+        profile = Profile(m, entries)
+        assert profile.mask_items() == tuple(sorted(merged.items()))
+        scale = math.lcm(*(w.denominator for w in merged.values()))
+        assert profile.scaled_mask_items() == (scale, tuple(
+            (mask, w.numerator * (scale // w.denominator))
+            for mask, w in sorted(merged.items())
+        ))
+        copy = pickle.loads(pickle.dumps(profile))
+        assert copy == profile
+        assert copy.scaled_mask_items() == profile.scaled_mask_items()
 
     def test_instance_validates_k(self):
         p = Profile(3, {cs([1], 3): 1})

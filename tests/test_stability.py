@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from pavcore import stability
 from pavcore.elections import (
     CandidateSet,
     ElectionInstance,
     EnumerationLimitError,
     Profile,
+    _subset_masks,
 )
 from pavcore.stability import Quota, _supporters, find_deviation
 
@@ -203,6 +205,52 @@ class TestFindDeviation:
         assert report.deviation == cs([1], 6)
         assert report.support == Fraction(2**63, n)
         self.assert_agrees_with_brute_force(instance, cs([4, 5, 6], 6))
+
+    def test_live_weight_equal_to_the_need_is_scanned(self):
+        # At size 1 only {c3, c4} (|A ∩ W| = 0) is live. Its weight 1/2 is
+        # the least support both quotas accept over D = 2: Hare's 1/2 at
+        # equality, Droop's first step above 1/3.
+        profile = Profile(4, {cs([3, 4], 4): Fraction(1, 2), cs([1], 4): Fraction(1, 2)})
+        instance = ElectionInstance(profile, k=2)
+        for quota in Quota:
+            assert quota.least_support(1, 2, 2) == 1
+            report = find_deviation(instance, cs([1, 2], 4), quota)
+            assert (report.deviation, report.support) == (cs([3], 4), Fraction(1, 2))
+        self.assert_agrees_with_brute_force(instance, cs([1, 2], 4))
+
+    def test_live_weight_at_the_droop_threshold_falls_short(self):
+        # The live weight 1/3 at size 1 is exactly |T|/(k + 1): Droop needs
+        # strictly more. At size 2 no T is backed by the 2/3 of {c1}.
+        profile = Profile(4, {cs([3, 4], 4): Fraction(1, 3), cs([1], 4): Fraction(2, 3)})
+        instance = ElectionInstance(profile, k=2)
+        assert find_deviation(instance, cs([1, 2], 4), Quota.DROOP) is None
+        self.assert_agrees_with_brute_force(instance, cs([1, 2], 4))
+
+    @pytest.mark.parametrize("a, n", [(1, 8), (2**61, 2**64 + 1)])
+    def test_first_objection_after_skipped_sizes(self, monkeypatch, a, n):
+        # W = {c1..c4}. Sizes 1 and 2 reach only the ballots with |A ∩ W| of
+        # 0 and at most 1, about 1/8 and 1/4, short of either quota, so only
+        # size 3 is scanned. n = 2**64 + 1 sums the supports as Python ints.
+        profile = Profile(8, {
+            cs([5], 8): Fraction(a, n),
+            cs([1, 5, 6], 8): Fraction(a, n),
+            cs([1, 2, 5, 6, 7], 8): Fraction(n - 2 * a, n),
+        })
+        assert (profile.scaled_mask_items()[0] >= 1 << 62) == (n > 8)
+        instance, committee = ElectionInstance(profile, k=4), cs([1, 2, 3, 4], 8)
+        scanned = []
+
+        def subset_masks(m, size):
+            scanned.append(size)
+            return _subset_masks(m, size)
+
+        monkeypatch.setattr(stability, "_subset_masks", subset_masks)
+        for quota in Quota:
+            scanned.clear()
+            report = find_deviation(instance, committee, quota)
+            assert scanned == [3]
+            assert (report.deviation, report.support) == (cs([1, 2, 5], 8), 1)
+        self.assert_agrees_with_brute_force(instance, committee)
 
     def test_droop_stable_implies_hare_stable(self):
         rng = random.Random(12345)
