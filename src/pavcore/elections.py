@@ -162,7 +162,8 @@ class Profile:
             mask = _as_mask(ballot, m)
             if mask == 0:
                 raise ValueError("ballots must be nonempty")
-            w = Fraction(raw)
+            # A Fraction, as from_counts passes, is kept as it is.
+            w = raw if isinstance(raw, Fraction) else Fraction(raw)
             if w < 0:
                 raise ValueError("ballot weights must be nonnegative")
             if w == 0:

@@ -29,15 +29,18 @@ every pivot, against the objective row's duals, for the optimum check, and
 for the certificate check of the searches in `proofs`. A verdict is thus
 always reached with every column priced clean, as in a dense tableau.
 
-Phase 1 starts from a basis found in floats and confirmed in exact
-arithmetic (QSopt_ex: Applegate, Cook, Dash & Espinoza 2007).
-`_float_pivots` runs phase 1 as a dense float64 revised simplex with the
-exact solver's rules, and the exact tableau installs its last basis with
-integer pivots, row for row. The exact simplex prices every column from
-there and makes no pivot when that basis is optimal. A basis that is
-singular or infeasible in exact arithmetic is dropped for the slack
-start. So every verdict, ray, point and dual is exact, and it is the
-slack start's whenever the float pass makes the slack start's pivots.
+Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
+Applegate, Cook, Dash & Espinoza 2007). `_float_pivots` runs phase 1 as a
+dense float64 revised simplex with steepest-edge pricing. When its basis
+holds an artificial, one integer solve reads the Farkas ray off that basis
+(`_Master._certify`), and the ray is the verdict if it passes the exact
+certificate checks; no tableau is built. Otherwise the exact tableau
+installs the float basis with integer pivots, prices every column from
+there and pivots on if the basis is not optimal. A basis that is singular
+or infeasible in exact arithmetic is dropped for the slack start. So every
+verdict, ray, point and dual is exact; the float pass only chooses the
+basis, and with it which of several valid certificates or optimal points
+is returned.
 """
 
 from __future__ import annotations
@@ -350,39 +353,47 @@ class _Master:
     guaranteeing termination. A Farkas certificate leaves the tableau as
     integers; points and duals leave it as `Fraction`s.
 
-    Phase 1 starts where a float64 phase 1 with these rules ends
-    (`_float_pivots`): its basic columns enter the slack tableau by exact
-    pivots, and the rows take its order (`_install`), so that when the
-    float pass makes the slack start's pivots, phase 1 ends at the slack
-    start's basis row for row. `_pivot_loop` then prices that basis
-    exactly and pivots on from it if it is not optimal. A float basis
-    that is singular, or whose exact right-hand side has a negative entry,
-    gives way to the slack start.
+    Phase 1 starts where a float64 phase 1 ends (`_float_pivots`). A
+    float basis that holds an artificial is first read as a Farkas ray in
+    one integer solve (`_certify`); a ray that passes the exact checks is
+    the verdict, with no tableau and no exact pivot. Otherwise the slack
+    tableau is built, the float basis's columns enter it by exact pivots
+    and the rows take its order (`_install`), and `_pivot_loop` prices
+    that basis exactly and pivots on from it if it is not optimal. A float
+    basis that is singular, or whose exact right-hand side has a negative
+    entry, gives way to the slack start. Both routes return the primitive
+    integer ray, so at one basis they return the same certificate.
     """
 
     def __init__(self, problem: _Problem):
         self.problem = problem
         self.n_rows, self.n_struct = problem.n_rows, problem.n_vars
+        # The rows with a negative right-hand side, which get artificials.
+        self.art_rows = [i for i, b in enumerate(problem.rhs) if b.numerator < 0]
 
     def solve(self, objective=None):
         """Run two-phase simplex. ``objective`` maps columns to costs to
         maximize; without one only feasibility is decided.
 
-        Returns `Infeasible` with the integer certificate of the phase-1 ray,
-        `Feasible` when there is no objective, else `Optimal` with
-        nonnegative duals over the rows, or `Unbounded`.
+        Returns `Infeasible` with the primitive integer certificate of the
+        phase-1 ray, `Feasible` when there is no objective, else `Optimal`
+        with nonnegative duals over the rows, or `Unbounded`.
         """
-        R, S = self.n_rows, self.n_struct
-        A = sum(b < 0 for b in self.problem.rhs)
+        R, S, A = self.n_rows, self.n_struct, len(self.art_rows)
+        found = _float_pivots(self.problem)
+        start = None if found is None else found[0]
+        if start is not None and max(start) >= S + R:
+            certificate = self._certify(start)
+            if certificate is not None:
+                return Infeasible(certificate)
         tab, den, basis = self._slack_start()
-        pivots = _float_pivots(self.problem)
-        if pivots and not self._install(tab, den, basis, pivots):
+        if start is not None and not self._install(tab, den, basis, start):
             tab, den, basis = self._slack_start()
         self._pivot_loop(tab, den, basis, {}, allowed=R + A)
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs t_i / den[R] of the slacks.
             ray = tab[R, :R].tolist()
-            g = math.gcd(den[R], *ray)
+            g = math.gcd(*ray)
             return Infeasible(FarkasCertificate(R, {i: t // g for i, t in enumerate(ray) if t}))
         if objective is None:
             # Artificials left basic are at zero: x satisfies every row.
@@ -433,8 +444,7 @@ class _Master:
         basis.
         """
         R, S = self.n_rows, self.n_struct
-        rhs = self.problem.rhs
-        art_rows = [i for i in range(R) if rhs[i] < 0]
+        rhs, art_rows = self.problem.rhs, self.art_rows
         A = len(art_rows)
         tab = np.zeros((R + 1, R + A + 2), dtype=object)
         den = np.array([b.denominator for b in rhs] + [1], dtype=object)
@@ -450,17 +460,60 @@ class _Master:
             _subtract(tab, den, R, i, 1)
         return tab, den, basis
 
-    def _install(self, tab, den, basis, pivots):
-        """Install the basis that ``pivots`` reach from the slack start:
-        pivot each of its columns into a row whose basic column it does not
-        hold, then order the rows as ``pivots`` left them. False when a
+    def _certify(self, start):
+        """The primitive Farkas certificate of the phase-1 basis ``start``
+        (one basic column per row), read off in one integer solve, or None
+        when the basis is singular or its ray is no certificate.
+
+        The ray ``y`` is the phase-1 reduced costs of the slacks, which the
+        objective row of the slack tableau would hold at this basis. Every
+        basic column prices at zero: ``y_i = 0`` when row i's slack is
+        basic and ``y_i = 1`` when its artificial is, and each basic
+        structural column j gives ``(G^T y)_j = 0``, one equation in the
+        other rows' ``y_i``, which `_solve_integer` solves. The ray is kept
+        only if ``y >= 0``, ``y . h < 0`` and no column's gap is negative.
+        """
+        R, S, problem = self.n_rows, self.n_struct, self.problem
+        struct = [j for j in start if j < S]
+        # Row -> its known y_i: 0 for a basic slack, 1 for a basic artificial.
+        known = {j - S: 0 for j in start if S <= j < S + R}
+        known.update((self.art_rows[j - S - R], 1) for j in start if j >= S + R)
+        free = [i for i in range(R) if i not in known]
+        if len(free) != len(struct):
+            return None
+        w = problem.weights
+        ones = [i for i, v in known.items() if v]
+        system = [
+            [w[i] * col[i] for i in free] + [-sum(w[i] * col[i] for i in ones)]
+            for col in problem.matrix[:, struct].T.tolist()
+        ]
+        solution = _solve_integer(system)
+        if solution is None:
+            return None
+        # y_i = b_i / a_i on the free rows, times the lcm of the a_i.
+        scale = math.lcm(*(a for _, a in solution))
+        y = {i: v * scale for i, v in known.items()}
+        y.update((i, b * (scale // a)) for i, (b, a) in zip(free, solution))
+        g = math.gcd(*y.values())
+        ray = [y[i] // g for i in range(R)]
+        used = [(v, b) for v, b in zip(ray, problem.rhs) if v]
+        d = math.lcm(1, *(b.denominator for _, b in used))
+        if (
+            min(ray) < 0
+            or sum(v * b.numerator * (d // b.denominator) for v, b in used) >= 0
+            or (problem.column_gaps(ray) < 0).any()
+        ):
+            return None
+        return FarkasCertificate(R, {i: v for i, v in enumerate(ray) if v})
+
+    def _install(self, tab, den, basis, start):
+        """Install ``start``, one basic column per row, from the slack
+        start: pivot each of its columns into a row whose basic column it
+        does not hold, then order the rows as ``start``. False when a
         column has no nonzero entry left to pivot on (a singular basis),
         or when the basis has a negative exact right-hand side; the
         tableau is then spoilt."""
         R, S = self.n_rows, self.n_struct
-        start = list(basis)
-        for i, j in pivots:
-            start[i] = j
         wanted = set(start)
         if len(wanted) < R:
             return False
@@ -582,74 +635,139 @@ _FLOAT_TOL = 1e-9
 _FLOAT_REFRESH = 16
 
 
-def _float_pivots(problem: _Problem) -> Optional[list]:
-    """The pivots, (row, column) each, of a float64 phase 1 with
-    `_Master`'s entering, leaving and anti-cycling rules, or None when
+def _float_pivots(problem: _Problem) -> Optional[tuple]:
+    """A float64 phase 1 from the slack start: the basis it ends at, one
+    basic column per row, and its pivots, (row, column) each; or None when
     there is no float start.
 
     Columns are numbered as in `_Master`'s basis: structurals | slacks |
-    artificials. Without artificials the slack basis is already optimal;
-    a matrix of Python ints, or an entry, scale or right-hand side of 2^53
-    or more, is not exact in float64. Rounding can cost `_Master` pivots,
-    but never a wrong verdict.
+    artificials. The entering column has the steepest edge: the most
+    ``d_j^2 / gamma_j`` over the columns that price negative, with
+    ``gamma_j = 1 + |B^-1 a_j|^2`` from the slack start's diagonal inverse,
+    then kept by the Goldfarb-Reid update (Goldfarb & Reid 1977; Forrest &
+    Goldfarb 1992). The leaving row has the least ratio, then the largest
+    pivot entry, then the least basic column. Ties and zeros are judged
+    within `_FLOAT_TOL`.
+
+    After ``_DEGENERACY_LIMIT + R`` stalls in a row, for R rows, Bland's
+    rule takes over: the first column that prices negative, and the least
+    ratio with ties to the least basic column. Steepest edge may need about
+    R stalls to leave a degenerate vertex of an R-row basis: the longest
+    run in the (12, 8) search is 24 stalls, at up to 28 rows, and handing
+    over after 12 made 111066 float pivots there instead of 18761.
+
+    Without artificials the slack basis is already optimal; a matrix of
+    Python ints, or an entry, scale or right-hand side of 2^53 or more, is
+    not exact in float64. Rounding can cost `_Master` pivots, but never a
+    wrong verdict.
     """
     rhs = problem.rhs
-    sigma = np.array([1.0 if b >= 0 else -1.0 for b in rhs])
-    art_rows = np.flatnonzero(sigma < 0)
-    if not art_rows.size or problem.matrix.dtype != np.int64:
+    negative = [b.numerator < 0 for b in rhs]
+    if problem.matrix.dtype != np.int64 or not any(negative):
         return None
-    if max(problem.max_abs, *problem.scales, *map(abs, rhs)) >= _FLOAT_EXACT:
+    if max(problem.max_abs, *problem.scales) >= _FLOAT_EXACT or any(
+        abs(b.numerator) >= _FLOAT_EXACT * b.denominator for b in rhs
+    ):
         return None
+    sigma = np.where(negative, -1.0, 1.0)
+    art_rows = np.flatnonzero(negative)
     (R, S), A = problem.matrix.shape, art_rows.size
-    M = np.zeros((R, S + R + A))
+    N = S + R + A
+    M = np.zeros((R, N))
     M[:, :S] = problem.matrix * (sigma / np.array(problem.scales, dtype=float))[:, None]
     M[:, S : S + R] = np.diag(sigma)
     M[art_rows, S + R + np.arange(A)] = 1.0
-    h = np.array([abs(float(b)) for b in rhs])
-    c = np.zeros(S + R + A)
+    h = np.array([abs(b.numerator) / b.denominator for b in rhs])
+    c = np.zeros(N)
     c[S + R :] = 1.0
     basis = list(range(S, S + R))
     for a, i in enumerate(art_rows.tolist()):
         basis[i] = S + R + a
     basic_cost = c[basis]
+    # The slack start's inverse is diagonal with entries +-1.
+    gamma = 1.0 + (M * M).sum(axis=0)
     pivots = []
     bland, stall = False, 0
     # Bland's rule ends in exact arithmetic; the bound ends it in floats.
-    for n in range(4 * (S + R + A)):
+    for n in range(4 * N):
         if n % max(_FLOAT_REFRESH, R) == 0:
             try:
                 inverse = np.linalg.inv(M[:, basis])
             except np.linalg.LinAlgError:
                 return None
             x = inverse @ h
-        cost = c - (basic_cost @ inverse) @ M
+            cost = c - (basic_cost @ inverse) @ M
         low = cost.min()
         tol = _FLOAT_TOL * max(1.0, -low)
         if low >= -tol:
-            return pivots
-        # The first column within the tolerance of the least reduced cost,
-        # or under Bland's rule the first that prices negative.
-        enter = int(np.argmax(cost < -tol if bland else cost <= low + tol))
+            return basis, pivots
+        if bland:
+            enter = int(np.argmax(cost < -tol))
+        else:
+            score = np.where(cost < -tol, cost * cost / gamma, 0.0)
+            enter = int(np.argmax(score >= score.max() * (1.0 - _FLOAT_TOL)))
         col = inverse @ M[:, enter]
         rows = np.flatnonzero(col > _FLOAT_TOL * np.abs(col).max())
         if not rows.size:
             return None
         ratios = np.maximum(x[rows], 0.0) / col[rows]
         step = ratios.min()
-        # The least ratio, ties to the least basic column.
-        tied = rows[ratios <= step + _FLOAT_TOL * max(1.0, step)].tolist()
-        leave = min(tied, key=basis.__getitem__)
+        tied = rows[ratios <= step + _FLOAT_TOL * max(1.0, step)]
         if not bland:
+            if tied.size > 1:
+                # The largest pivot entry among the least ratios.
+                tied = tied[col[tied] >= col[tied].max() * (1.0 - _FLOAT_TOL)]
             stall = stall + 1 if step <= _FLOAT_TOL else 0
-            bland = stall > _DEGENERACY_LIMIT
+            bland = stall > _DEGENERACY_LIMIT + R
+        leave = min(tied.tolist(), key=basis.__getitem__)
         pivots.append((leave, enter))
+        # With the entering column alpha and the new pivot row of B^-1,
+        # row = e_r B^-1 / alpha_r, the ratios p_j = row . a_j update the
+        # reduced costs, d_j -= d_q p_j, and Goldfarb-Reid updates gamma:
+        # gamma_j += p_j (p_j gamma_q - 2 alpha^T B^-1 a_j), kept at least
+        # 1 + p_j^2, with gamma_q = 1 + |alpha|^2.
+        row = inverse[leave] / col[leave]
+        gamma_q = 1.0 + col @ col
+        ratio = row @ M
+        cost -= cost[enter] * ratio
+        gamma += ratio * ((gamma_q * row - 2.0 * (col @ inverse)) @ M)
+        np.maximum(gamma, 1.0 + ratio * ratio, out=gamma)
+        gamma[basis[leave]] = max(gamma_q / col[leave] ** 2, 1.0)
         basis[leave], basic_cost[leave] = enter, c[enter]
         x -= step * col
         x[leave] = step
-        row = inverse[leave] / col[leave]
         inverse -= np.outer(col, row)
         inverse[leave] = row
     return None
+
+
+def _solve_integer(rows: list) -> Optional[list]:
+    """The exact solution of ``E z = b`` for the s x (s + 1) integer system
+    ``rows = [E | b]``, as s pairs ``(b_i, a_i)`` with ``z_i = b_i / a_i``,
+    or None when E is singular. The rows are overwritten.
+
+    Fraction-free Gauss-Jordan elimination (Edmonds 1967; Bareiss 1968),
+    scaled row by row: a row is an equation, so step k only makes each
+    other row with an entry ``u != 0`` in column k into ``q N - u N_k`` for
+    the pivot row ``N_k`` and its entry ``q``, and divides it by its gcd.
+    Rows with no entry in column k are not touched, so a sparse system
+    costs what its nonzeros cost. E ends diagonal.
+    """
+    s = len(rows)
+    for k in range(s):
+        p = next((i for i in range(k, s) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        q = pivot[k]
+        for i, row in enumerate(rows):
+            u = row[k]
+            if u and i != k:
+                new = [q * a - u * b for a, b in zip(row, pivot)]
+                g = math.gcd(*new)
+                rows[i] = [a // g for a in new] if g > 1 else new
+    return [(row[-1], row[i]) for i, row in enumerate(rows)]
 
 
 def _subtract(tab, den, t, i, c):

@@ -84,6 +84,20 @@ class TestProfile:
             cs([3], 4).mask: Fraction(1, 4),
         }
 
+    def test_from_counts_makes_one_fraction_per_ballot(self, monkeypatch):
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(elections, "Fraction", Counted)
+        p = Profile.from_counts(4, {0b0011: 2, 0b0100: 1, 0b1000: 1})
+        assert len(made) == 3 and sum(w for _, w in p.mask_items()) == 1
+        with pytest.raises(ValueError, match="sum to 1"):
+            Profile(4, {0b0011: Fraction(1, 2), 0b0100: Fraction(1, 3)})
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_accepts_exactly_the_maps_that_sum_to_one(self, data):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tableau_oracle
-from pavcore import exactlp
+from pavcore import exactlp, proofs
 from pavcore.exactlp import (
     FarkasCertificate,
     Feasible,
@@ -714,14 +714,22 @@ class TestAgainstTableauOracle:
             return out
 
         monkeypatch.setattr(_Problem, "column_gaps", spy)
-        float_runs = []
-        float_pivots = exactlp._float_pivots
+        # Which route gave a float-started verdict: the direct certificate of
+        # the float basis, or the slack tableau.
+        routes = []
+        certify, install = _Master._certify, _Master._install
 
-        def float_logged(problem):
-            float_runs.append(float_pivots(problem))
-            return float_runs[-1]
+        def certify_logged(self, *args):
+            out = certify(self, *args)
+            routes.append("direct" if out is not None else "tableau")
+            return out
 
-        monkeypatch.setattr(exactlp, "_float_pivots", float_logged)
+        def install_logged(self, *args):
+            routes.append("tableau")
+            return install(self, *args)
+
+        monkeypatch.setattr(_Master, "_certify", certify_logged)
+        monkeypatch.setattr(_Master, "_install", install_logged)
         # Per solver: its pivots, (pivot row, entering column) each, and the
         # number of pivots and the basis at the end of each pivot loop.
         pivots = {_Master: [], tableau_oracle.Master: []}
@@ -747,35 +755,33 @@ class TestAgainstTableauOracle:
             rows, problem, objective = random_lp(rng)
             case = (trial, rows, objective)
             knobs = rng.choice([{}, {"dense_limit": 3, "batch": 2}])
-            for log in [*pivots.values(), *loops.values(), float_runs]:
-                log.clear()
             if objective is None:
-                result = solve_feasibility(problem)
-                expected = tableau_oracle.solve_feasibility(problem, **knobs)
+                solve = lambda: solve_feasibility(problem)
+                oracle = lambda: tableau_oracle.solve_feasibility(problem, **knobs)
             else:
-                result = maximize(problem, objective)
-                expected = tableau_oracle.maximize(problem, objective, **knobs)
-            assert type(result) is type(expected), case
+                solve = lambda: maximize(problem, objective)
+                oracle = lambda: tableau_oracle.maximize(problem, objective, **knobs)
+            for log in [*pivots.values(), *loops.values()]:
+                log.clear()
+            expected = oracle()
             if not knobs:
+                # From the slack start, the oracle makes the same pivots; a
+                # feasibility verdict skips its last ones, which only drive
+                # artificials out of the basis. Each phase ends at the
+                # oracle's basis, row for row, with the oracle's
+                # certificate, point and duals.
+                assert slack_started(monkeypatch, solve) == expected, case
                 new, old = pivots[_Master], pivots[tableau_oracle.Master]
-                phase1 = loops[tableau_oracle.Master][0][0]
-                if float_runs[0] is not None:
-                    # The float pass makes the oracle's phase-1 pivots; the
-                    # exact solve only installs their basis.
-                    assert float_runs[0] == old[:phase1], case
-                    same["float pivots"] += 1
-                else:
-                    # Without a float start, the oracle makes the same
-                    # pivots; a feasibility verdict skips its last ones,
-                    # which only drive artificials out of the basis.
-                    assert new == old[: len(new) if objective is None else None], case
-                    same["slack pivots"] += 1
-                # Either way each phase ends at the oracle's basis, row for
-                # row, with the oracle's certificate, point and duals.
+                assert new == old[: len(new) if objective is None else None], case
                 ends = [basis for _, basis in loops[_Master]]
                 assert ends == [basis for _, basis in loops[tableau_oracle.Master]], case
-                assert result == expected, case
-                same[type(result).__name__] += 1
+                same[type(expected).__name__] += 1
+            # From the float start, the verdict and the optimum are the
+            # oracle's, and every certificate, point and dual checks out.
+            routes.clear()
+            result = solve()
+            assert type(result) is type(expected), case
+            same.update(routes[-1:])
             kinds[type(result).__name__, objective is None] += 1
             if isinstance(result, Infeasible):
                 assert verify_farkas(rows, result.certificate), case
@@ -789,7 +795,7 @@ class TestAgainstTableauOracle:
             ("Optimal", False), ("Unbounded", False),
         }
         assert min(kinds.values()) >= 20, kinds
-        assert same["float pivots"] > 150 and same["slack pivots"] > 50, same
+        assert same["direct"] > 150 and same["tableau"] > 50, same
         assert same["Infeasible"] > 100, same
         assert any(object_pricing) and not all(object_pricing)
 
@@ -816,24 +822,62 @@ def beale_phase_one(bound):
     )
 
 
+def solve_fractions(a):
+    """The solution of the square nonsingular system ``a = [E | b]``, by
+    Gauss-Jordan elimination in Fractions."""
+    a = [[Fraction(v) for v in row] for row in a]
+    for k in range(len(a)):
+        p = next(i for i in range(k, len(a)) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(len(a)):
+            if i != k and a[i][k]:
+                a[i] = [v - a[i][k] * w for v, w in zip(a[i], a[k])]
+    return [row[-1] for row in a]
+
+
+def phase_one_state(problem, basis):
+    """The exact phase-1 reduced costs at ``basis`` of every column,
+    numbered structurals | slacks | artificials, and the values of the
+    basic columns. Row i is ``sigma_i`` times problem row i with its slack,
+    plus its artificial when ``sigma_i < 0``, equal to ``|h_i|``; the cost
+    is the sum of the artificials."""
+    R, S = problem.n_rows, problem.n_vars
+    sigma = [-1 if b < 0 else 1 for b in problem.rhs]
+    art = [i for i in range(R) if sigma[i] < 0]
+    M = [
+        [Fraction(int(v) * sigma[i], problem.scales[i]) for v in problem.matrix[i]]
+        + [sigma[i] if k == i else 0 for k in range(R)]
+        + [int(a == i) for a in art]
+        for i in range(R)
+    ]
+    c = [0] * (S + R) + [1] * len(art)
+    # The duals y solve y B = c_B, and the values x solve B x = |h|.
+    y = solve_fractions([[M[i][j] for i in range(R)] + [c[j]] for j in basis])
+    x = solve_fractions([[M[i][j] for j in basis] + [abs(problem.rhs[i])] for i in range(R)])
+    return [c[j] - sum(y[i] * M[i][j] for i in range(R)) for j in range(len(c))], x
+
+
 class TestFloatStart:
     # x0 + x1 <= 2, x0 + x1 >= 1, x0 - x1 <= 0, and x3 a copy of x0.
     ROWS = [([1, 1, 0, 1], 2), ([-1, -1, 0, -1], -1), ([1, -1, 0, 1], 0)]
 
+    # Columns x0..x3, slacks 4..6, and 7 the artificial of row 1; the slack
+    # start is [4, 7, 6].
     @pytest.mark.parametrize(
-        "pivots",
+        "start",
         [
             # x0 basic in the covering row: s2 = 0 - x0 = -1 < 0.
-            [(1, 0)],
+            [4, 0, 6],
             # x0 and its copy x3 both basic: no nonzero entry is left for x3.
-            [(0, 0), (1, 3)],
+            [0, 3, 6],
             # One column basic in two rows.
-            [(0, 0), (1, 0)],
+            [0, 0, 6],
         ],
         ids=["infeasible", "singular", "repeated"],
     )
     @pytest.mark.parametrize("objective", [None, {0: Fraction(1), 1: Fraction(-2)}])
-    def test_a_wrong_basis_falls_back_to_the_slack_start(self, monkeypatch, pivots, objective):
+    def test_a_wrong_basis_falls_back_to_the_slack_start(self, monkeypatch, start, objective):
         _, problem = make_system(self.ROWS)
         solve = lambda: (
             solve_feasibility(problem) if objective is None else maximize(problem, objective)
@@ -847,7 +891,7 @@ class TestFloatStart:
             return installed[-1]
 
         monkeypatch.setattr(_Master, "_install", spy)
-        monkeypatch.setattr(exactlp, "_float_pivots", lambda p: list(pivots))
+        monkeypatch.setattr(exactlp, "_float_pivots", lambda p: (list(start), []))
         assert solve() == expected
         assert installed == [False]
         if objective is not None:
@@ -866,20 +910,202 @@ class TestFloatStart:
 
     @pytest.mark.parametrize("bound", [Fraction(5, 4), Fraction(5, 4) + Fraction(1, 100)])
     def test_beale_cycle_ends_in_the_float_pass(self, monkeypatch, bound):
-        # Dantzig's rule runs Beale's six-pivot cycle until the stall counter
-        # hands the entering choice to Bland's rule; the bound is the maximum
-        # 5/4, then just above it.
+        # Beale's LP cycles under Dantzig's rule; the float pass ends on it
+        # with the slack start's and the oracle's verdict, both with its own
+        # stall limit and with Bland's rule from the first stall on, which
+        # a limit of -R rows gives. Its first pivot is on a row with
+        # right-hand side 0, a stall. The bound is the maximum 5/4, then
+        # just above it.
         rows, problem = beale_phase_one(bound)
-        pivots = exactlp._float_pivots(problem)
-        assert pivots[:6] == pivots[6:12]
-        assert len(pivots) > exactlp._DEGENERACY_LIMIT
+        expected = tableau_oracle.solve_feasibility(problem)
+        for limit in (exactlp._DEGENERACY_LIMIT, -problem.n_rows):
+            monkeypatch.setattr(exactlp, "_DEGENERACY_LIMIT", limit)
+            _, pivots = exactlp._float_pivots(problem)
+            assert len(pivots) > 1 and problem.rhs[pivots[0][0]] == 0
+            result = solve_feasibility(problem)
+            slack = slack_started(monkeypatch, lambda: solve_feasibility(problem))
+            assert type(result) is type(slack) is type(expected)
+            if bound == Fraction(5, 4):
+                assert problem.satisfied_by(result.assignment)
+            else:
+                assert result == slack == expected
+                assert verify_farkas(rows, result.certificate)
+
+    def test_bland_takes_over_after_the_stall_limit(self, monkeypatch):
+        # A limit of -R rows hands the entering choice to Bland's rule at
+        # the first stall, a pivot on a row whose basic value is 0. From then
+        # on each entering column is the first that prices negative in exact
+        # arithmetic, and on Beale's LP and some random systems steepest edge
+        # would have picked another: the pivots differ from those under the
+        # default limit.
+        rng = random.Random(5)
+        problems = [beale_phase_one(Fraction(5, 4))[1]]
+        problems += [random_lp(rng)[1] for _ in range(300)]
+        checked, differ = 0, []
+        for n, problem in enumerate(problems):
+            default = exactlp._float_pivots(problem)
+            with monkeypatch.context() as patch:
+                patch.setattr(exactlp, "_DEGENERACY_LIMIT", -problem.n_rows)
+                found = exactlp._float_pivots(problem)
+            if found is None:
+                continue
+            end, pivots = found
+            R, S = problem.n_rows, problem.n_vars
+            basis = [S + i for i in range(R)]
+            for a, i in enumerate(i for i, b in enumerate(problem.rhs) if b < 0):
+                basis[i] = S + R + a
+            bland = False
+            for i, j in pivots:
+                costs, values = phase_one_state(problem, basis)
+                if bland:
+                    assert j == min(k for k, d in enumerate(costs) if d < 0), n
+                    checked += 1
+                bland = bland or values[i] == 0
+                basis[i] = j
+            assert basis == end, n
+            if pivots != default[1]:
+                differ.append(n)
+        assert checked > 25 and 0 in differ and len(differ) > 3, (checked, differ)
+
+
+@pytest.fixture(scope="module")
+def search_m10_k8():
+    """The (10, 8) history search: its result, every LP it solves and the
+    float pivots of each."""
+    problems, float_pivots = [], []
+    solve, float_pass = proofs._solve_problem, exactlp._float_pivots
+
+    def counted(problem):
+        found = float_pass(problem)
+        float_pivots.append([] if found is None else found[1])
+        return found
+
+    def captured(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proofs, "_solve_problem", captured)
+        patch.setattr(exactlp, "_float_pivots", counted)
+        result = proofs.enumerate_histories(10, 8)
+    return result, problems, float_pivots
+
+
+def both_routes(monkeypatch, problem):
+    """The feasibility verdict of ``problem`` when the direct route certifies
+    its float basis, then the verdict with that route refused, which the
+    slack tableau reaches from the same basis; None when the direct route
+    certifies nothing."""
+    certified, ends = [], []
+    certify, loop = _Master._certify, _Master._pivot_loop
+
+    def certify_logged(self, start):
+        out = certify(self, start)
+        certified.append(out is not None and sorted(start))
+        return out
+
+    def looped(self, tab, den, basis, *args, **kw):
+        out = loop(self, tab, den, basis, *args, **kw)
+        ends.append(sorted(basis))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Master, "_certify", certify_logged)
+        direct = _Master(problem).solve()
+    if not any(certified):
+        return None
+    with monkeypatch.context() as patch:
+        patch.setattr(_Master, "_certify", lambda self, *args: None)
+        patch.setattr(_Master, "_pivot_loop", looped)
+        tableau = _Master(problem).solve()
+    # The tableau's phase 1 ends at the basis the direct route certified.
+    assert ends == certified
+    return direct, tableau
+
+
+class TestDirectCertificate:
+    def test_the_m10_k8_search_makes_few_float_pivots(self, search_m10_k8):
+        result, problems, float_pivots = search_m10_k8
+        assert result.complete and len(result.certificates) == 99
+        assert len(problems) == len(float_pivots) == 91
+        # 698 with steepest edge; 790 without the largest pivot entry
+        # among tied ratios, and 1757 under Dantzig's rule.
+        assert sum(map(len, float_pivots)) <= 750
+
+    def test_equals_the_tableaus_on_the_m10_k8_search(self, monkeypatch, search_m10_k8):
+        routes = [both_routes(monkeypatch, problem) for problem in search_m10_k8[1]]
+        certified = [r for r in routes if r is not None]
+        assert len(certified) == 90
+        for direct, tableau in certified:
+            assert isinstance(direct, Infeasible) and direct == tableau
+
+    def test_equals_the_tableaus_on_random_systems(self, monkeypatch):
+        rng = random.Random(26)
+        certified = 0
+        for trial in range(300):
+            rows, problem, _ = random_lp(rng)
+            routes = both_routes(monkeypatch, problem)
+            if routes is not None:
+                direct, tableau = routes
+                assert direct == tableau, (trial, rows)
+                assert verify_farkas(rows, direct.certificate), (trial, rows)
+                certified += 1
+        assert certified > 50
+
+    def test_integer_solve_matches_fractions(self):
+        rng = random.Random(17)
+        singular = 0
+        for trial in range(300):
+            s = rng.randint(0, 6)
+            entries = [0, 0, 0, 1, -1, 2, -3, 7]
+            rows = [[rng.choice(entries) for _ in range(s + 1)] for _ in range(s)]
+            if s > 1 and rng.random() < 0.2:
+                rows[-1] = [2 * v for v in rows[0]]
+            solution = exactlp._solve_integer([list(row) for row in rows])
+            # Gauss-Jordan in Fractions, with the rank of E.
+            a = [[Fraction(v) for v in row] for row in rows]
+            rank = 0
+            for k in range(s):
+                p = next((i for i in range(rank, s) if a[i][k]), None)
+                if p is None:
+                    continue
+                a[rank], a[p] = a[p], a[rank]
+                a[rank] = [v / a[rank][k] for v in a[rank]]
+                for i in range(s):
+                    if i != rank and a[i][k]:
+                        a[i] = [v - a[i][k] * w for v, w in zip(a[i], a[rank])]
+                rank += 1
+            if rank < s:
+                assert solution is None, rows
+                singular += 1
+            else:
+                assert [Fraction(b, a) for b, a in solution] == [row[-1] for row in a], rows
+        assert singular > 20
+
+    @pytest.mark.parametrize(
+        "system, start",
+        [
+            # x0 >= 1, x0 <= 2 at the slack start: the artificial's ray
+            # y = (0, 1) prices x0 at -1.
+            ([([1], 2), ([-1], -1)], [1, 3]),
+            # x0 >= 1, x0 >= 0 with x0 basic in row 1: the ray (1, -1)
+            # prices x0 at 0 and has y . h = -1, but a negative multiplier.
+            ([([-1], -1), ([-1], 0)], [3, 0]),
+            # The slack and the artificial of row 0 both basic: singular.
+            ([([-1], -1), ([1], 2)], [1, 3]),
+            # x0 basic in both rows: singular.
+            ([([-1], -1), ([1], 2)], [0, 0]),
+        ],
+        ids=["prices-negative", "negative-multiplier", "slack-and-artificial", "repeated"],
+    )
+    def test_a_basis_that_is_no_certificate_goes_to_the_tableau(
+        self, monkeypatch, system, start
+    ):
+        rows, problem = make_system(system)
+        assert _Master(problem)._certify(start) is None
+        monkeypatch.setattr(exactlp, "_float_pivots", lambda p: (list(start), []))
         result = solve_feasibility(problem)
-        assert result == slack_started(monkeypatch, lambda: solve_feasibility(problem))
-        assert result == tableau_oracle.solve_feasibility(problem)
-        if bound == Fraction(5, 4):
-            assert problem.satisfied_by(result.assignment)
-        else:
-            assert verify_farkas(rows, result.certificate)
+        assert problem.satisfied_by(result.assignment)
 
 
 class TestVerifyOptimum:
