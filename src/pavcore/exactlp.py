@@ -33,14 +33,13 @@ Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
 Applegate, Cook, Dash & Espinoza 2007). `_float_pivots` runs phase 1 as a
 dense float64 revised simplex with steepest-edge pricing. When its basis
 holds an artificial, one integer solve reads the Farkas ray off that basis
-(`_Master._certify`), and the ray is the verdict if it passes the exact
-certificate checks; no tableau is built. Otherwise the exact tableau
-installs the float basis with integer pivots, prices every column from
-there and pivots on if the basis is not optimal. A basis that is singular
-or infeasible in exact arithmetic is dropped for the slack start. So every
-verdict, ray, point and dual is exact; the float pass only chooses the
-basis, and with it which of several valid certificates or optimal points
-is returned.
+(`_Master._certify`), and the ray is the verdict if it passes the one
+exact refutation test (`_Problem.refuted_by`); no tableau is built. In
+every other case (a feasible system, a refused ray, or no float start) the
+exact tableau runs both phases from the slack basis. So every verdict,
+ray, point and dual is exact. The float pass only proposes a refutation,
+and with it which of several valid certificates is returned; a point, a
+dual or an unbounded verdict is always the slack start's.
 """
 
 from __future__ import annotations
@@ -302,6 +301,18 @@ class _Problem:
         worst = np.flatnonzero(reduced < 0)
         return worst[np.argsort(reduced[worst], kind="stable")].tolist()
 
+    def refuted_by(self, y) -> bool:
+        """Exact check that ``y``, one nonnegative integer per row, is a
+        Farkas certificate of the rows: ``y . h < 0`` and no column has a
+        negative ``(G^T y)_j``."""
+        if len(y) != self.n_rows or any(v < 0 for v in y):
+            return False
+        used = [(v, b) for v, b in zip(y, self.rhs) if v]
+        d = math.lcm(1, *(b.denominator for _, b in used))
+        if sum(v * b.numerator * (d // b.denominator) for v, b in used) >= 0:
+            return False
+        return not (self.column_gaps(y) < 0).any()
+
     def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
         """Exact check that an assignment (per column, absent columns are 0)
         is nonnegative and satisfies every row."""
@@ -353,16 +364,13 @@ class _Master:
     guaranteeing termination. A Farkas certificate leaves the tableau as
     integers; points and duals leave it as `Fraction`s.
 
-    Phase 1 starts where a float64 phase 1 ends (`_float_pivots`). A
-    float basis that holds an artificial is first read as a Farkas ray in
-    one integer solve (`_certify`); a ray that passes the exact checks is
-    the verdict, with no tableau and no exact pivot. Otherwise the slack
-    tableau is built, the float basis's columns enter it by exact pivots
-    and the rows take its order (`_install`), and `_pivot_loop` prices
-    that basis exactly and pivots on from it if it is not optimal. A float
-    basis that is singular, or whose exact right-hand side has a negative
-    entry, gives way to the slack start. Both routes return the primitive
-    integer ray, so at one basis they return the same certificate.
+    A float64 phase 1 runs first (`_float_pivots`). When its basis holds
+    an artificial, it proposes a refutation: one integer solve reads the
+    Farkas ray off that basis (`_certify`), and a ray that passes the exact
+    test is the verdict, with no tableau and no exact pivot. In every
+    other case the slack tableau is built once and `_pivot_loop` runs both
+    phases from it. Both routes return the primitive integer ray, so at
+    one basis they return the same certificate.
     """
 
     def __init__(self, problem: _Problem):
@@ -381,20 +389,17 @@ class _Master:
         """
         R, S, A = self.n_rows, self.n_struct, len(self.art_rows)
         found = _float_pivots(self.problem)
-        start = None if found is None else found[0]
-        if start is not None and max(start) >= S + R:
-            certificate = self._certify(start)
+        if found is not None and max(found[0]) >= S + R:
+            certificate = self._certify(found[0])
             if certificate is not None:
                 return Infeasible(certificate)
         tab, den, basis = self._slack_start()
-        if start is not None and not self._install(tab, den, basis, start):
-            tab, den, basis = self._slack_start()
         self._pivot_loop(tab, den, basis, {}, allowed=R + A)
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs t_i / den[R] of the slacks.
             ray = tab[R, :R].tolist()
             g = math.gcd(*ray)
-            return Infeasible(FarkasCertificate(R, {i: t // g for i, t in enumerate(ray) if t}))
+            return Infeasible(FarkasCertificate.from_list([t // g for t in ray]))
         if objective is None:
             # Artificials left basic are at zero: x satisfies every row.
             return Feasible(self._extract(tab, den, basis))
@@ -471,7 +476,7 @@ class _Master:
         basic and ``y_i = 1`` when its artificial is, and each basic
         structural column j gives ``(G^T y)_j = 0``, one equation in the
         other rows' ``y_i``, which `_solve_integer` solves. The ray is kept
-        only if ``y >= 0``, ``y . h < 0`` and no column's gap is negative.
+        only if it refutes the rows (`_Problem.refuted_by`).
         """
         R, S, problem = self.n_rows, self.n_struct, self.problem
         struct = [j for j in start if j < S]
@@ -496,44 +501,7 @@ class _Master:
         y.update((i, b * (scale // a)) for i, (b, a) in zip(free, solution))
         g = math.gcd(*y.values())
         ray = [y[i] // g for i in range(R)]
-        used = [(v, b) for v, b in zip(ray, problem.rhs) if v]
-        d = math.lcm(1, *(b.denominator for _, b in used))
-        if (
-            min(ray) < 0
-            or sum(v * b.numerator * (d // b.denominator) for v, b in used) >= 0
-            or (problem.column_gaps(ray) < 0).any()
-        ):
-            return None
-        return FarkasCertificate(R, {i: v for i, v in enumerate(ray) if v})
-
-    def _install(self, tab, den, basis, start):
-        """Install ``start``, one basic column per row, from the slack
-        start: pivot each of its columns into a row whose basic column it
-        does not hold, then order the rows as ``start``. False when a
-        column has no nonzero entry left to pivot on (a singular basis),
-        or when the basis has a negative exact right-hand side; the
-        tableau is then spoilt."""
-        R, S = self.n_rows, self.n_struct
-        wanted = set(start)
-        if len(wanted) < R:
-            return False
-        for j in start:
-            if j in basis:
-                continue
-            if j < S:
-                scale = self._load(tab, den, j, {})
-            else:
-                tab[:, -1] = tab[:, j - S]
-                scale = 1
-            free = [i for i in range(R) if basis[i] not in wanted and tab[i, -1]]
-            if not free:
-                return False
-            self._pivot(tab, den, basis, free[0], j, scale)
-        order = [basis.index(j) for j in start]
-        tab[:R] = tab[order]
-        den[:R] = den[order]
-        basis[:] = start
-        return not (tab[:R, -2] < 0).any()
+        return FarkasCertificate.from_list(ray) if problem.refuted_by(ray) else None
 
     def _load(self, tab, den, j, cost):
         """Write structural column j into the scratch column, with its
@@ -658,8 +626,8 @@ def _float_pivots(problem: _Problem) -> Optional[tuple]:
 
     Without artificials the slack basis is already optimal; a matrix of
     Python ints, or an entry, scale or right-hand side of 2^53 or more, is
-    not exact in float64. Rounding can cost `_Master` pivots, but never a
-    wrong verdict.
+    not exact in float64. Rounding can cost a refused ray and so the slack
+    tableau's pivots, but never a wrong verdict.
     """
     rhs = problem.rhs
     negative = [b.numerator < 0 for b in rhs]

@@ -602,11 +602,9 @@ class _Quotient:
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]]):
         self.classes = _signature_classes(m, [s for step in steps for s in step])
         self.sizes = [len(members) for members in self.classes]
-        grid = np.array(
-            list(itertools.product(*(range(s + 1) for s in self.sizes))),
-            dtype=np.int64,
-        )
-        self.types = grid[1:]  # drop the empty type
+        # Every count vector in itertools.product order, less the empty type.
+        grid = np.indices([s + 1 for s in self.sizes], dtype=np.int64)
+        self.types = grid.reshape(len(self.sizes), -1).T[1:]
         self._problem = _type_rows(self.classes, self.types, k, steps)
 
     def problem(self) -> _Problem:
@@ -657,15 +655,12 @@ def _verify_certificate_fast(
     ``tags``, on the rows it uses: ``problem`` must hold exactly the rows
     with a nonzero multiplier, in the canonical order (`History.problem`),
     since a row with multiplier 0 adds nothing to ``y . b`` or ``G^T y``.
-    The certificate has one multiplier per row, its integer multipliers y
-    are nonnegative, ``y . b < 0``, and no column has a negative
-    ``(G^T y)_j``."""
+    The certificate has one multiplier per row, and its nonzero ones
+    refute those rows (`_Problem.refuted_by`)."""
     used = sorted(certificate.nonzero)
     if certificate.n_rows != len(tags) or problem.tags != [tags[i] for i in used]:
         return False
-    y = [certificate.nonzero[i] for i in used]
-    yb = sum((v * b for v, b in zip(y, problem.rhs)), Fraction(0))
-    return all(v > 0 for v in y) and yb < 0 and not (problem.column_gaps(y) < 0).any()
+    return problem.refuted_by([certificate.nonzero[i] for i in used])
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
@@ -1054,8 +1049,9 @@ def lemma2_suite() -> Lemma2Report:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
-    # Each program is solved over all 2^m - 1 ballots; its phase 1 starts
-    # from the float pass's basis (`exactlp._float_pivots`).
+    # Each program is solved over all 2^m - 1 ballots, by the exact
+    # tableau from the slack basis: the float pass only proposes
+    # refutations, and these programs are feasible.
     problem = history.problem()
 
     a, b = sorted(deviation & committee)

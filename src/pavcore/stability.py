@@ -117,6 +117,8 @@ def find_deviation(
     quota's least support cannot succeed and is skipped.
     """
     profile, k, m = instance.profile, instance.k, instance.m
+    if committee.m != m:
+        raise ValueError("committee universe does not match the instance")
     if len(committee) != k:
         raise ValueError(f"committee must have exactly {k} members")
     if m > DEFAULT_MAX_M:

@@ -565,8 +565,10 @@ class TestHistories:
         assert failure["reason"] == "records an incomplete search"
 
     def test_budget_stops_a_threaded_search(self):
+        # (12, 8) takes several seconds in two threads; (11, 8), about one,
+        # could finish inside the budget.
         started = time.monotonic()
-        result = enumerate_histories(11, 8, threads=2, budget_seconds=1)
+        result = enumerate_histories(12, 8, threads=2, budget_seconds=1)
         assert not result.complete
         assert time.monotonic() - started < 10
 

@@ -1,6 +1,7 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
 import functools
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -326,8 +327,8 @@ def test_lemma2_suite_optima_are_certified():
 
 
 def test_lemma2_suite_is_the_same_from_the_slack_start(monkeypatch):
-    # The float start may reach another optimal point, but the same optima,
-    # each certified.
+    # Its programs are feasible, so the float pass proposes no refutation
+    # and every point and dual is the slack start's.
     reports = [lemma2_suite()]
     monkeypatch.setattr(exactlp, "_float_pivots", lambda problem: None)
     reports.append(lemma2_suite())
@@ -339,6 +340,7 @@ def test_lemma2_suite_is_the_same_from_the_slack_start(monkeypatch):
         for report in reports
     ]
     assert optima[0] == optima[1] and len(optima[0]) == 17
+    assert repr(reports[0]) == repr(reports[1])
     for report in reports:
         assert report.structure_ok and report.all_optima_as_expected()
         assert report.all_certified()
@@ -510,6 +512,15 @@ class TestHistorySystem:
         verdict = history_verdict(h)
         assert verdict.witness is None
         assert verify_farkas(history_system(h), verdict.certificate)
+
+    def test_quotient_types_follow_product_order(self):
+        # The type grid holds every count vector but the empty one, in
+        # itertools.product order, so quotient column j is the same type.
+        for m, k, steps in multi_step_histories():
+            quotient = _Quotient(m, k, steps)
+            grid = itertools.product(*(range(s + 1) for s in quotient.sizes))
+            assert quotient.types.dtype == np.int64
+            assert quotient.types.tolist() == [list(t) for t in grid][1:]
 
     def test_program3_equals_one_step_history_system(self):
         shape = DeviationShape(2, 1)

@@ -20,7 +20,7 @@ from test_cli import TIED_PAIR_8, write_json
 HISTORIES_M10_K8_STDOUT = "a3d0426c5867973702207fedad8ff5473279286583dcfe1ebb7fe1f573eff28f"
 HISTORIES_M10_K8_BUNDLE = "abd6422d3b0b3dd0fe9f7c5c441b2f23fafdd1d2b5a101df2cc1575f2d8060f2"
 PROGRAM3_K5_BUNDLE = "99137bc2b206b87117fc74967254a35c594bb570af64d87163bec4b23d05f6a0"
-LEMMA2_SUITE_REPR = "4efe8c9269b861db49cbd912f236c2952340231d3593207dd5bf60eeee383776"
+LEMMA2_SUITE_REPR = "de85234322eb6785bbeb41e5a44ebdaad7cb88c41ed65b4742a2e8f0d251e4e7"
 
 # stdout of each command, PROFILE standing for a file holding TIED_PAIR_8.
 COMMAND_STDOUT = {

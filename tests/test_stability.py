@@ -13,6 +13,7 @@ from pavcore.elections import (
     EnumerationLimitError,
     Profile,
     _subset_masks,
+    pav_score,
 )
 from pavcore.stability import Quota, _supporters, find_deviation
 
@@ -134,6 +135,16 @@ class TestFindDeviation:
         instance = ElectionInstance(Profile(21, {cs([1], 21): 1}), k=2)
         with pytest.raises(EnumerationLimitError):
             find_deviation(instance, cs([1, 2], 21), Quota.HARE)
+
+    def test_a_committee_from_another_universe_is_refused(self):
+        # The committee {c4} of four candidates against a profile of three:
+        # pav_score refuses the pair, and so does the deviation search.
+        instance = ElectionInstance(Profile(3, {0b001: 1}), k=1)
+        committee = CandidateSet(0b1000, 4)
+        with pytest.raises(ValueError, match="universe"):
+            pav_score(instance.profile, committee)
+        with pytest.raises(ValueError, match="universe"):
+            find_deviation(instance, committee, Quota.HARE)
 
     def test_scan_follows_combinations_order(self):
         # Six pairs succeed under Droop. By combinations order {c1, c4}
