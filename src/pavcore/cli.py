@@ -18,7 +18,9 @@ the run S seconds after it starts, exiting 3 if work is left (0 always
 exits 3).
 
 `main` builds its parser once per process, on its first call, and looks up
-the command function ``cmd_<command>`` when it runs the command.
+the command function ``cmd_<command>`` when it runs the command. Each
+command starts with empty row caches (`proofs.clear_row_caches`), so what
+it costs does not depend on the commands run before it in the process.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .fileio import (
 from .proofs import (
     Runner,
     check_proposition1,
+    clear_row_caches,
     enumerate_histories,
     history_verdict,
     iter_shapes,
@@ -471,6 +474,7 @@ _parser = cache(lambda: build_parser())
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    clear_row_caches()
     try:
         return command(args)
     except InputError as exc:

@@ -31,11 +31,12 @@ always reached with every column priced clean, as in a dense tableau.
 
 Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
 Applegate, Cook, Dash & Espinoza 2007). `_float_pivots` runs phase 1 as a
-dense float64 revised simplex with steepest-edge pricing. When its basis
-holds an artificial, one integer solve reads the Farkas ray off that basis
-(`_Master._certify`), and the ray is the verdict if it passes the one
-exact refutation test (`_Problem.refuted_by`); no tableau is built. In
-every other case (a feasible system, a refused ray, or no float start) the
+dense float64 revised simplex with steepest-edge pricing, for a
+feasibility problem only. When its basis holds an artificial, one integer
+solve reads the Farkas ray off that basis (`_Master._certify`), and the
+ray is the verdict if it passes the one exact refutation test
+(`_Problem.refuted_by`); no tableau is built. In every other case (a
+feasible system, a refused ray, no float start, or any `maximize`) the
 exact tableau runs both phases from the slack basis. So every verdict,
 ray, point and dual is exact. The float pass only proposes a refutation,
 and with it which of several valid certificates is returned; a point, a
@@ -364,13 +365,14 @@ class _Master:
     guaranteeing termination. A Farkas certificate leaves the tableau as
     integers; points and duals leave it as `Fraction`s.
 
-    A float64 phase 1 runs first (`_float_pivots`). When its basis holds
-    an artificial, it proposes a refutation: one integer solve reads the
-    Farkas ray off that basis (`_certify`), and a ray that passes the exact
-    test is the verdict, with no tableau and no exact pivot. In every
-    other case the slack tableau is built once and `_pivot_loop` runs both
-    phases from it. Both routes return the primitive integer ray, so at
-    one basis they return the same certificate.
+    Without an objective, a float64 phase 1 runs first (`_float_pivots`).
+    When its basis holds an artificial, it proposes a refutation: one
+    integer solve reads the Farkas ray off that basis (`_certify`), and a
+    ray that passes the exact test is the verdict, with no tableau and no
+    exact pivot. In every other case, and for every objective, the slack
+    tableau is built once and `_pivot_loop` runs both phases from it. Both
+    routes return the primitive integer ray, so at one basis they return
+    the same certificate.
     """
 
     def __init__(self, problem: _Problem):
@@ -388,7 +390,9 @@ class _Master:
         with nonnegative duals over the rows, or `Unbounded`.
         """
         R, S, A = self.n_rows, self.n_struct, len(self.art_rows)
-        found = _float_pivots(self.problem)
+        # The float pass only proposes refutations; with an objective the
+        # slack tableau gives every other verdict, so it runs without one.
+        found = _float_pivots(self.problem) if objective is None else None
         if found is not None and max(found[0]) >= S + R:
             certificate = self._certify(found[0])
             if certificate is not None:

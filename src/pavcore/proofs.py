@@ -38,6 +38,16 @@ no row code with the solver. It builds each row at once over the array of
 ballot masks, as an integer `Row` over lcm(1..k+1), and it too builds only
 the rows that a certificate uses.
 
+Every continuation of a history repeats that history's steps, so their
+systems share every row of those steps. Each builder keeps its own cache
+of them (`_ROW_CACHES`): the arrays of the last m, and for the last parent
+history, the state after each of its steps and the rows of those steps
+built so far. A continuation builds only the rows of its own last step.
+The search hands a parent's continuations out one after another, and the
+checker reads a parent's files one after another, so each process builds
+a parent's rows once. Every command and every search starts with empty
+caches (`clear_row_caches`).
+
 All systems share one canonical row order: the normalization pair, swap
 rows grouped by step and ordered by (x, y), then negated deviation rows by
 step. Variables are the nonempty ballots over the candidate universe, in
@@ -223,6 +233,96 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+#: What the two row builders keep between calls, one value per name: the
+#: arrays of one m, and the step blocks of one parent history, which all
+#: its continuations share. `clear_row_caches` empties it.
+_ROW_CACHES: dict[str, tuple] = {}
+
+
+def _cached(name: str, key, make):
+    """The value kept under ``name`` if it was made for ``key``, else
+    ``make()``, kept in its place."""
+    held = _ROW_CACHES.get(name)
+    if held is None or held[0] != key:
+        held = _ROW_CACHES[name] = (key, make())
+    return held[1]
+
+
+def clear_row_caches() -> None:
+    """Empty the row builders' caches. Each command and each search starts
+    with this, so no run reuses the rows of another."""
+    _ROW_CACHES.clear()
+
+
+def _reference_masks(m: int) -> tuple[np.ndarray, tuple[Row, Row]]:
+    """The ballot masks of m candidates and the normalization rows over
+    them, which depend on m alone."""
+    n = (1 << m) - 1
+    masks = np.arange(1, n + 1, dtype=np.int64)
+    every, ones = masks - 1, np.ones(n, dtype=np.int64)
+    norm = tuple(
+        Row.from_arrays(every, sign * ones, 1, sign, (tag,))
+        for sign, tag in ((1, "norm_upper"), (-1, "norm_lower"))
+    )
+    return masks, norm
+
+
+class _ReferenceStep:
+    """Step t of a history in the reference builder: the ballot masks still
+    active at it, the candidates fixed before it, and its rows, each built
+    when it is first asked for and then found by tag.
+
+    In swap row (x, y) an active ballot with u = |ballot ∩ W| gains
+    L/(u+1) if it holds y but not x, and loses L/u (u >= 1) if it holds x
+    but not y. The arrays of a candidate are made for the first row that
+    uses it.
+    """
+
+    def __init__(self, k: int, masks, step, before: Optional["_ReferenceStep"] = None):
+        """The step ``step`` after the step ``before``, or the first step."""
+        if before is None:
+            self.t, self.fixed, active = 1, 0, masks
+        else:
+            # A ballot that holds more of T than of W is inactive in every
+            # later step.
+            self.t, self.fixed = before.t + 1, before.fixed | before.t_mask
+            active = before.active[np.bitwise_count(before.active & before.t_mask) <= before.u]
+        self.k, self.masks, self.active = k, masks, active
+        self.w_mask, self.t_mask = step
+        self.L = L = math.lcm(*range(1, k + 2))
+        self.u = u = np.bitwise_count(active & self.w_mask).astype(np.int64)
+        self.gain, self.loss = L // (u + 1), -(L // np.maximum(u, 1))
+        self._holds: dict[int, np.ndarray] = {}
+        self._changes: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple, Row] = {}
+
+    def _holding(self, c: int) -> np.ndarray:
+        if c not in self._holds:
+            self._holds[c] = (self.active >> c & 1).astype(bool)
+        return self._holds[c]
+
+    def swap_row(self, x: int, y: int) -> Row:
+        tag = ("swap", self.t, x, y)
+        if tag not in self._rows:
+            if y not in self._changes:
+                self._changes[y] = np.where(self._holding(y), self.gain, self.loss)
+            moved = self._holding(x) != self._holding(y)
+            cols, nums = self.active[moved] - 1, self._changes[y][moved]
+            self._rows[tag] = Row.from_arrays(cols, nums, self.L, 0, tag)
+        return self._rows[tag]
+
+    def deviation_row(self) -> Row:
+        """Every ballot that holds more of T than of W supports T."""
+        tag = ("deviation", self.t)
+        if tag not in self._rows:
+            masks, t_mask = self.masks, self.t_mask
+            supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & self.w_mask)
+            cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
+            rhs = Fraction(-t_mask.bit_count(), self.k)
+            self._rows[tag] = Row.from_arrays(cols, nums, 1, rhs, tag)
+        return self._rows[tag]
+
+
 def _build_rows(
     m: int,
     k: int,
@@ -236,60 +336,38 @@ def _build_rows(
     place of every other, so a certificate is checked on the rows it uses.
     This is the reference builder that the certificate checker uses; it
     shares no code with the solver's `_type_rows`. Each row is built at
-    once over the array of ballot masks, as integers over L = lcm(1..k+1).
-    In swap row (x, y) an active ballot with u = |ballot ∩ W| gains L/(u+1)
-    if it holds y but not x, and loses L/u (u >= 1) if it holds x but not
-    y. A ballot that holds more of a step's T than of its W is inactive in
-    every later step.
+    once over the array of ballot masks, as integers over L = lcm(1..k+1)
+    (`_ReferenceStep`).
+
+    The continuations of one parent history share the parent's rows, so
+    they are built once: the masks and normalization rows are kept for
+    the last m, and the steps of the last parent, ``steps[:-1]`` for
+    (m, k), with their active ballots and the rows built so far. Rows of
+    the last step are never kept. A `Row` is read-only, so calls share it.
     """
     n = (1 << m) - 1
-    L = math.lcm(*range(1, k + 2))
-    masks = np.arange(1, n + 1, dtype=np.int64)
-    chosen = None if rows is None else set(rows)
-    built: list[Optional[Row]] = []
-
-    def wanted() -> bool:  # whether to build the next row
-        return chosen is None or len(built) in chosen
-
-    every, ones = masks - 1, np.ones(n, dtype=np.int64)
-    for sign, tag in ((1, "norm_upper"), (-1, "norm_lower")):
-        built.append(Row.from_arrays(every, sign * ones, 1, sign, (tag,)) if wanted() else None)
-    swap_meta: list[tuple[int, int, int]] = []
-    active = masks  # ballot masks not yet deactivated
-    fixed = 0
-    for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        u = np.bitwise_count(active & w_mask).astype(np.int64)
-        gain, loss = L // (u + 1), -(L // np.maximum(u, 1))
-        outsiders = []
-        for y in _bits(n & ~w_mask):
-            holds_y = (active >> y & 1).astype(bool)
-            outsiders.append((y, holds_y, np.where(holds_y, gain, loss)))
-        for x in _bits(w_mask & ~fixed):
-            holds_x = None  # made for the first row of x that is built
-            for y, holds_y, change in outsiders:
-                row = None
-                if wanted():
-                    if holds_x is None:
-                        holds_x = (active >> x & 1).astype(bool)
-                    moved = holds_x != holds_y
-                    tag = ("swap", t, x, y)
-                    row = Row.from_arrays(active[moved] - 1, change[moved], L, 0, tag)
-                built.append(row)
-                swap_meta.append((t, x, y))
-        fixed |= t_mask
-        active = active[np.bitwise_count(active & t_mask) <= u]
-    for t, (w_mask, t_mask) in enumerate(steps, start=1):
-        row = None
-        if wanted():
-            supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
-            row = Row.from_arrays(
-                masks[supports] - 1,
-                np.full(int(supports.sum()), -1, dtype=np.int64),
-                1,
-                Fraction(-t_mask.bit_count(), k),
-                ("deviation", t),
-            )
-        built.append(row)
+    masks, norm = _cached("reference_masks", m, lambda: _reference_masks(m))
+    parent = tuple(steps[:-1])
+    kept = _cached("reference_parent", (m, k, parent), list) if parent else []
+    blocks = list(kept)
+    for step in steps[len(blocks):]:
+        blocks.append(_ReferenceStep(k, masks, step, blocks[-1] if blocks else None))
+    kept[:] = blocks[: len(parent)]
+    swap_meta = [
+        (block.t, x, y)
+        for block in blocks
+        for x in _bits(block.w_mask & ~block.fixed)
+        for y in _bits(n & ~block.w_mask)
+    ]
+    built: list[Optional[Row]] = [None] * (2 + len(swap_meta) + len(blocks))
+    for r in range(len(built)) if rows is None else set(rows).intersection(range(len(built))):
+        if r < 2:
+            built[r] = norm[r]
+        elif r < 2 + len(swap_meta):
+            t, x, y = swap_meta[r - 2]
+            built[r] = blocks[t - 1].swap_row(x, y)
+        else:
+            built[r] = blocks[r - 2 - len(swap_meta)].deviation_row()
     return built, swap_meta
 
 
@@ -408,18 +486,26 @@ class History:
 
     def problem(self, rows: Optional[Sequence[int]] = None) -> _Problem:
         """The full system, or only the rows with the distinct indices
-        ``rows``, in that order, built on each call: the type rows
-        (`_type_rows`) over singleton classes, so each ballot is its own
-        type, in ascending bitmask order, and column j is ballot j + 1, the
-        canonical variables, with the rows and their tags in the canonical
-        order. The history holds only its steps, so a batch of histories
-        stays small."""
-        m = self.m
-        ballots = np.arange(1, 1 << m, dtype=np.int64)
+        ``rows``, in that order: the type rows (`_type_rows`) over
+        singleton classes, so each ballot is its own type, in ascending
+        bitmask order, and column j is ballot j + 1, the canonical
+        variables, with the rows and their tags in the canonical order.
+
+        The history holds only its steps, so a batch of histories stays
+        small; what its continuations share is kept in the row caches
+        instead. The ballot bits are kept for the last m, and the blocks of
+        the steps before the last (their arrays and the rows built so far)
+        for the last parent, ``steps[:-1]`` at (m, k). So each continuation
+        of a parent builds only the rows of its own last step, and the
+        caches hold at most one parent's rows until the next parent, the
+        next search or the next command (`clear_row_caches`)."""
+        m, steps = self.m, self.mask_steps()
         # bits[i]: holds i. One byte per entry: the system's matrix is the
         # only array of its size that the build holds.
-        bits = ((ballots >> np.arange(m)[:, None]) & 1).astype(np.int8)
-        return _type_rows([[i] for i in range(m)], bits.T, self.k, self.mask_steps(), rows)
+        bits = _cached("search_bits", m, lambda: _ballot_bits(m))
+        parent = steps[:-1]
+        memo = _cached("search_parent", (m, self.k, parent), dict) if parent else None
+        return _type_rows([[i] for i in range(m)], bits.T, self.k, steps, rows, memo)
 
     def tags(self) -> list[tuple]:
         """The tags of the full system's rows, in the canonical order, from
@@ -495,12 +581,19 @@ def _row_layout(class_masks: Sequence[int], steps: Sequence[tuple[int, int]]):
     return blocks, tags + [("deviation", t) for t in range(1, len(steps) + 1)]
 
 
+def _ballot_bits(m: int) -> np.ndarray:
+    """``bits[i, j]``: whether ballot j + 1 of m candidates holds i, as int8."""
+    ballots = np.arange(1, 1 << m, dtype=np.int64)
+    return ((ballots >> np.arange(m)[:, None]) & 1).astype(np.int8)
+
+
 def _type_rows(
     classes: Sequence[Sequence[int]],
     types: np.ndarray,
     k: int,
     steps: Sequence[tuple[int, int]],
     rows: Optional[Sequence[int]] = None,
+    memo: Optional[dict] = None,
 ) -> _Problem:
     """The system of a history over ballot types, as one `_Problem`, or
     only the rows with the distinct indices ``rows``, in that order.
@@ -516,6 +609,12 @@ def _type_rows(
     ``L = lcm(1..k+1)`` (`harmonic_table`), and their tags are in the
     canonical row order; the rows asked for fill one preallocated int64
     matrix, so the system is held once.
+
+    ``memo``, when given, holds what every step but the last shares with
+    the other calls for the same classes, types, k and earlier steps: the
+    arrays of step t under ``t`` and each row built so far under its tag.
+    The call takes them from there and adds what it builds. The rows of
+    the last step are never kept.
     """
     L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
@@ -538,21 +637,33 @@ def _type_rows(
             matrix[slot[r]] = sign
     row, deviation_row = 2, len(tags) - len(steps)
     active = np.ones(types.shape[0], dtype=bool)
-    for (w_mask, t_mask), (xs, ys) in zip(steps, blocks):
-        u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
-        # Ballot types with a y but no x gain L/(u+1); with an x but no y
-        # they lose L/u (u > 0 there).
-        gain = np.where(active, L // (u + 1), 0)
-        loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
+    for t, ((w_mask, t_mask), (xs, ys)) in enumerate(zip(steps, blocks), start=1):
+        kept = memo if memo is not None and t < len(steps) else None
+        if kept is not None and t in kept:
+            gain, loss, supp = kept[t]
+        else:
+            u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
+            # Ballot types with a y but no x gain L/(u+1); with an x but no
+            # y they lose L/u (u > 0 there).
+            gain = np.where(active, L // (u + 1), 0)
+            loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
+            supp = taken[[i for i, cm in enumerate(class_masks) if cm & t_mask]].sum(axis=0) > u
+            if kept is not None:
+                kept[t] = gain, loss, supp
         for i in xs:
             wanted = [(slot[r], j) for r, j in enumerate(ys, start=row) if r in slot]
             row += len(ys)
-            if wanted:
-                gain_i, loss_i = left[i] * gain, taken[i] * loss
-                for s, j in wanted:
-                    matrix[s] = gain_i * taken[j] - loss_i * left[j]
-        in_t = [i for i, cm in enumerate(class_masks) if cm & t_mask]
-        supp = taken[in_t].sum(axis=0) > u
+            gain_i = loss_i = None
+            for s, j in wanted:
+                tag = ("swap", t, i, j)
+                if kept is not None and tag in kept:
+                    matrix[s] = kept[tag]
+                    continue
+                if gain_i is None:
+                    gain_i, loss_i = left[i] * gain, taken[i] * loss
+                matrix[s] = gain_i * taken[j] - loss_i * left[j]
+                if kept is not None:
+                    kept[tag] = matrix[s].copy()
         if deviation_row in slot:
             matrix[slot[deviation_row]] = -supp.astype(np.int64)
         deviation_row += 1
@@ -868,11 +979,15 @@ def enumerate_histories(
     Each level is one batch of `history_verdict` tasks on one `Runner` for
     the whole search: each parent extended by each of its canonical
     continuations (`History.child`). When the budget runs out with tasks
-    left, the search stops and the result is flagged incomplete.
+    left, the search stops and the result is flagged incomplete. The
+    search starts with empty row caches, and a parent's tasks are
+    consecutive, so each process builds a parent's rows once
+    (`History.problem`).
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     _check_history_m(m)
+    clear_row_caches()
     root = History(m, k, ())
     histories = [root]
     certificates: dict[History, FarkasCertificate] = {}
@@ -1050,8 +1165,7 @@ def lemma2_suite() -> Lemma2Report:
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
     # Each program is solved over all 2^m - 1 ballots, by the exact
-    # tableau from the slack basis: the float pass only proposes
-    # refutations, and these programs are feasible.
+    # tableau from the slack basis, with no float pass (`maximize`).
     problem = history.problem()
 
     a, b = sorted(deviation & committee)

@@ -737,6 +737,53 @@ class TestCheckCertificates:
         assert code == 1 and "unreadable" in failure["reason"]
         assert "expected 12438 multipliers, found 3" in failure["reason"]
 
+    @staticmethod
+    def m10_k8_bundle(capsys, path):
+        """The bundle of the k = 8 search at m = 10: 99 certificate files,
+        85 of them continuations of the (4, 2) history."""
+        argv = ["prove", "--mode", "histories", "--m", 10, "--k", 8, "--out", path]
+        assert run(capsys, *argv)[0] == 0
+        return path
+
+    def test_each_command_starts_with_empty_row_caches(
+        self, capsys, tmp_path, monkeypatch, tied_pair_file
+    ):
+        # Two checks of one bundle in one process: each builds its first
+        # rows with empty caches, as a process of its own would.
+        bundle = self.m10_k8_bundle(capsys, tmp_path / "b")
+        seen = []
+        build = proofs._build_rows
+
+        def spy(*args):
+            seen.append(dict(proofs._ROW_CACHES))
+            return build(*args)
+
+        monkeypatch.setattr(proofs, "_build_rows", spy)
+        for _ in range(2):
+            seen.clear()
+            assert run(capsys, "check-certificates", bundle)[0] == 0
+            assert seen[0] == {} and len(seen) == 99
+            assert "reference_parent" in proofs._ROW_CACHES
+        # A command that builds no rows empties them too.
+        assert run(capsys, "rule", tied_pair_file)[0] == 0
+        assert proofs._ROW_CACHES == {}
+
+    def test_threads_do_not_change_the_check(self, capsys, tmp_path):
+        # Each pool process keeps its own caches; a negated multiplier in a
+        # continuation of the (4, 2) history fails the same file either way.
+        bundle = self.m10_k8_bundle(capsys, tmp_path / "b")
+        files = certificate_files(bundle)
+        negate_one_multiplier(next(p for p in files if p.name.count("__W") == 2))
+        outputs = []
+        for threads in (1, 2):
+            code, out, _ = run(capsys, "check-certificates", bundle, "--json", "--threads", threads)
+            payload = json.loads(out)
+            del payload["seconds"]
+            outputs.append((code, payload))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1 and outputs[0][1]["checked"] == len(files) == 99
+        assert outputs[0][1]["failed"] == 1
+
     def test_missing_bundle(self, capsys, tmp_path):
         assert run(capsys, "check-certificates", tmp_path / "none")[0] == 2
 

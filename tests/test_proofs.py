@@ -327,9 +327,17 @@ def test_lemma2_suite_optima_are_certified():
 
 
 def test_lemma2_suite_is_the_same_from_the_slack_start(monkeypatch):
-    # Its programs are feasible, so the float pass proposes no refutation
-    # and every point and dual is the slack start's.
+    # Its programs are feasible. The one feasibility LP, the quotient of the
+    # (4, 2) history, runs the float pass, which proposes no refutation;
+    # the 17 maximize programs run none. So every point and dual is the
+    # slack start's.
+    float_passes = []
+    float_pivots = exactlp._float_pivots
+    monkeypatch.setattr(
+        exactlp, "_float_pivots", lambda problem: float_passes.append(1) or float_pivots(problem)
+    )
     reports = [lemma2_suite()]
+    assert float_passes == [1]
     monkeypatch.setattr(exactlp, "_float_pivots", lambda problem: None)
     reports.append(lemma2_suite())
     optima = [
@@ -663,6 +671,118 @@ class TestUsedRows:
             assert verdict.certificate.n_rows == 67
             assert len(verdict.certificate.nonzero) == n_used
             assert peak < bound * full_matrix, (h.mask_steps(), peak / full_matrix)
+
+
+def siblings_of(h):
+    """The first and the last canonical continuation of the parent of
+    ``h``, and ``h``."""
+    parent = History(h.m, h.k, h.steps[:-1])
+    steps = canonical_continuations(parent)
+    return [parent.child(*step) for step in steps[:1] + steps[-1:]] + [h]
+
+
+def other_first_deviation(h):
+    """``h`` with its first T cut by its lowest member: the same W_1 and
+    later steps, another T_1, so every row after step 1 may differ."""
+    (w1, t1), *rest = h.mask_steps()
+    return History.from_masks(h.m, h.k, [(w1, t1 & (t1 - 1))] + rest)
+
+
+#: Multi-step histories that a pair with a different T_1 can be made of,
+#: and the two-step children of the k = 8 (4, 2) history, which share one
+#: parent.
+CACHE_HISTORIES = [
+    h
+    for h in (History.from_masks(*case) for case in multi_step_histories())
+    if h.steps[0][1].mask.bit_count() > 1
+] + k8_children()[::28]
+
+
+def cold(build):
+    proofs.clear_row_caches()
+    return build()
+
+
+class TestRowCaches:
+    """Both row builders keep the step blocks of the last parent for all
+    its continuations, and the arrays of the last m. A row built with what
+    another history left in the caches (warm) equals the same row built
+    with empty caches (cold)."""
+
+    @pytest.mark.parametrize("h", CACHE_HISTORIES, ids=lambda h: repr(h.mask_steps()))
+    def test_warm_reference_rows_equal_cold_ones(self, h):
+        args = (h.m, h.k, h.mask_steps())
+        ref_rows, ref_meta = per_mask_build_rows(*args)
+        selections = row_selections(len(ref_rows), repr(args)) + [None]
+        # Fillers: the siblings, a history with another T_1, the same masks
+        # at another k, and the history itself.
+        fillers = [s.mask_steps() for s in siblings_of(h)]
+        fillers.append(other_first_deviation(h).mask_steps())
+        for rows in selections:
+            want = [r if rows is None or i in rows else None for i, r in enumerate(ref_rows)]
+            assert cold(lambda: _build_rows(*args, rows)) == (want, ref_meta)
+            for steps in fillers:
+                proofs.clear_row_caches()
+                _build_rows(h.m, h.k, steps)
+                assert _build_rows(*args, rows) == (want, ref_meta), (steps, rows)
+            for k in (h.k - 1, h.k + 1):
+                proofs.clear_row_caches()
+                _build_rows(h.m, k, h.mask_steps())
+                assert _build_rows(*args, rows) == (want, ref_meta), (k, rows)
+        # The other T_1 is read right after the history fills the caches.
+        other = (h.m, h.k, other_first_deviation(h).mask_steps())
+        _build_rows(*args)
+        assert _build_rows(*other) == per_mask_build_rows(*other)
+
+    @pytest.mark.parametrize("h", CACHE_HISTORIES, ids=lambda h: repr(h.mask_steps()))
+    def test_warm_search_rows_equal_cold_ones(self, h):
+        # The rows the search assembles from a parent's kept blocks equal a
+        # build from nothing, and both equal the reference rows.
+        full = cold(h.problem)
+        TestHistorySystem.assert_rows_match(h.m, h.k, h.mask_steps())
+        selections = row_selections(full.n_rows, repr(h.mask_steps())) + [None]
+        others = siblings_of(h) + [other_first_deviation(h)]
+        for rows in selections:
+            want = cold(lambda: h.problem(rows))
+            for other in others:
+                proofs.clear_row_caches()
+                other.problem()
+                got = h.problem(rows)
+                assert np.array_equal(got.matrix, want.matrix), (other.mask_steps(), rows)
+                assert (got.scales, got.rhs, got.tags) == (want.scales, want.rhs, want.tags)
+            index = range(full.n_rows) if rows is None else rows
+            assert np.array_equal(want.matrix, full.matrix[list(index)])
+
+    def test_siblings_share_the_parent_blocks(self):
+        # Each continuation of the (4, 2) history builds its own last step:
+        # a sibling built after the others equals its build from nothing.
+        children = k8_children()
+        used = [sorted(history_verdict(child).certificate.nonzero) for child in children]
+        proofs.clear_row_caches()
+        warm = [child.problem(rows) for child, rows in zip(children, used)]
+        for child, rows, got in zip(children, used, warm):
+            want = cold(lambda: child.problem(rows))
+            assert np.array_equal(got.matrix, want.matrix) and got.tags == want.tags
+        # The caches hold the arrays of one m and the blocks of one parent.
+        assert sorted(proofs._ROW_CACHES) == ["search_bits", "search_parent"]
+        assert proofs._ROW_CACHES["search_parent"][0] == (10, 8, children[0].mask_steps()[:1])
+
+    def test_a_search_starts_with_empty_caches(self, monkeypatch):
+        # A search reuses no rows of an earlier one: its first system is
+        # built with empty caches.
+        seen = []
+        problem = History.problem
+
+        def spy(self, rows=None):
+            seen.append(dict(proofs._ROW_CACHES))
+            return problem(self, rows)
+
+        monkeypatch.setattr(History, "problem", spy)
+        for _ in range(2):
+            seen.clear()
+            enumerate_histories(10, 8)
+            assert seen[0] == {} and len(seen) == 100
+            assert proofs._ROW_CACHES
 
 
 def fraction_lift_certificate(quotient, certificate, tags):
