@@ -17,6 +17,10 @@ one per CPU, with the same output as one, and ``--budget-seconds S`` stops
 the run S seconds after it starts, exiting 3 if work is left (0 always
 exits 3).
 
+``check-certificates`` runs on each file the one certificate check that
+``prove`` ran on each certificate it found: `verify_farkas` on the
+reference rows with a nonzero multiplier (`fileio.load_certificate`).
+
 `main` builds its parser once per process, on its first call, and looks up
 the command function ``cmd_<command>`` when it runs the command. Each
 command starts with empty row caches (`proofs.clear_row_caches`), so what

@@ -26,7 +26,7 @@ constraint. A structural column's tableau column is formed only when it
 enters. One pricing kernel (`_Problem.column_gaps`) computes
 ``G^T y - c`` for every column exactly, with integer dot products: on
 every pivot, against the objective row's duals, for the optimum check, and
-for the certificate check of the searches in `proofs`. A verdict is thus
+for the test of a ray read off a float basis. A verdict is thus
 always reached with every column priced clean, as in a dense tableau.
 
 Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
@@ -104,6 +104,8 @@ class Row:
         cols.flags.writeable = nums.flags.writeable = False
         self.cols, self.nums, self.den = cols, nums, int(den)
         self.rhs, self.tag = Fraction(rhs), tag
+        #: The largest |numerator|, as a Python int.
+        self.max_abs = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
 
     @functools.cached_property
     def coeffs(self) -> Mapping[int, Fraction]:
@@ -207,8 +209,9 @@ def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate)
     None (`fileio.CertificateRecord`). ``y . b`` is summed in Python ints
     over the lcm of their right-hand sides' denominators.
     ``A^T y`` is summed over ``L``, the lcm of their row denominators, as
-    ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound shows
-    that no sum can overflow, else in Python ints. Both signs are exact.
+    ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound from
+    each row's largest |numerator| (`Row.max_abs`) shows that no sum can
+    overflow, else in Python ints. Both signs are exact.
     """
     if certificate.n_rows != len(rows):
         raise ValueError(
@@ -224,10 +227,7 @@ def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate)
     L = math.lcm(1, *(row.den for _, row in used))
     scaled = [(mult * (L // row.den), row) for mult, row in used]
     # At least s per row, so that s itself fits int64 even on a zero row.
-    bound = sum(
-        s * max(1, int(row.nums.max(initial=0)), -int(row.nums.min(initial=0)))
-        for s, row in scaled
-    )
+    bound = sum(s * max(1, row.max_abs) for s, row in scaled)
     dtype = np.int64 if bound < _INT64_SAFE else object
     width = max((int(row.cols[-1]) + 1 for _, row in used if row.cols.size), default=0)
     sums = np.zeros(width, dtype=dtype)

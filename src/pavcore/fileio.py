@@ -72,6 +72,8 @@ def _indices_to_mask(indices, m: int) -> int:
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= m:
             raise InputError(f"candidate index {i!r} out of range 1..{m}")
+        if mask >> (i - 1) & 1:
+            raise InputError(f"candidate {i} listed twice")
         mask |= 1 << (i - 1)
     return mask
 

@@ -24,28 +24,31 @@ Lemma 1 shape (`_is_lemma1_shape`) gets its Theorem 1 certificate with no
 LP. Every other system goes through the symmetry-collapsed quotient
 (`_Quotient`), the revised exact simplex (`exactlp`) and the lift back to
 the full system. Either way the result is checked exactly, and a failed
-check raises: a certificate on the rows it uses, the ones with a nonzero
-multiplier, and a witness on the full system (`History.problem`). Every
-batch of work runs through one `Runner`, which owns the process pool and
-the time budget. One function builds the solver's rows (`_type_rows`):
-over ballot types for the quotient, and over singleton classes, where each
-ballot is its own type, for the full system or a selection of its rows.
-Every row carries a tag. The tags follow from the masks alone
-(`History.tags`), and lifts and analytic certificates find rows by them,
-so a certificate exists before any full row is built. `_build_rows` is the
-reference builder that the certificate checker uses, so the checker shares
-no row code with the solver. It builds each row at once over the array of
-ballot masks, as an integer `Row` over lcm(1..k+1), and it too builds only
-the rows that a certificate uses.
+check raises. A witness is checked on the solver's full system
+(`History.problem`) and against the election semantics. A certificate is
+checked by the checker itself, as `check-certificates` checks a file:
+`exactlp.verify_farkas` on the rows with a nonzero multiplier, built by
+the reference builder (`_build_rows`), which shares no row code with the
+solver. Every batch of work runs through one `Runner`, which owns the
+process pool and the time budget.
 
-Every continuation of a history repeats that history's steps, so their
-systems share every row of those steps. Each builder keeps its own cache
-of them (`_ROW_CACHES`): the arrays of the last m, and for the last parent
-history, the state after each of its steps and the rows of those steps
-built so far. A continuation builds only the rows of its own last step.
-The search hands a parent's continuations out one after another, and the
+One function builds the solver's rows (`_type_rows`): over ballot types
+for the quotient, and over singleton classes, where each ballot is its own
+type, for the full system. Every row carries a tag. The tags follow from
+the masks alone (`History.tags`), and lifts and analytic certificates find
+rows by them, so a certificate exists before any row is built for its
+check. The reference builder builds each row at once over the array of
+ballot masks, as an integer `Row` over lcm(1..k+1), and only the rows
+that a certificate uses.
+
+Every continuation of a history repeats that history's steps, and the
+continuations that share a committee W share that step's swap rows too:
+a step's swap rows depend on (m, k), the steps before it and its W, not
+on its deviation T. The reference builder keeps one block per step depth
+under that key (`_ROW_CACHES`), and the ballot masks of the last m. The
+search hands a parent's continuations out one after another, and the
 checker reads a parent's files one after another, so each process builds
-a parent's rows once. Every command and every search starts with empty
+those rows once per W. Every command and every search starts with empty
 caches (`clear_row_caches`).
 
 All systems share one canonical row order: the normalization pair, swap
@@ -64,6 +67,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -84,6 +88,7 @@ from .exactlp import (
     _Problem,
     _solve_problem,
     maximize,
+    verify_farkas,
     verify_optimum,
 )
 from .stability import Quota, _supporters
@@ -233,9 +238,10 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-#: What the two row builders keep between calls, one value per name: the
-#: arrays of one m, and the step blocks of one parent history, which all
-#: its continuations share. `clear_row_caches` empties it.
+#: What the reference builder keeps between calls, one value per name: the
+#: arrays of one m under "reference_masks", and under "reference_step<t>"
+#: the block of step t (`_ReferenceStep`) for one (m, k, steps before t,
+#: W_t). `clear_row_caches` empties it.
 _ROW_CACHES: dict[str, tuple] = {}
 
 
@@ -249,8 +255,8 @@ def _cached(name: str, key, make):
 
 
 def clear_row_caches() -> None:
-    """Empty the row builders' caches. Each command and each search starts
-    with this, so no run reuses the rows of another."""
+    """Empty the reference builder's caches. Each command and each search
+    starts with this, so no run reuses the rows of another."""
     _ROW_CACHES.clear()
 
 
@@ -268,32 +274,40 @@ def _reference_masks(m: int) -> tuple[np.ndarray, tuple[Row, Row]]:
 
 
 class _ReferenceStep:
-    """Step t of a history in the reference builder: the ballot masks still
-    active at it, the candidates fixed before it, and its rows, each built
-    when it is first asked for and then found by tag.
+    """Step t of a history in the reference builder, for its committee W:
+    the ballot masks still active at it, the candidates fixed before it,
+    and its swap rows, each built when it is first asked for and then found
+    by tag. None of it depends on the step's deviation T, so continuations
+    of one parent that share a W share the block.
 
     In swap row (x, y) an active ballot with u = |ballot ∩ W| gains
     L/(u+1) if it holds y but not x, and loses L/u (u >= 1) if it holds x
-    but not y. The arrays of a candidate are made for the first row that
+    but not y. A candidate's holder array is made for the first row that
     uses it.
     """
 
-    def __init__(self, k: int, masks, step, before: Optional["_ReferenceStep"] = None):
-        """The step ``step`` after the step ``before``, or the first step."""
+    def __init__(
+        self,
+        k: int,
+        masks,
+        w_mask: int,
+        before: Optional["_ReferenceStep"] = None,
+        before_t_mask: int = 0,
+    ):
+        """The first step, or the step after the step ``before``, whose
+        deviation was ``before_t_mask``."""
         if before is None:
             self.t, self.fixed, active = 1, 0, masks
         else:
             # A ballot that holds more of T than of W is inactive in every
             # later step.
-            self.t, self.fixed = before.t + 1, before.fixed | before.t_mask
-            active = before.active[np.bitwise_count(before.active & before.t_mask) <= before.u]
-        self.k, self.masks, self.active = k, masks, active
-        self.w_mask, self.t_mask = step
+            self.t, self.fixed = before.t + 1, before.fixed | before_t_mask
+            active = before.active[np.bitwise_count(before.active & before_t_mask) <= before.u]
+        self.k, self.masks, self.active, self.w_mask = k, masks, active, w_mask
         self.L = L = math.lcm(*range(1, k + 2))
-        self.u = u = np.bitwise_count(active & self.w_mask).astype(np.int64)
+        self.u = u = np.bitwise_count(active & w_mask).astype(np.int64)
         self.gain, self.loss = L // (u + 1), -(L // np.maximum(u, 1))
         self._holds: dict[int, np.ndarray] = {}
-        self._changes: dict[int, np.ndarray] = {}
         self._rows: dict[tuple, Row] = {}
 
     def _holding(self, c: int) -> np.ndarray:
@@ -304,23 +318,19 @@ class _ReferenceStep:
     def swap_row(self, x: int, y: int) -> Row:
         tag = ("swap", self.t, x, y)
         if tag not in self._rows:
-            if y not in self._changes:
-                self._changes[y] = np.where(self._holding(y), self.gain, self.loss)
-            moved = self._holding(x) != self._holding(y)
-            cols, nums = self.active[moved] - 1, self._changes[y][moved]
-            self._rows[tag] = Row.from_arrays(cols, nums, self.L, 0, tag)
+            holds_y = self._holding(y)
+            moved = self._holding(x) != holds_y
+            nums = np.where(holds_y[moved], self.gain[moved], self.loss[moved])
+            self._rows[tag] = Row.from_arrays(self.active[moved] - 1, nums, self.L, 0, tag)
         return self._rows[tag]
 
-    def deviation_row(self) -> Row:
+    def deviation_row(self, t_mask: int) -> Row:
         """Every ballot that holds more of T than of W supports T."""
-        tag = ("deviation", self.t)
-        if tag not in self._rows:
-            masks, t_mask = self.masks, self.t_mask
-            supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & self.w_mask)
-            cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
-            rhs = Fraction(-t_mask.bit_count(), self.k)
-            self._rows[tag] = Row.from_arrays(cols, nums, 1, rhs, tag)
-        return self._rows[tag]
+        masks = self.masks
+        supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & self.w_mask)
+        cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
+        rhs = Fraction(-t_mask.bit_count(), self.k)
+        return Row.from_arrays(cols, nums, 1, rhs, ("deviation", self.t))
 
 
 def _build_rows(
@@ -339,20 +349,21 @@ def _build_rows(
     once over the array of ballot masks, as integers over L = lcm(1..k+1)
     (`_ReferenceStep`).
 
-    The continuations of one parent history share the parent's rows, so
-    they are built once: the masks and normalization rows are kept for
-    the last m, and the steps of the last parent, ``steps[:-1]`` for
-    (m, k), with their active ballots and the rows built so far. Rows of
-    the last step are never kept. A `Row` is read-only, so calls share it.
+    The swap rows of step t depend on (m, k), the steps before t and W_t,
+    not on T_t, so its block is kept under that key (`_ROW_CACHES`), one
+    block per step depth: the continuations of one parent that share a W
+    share every swap row, in the search and in the checker alike. The masks
+    and normalization rows are kept for the last m. Deviation rows depend
+    on T_t and are built on each call. A `Row` is read-only, so calls share
+    it.
     """
     n = (1 << m) - 1
     masks, norm = _cached("reference_masks", m, lambda: _reference_masks(m))
-    parent = tuple(steps[:-1])
-    kept = _cached("reference_parent", (m, k, parent), list) if parent else []
-    blocks = list(kept)
-    for step in steps[len(blocks):]:
-        blocks.append(_ReferenceStep(k, masks, step, blocks[-1] if blocks else None))
-    kept[:] = blocks[: len(parent)]
+    blocks: list[_ReferenceStep] = []
+    for t, (w_mask, _) in enumerate(steps):
+        before = (blocks[-1], steps[t - 1][1]) if blocks else ()
+        make = partial(_ReferenceStep, k, masks, w_mask, *before)
+        blocks.append(_cached(f"reference_step{t + 1}", (m, k, tuple(steps[:t]), w_mask), make))
     swap_meta = [
         (block.t, x, y)
         for block in blocks
@@ -367,7 +378,8 @@ def _build_rows(
             t, x, y = swap_meta[r - 2]
             built[r] = blocks[t - 1].swap_row(x, y)
         else:
-            built[r] = blocks[r - 2 - len(swap_meta)].deviation_row()
+            t = r - 2 - len(swap_meta)
+            built[r] = blocks[t].deviation_row(steps[t][1])
     return built, swap_meta
 
 
@@ -484,28 +496,17 @@ class History:
         `ValueError` here, before the child goes anywhere."""
         return History(self.m, self.k, self.steps + ((committee, deviation),))
 
-    def problem(self, rows: Optional[Sequence[int]] = None) -> _Problem:
-        """The full system, or only the rows with the distinct indices
-        ``rows``, in that order: the type rows (`_type_rows`) over
-        singleton classes, so each ballot is its own type, in ascending
-        bitmask order, and column j is ballot j + 1, the canonical
-        variables, with the rows and their tags in the canonical order.
-
-        The history holds only its steps, so a batch of histories stays
-        small; what its continuations share is kept in the row caches
-        instead. The ballot bits are kept for the last m, and the blocks of
-        the steps before the last (their arrays and the rows built so far)
-        for the last parent, ``steps[:-1]`` at (m, k). So each continuation
-        of a parent builds only the rows of its own last step, and the
-        caches hold at most one parent's rows until the next parent, the
-        next search or the next command (`clear_row_caches`)."""
-        m, steps = self.m, self.mask_steps()
-        # bits[i]: holds i. One byte per entry: the system's matrix is the
-        # only array of its size that the build holds.
-        bits = _cached("search_bits", m, lambda: _ballot_bits(m))
-        parent = steps[:-1]
-        memo = _cached("search_parent", (m, self.k, parent), dict) if parent else None
-        return _type_rows([[i] for i in range(m)], bits.T, self.k, steps, rows, memo)
+    def problem(self) -> _Problem:
+        """The full system for the solver: the type rows (`_type_rows`)
+        over singleton classes, so each ballot is its own type, in
+        ascending bitmask order, and column j is ballot j + 1, the
+        canonical variables, with the rows and their tags in the canonical
+        order. A witness and the Lemma 2 programs are checked on it; a
+        certificate is checked on the checker's rows (`history_system`)."""
+        m = self.m
+        # One byte per ballot bit: the system's matrix is the only array of
+        # its size that the build holds.
+        return _type_rows([[i] for i in range(m)], _ballot_bits(m).T, self.k, self.mask_steps())
 
     def tags(self) -> list[tuple]:
         """The tags of the full system's rows, in the canonical order, from
@@ -592,11 +593,8 @@ def _type_rows(
     types: np.ndarray,
     k: int,
     steps: Sequence[tuple[int, int]],
-    rows: Optional[Sequence[int]] = None,
-    memo: Optional[dict] = None,
 ) -> _Problem:
-    """The system of a history over ballot types, as one `_Problem`, or
-    only the rows with the distinct indices ``rows``, in that order.
+    """The system of a history over ballot types, as one `_Problem`.
 
     ``classes`` partitions the candidates into classes that every set of
     the history contains whole or not at all; ``types[j, i]`` is how many
@@ -607,14 +605,8 @@ def _type_rows(
     and these are the full system's rows (`History.problem`), tagged as
     `_build_rows` tags them. The rows, scaled to integers by
     ``L = lcm(1..k+1)`` (`harmonic_table`), and their tags are in the
-    canonical row order; the rows asked for fill one preallocated int64
-    matrix, so the system is held once.
-
-    ``memo``, when given, holds what every step but the last shares with
-    the other calls for the same classes, types, k and earlier steps: the
-    arrays of step t under ``t`` and each row built so far under its tag.
-    The call takes them from there and adds what it builds. The rows of
-    the last step are never kept.
+    canonical row order; they fill one preallocated int64 matrix, so the
+    system is held once.
     """
     L, _ = harmonic_table(k + 1)
     sizes = [len(members) for members in classes]
@@ -623,54 +615,29 @@ def _type_rows(
     scales = [L * sizes[tag[2]] * sizes[tag[3]] if tag[0] == "swap" else 1 for tag in tags]
     rhs = [1, -1] + [0] * (len(tags) - 2 - len(steps))
     rhs += [Fraction(-t_mask.bit_count(), k) for _, t_mask in steps]
-    rows = range(len(tags)) if rows is None else rows
-    # slot[r]: the matrix row that holds system row r.
-    slot = {r: s for s, r in enumerate(rows)}
-    if len(slot) != len(rows) or not all(0 <= r < len(tags) for r in slot):
-        raise ValueError(f"rows must be distinct indices below {len(tags)}")
 
     taken = np.ascontiguousarray(types.T)  # taken[i]: members of class i
     left = np.array(sizes, dtype=taken.dtype)[:, None] - taken
-    matrix = np.empty((len(rows), types.shape[0]), dtype=np.int64)
-    for r, sign in ((0, 1), (1, -1)):
-        if r in slot:
-            matrix[slot[r]] = sign
+    matrix = np.empty((len(tags), types.shape[0]), dtype=np.int64)
+    matrix[0], matrix[1] = 1, -1
     row, deviation_row = 2, len(tags) - len(steps)
     active = np.ones(types.shape[0], dtype=bool)
-    for t, ((w_mask, t_mask), (xs, ys)) in enumerate(zip(steps, blocks), start=1):
-        kept = memo if memo is not None and t < len(steps) else None
-        if kept is not None and t in kept:
-            gain, loss, supp = kept[t]
-        else:
-            u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
-            # Ballot types with a y but no x gain L/(u+1); with an x but no
-            # y they lose L/u (u > 0 there).
-            gain = np.where(active, L // (u + 1), 0)
-            loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
-            supp = taken[[i for i, cm in enumerate(class_masks) if cm & t_mask]].sum(axis=0) > u
-            if kept is not None:
-                kept[t] = gain, loss, supp
+    for (w_mask, t_mask), (xs, ys) in zip(steps, blocks):
+        u = taken[[i for i, cm in enumerate(class_masks) if cm & w_mask]].sum(axis=0)
+        # Ballot types with a y but no x gain L/(u+1); with an x but no y
+        # they lose L/u (u > 0 there).
+        gain = np.where(active, L // (u + 1), 0)
+        loss = np.where(active & (u > 0), L // np.maximum(u, 1), 0)
         for i in xs:
-            wanted = [(slot[r], j) for r, j in enumerate(ys, start=row) if r in slot]
-            row += len(ys)
-            gain_i = loss_i = None
-            for s, j in wanted:
-                tag = ("swap", t, i, j)
-                if kept is not None and tag in kept:
-                    matrix[s] = kept[tag]
-                    continue
-                if gain_i is None:
-                    gain_i, loss_i = left[i] * gain, taken[i] * loss
-                matrix[s] = gain_i * taken[j] - loss_i * left[j]
-                if kept is not None:
-                    kept[tag] = matrix[s].copy()
-        if deviation_row in slot:
-            matrix[slot[deviation_row]] = -supp.astype(np.int64)
+            gain_i, loss_i = left[i] * gain, taken[i] * loss
+            for j in ys:
+                matrix[row] = gain_i * taken[j] - loss_i * left[j]
+                row += 1
+        supp = taken[[i for i, cm in enumerate(class_masks) if cm & t_mask]].sum(axis=0) > u
+        matrix[deviation_row] = -supp.astype(np.int64)
         deviation_row += 1
         active &= ~supp
-    return _Problem(
-        matrix, [scales[r] for r in rows], [rhs[r] for r in rows], [tags[r] for r in rows]
-    )
+    return _Problem(matrix, scales, rhs, tags)
 
 
 # bench/layers.py times `History.child` and `History.problem` by this name.
@@ -705,9 +672,9 @@ class _Quotient:
     full system too (`History.problem`, singleton classes). A feasible
     quotient solution spreads into a symmetric full solution, and a
     quotient ray, divided by the row-orbit sizes, is a full-system Farkas
-    ray. Both lifts are re-verified exactly, a ray on the full system's
-    rows that it uses, so correctness never rests on this reduction. It is
-    built from the history's masks (`History.mask_steps`).
+    ray. Both lifts are re-verified exactly, a ray by the checker on the
+    reference rows that it uses, so correctness never rests on this
+    reduction. It is built from the history's masks (`History.mask_steps`).
     """
 
     def __init__(self, m: int, k: int, steps: Sequence[tuple[int, int]]):
@@ -759,19 +726,14 @@ class _Quotient:
         return FarkasCertificate(len(tags), dict(sorted(nonzero.items())))
 
 
-def _verify_certificate_fast(
-    problem: _Problem, certificate: FarkasCertificate, tags: Sequence[tuple]
-) -> bool:
-    """Exact check of a certificate for the system whose rows are tagged
-    ``tags``, on the rows it uses: ``problem`` must hold exactly the rows
-    with a nonzero multiplier, in the canonical order (`History.problem`),
-    since a row with multiplier 0 adds nothing to ``y . b`` or ``G^T y``.
-    The certificate has one multiplier per row, and its nonzero ones
-    refute those rows (`_Problem.refuted_by`)."""
-    used = sorted(certificate.nonzero)
-    if certificate.n_rows != len(tags) or problem.tags != [tags[i] for i in used]:
-        return False
-    return problem.refuted_by([certificate.nonzero[i] for i in used])
+def _verify_certificate_fast(history: History, certificate: FarkasCertificate) -> bool:
+    """The checker's own test of a certificate for the system of
+    ``history``, as `check-certificates` runs it on a file: `verify_farkas`
+    on the rows with a nonzero multiplier, built by the reference builder
+    (`history_system`), which shares no row code with the solver. A
+    certificate with another row count fails."""
+    rows = history_system(history, certificate.nonzero)
+    return certificate.n_rows == len(rows) and verify_farkas(rows, certificate)
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
@@ -873,12 +835,13 @@ def history_verdict(history: History) -> HistoryVerdict:
 
     After the shortcut rule of the module docstring, the orbit quotient is
     solved and its result lifted. The certificate follows from the row
-    tags alone (`History.tags`), and it is checked exactly on the rows it
-    uses: `History.problem` builds only the rows with a nonzero multiplier,
-    once per call, after any LP, and they are dropped on return. A witness
-    is checked on the full system and against the election semantics. A
-    failed check raises `RuntimeError`, since it means a bug. Over
-    `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
+    tags alone (`History.tags`), and the checker checks it, as
+    `check-certificates` checks its file (`_verify_certificate_fast`): on
+    the reference rows with a nonzero multiplier, after any LP. A witness
+    is checked on the solver's full system (`History.problem`) and against
+    the election semantics. A failed check raises `RuntimeError`, since it
+    means a bug. Over `MAX_HISTORY_M` candidates raises
+    `EnumerationLimitError`.
     """
     m, k, steps = history.m, history.k, history.mask_steps()
     _check_history_m(m)
@@ -896,8 +859,7 @@ def history_verdict(history: History) -> HistoryVerdict:
                 raise RuntimeError("witness does not realize the history")
             return HistoryVerdict(history, Profile(m, witness), None)
         certificate = quotient.lift_certificate(verdict.certificate, tags)
-    used = history.problem(sorted(certificate.nonzero))
-    if not _verify_certificate_fast(used, certificate, tags):
+    if not _verify_certificate_fast(history, certificate):
         raise RuntimeError("certificate failed exact verification")
     return HistoryVerdict(history, None, certificate)
 
@@ -981,8 +943,8 @@ def enumerate_histories(
     continuations (`History.child`). When the budget runs out with tasks
     left, the search stops and the result is flagged incomplete. The
     search starts with empty row caches, and a parent's tasks are
-    consecutive, so each process builds a parent's rows once
-    (`History.problem`).
+    consecutive, so each process builds the reference rows that a
+    parent's certificates check once per committee W (`_build_rows`).
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")

@@ -237,6 +237,15 @@ class TestRule:
         code, _, err = run(capsys, "rule", bad, "--rule", "pav-local")
         assert code == 2 and "True" in err
 
+    def test_repeated_candidate_is_an_input_error(self, capsys, tmp_path):
+        # Merged, [1, 1] would load as the ballot {c1}.
+        bad = write_json(
+            tmp_path / "twice.json",
+            {"m": 3, "k": 1, "ballots": [{"approve": [1, 1], "count": 1}]},
+        )
+        code, _, err = run(capsys, "rule", bad)
+        assert code == 2 and "candidate 1 listed twice" in err
+
     @pytest.mark.parametrize(
         "field,value",
         [("m", 3.9), ("k", 1.5), ("k", True), ("count", 2.7), ("count", True)],
@@ -657,6 +666,20 @@ class TestCheckCertificates:
         (failure,) = json.loads(out)["failures"]
         assert code == 1 and "unreadable" in failure["reason"]
 
+    def test_repeated_member_in_history_is_unreadable(self, capsys, tmp_path):
+        # A valid certificate for W = {1, 2, 3}, T = {1, 4}, with 3 listed
+        # twice in W: merged, the file would be checked as that system.
+        h = program3_history(3, DeviationShape(2, 1))
+        payload = history_certificate_dict(h, history_verdict(h).certificate)
+        write_json(tmp_path / "good.json", payload)
+        assert run(capsys, "check-certificates", tmp_path)[0] == 0
+        payload["history"][0]["W"] = [1, 2, 3, 3]
+        write_json(tmp_path / "good.json", payload)
+        code, out, _ = run(capsys, "check-certificates", tmp_path, "--json")
+        (failure,) = json.loads(out)["failures"]
+        assert code == 1 and "unreadable" in failure["reason"]
+        assert "candidate 3 listed twice" in failure["reason"]
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -763,7 +786,10 @@ class TestCheckCertificates:
             seen.clear()
             assert run(capsys, "check-certificates", bundle)[0] == 0
             assert seen[0] == {} and len(seen) == 99
-            assert "reference_parent" in proofs._ROW_CACHES
+            # The masks of m = 10 and a block per step depth.
+            assert sorted(proofs._ROW_CACHES) == [
+                "reference_masks", "reference_step1", "reference_step2"
+            ]
         # A command that builds no rows empties them too.
         assert run(capsys, "rule", tied_pair_file)[0] == 0
         assert proofs._ROW_CACHES == {}

@@ -91,6 +91,7 @@ certificates = st.fixed_dictionaries(
 )
 @example({"m": 3, "k": 1, "ballots": [{"approve": [1], "count": 2.7}]})
 @example({"m": 3, "k": 1, "ballots": [{"approve": [1], "count": True}]})
+@example({"m": 3, "k": 1, "ballots": [{"approve": [1, 1], "count": 1}]})
 def test_profile_reader_raises_only_format_errors(payload):
     try:
         instance_from_dict(payload)
@@ -124,6 +125,10 @@ def test_profile_reader_raises_only_format_errors(payload):
 @example(
     {"kind": "history", "m": 3, "k": 2, "history": [{"W": [True, 2], "T": [3]}],
      "multipliers": ["1"]}
+)
+@example(
+    {"kind": "history", "m": 4, "k": 3, "history": [{"W": [1, 2, 3, 3], "T": [1, 4]}],
+     "multipliers": ["0"] * 6}
 )
 def test_certificate_reader_raises_only_format_errors(payload):
     try:

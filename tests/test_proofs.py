@@ -26,6 +26,7 @@ from pavcore.exactlp import (
     Feasible,
     Infeasible,
     Row,
+    _Problem,
     solve_feasibility,
     verify_farkas,
 )
@@ -440,6 +441,9 @@ class TestHistorySystem:
             verdict = history_verdict(h)
             assert verdict.witness is None
             assert verify_farkas(history_system(h), verdict.certificate)
+        # Two-step children of the k = 8 (4, 2) history, over m = 10.
+        for h in k8_children()[::28]:
+            self.assert_rows_match(h.m, h.k, h.mask_steps())
 
     @pytest.mark.parametrize(
         "h",
@@ -581,23 +585,10 @@ class TestUsedRows:
         if verdict.certificate is not None:
             selections.append(sorted(verdict.certificate.nonzero))
         for rows in selections:
-            part = h.problem(rows)
-            assert part.matrix.shape == (len(rows), full.n_vars)
-            assert np.array_equal(part.matrix, full.matrix[rows])
-            assert part.scales == [full.scales[r] for r in rows]
-            assert part.rhs == [full.rhs[r] for r in rows]
-            assert part.tags == [full.tags[r] for r in rows]
             built, swap_meta = _build_rows(h.m, h.k, h.mask_steps(), rows)
             assert swap_meta == ref_meta and len(built) == len(ref_rows)
             for r, row in enumerate(built):
                 assert row == (ref_rows[r] if r in rows else None), (rows, r)
-
-    @pytest.mark.parametrize("rows", [[0, 0], [-1], [19]])
-    def test_problem_refuses_a_repeated_or_unknown_row(self, rows):
-        (h, *_) = root_continuations(10, 8)
-        assert len(h.tags()) == 19
-        with pytest.raises(ValueError):
-            h.problem(rows)
 
     @pytest.mark.parametrize("path", ["analytic", "lift"])
     @pytest.mark.parametrize(
@@ -638,18 +629,47 @@ class TestUsedRows:
         with pytest.raises(RuntimeError, match="certificate failed exact verification"):
             history_verdict(h)
 
+    def test_a_wrong_solver_row_is_caught_by_the_checker(self, monkeypatch):
+        # The solver's builder with every swap row stripped of its losses:
+        # the quotient then refutes the feasible k = 8 (4, 2) system, and
+        # only a check on rows from another builder sees that the lifted
+        # certificate is wrong.
+        build = proofs._type_rows
+
+        def gains_only(*args):
+            problem = build(*args)
+            matrix = problem.matrix.copy()
+            for i, tag in enumerate(problem.tags):
+                if tag[0] == "swap":
+                    matrix[i] = np.maximum(matrix[i], 0)
+            return _Problem(matrix, problem.scales, problem.rhs, problem.tags)
+
+        monkeypatch.setattr(proofs, "_type_rows", gains_only)
+        with pytest.raises(RuntimeError, match="certificate failed exact verification"):
+            history_verdict(program3_history(8, DeviationShape(4, 2)))
+
     def test_the_check_needs_exactly_the_used_rows(self):
+        # The checker's test, on the reference rows that the certificate
+        # uses: every change to which rows it uses, or how many rows it
+        # has, fails.
         h = History.from_masks(*multi_step_histories()[0])
-        certificate, tags = history_verdict(h).certificate, h.tags()
-        used = sorted(certificate.nonzero)
-        assert _verify_certificate_fast(h.problem(used), certificate, tags)
-        unused = next(r for r in range(len(tags)) if r not in certificate.nonzero)
-        for rows in (used[:-1], used[1:], sorted(used + [unused]), list(range(len(tags)))):
-            assert not _verify_certificate_fast(h.problem(rows), certificate, tags)
-        assert not _verify_certificate_fast(h.problem(used), certificate, tags[:-1])
-        # The rows must be the used ones by their tags, not only by count.
-        renamed = tags[: used[0]] + [("renamed",)] + tags[used[0] + 1 :]
-        assert not _verify_certificate_fast(h.problem(used), certificate, renamed)
+        certificate = history_verdict(h).certificate
+        assert _verify_certificate_fast(h, certificate)
+        y, n_rows = dict(certificate.nonzero), certificate.n_rows
+        used, last = sorted(y), n_rows - 1
+        unused = next(r for r in range(n_rows) if r not in y)
+        truncated = FarkasCertificate(last, {r: v for r, v in y.items() if r < last})
+        moved = {**y, unused: y[used[-1]]}
+        del moved[used[-1]]
+        bad = [truncated, FarkasCertificate(n_rows + 1, y), FarkasCertificate(n_rows, moved)]
+        # Without the upper normalization row a ballot that only loses in
+        # the swap rows prices negative; without the deviation rows y.b >= 0.
+        assert 0 in y
+        bad.append(FarkasCertificate(n_rows, {**y, 0: 0}))
+        deviations = [r for r, tag in enumerate(h.tags()) if tag[0] == "deviation"]
+        bad.append(FarkasCertificate(n_rows, {r: v for r, v in y.items() if r not in deviations}))
+        for wrong in bad:
+            assert not _verify_certificate_fast(h, wrong), wrong
 
     def test_deciding_builds_only_the_used_rows(self):
         # Both are Theorem 1 histories at k = 8 over m = 16 candidates, whose
@@ -688,6 +708,24 @@ def other_first_deviation(h):
     return History.from_masks(h.m, h.k, [(w1, t1 & (t1 - 1))] + rest)
 
 
+def other_last_deviation(h):
+    """The masks of ``h`` with its last T changed by the lowest candidate
+    outside W_last: the same earlier steps and W_last, so the same swap rows
+    in the last step, but another deviation row."""
+    *before, (w, t) = h.mask_steps()
+    outside = ((1 << h.m) - 1) & ~w
+    return before + [(w, t ^ (outside & -outside))]
+
+
+def grown_first_deviation(h):
+    """The masks of ``h`` with its first T grown by the lowest member of
+    W_2 outside it: the same W in every step, but another T_1, so every
+    step after the first has other active ballots or fixed candidates."""
+    (w1, t1), (w2, t2), *rest = h.mask_steps()
+    extra = w2 & ~t1
+    return [(w1, t1 | (extra & -extra)), (w2, t2)] + rest
+
+
 #: Multi-step histories that a pair with a different T_1 can be made of,
 #: and the two-step children of the k = 8 (4, 2) history, which share one
 #: parent.
@@ -704,20 +742,24 @@ def cold(build):
 
 
 class TestRowCaches:
-    """Both row builders keep the step blocks of the last parent for all
-    its continuations, and the arrays of the last m. A row built with what
-    another history left in the caches (warm) equals the same row built
-    with empty caches (cold)."""
+    """The reference builder keeps the block of each step depth, keyed by
+    what its swap rows depend on, (m, k, the steps before it, its W), and
+    the arrays of the last m. A row built with what another history left
+    in the caches (warm) equals the same row built with empty caches
+    (cold)."""
 
     @pytest.mark.parametrize("h", CACHE_HISTORIES, ids=lambda h: repr(h.mask_steps()))
     def test_warm_reference_rows_equal_cold_ones(self, h):
         args = (h.m, h.k, h.mask_steps())
         ref_rows, ref_meta = per_mask_build_rows(*args)
         selections = row_selections(len(ref_rows), repr(args)) + [None]
-        # Fillers: the siblings, a history with another T_1, the same masks
-        # at another k, and the history itself.
+        # Fillers: the siblings, a history with another T_1, one with
+        # another T_last (which shares the last step's block), one with the
+        # same W_last after another T_1 (which must not), the same masks at
+        # another k, and the history itself.
         fillers = [s.mask_steps() for s in siblings_of(h)]
         fillers.append(other_first_deviation(h).mask_steps())
+        fillers += [other_last_deviation(h), grown_first_deviation(h)]
         for rows in selections:
             want = [r if rows is None or i in rows else None for i, r in enumerate(ref_rows)]
             assert cold(lambda: _build_rows(*args, rows)) == (want, ref_meta)
@@ -733,55 +775,31 @@ class TestRowCaches:
         other = (h.m, h.k, other_first_deviation(h).mask_steps())
         _build_rows(*args)
         assert _build_rows(*other) == per_mask_build_rows(*other)
-
-    @pytest.mark.parametrize("h", CACHE_HISTORIES, ids=lambda h: repr(h.mask_steps()))
-    def test_warm_search_rows_equal_cold_ones(self, h):
-        # The rows the search assembles from a parent's kept blocks equal a
-        # build from nothing, and both equal the reference rows.
-        full = cold(h.problem)
-        TestHistorySystem.assert_rows_match(h.m, h.k, h.mask_steps())
-        selections = row_selections(full.n_rows, repr(h.mask_steps())) + [None]
-        others = siblings_of(h) + [other_first_deviation(h)]
-        for rows in selections:
-            want = cold(lambda: h.problem(rows))
-            for other in others:
-                proofs.clear_row_caches()
-                other.problem()
-                got = h.problem(rows)
-                assert np.array_equal(got.matrix, want.matrix), (other.mask_steps(), rows)
-                assert (got.scales, got.rhs, got.tags) == (want.scales, want.rhs, want.tags)
-            index = range(full.n_rows) if rows is None else rows
-            assert np.array_equal(want.matrix, full.matrix[list(index)])
-
-    def test_siblings_share_the_parent_blocks(self):
-        # Each continuation of the (4, 2) history builds its own last step:
-        # a sibling built after the others equals its build from nothing.
-        children = k8_children()
-        used = [sorted(history_verdict(child).certificate.nonzero) for child in children]
-        proofs.clear_row_caches()
-        warm = [child.problem(rows) for child, rows in zip(children, used)]
-        for child, rows, got in zip(children, used, warm):
-            want = cold(lambda: child.problem(rows))
-            assert np.array_equal(got.matrix, want.matrix) and got.tags == want.tags
-        # The caches hold the arrays of one m and the blocks of one parent.
-        assert sorted(proofs._ROW_CACHES) == ["search_bits", "search_parent"]
-        assert proofs._ROW_CACHES["search_parent"][0] == (10, 8, children[0].mask_steps()[:1])
+        # The last step's swap rows are the very rows built for another
+        # T_last, and none of those built after another T_1.
+        last = len(h.steps)
+        for steps, shared in ((other_last_deviation(h), True), (grown_first_deviation(h), False)):
+            proofs.clear_row_caches()
+            filled = {row.tag: row for row in _build_rows(h.m, h.k, steps)[0]}
+            for row in _build_rows(*args)[0]:
+                if row.tag[:2] == ("swap", last):
+                    assert (filled.get(row.tag) is row) == shared, (steps, row.tag)
 
     def test_a_search_starts_with_empty_caches(self, monkeypatch):
-        # A search reuses no rows of an earlier one: its first system is
-        # built with empty caches.
+        # A search reuses no rows of an earlier one: its first certificate
+        # is checked on rows built with empty caches.
         seen = []
-        problem = History.problem
+        build = proofs._build_rows
 
-        def spy(self, rows=None):
+        def spy(*args):
             seen.append(dict(proofs._ROW_CACHES))
-            return problem(self, rows)
+            return build(*args)
 
-        monkeypatch.setattr(History, "problem", spy)
+        monkeypatch.setattr(proofs, "_build_rows", spy)
         for _ in range(2):
             seen.clear()
             enumerate_histories(10, 8)
-            assert seen[0] == {} and len(seen) == 100
+            assert seen[0] == {} and len(seen) == 99
             assert proofs._ROW_CACHES
 
 

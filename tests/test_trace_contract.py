@@ -1,9 +1,10 @@
 """The names the benchmark's per-layer tracer wraps (`bench/layers.py`)
 must be the ones the commands call: a traced prove and check of a
-program3 or histories bundle counts one write, one reference-row build and
-one Farkas check per certificate file, the history search times the rows
-it builds, and the election commands count every round of the recursive
-rule and every deviation search."""
+program3 or histories bundle counts one write, two reference-row builds
+(the search's check and the file's) and one checker call per certificate
+file, the history search times the rows it builds, and the election
+commands count every round of the recursive rule and every deviation
+search."""
 
 from pathlib import Path
 
@@ -37,7 +38,9 @@ def test_traced_program3_round_trip_counts_every_file(tmp_path, monkeypatch):
     n_files = len(list(bundle.glob("*.json")))
     assert n_files == 10
     assert counts["exactlp.verify_farkas_calls"] == n_files
-    assert counts["proofs.reference_rows_calls"] == n_files
+    # One reference-row build per certificate in the search's check, and
+    # one per file in check-certificates.
+    assert counts["proofs.reference_rows_calls"] == 2 * n_files
     assert counts["fileio.files_written"] == n_files
     assert counts["exactlp.lps"] > 0
 
@@ -61,7 +64,9 @@ def test_traced_histories_round_times_the_rows_the_search_builds(tmp_path, monke
     assert times["proofs.rows"] > 0
     assert ("proofs.quotient" in times) == (m == 10)
     assert counts["fileio.files_written"] == counts["exactlp.verify_farkas_calls"] > 0
-    assert counts["proofs.reference_rows_calls"] == counts["exactlp.verify_farkas_calls"]
+    assert counts["proofs.reference_rows_calls"] == (
+        counts["fileio.files_written"] + counts["exactlp.verify_farkas_calls"]
+    )
 
 
 def test_traced_election_commands_count_rounds_and_searches(tmp_path, monkeypatch):
