@@ -19,7 +19,9 @@ exits 3).
 
 ``check-certificates`` runs on each file the one certificate check that
 ``prove`` ran on each certificate it found: `verify_farkas` on the
-reference rows with a nonzero multiplier (`fileio.load_certificate`).
+reference rows with a nonzero multiplier (`fileio.load_certificate`, which
+reads each ``*.json`` file of a bundle once and skips a file with no
+multipliers).
 
 `main` builds its parser once per process, on its first call, and looks up
 the command function ``cmd_<command>`` when it runs the command. Each
@@ -43,6 +45,7 @@ from .elections import EnumerationLimitError
 # solve_feasibility is not called here; bench/layers.py wraps it by this name.
 from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
 from .fileio import (
+    CertificateError,
     InputError,
     _read_json,
     history_certificate_dict,
@@ -355,21 +358,17 @@ def cmd_prove(args) -> int:
 
 
 def _check_one(path: Path):
+    """``(name, ok, message)`` for a certificate file, or None for a file
+    with no multipliers. Every ``*.json`` file of a bundle must hold a JSON
+    object; one that does not raises `InputError`."""
     try:
         record = load_certificate(path)
-    except InputError as exc:
+    except CertificateError as exc:
         return (path.name, False, f"unreadable: {exc}")
+    if record is None:
+        return None
     ok = verify_farkas(record.rows, record.certificate)
     return (path.name, ok, "ok" if ok else "certificate does not verify")
-
-
-def _is_certificate_file(path: Path) -> bool:
-    """Whether a bundle file holds multipliers; every ``*.json`` file of a
-    bundle must hold a JSON object."""
-    payload = _read_json(path)
-    if not isinstance(payload, dict):
-        raise InputError(f"{path}: does not hold a JSON object")
-    return "multipliers" in payload
 
 
 def _summary_failures(root: Path, files: list[Path]) -> list[tuple[str, str]]:
@@ -396,21 +395,17 @@ def cmd_check_certificates(args) -> int:
     root = Path(args.bundle)
     if not root.exists():
         raise InputError(f"no such bundle: {root}")
-    if root.is_file():
-        # A file argument is a bundle of that one file, which must be one.
-        if not _is_certificate_file(root):
-            raise InputError(f"{root}: holds no certificate multipliers")
-        files = [root]
-    else:
-        files = sorted(
-            p for p in root.rglob("*.json") if p.is_file() and _is_certificate_file(p)
-        )
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*.json") if p.is_file())
     started = time.monotonic()
     with Runner(args.threads) as runner:
-        results = list(runner.map(_check_one, files))
+        checked = [(p, r) for p, r in zip(paths, runner.map(_check_one, paths)) if r is not None]
     elapsed = time.monotonic() - started
+    if root.is_file() and not checked:
+        # A file argument is a bundle of that one file, which must be one.
+        raise InputError(f"{root}: holds no certificate multipliers")
+    results = [result for _, result in checked]
     failures = [(name, msg) for name, ok, msg in results if not ok]
-    failures += _summary_failures(root, files)
+    failures += _summary_failures(root, [path for path, _ in checked])
     payload = {
         "bundle": str(root),
         "checked": len(results),

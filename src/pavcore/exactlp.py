@@ -14,7 +14,8 @@ and A^T y >= 0, which together rule out every x >= 0) that leaves the
 tableau as integers. `verify_farkas` checks such a certificate without
 any solver, on `Row`s: each row holds its coefficients as integer arrays
 over one denominator, and the check sums the rows with a nonzero
-multiplier as integer arrays. A maximum is `Optimal`, with a point and an
+multiplier as integer arrays (`farkas_sums`, which also hands the sums to
+a caller that reuses them). A maximum is `Optimal`, with a point and an
 LP-duality certificate that `verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,7 +204,26 @@ def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate)
     True iff every multiplier is a nonnegative integer, ``y . b < 0``, and
     ``A^T y >= 0`` componentwise. Then every ``x >= 0`` with ``Ax <= b``
     would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
-    whose variables are all nonnegative, has no solution.
+    whose variables are all nonnegative, has no solution. The sums are
+    those of `farkas_sums`.
+    """
+    return farkas_sums(rows, certificate) is not None
+
+
+class FarkasSums(NamedTuple):
+    """What the check of a Farkas certificate sums: ``sums[j] / scale`` is
+    ``(A^T y)_j`` for every column j below ``len(sums)``, and 0 beyond it;
+    ``value`` is ``y . b``."""
+
+    sums: np.ndarray
+    scale: int
+    value: Fraction
+
+
+def farkas_sums(
+    rows: Sequence[Optional[Row]], certificate: FarkasCertificate
+) -> Optional[FarkasSums]:
+    """The sums of a certificate that passes `verify_farkas`, else None.
 
     Only the rows with a nonzero multiplier are read, so the others may be
     None (`fileio.CertificateRecord`). ``y . b`` is summed in Python ints
@@ -219,11 +239,12 @@ def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate)
             f"system has {len(rows)} rows"
         )
     if any(v < 0 for v in certificate.nonzero.values()):
-        return False
+        return None
     used = [(mult, rows[i]) for i, mult in certificate.nonzero.items()]
     d = math.lcm(1, *(row.rhs.denominator for _, row in used))
-    if not sum(mult * row.rhs.numerator * (d // row.rhs.denominator) for mult, row in used) < 0:
-        return False
+    value = sum(mult * row.rhs.numerator * (d // row.rhs.denominator) for mult, row in used)
+    if not value < 0:
+        return None
     L = math.lcm(1, *(row.den for _, row in used))
     scaled = [(mult * (L // row.den), row) for mult, row in used]
     # At least s per row, so that s itself fits int64 even on a zero row.
@@ -233,7 +254,9 @@ def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate)
     sums = np.zeros(width, dtype=dtype)
     for s, row in scaled:
         sums[row.cols] += row.nums.astype(dtype, copy=False) * s
-    return not (sums < 0).any()
+    if (sums < 0).any():
+        return None
+    return FarkasSums(sums, L, Fraction(value, d))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ class InputError(ValueError):
     schema or cannot be reconstructed, or an argument out of range."""
 
 
+class CertificateError(InputError):
+    """A certificate file, a JSON object with multipliers, whose record
+    cannot be made (`load_certificate`)."""
+
+
 def parse_fraction(text: Union[str, int]) -> Fraction:
     """An int, or a string ``p`` or ``p/q`` with ``q > 0``, as an exact
     fraction. Each part is read as `_integer` reads an integer field."""
@@ -230,8 +235,20 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     return CertificateRecord(history_system(history, certificate.nonzero), certificate)
 
 
-def load_certificate(path: Union[str, Path]) -> CertificateRecord:
-    return certificate_record_from_dict(_read_json(path))
+def load_certificate(path: Union[str, Path]) -> Optional[CertificateRecord]:
+    """The record of a certificate file, read once, or None when the file
+    holds a JSON object with no multipliers, as a search's summary does. A
+    file that holds no JSON object raises `InputError`; a certificate file
+    whose record cannot be made raises `CertificateError`."""
+    payload = _read_json(path)
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: does not hold a JSON object")
+    if "multipliers" not in payload:
+        return None
+    try:
+        return certificate_record_from_dict(payload)
+    except InputError as exc:
+        raise CertificateError(str(exc)) from exc
 
 
 def history_certificate_dict(

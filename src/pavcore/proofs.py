@@ -17,9 +17,10 @@ machine-checkable evidence either way:
   canonical count vectors (`canonical_continuations`).
 
 A history is one value, `History`: the search extends it by one step
-(`History.child`), hands it to the process pool as a task, and keys the
-verdict by it. Every history system is decided one way (`history_verdict`),
-whichever mode asks. The shortcut rule: a history of exactly one step of a
+(`History.child`) and keys the verdict by it. Every history system is
+decided one way (`history_verdict`), whichever mode asks, unless an
+earlier sibling's certificate covers it (below). The shortcut rule: a
+history of exactly one step of a
 Lemma 1 shape (`_is_lemma1_shape`) gets its Theorem 1 certificate with no
 LP. Every other system goes through the symmetry-collapsed quotient
 (`_Quotient`), the revised exact simplex (`exactlp`) and the lift back to
@@ -31,6 +32,19 @@ checked by the checker itself, as `check-certificates` checks a file:
 the reference builder (`_build_rows`), which shares no row code with the
 solver. Every batch of work runs through one `Runner`, which owns the
 process pool and the time budget.
+
+Siblings are the continuations of one parent that share a committee W.
+Their systems differ in the last row alone, the deviation row of the new
+step, so one sibling's certificate often refutes another's system. The
+search hands the pool one task per group of siblings (`_decide_group`),
+which decides them in canonical order. Each certificate it finds becomes a
+record (`_Covers`), which tells exactly, with one boolean gather, whether
+that certificate also refutes a later sibling's system. Only a
+continuation that no record covers reaches `history_verdict`. A covering
+certificate is only a proposal: the checker checks it on the
+continuation's own rows, as it checks every certificate. A group runs
+whole in one process and in one order, so the thread count changes no
+result.
 
 One function builds the solver's rows (`_type_rows`): over ballot types
 for the quotient, and over singleton classes, where each ballot is its own
@@ -46,7 +60,7 @@ continuations that share a committee W share that step's swap rows too:
 a step's swap rows depend on (m, k), the steps before it and its W, not
 on its deviation T. The reference builder keeps one block per step depth
 under that key (`_ROW_CACHES`), and the ballot masks of the last m. The
-search hands a parent's continuations out one after another, and the
+search hands out a parent's continuations with one W as one task, and the
 checker reads a parent's files one after another, so each process builds
 those rows once per W. Every command and every search starts with empty
 caches (`clear_row_caches`).
@@ -82,13 +96,14 @@ from .elections import (
 )
 from .exactlp import (
     FarkasCertificate,
+    FarkasSums,
     Feasible,
     Optimal,
     Row,
     _Problem,
     _solve_problem,
+    farkas_sums,
     maximize,
-    verify_farkas,
     verify_optimum,
 )
 from .stability import Quota, _supporters
@@ -273,6 +288,12 @@ def _reference_masks(m: int) -> tuple[np.ndarray, tuple[Row, Row]]:
     return masks, norm
 
 
+def _supporting(masks: np.ndarray, w_mask: int, t_mask: int) -> np.ndarray:
+    """Whether each ballot of ``masks`` holds more of T than of W: the
+    ballots S(T) whose weight the deviation row of (W, T) sums."""
+    return np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
+
+
 class _ReferenceStep:
     """Step t of a history in the reference builder, for its committee W:
     the ballot masks still active at it, the candidates fixed before it,
@@ -327,7 +348,7 @@ class _ReferenceStep:
     def deviation_row(self, t_mask: int) -> Row:
         """Every ballot that holds more of T than of W supports T."""
         masks = self.masks
-        supports = np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & self.w_mask)
+        supports = _supporting(masks, self.w_mask, t_mask)
         cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
         rhs = Fraction(-t_mask.bit_count(), self.k)
         return Row.from_arrays(cols, nums, 1, rhs, ("deviation", self.t))
@@ -726,14 +747,20 @@ class _Quotient:
         return FarkasCertificate(len(tags), dict(sorted(nonzero.items())))
 
 
-def _verify_certificate_fast(history: History, certificate: FarkasCertificate) -> bool:
+def _verify_certificate_fast(
+    history: History, certificate: FarkasCertificate
+) -> Optional[FarkasSums]:
     """The checker's own test of a certificate for the system of
     ``history``, as `check-certificates` runs it on a file: `verify_farkas`
     on the rows with a nonzero multiplier, built by the reference builder
     (`history_system`), which shares no row code with the solver. A
-    certificate with another row count fails."""
+    certificate with another row count fails. Returns the sums of the check
+    (`farkas_sums`) when it passes, so that the search keeps a record of
+    them (`_Covers`) with no second sum, else None."""
     rows = history_system(history, certificate.nonzero)
-    return certificate.n_rows == len(rows) and verify_farkas(rows, certificate)
+    if certificate.n_rows != len(rows):
+        return None
+    return farkas_sums(rows, certificate)
 
 
 def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
@@ -828,6 +855,11 @@ def _is_lemma1_shape(w_mask: int, t_mask: int) -> bool:
     return outside == 1 or (outside > 1 and not t_mask & w_mask)
 
 
+def _has_shortcut(steps: Sequence[tuple[int, int]]) -> bool:
+    """The shortcut rule: one step, of a Lemma 1 shape."""
+    return len(steps) == 1 and _is_lemma1_shape(*steps[0])
+
+
 def history_verdict(history: History) -> HistoryVerdict:
     """Decide whether a potential history is realizable by some profile:
     its `HistoryVerdict`, which carries an exact witness `Profile` or a
@@ -843,10 +875,16 @@ def history_verdict(history: History) -> HistoryVerdict:
     means a bug. Over `MAX_HISTORY_M` candidates raises
     `EnumerationLimitError`.
     """
+    return _decide(history)[0]
+
+
+def _decide(history: History) -> tuple[HistoryVerdict, Optional[FarkasSums]]:
+    """`history_verdict`, with the sums of its certificate's check, or None
+    for a witness."""
     m, k, steps = history.m, history.k, history.mask_steps()
     _check_history_m(m)
     tags = history.tags()
-    if len(steps) == 1 and _is_lemma1_shape(*steps[0]):
+    if _has_shortcut(steps):
         certificate = _analytic_step1_certificate(tags, k, *steps[0])
     else:
         quotient = _Quotient(m, k, steps)
@@ -857,11 +895,110 @@ def history_verdict(history: History) -> HistoryVerdict:
                 raise RuntimeError("witness failed exact verification")
             if not _witness_realizes(witness, m, k, steps):
                 raise RuntimeError("witness does not realize the history")
-            return HistoryVerdict(history, Profile(m, witness), None)
+            return HistoryVerdict(history, Profile(m, witness), None), None
         certificate = quotient.lift_certificate(verdict.certificate, tags)
-    if not _verify_certificate_fast(history, certificate):
+    held = _verify_certificate_fast(history, certificate)
+    if held is None:
         raise RuntimeError("certificate failed exact verification")
-    return HistoryVerdict(history, None, certificate)
+    return HistoryVerdict(history, None, certificate), held
+
+
+class _Covers:
+    """The certificates of one group of siblings, each kept as a record
+    that proposes it for the later siblings.
+
+    Siblings are the continuations of one parent that share a committee W.
+    Their reference systems hold the same rows in the same order but for
+    the last, the deviation row ``-sum_{b in S(T)} x_b <= -|T|/k``, where
+    S(T) holds the ballots with more of T than of W (`_supporting`). Let a
+    certificate y of sibling A put y_d on that row, and leave that row out
+    of its sums: ``base = A^T y + y_d 1_{S(T_A)}`` and
+    ``r = y.b + y_d |T_A| / k``. Then y also certifies sibling B exactly
+    when ``base_b >= y_d`` on every ballot b in S(T_B) and
+    ``r < y_d |T_B| / k``. A record holds the ballots that fail the first
+    test, as one row of bits packed eight to a byte, and the least |T_B|
+    that passes the second. The rows are stacked in one array, which
+    doubles when full, and one AND of S(T_B)'s bits with every row finds
+    the first record, in the order they were added, that covers a sibling.
+    Packed, the rows take an eighth of the bytes that one bool per ballot
+    would take, and so does that AND.
+    """
+
+    def __init__(self, m: int, k: int):
+        self.k = k
+        self.masks = np.arange(1, 1 << m, dtype=np.int64)
+        self.fails = np.zeros((8, (self.masks.size + 7) // 8), dtype=np.uint8)
+        self.least = np.zeros(8, dtype=np.int64)
+        self.certificates: list[FarkasCertificate] = []
+
+    def supporting(self, w_mask: int, t_mask: int) -> np.ndarray:
+        return _supporting(self.masks, w_mask, t_mask)
+
+    def find(self, supports: np.ndarray, size: int) -> Optional[FarkasCertificate]:
+        """The certificate of the first record that covers the sibling
+        whose deviation has the ballots ``supports`` and ``size`` members."""
+        n = len(self.certificates)
+        clear = ~(self.fails[:n] & np.packbits(supports)).any(axis=1)
+        covers = np.flatnonzero(clear & (self.least[:n] <= size))
+        return self.certificates[covers[0]] if covers.size else None
+
+    def add(
+        self, certificate: FarkasCertificate, held: FarkasSums, supports: np.ndarray, size: int
+    ) -> None:
+        """Keep the record of a certificate, from the sums of its check, for
+        the sibling whose deviation has the ballots ``supports`` and
+        ``size`` members."""
+        n = len(self.certificates)
+        if n == len(self.least):
+            self.fails = np.concatenate([self.fails, np.zeros_like(self.fails)])
+            self.least = np.concatenate([self.least, np.zeros_like(self.least)])
+        y_d = certificate.multiplier(certificate.n_rows - 1)
+        # base_b = sums_b / scale off S(T_A), and at least y_d on it.
+        sums, passes = held.sums, np.full(self.masks.size, y_d == 0)
+        passes[: sums.size] = sums >= y_d * held.scale
+        self.fails[n] = np.packbits(~(passes | supports))
+        # r < y_d t / k holds for every t when y_d = 0, as then r = y.b < 0,
+        # and for every t >= 1 when the least t is below 1.
+        r = held.value + Fraction(y_d * size, self.k)
+        self.least[n] = 0 if y_d == 0 else max(0, math.floor(r * self.k / y_d) + 1)
+        self.certificates.append(certificate)
+
+
+def _decide_group(
+    group: tuple[History, CandidateSet, Sequence[CandidateSet]],
+    deadline: Optional[float] = None,
+) -> tuple[list[HistoryVerdict], bool]:
+    """The verdicts of a group of siblings: a parent, its committee W and
+    the deviations of its continuations with that W, decided in order; and
+    whether every one was decided before ``deadline`` (`time.monotonic`).
+
+    The shortcut rule comes first. Next comes the first record of an
+    earlier sibling's certificate that covers the continuation
+    (`_Covers`), and the checker checks that certificate on the
+    continuation's own reference rows (`_verify_certificate_fast`). Only
+    when no record covers it, or the check refuses the proposal,
+    `history_verdict` decides it, and a certificate it finds becomes a
+    record.
+    """
+    parent, committee, deviations = group
+    covers = _Covers(parent.m, parent.k)
+    verdicts = []
+    for deviation in deviations:
+        if deadline is not None and time.monotonic() >= deadline:
+            return verdicts, False
+        child = parent.child(committee, deviation)
+        supports = covers.supporting(committee.mask, deviation.mask)
+        proposed = None
+        if not _has_shortcut(child.mask_steps()):
+            proposed = covers.find(supports, len(deviation))
+        if proposed is not None and _verify_certificate_fast(child, proposed) is not None:
+            verdicts.append(HistoryVerdict(child, None, proposed))
+            continue
+        verdict, held = _decide(child)
+        if held is not None:
+            covers.add(verdict.certificate, held, supports, len(deviation))
+        verdicts.append(verdict)
+    return verdicts, True
 
 
 class Runner:
@@ -872,7 +1009,8 @@ class Runner:
     or more tasks and stops when the runner closes. Results come back in
     task order either way, and only while the time budget, counted from
     the runner's creation, lasts; a batch it cuts short sets ``complete``
-    to False.
+    to False. A task that runs long can check ``deadline``
+    (`time.monotonic`) itself.
     """
 
     def __init__(self, threads: int = 1, budget_seconds: Optional[float] = None):
@@ -935,16 +1073,22 @@ def enumerate_histories(
     """Breadth-first search over canonical continuations.
 
     Feasible continuations become histories and are expanded further;
-    infeasible ones are recorded with a verified Farkas certificate, each
-    decided by `history_verdict`. The result includes the empty history.
+    infeasible ones are recorded with a verified Farkas certificate. The
+    result includes the empty history.
 
-    Each level is one batch of `history_verdict` tasks on one `Runner` for
-    the whole search: each parent extended by each of its canonical
-    continuations (`History.child`). When the budget runs out with tasks
-    left, the search stops and the result is flagged incomplete. The
-    search starts with empty row caches, and a parent's tasks are
-    consecutive, so each process builds the reference rows that a
-    parent's certificates check once per committee W (`_build_rows`).
+    Each level is one batch of tasks on one `Runner` for the whole search,
+    one task per group of siblings: a parent, one committee W and the
+    deviations of its canonical continuations with that W, in their
+    canonical order (`_decide_group`). A task decides its continuations
+    one by one: by the shortcut rule, else by the certificate of the first
+    earlier sibling whose record covers it (`_Covers`), else by
+    `history_verdict`. Every certificate is checked by the checker on the
+    continuation's own reference rows. The runner's deadline goes into
+    each task, which checks it before each continuation; when the budget
+    runs out with work left, inside a group or between groups, the search
+    stops and the result is flagged incomplete. The search starts with
+    empty row caches, and each process builds the reference rows that a
+    group's certificates check once (`_build_rows`).
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
@@ -955,28 +1099,35 @@ def enumerate_histories(
     certificates: dict[History, FarkasCertificate] = {}
     witnesses: dict[History, Profile] = {}
     frontier = [root]
+    complete = True
     with Runner(threads, budget_seconds) as runner:
-        while frontier and runner.complete:
-            tasks = [
-                parent.child(committee, deviation)
+        decide = partial(_decide_group, deadline=runner.deadline)
+        while frontier and complete:
+            groups = [
+                (parent, committee, [deviation for _, deviation in siblings])
                 for parent in frontier
-                for committee, deviation in canonical_continuations(parent)
+                for committee, siblings in itertools.groupby(
+                    canonical_continuations(parent), key=lambda step: step[0]
+                )
             ]
             frontier = []
-            for verdict in runner.map(history_verdict, tasks):
-                if verdict.witness is not None:
-                    witnesses[verdict.history] = verdict.witness
-                    histories.append(verdict.history)
-                    frontier.append(verdict.history)
-                else:
-                    certificates[verdict.history] = verdict.certificate
+            for verdicts, done in runner.map(decide, groups):
+                complete = complete and done
+                for verdict in verdicts:
+                    if verdict.witness is not None:
+                        witnesses[verdict.history] = verdict.witness
+                        histories.append(verdict.history)
+                        frontier.append(verdict.history)
+                    else:
+                        certificates[verdict.history] = verdict.certificate
+            complete = complete and runner.complete
     return HistorySearchResult(
         m=m,
         k=k,
         histories=histories,
         certificates=certificates,
         witnesses=witnesses,
-        complete=runner.complete,
+        complete=complete,
     )
 
 

@@ -642,6 +642,13 @@ class TestCheckCertificates:
         code, _, err = run(capsys, "check-certificates", tmp_path)
         assert code == 2 and "x.json" in err
 
+    def test_non_object_file_is_an_input_error_in_a_pool(self, capsys, tmp_path):
+        for n in range(3):
+            self.shape_file(tmp_path, 3, DeviationShape(n + 1, 0))
+        (tmp_path / "x.json").write_text("[1, 2]", encoding="utf-8")
+        code, out, err = run(capsys, "check-certificates", tmp_path, "--threads", 2)
+        assert code == 2 and not out and "x.json" in err
+
     def test_deeply_nested_file_is_an_input_error(self, capsys, tmp_path):
         self.shape_file(tmp_path, 3, DeviationShape(1, 0))
         write_deeply_nested(tmp_path / "deep.json")
@@ -793,6 +800,24 @@ class TestCheckCertificates:
         # A command that builds no rows empties them too.
         assert run(capsys, "rule", tied_pair_file)[0] == 0
         assert proofs._ROW_CACHES == {}
+
+    def test_the_check_reads_each_file_once(self, capsys, tmp_path, monkeypatch):
+        bundle = self.m10_k8_bundle(capsys, tmp_path / "b")
+        reads = []
+        read = fileio._read_json
+
+        def counted(path):
+            reads.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(fileio, "_read_json", counted)
+        monkeypatch.setattr(cli, "_read_json", counted)
+        code, out, _ = run(capsys, "check-certificates", bundle, "--json")
+        assert code == 0 and json.loads(out)["checked"] == 99
+        # The summary is read by the certificate reader, which finds no
+        # multipliers in it, and then as the summary.
+        names = [p.name for p in certificate_files(bundle)]
+        assert sorted(reads) == sorted(names + ["histories.json"] * 2)
 
     def test_threads_do_not_change_the_check(self, capsys, tmp_path):
         # Each pool process keeps its own caches; a negated multiplier in a

@@ -980,9 +980,11 @@ class TestFloatStart:
 
 @pytest.fixture(scope="module")
 def search_m10_k8():
-    """The (10, 8) history search: its result, every LP it solves and the
-    float pivots of each."""
-    problems, float_pivots = [], []
+    """Every continuation of the (10, 8) history search, each decided by
+    `proofs.history_verdict` on its own, so no sibling's certificate stands
+    in for an LP: the verdicts, every LP they solve and the float pivots of
+    each."""
+    problems, float_pivots, verdicts = [], [], []
     solve, float_pass = proofs._solve_problem, exactlp._float_pivots
 
     def counted(problem):
@@ -997,8 +999,16 @@ def search_m10_k8():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(proofs, "_solve_problem", captured)
         patch.setattr(exactlp, "_float_pivots", counted)
-        result = proofs.enumerate_histories(10, 8)
-    return result, problems, float_pivots
+        frontier = [proofs.History(10, 8, ())]
+        while frontier:
+            level = [
+                proofs.history_verdict(parent.child(*step))
+                for parent in frontier
+                for step in proofs.canonical_continuations(parent)
+            ]
+            verdicts += level
+            frontier = [v.history for v in level if v.witness is not None]
+    return verdicts, problems, float_pivots
 
 
 def both_routes(monkeypatch, problem):
@@ -1025,8 +1035,9 @@ def both_routes(monkeypatch, problem):
 
 class TestDirectCertificate:
     def test_the_m10_k8_search_makes_few_float_pivots(self, search_m10_k8):
-        result, problems, float_pivots = search_m10_k8
-        assert result.complete and len(result.certificates) == 99
+        verdicts, problems, float_pivots = search_m10_k8
+        assert sum(v.certificate is not None for v in verdicts) == 99
+        assert sum(v.witness is not None for v in verdicts) == 1
         assert len(problems) == len(float_pivots) == 91
         # 698 with steepest edge; 790 without the largest pivot entry
         # among tied ratios, and 1757 under Dantzig's rule.

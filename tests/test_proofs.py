@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavcore import exactlp, proofs
+from pavcore import cli, exactlp, proofs
 from pavcore.elections import (
     CandidateSet,
     EnumerationLimitError,
@@ -870,7 +871,10 @@ class TestIntegerLift:
             return original(self, certificate, tags)
 
         monkeypatch.setattr(_Quotient, "lift_certificate", logged)
-        assert len(enumerate_histories(10, 8).certificates) == 99
+        # Every continuation of the (10, 8) search, each through its own LP.
+        root = History(10, 8, ())
+        for h in [root.child(*step) for step in canonical_continuations(root)] + k8_children():
+            history_verdict(h)
         searched = len(lifts)
         for case in multi_step_histories():
             history_verdict(History.from_masks(*case))
@@ -1013,15 +1017,41 @@ class TestEnumerateHistories:
         res = enumerate_histories(10, 8, budget_seconds=0.0)
         assert not res.complete
 
-    def test_threads_match_single_process(self):
-        seq = enumerate_histories(9, 8)
-        par = enumerate_histories(9, 8, threads=2)
+    def test_threads_match_single_process(self, tmp_path):
+        # (10, 8) solves LPs, so siblings' certificates stand in for some.
+        seq = enumerate_histories(10, 8)
+        par = enumerate_histories(10, 8, threads=2)
         assert [h.mask_steps() for h in seq.histories] == [
             h.mask_steps() for h in par.histories
         ]
         assert {
             h.mask_steps(): c.nonzero for h, c in seq.certificates.items()
         } == {h.mask_steps(): c.nonzero for h, c in par.certificates.items()}
+        bundles = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            argv = ["prove", "--mode", "histories", "--m", "10", "--k", "8", "--out", str(out)]
+            assert cli.main(argv + ["--threads", str(threads)]) == 0
+            bundles.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.json")})
+        assert bundles[0] == bundles[1] and len(bundles[0]) == 100
+
+    def test_budget_stops_the_search_inside_a_group(self, monkeypatch):
+        # A clock that advances 1 s per reading: one reading at the start,
+        # one before each group and one before each continuation. The
+        # budget runs out after the root's group and ten continuations of
+        # the first of the three groups of the (4, 2) history at m = 12.
+        root = History(12, 8, ())
+        n_root = len(canonical_continuations(root))
+        clock = itertools.count()
+        monkeypatch.setattr(proofs, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        res = enumerate_histories(12, 8, budget_seconds=n_root + 13)
+        assert not res.complete
+        assert [len(h.steps) for h in res.histories] == [0, 1]
+        second = [h for h in res.certificates if len(h.steps) == 2]
+        assert len(res.certificates) == n_root - 1 + len(second)
+        assert len(second) == 10 and {h.steps[1][0] for h in second} == {
+            canonical_continuations(res.histories[1])[0][0]
+        }
 
     @pytest.mark.parametrize("threads, cpus, processes", [(1000, 3, 3), (2, 8, 2), (4, None, 1)])
     def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, threads, cpus, processes):
@@ -1062,6 +1092,91 @@ class TestEnumerateHistories:
         assert vars(task).keys() == {"m", "k", "steps"}
         assert isinstance(verdict, HistoryVerdict) and verdict.history == h
         assert (verdict.witness is not None) == (k == 8)
+
+
+class TestCovers:
+    """A record of sibling A's certificate proposes it for sibling B
+    exactly when it certifies B's system, over every ordered pair of the
+    85 continuations of the (4, 2) history at (10, 8), which share W."""
+
+    @staticmethod
+    def proposals(covers_type, siblings, certificates):
+        """The ordered pairs (a, b) of sibling indices for which the record
+        of a's certificate, made by ``covers_type``, proposes it for b."""
+        proposed = set()
+        records = [covers_type(h.m, h.k) for h in siblings]
+        # Each sibling's S(T) and |T|.
+        sides = [
+            (covers.supporting(*h.mask_steps()[-1]), len(h.steps[-1][1]))
+            for covers, h in zip(records, siblings)
+        ]
+        for a, (first, covers) in enumerate(zip(siblings, records)):
+            certificate = certificates[first]
+            covers.add(certificate, _verify_certificate_fast(first, certificate), *sides[a])
+            proposed |= {(a, b) for b, side in enumerate(sides) if b != a and covers.find(*side)}
+        return proposed
+
+    def test_records_propose_exactly_the_certificates_that_hold(self):
+        res = enumerate_histories(10, 8)
+        siblings = [h for h in res.certificates if len(h.steps) == 2]
+        assert len(siblings) == 85 and len({h.steps[1][0] for h in siblings}) == 1
+        holds = set()
+        for b, second in enumerate(siblings):
+            rows = history_system(second)
+            for a, first in enumerate(siblings):
+                if b != a and verify_farkas(rows, res.certificates[first]):
+                    holds.add((a, b))
+        assert 0 < len(holds) < 85 * 84
+        assert self.proposals(proofs._Covers, siblings, res.certificates) == holds
+
+        def last(covers):
+            return len(covers.certificates) - 1
+
+        class NoThreshold(proofs._Covers):
+            def add(self, *args):
+                super().add(*args)
+                self.least[last(self)] = 0
+
+        class NotStrict(proofs._Covers):
+            # r <= y_d |T_B| / k in place of r < y_d |T_B| / k.
+            def add(self, certificate, held, supports, size):
+                super().add(certificate, held, supports, size)
+                y_d = certificate.multiplier(certificate.n_rows - 1)
+                r = held.value + Fraction(y_d * size, self.k)
+                self.least[last(self)] = math.ceil(r * self.k / y_d) if y_d else 0
+
+        class Subset(proofs._Covers):
+            # S(T_B) within S(T_A) in place of the base.
+            def add(self, certificate, held, supports, size):
+                super().add(certificate, held, supports, size)
+                self.fails[last(self)] = np.packbits(~supports)
+
+        for mutant in (NoThreshold, NotStrict, Subset):
+            assert self.proposals(mutant, siblings, res.certificates) != holds, mutant
+
+    def test_a_proposal_that_fails_its_check_goes_to_the_lp(self, monkeypatch):
+        # Records that propose the first certificate for every sibling,
+        # the feasible (4, 2) continuation of the root included: the check
+        # on the sibling's own rows refuses what does not hold, and the LP
+        # decides those.
+        def first(covers, supports, size):
+            return covers.certificates[0] if covers.certificates else None
+
+        refused = []
+        check = proofs._verify_certificate_fast
+
+        def counted(history, certificate):
+            held = check(history, certificate)
+            refused.append(held is None)
+            return held
+
+        monkeypatch.setattr(proofs._Covers, "find", first)
+        monkeypatch.setattr(proofs, "_verify_certificate_fast", counted)
+        res = enumerate_histories(10, 8)
+        assert res.complete and len(res.histories) == 2 and len(res.certificates) == 99
+        assert any(refused)
+        for hist, certificate in res.certificates.items():
+            assert verify_farkas(history_system(hist), certificate)
 
 
 def test_proposition1_at_k8_m10():

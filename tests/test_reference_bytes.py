@@ -1,8 +1,10 @@
 """The bytes of the reference outputs, pinned by sha256.
 
-The certificates of a search follow from the solver's pivot sequence, so
-these digests change only when a change means to move pivots or to change
-a file or output format; such a change updates them on purpose. A change of form
+The certificates of a search follow from the solver's pivot sequence and
+from which earlier sibling's certificate covers a continuation, so these
+digests change only when a change means to move pivots, to hand another
+valid certificate to a history, or to change a file or output format; such
+a change updates them on purpose. A change of form
 alone (how the tableau, the lift or the writer reach the same numbers)
 must leave every byte as it is.
 """
@@ -18,7 +20,7 @@ from pavcore.proofs import lemma2_suite
 from test_cli import TIED_PAIR_8, write_json
 
 HISTORIES_M10_K8_STDOUT = "a3d0426c5867973702207fedad8ff5473279286583dcfe1ebb7fe1f573eff28f"
-HISTORIES_M10_K8_BUNDLE = "abd6422d3b0b3dd0fe9f7c5c441b2f23fafdd1d2b5a101df2cc1575f2d8060f2"
+HISTORIES_M10_K8_BUNDLE = "8fd241fffe24994ca8524a5031ddd1be4ec14aac4b31d713102235f400d148f1"
 PROGRAM3_K5_BUNDLE = "99137bc2b206b87117fc74967254a35c594bb570af64d87163bec4b23d05f6a0"
 LEMMA2_SUITE_REPR = "de85234322eb6785bbeb41e5a44ebdaad7cb88c41ed65b4742a2e8f0d251e4e7"
 
