@@ -6,6 +6,7 @@ exact rational LP feasibility with independently checkable integer
 infeasibility certificates.
 """
 
+from .checker import FarkasCertificate, Row, verify_farkas
 from .elections import (
     CandidateSet,
     ElectionInstance,
@@ -14,15 +15,7 @@ from .elections import (
     harmonic,
     pav_score,
 )
-from .exactlp import (
-    FarkasCertificate,
-    Feasible,
-    Infeasible,
-    Optimal,
-    Row,
-    Unbounded,
-    verify_farkas,
-)
+from .exactlp import Feasible, Infeasible, Optimal, Unbounded
 from .proofs import (
     DeviationShape,
     History,

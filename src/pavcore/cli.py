@@ -18,14 +18,14 @@ the run S seconds after it starts, exiting 3 if work is left (0 always
 exits 3).
 
 ``check-certificates`` runs on each file the one certificate check that
-``prove`` ran on each certificate it found: `verify_farkas` on the
+``prove`` ran on each certificate it found: `checker.verify_farkas` on the
 reference rows with a nonzero multiplier (`fileio.load_certificate`, which
 reads each ``*.json`` file of a bundle once and skips a file with no
 multipliers).
 
 `main` builds its parser once per process, on its first call, and looks up
 the command function ``cmd_<command>`` when it runs the command. Each
-command starts with empty row caches (`proofs.clear_row_caches`), so what
+command starts with empty row caches (`checker.clear_row_caches`), so what
 it costs does not depend on the commands run before it in the process.
 """
 
@@ -36,14 +36,16 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
 from . import elections
+from .checker import clear_row_caches, verify_farkas
 from .elections import EnumerationLimitError
 
 # solve_feasibility is not called here; bench/layers.py wraps it by this name.
-from .exactlp import solve_feasibility, verify_farkas  # noqa: F401
+from .exactlp import solve_feasibility  # noqa: F401
 from .fileio import (
     CertificateError,
     InputError,
@@ -59,7 +61,6 @@ from .fileio import (
 from .proofs import (
     Runner,
     check_proposition1,
-    clear_row_caches,
     enumerate_histories,
     history_verdict,
     iter_shapes,
@@ -167,6 +168,17 @@ def cmd_rule(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _writing(path: str):
+    """The bundle directory ``path``, made if missing. An `OSError` while
+    the bundle is written is an input error that names the directory."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+        yield Path(path)
+    except OSError as exc:
+        raise InputError(f"cannot write the bundle {path}: {exc}") from exc
+
+
 def _budget_exceeded(args, payload: dict) -> int:
     _emit(args, payload, ["budget exceeded; partial results only"])
     return EXIT_BUDGET
@@ -205,11 +217,9 @@ def _prove_inequality(args) -> int:
             f"a={v.a} b={v.b} c={v.c}: delta {v.delta} <= bound {v.bound}"
         )
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"inequality_k{args.k}.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        with _writing(args.out) as out:
+            text = json.dumps(payload, indent=2) + "\n"
+            (out / f"inequality_k{args.k}.json").write_text(text, encoding="utf-8")
     _emit(args, payload, lines)
     return EXIT_OK if not violations else EXIT_CLAIM_FAILS
 
@@ -243,10 +253,9 @@ def _prove_program3(args) -> int:
         )
     # A bundle is written only whole: a cut-short run leaves no directory.
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, payload in files.items():
-            write_certificate(payload, out / name)
+        with _writing(args.out) as out:
+            for name, payload in files.items():
+                write_certificate(payload, out / name)
     payload = {
         "mode": "program3",
         "k": args.k,
@@ -278,36 +287,29 @@ def _prove_histories(args) -> int:
         budget_seconds=args.budget_seconds,
     )
     prop1 = check_proposition1(result.histories, args.k)
-    out = Path(args.out) if args.out else None
-    cert_names = []
-    if out:
-        cert_dir = out / "certificates"
-        cert_dir.mkdir(parents=True, exist_ok=True)
-        for hist, cert in result.certificates.items():
-            name = history_certificate_filename(hist)
-            write_certificate(history_certificate_dict(hist, cert), cert_dir / name)
-            cert_names.append(name)
-        summary = {
-            "m": args.m,
-            "k": args.k,
-            "complete": result.complete,
-            "proposition1": prop1,
-            "histories": [
-                {
-                    "steps": [
-                        {"W": w.labels(), "T": t.labels()} for w, t in h.steps
-                    ],
-                    "witness": _witness_entries(result.witnesses[h])
-                    if h.steps
-                    else [],
-                }
-                for h in result.histories
-            ],
-            "certificates": len(result.certificates),
-        }
-        (out / "histories.json").write_text(
-            json.dumps(summary, indent=1) + "\n", encoding="utf-8"
-        )
+    if args.out:
+        with _writing(args.out) as out:
+            cert_dir = out / "certificates"
+            cert_dir.mkdir(exist_ok=True)
+            for hist, cert in result.certificates.items():
+                name = history_certificate_filename(hist)
+                write_certificate(history_certificate_dict(hist, cert), cert_dir / name)
+            summary = {
+                "m": args.m,
+                "k": args.k,
+                "complete": result.complete,
+                "proposition1": prop1,
+                "histories": [
+                    {
+                        "steps": [{"W": w.labels(), "T": t.labels()} for w, t in h.steps],
+                        "witness": _witness_entries(result.witnesses[h]) if h.steps else [],
+                    }
+                    for h in result.histories
+                ],
+                "certificates": len(result.certificates),
+            }
+            text = json.dumps(summary, indent=1) + "\n"
+            (out / "histories.json").write_text(text, encoding="utf-8")
     payload = {
         "mode": "histories",
         "m": args.m,
@@ -346,6 +348,12 @@ def cmd_prove(args) -> int:
         raise InputError(
             f"--budget-seconds must be at least 0, got {args.budget_seconds}"
         )
+    if args.out:
+        # A bundle directory that cannot be made is refused before any work.
+        out = Path(args.out)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise InputError(f"--out {out}: {existing} is not a directory")
     if args.mode == "inequality":
         return _prove_inequality(args)
     if args.mode == "program3":

@@ -11,12 +11,9 @@ Bland's anti-cycling rule when the objective stalls. The simplex answers
 with this module's verdict objects. Infeasibility is `Infeasible`, with an
 integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
 and A^T y >= 0, which together rule out every x >= 0) that leaves the
-tableau as integers. `verify_farkas` checks such a certificate without
-any solver, on `Row`s: each row holds its coefficients as integer arrays
-over one denominator, and the check sums the rows with a nonzero
-multiplier as integer arrays (`farkas_sums`, which also hands the sums to
-a caller that reuses them). A maximum is `Optimal`, with a point and an
-LP-duality certificate that `verify_optimum` checks exactly.
+tableau as integers; the solver-free check of it is `checker.verify_farkas`.
+A maximum is `Optimal`, with a point and an LP-duality certificate that
+`verify_optimum` checks exactly.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_Problem`); column j is variable j.
@@ -46,124 +43,16 @@ dual or an unbounded verdict is always the slack start's.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from .checker import _INT64_SAFE, FarkasCertificate
+
 _Q0 = Fraction(0)
-
-#: Integer sums below this bound cannot overflow int64.
-_INT64_SAFE = 2**62
-
-
-class Row:
-    """One inequality ``sum(coeffs[j] * x_j) <= rhs`` with a provenance tag.
-
-    The coefficients have one integer form: coefficient ``nums[i] / den``
-    sits at column ``cols[i]``. ``cols`` is an int64 array in strictly
-    increasing order; ``nums`` is int64, or a numpy object array of Python
-    ints when an entry reaches 2^62; ``den`` is a positive int. A mapping
-    passed to the constructor is converted to that form once, explicit
-    zeros included; `from_arrays` takes the arrays as they are. ``coeffs``
-    reads the row back as a read-only mapping of columns to `Fraction`s.
-    Rows are equal when their coefficients, right-hand sides and tags are.
-    """
-
-    def __init__(self, coeffs: Mapping[int, Fraction], rhs, tag: tuple):
-        items = sorted((int(j), Fraction(c)) for j, c in coeffs.items())
-        den = math.lcm(1, *(c.denominator for _, c in items))
-        nums = [c.numerator * (den // c.denominator) for _, c in items]
-        wide = any(abs(v) >= _INT64_SAFE for v in nums)
-        self._set(
-            np.array([j for j, _ in items], dtype=np.int64),
-            np.array(nums, dtype=object if wide else np.int64),
-            den,
-            rhs,
-            tag,
-        )
-
-    @classmethod
-    def from_arrays(cls, cols: np.ndarray, nums: np.ndarray, den: int, rhs, tag: tuple) -> "Row":
-        """The row with ``nums[i] / den`` at column ``cols[i]``; the arrays
-        become the row's own, read-only."""
-        row = cls.__new__(cls)
-        row._set(cols, nums, den, rhs, tag)
-        return row
-
-    def _set(self, cols, nums, den, rhs, tag) -> None:
-        if cols.dtype != np.int64 or nums.dtype not in (np.int64, object):
-            raise TypeError("a row holds int64 columns and int64 or object numerators")
-        if cols.shape != nums.shape or cols.ndim != 1 or den < 1:
-            raise ValueError("a row needs one numerator per column and a positive denominator")
-        if cols.size and (cols[0] < 0 or (cols[1:] <= cols[:-1]).any()):
-            raise ValueError("row columns must be nonnegative and strictly increasing")
-        cols.flags.writeable = nums.flags.writeable = False
-        self.cols, self.nums, self.den = cols, nums, int(den)
-        self.rhs, self.tag = Fraction(rhs), tag
-        #: The largest |numerator|, as a Python int.
-        self.max_abs = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))
-
-    @functools.cached_property
-    def coeffs(self) -> Mapping[int, Fraction]:
-        """Column position -> coefficient."""
-        den = self.den
-        return MappingProxyType(
-            {j: Fraction(v, den) for j, v in zip(self.cols.tolist(), self.nums.tolist())}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Row):
-            return NotImplemented
-        return (
-            self.tag == other.tag
-            and self.rhs == other.rhs
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(
-                self.nums.astype(object) * other.den, other.nums.astype(object) * self.den
-            )
-        )
-
-    def __repr__(self) -> str:
-        return f"Row(coeffs={dict(self.coeffs)!r}, rhs={self.rhs!r}, tag={self.tag!r})"
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Nonnegative integer row multipliers proving ``Ax <= b`` infeasible,
-    one per row of the system.
-
-    Stored sparsely: ``nonzero`` maps row index to multiplier; all other
-    rows carry multiplier 0. ``n_rows`` pins the system size the certificate
-    belongs to.
-    """
-
-    n_rows: int
-    nonzero: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "nonzero",
-            {int(i): int(v) for i, v in self.nonzero.items() if v != 0},
-        )
-        for i in self.nonzero:
-            if not 0 <= i < self.n_rows:
-                raise ValueError(f"multiplier index {i} out of range")
-
-    @classmethod
-    def from_list(cls, multipliers: Sequence[int]) -> "FarkasCertificate":
-        return cls(
-            len(multipliers),
-            {i: int(v) for i, v in enumerate(multipliers) if v != 0},
-        )
-
-    def multiplier(self, row_index: int) -> int:
-        return self.nonzero.get(row_index, 0)
 
 
 @dataclass(frozen=True)
@@ -198,67 +87,6 @@ LpVerdict = Union[Feasible, Infeasible]
 MaximizeResult = Union[Optimal, Infeasible, Unbounded]
 
 
-def verify_farkas(rows: Sequence[Optional[Row]], certificate: FarkasCertificate) -> bool:
-    """Check a Farkas certificate exactly, without any solver.
-
-    True iff every multiplier is a nonnegative integer, ``y . b < 0``, and
-    ``A^T y >= 0`` componentwise. Then every ``x >= 0`` with ``Ax <= b``
-    would give ``0 <= (A^T y) . x = y . Ax <= y . b < 0``, so the system,
-    whose variables are all nonnegative, has no solution. The sums are
-    those of `farkas_sums`.
-    """
-    return farkas_sums(rows, certificate) is not None
-
-
-class FarkasSums(NamedTuple):
-    """What the check of a Farkas certificate sums: ``sums[j] / scale`` is
-    ``(A^T y)_j`` for every column j below ``len(sums)``, and 0 beyond it;
-    ``value`` is ``y . b``."""
-
-    sums: np.ndarray
-    scale: int
-    value: Fraction
-
-
-def farkas_sums(
-    rows: Sequence[Optional[Row]], certificate: FarkasCertificate
-) -> Optional[FarkasSums]:
-    """The sums of a certificate that passes `verify_farkas`, else None.
-
-    Only the rows with a nonzero multiplier are read, so the others may be
-    None (`fileio.CertificateRecord`). ``y . b`` is summed in Python ints
-    over the lcm of their right-hand sides' denominators.
-    ``A^T y`` is summed over ``L``, the lcm of their row denominators, as
-    ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound from
-    each row's largest |numerator| (`Row.max_abs`) shows that no sum can
-    overflow, else in Python ints. Both signs are exact.
-    """
-    if certificate.n_rows != len(rows):
-        raise ValueError(
-            f"certificate has {certificate.n_rows} multipliers, "
-            f"system has {len(rows)} rows"
-        )
-    if any(v < 0 for v in certificate.nonzero.values()):
-        return None
-    used = [(mult, rows[i]) for i, mult in certificate.nonzero.items()]
-    d = math.lcm(1, *(row.rhs.denominator for _, row in used))
-    value = sum(mult * row.rhs.numerator * (d // row.rhs.denominator) for mult, row in used)
-    if not value < 0:
-        return None
-    L = math.lcm(1, *(row.den for _, row in used))
-    scaled = [(mult * (L // row.den), row) for mult, row in used]
-    # At least s per row, so that s itself fits int64 even on a zero row.
-    bound = sum(s * max(1, row.max_abs) for s, row in scaled)
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    width = max((int(row.cols[-1]) + 1 for _, row in used if row.cols.size), default=0)
-    sums = np.zeros(width, dtype=dtype)
-    for s, row in scaled:
-        sums[row.cols] += row.nums.astype(dtype, copy=False) * s
-    if (sums < 0).any():
-        return None
-    return FarkasSums(sums, L, Fraction(value, d))
-
-
 # ---------------------------------------------------------------------------
 # The problem and its pricing kernel.
 
@@ -266,7 +94,7 @@ def farkas_sums(
 class _Problem:
     """Integer rows over nonnegative columns, column j being variable j:
     row i reads ``matrix[i] . x <= scales[i] * rhs[i]`` and carries the
-    provenance tag ``tags[i]``, as a `Row` does.
+    provenance tag ``tags[i]``, as a `checker.Row` does.
 
     The matrix is int64, or a numpy object array of Python ints when an
     entry does not fit; the scales are positive integers and the
@@ -790,7 +618,7 @@ def solve_feasibility(problem: _Problem) -> LpVerdict:
 
     Feasible systems yield an exact satisfying assignment; infeasible ones
     yield an integer Farkas certificate, read off the tableau as integers,
-    that passes `verify_farkas`.
+    that passes `checker.verify_farkas`.
     """
     return _solve_problem(problem)[0]
 

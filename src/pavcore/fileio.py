@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
+from .checker import FarkasCertificate, Row
 from .elections import CandidateSet, ElectionInstance, Profile
-from .exactlp import FarkasCertificate, Row
 from .proofs import (
     MAX_HISTORY_M,
     DeviationShape,
@@ -220,7 +220,7 @@ def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     against the row count, from the row tags (`History.tags`), before any
     row is built, so a file cannot make the reader build a system that its
     multipliers do not fit. Then only the rows with a nonzero multiplier
-    are built, in one `_build_rows` call."""
+    are built, in one `checker._build_rows` call."""
     if not isinstance(payload, dict):
         raise InputError("a certificate must be a JSON object")
     history = _history_from_payload(payload)

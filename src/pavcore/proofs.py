@@ -27,11 +27,9 @@ LP. Every other system goes through the symmetry-collapsed quotient
 the full system. Either way the result is checked exactly, and a failed
 check raises. A witness is checked on the solver's full system
 (`History.problem`) and against the election semantics. A certificate is
-checked by the checker itself, as `check-certificates` checks a file:
-`exactlp.verify_farkas` on the rows with a nonzero multiplier, built by
-the reference builder (`_build_rows`), which shares no row code with the
-solver. Every batch of work runs through one `Runner`, which owns the
-process pool and the time budget.
+checked by the solver-free checker (`checker`), as `check-certificates`
+checks a file. Every batch of work runs through one `Runner`, which owns
+the process pool and the time budget.
 
 Siblings are the continuations of one parent that share a committee W.
 Their systems differ in the last row alone, the deviation row of the new
@@ -44,33 +42,20 @@ continuation that no record covers reaches `history_verdict`. A covering
 certificate is only a proposal: the checker checks it on the
 continuation's own rows, as it checks every certificate. A group runs
 whole in one process and in one order, so the thread count changes no
-result.
+result, and each process builds the group's swap rows for the check once.
 
 One function builds the solver's rows (`_type_rows`): over ballot types
 for the quotient, and over singleton classes, where each ballot is its own
 type, for the full system. Every row carries a tag. The tags follow from
 the masks alone (`History.tags`), and lifts and analytic certificates find
 rows by them, so a certificate exists before any row is built for its
-check. The reference builder builds each row at once over the array of
-ballot masks, as an integer `Row` over lcm(1..k+1), and only the rows
-that a certificate uses.
+check. All systems share the checker's canonical row order.
 
-Every continuation of a history repeats that history's steps, and the
-continuations that share a committee W share that step's swap rows too:
-a step's swap rows depend on (m, k), the steps before it and its W, not
-on its deviation T. The reference builder keeps one block per step depth
-under that key (`_ROW_CACHES`), and the ballot masks of the last m. The
-search hands out a parent's continuations with one W as one task, and the
-checker reads a parent's files one after another, so each process builds
-those rows once per W. Every command and every search starts with empty
-caches (`clear_row_caches`).
-
-All systems share one canonical row order: the normalization pair, swap
-rows grouped by step and ordered by (x, y), then negated deviation rows by
-step. Variables are the nonempty ballots over the candidate universe, in
-ascending bitmask order, and every variable is nonnegative without any row
-stating it. Certificates hold one multiplier per row in that order, so
-they can be re-checked from a compact description of the system.
+Padding: a profile on m - 1 candidates is a profile on m candidates whose
+extra candidate nobody approves, and swapping that candidate in gains no
+ballot. So every history realizable at (m - 1, k) is realizable at (m, k)
+with the same masks, and Proposition 1 at (15, k) covers every (m, k)
+with k <= m <= 15.
 """
 
 from __future__ import annotations
@@ -86,6 +71,15 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .checker import (
+    FarkasCertificate,
+    FarkasSums,
+    Row,
+    _build_rows,  # history_system calls it by this name, where bench/layers.py times it
+    _supporting,
+    clear_row_caches,
+    farkas_sums,
+)
 from .elections import (
     CandidateSet,
     EnumerationLimitError,
@@ -94,18 +88,7 @@ from .elections import (
     harmonic_table,
     pav_score,
 )
-from .exactlp import (
-    FarkasCertificate,
-    FarkasSums,
-    Feasible,
-    Optimal,
-    Row,
-    _Problem,
-    _solve_problem,
-    farkas_sums,
-    maximize,
-    verify_optimum,
-)
+from .exactlp import Feasible, Optimal, _Problem, _solve_problem, maximize, verify_optimum
 from .stability import Quota, _supporters
 
 #: Hard cap on the candidate count of a history system.
@@ -238,170 +221,6 @@ def inequality_scan(k: int) -> list[InequalityViolation]:
     if k < 1:
         raise ValueError("k must be positive")
     return [v for shape in iter_shapes(k) for v in shape_violations(k, shape)]
-
-
-# ---------------------------------------------------------------------------
-# Canonical system construction (reference implementation).
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-#: What the reference builder keeps between calls, one value per name: the
-#: arrays of one m under "reference_masks", and under "reference_step<t>"
-#: the block of step t (`_ReferenceStep`) for one (m, k, steps before t,
-#: W_t). `clear_row_caches` empties it.
-_ROW_CACHES: dict[str, tuple] = {}
-
-
-def _cached(name: str, key, make):
-    """The value kept under ``name`` if it was made for ``key``, else
-    ``make()``, kept in its place."""
-    held = _ROW_CACHES.get(name)
-    if held is None or held[0] != key:
-        held = _ROW_CACHES[name] = (key, make())
-    return held[1]
-
-
-def clear_row_caches() -> None:
-    """Empty the reference builder's caches. Each command and each search
-    starts with this, so no run reuses the rows of another."""
-    _ROW_CACHES.clear()
-
-
-def _reference_masks(m: int) -> tuple[np.ndarray, tuple[Row, Row]]:
-    """The ballot masks of m candidates and the normalization rows over
-    them, which depend on m alone."""
-    n = (1 << m) - 1
-    masks = np.arange(1, n + 1, dtype=np.int64)
-    every, ones = masks - 1, np.ones(n, dtype=np.int64)
-    norm = tuple(
-        Row.from_arrays(every, sign * ones, 1, sign, (tag,))
-        for sign, tag in ((1, "norm_upper"), (-1, "norm_lower"))
-    )
-    return masks, norm
-
-
-def _supporting(masks: np.ndarray, w_mask: int, t_mask: int) -> np.ndarray:
-    """Whether each ballot of ``masks`` holds more of T than of W: the
-    ballots S(T) whose weight the deviation row of (W, T) sums."""
-    return np.bitwise_count(masks & t_mask) > np.bitwise_count(masks & w_mask)
-
-
-class _ReferenceStep:
-    """Step t of a history in the reference builder, for its committee W:
-    the ballot masks still active at it, the candidates fixed before it,
-    and its swap rows, each built when it is first asked for and then found
-    by tag. None of it depends on the step's deviation T, so continuations
-    of one parent that share a W share the block.
-
-    In swap row (x, y) an active ballot with u = |ballot ∩ W| gains
-    L/(u+1) if it holds y but not x, and loses L/u (u >= 1) if it holds x
-    but not y. A candidate's holder array is made for the first row that
-    uses it.
-    """
-
-    def __init__(
-        self,
-        k: int,
-        masks,
-        w_mask: int,
-        before: Optional["_ReferenceStep"] = None,
-        before_t_mask: int = 0,
-    ):
-        """The first step, or the step after the step ``before``, whose
-        deviation was ``before_t_mask``."""
-        if before is None:
-            self.t, self.fixed, active = 1, 0, masks
-        else:
-            # A ballot that holds more of T than of W is inactive in every
-            # later step.
-            self.t, self.fixed = before.t + 1, before.fixed | before_t_mask
-            active = before.active[np.bitwise_count(before.active & before_t_mask) <= before.u]
-        self.k, self.masks, self.active, self.w_mask = k, masks, active, w_mask
-        self.L = L = math.lcm(*range(1, k + 2))
-        self.u = u = np.bitwise_count(active & w_mask).astype(np.int64)
-        self.gain, self.loss = L // (u + 1), -(L // np.maximum(u, 1))
-        self._holds: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple, Row] = {}
-
-    def _holding(self, c: int) -> np.ndarray:
-        if c not in self._holds:
-            self._holds[c] = (self.active >> c & 1).astype(bool)
-        return self._holds[c]
-
-    def swap_row(self, x: int, y: int) -> Row:
-        tag = ("swap", self.t, x, y)
-        if tag not in self._rows:
-            holds_y = self._holding(y)
-            moved = self._holding(x) != holds_y
-            nums = np.where(holds_y[moved], self.gain[moved], self.loss[moved])
-            self._rows[tag] = Row.from_arrays(self.active[moved] - 1, nums, self.L, 0, tag)
-        return self._rows[tag]
-
-    def deviation_row(self, t_mask: int) -> Row:
-        """Every ballot that holds more of T than of W supports T."""
-        masks = self.masks
-        supports = _supporting(masks, self.w_mask, t_mask)
-        cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
-        rhs = Fraction(-t_mask.bit_count(), self.k)
-        return Row.from_arrays(cols, nums, 1, rhs, ("deviation", self.t))
-
-
-def _build_rows(
-    m: int,
-    k: int,
-    steps: Sequence[tuple[int, int]],
-    rows: Optional[Iterable[int]] = None,
-) -> tuple[list[Optional[Row]], list[tuple[int, int, int]]]:
-    """Rows of the canonical system for a sequence of (W, T) masks.
-
-    Returns the rows plus the (step, x, y) index of each swap row. Given
-    the indices ``rows``, it builds only those rows and puts None in the
-    place of every other, so a certificate is checked on the rows it uses.
-    This is the reference builder that the certificate checker uses; it
-    shares no code with the solver's `_type_rows`. Each row is built at
-    once over the array of ballot masks, as integers over L = lcm(1..k+1)
-    (`_ReferenceStep`).
-
-    The swap rows of step t depend on (m, k), the steps before t and W_t,
-    not on T_t, so its block is kept under that key (`_ROW_CACHES`), one
-    block per step depth: the continuations of one parent that share a W
-    share every swap row, in the search and in the checker alike. The masks
-    and normalization rows are kept for the last m. Deviation rows depend
-    on T_t and are built on each call. A `Row` is read-only, so calls share
-    it.
-    """
-    n = (1 << m) - 1
-    masks, norm = _cached("reference_masks", m, lambda: _reference_masks(m))
-    blocks: list[_ReferenceStep] = []
-    for t, (w_mask, _) in enumerate(steps):
-        before = (blocks[-1], steps[t - 1][1]) if blocks else ()
-        make = partial(_ReferenceStep, k, masks, w_mask, *before)
-        blocks.append(_cached(f"reference_step{t + 1}", (m, k, tuple(steps[:t]), w_mask), make))
-    swap_meta = [
-        (block.t, x, y)
-        for block in blocks
-        for x in _bits(block.w_mask & ~block.fixed)
-        for y in _bits(n & ~block.w_mask)
-    ]
-    built: list[Optional[Row]] = [None] * (2 + len(swap_meta) + len(blocks))
-    for r in range(len(built)) if rows is None else set(rows).intersection(range(len(built))):
-        if r < 2:
-            built[r] = norm[r]
-        elif r < 2 + len(swap_meta):
-            t, x, y = swap_meta[r - 2]
-            built[r] = blocks[t - 1].swap_row(x, y)
-        else:
-            t = r - 2 - len(swap_meta)
-            built[r] = blocks[t].deviation_row(steps[t][1])
-    return built, swap_meta
 
 
 def canonical_program3_sets(
@@ -751,10 +570,8 @@ def _verify_certificate_fast(
     history: History, certificate: FarkasCertificate
 ) -> Optional[FarkasSums]:
     """The checker's own test of a certificate for the system of
-    ``history``, as `check-certificates` runs it on a file: `verify_farkas`
-    on the rows with a nonzero multiplier, built by the reference builder
-    (`history_system`), which shares no row code with the solver. A
-    certificate with another row count fails. Returns the sums of the check
+    ``history``, as `check-certificates` runs it on a file. A certificate
+    with another row count fails. Returns the sums of the check
     (`farkas_sums`) when it passes, so that the search keeps a record of
     them (`_Covers`) with no second sum, else None."""
     rows = history_system(history, certificate.nonzero)
@@ -931,9 +748,6 @@ class _Covers:
         self.least = np.zeros(8, dtype=np.int64)
         self.certificates: list[FarkasCertificate] = []
 
-    def supporting(self, w_mask: int, t_mask: int) -> np.ndarray:
-        return _supporting(self.masks, w_mask, t_mask)
-
     def find(self, supports: np.ndarray, size: int) -> Optional[FarkasCertificate]:
         """The certificate of the first record that covers the sibling
         whose deviation has the ballots ``supports`` and ``size`` members."""
@@ -987,7 +801,7 @@ def _decide_group(
         if deadline is not None and time.monotonic() >= deadline:
             return verdicts, False
         child = parent.child(committee, deviation)
-        supports = covers.supporting(committee.mask, deviation.mask)
+        supports = _supporting(covers.masks, committee.mask, deviation.mask)
         proposed = None
         if not _has_shortcut(child.mask_steps()):
             proposed = covers.find(supports, len(deviation))

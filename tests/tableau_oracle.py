@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from pavcore.checker import FarkasCertificate
 from pavcore.exactlp import (
-    FarkasCertificate,
     Feasible,
     Infeasible,
     Optimal,

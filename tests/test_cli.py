@@ -17,10 +17,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from pavcore import cli, exactlp, fileio, proofs, rules
+from pavcore import checker, cli, exactlp, fileio, proofs, rules
+from pavcore.checker import FarkasCertificate
 from pavcore.cli import main
 from pavcore.elections import CandidateSet
-from pavcore.exactlp import FarkasCertificate
 from pavcore.fileio import certificate_record_from_dict, history_certificate_dict
 from pavcore.proofs import (
     DeviationShape,
@@ -46,6 +46,14 @@ def run(capsys, *argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+#: The three proof modes, each small enough to run in a test.
+MODE_ARGVS = [
+    ["program3", "--k", "5"],
+    ["inequality", "--k", "8"],
+    ["histories", "--m", "9", "--k", "8"],
+]
 
 
 TIED_PAIR_8 = {
@@ -414,14 +422,7 @@ class TestProveInputs:
         assert code == 3 and out == "budget exceeded; partial results only\n"
         assert time.monotonic() - started < 5
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["program3", "--k", "5"],
-            ["inequality", "--k", "8"],
-            ["histories", "--m", "9", "--k", "8"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", MODE_ARGVS)
     def test_threads_do_not_change_the_output(self, capsys, tmp_path, argv):
         outputs = []
         for threads in (1, 2):
@@ -436,6 +437,43 @@ class TestProveInputs:
             }
             outputs.append((code, out, files))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", MODE_ARGVS)
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_under_a_regular_file_is_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, argv, under
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("a proof mode ran")
+
+        for name in ("shape_violations", "history_verdict", "enumerate_histories"):
+            monkeypatch.setattr(cli, name, work)
+        taken = write_json(tmp_path / "taken.json", {})
+        out = taken / "bundle" if under else taken
+        code, stdout, err = run(capsys, "prove", "--mode", *argv, "--out", out)
+        assert code == 2 and not stdout
+        assert err == f"error: --out {out}: {taken} is not a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv,blocker",
+        [
+            (MODE_ARGVS[0], "p3_k5_s1_o0.json"),
+            (MODE_ARGVS[1], "inequality_k8.json"),
+            (MODE_ARGVS[2], "certificates"),
+        ],
+    )
+    def test_a_failed_bundle_write_is_an_input_error(self, capsys, tmp_path, argv, blocker):
+        # A directory where a file goes, or a file where a directory goes.
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        if blocker.endswith(".json"):
+            (bundle / blocker).mkdir()
+        else:
+            (bundle / blocker).write_text("", encoding="utf-8")
+        code, stdout, err = run(capsys, "prove", "--mode", *argv, "--out", bundle)
+        assert code == 2 and not stdout
+        assert err.startswith(f"error: cannot write the bundle {bundle}: ")
+        assert blocker in err and "Traceback" not in err
 
     def test_program3_caps_the_candidate_count(self, capsys):
         # The first shape, (|T|, |T∩W|) = (1, 0), has m = 41 candidates.
@@ -785,7 +823,7 @@ class TestCheckCertificates:
         build = proofs._build_rows
 
         def spy(*args):
-            seen.append(dict(proofs._ROW_CACHES))
+            seen.append(dict(checker._ROW_CACHES))
             return build(*args)
 
         monkeypatch.setattr(proofs, "_build_rows", spy)
@@ -794,12 +832,12 @@ class TestCheckCertificates:
             assert run(capsys, "check-certificates", bundle)[0] == 0
             assert seen[0] == {} and len(seen) == 99
             # The masks of m = 10 and a block per step depth.
-            assert sorted(proofs._ROW_CACHES) == [
+            assert sorted(checker._ROW_CACHES) == [
                 "reference_masks", "reference_step1", "reference_step2"
             ]
         # A command that builds no rows empties them too.
         assert run(capsys, "rule", tied_pair_file)[0] == 0
-        assert proofs._ROW_CACHES == {}
+        assert checker._ROW_CACHES == {}
 
     def test_the_check_reads_each_file_once(self, capsys, tmp_path, monkeypatch):
         bundle = self.m10_k8_bundle(capsys, tmp_path / "b")

@@ -11,18 +11,16 @@ import pytest
 
 import tableau_oracle
 from pavcore import exactlp, proofs
+from pavcore.checker import FarkasCertificate, Row, verify_farkas
 from pavcore.exactlp import (
-    FarkasCertificate,
     Feasible,
     Infeasible,
     Optimal,
-    Row,
     Unbounded,
     _Master,
     _Problem,
     maximize,
     solve_feasibility,
-    verify_farkas,
     verify_optimum,
 )
 

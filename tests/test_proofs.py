@@ -16,21 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavcore import cli, exactlp, proofs
+from pavcore import checker, cli, exactlp, proofs
 from pavcore.elections import (
     CandidateSet,
     EnumerationLimitError,
     Profile,
 )
-from pavcore.exactlp import (
-    FarkasCertificate,
-    Feasible,
-    Infeasible,
-    Row,
-    _Problem,
-    solve_feasibility,
-    verify_farkas,
-)
+from pavcore.checker import FarkasCertificate, Row, _build_rows, _supporting, verify_farkas
+from pavcore.exactlp import Feasible, Infeasible, _Problem, solve_feasibility
 from pavcore.proofs import (
     DeviationShape,
     History,
@@ -51,7 +44,6 @@ from pavcore.proofs import (
     program3_history,
     supporter_bound,
     verify_lemma2_structure,
-    _build_rows,
     _Quotient,
     _verify_certificate_fast,
     _witness_realizes,
@@ -738,7 +730,7 @@ CACHE_HISTORIES = [
 
 
 def cold(build):
-    proofs.clear_row_caches()
+    checker.clear_row_caches()
     return build()
 
 
@@ -765,11 +757,11 @@ class TestRowCaches:
             want = [r if rows is None or i in rows else None for i, r in enumerate(ref_rows)]
             assert cold(lambda: _build_rows(*args, rows)) == (want, ref_meta)
             for steps in fillers:
-                proofs.clear_row_caches()
+                checker.clear_row_caches()
                 _build_rows(h.m, h.k, steps)
                 assert _build_rows(*args, rows) == (want, ref_meta), (steps, rows)
             for k in (h.k - 1, h.k + 1):
-                proofs.clear_row_caches()
+                checker.clear_row_caches()
                 _build_rows(h.m, k, h.mask_steps())
                 assert _build_rows(*args, rows) == (want, ref_meta), (k, rows)
         # The other T_1 is read right after the history fills the caches.
@@ -780,7 +772,7 @@ class TestRowCaches:
         # T_last, and none of those built after another T_1.
         last = len(h.steps)
         for steps, shared in ((other_last_deviation(h), True), (grown_first_deviation(h), False)):
-            proofs.clear_row_caches()
+            checker.clear_row_caches()
             filled = {row.tag: row for row in _build_rows(h.m, h.k, steps)[0]}
             for row in _build_rows(*args)[0]:
                 if row.tag[:2] == ("swap", last):
@@ -793,7 +785,7 @@ class TestRowCaches:
         build = proofs._build_rows
 
         def spy(*args):
-            seen.append(dict(proofs._ROW_CACHES))
+            seen.append(dict(checker._ROW_CACHES))
             return build(*args)
 
         monkeypatch.setattr(proofs, "_build_rows", spy)
@@ -801,7 +793,7 @@ class TestRowCaches:
             seen.clear()
             enumerate_histories(10, 8)
             assert seen[0] == {} and len(seen) == 99
-            assert proofs._ROW_CACHES
+            assert checker._ROW_CACHES
 
 
 def fraction_lift_certificate(quotient, certificate, tags):
@@ -1107,7 +1099,7 @@ class TestCovers:
         records = [covers_type(h.m, h.k) for h in siblings]
         # Each sibling's S(T) and |T|.
         sides = [
-            (covers.supporting(*h.mask_steps()[-1]), len(h.steps[-1][1]))
+            (_supporting(covers.masks, *h.mask_steps()[-1]), len(h.steps[-1][1]))
             for covers, h in zip(records, siblings)
         ]
         for a, (first, covers) in enumerate(zip(siblings, records)):
@@ -1199,3 +1191,18 @@ def test_proposition1_at_m11(m, k, n_histories, n_certificates):
     assert len(res.histories) == n_histories
     assert len(res.certificates) == n_certificates
     assert check_proposition1(res.histories, k)
+
+
+@pytest.mark.parametrize("m, k", [(10, 8), pytest.param(11, 9, marks=pytest.mark.paperscale)])
+def test_padding_keeps_every_history(m, k):
+    # A profile on m candidates is a profile on m + 1 whose extra candidate
+    # nobody approves: each witness at (m, k) realizes its history at
+    # (m + 1, k), and the search there finds that history with the same masks.
+    small, big = enumerate_histories(m, k), enumerate_histories(m + 1, k)
+    assert small.complete and big.complete
+    padded = {h.mask_steps() for h in big.histories}
+    for h in small.histories:
+        assert h.mask_steps() in padded
+        if h.steps:
+            witness = dict(small.witnesses[h].mask_items())
+            assert _witness_realizes(witness, m + 1, k, h.mask_steps())
