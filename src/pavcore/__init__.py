@@ -15,7 +15,7 @@ from .elections import (
     harmonic,
     pav_score,
 )
-from .exactlp import Feasible, Infeasible, Optimal, Unbounded
+from .exactlp import Feasible, Infeasible
 from .proofs import (
     DeviationShape,
     History,
@@ -58,12 +58,10 @@ __all__ = [
     "HistorySearchResult",
     "HistoryVerdict",
     "Infeasible",
-    "Optimal",
     "Profile",
     "Quota",
     "Row",
     "RuleOutcome",
-    "Unbounded",
     "canonical_continuations",
     "check_proposition1",
     "delta_formula",

@@ -1,19 +1,23 @@
-"""Exact linear-program feasibility and optimization over the rationals.
+"""Exact linear-program feasibility over the rationals.
 
 A system is a list of rows ``Ax <= b`` over nonnegative variables: every
 variable is a ballot weight, so ``x >= 0`` is part of every problem without
-any row stating it. Verdicts are produced by an exact two-phase revised
-simplex whose tableau is fraction-free: each row is a vector of Python ints
-over one positive row denominator, and a pivot updates the rows with
-integer products and one gcd per row (Edmonds 1967; Bareiss 1968), so no
-`Fraction` is made inside the pivot loop. The entering rule falls back to
-Bland's anti-cycling rule when the objective stalls. The simplex answers
-with this module's verdict objects. Infeasibility is `Infeasible`, with an
-integer Farkas certificate (one multiplier per row, y >= 0 with y.b < 0
-and A^T y >= 0, which together rule out every x >= 0) that leaves the
-tableau as integers; the solver-free check of it is `checker.verify_farkas`.
-A maximum is `Optimal`, with a point and an LP-duality certificate that
-`verify_optimum` checks exactly.
+any row stating it. The solver answers one question, whether the system has
+a solution, with one of two exact verdicts: `Feasible`, with a point that
+satisfies every row, or `Infeasible`, with an integer Farkas certificate
+(one multiplier per row, y >= 0 with y.b < 0 and A^T y >= 0, which together
+rule out every x >= 0) that leaves the solver as integers; the solver-free
+check of it is `checker.verify_farkas`. An optimum is a bound that some
+point attains, and the affine form of Farkas' lemma turns a bound into the
+infeasibility of one more system (`proofs.lemma2_suite`), so this module
+needs no objective.
+
+Verdicts come from an exact phase-1 revised simplex whose tableau is
+fraction-free: each row is a vector of Python ints over one positive row
+denominator, and a pivot updates the rows with integer products and one gcd
+per row (Edmonds 1967; Bareiss 1968), so no `Fraction` is made inside the
+pivot loop. The entering rule falls back to Bland's anti-cycling rule when
+the objective stalls.
 
 The solver sees a system as one dense integer matrix with a positive scale
 and an exact right-hand side per row (`_Problem`); column j is variable j.
@@ -23,22 +27,22 @@ slack and artificial columns and the right-hand side, one row per
 constraint. A structural column's tableau column is formed only when it
 enters. One pricing kernel (`_Problem.column_gaps`) computes
 ``G^T y - c`` for every column exactly, with integer dot products: on
-every pivot, against the objective row's duals, for the optimum check, and
-for the test of a ray read off a float basis. A verdict is thus
-always reached with every column priced clean, as in a dense tableau.
+every pivot, against the objective row's multipliers; for the test of a
+ray read off a float basis; and, with costs, for the check of a bound
+(`proofs.OptimalityRecord`). A verdict is thus always reached with every
+column priced clean, as in a dense tableau.
 
 Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
 Applegate, Cook, Dash & Espinoza 2007). `_float_pivots` runs phase 1 as a
-dense float64 revised simplex with steepest-edge pricing, for a
-feasibility problem only. When its basis holds an artificial, one integer
-solve reads the Farkas ray off that basis (`_Master._certify`), and the
-ray is the verdict if it passes the one exact refutation test
-(`_Problem.refuted_by`); no tableau is built. In every other case (a
-feasible system, a refused ray, no float start, or any `maximize`) the
-exact tableau runs both phases from the slack basis. So every verdict,
-ray, point and dual is exact. The float pass only proposes a refutation,
-and with it which of several valid certificates is returned; a point, a
-dual or an unbounded verdict is always the slack start's.
+dense float64 revised simplex with steepest-edge pricing. When its basis
+holds an artificial, one integer solve reads the Farkas ray off that basis
+(`_Master._certify`), and the ray is the verdict if it passes the one exact
+refutation test (`_Problem.refuted_by`); no tableau is built. In every
+other case (a feasible system, a refused ray or no float start) the exact
+tableau runs phase 1 from the slack basis. So every verdict, ray and point
+is exact. The float pass only proposes a refutation, and with it which of
+several valid certificates is returned; a point is always the slack
+start's.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .checker import _INT64_SAFE, FarkasCertificate
-
-_Q0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,7 @@ class Infeasible:
     certificate: FarkasCertificate
 
 
-@dataclass(frozen=True)
-class Optimal:
-    """An optimum with its point and its LP-duality certificate: ``duals``
-    are multipliers ``y >= 0`` over the rows with ``G^T y >= c`` and
-    ``h . y = value``."""
-
-    value: Fraction
-    assignment: Mapping[int, Fraction]
-    duals: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    pass
-
-
 LpVerdict = Union[Feasible, Infeasible]
-MaximizeResult = Union[Optimal, Infeasible, Unbounded]
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +126,12 @@ class _Problem:
             gaps[list(c)] -= np.asarray(costs, dtype=gaps.dtype)
         return gaps
 
-    def violations(self, duals, objective=None):
-        """Columns whose exact reduced cost is negative, worst first, ties
-        in column order.
-
-        For a feasibility ray the reduced cost of column j is ``(G^T y)_j``;
-        with an objective (minimization) it is ``c_j - (G^T y)_j``.
-        """
-        gaps = self.column_gaps(duals, objective)
-        reduced = gaps if objective is None else -gaps
-        worst = np.flatnonzero(reduced < 0)
-        return worst[np.argsort(reduced[worst], kind="stable")].tolist()
+    def violations(self, y):
+        """Columns whose exact ``(G^T y)_j`` is negative, worst first, ties
+        in column order."""
+        gaps = self.column_gaps(y)
+        worst = np.flatnonzero(gaps < 0)
+        return worst[np.argsort(gaps[worst], kind="stable")].tolist()
 
     def refuted_by(self, y) -> bool:
         """Exact check that ``y``, one nonnegative integer per row, is a
@@ -181,7 +161,7 @@ class _Problem:
 
 
 # ---------------------------------------------------------------------------
-# Revised exact two-phase simplex over every column of a problem.
+# Revised exact phase-1 simplex over every column of a problem.
 
 
 #: Consecutive non-improving pivots tolerated before switching the
@@ -191,9 +171,9 @@ _DEGENERACY_LIMIT = 12
 
 
 class _Master:
-    """Revised exact simplex for ``max c.x`` over the rows of a `_Problem`
-    and ``x >= 0``, in integers, with every column of the problem. Phase 2
-    minimizes ``-c.x``.
+    """Revised exact phase-1 simplex deciding whether the rows of a
+    `_Problem` have a solution ``x >= 0``, in integers, with every column of
+    the problem. It answers `Feasible` or `Infeasible`.
 
     Row i, ``(G_i / s_i) . x <= h_i`` for the matrix ``G``, the row scales
     ``s`` and the right-hand sides ``h``, is an equation with a slack,
@@ -202,28 +182,28 @@ class _Master:
     tableau keeps only the columns a structural column does not
     determine: the slack block ``T = B^-1 diag(sigma)``, the artificials,
     the right-hand side and one scratch column, in R constraint rows and
-    an objective row. Each row is a numpy object array of Python ints over
-    one positive row denominator, kept in lowest terms.
+    an objective row, the sum of the artificials. Each row is a numpy
+    object array of Python ints over one positive row denominator, kept in
+    lowest terms.
 
     The tableau column of structural column j is ``T (G_j / s)``, formed in
     the scratch column only for the column that enters. The objective
-    row's slack entries are the negated duals of phase 2's minimization,
-    which are the duals of the maximum, so every pivot prices all
-    structural columns at once against them (`_Problem.violations`). The
-    entering column is the most negative reduced cost (ties to the lower
-    index, structurals before slacks before artificials) until the
-    objective stalls, after which Bland's least-index rule takes over,
-    guaranteeing termination. A Farkas certificate leaves the tableau as
-    integers; points and duals leave it as `Fraction`s.
+    row's slack entries are the multipliers ``y`` of the phase-1 ray, up to
+    its denominator, so every pivot prices all structural columns at once
+    against them (`_Problem.violations`). The entering column is the most
+    negative reduced cost (ties to the lower index, structurals before
+    slacks before artificials) until the objective stalls, after which
+    Bland's least-index rule takes over, guaranteeing termination. A Farkas
+    certificate leaves the tableau as integers; a point leaves it as
+    `Fraction`s.
 
-    Without an objective, a float64 phase 1 runs first (`_float_pivots`).
-    When its basis holds an artificial, it proposes a refutation: one
-    integer solve reads the Farkas ray off that basis (`_certify`), and a
-    ray that passes the exact test is the verdict, with no tableau and no
-    exact pivot. In every other case, and for every objective, the slack
-    tableau is built once and `_pivot_loop` runs both phases from it. Both
-    routes return the primitive integer ray, so at one basis they return
-    the same certificate.
+    A float64 phase 1 runs first (`_float_pivots`). When its basis holds an
+    artificial, it proposes a refutation: one integer solve reads the
+    Farkas ray off that basis (`_certify`), and a ray that passes the exact
+    test is the verdict, with no tableau and no exact pivot. In every other
+    case the slack tableau is built once and `_pivot_loop` runs phase 1
+    from it. Both routes return the primitive integer ray, so at one basis
+    they return the same certificate.
     """
 
     def __init__(self, problem: _Problem):
@@ -232,68 +212,24 @@ class _Master:
         # The rows with a negative right-hand side, which get artificials.
         self.art_rows = [i for i, b in enumerate(problem.rhs) if b.numerator < 0]
 
-    def solve(self, objective=None):
-        """Run two-phase simplex. ``objective`` maps columns to costs to
-        maximize; without one only feasibility is decided.
-
-        Returns `Infeasible` with the primitive integer certificate of the
-        phase-1 ray, `Feasible` when there is no objective, else `Optimal`
-        with nonnegative duals over the rows, or `Unbounded`.
-        """
+    def solve(self) -> LpVerdict:
+        """Decide feasibility: `Infeasible` with the primitive integer
+        certificate of the phase-1 ray, else `Feasible` with a point."""
         R, S, A = self.n_rows, self.n_struct, len(self.art_rows)
-        # The float pass only proposes refutations; with an objective the
-        # slack tableau gives every other verdict, so it runs without one.
-        found = _float_pivots(self.problem) if objective is None else None
+        found = _float_pivots(self.problem)
         if found is not None and max(found[0]) >= S + R:
             certificate = self._certify(found[0])
             if certificate is not None:
                 return Infeasible(certificate)
         tab, den, basis = self._slack_start()
-        self._pivot_loop(tab, den, basis, {}, allowed=R + A)
+        self._pivot_loop(tab, den, basis)
         if tab[R, R + A] < 0:
             # Farkas ray: phase-1 reduced costs t_i / den[R] of the slacks.
             ray = tab[R, :R].tolist()
             g = math.gcd(*ray)
             return Infeasible(FarkasCertificate.from_list([t // g for t in ray]))
-        if objective is None:
-            # Artificials left basic are at zero: x satisfies every row.
-            return Feasible(self._extract(tab, den, basis))
-
-        # Drive leftover artificial basics out (degenerate pivots): enter
-        # the first structural column with a nonzero entry in the row, else
-        # the first such slack, which exists since the slack block is
-        # nonsingular.
-        for i in range(R):
-            if basis[i] >= S + R:
-                struct = np.flatnonzero(self.problem.column_gaps(tab[i, :R].tolist()))
-                if struct.size:
-                    j = int(struct[0])
-                    self._pivot(tab, den, basis, i, j, self._load(tab, den, j, {}))
-                else:
-                    k = int(np.flatnonzero(tab[i, :R])[0])
-                    tab[:, -1] = tab[:, k]
-                    self._pivot(tab, den, basis, i, S + k, 1)
-
-        # Phase 2 minimizes the negated objective times the lcm D of its
-        # denominators, which changes no pivot; its row is reduced against
-        # the basis.
-        objective = {j: Fraction(c) for j, c in objective.items() if c}
-        D = math.lcm(1, *(c.denominator for c in objective.values()))
-        cost = {j: -int(c * D) for j, c in objective.items()}
-        tab[R] = 0
-        den[R] = 1
-        for i, b in enumerate(basis):
-            if b in cost:
-                _subtract(tab, den, R, i, cost[b])
-        if self._pivot_loop(tab, den, basis, cost, allowed=R) == "unbounded":
-            return Unbounded()
-        x = self._extract(tab, den, basis)
-        value = sum((objective[j] * v for j, v in x.items() if j in objective), _Q0)
-        # Tableau row i is sigma_i times problem row i, and so is the slack
-        # column of row i. The reduced cost of that slack is thus D y_i for
-        # the multiplier y_i >= 0 of the problem row in the maximization,
-        # whatever the sign of sigma_i, with G^T y >= c.
-        return Optimal(value, x, tuple(Fraction(v, den[R] * D) for v in tab[R, :R]))
+        # Artificials left basic are at zero: x satisfies every row.
+        return Feasible(self._extract(tab, den, basis))
 
     def _slack_start(self):
         """The phase-1 tableau at the basis of slacks and artificials.
@@ -358,37 +294,32 @@ class _Master:
         ray = [y[i] // g for i in range(R)]
         return FarkasCertificate.from_list(ray) if problem.refuted_by(ray) else None
 
-    def _load(self, tab, den, j, cost):
-        """Write structural column j into the scratch column, with its
-        reduced cost for the integer costs in the objective row. Returns
-        the scale of the column: entry i is over ``den[i] * scale``."""
-        R, L, w = self.n_rows, self.problem.lcm_scale, self.problem.weights
+    def _load(self, tab, den, j):
+        """Write structural column j into the scratch column. Returns the
+        scale of the column: entry i is over ``den[i] * scale``."""
+        L, w = self.problem.lcm_scale, self.problem.weights
         g = self.problem.matrix[:, j]
         rows = np.flatnonzero(g)
         col = [w[i] * v for i, v in zip(rows.tolist(), g[rows].tolist())]
         tab[:, -1] = tab[:, rows] @ np.array(col, dtype=object)
-        if j in cost:
-            tab[R, -1] += cost[j] * den[R] * L
         return L
 
-    def _pivot_loop(self, tab, den, basis, cost, allowed):
-        """Pivot until no column prices negative. ``cost`` holds the
-        structural costs, as integers; the objective row holds the others,
-        and only its first ``allowed`` stored columns may enter."""
+    def _pivot_loop(self, tab, den, basis):
+        """Pivot until no column prices negative: every structural column,
+        priced against the objective row, and every stored column but the
+        right-hand side and the scratch one."""
         R, S = self.n_rows, self.n_struct
         bland = False
         stall = 0
         while True:
-            # Reduced costs times den[R]: c_j * den[R] - (G^T y)_j, with y
-            # the negated slack entries of the objective row.
-            priced = self.problem.violations(
-                (-tab[R, :R]).tolist(), {j: c * den[R] for j, c in cost.items()}
-            )
-            negative = np.flatnonzero(tab[R, :allowed] < 0)
+            # Structural column j prices at (G^T y)_j / den[R], for y the
+            # slack entries of the objective row.
+            priced = self.problem.violations(tab[R, :R].tolist())
+            negative = np.flatnonzero(tab[R, :-2] < 0)
             enter = -1
             if priced:
                 enter = min(priced) if bland else priced[0]
-                scale = self._load(tab, den, enter, cost)
+                scale = self._load(tab, den, enter)
             if negative.size and (enter < 0 or not bland):
                 k = negative[0] if bland else negative[np.argmin(tab[R, negative])]
                 # A stored column enters only if it prices strictly lower.
@@ -396,7 +327,7 @@ class _Master:
                     enter, scale = S + int(k), 1
                     tab[:, -1] = tab[:, k]
             if enter < 0:
-                return "optimal"
+                return
             # Least ratio rhs / entry over positive entries; the row
             # denominators and the scale cancel in each ratio.
             leave = -1
@@ -408,7 +339,7 @@ class _Master:
                         continue
                 leave, best_a, best_b = i, a, b
             if leave < 0:
-                return "unbounded"
+                raise RuntimeError("phase 1 is bounded below by 0, so it has no ray")
             if not bland:
                 stall = stall + 1 if best_b == 0 else 0
                 if stall > _DEGENERACY_LIMIT:
@@ -627,46 +558,3 @@ def _solve_problem(problem: _Problem):
     """`solve_feasibility`, also returning the columns priced on each
     pivot: all of them."""
     return _Master(problem).solve(), range(problem.n_vars)
-
-
-def maximize(problem: _Problem, objective: Mapping[int, Fraction]) -> MaximizeResult:
-    """Exact maximum of ``objective . x`` subject to the rows.
-
-    The objective maps columns to costs. Infeasible and unbounded systems
-    are distinguished results. An `Optimal` result carries its LP-duality
-    certificate: multipliers ``y >= 0`` over the rows with ``G^T y >= c``
-    and ``h . y`` equal to the optimum, which `verify_optimum` checks
-    without a solver.
-    """
-    if any(not 0 <= j < problem.n_vars for j in objective):
-        raise ValueError("objective references an unknown column")
-    return _Master(problem).solve(objective)
-
-
-def verify_optimum(
-    problem: _Problem, objective: Mapping[int, Fraction], optimum: Optimal
-) -> bool:
-    """Check exactly, without any solver, that ``optimum.value`` is the
-    maximum of ``objective . x`` (objective and assignment per column).
-
-    The assignment must satisfy every row with objective value equal to
-    ``optimum.value``; the duals ``y`` must be nonnegative, with
-    ``h . y = optimum.value`` and ``G^T y >= c`` on every column. Weak
-    duality then bounds every feasible point by ``h . y``, so the value is
-    the maximum.
-    """
-    duals = [Fraction(y) for y in optimum.duals]
-    if len(duals) != problem.n_rows or any(y < 0 for y in duals):
-        return False
-    if any(not 0 <= j < problem.n_vars for j in objective):
-        return False
-    hy = sum((y * b for y, b in zip(duals, problem.rhs) if y), Fraction(0))
-    cx = sum(
-        (Fraction(c) * optimum.assignment.get(j, 0) for j, c in objective.items()),
-        Fraction(0),
-    )
-    return (
-        hy == cx == optimum.value
-        and problem.satisfied_by(optimum.assignment)
-        and not (problem.column_gaps(duals, objective) < 0).any()
-    )

@@ -9,9 +9,10 @@ machine-checkable evidence either way:
   (`farkas_from_theorem1`);
 * the counterexample program for a deviation shape, which is the system of
   its canonical one-step history (`program3_history`), and the optimality
-  suite pinning down the structure of the k = 8
-  counterexamples (`lemma2_suite`), whose optima carry exact LP-duality
-  certificates;
+  suite pinning down the structure of the k = 8 counterexamples
+  (`lemma2_suite`): each optimum is a bound, certified by the Farkas
+  certificate of one more feasibility system, that the witness of the
+  (4, 2) history attains;
 * the breadth-first enumeration of execution traces of the recursive rule
   (`enumerate_histories`), with candidate-relabeling symmetry broken by
   canonical count vectors (`canonical_continuations`).
@@ -88,7 +89,7 @@ from .elections import (
     harmonic_table,
     pav_score,
 )
-from .exactlp import Feasible, Optimal, _Problem, _solve_problem, maximize, verify_optimum
+from .exactlp import Feasible, _Problem, _solve_problem
 from .stability import Quota, _supporters
 
 #: Hard cap on the candidate count of a history system.
@@ -341,7 +342,7 @@ class History:
         over singleton classes, so each ballot is its own type, in
         ascending bitmask order, and column j is ballot j + 1, the
         canonical variables, with the rows and their tags in the canonical
-        order. A witness and the Lemma 2 programs are checked on it; a
+        order. A witness and the Lemma 2 bounds are checked on it; a
         certificate is checked on the checker's rows (`history_system`)."""
         m = self.m
         # One byte per ballot bit: the system's matrix is the only array of
@@ -951,42 +952,85 @@ def enumerate_histories(
 
 @dataclass(frozen=True)
 class OptimalityRecord:
-    """An LP optimum with its exact certificate.
+    """An LP optimum over a system's rows, as a bound with its exact
+    certificate: at every point of the rows, ``objective`` (per column) is
+    at most ``optimum`` (``sense`` "max") or at least it ("min").
 
-    ``objective`` (per column) is optimized in direction ``sense``;
-    ``certificate`` is the `Optimal` of maximizing ``objective`` (``max``)
-    or its negation (``min``): a point attaining the optimum and LP-duality
-    multipliers that bound every feasible point by it. Checking it needs no
-    solver (`verify`).
+    With ``sign`` 1 for "max" and -1 for "min", the certificate is one
+    integer multiplier ``y_i >= 0`` per row and a ``scale`` mu > 0 with
+    ``G^T y >= mu sign c`` on every column and ``y . h <= mu sign optimum``.
+    Every x >= 0 that satisfies the rows then has
+    ``mu sign c.x <= y . Gx <= y . h <= mu sign optimum``. Checking it needs
+    no solver (`verify`); a point of the rows that attains the bound
+    (`value_at`) makes it the optimum.
     """
 
     label: str
     sense: str
     optimum: Fraction
     objective: Mapping[int, Fraction]
-    certificate: Optimal
+    multipliers: tuple[int, ...]
+    scale: int
 
     def verify(self, problem: _Problem) -> bool:
         sign = 1 if self.sense == "max" else -1
-        maximized = {j: sign * c for j, c in self.objective.items()}
-        return sign * self.certificate.value == self.optimum and verify_optimum(
-            problem, maximized, self.certificate
-        )
+        y, mu = self.multipliers, self.scale
+        if len(y) != problem.n_rows or mu <= 0 or any(v < 0 for v in y):
+            return False
+        yh = sum((v * b for v, b in zip(y, problem.rhs) if v), Fraction(0))
+        costs = {j: mu * sign * Fraction(c) for j, c in self.objective.items()}
+        return yh <= mu * sign * self.optimum and not (problem.column_gaps(y, costs) < 0).any()
+
+    def value_at(self, point: Mapping[int, Fraction]) -> Fraction:
+        """``objective . x`` at a point given per column."""
+        return sum((c * point.get(j, 0) for j, c in self.objective.items()), Fraction(0))
 
 
-def _certified_optimum(
-    problem: _Problem,
-    objective: Mapping[int, Fraction],
-    sense: str,
-    label: str,
+def _bound_problem(
+    problem: _Problem, objective: Mapping[int, Fraction], sign: int, value: Fraction
+) -> _Problem:
+    """The system whose Farkas certificates certify the bound
+    ``sign * objective . x <= sign * value`` over the rows of ``problem``
+    (the affine form of Farkas' lemma).
+
+    It has one more column, ``s >= 0``. Row i becomes
+    ``(G_i / s_i) . x - h_i s <= 0``, scaled by the denominator of ``h_i``
+    so that its entries stay integers and its multiplier keeps its meaning,
+    and one more row reads ``-sign c . x + sign value s <= -1``. A
+    certificate ``(y, mu)`` has ``mu > 0``, ``G^T y >= mu sign c`` and
+    ``y . h <= mu sign value``: the bound's certificate, whatever the rows.
+    When the rows have a solution, this system has none exactly when the
+    bound holds.
+    """
+    R, S = problem.n_rows, problem.n_vars
+    dens = [b.denominator for b in problem.rhs]
+    costs = {j: Fraction(c) for j, c in objective.items()}
+    D = math.lcm(Fraction(value).denominator, *(c.denominator for c in costs.values()))
+    matrix = np.zeros((R + 1, S + 1), dtype=problem.matrix.dtype)
+    matrix[:R, :S] = problem.matrix * np.array(dens, dtype=problem.matrix.dtype)[:, None]
+    matrix[:R, S] = [-s * b.numerator for s, b in zip(problem.scales, problem.rhs)]
+    matrix[R, list(costs)] = [-sign * int(c * D) for c in costs.values()]
+    matrix[R, S] = sign * int(value * D)
+    scales = [s * d for s, d in zip(problem.scales, dens)] + [D]
+    return _Problem(matrix, scales, [0] * R + [-1], [*problem.tags, ("bound",)])
+
+
+def _certified_bound(
+    problem: _Problem, objective: Mapping[int, Fraction], sense: str, optimum: Fraction, label: str
 ) -> OptimalityRecord:
+    """The record of the bound ``objective . x <= optimum`` ("max") or
+    ``>= optimum`` ("min") over the rows of ``problem``, certified by the
+    Farkas certificate of its system (`_bound_problem`). Raises
+    `RuntimeError` when that system has a solution, as it has when the rows
+    have a point beyond the bound."""
     sign = 1 if sense == "max" else -1
-    result = maximize(problem, {j: sign * c for j, c in objective.items()})
-    if not isinstance(result, Optimal):
-        raise RuntimeError(f"{label}: expected a bounded optimum, got {result}")
-    record = OptimalityRecord(label, sense, sign * result.value, dict(objective), result)
+    verdict, _ = _solve_problem(_bound_problem(problem, objective, sign, optimum))
+    if isinstance(verdict, Feasible):
+        raise RuntimeError(f"{label}: the bound {optimum} does not hold")
+    *y, mu = (verdict.certificate.multiplier(i) for i in range(problem.n_rows + 1))
+    record = OptimalityRecord(label, sense, Fraction(optimum), dict(objective), tuple(y), mu)
     if not record.verify(problem):
-        raise RuntimeError(f"{label}: optimality certificate failed")
+        raise RuntimeError(f"{label}: bound certificate failed")
     return record
 
 
@@ -1038,9 +1082,12 @@ def verify_lemma2_structure(
 
 @dataclass(frozen=True)
 class Lemma2Report:
-    """All 17 optima of the k = 8 structure suite, each certified: four
-    quarter-weight records, one aggregate zero record over every other
-    ballot meeting the deviation, and twelve score-drop records."""
+    """All 17 optima of the k = 8 structure suite: four quarter-weight
+    records, one aggregate zero record over every other ballot meeting the
+    deviation, and twelve score-drop records. Each is a bound with its
+    exact certificate over the rows of the (4, 2) history, and the
+    witness, a point of those rows, attains every one, so each bound is
+    the optimum."""
 
     committee: CandidateSet
     deviation: CandidateSet
@@ -1060,27 +1107,28 @@ class Lemma2Report:
         )
 
     def all_certified(self) -> bool:
-        """Re-check every record against freshly built rows."""
+        """Re-check every bound against freshly built rows, and that the
+        witness satisfies those rows and attains every bound."""
         step = (self.committee, self.deviation)
         problem = History(self.committee.m, len(self.committee), (step,)).problem()
-        records = (
-            self.quarter_records
-            + (self.aggregate_zero_record,)
-            + self.drop_records
+        point = {mask - 1: w for mask, w in self.witness.mask_items()}
+        records = (*self.quarter_records, self.aggregate_zero_record, *self.drop_records)
+        return problem.satisfied_by(point) and all(
+            r.verify(problem) and r.value_at(point) == r.optimum for r in records
         )
-        return all(r.verify(problem) for r in records)
 
 
 def lemma2_suite() -> Lemma2Report:
-    """Solve and certify the programs pinning down k = 8 core failures.
+    """Certify the optima pinning down k = 8 core failures.
 
-    All programs live on the rows of the (4, 2) shape's one-step history.
-    The two special ballots each carry weight exactly 1/4 (four programs);
-    every other ballot meeting the deviation carries weight exactly 0
-    (one aggregate program, whose optimum bounds each of them); and
-    removing any of the six unnamed committee members changes the score by
-    exactly -1/12 (twelve programs). Every optimum is certified by exact LP
-    duality.
+    All of them are over the rows of the (4, 2) shape's one-step history.
+    The two special ballots each carry weight exactly 1/4 (four bounds);
+    every other ballot meeting the deviation carries weight exactly 0 (one
+    aggregate bound, which bounds each of them); and removing any of the
+    six unnamed committee members changes the score by exactly -1/12
+    (twelve bounds). Each value is certified as a bound
+    (`_certified_bound`), which raises if a bound fails, and the history's
+    witness attains it.
     """
     k = 8
     history = program3_history(k, DeviationShape(4, 2))
@@ -1091,8 +1139,9 @@ def lemma2_suite() -> Lemma2Report:
         raise RuntimeError("the k = 8 counterexample system must be feasible")
     witness = verdict.witness
     structure_ok = verify_lemma2_structure(witness, committee, deviation)
-    # Each program is solved over all 2^m - 1 ballots, by the exact
-    # tableau from the slack basis, with no float pass (`maximize`).
+    # Each bound's system is over all 2^m - 1 ballots and one more column,
+    # and is decided as every history system is: the float pass proposes a
+    # refutation, and the slack tableau decides when it proposes none.
     problem = history.problem()
 
     a, b = sorted(deviation & committee)
@@ -1101,8 +1150,8 @@ def lemma2_suite() -> Lemma2Report:
     mask_aby = (1 << a) | (1 << b) | (1 << y)
 
     quarter_records = [
-        _certified_optimum(
-            problem, {mask - 1: Fraction(1)}, sense, f"{sense} weight of {who}"
+        _certified_bound(
+            problem, {mask - 1: Fraction(1)}, sense, Fraction(1, 4), f"{sense} weight of {who}"
         )
         for mask, who in ((mask_abx, "abx"), (mask_aby, "aby"))
         for sense in ("max", "min")
@@ -1113,17 +1162,18 @@ def lemma2_suite() -> Lemma2Report:
         for mask in range(1, 1 << m)
         if mask & deviation.mask and mask not in (mask_abx, mask_aby)
     ]
-    aggregate_record = _certified_optimum(
+    aggregate_record = _certified_bound(
         problem,
         {mask - 1: Fraction(1) for mask in bad_masks},
         "max",
+        Fraction(0),
         "max total weight of other deviation-meeting ballots",
     )
     # Weights are nonnegative, so an aggregate optimum of 0 puts each of
     # these ballots at weight 0: it certifies every single-ballot maximum.
 
     drop_records = [
-        _certified_optimum(
+        _certified_bound(
             problem,
             {
                 mask - 1: Fraction(-1, (mask & committee.mask).bit_count())
@@ -1131,6 +1181,7 @@ def lemma2_suite() -> Lemma2Report:
                 if (mask >> c) & 1
             },
             sense,
+            Fraction(-1, 12),
             f"{sense} score change when removing c{c + 1}",
         )
         for c in sorted(committee - deviation)

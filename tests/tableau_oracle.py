@@ -16,19 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from pavcore.checker import FarkasCertificate
-from pavcore.exactlp import (
-    Feasible,
-    Infeasible,
-    Optimal,
-    Unbounded,
-    _DEGENERACY_LIMIT,
-    _Problem,
-)
+from pavcore.exactlp import _DEGENERACY_LIMIT, Feasible, Infeasible, _Problem
 
 
 class Master:
-    """Dense exact tableau for ``min c.x : Gx <= h, x >= 0`` over the
-    columns ``keys`` of a problem."""
+    """Dense exact phase-1 tableau for ``Gx <= h, x >= 0`` over the columns
+    ``keys`` of a problem."""
 
     def __init__(self, problem: _Problem, keys):
         self.keys = list(keys)
@@ -37,7 +30,7 @@ class Master:
         self.rhs = problem.rhs
         self.n_rows, self.n_struct = self.block.shape
 
-    def solve(self, objective_per_key=None):
+    def solve(self):
         R, S = self.n_rows, self.n_struct
         h = [b * s for b, s in zip(self.rhs, self.scales)]
         sigma = [1 if b >= 0 else -1 for b in h]
@@ -60,40 +53,17 @@ class Master:
         tab[R, S + R : width] = 1
         for i in art_rows:
             _eliminate(tab, den, R, i, basis[i])
-        self._pivot_loop(tab, den, basis, allowed=width)
+        self._pivot_loop(tab, den, basis)
         if tab[R, width] < 0:
             return ("infeasible", [Fraction(tab[R, S + i], den[R]) for i in range(R)])
+        return ("feasible", self._extract(tab, den, basis))
 
-        for i in range(R):
-            if basis[i] >= S + R:
-                nonzero = np.flatnonzero(tab[i, : S + R])
-                if nonzero.size:
-                    self._pivot(tab, den, basis, i, int(nonzero[0]))
-
-        if objective_per_key is None:
-            return ("optimal", self._extract(tab, den, basis), Fraction(0), [])
-
-        cost = [Fraction(objective_per_key.get(key, 0)) for key in self.keys]
-        den[R] = math.lcm(1, *(c.denominator for c in cost))
-        tab[R] = 0
-        tab[R, :S] = [c.numerator * (den[R] // c.denominator) for c in cost]
-        for i, b in enumerate(basis):
-            if b < S and tab[R, b]:
-                _eliminate(tab, den, R, i, b)
-        if self._pivot_loop(tab, den, basis, allowed=S + R) == "unbounded":
-            return ("unbounded",)
-        x = self._extract(tab, den, basis)
-        cost = objective_per_key
-        value = sum((cost[key] * v for key, v in x.items() if key in cost), Fraction(0))
-        duals = [Fraction(-tab[R, S + i], den[R]) for i in range(R)]
-        return ("optimal", x, value, duals)
-
-    def _pivot_loop(self, tab, den, basis, allowed):
+    def _pivot_loop(self, tab, den, basis):
         R = self.n_rows
         bland = False
         stall = 0
         while True:
-            costs = tab[R, :allowed]
+            costs = tab[R, :-1]
             if bland:
                 negative = np.flatnonzero(costs < 0)
                 enter = int(negative[0]) if negative.size else -1
@@ -102,7 +72,7 @@ class Master:
                 if not costs[enter] < 0:
                     enter = -1
             if enter < 0:
-                return "optimal"
+                return
             leave = -1
             for i in np.flatnonzero(tab[:R, enter] > 0):
                 a, b = tab[i, enter], tab[i, -1]
@@ -111,8 +81,7 @@ class Master:
                     if mine > best or (mine == best and basis[i] > basis[leave]):
                         continue
                 leave, best_a, best_b = i, a, b
-            if leave < 0:
-                return "unbounded"
+            assert leave >= 0, "phase 1 is bounded below by 0"
             if not bland:
                 stall = stall + 1 if best_b == 0 else 0
                 if stall > _DEGENERACY_LIMIT:
@@ -152,23 +121,18 @@ def _lowest_terms(tab, den, i, d):
     den[i] = d
 
 
-def activate(problem: _Problem, objective=None, dense_limit=280, batch=64):
+def activate(problem: _Problem, dense_limit=280, batch=64):
     """Column activation: solve on the active columns (all of them up to
     ``dense_limit``, else the first ``batch``), price every column against
-    the verdict, add the ``batch`` worst violated ones, and re-solve until
-    none is left. ``objective`` maps columns to costs to minimize."""
+    an infeasibility verdict's ray, add the ``batch`` worst violated ones,
+    and re-solve until none is left."""
     n = problem.n_vars
     active = list(range(n if n <= dense_limit else min(n, batch)))
     while True:
-        result = Master(problem, active).solve(objective)
-        if len(active) == n or result[0] == "unbounded":
+        result = Master(problem, active).solve()
+        if len(active) == n or result[0] == "feasible":
             return result
-        if result[0] == "infeasible":
-            violated = problem.violations(result[1])
-        elif objective is None:
-            return result
-        else:
-            violated = problem.violations(result[3], objective)
+        violated = problem.violations(result[1])
         if not violated:
             return result
         active = sorted(set(active).union(violated[:batch]))
@@ -182,18 +146,7 @@ def ray_certificate(ray) -> FarkasCertificate:
 
 
 def solve_feasibility(problem: _Problem, **knobs):
-    result = activate(problem, None, **knobs)
+    result = activate(problem, **knobs)
     if result[0] == "infeasible":
         return Infeasible(ray_certificate(result[1]))
     return Feasible(result[1])
-
-
-def maximize(problem: _Problem, objective, **knobs):
-    neg = {j: -Fraction(c) for j, c in objective.items() if c}
-    result = activate(problem, neg, **knobs)
-    if result[0] == "unbounded":
-        return Unbounded()
-    if result[0] == "infeasible":
-        return Infeasible(ray_certificate(result[1]))
-    _, x, value, duals = result
-    return Optimal(-value, x, tuple(-y for y in duals))

@@ -1,6 +1,7 @@
 """The checker's boundary: one module that needs nothing of the solver."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -63,6 +64,19 @@ def test_the_checker_holds_its_names_and_the_solver_none_of_them():
         value = getattr(checker, name)
         assert getattr(value, "__module__", "pavcore.checker") == "pavcore.checker", name
     assert not {"Row", "FarkasSums", "farkas_sums", "verify_farkas"} & vars(exactlp).keys()
+
+
+def test_the_solver_answers_feasibility_only():
+    # An optimum is a bound certified through the feasibility path
+    # (`proofs.lemma2_suite`), so the solver holds no objective.
+    removed = {"maximize", "Optimal", "Unbounded", "MaximizeResult", "verify_optimum"}
+    assert not removed & vars(exactlp).keys()
+    for method in (
+        exactlp._Master.solve, exactlp._Master._load, exactlp._Master._pivot_loop,
+        exactlp._Problem.violations,
+    ):
+        params = set(inspect.signature(method).parameters)
+        assert not params & {"objective", "cost", "allowed"}, method.__name__
 
 
 def test_the_benchmark_pins_are_the_checker_functions():

@@ -1,5 +1,6 @@
 """Tests for the LP families, analytic certificates, and trace search."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -314,38 +315,118 @@ def test_lemma2_suite_optima_are_certified():
     report = lemma2_suite()
     assert report.structure_ok
     assert report.all_optima_as_expected()
-    # One aggregate program covers the 958 other deviation-meeting ballots.
+    # One aggregate bound covers the 958 other deviation-meeting ballots.
     assert len(report.aggregate_zero_record.objective) == 958
-    # Every optimum carries a point and exact duals that the check accepts.
+    # Every bound carries exact multipliers that the check accepts, and the
+    # witness attains it.
     assert report.all_certified()
 
 
+def lemma2_records(report):
+    return [*report.quarter_records, report.aggregate_zero_record, *report.drop_records]
+
+
 def test_lemma2_suite_is_the_same_from_the_slack_start(monkeypatch):
-    # Its programs are feasible. The one feasibility LP, the quotient of the
-    # (4, 2) history, runs the float pass, which proposes no refutation;
-    # the 17 maximize programs run none. So every point and dual is the
-    # slack start's.
+    # The float pass runs on the quotient of the (4, 2) history, which is
+    # feasible, and on each of the 17 bounds' systems, where it proposes the
+    # refutation. From the slack start every bound certifies too.
     float_passes = []
     float_pivots = exactlp._float_pivots
     monkeypatch.setattr(
         exactlp, "_float_pivots", lambda problem: float_passes.append(1) or float_pivots(problem)
     )
     reports = [lemma2_suite()]
-    assert float_passes == [1]
+    assert len(float_passes) == 18
     monkeypatch.setattr(exactlp, "_float_pivots", lambda problem: None)
     reports.append(lemma2_suite())
-    optima = [
-        [
-            (r.label, r.sense, r.optimum)
-            for r in (*report.quarter_records, report.aggregate_zero_record, *report.drop_records)
-        ]
-        for report in reports
-    ]
+    optima = [[(r.label, r.sense, r.optimum) for r in lemma2_records(report)] for report in reports]
     assert optima[0] == optima[1] and len(optima[0]) == 17
-    assert repr(reports[0]) == repr(reports[1])
     for report in reports:
         assert report.structure_ok and report.all_optima_as_expected()
         assert report.all_certified()
+
+
+@pytest.fixture(scope="module")
+def lemma2_report():
+    return lemma2_suite()
+
+
+def test_lemma2_bounds_hold_on_the_checker_rows(lemma2_report):
+    # Each record's multipliers, summed over the checker's rows of the
+    # (4, 2) history in integers: A^T y >= mu sign c on every column and
+    # y . b <= mu sign optimum.
+    history = program3_history(8, DeviationShape(4, 2))
+    rows = history_system(history)
+    assert [row.tag for row in rows] == history.tags()
+    n_cols = (1 << history.m) - 1
+    for record in lemma2_records(lemma2_report):
+        sign = 1 if record.sense == "max" else -1
+        y, mu = record.multipliers, record.scale
+        assert len(y) == len(rows) and min(y) >= 0 and mu > 0, record.label
+        used = [i for i, v in enumerate(y) if v]
+        D = math.lcm(
+            record.optimum.denominator,
+            *(Fraction(c).denominator for c in record.objective.values()),
+            *(rows[i].den * rows[i].rhs.denominator for i in used),
+        )
+        sums = np.zeros(n_cols, dtype=object)
+        for i in used:
+            sums[rows[i].cols] += y[i] * (D // rows[i].den) * rows[i].nums.astype(object)
+        costs = np.zeros(n_cols, dtype=object)
+        for j, c in record.objective.items():
+            costs[j] = int(mu * sign * c * D)
+        assert (sums >= costs).all(), record.label
+        yb = sum(y[i] * int(rows[i].rhs * D) for i in used)
+        assert yb <= int(mu * sign * record.optimum * D), record.label
+
+
+def with_record(report, index, **changes):
+    """``report`` with its record ``index``, in `lemma2_records` order,
+    changed."""
+    records = lemma2_records(report)
+    records[index] = dataclasses.replace(records[index], **changes)
+    return dataclasses.replace(
+        report,
+        quarter_records=tuple(records[:4]),
+        aggregate_zero_record=records[4],
+        drop_records=tuple(records[5:]),
+    )
+
+
+def test_lemma2_mutants_fail(lemma2_report):
+    problem = program3_history(8, DeviationShape(4, 2)).problem()
+    records = lemma2_records(lemma2_report)
+    mutants = []
+    for index, record in enumerate(records):
+        # Scale 0 proves nothing; on the aggregate record only this check
+        # catches it, since y . h = 0 and A^T y >= 0 there.
+        mutants.append(with_record(lemma2_report, index, scale=0))
+        y = list(record.multipliers)
+        first = next(i for i, v in enumerate(y) if v)
+        y[first] = -y[first]
+        mutants.append(with_record(lemma2_report, index, multipliers=tuple(y)))
+        if record.sense == "max":
+            # y . h = mu sign optimum for every bound at its optimum, so a
+            # lower claim breaks y . h <= mu sign optimum.
+            lower = record.optimum - Fraction(1, 12)
+            assert not dataclasses.replace(record, optimum=lower).verify(problem)
+            mutants.append(with_record(lemma2_report, index, optimum=lower))
+    assert len(mutants) == 17 + 17 + 9
+    assert not any(mutant.all_certified() for mutant in mutants)
+    # A max quarter bound raised to 1/3 still holds, but the witness does
+    # not attain it.
+    raised = dataclasses.replace(records[0], optimum=Fraction(1, 3))
+    assert records[0].sense == "max" and raised.verify(problem)
+    assert not with_record(lemma2_report, 0, optimum=Fraction(1, 3)).all_certified()
+
+
+def test_lemma2_bounds_past_the_optimum_raise(lemma2_report):
+    problem = program3_history(8, DeviationShape(4, 2)).problem()
+    for record in lemma2_records(lemma2_report):
+        sign = 1 if record.sense == "max" else -1
+        tighter = record.optimum - sign * Fraction(1, 10**6)
+        with pytest.raises(RuntimeError, match="does not hold"):
+            proofs._certified_bound(problem, record.objective, record.sense, tighter, record.label)
 
 
 class TestHistoryType:

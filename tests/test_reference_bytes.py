@@ -22,7 +22,7 @@ from test_cli import TIED_PAIR_8, write_json
 HISTORIES_M10_K8_STDOUT = "a3d0426c5867973702207fedad8ff5473279286583dcfe1ebb7fe1f573eff28f"
 HISTORIES_M10_K8_BUNDLE = "8fd241fffe24994ca8524a5031ddd1be4ec14aac4b31d713102235f400d148f1"
 PROGRAM3_K5_BUNDLE = "99137bc2b206b87117fc74967254a35c594bb570af64d87163bec4b23d05f6a0"
-LEMMA2_SUITE_REPR = "de85234322eb6785bbeb41e5a44ebdaad7cb88c41ed65b4742a2e8f0d251e4e7"
+LEMMA2_SUITE_REPR = "429ba2d3407133bc33d221d67492576b9228fff2df2b1ca0088ffbf011aee81c"
 
 # stdout of each command, PROFILE standing for a file holding TIED_PAIR_8.
 COMMAND_STDOUT = {
