@@ -1,7 +1,13 @@
-"""The certificate checker: integer rows, the Farkas check and the
-reference builder. It imports only the standard library and numpy, and
+"""The certificate checker: integer rows, the checks of exact results and
+the reference builder. It imports only the standard library and numpy, and
 shares no row code with the solver (`exactlp`) or the searches (`proofs`),
 so a verdict it accepts does not rest on the code that found it.
+
+It accepts three kinds of evidence on `Row`s: a Farkas certificate, that
+the rows have no solution (`verify_farkas`); a point that satisfies them
+(`verify_point`), a history's witness; and a bound on an objective over
+them (`verify_bound`), a Lemma 2 record, which is checked as the Farkas
+certificate of the homogenized rows.
 
 Every history system has one canonical row order: the normalization pair,
 swap rows grouped by step and ordered by (x, y), then negated deviation
@@ -60,13 +66,8 @@ class Row:
         den = math.lcm(1, *(c.denominator for _, c in items))
         nums = [c.numerator * (den // c.denominator) for _, c in items]
         wide = any(abs(v) >= _INT64_SAFE for v in nums)
-        self._set(
-            np.array([j for j, _ in items], dtype=np.int64),
-            np.array(nums, dtype=object if wide else np.int64),
-            den,
-            rhs,
-            tag,
-        )
+        cols = np.array([j for j, _ in items], dtype=np.int64)
+        self._set(cols, np.array(nums, dtype=object if wide else np.int64), den, rhs, tag)
 
     @classmethod
     def from_arrays(cls, cols: np.ndarray, nums: np.ndarray, den: int, rhs, tag: tuple) -> "Row":
@@ -138,10 +139,7 @@ class FarkasCertificate:
 
     @classmethod
     def from_list(cls, multipliers: Sequence[int]) -> "FarkasCertificate":
-        return cls(
-            len(multipliers),
-            {i: int(v) for i, v in enumerate(multipliers) if v != 0},
-        )
+        return cls(len(multipliers), {i: int(v) for i, v in enumerate(multipliers) if v != 0})
 
     def multiplier(self, row_index: int) -> int:
         return self.nonzero.get(row_index, 0)
@@ -208,13 +206,65 @@ def farkas_sums(
     return FarkasSums(sums, L, Fraction(value, d))
 
 
+def verify_point(rows: Sequence[Row], point: Mapping[int, Fraction], n_cols: int) -> bool:
+    """Check a point exactly: True iff its weights (absent columns are 0)
+    are nonnegative, at columns below ``n_cols``, and every row's sum at it
+    is at most the row's right-hand side. The sums are Python ints over the
+    lcm ``d`` of the weights' denominators, and each row is read at the
+    point's columns alone, found by `np.searchsorted`."""
+    if any(not 0 <= j < n_cols or v < 0 for j, v in point.items()):
+        return False
+    x = sorted((int(j), Fraction(v)) for j, v in point.items() if v)
+    d = math.lcm(1, *(v.denominator for _, v in x))
+    cols = np.array([j for j, _ in x], dtype=np.int64)
+    ints = [v.numerator * (d // v.denominator) for _, v in x]
+    for row in rows:
+        at = np.searchsorted(row.cols, cols)
+        hit = np.flatnonzero(at < row.cols.size)
+        hit = hit[row.cols[at[hit]] == cols[hit]]
+        total = sum(v * ints[i] for v, i in zip(row.nums[at[hit]].tolist(), hit.tolist()))
+        if total * row.rhs.denominator > row.rhs.numerator * row.den * d:
+            return False
+    return True
+
+
+def _homogenized(row: Row, s: int) -> Row:
+    """The row ``a.x <= b`` as ``a.x - b s <= 0``, with s at column ``s``
+    past the row's columns, over the lcm of its denominators."""
+    den = math.lcm(row.den, row.rhs.denominator)
+    f, last = den // row.den, -row.rhs.numerator * (den // row.rhs.denominator)
+    dtype = object if max(row.max_abs * f, abs(last)) >= _INT64_SAFE else np.int64
+    nums = np.append(row.nums.astype(dtype) * f, np.array([last], dtype=dtype))
+    return Row.from_arrays(np.append(row.cols, s), nums, den, 0, row.tag)
+
+
+def verify_bound(
+    rows: Sequence[Optional[Row]], objective: Mapping[int, Fraction], sense: str,
+    optimum: Fraction, multipliers: Sequence[int], scale: int,
+) -> bool:
+    """Check the bound ``c.x <= optimum`` ("max") or ``c.x >= optimum``
+    ("min") over ``rows``, for ``c`` the ``objective`` (per column),
+    without any solver. With ``sign`` 1 for "max" and -1 for "min", it
+    holds iff `verify_farkas` accepts ``[*multipliers, scale]`` on the rows
+    homogenized (`_homogenized`), s one column past every column used, and
+    one more row ``-sign c.x + sign optimum s <= -1``. Then ``scale``
+    mu > 0, ``A^T y >= mu sign c`` and ``y . b <= mu sign optimum``, so
+    every x >= 0 of the rows has ``mu sign c.x <= y . Ax <= mu sign
+    optimum``. Rows with multiplier 0 may be None; a wrong number of
+    multipliers fails."""
+    if len(multipliers) != len(rows):
+        return False
+    sign = {"max": 1, "min": -1}[sense]
+    used = [row for row, v in zip(rows, multipliers) if v]
+    s = 1 + max([*objective, *(int(j) for row in used for j in row.cols[-1:])], default=-1)
+    system = [_homogenized(row, s) if v else None for row, v in zip(rows, multipliers)]
+    last = Row({**objective, s: -Fraction(optimum)}, -1, ("bound",))
+    system.append(Row.from_arrays(last.cols, last.nums * -sign, last.den, -1, last.tag))
+    return verify_farkas(system, FarkasCertificate.from_list([*multipliers, scale]))
+
+
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 #: The caches of the module docstring, as name -> (key, value): "reference_masks"

@@ -6,11 +6,11 @@ any row stating it. The solver answers one question, whether the system has
 a solution, with one of two exact verdicts: `Feasible`, with a point that
 satisfies every row, or `Infeasible`, with an integer Farkas certificate
 (one multiplier per row, y >= 0 with y.b < 0 and A^T y >= 0, which together
-rule out every x >= 0) that leaves the solver as integers; the solver-free
-check of it is `checker.verify_farkas`. An optimum is a bound that some
-point attains, and the affine form of Farkas' lemma turns a bound into the
-infeasibility of one more system (`proofs.lemma2_suite`), so this module
-needs no objective.
+rule out every x >= 0) that leaves the solver as integers. The solver
+checks neither: `checker` accepts every exact result. An optimum is a
+bound that some point attains, and the affine form of Farkas' lemma turns
+a bound into the infeasibility of one more system (`proofs.lemma2_suite`),
+so this module needs no objective.
 
 Verdicts come from an exact phase-1 revised simplex whose tableau is
 fraction-free: each row is a vector of Python ints over one positive row
@@ -25,12 +25,11 @@ The systems are short and wide (tens of rows, up to thousands of
 columns), so the tableau (`_Master`) holds only the basis inverse: the
 slack and artificial columns and the right-hand side, one row per
 constraint. A structural column's tableau column is formed only when it
-enters. One pricing kernel (`_Problem.column_gaps`) computes
-``G^T y - c`` for every column exactly, with integer dot products: on
-every pivot, against the objective row's multipliers; for the test of a
-ray read off a float basis; and, with costs, for the check of a bound
-(`proofs.OptimalityRecord`). A verdict is thus always reached with every
-column priced clean, as in a dense tableau.
+enters. One pricing kernel (`_Problem.column_gaps`) computes ``G^T y``
+for every column exactly, with integer dot products: on every pivot,
+against the objective row's multipliers, and for the test of a ray read
+off a float basis. A verdict is thus always reached with every column
+priced clean, as in a dense tableau.
 
 Phase 1 is found in floats and confirmed in exact arithmetic (QSopt_ex:
 Applegate, Cook, Dash & Espinoza 2007). `_float_pivots` runs phase 1 as a
@@ -98,33 +97,21 @@ class _Problem:
         # Python ints, and no full-size temporary as np.abs would make.
         self.max_abs = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
 
-    def column_gaps(self, y, c: Optional[Mapping[int, Fraction]] = None):
-        """Exact ``factor * (G^T y - c)`` for every column, ``factor > 0``.
+    def column_gaps(self, y):
+        """Exact ``factor * G^T y`` for every column, ``factor > 0``.
 
-        ``y`` holds one exact multiplier per row, ints or `Fraction`s;
-        ``c`` maps columns to exact costs, absent columns cost 0. Returns
-        one integer per column, whose sign is the sign of
-        ``(G^T y - c)_j``: an int64 array when no sum can overflow, else an
+        ``y`` holds one exact multiplier per row, ints or `Fraction`s.
+        Returns one integer per column, whose sign is the sign of
+        ``(G^T y)_j``: an int64 array when no sum can overflow, else an
         object array of Python ints.
         """
-        c = {j: Fraction(v) for j, v in (c or {}).items() if v}
-        denom = math.lcm(
-            1, *(u.denominator for u in y), *(v.denominator for v in c.values())
-        )
-        factor = denom * self.lcm_scale
+        denom = math.lcm(1, *(u.denominator for u in y))
         scaled = [
             u.numerator * (denom // u.denominator) * w for u, w in zip(y, self.weights)
         ]
-        costs = [v.numerator * (factor // v.denominator) for v in c.values()]
-        bound = sum(abs(s) for s in scaled) * max(self.max_abs, 1)
-        bound += max(map(abs, costs), default=0)
-        if bound < _INT64_SAFE:
-            gaps = np.asarray(scaled, dtype=np.int64) @ self.matrix
-        else:
-            gaps = np.asarray(scaled, dtype=object) @ self.matrix.astype(object)
-        if c:
-            gaps[list(c)] -= np.asarray(costs, dtype=gaps.dtype)
-        return gaps
+        if sum(abs(s) for s in scaled) * max(self.max_abs, 1) < _INT64_SAFE:
+            return np.asarray(scaled, dtype=np.int64) @ self.matrix
+        return np.asarray(scaled, dtype=object) @ self.matrix.astype(object)
 
     def violations(self, y):
         """Columns whose exact ``(G^T y)_j`` is negative, worst first, ties
@@ -144,20 +131,6 @@ class _Problem:
         if sum(v * b.numerator * (d // b.denominator) for v, b in used) >= 0:
             return False
         return not (self.column_gaps(y) < 0).any()
-
-    def satisfied_by(self, assignment: Mapping[int, Fraction]) -> bool:
-        """Exact check that an assignment (per column, absent columns are 0)
-        is nonnegative and satisfies every row."""
-        if any(not 0 <= j < self.n_vars or v < 0 for j, v in assignment.items()):
-            return False
-        x = {j: Fraction(v) for j, v in assignment.items() if v}
-        denom = math.lcm(1, *(v.denominator for v in x.values()))
-        ints = [v.numerator * (denom // v.denominator) for v in x.values()]
-        sums = self.matrix[:, list(x)].astype(object) @ np.array(ints, dtype=object)
-        return all(
-            Fraction(int(t), s * denom) <= b
-            for t, s, b in zip(sums, self.scales, self.rhs)
-        )
 
 
 # ---------------------------------------------------------------------------

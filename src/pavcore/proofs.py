@@ -26,11 +26,11 @@ Lemma 1 shape (`_is_lemma1_shape`) gets its Theorem 1 certificate with no
 LP. Every other system goes through the symmetry-collapsed quotient
 (`_Quotient`), the revised exact simplex (`exactlp`) and the lift back to
 the full system. Either way the result is checked exactly, and a failed
-check raises. A witness is checked on the solver's full system
-(`History.problem`) and against the election semantics. A certificate is
-checked by the solver-free checker (`checker`), as `check-certificates`
-checks a file. Every batch of work runs through one `Runner`, which owns
-the process pool and the time budget.
+check raises. The solver-free checker (`checker`) accepts every exact
+result on the reference rows (`history_system`): a certificate as
+`check-certificates` checks a file, a witness as a point, which the
+election semantics then re-check, and a Lemma 2 bound. Every batch of
+work runs through one `Runner`: the process pool and the time budget.
 
 Siblings are the continuations of one parent that share a committee W.
 Their systems differ in the last row alone, the deviation row of the new
@@ -80,6 +80,8 @@ from .checker import (
     _supporting,
     clear_row_caches,
     farkas_sums,
+    verify_bound,
+    verify_point,
 )
 from .elections import (
     CandidateSet,
@@ -126,10 +128,9 @@ class DeviationShape:
         return self.size - self.overlap
 
     def validate_for(self, k: int) -> None:
+        # The overlap is at most the size, so within the committee too.
         if self.size > k:
             raise ValueError(f"deviation size {self.size} exceeds k={k}")
-        if self.overlap > k:
-            raise ValueError("overlap cannot exceed the committee size")
 
 
 def delta_formula(
@@ -342,8 +343,8 @@ class History:
         over singleton classes, so each ballot is its own type, in
         ascending bitmask order, and column j is ballot j + 1, the
         canonical variables, with the rows and their tags in the canonical
-        order. A witness and the Lemma 2 bounds are checked on it; a
-        certificate is checked on the checker's rows (`history_system`)."""
+        order. It is the solver's input for the Lemma 2 bounds; every
+        result is checked on the checker's rows (`history_system`)."""
         m = self.m
         # One byte per ballot bit: the system's matrix is the only array of
         # its size that the build holds.
@@ -496,10 +497,7 @@ def _signature_classes(m: int, sets: Sequence[int]) -> list[list[int]]:
 
 
 def _prefix_mask(members: Sequence[int], count: int) -> int:
-    mask = 0
-    for i in members[:count]:
-        mask |= 1 << i
-    return mask
+    return sum(1 << i for i in members[:count])
 
 
 class _Quotient:
@@ -581,10 +579,11 @@ def _verify_certificate_fast(
     return farkas_sums(rows, certificate)
 
 
-def _verify_witness_fast(problem: _Problem, assignment: Mapping[int, Fraction]) -> bool:
-    """Exact row check of a feasible assignment over ballot masks, on a
-    full system, whose column j is ballot j + 1."""
-    return problem.satisfied_by({mask - 1: w for mask, w in assignment.items()})
+def _verify_witness_fast(history: History, witness: Mapping[int, Fraction]) -> bool:
+    """The checker's test of a witness over ballot masks as a point of the
+    reference rows of ``history``, whose column j is ballot j + 1."""
+    point = {mask - 1: w for mask, w in witness.items()}
+    return verify_point(history_system(history), point, (1 << history.m) - 1)
 
 
 def _witness_realizes(
@@ -687,11 +686,10 @@ def history_verdict(history: History) -> HistoryVerdict:
     solved and its result lifted. The certificate follows from the row
     tags alone (`History.tags`), and the checker checks it, as
     `check-certificates` checks its file (`_verify_certificate_fast`): on
-    the reference rows with a nonzero multiplier, after any LP. A witness
-    is checked on the solver's full system (`History.problem`) and against
-    the election semantics. A failed check raises `RuntimeError`, since it
-    means a bug. Over `MAX_HISTORY_M` candidates raises
-    `EnumerationLimitError`.
+    the reference rows with a nonzero multiplier, after any LP; a witness,
+    on every reference row (`_verify_witness_fast`), and then the election
+    semantics re-check it. A failed check raises `RuntimeError`. Over
+    `MAX_HISTORY_M` candidates raises `EnumerationLimitError`.
     """
     return _decide(history)[0]
 
@@ -709,7 +707,7 @@ def _decide(history: History) -> tuple[HistoryVerdict, Optional[FarkasSums]]:
         verdict, _ = _solve_problem(quotient.problem())
         if isinstance(verdict, Feasible):
             witness = quotient.lift_assignment(verdict.assignment)
-            if not _verify_witness_fast(history.problem(), witness):
+            if not _verify_witness_fast(history, witness):
                 raise RuntimeError("witness failed exact verification")
             if not _witness_realizes(witness, m, k, steps):
                 raise RuntimeError("witness does not realize the history")
@@ -954,15 +952,10 @@ def enumerate_histories(
 class OptimalityRecord:
     """An LP optimum over a system's rows, as a bound with its exact
     certificate: at every point of the rows, ``objective`` (per column) is
-    at most ``optimum`` (``sense`` "max") or at least it ("min").
-
-    With ``sign`` 1 for "max" and -1 for "min", the certificate is one
-    integer multiplier ``y_i >= 0`` per row and a ``scale`` mu > 0 with
-    ``G^T y >= mu sign c`` on every column and ``y . h <= mu sign optimum``.
-    Every x >= 0 that satisfies the rows then has
-    ``mu sign c.x <= y . Gx <= y . h <= mu sign optimum``. Checking it needs
-    no solver (`verify`); a point of the rows that attains the bound
-    (`value_at`) makes it the optimum.
+    at most ``optimum`` (``sense`` "max") or at least it ("min"). The
+    certificate is one integer multiplier per row and a ``scale``, which
+    the checker checks on the rows with no solver (`verify`); a point of
+    the rows that attains the bound (`value_at`) makes it the optimum.
     """
 
     label: str
@@ -972,14 +965,10 @@ class OptimalityRecord:
     multipliers: tuple[int, ...]
     scale: int
 
-    def verify(self, problem: _Problem) -> bool:
-        sign = 1 if self.sense == "max" else -1
-        y, mu = self.multipliers, self.scale
-        if len(y) != problem.n_rows or mu <= 0 or any(v < 0 for v in y):
-            return False
-        yh = sum((v * b for v, b in zip(y, problem.rhs) if v), Fraction(0))
-        costs = {j: mu * sign * Fraction(c) for j, c in self.objective.items()}
-        return yh <= mu * sign * self.optimum and not (problem.column_gaps(y, costs) < 0).any()
+    def verify(self, rows: Sequence[Optional[Row]]) -> bool:
+        """Whether `checker.verify_bound` accepts the bound on ``rows``."""
+        fields = (self.objective, self.sense, self.optimum, self.multipliers, self.scale)
+        return verify_bound(rows, *fields)
 
     def value_at(self, point: Mapping[int, Fraction]) -> Fraction:
         """``objective . x`` at a point given per column."""
@@ -991,14 +980,9 @@ def _bound_problem(
 ) -> _Problem:
     """The system whose Farkas certificates certify the bound
     ``sign * objective . x <= sign * value`` over the rows of ``problem``
-    (the affine form of Farkas' lemma).
-
-    It has one more column, ``s >= 0``. Row i becomes
-    ``(G_i / s_i) . x - h_i s <= 0``, scaled by the denominator of ``h_i``
-    so that its entries stay integers and its multiplier keeps its meaning,
-    and one more row reads ``-sign c . x + sign value s <= -1``. A
-    certificate ``(y, mu)`` has ``mu > 0``, ``G^T y >= mu sign c`` and
-    ``y . h <= mu sign value``: the bound's certificate, whatever the rows.
+    (the affine form of Farkas' lemma): the homogenized rows of
+    `checker.verify_bound`, row i scaled by the denominator of ``h_i`` so
+    that its entries stay integers and its multiplier keeps its meaning.
     When the rows have a solution, this system has none exactly when the
     bound holds.
     """
@@ -1019,8 +1003,8 @@ def _certified_bound(
     problem: _Problem, objective: Mapping[int, Fraction], sense: str, optimum: Fraction, label: str
 ) -> OptimalityRecord:
     """The record of the bound ``objective . x <= optimum`` ("max") or
-    ``>= optimum`` ("min") over the rows of ``problem``, certified by the
-    Farkas certificate of its system (`_bound_problem`). Raises
+    ``>= optimum`` ("min") over the rows of ``problem``, with the Farkas
+    certificate of its system (`_bound_problem`), unchecked. Raises
     `RuntimeError` when that system has a solution, as it has when the rows
     have a point beyond the bound."""
     sign = 1 if sense == "max" else -1
@@ -1028,10 +1012,7 @@ def _certified_bound(
     if isinstance(verdict, Feasible):
         raise RuntimeError(f"{label}: the bound {optimum} does not hold")
     *y, mu = (verdict.certificate.multiplier(i) for i in range(problem.n_rows + 1))
-    record = OptimalityRecord(label, sense, Fraction(optimum), dict(objective), tuple(y), mu)
-    if not record.verify(problem):
-        raise RuntimeError(f"{label}: bound certificate failed")
-    return record
+    return OptimalityRecord(label, sense, Fraction(optimum), dict(objective), tuple(y), mu)
 
 
 def verify_lemma2_structure(
@@ -1056,20 +1037,10 @@ def verify_lemma2_structure(
     wt_mask = committee.mask | deviation.mask
     mask_abx = (1 << a) | (1 << b) | (1 << x)
     mask_aby = (1 << a) | (1 << b) | (1 << y)
-    quarter_x = Fraction(0)
-    quarter_y = Fraction(0)
-    disjoint = Fraction(0)
-    for mask, weight in profile.mask_items():
-        inter_mask = mask & wt_mask
-        if inter_mask == mask_abx:
-            quarter_x += weight
-        if inter_mask == mask_aby:
-            quarter_y += weight
-        if mask & deviation.mask == 0:
-            disjoint += weight
-    if quarter_x != Fraction(1, 4) or quarter_y != Fraction(1, 4):
-        return False
-    if disjoint != Fraction(1, 2):
+    items = profile.mask_items()
+    quarters = [sum(w for mask, w in items if mask & wt_mask == q) for q in (mask_abx, mask_aby)]
+    disjoint = sum(w for mask, w in items if not mask & deviation.mask)
+    if quarters != [Fraction(1, 4)] * 2 or disjoint != Fraction(1, 2):
         return False
     score = pav_score(profile, committee)
     return all(
@@ -1107,14 +1078,15 @@ class Lemma2Report:
         )
 
     def all_certified(self) -> bool:
-        """Re-check every bound against freshly built rows, and that the
-        witness satisfies those rows and attains every bound."""
+        """Whether the checker accepts the witness and every bound on the
+        history's reference rows, and the witness attains every bound."""
         step = (self.committee, self.deviation)
-        problem = History(self.committee.m, len(self.committee), (step,)).problem()
+        history = History(self.committee.m, len(self.committee), (step,))
+        rows = history_system(history)
         point = {mask - 1: w for mask, w in self.witness.mask_items()}
         records = (*self.quarter_records, self.aggregate_zero_record, *self.drop_records)
-        return problem.satisfied_by(point) and all(
-            r.verify(problem) and r.value_at(point) == r.optimum for r in records
+        return verify_point(rows, point, (1 << history.m) - 1) and all(
+            r.verify(rows) and r.value_at(point) == r.optimum for r in records
         )
 
 
@@ -1126,9 +1098,9 @@ def lemma2_suite() -> Lemma2Report:
     every other ballot meeting the deviation carries weight exactly 0 (one
     aggregate bound, which bounds each of them); and removing any of the
     six unnamed committee members changes the score by exactly -1/12
-    (twelve bounds). Each value is certified as a bound
-    (`_certified_bound`), which raises if a bound fails, and the history's
-    witness attains it.
+    (twelve bounds). Each value is a bound that the solver certifies
+    (`_certified_bound`) and the checker accepts on the history's reference
+    rows, else this raises; the history's witness attains it.
     """
     k = 8
     history = program3_history(k, DeviationShape(4, 2))
@@ -1143,6 +1115,7 @@ def lemma2_suite() -> Lemma2Report:
     # and is decided as every history system is: the float pass proposes a
     # refutation, and the slack tableau decides when it proposes none.
     problem = history.problem()
+    rows = history_system(history)
 
     a, b = sorted(deviation & committee)
     x, y = sorted(deviation - committee)
@@ -1188,6 +1161,9 @@ def lemma2_suite() -> Lemma2Report:
         for sense in ("max", "min")
     ]
 
+    for record in (*quarter_records, aggregate_record, *drop_records):
+        if not record.verify(rows):
+            raise RuntimeError(f"{record.label}: bound certificate failed")
     return Lemma2Report(
         committee=committee,
         deviation=deviation,

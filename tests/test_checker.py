@@ -9,10 +9,11 @@ import pytest
 
 from pavcore import checker, cli, exactlp, proofs
 
-#: What the checker holds: the integer rows, the Farkas check and the
-#: reference builder.
+#: What the checker holds: the integer rows, the checks of a certificate, a
+#: point and a bound, and the reference builder.
 CHECKER_NAMES = [
     "_INT64_SAFE", "Row", "FarkasCertificate", "FarkasSums", "farkas_sums", "verify_farkas",
+    "verify_point", "_homogenized", "verify_bound",
     "_bits", "_ROW_CACHES", "_cached", "clear_row_caches", "_reference_masks",
     "_supporting", "_ReferenceStep", "_build_rows",
 ]
@@ -63,14 +64,19 @@ def test_the_checker_holds_its_names_and_the_solver_none_of_them():
     for name in CHECKER_NAMES:
         value = getattr(checker, name)
         assert getattr(value, "__module__", "pavcore.checker") == "pavcore.checker", name
-    assert not {"Row", "FarkasSums", "farkas_sums", "verify_farkas"} & vars(exactlp).keys()
+    assert not {
+        "Row", "FarkasSums", "farkas_sums", "verify_farkas", "verify_point", "verify_bound"
+    } & vars(exactlp).keys()
 
 
 def test_the_solver_answers_feasibility_only():
     # An optimum is a bound certified through the feasibility path
-    # (`proofs.lemma2_suite`), so the solver holds no objective.
+    # (`proofs.lemma2_suite`), so the solver holds no objective; and the
+    # checker accepts every point and bound, so the solver checks neither.
     removed = {"maximize", "Optimal", "Unbounded", "MaximizeResult", "verify_optimum"}
     assert not removed & vars(exactlp).keys()
+    assert not hasattr(exactlp._Problem, "satisfied_by")
+    assert list(inspect.signature(exactlp._Problem.column_gaps).parameters) == ["self", "y"]
     for method in (
         exactlp._Master.solve, exactlp._Master._load, exactlp._Master._pivot_loop,
         exactlp._Problem.violations,

@@ -13,7 +13,7 @@ import pytest
 
 import tableau_oracle
 from pavcore import exactlp, proofs
-from pavcore.checker import FarkasCertificate, Row, verify_farkas
+from pavcore.checker import FarkasCertificate, Row, verify_bound, verify_farkas, verify_point
 from pavcore.exactlp import Feasible, Infeasible, _Master, _Problem, solve_feasibility
 from pavcore.proofs import OptimalityRecord, _bound_problem, _certified_bound
 
@@ -147,8 +147,8 @@ def disjoint_rows_system(rng):
     return rows, [rng.choice([0, 1, 3, 2**40, 2**100]) for _ in rows]
 
 def price(problem, multipliers):
-    """The reference for `_Problem.column_gaps` without costs, as the solver
-    once priced: exact ``(totals, factor)`` with ``totals = factor * G^T y``
+    """The reference for `_Problem.column_gaps`, as the solver once
+    priced: exact ``(totals, factor)`` with ``totals = factor * G^T y``
     and ``factor > 0``, in int64 when no sum can overflow."""
     denom = 1
     for u in multipliers:
@@ -176,7 +176,7 @@ def loop_violations(problem, y):
 
 def random_pricing_case(rng):
     """A random problem, int64 or with entries of 2^62 and above, with
-    `Fraction` or int multipliers and an objective or none."""
+    `Fraction` or int multipliers."""
     n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 40)
     wide = rng.random() < 0.4
     matrix = np.zeros((n_rows, n_cols), dtype=object if wide else np.int64)
@@ -196,14 +196,7 @@ def random_pricing_case(rng):
         else rng.choice([0, 1, -2, 3, 2**40, -(2**61), 2**63])
         for _ in range(n_rows)
     ]
-    objective = None
-    if rng.random() < 0.6:
-        costs = [0, Fraction(2**64, 3)] + [
-            Fraction(rng.randint(-9, 9), rng.choice([1, 3, 11])) for _ in range(3)
-        ]
-        cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
-        objective = {j: Fraction(rng.choice(costs)) for j in cols}
-    return problem, y, objective
+    return problem, y
 
 
 class TestPricingKernel:
@@ -211,19 +204,19 @@ class TestPricingKernel:
         rng = random.Random(1812)
         kinds = set()
         for _ in range(400):
-            problem, y, objective = random_pricing_case(rng)
-            kinds.add((problem.matrix.dtype == object, type(y[0]), objective is None))
-            case = (problem.matrix.tolist(), problem.scales, y, objective)
+            problem, y = random_pricing_case(rng)
+            kinds.add((problem.matrix.dtype == object, type(y[0])))
+            case = (problem.matrix.tolist(), problem.scales, y)
             assert problem.violations(y) == loop_violations(problem, y), case
-            gaps = problem.column_gaps(y, objective)
+            gaps = problem.column_gaps(y)
             for j, gap in enumerate(gaps.tolist()):
                 exact = sum(
                     (Fraction(int(problem.matrix[i, j]) * u, s)
                      for i, (u, s) in enumerate(zip(y, problem.scales))),
                     Fraction(0),
-                ) - (objective or {}).get(j, 0)
+                )
                 assert (gap > 0) - (gap < 0) == (exact > 0) - (exact < 0), (case, j)
-        assert len(kinds) == 8
+        assert len(kinds) == 4
 
     def test_falls_back_to_python_ints_past_int64(self):
         matrix = np.array([[1, -1], [2, 0]], dtype=np.int64)
@@ -231,8 +224,6 @@ class TestPricingKernel:
         assert problem.column_gaps([1, 1]).dtype == np.int64
         gaps = problem.column_gaps([2**62, 2**62])
         assert gaps.dtype == object and gaps.tolist() == [3 * 2**62, -(2**62)]
-        gaps = problem.column_gaps([1, 0], {0: Fraction(2**63)})
-        assert gaps.dtype == object and gaps.tolist() == [1 - 2**63, -1]
 
 
 class TestSmallVerdicts:
@@ -414,6 +405,59 @@ class TestVerifyFarkas:
         assert not verify_farkas(rows, FarkasCertificate.from_list([1, 0, 0]))
 
 
+def fraction_verify_point(rows, point, n_cols):
+    """The reference for `verify_point`: one `Fraction` multiply and one add
+    per entry of every row."""
+    if any(not 0 <= j < n_cols or v < 0 for j, v in point.items()):
+        return False
+    return all(
+        sum((c * point.get(j, 0) for j, c in row.coeffs.items()), Fraction(0)) <= row.rhs
+        for row in rows
+    )
+
+
+class TestVerifyPoint:
+    def test_matches_the_fraction_loop_on_random_systems(self):
+        # The rows of `random_certified_system`, entries of 2^70 among
+        # them, use at most 5 of the point's 5 to 8 columns, so that some
+        # columns meet no row; each right-hand side is the row's sum at
+        # the point, moved by 0, a little up or a little down.
+        rng = random.Random(33)
+        kinds = collections.Counter()
+        weights = [0, 1, 3, Fraction(1, 3), Fraction(2**70, 7), Fraction(1, 2**70)]
+        for _ in range(600):
+            rows, _ = random_certified_system(rng)
+            n_cols = rng.randint(5, 8)
+            cols = rng.sample(range(n_cols), rng.randint(0, n_cols))
+            point = {j: rng.choice(weights) for j in cols}
+            rows = [
+                Row(
+                    row.coeffs,
+                    sum((c * point.get(j, 0) for j, c in row.coeffs.items()), Fraction(0))
+                    + rng.choice([0, 0, 0, 0, Fraction(1, 2**80), -Fraction(1, 2**80)]),
+                    row.tag,
+                )
+                for row in rows
+            ]
+            change = rng.random()
+            if change < 0.1:
+                point[rng.randrange(n_cols)] = -rng.choice(weights[1:])
+            elif change < 0.2:
+                point[rng.choice([-1, n_cols, n_cols + 3])] = rng.choice(weights)
+            verdict = verify_point(rows, point, n_cols)
+            assert verdict == fraction_verify_point(rows, point, n_cols), (rows, point)
+            kinds[verdict, change < 0.2] += 1
+        assert kinds[True, False] > 100 and kinds[False, False] > 100
+        assert kinds[False, True] > 50, kinds
+
+    def test_a_wide_row_and_a_column_it_lacks(self):
+        # Column j of 0, 2, ..., 2998 holds (j % 5 - 2) / 3; 2999 holds 0.
+        row = Row({j: Fraction(j % 5 - 2, 3) for j in range(0, 3000, 2)}, Fraction(1, 3), ("w",))
+        assert verify_point([row], {2999: 7, 4: Fraction(1, 2)}, 3000)
+        assert not verify_point([row], {4: Fraction(1, 2), 8: Fraction(1, 2)}, 3000)
+        assert verify_point([], {}, 0) and not verify_point([], {0: 1}, 0)
+
+
 def homogenized(rows, n_vars, objective, sign, value):
     """The rows of the system of the bound ``sign * c.x <= sign * value``
     (`proofs._bound_problem`), built here from `Row`s: each row
@@ -435,16 +479,18 @@ class TestMaximize:
     past it raises."""
 
     def test_bounded_maximum(self):
-        _, problem = make_system([([1], 1), ([-1], 0)])
+        rows, problem = make_system([([1], 1), ([-1], 0)])
         record = certify(problem, {0: 1}, "max", 1)
         assert record.multipliers == (1, 0) and record.scale == 1
+        assert record.verify(rows)
         with pytest.raises(RuntimeError):
             certify(problem, {0: 1}, "max", Fraction(99, 100))
 
     def test_minimize_via_negation(self):
-        _, problem = make_system([([1], 1), ([-1], Fraction(-1, 3))])
+        rows, problem = make_system([([1], 1), ([-1], Fraction(-1, 3))])
         record = certify(problem, {0: 1}, "min", Fraction(1, 3))
         assert record.multipliers == (0, 1) and record.scale == 1
+        assert record.verify(rows)
         with pytest.raises(RuntimeError):
             certify(problem, {0: 1}, "min", Fraction(1, 3) + Fraction(1, 100))
 
@@ -460,17 +506,18 @@ class TestMaximize:
         rows, problem = make_system([([1], -1), ([-1], 0)])
         assert isinstance(solve_feasibility(problem), Infeasible)
         for value in (-5, 0, 7):
-            assert certify(problem, {0: 1}, "max", value).verify(problem)
+            assert certify(problem, {0: 1}, "max", value).verify(rows)
 
     def test_two_variable_lp(self):
         # max x + y st x + 2y <= 4, 3x + y <= 6, x,y >= 0 -> (8/5, 6/5), with
         # the duals (2/5, 1/5).
-        _, problem = make_system(
+        rows, problem = make_system(
             [([1, 2], 4), ([3, 1], 6), ([-1, 0], 0), ([0, -1], 0)]
         )
         objective = {0: Fraction(1), 1: Fraction(1)}
         record = certify(problem, objective, "max", Fraction(14, 5))
         assert record.multipliers == (2, 1, 0, 0) and record.scale == 5
+        assert record.verify(rows)
         assert record.value_at({0: Fraction(8, 5), 1: Fraction(6, 5)}) == Fraction(14, 5)
         with pytest.raises(RuntimeError):
             certify(problem, objective, "max", Fraction(14, 5) - Fraction(1, 10**6))
@@ -492,6 +539,37 @@ class TestBoundProblem:
                 for p in (built, expected)
             ]
             assert rationals[0] == rationals[1], trial
+
+
+class TestVerifyBound:
+    def test_matches_the_homogenized_farkas_check_on_random_systems(self):
+        # The systems of `TestBoundProblem`. The solver's certificate of the
+        # bound's system, where it has one, and random or changed
+        # multipliers: `verify_bound` puts s one column past the columns
+        # used, `homogenized` at column n, and both agree.
+        rng = random.Random(32)
+        kinds = collections.Counter()
+        for trial in range(100):
+            rows, n = random_rows(rng)
+            objective, sign = random_objective(rng, n), rng.choice([1, -1])
+            value = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            bound = homogenized(rows, n, objective, sign, value)
+            verdict = solve_feasibility(make_problem(bound, n + 1))
+            candidates = [[rng.choice([0, 0, 1, 2, 7]) for _ in bound] for _ in range(3)]
+            if isinstance(verdict, Infeasible):
+                found = [verdict.certificate.multiplier(i) for i in range(len(bound))]
+                candidates.append(found)
+                changed = list(found)
+                changed[rng.randrange(len(bound))] += rng.choice([-1, 1, 3])
+                candidates += [changed, found[:-1] + [0]]
+            for *y, mu in candidates:
+                record = (objective, "max" if sign == 1 else "min", value, y, mu)
+                accepted = verify_bound(rows, *record)
+                expected = fraction_verify_farkas(bound, FarkasCertificate.from_list([*y, mu]))
+                assert accepted == expected, (trial, rows, record)
+                kinds[accepted] += 1
+            assert not verify_bound(rows, objective, "max", value, [0] * (len(rows) + 1), 1)
+        assert kinds[True] > 30 and kinds[False] > 200, kinds
 
 
 class TestAntiCycling:
@@ -636,7 +714,7 @@ class TestLargeEntries:
         assert problem.matrix.dtype == object
         # The bound's system has Python-int entries too, so the float pass
         # skips it and the slack tableau certifies it.
-        assert certify(problem, {0: 1, 1: 1}, "max", Fraction(1, 2)).verify(problem)
+        assert certify(problem, {0: 1, 1: 1}, "max", Fraction(1, 2)).verify(rows)
         cut = Row({0: Fraction(-1), 1: Fraction(-1)}, Fraction(-2, 3), ("cut",))
         verdict = solve_feasibility(make_problem(rows + [cut], n))
         assert isinstance(verdict, Infeasible)
@@ -670,7 +748,7 @@ class TestDuals:
             Row({0: Fraction(1), n - 1: Fraction(-2)}, Fraction(-1), ("link",)),
         ]
         problem = make_problem(rows, n)
-        assert certify(problem, {0: Fraction(1)}, "max", Fraction(1, 3)).verify(problem)
+        assert certify(problem, {0: Fraction(1)}, "max", Fraction(1, 3)).verify(rows)
         with pytest.raises(RuntimeError):
             certify(problem, {0: Fraction(1)}, "max", Fraction(1, 3) - Fraction(1, 10**6))
 
@@ -758,8 +836,8 @@ class TestAgainstTableauOracle:
         object_pricing = []
         gaps = _Problem.column_gaps
 
-        def spy(self, y, c=None):
-            out = gaps(self, y, c)
+        def spy(self, y):
+            out = gaps(self, y)
             object_pricing.append(out.dtype == object)
             return out
 
@@ -828,7 +906,7 @@ class TestAgainstTableauOracle:
                 # slack start's, pivot for pivot, and so on a knob-free case
                 # the oracle's.
                 assert result == slack and pivots[_Master] == slack_pivots, case
-                assert problem.satisfied_by(result.assignment), case
+                assert verify_point(rows, result.assignment, problem.n_vars), case
             else:
                 assert verify_farkas(rows, result.certificate), case
             kinds[type(result).__name__, bound] += 1
@@ -965,7 +1043,7 @@ class TestFloatStart:
             slack = slack_started(monkeypatch, lambda: solve_feasibility(problem))
             assert type(result) is type(slack) is type(expected)
             if bound == Fraction(5, 4):
-                assert problem.satisfied_by(result.assignment)
+                assert verify_point(rows, result.assignment, problem.n_vars)
             else:
                 assert result == slack == expected
                 assert verify_farkas(rows, result.certificate)
@@ -1145,16 +1223,16 @@ class TestDirectCertificate:
         assert _Master(problem)._certify(start) is None
         monkeypatch.setattr(exactlp, "_float_pivots", lambda p: (list(start), []))
         result = solve_feasibility(problem)
-        assert problem.satisfied_by(result.assignment)
+        assert verify_point(rows, result.assignment, problem.n_vars)
 
 
 class TestVerifyOptimum:
-    """`OptimalityRecord.verify` checks a bound with no solver; a point of
-    the rows that attains it makes it the optimum."""
+    """`OptimalityRecord.verify` checks a bound on `Row`s with no solver; a
+    point of the rows that attains it makes it the optimum."""
 
     def setup_method(self):
         # max x + y st x + 2y <= 4, 3x + y <= 6 over nonnegative x, y.
-        _, self.problem = make_system([([1, 2], 4), ([3, 1], 6)])
+        self.rows, self.problem = make_system([([1, 2], 4), ([3, 1], 6)])
         self.objective = {0: Fraction(1), 1: Fraction(1)}
         self.point = {0: Fraction(8, 5), 1: Fraction(6, 5)}
 
@@ -1164,8 +1242,8 @@ class TestVerifyOptimum:
     def test_accepts_the_optimum_with_its_duals(self):
         # The duals (2/5, 1/5), times the scale 5.
         claim = self.record(Fraction(14, 5), (2, 1), 5)
-        assert claim.verify(self.problem)
-        assert self.problem.satisfied_by(self.point)
+        assert claim.verify(self.rows)
+        assert verify_point(self.rows, self.point, 2)
         assert claim.value_at(self.point) == Fraction(14, 5)
         solved = certify(self.problem, self.objective, "max", Fraction(14, 5))
         assert solved == dataclasses.replace(claim, label="bound")
@@ -1179,17 +1257,17 @@ class TestVerifyOptimum:
             ((2, 1, 0), 5),
         ):
             claim = self.record(Fraction(14, 5), multipliers, scale)
-            assert not claim.verify(self.problem), multipliers
+            assert not claim.verify(self.rows), multipliers
 
     def test_rejects_a_wrong_value(self):
         # Below the optimum the bound fails; above it the bound holds, but
         # no point attains it.
-        assert not self.record(Fraction(2), (2, 1), 5).verify(self.problem)
+        assert not self.record(Fraction(2), (2, 1), 5).verify(self.rows)
         claim = self.record(Fraction(3), (2, 1), 5)
-        assert claim.verify(self.problem) and claim.value_at(self.point) != 3
+        assert claim.verify(self.rows) and claim.value_at(self.point) != 3
 
     def test_rejects_an_infeasible_point(self):
         far = {0: Fraction(2), 1: Fraction(4, 5)}  # value 14/5, 3x + y > 6
         claim = self.record(Fraction(14, 5), (2, 1), 5)
         assert claim.value_at(far) == Fraction(14, 5)
-        assert not self.problem.satisfied_by(far)
+        assert not verify_point(self.rows, far, 2)

@@ -394,7 +394,7 @@ def with_record(report, index, **changes):
 
 
 def test_lemma2_mutants_fail(lemma2_report):
-    problem = program3_history(8, DeviationShape(4, 2)).problem()
+    rows = history_system(program3_history(8, DeviationShape(4, 2)))
     records = lemma2_records(lemma2_report)
     mutants = []
     for index, record in enumerate(records):
@@ -409,15 +409,40 @@ def test_lemma2_mutants_fail(lemma2_report):
             # y . h = mu sign optimum for every bound at its optimum, so a
             # lower claim breaks y . h <= mu sign optimum.
             lower = record.optimum - Fraction(1, 12)
-            assert not dataclasses.replace(record, optimum=lower).verify(problem)
+            assert not dataclasses.replace(record, optimum=lower).verify(rows)
             mutants.append(with_record(lemma2_report, index, optimum=lower))
     assert len(mutants) == 17 + 17 + 9
     assert not any(mutant.all_certified() for mutant in mutants)
     # A max quarter bound raised to 1/3 still holds, but the witness does
     # not attain it.
     raised = dataclasses.replace(records[0], optimum=Fraction(1, 3))
-    assert records[0].sense == "max" and raised.verify(problem)
+    assert records[0].sense == "max" and raised.verify(rows)
     assert not with_record(lemma2_report, 0, optimum=Fraction(1, 3)).all_certified()
+
+
+def test_a_bound_certified_on_mutant_solver_rows_is_refused():
+    # The (4, 2) system with its deviation row tightened from -1/2 to
+    # -9/16 has no solution, so the solver certifies a bound on it that
+    # the history's own rows break: the witness has weight 1/4 on abx.
+    history = program3_history(8, DeviationShape(4, 2))
+    problem = history.problem()
+    rhs = problem.rhs[:-1] + [Fraction(-9, 16)]
+    tight = _Problem(problem.matrix, problem.scales, rhs, problem.tags)
+    assert problem.tags[-1] == ("deviation", 1) and problem.rhs[-1] == Fraction(-1, 2)
+    assert isinstance(solve_feasibility(tight), Infeasible)
+    abx = (1 << 0 | 1 << 1 | 1 << 8) - 1
+    record = proofs._certified_bound(tight, {abx: Fraction(1)}, "max", Fraction(1, 5), "abx")
+    assert not record.verify(history_system(history))
+
+
+def test_lemma2_suite_raises_on_a_bound_the_checker_refuses(monkeypatch):
+    # Scale 0 makes every record's certificate prove nothing.
+    certify = proofs._certified_bound
+    monkeypatch.setattr(
+        proofs, "_certified_bound", lambda *args: dataclasses.replace(certify(*args), scale=0)
+    )
+    with pytest.raises(RuntimeError, match="bound certificate failed"):
+        lemma2_suite()
 
 
 def test_lemma2_bounds_past_the_optimum_raise(lemma2_report):
@@ -861,7 +886,9 @@ class TestRowCaches:
 
     def test_a_search_starts_with_empty_caches(self, monkeypatch):
         # A search reuses no rows of an earlier one: its first certificate
-        # is checked on rows built with empty caches.
+        # is checked on rows built with empty caches. It builds rows once
+        # per certificate, 99, and once for the witness of the (4, 2)
+        # history.
         seen = []
         build = proofs._build_rows
 
@@ -873,7 +900,7 @@ class TestRowCaches:
         for _ in range(2):
             seen.clear()
             enumerate_histories(10, 8)
-            assert seen[0] == {} and len(seen) == 99
+            assert seen[0] == {} and len(seen) == 99 + 1
             assert checker._ROW_CACHES
 
 
@@ -1048,6 +1075,47 @@ class TestWitnessRealizes:
             cs([5], 5).mask: Fraction(-1, 6),
         }
         assert not _witness_realizes(witness, 5, 6, self.STEPS)
+
+
+class TestWitnessCheck:
+    """The checker accepts a witness as a point of every reference row of
+    its history (`_verify_witness_fast`); the solver's full system takes
+    no part."""
+
+    def test_the_verdict_builds_no_full_solver_system(self, monkeypatch):
+        def refused(history):
+            raise AssertionError("History.problem was called")
+
+        monkeypatch.setattr(History, "problem", refused)
+        assert history_verdict(program3_history(8, DeviationShape(4, 2))).witness is not None
+
+    def test_a_witness_of_mutant_solver_rows_is_refused(self, monkeypatch):
+        # Every deviation row of the solver's rows asks for half the
+        # support: the (4, 2) history at k = 7 becomes feasible there, and
+        # only the checker's rows refuse its witness.
+        build = proofs._type_rows
+
+        def halved(*args):
+            p = build(*args)
+            rhs = [b / 2 if tag[0] == "deviation" else b for b, tag in zip(p.rhs, p.tags)]
+            return _Problem(p.matrix, p.scales, rhs, p.tags)
+
+        monkeypatch.setattr(proofs, "_type_rows", halved)
+        with pytest.raises(RuntimeError, match="witness failed exact verification"):
+            history_verdict(program3_history(7, DeviationShape(4, 2)))
+
+    def test_refuses_a_point_off_the_rows(self):
+        history = program3_history(8, DeviationShape(4, 2))
+        witness = dict(history_verdict(history).witness.mask_items())
+        assert proofs._verify_witness_fast(history, witness)
+        full = 1 << history.m
+        for bad in (
+            {mask: 2 * w for mask, w in witness.items()},  # weight 2
+            {**witness, 0: Fraction(1, 8)},  # the empty ballot
+            {**witness, full: Fraction(1, 8)},  # a ballot past m candidates
+            {**witness, full - 1: Fraction(-1, 8)},  # a negative weight
+        ):
+            assert not proofs._verify_witness_fast(history, bad)
 
 
 class TestEnumerateHistories:

@@ -2,10 +2,12 @@
 must be the ones the commands call: a traced prove and check of a
 program3 or histories bundle counts one write, two reference-row builds
 (the search's check and the file's) and one checker call per certificate
-file, the history search times the rows it builds, and the election
+file, and one reference-row build per witness, the history search times
+the rows it builds, and the election
 commands count every round of the recursive rule and every deviation
 search."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -64,8 +66,13 @@ def test_traced_histories_round_times_the_rows_the_search_builds(tmp_path, monke
     assert times["proofs.rows"] > 0
     assert ("proofs.quotient" in times) == (m == 10)
     assert counts["fileio.files_written"] == counts["exactlp.verify_farkas_calls"] > 0
+    # The search checks each witness on every reference row, in one build:
+    # at m = 10 the (4, 2) history's, and none at m = 9.
+    summary = json.loads((bundle / "histories.json").read_text(encoding="utf-8"))
+    witnesses = sum(1 for history in summary["histories"] if history["steps"])
+    assert witnesses == (m == 10)
     assert counts["proofs.reference_rows_calls"] == (
-        counts["fileio.files_written"] + counts["exactlp.verify_farkas_calls"]
+        counts["fileio.files_written"] + counts["exactlp.verify_farkas_calls"] + witnesses
     )
 
 
