@@ -21,13 +21,21 @@ denominator. `verify_farkas` accepts a certificate iff its multipliers are
 nonnegative, ``y . b < 0`` and ``A^T y >= 0``, summed over the rows with a
 nonzero multiplier; `farkas_sums` hands those sums to a caller.
 
-The reference builder (`_build_rows`) builds each row at once over the
-array of ballot masks, over L = lcm(1..k+1), and only the rows asked for.
-The swap rows of step t depend on (m, k), the steps before t and W_t, not
-on T_t, so it keeps one block per step depth under that key
-(`_ROW_CACHES`), and the ballot masks of the last m: siblings, which share
-a W, share every swap row. Every command and every search starts with
-empty caches (`clear_row_caches`).
+The reference builder (`_build_rows`) hands out a history system's rows as
+one `_ReferenceRows`, over L = lcm(1..k+1). The swap rows of step t depend
+on (m, k), the steps before t and W_t, not on T_t, so it keeps one step
+per depth under that key (`_ROW_CACHES`), and the ballot masks of the last
+m: siblings, which share a W, share every swap row. A step holds its swap
+rows as one dense block, one row per (x, y) and one column per ballot, in
+the smallest signed integer type that holds L, built once when a check
+first needs it; and the ballots that supported the step before it, which
+its siblings share too. A `Row` is made only when a row is read (the
+witness check, the Lemma 2 bounds, tests), from the same values as the
+block row, so it holds that row's nonzero entries. On the builder's rows
+`farkas_sums` makes no `Row`: it sums a certificate block by block
+(`_ReferenceRows.farkas_sums`), and sums any other sequence of rows row by
+row. Every command and every search starts with empty caches
+(`clear_row_caches`).
 
 `bench/layers.py` times `proofs._build_rows` and `cli.verify_farkas`:
 both modules import them from here and call them by those names.
@@ -35,12 +43,15 @@ both modules import them from here and call them by those names.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -172,13 +183,16 @@ def farkas_sums(
 ) -> Optional[FarkasSums]:
     """The sums of a certificate that passes `verify_farkas`, else None.
 
-    Only the rows with a nonzero multiplier are read, so the others may be
-    None (`fileio.CertificateRecord`). ``y . b`` is summed in Python ints
-    over the lcm of their right-hand sides' denominators.
-    ``A^T y`` is summed over ``L``, the lcm of their row denominators, as
-    ``sums[cols] += nums * (mult * L // den)``: in int64 when a bound from
-    each row's largest |numerator| (`Row.max_abs`) shows that no sum can
-    overflow, else in Python ints. Both signs are exact.
+    On the reference builder's rows (`_ReferenceRows`) the sums run over
+    its step blocks and make no `Row` (`_ReferenceRows.farkas_sums`). On
+    any other sequence, only the rows with a nonzero multiplier are read,
+    so the others may be None. ``y . b`` is summed in Python ints over the
+    lcm of their right-hand sides' denominators. ``A^T y`` is summed over
+    ``L``, the lcm of their row denominators, as ``sums[cols] += nums *
+    (mult * L // den)``: in int64 when a bound from each row's largest
+    |numerator| (`Row.max_abs`) shows that no sum can overflow, else in
+    Python ints. Both signs are exact, and both ways give the same verdict
+    and the same ``(A^T y) / scale``.
     """
     if certificate.n_rows != len(rows):
         raise ValueError(
@@ -187,6 +201,8 @@ def farkas_sums(
         )
     if any(v < 0 for v in certificate.nonzero.values()):
         return None
+    if isinstance(rows, _ReferenceRows):
+        return rows.farkas_sums(certificate)
     used = [(mult, rows[i]) for i, mult in certificate.nonzero.items()]
     d = math.lcm(1, *(row.rhs.denominator for _, row in used))
     value = sum(mult * row.rhs.numerator * (d // row.rhs.denominator) for mult, row in used)
@@ -287,17 +303,11 @@ def clear_row_caches() -> None:
     _ROW_CACHES.clear()
 
 
-def _reference_masks(m: int) -> tuple[np.ndarray, tuple[Row, Row]]:
-    """The ballot masks of m candidates and the normalization rows over
-    them, which depend on m alone."""
-    n = (1 << m) - 1
-    masks = np.arange(1, n + 1, dtype=np.int64)
-    every, ones = masks - 1, np.ones(n, dtype=np.int64)
-    norm = tuple(
-        Row.from_arrays(every, sign * ones, 1, sign, (tag,))
-        for sign, tag in ((1, "norm_upper"), (-1, "norm_lower"))
-    )
-    return masks, norm
+def _normalization_row(masks: np.ndarray, sign: int) -> Row:
+    """``sum x <= 1`` (sign 1) or ``-sum x <= -1`` (sign -1), over every
+    ballot of ``masks``."""
+    tag = ("norm_upper",) if sign == 1 else ("norm_lower",)
+    return Row.from_arrays(masks - 1, np.full(masks.size, sign, dtype=np.int64), 1, sign, tag)
 
 
 def _supporting(masks: np.ndarray, w_mask: int, t_mask: int) -> np.ndarray:
@@ -309,13 +319,16 @@ def _supporting(masks: np.ndarray, w_mask: int, t_mask: int) -> np.ndarray:
 class _ReferenceStep:
     """Step t of a history in the reference builder, for its committee W:
     the ballot masks still active at it, the candidates fixed before it,
-    and its swap rows, each built when it is first asked for and then found
-    by tag. None of it depends on the step's deviation T.
+    the ballots that supported the step before it, and its swap rows. None
+    of it depends on the step's own deviation T.
 
-    In swap row (x, y) an active ballot with u = |ballot ∩ W| gains
-    L/(u+1) if it holds y but not x, and loses L/u (u >= 1) if it holds x
-    but not y. A candidate's holder array is made for the first row that
-    uses it.
+    Its swap rows pair each x of W not fixed before it (``xs``) with each y
+    outside W (``ys``), in that order. In row (x, y) an active ballot with
+    u = |ballot ∩ W| gains L/(u+1) if it holds y but not x, and loses L/u
+    (u >= 1) if it holds x but not y; every other entry is 0
+    (`_swap_values`). ``block`` holds them all as one matrix, built when
+    first asked for; `swap_row` makes the `Row` of one of them when it is
+    first read, from the same values but without the block.
     """
 
     def __init__(
@@ -330,39 +343,147 @@ class _ReferenceStep:
         deviation was ``before_t_mask``."""
         if before is None:
             self.t, self.fixed, active = 1, 0, masks
+            self.supported_before = None
         else:
             # A ballot that holds more of T than of W is inactive in every
-            # later step.
+            # later step. Siblings share this step, so it keeps those
+            # ballots for the deviation row of the step before.
             self.t, self.fixed = before.t + 1, before.fixed | before_t_mask
-            active = before.active[np.bitwise_count(before.active & before_t_mask) <= before.u]
-        self.k, self.masks, self.active, self.w_mask = k, masks, active, w_mask
+            self.supported_before = _supporting(masks, before.w_mask, before_t_mask)
+            active = before.active[~self.supported_before[before.active - 1]]
+        self.masks, self.active, self.w_mask = masks, active, w_mask
+        self.xs, self.ys = _bits(w_mask & ~self.fixed), _bits(masks.size & ~w_mask)
         self.L = L = math.lcm(*range(1, k + 2))
-        self.u = u = np.bitwise_count(active & w_mask).astype(np.int64)
-        self.gain, self.loss = L // (u + 1), -(L // np.maximum(u, 1))
+        #: The smallest signed integer type that holds every entry: int32
+        #: at most, as L <= lcm(1..17) < 2^31.
+        self.dtype = np.min_scalar_type(-L)
+        u = np.bitwise_count(active & w_mask).astype(np.int64)
+        self.gain = (L // (u + 1)).astype(self.dtype)
+        self.loss = (-(L // np.maximum(u, 1))).astype(self.dtype)
         self._holds: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple, Row] = {}
+        self._rows: dict[int, Row] = {}
 
     def _holding(self, c: int) -> np.ndarray:
         if c not in self._holds:
             self._holds[c] = (self.active >> c & 1).astype(bool)
         return self._holds[c]
 
-    def swap_row(self, x: int, y: int) -> Row:
-        tag = ("swap", self.t, x, y)
-        if tag not in self._rows:
-            holds_y = self._holding(y)
-            moved = self._holding(x) != holds_y
-            nums = np.where(holds_y[moved], self.gain[moved], self.loss[moved])
-            self._rows[tag] = Row.from_arrays(self.active[moved] - 1, nums, self.L, 0, tag)
-        return self._rows[tag]
+    def _swap_values(self, x: int, ys: Sequence[int]) -> np.ndarray:
+        """Swap rows (x, y) for y in ``ys``, one per row of the result,
+        over the active ballots."""
+        holds_x = self._holding(x)
+        gain, loss = np.where(holds_x, 0, self.gain), np.where(holds_x, self.loss, 0)
+        return np.where(np.array([self._holding(y) for y in ys]), gain, loss)
 
-    def deviation_row(self, t_mask: int) -> Row:
-        """Every ballot that holds more of T than of W supports T."""
-        masks = self.masks
-        supports = _supporting(masks, self.w_mask, t_mask)
-        cols, nums = masks[supports] - 1, np.full(int(supports.sum()), -1, dtype=np.int64)
-        rhs = Fraction(-t_mask.bit_count(), self.k)
-        return Row.from_arrays(cols, nums, 1, rhs, ("deviation", self.t))
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        """Every swap row in the (x, y) order, one column per ballot and 0
+        off the active ballots, as one matrix of ``dtype``."""
+        n, ny = self.masks.size, len(self.ys)
+        block = np.zeros((len(self.xs) * ny, n), dtype=self.dtype)
+        cols = slice(None) if self.active.size == n else self.active - 1
+        for i, x in enumerate(self.xs):
+            block[i * ny : (i + 1) * ny, cols] = self._swap_values(x, self.ys)
+        return block
+
+    def swap_row(self, i: int) -> Row:
+        """Swap row i of the step, in the (x, y) order, as a `Row` of its
+        nonzero entries."""
+        if i not in self._rows:
+            x, y = self.xs[i // len(self.ys)], self.ys[i % len(self.ys)]
+            values = self._swap_values(x, [y])[0]
+            moved = np.flatnonzero(values)
+            nums, tag = values[moved].astype(np.int64), ("swap", self.t, x, y)
+            self._rows[i] = Row.from_arrays(self.active[moved] - 1, nums, self.L, 0, tag)
+        return self._rows[i]
+
+
+#: The most block entries that one sum of the Farkas check reads at once
+#: (`_ReferenceRows.farkas_sums`), which bounds its temporaries.
+_CHUNK = 1 << 18
+
+
+class _ReferenceRows(Sequence):
+    """The rows of one history system in the canonical order, as the
+    reference builder hands them out: each row is made when it is read, and
+    reads None outside the rows asked for. It equals any sequence of the
+    same rows. The module's `farkas_sums` checks a certificate on it by
+    this class's `farkas_sums`, over the step blocks."""
+
+    def __init__(self, k: int, masks, steps: list[_ReferenceStep], t_masks, selected):
+        self.k, self.masks, self.steps, self.t_masks = k, masks, steps, t_masks
+        self.L = math.lcm(*range(1, k + 2))
+        #: Where the swap rows of each step start, then the deviation rows.
+        self.starts = list(itertools.accumulate([2] + [len(s.xs) * len(s.ys) for s in steps]))
+        self.selected = selected
+
+    def __len__(self) -> int:
+        return self.starts[-1] + len(self.steps)
+
+    def __getitem__(self, r: int) -> Optional[Row]:
+        r = range(len(self))[r]
+        if self.selected is not None and r not in self.selected:
+            return None
+        if r < 2:
+            return _normalization_row(self.masks, 1 - 2 * r)
+        t = bisect.bisect_right(self.starts, r) - 1
+        if t < len(self.steps):
+            return self.steps[t].swap_row(r - self.starts[t])
+        t = r - self.starts[-1]
+        cols = np.flatnonzero(self._support(t))
+        rhs = Fraction(-self.t_masks[t].bit_count(), self.k)
+        nums = np.full(cols.size, -1, dtype=np.int64)
+        return Row.from_arrays(cols, nums, 1, rhs, ("deviation", t + 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def _support(self, t: int) -> np.ndarray:
+        """The ballots S(T_t) of the deviation row of step t (from 0): kept
+        by the step after it, and made on each call for the last step."""
+        if t + 1 < len(self.steps):
+            return self.steps[t + 1].supported_before
+        return _supporting(self.masks, self.steps[t].w_mask, self.t_masks[t])
+
+    def farkas_sums(self, certificate: FarkasCertificate) -> Optional[FarkasSums]:
+        """`farkas_sums` of a certificate with one nonnegative multiplier
+        per row, summed over the step blocks and over every ballot, at
+        scale L = lcm(1..k+1). The normalization pair adds the difference
+        of its two multipliers to every ballot; each step adds its used
+        swap multipliers times their block rows, a chunk of rows at a time
+        (`_CHUNK`); each deviation multiplier y_d adds ``-L y_d`` on its
+        support. No entry of a row exceeds L at scale L, so the sums are
+        int64 when L times the sum of the multipliers is below
+        ``_INT64_SAFE``, else Python ints."""
+        y, L, starts = certificate.nonzero, self.L, self.starts
+        norm = y.get(0, 0) - y.get(1, 0)
+        dev = [y.get(starts[-1] + t, 0) for t in range(len(self.steps))]
+        fixed = sum(v * t_mask.bit_count() for v, t_mask in zip(dev, self.t_masks))
+        if not norm * self.k < fixed:
+            return None
+        dtype = np.int64 if L * sum(y.values()) < _INT64_SAFE else object
+        sums = np.full(self.masks.size, norm * L, dtype=dtype)
+        chunk = max(1, _CHUNK // self.masks.size)
+        for t, step in enumerate(self.steps):
+            used = [(r - starts[t], v) for r, v in y.items() if starts[t] <= r < starts[t + 1]]
+            for a in range(0, len(used), chunk):
+                index, mults = zip(*used[a : a + chunk])
+                part = step.block[list(index)]
+                if dtype is object:
+                    sums += np.array(mults, dtype=object) @ part.astype(object)
+                else:
+                    mults = np.array(mults, dtype=np.int64)
+                    sums += np.einsum("i,ij->j", mults, part, dtype=np.int64)
+        for t, v in enumerate(dev):
+            if v:
+                np.subtract(sums, L * v, out=sums, where=self._support(t))
+        if (sums < 0).any():
+            return None
+        return FarkasSums(sums, L, Fraction(norm * self.k - fixed, self.k))
 
 
 def _build_rows(
@@ -370,37 +491,22 @@ def _build_rows(
     k: int,
     steps: Sequence[tuple[int, int]],
     rows: Optional[Iterable[int]] = None,
-) -> tuple[list[Optional[Row]], list[tuple[int, int, int]]]:
+) -> tuple[_ReferenceRows, list[tuple[int, int, int]]]:
     """Rows of the canonical system for a sequence of (W, T) masks.
 
-    Returns the rows plus the (step, x, y) index of each swap row. Given
-    the indices ``rows``, it builds only those rows and puts None in the
-    place of every other, so a certificate is checked on the rows it uses.
-    Swap blocks, masks and normalization rows come from the caches of the
-    module docstring; deviation rows depend on T_t and are built on each
-    call. A `Row` is read-only, so calls share it.
+    Returns the rows plus the (step, x, y) index of each swap row. The rows
+    are a `_ReferenceRows`, which makes a row when it is read; given the
+    indices ``rows``, every other row reads None, so a certificate is
+    checked on the rows it uses. Steps and masks come from the caches of
+    the module docstring; deviation rows depend on T_t. A `Row` is
+    read-only, so calls share it.
     """
-    n = (1 << m) - 1
-    masks, norm = _cached("reference_masks", m, lambda: _reference_masks(m))
+    masks = _cached("reference_masks", m, lambda: np.arange(1, 1 << m, dtype=np.int64))
     blocks: list[_ReferenceStep] = []
     for t, (w_mask, _) in enumerate(steps):
         before = (blocks[-1], steps[t - 1][1]) if blocks else ()
         make = functools.partial(_ReferenceStep, k, masks, w_mask, *before)
         blocks.append(_cached(f"reference_step{t + 1}", (m, k, tuple(steps[:t]), w_mask), make))
-    swap_meta = [
-        (block.t, x, y)
-        for block in blocks
-        for x in _bits(block.w_mask & ~block.fixed)
-        for y in _bits(n & ~block.w_mask)
-    ]
-    built: list[Optional[Row]] = [None] * (2 + len(swap_meta) + len(blocks))
-    for r in range(len(built)) if rows is None else set(rows).intersection(range(len(built))):
-        if r < 2:
-            built[r] = norm[r]
-        elif r < 2 + len(swap_meta):
-            t, x, y = swap_meta[r - 2]
-            built[r] = blocks[t - 1].swap_row(x, y)
-        else:
-            t = r - 2 - len(swap_meta)
-            built[r] = blocks[t].deviation_row(steps[t][1])
-    return built, swap_meta
+    swap_meta = [(block.t, x, y) for block in blocks for x in block.xs for y in block.ys]
+    selected = None if rows is None else set(rows)
+    return _ReferenceRows(k, masks, blocks, [t for _, t in steps], selected), swap_meta

@@ -19,9 +19,9 @@ exits 3).
 
 ``check-certificates`` runs on each file the one certificate check that
 ``prove`` ran on each certificate it found: `checker.verify_farkas` on the
-reference rows with a nonzero multiplier (`fileio.load_certificate`, which
-reads each ``*.json`` file of a bundle once and skips a file with no
-multipliers).
+reference rows with a nonzero multiplier, summed over the reference
+builder's step blocks (`fileio.load_certificate`, which reads each
+``*.json`` file of a bundle once and skips a file with no multipliers).
 
 `main` builds its parser once per process, on its first call, and looks up
 the command function ``cmd_<command>`` when it runs the command. Each

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .checker import FarkasCertificate, Row
 from .elections import CandidateSet, ElectionInstance, Profile
@@ -178,11 +178,14 @@ def parse_committee(text: str, m: int) -> CandidateSet:
 class CertificateRecord:
     """A certificate file in memory: one multiplier per row of its
     reconstructed system, and the rows it is checked on, ready for the
-    solver-free checker. ``rows`` has one entry per row of the system: the
-    rows with a nonzero multiplier, each in the integer form of `Row`, and
-    None for the others, which add nothing to the check."""
+    solver-free checker. ``rows`` is the reference builder's sequence of the
+    system's rows (`history_system`), of which only those with a nonzero
+    multiplier read as rows and the others read None, as they add nothing
+    to the check. No `Row` is made at load: the checker sums the
+    certificate over the builder's step blocks, and a row is made only
+    when it is read."""
 
-    rows: list[Optional[Row]]
+    rows: Sequence[Optional[Row]]
     certificate: FarkasCertificate
 
 
@@ -215,20 +218,32 @@ def _history_from_payload(payload: dict) -> History:
         raise InputError(str(exc)) from exc
 
 
+def _row_count(history: History) -> int:
+    """The rows of the system of ``history``, from its masks: the
+    normalization pair, ``|W_t \\ fixed_t| (m - k)`` swap rows in each step
+    t, and one deviation row per step."""
+    count, fixed = 2 + len(history.steps), 0
+    for w_mask, t_mask in history.mask_steps():
+        count += (w_mask & ~fixed).bit_count() * (history.m - history.k)
+        fixed |= t_mask
+    return count
+
+
 def certificate_record_from_dict(payload: dict) -> CertificateRecord:
     """The record of a certificate file. The multiplier count is checked
-    against the row count, from the row tags (`History.tags`), before any
-    row is built, so a file cannot make the reader build a system that its
-    multipliers do not fit. Then only the rows with a nonzero multiplier
-    are built, in one `checker._build_rows` call."""
+    against the row count (`_row_count`) before any row is built, so a
+    file cannot make the reader build a system that its multipliers do not
+    fit. Then the rows with a nonzero multiplier are asked for, in one
+    `checker._build_rows` call. A multiplier ``"0"``, the most common, is
+    read as 0 at once; every other goes through `_integer`."""
     if not isinstance(payload, dict):
         raise InputError("a certificate must be a JSON object")
     history = _history_from_payload(payload)
     raw = payload.get("multipliers")
     if not isinstance(raw, list):
         raise InputError("multipliers must be a list of strings")
-    values = [_integer(v, "multiplier") for v in raw]
-    expected = len(history.tags())
+    values = [0 if v == "0" else _integer(v, "multiplier") for v in raw]
+    expected = _row_count(history)
     if len(values) != expected:
         raise InputError(f"expected {expected} multipliers, found {len(values)}")
     certificate = FarkasCertificate.from_list(values)

@@ -386,14 +386,14 @@ def program3_history(k: int, shape: DeviationShape) -> History:
 
 def history_system(
     history: History, rows: Optional[Iterable[int]] = None
-) -> list[Optional[Row]]:
+) -> Sequence[Optional[Row]]:
     """The rows of the canonical feasibility system deciding whether a
     profile realizes the history: swap rows over the still-active ballots
     for every step, one supported-deviation row per step, over all ballots
-    of the full candidate set (column j is ballot mask j + 1). Built by the
-    reference builder `_build_rows`: every row, or only the rows ``rows``,
-    with None in the place of every other, so that a certificate is checked
-    on the rows it uses."""
+    of the full candidate set (column j is ballot mask j + 1). Handed out
+    by the reference builder `_build_rows`, which makes a row when it is
+    read: every row, or only the rows ``rows``, with None in the place of
+    every other, so that a certificate is checked on the rows it uses."""
     built, _ = _build_rows(history.m, history.k, history.mask_steps(), rows)
     return built
 
@@ -570,9 +570,10 @@ def _verify_certificate_fast(
 ) -> Optional[FarkasSums]:
     """The checker's own test of a certificate for the system of
     ``history``, as `check-certificates` runs it on a file. A certificate
-    with another row count fails. Returns the sums of the check
-    (`farkas_sums`) when it passes, so that the search keeps a record of
-    them (`_Covers`) with no second sum, else None."""
+    with another row count fails. The check sums the certificate over the
+    reference builder's step blocks and makes no `Row`. Returns its sums
+    (`farkas_sums`), over every ballot, when it passes, so that the search
+    keeps a record of them (`_Covers`) with no second sum, else None."""
     rows = history_system(history, certificate.nonzero)
     if certificate.n_rows != len(rows):
         return None

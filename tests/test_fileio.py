@@ -2,6 +2,7 @@
 payload they either return or raise `InputError`, and so do the file
 readers on a file they cannot decode."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from pavcore import proofs
 from pavcore.fileio import (
+    CertificateError,
     InputError,
     _integer,
+    _row_count,
     certificate_record_from_dict,
     history_certificate_dict,
     instance_from_dict,
@@ -146,12 +149,43 @@ def test_file_readers_refuse_undecodable_bytes(tmp_path, load):
 
 
 def test_row_count_from_the_masks_is_the_built_count():
-    # The reader checks the multiplier count against the tags' count, from
+    # The reader checks the multiplier count against the row count, from
     # the masks alone, before it builds any row.
     histories = [History.from_masks(*case) for case in multi_step_histories()]
     histories += [program3_history(k, s) for k in range(1, 6) for s in iter_shapes(k)]
     for h in histories + k8_children()[::6]:
-        assert len(h.tags()) == len(history_system(h)), h.mask_steps()
+        assert _row_count(h) == len(h.tags()) == len(history_system(h)), h.mask_steps()
+
+
+def test_a_malformed_multiplier_is_refused_with_its_message(tmp_path):
+    # The reader takes "0" at once and every other multiplier through
+    # `_integer`: a file whose multipliers are malformed, or too many, ends
+    # in the same `CertificateError` as with `_integer` on every one.
+    h = History.from_masks(*multi_step_histories()[0])
+    payload = history_certificate_dict(h, history_verdict(h).certificate)
+    n_rows = len(payload["multipliers"])
+    long_digits = "9" * 5000
+    cases = [
+        (True, "multiplier must be an integer, found True"),
+        (1.5, "multiplier must be an integer, found 1.5"),
+        ("1.0", "multiplier must be an integer, found '1.0'"),
+        ("+3", "multiplier must be an integer, found '+3'"),
+    ]
+    try:
+        int(long_digits)
+    except ValueError as exc:  # Python's limit on the digits int() converts
+        cases.append((long_digits, f"multiplier: {exc}"))
+    for value, message in cases:
+        path = tmp_path / "bad.json"
+        multipliers = ["0", value, "1"] + ["0"] * (n_rows - 3)
+        path.write_text(json.dumps({**payload, "multipliers": multipliers}))
+        with pytest.raises(CertificateError) as caught:
+            load_certificate(path)
+        assert str(caught.value) == message, value
+    path.write_text(json.dumps({**payload, "multipliers": payload["multipliers"] + ["0"]}))
+    with pytest.raises(CertificateError) as caught:
+        load_certificate(path)
+    assert str(caught.value) == f"expected {n_rows} multipliers, found {n_rows + 1}"
 
 
 multiplier_values = (

@@ -572,13 +572,15 @@ class TestHistorySystem:
         assert peak < 2.5 * problem.matrix.nbytes
 
     def test_reference_rows_are_held_once_while_built(self):
-        # The same (8, 0) system from the checker's builder: one int64
-        # column and one int64 numerator per nonzero coefficient, and the
-        # build may hold little more than those arrays.
+        # The same (8, 0) system from the checker's builder, every row read
+        # (a row is made when it is read): one int64 column and one int64
+        # numerator per nonzero coefficient, and the build may hold little
+        # more than those arrays.
         h = program3_history(8, DeviationShape(8, 0))
+        checker.clear_row_caches()
         tracemalloc.start()
         try:
-            rows, _ = _build_rows(h.m, h.k, h.mask_steps())
+            rows = list(_build_rows(h.m, h.k, h.mask_steps())[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -772,15 +774,18 @@ class TestUsedRows:
 
     def test_deciding_builds_only_the_used_rows(self):
         # Both are Theorem 1 histories at k = 8 over m = 16 candidates, whose
-        # full systems have 67 rows over 65535 ballots. The (8, 0) shape's
-        # certificate uses 66 of them, so its check may hold little more
-        # than one full matrix; with one outsider it uses 10, well under one.
+        # full systems have 67 rows over 65535 ballots. The check sums the
+        # certificate over the step's swap block, 64 rows of int16, which
+        # is under a quarter of one full int64 matrix, and makes no `Row`:
+        # the (8, 0) shape's certificate uses 66 rows, and with one
+        # outsider it uses 10; each check starts with empty caches.
         full_matrix = 67 * 65535 * 8
         cases = [
-            (program3_history(8, DeviationShape(8, 0)), 66, 1.25),
+            (program3_history(8, DeviationShape(8, 0)), 66, 0.75),
             (History.from_masks(16, 8, [(0xFF, 1 << 8)]), 10, 0.5),
         ]
         for h, n_used, bound in cases:
+            checker.clear_row_caches()
             tracemalloc.start()
             try:
                 verdict = history_verdict(h)
