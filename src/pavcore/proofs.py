@@ -34,16 +34,18 @@ work runs through one `Runner`: the process pool and the time budget.
 
 Siblings are the continuations of one parent that share a committee W.
 Their systems differ in the last row alone, the deviation row of the new
-step, so one sibling's certificate often refutes another's system. The
-search hands the pool one task per group of siblings (`_decide_group`),
-which decides them in canonical order. Each certificate it finds becomes a
-record (`_Covers`), which tells exactly, with one boolean gather, whether
-that certificate also refutes a later sibling's system. Only a
-continuation that no record covers reaches `history_verdict`. A covering
-certificate is only a proposal: the checker checks it on the
-continuation's own rows, as it checks every certificate. A group runs
-whole in one process and in one order, so the thread count changes no
-result, and each process builds the group's swap rows for the check once.
+step, so one sibling's certificate, with another multiplier on that row,
+often refutes another's system. The search hands the pool one task per
+group of siblings (`_decide_group`), which decides them in canonical
+order. Each certificate it finds becomes a record (`_Covers`), which tells
+exactly, with one AND of packed bits, whether some multiplier on the
+deviation row makes that certificate refute a later sibling's system, and
+which one. Only a continuation that no record covers reaches
+`history_verdict`. A covering certificate is only a proposal: the checker
+checks it on the continuation's own rows, as it checks every certificate.
+A group runs whole in one process and in one order, so the thread count
+changes no result, and each process builds the group's swap rows for the
+check once.
 
 One function builds the solver's rows (`_type_rows`): over ballot types
 for the quotient, and over singleton classes, where each ballot is its own
@@ -722,39 +724,62 @@ def _decide(history: History) -> tuple[HistoryVerdict, Optional[FarkasSums]]:
 
 class _Covers:
     """The certificates of one group of siblings, each kept as a record
-    that proposes it for the later siblings.
+    that proposes it, with its deviation multiplier re-weighted, for the
+    later siblings.
 
     Siblings are the continuations of one parent that share a committee W.
     Their reference systems hold the same rows in the same order but for
     the last, the deviation row ``-sum_{b in S(T)} x_b <= -|T|/k``, where
     S(T) holds the ballots with more of T than of W (`_supporting`). Let a
     certificate y of sibling A put y_d on that row, and leave that row out
-    of its sums: ``base = A^T y + y_d 1_{S(T_A)}`` and
-    ``r = y.b + y_d |T_A| / k``. Then y also certifies sibling B exactly
-    when ``base_b >= y_d`` on every ballot b in S(T_B) and
-    ``r < y_d |T_B| / k``. A record holds the ballots that fail the first
-    test, as one row of bits packed eight to a byte, and the least |T_B|
-    that passes the second. The rows are stacked in one array, which
-    doubles when full, and one AND of S(T_B)'s bits with every row finds
-    the first record, in the order they were added, that covers a sibling.
-    Packed, the rows take an eighth of the bytes that one bool per ballot
-    would take, and so does that AND.
+    of its sums: ``base = A^T y + y_d 1_{S(T_A)}``, which is >= 0, and
+    ``r = y.b + y_d |T_A| / k``. Then y with any v >= 0 in place of y_d
+    certifies sibling B, with t = |T_B| members, exactly when ``base_b >=
+    v`` on every ballot b in S(T_B) and ``r < v t / k``. So some v does
+    exactly when the least base on S(T_B) exceeds ``theta_t = r k / t``.
+
+    A record holds, for each size t = 1..k, the ballots F_t with ``base_b
+    <= theta_t`` as one row of bits packed eight to a byte, and ``nu_t``,
+    the least base above theta_t: a v that certifies every sibling of size
+    t whose S(T_B) misses F_t. At the scale of the sums, base is integer:
+    one comparison of base with the k values ``floor(theta_t)`` gives all
+    k rows, and one masked minimum per row gives nu_t. The rows are
+    stacked per size in one array, which doubles when full, and one AND
+    of S(T_B)'s bits with the rows of its size finds the records that
+    cover a sibling. Of those, the one whose certificate has the fewest
+    nonzero multipliers, the earliest on ties, proposes y's other
+    multipliers and nu_t, each at the scale of the sums, divided by their
+    gcd (`proposal`).
     """
 
     def __init__(self, m: int, k: int):
         self.k = k
         self.masks = np.arange(1, 1 << m, dtype=np.int64)
-        self.fails = np.zeros((8, (self.masks.size + 7) // 8), dtype=np.uint8)
-        self.least = np.zeros(8, dtype=np.int64)
-        self.certificates: list[FarkasCertificate] = []
+        self.fails = np.zeros((k, 8, (self.masks.size + 7) // 8), dtype=np.uint8)
+        self.nonzeros = np.zeros(8, dtype=np.int64)
+        #: Per record: the row count, y's other multipliers at the scale of
+        #: the sums, their gcd, and nu_t at that scale for t = 1..k.
+        self.records: list[tuple[int, dict[int, int], int, list[int]]] = []
 
     def find(self, supports: np.ndarray, size: int) -> Optional[FarkasCertificate]:
-        """The certificate of the first record that covers the sibling
+        """The proposal of the sparsest record that covers the sibling
         whose deviation has the ballots ``supports`` and ``size`` members."""
-        n = len(self.certificates)
-        clear = ~(self.fails[:n] & np.packbits(supports)).any(axis=1)
-        covers = np.flatnonzero(clear & (self.least[:n] <= size))
-        return self.certificates[covers[0]] if covers.size else None
+        n = len(self.records)
+        clear = ~(self.fails[size - 1, :n] & np.packbits(supports)).any(axis=1)
+        covers = np.flatnonzero(clear)
+        if not covers.size:
+            return None
+        return self.proposal(int(covers[np.argmin(self.nonzeros[covers])]), size)
+
+    def proposal(self, i: int, size: int) -> FarkasCertificate:
+        """Record i's certificate, with nu_t for t = ``size`` on the
+        deviation row, divided by the gcd of its multipliers."""
+        n_rows, rest, g, nus = self.records[i]
+        v = nus[size - 1]
+        g = math.gcd(g, v)
+        multipliers = {j: x // g for j, x in rest.items()}
+        multipliers[n_rows - 1] = v // g
+        return FarkasCertificate(n_rows, multipliers)
 
     def add(
         self, certificate: FarkasCertificate, held: FarkasSums, supports: np.ndarray, size: int
@@ -762,20 +787,32 @@ class _Covers:
         """Keep the record of a certificate, from the sums of its check, for
         the sibling whose deviation has the ballots ``supports`` and
         ``size`` members."""
-        n = len(self.certificates)
-        if n == len(self.least):
-            self.fails = np.concatenate([self.fails, np.zeros_like(self.fails)])
-            self.least = np.concatenate([self.least, np.zeros_like(self.least)])
-        y_d = certificate.multiplier(certificate.n_rows - 1)
-        # base_b = sums_b / scale off S(T_A), and at least y_d on it.
-        sums, passes = held.sums, np.full(self.masks.size, y_d == 0)
-        passes[: sums.size] = sums >= y_d * held.scale
-        self.fails[n] = np.packbits(~(passes | supports))
-        # r < y_d t / k holds for every t when y_d = 0, as then r = y.b < 0,
-        # and for every t >= 1 when the least t is below 1.
-        r = held.value + Fraction(y_d * size, self.k)
-        self.least[n] = 0 if y_d == 0 else max(0, math.floor(r * self.k / y_d) + 1)
-        self.certificates.append(certificate)
+        n, k = len(self.records), self.k
+        if n == self.nonzeros.size:
+            self.fails = np.concatenate([self.fails, np.zeros_like(self.fails)], axis=1)
+            self.nonzeros = np.concatenate([self.nonzeros, np.zeros_like(self.nonzeros)])
+        last = certificate.n_rows - 1
+        y_d, scale = certificate.multiplier(last), held.scale
+        base = np.zeros(self.masks.size, dtype=held.sums.dtype)
+        base[: held.sums.size] = held.sums
+        base[supports] += y_d * scale
+        # At the scale of the sums base is integer, so base_b <= theta_t
+        # exactly when base_b <= floor(theta_t). As 0 <= base < top, each
+        # floor is clamped to [-1, top], which changes no comparison and
+        # fits base's dtype.
+        rk = (held.value * k + y_d * size) * scale
+        top = int(base.max()) + 1
+        thetas = [
+            min(max(rk.numerator // (rk.denominator * t), -1), top) for t in range(1, k + 1)
+        ]
+        fails = base <= np.array(thetas, dtype=base.dtype)[:, None]
+        self.fails[:, n] = np.packbits(fails, axis=1)
+        # The least base off F_t, or top when F_t holds every ballot.
+        least = np.min(np.broadcast_to(base, fails.shape), axis=1, where=~fails, initial=top)
+        nus = [0 if v == top else int(v) for v in least.tolist()]
+        rest = {j: x * scale for j, x in certificate.nonzero.items() if j != last}
+        self.nonzeros[n] = len(certificate.nonzero)
+        self.records.append((certificate.n_rows, rest, math.gcd(*rest.values()), nus))
 
 
 def _decide_group(
@@ -786,13 +823,13 @@ def _decide_group(
     the deviations of its continuations with that W, decided in order; and
     whether every one was decided before ``deadline`` (`time.monotonic`).
 
-    The shortcut rule comes first. Next comes the first record of an
+    The shortcut rule comes first. Next comes the sparsest record of an
     earlier sibling's certificate that covers the continuation
-    (`_Covers`), and the checker checks that certificate on the
-    continuation's own reference rows (`_verify_certificate_fast`). Only
-    when no record covers it, or the check refuses the proposal,
-    `history_verdict` decides it, and a certificate it finds becomes a
-    record.
+    (`_Covers`), and the checker checks its proposal, that certificate
+    with its deviation multiplier re-weighted, on the continuation's own
+    reference rows (`_verify_certificate_fast`). Only when no record
+    covers it, or the check refuses the proposal, `history_verdict`
+    decides it, and a certificate it finds becomes a record.
     """
     parent, committee, deviations = group
     covers = _Covers(parent.m, parent.k)
@@ -894,15 +931,16 @@ def enumerate_histories(
     one task per group of siblings: a parent, one committee W and the
     deviations of its canonical continuations with that W, in their
     canonical order (`_decide_group`). A task decides its continuations
-    one by one: by the shortcut rule, else by the certificate of the first
-    earlier sibling whose record covers it (`_Covers`), else by
-    `history_verdict`. Every certificate is checked by the checker on the
-    continuation's own reference rows. The runner's deadline goes into
-    each task, which checks it before each continuation; when the budget
-    runs out with work left, inside a group or between groups, the search
-    stops and the result is flagged incomplete. The search starts with
-    empty row caches, and each process builds the reference rows that a
-    group's certificates check once (`_build_rows`).
+    one by one: by the shortcut rule, else by the certificate of an
+    earlier sibling whose record covers it, its deviation multiplier
+    re-weighted (`_Covers`), else by `history_verdict`. Every certificate
+    is checked by the checker on the continuation's own reference rows.
+    The runner's deadline goes into each task, which checks it before each
+    continuation; when the budget runs out with work left, inside a group
+    or between groups, the search stops and the result is flagged
+    incomplete. The search starts with empty row caches, and each process
+    builds the reference rows that a group's certificates check once
+    (`_build_rows`).
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pavcore import checker, cli, exactlp, proofs
@@ -1240,16 +1240,40 @@ class TestEnumerateHistories:
         assert (verdict.witness is not None) == (k == 8)
 
 
+def search_counts(monkeypatch, m, k):
+    """``enumerate_histories(m, k)`` in this process, with the number of
+    its LPs and of the proposals that the checker refused: the search's own
+    checks of LP certificates raise on a refusal, so every refusal counted
+    is a record's proposal."""
+    counts = {"lps": 0, "refused": 0}
+    solve, check = proofs._solve_problem, proofs._verify_certificate_fast
+
+    def solved(problem):
+        counts["lps"] += 1
+        return solve(problem)
+
+    def checked(history, certificate):
+        held = check(history, certificate)
+        counts["refused"] += held is None
+        return held
+
+    monkeypatch.setattr(proofs, "_solve_problem", solved)
+    monkeypatch.setattr(proofs, "_verify_certificate_fast", checked)
+    return enumerate_histories(m, k), counts
+
+
 class TestCovers:
-    """A record of sibling A's certificate proposes it for sibling B
-    exactly when it certifies B's system, over every ordered pair of the
-    85 continuations of the (4, 2) history at (10, 8), which share W."""
+    """A record of sibling A's certificate proposes it, with its deviation
+    multiplier re-weighted, for sibling B exactly when some weight v >= 0
+    on B's deviation row certifies B's system, over every ordered pair of
+    the 85 continuations of the (4, 2) history at (10, 8), which share W."""
 
     @staticmethod
     def proposals(covers_type, siblings, certificates):
-        """The ordered pairs (a, b) of sibling indices for which the record
-        of a's certificate, made by ``covers_type``, proposes it for b."""
-        proposed = set()
+        """The proposal of the record of a's certificate, made by
+        ``covers_type``, for b, keyed by the ordered pair (a, b) of sibling
+        indices, for each pair for which it proposes one."""
+        proposed = {}
         records = [covers_type(h.m, h.k) for h in siblings]
         # Each sibling's S(T) and |T|.
         sides = [
@@ -1259,54 +1283,180 @@ class TestCovers:
         for a, (first, covers) in enumerate(zip(siblings, records)):
             certificate = certificates[first]
             covers.add(certificate, _verify_certificate_fast(first, certificate), *sides[a])
-            proposed |= {(a, b) for b, side in enumerate(sides) if b != a and covers.find(*side)}
+            for b, side in enumerate(sides):
+                if b != a and (proposal := covers.find(*side)) is not None:
+                    proposed[a, b] = proposal
         return proposed
 
-    def test_records_propose_exactly_the_certificates_that_hold(self):
+    @staticmethod
+    def reweightable(siblings, certificates):
+        """The ordered pairs (a, b) for which a's certificate y, with some
+        v >= 0 in place of its deviation multiplier, certifies b's system,
+        from the `Row`s of b's system: with base = the sum of y_i row_i and
+        r = the sum of y_i b_i over every row i but the last, some v does
+        iff base >= 0 on every ballot and the least base on b's deviation
+        row exceeds theta = r k / |T_b|."""
+        systems = [list(history_system(h)) for h in siblings]
+        shared = systems[0][:-1]
+        assert all(rows[:-1] == shared for rows in systems)
+        n_rows, n_cols = len(shared) + 1, (1 << siblings[0].m) - 1
+        D = math.lcm(*(row.den for row in shared))
+        bases = []
+        for h in siblings:
+            y = certificates[h].nonzero
+            total = np.zeros(n_cols, dtype=object)
+            for i, v in y.items():
+                if i < n_rows - 1:
+                    row = shared[i]
+                    total[row.cols] += row.nums.astype(object) * (v * D // row.den)
+            r = sum((v * shared[i].rhs for i, v in y.items() if i < n_rows - 1), Fraction(0))
+            bases.append((total, r))
+        holds = set()
+        for b, (h, rows) in enumerate(zip(siblings, systems)):
+            deviation = rows[-1]
+            t = -deviation.rhs * h.k
+            assert list(deviation.nums) == [-1] * deviation.cols.size and deviation.den == 1
+            for a, (total, r) in enumerate(bases):
+                least = Fraction(min(total[deviation.cols]), D)
+                if b != a and min(total) >= 0 and least > r * h.k / t:
+                    holds.add((a, b))
+        return holds
+
+    @staticmethod
+    def mutants():
+        """Records with one fault each: F_t with base < theta; nu_t taken
+        from size t + 1 or t - 1; v fixed at A's own y_d; and S(T_A)
+        standing in for the base."""
+
+        def scaled(covers, certificate, held, supports, size):
+            # base and r k at the scale of the sums, as exact integers.
+            y_d = certificate.multiplier(certificate.n_rows - 1)
+            base = np.zeros(covers.masks.size, dtype=object)
+            base[: held.sums.size] = held.sums.astype(object)
+            base[supports] += y_d * held.scale
+            rk = (held.value * covers.k + y_d * size) * held.scale
+            assert rk.denominator == 1
+            return base, int(rk), y_d * held.scale
+
+        def rewrite(covers, nus, fails=None):
+            n = len(covers.records) - 1
+            if fails is not None:
+                covers.fails[:, n] = np.packbits(np.array(fails, dtype=bool), axis=1)
+            n_rows, rest, g, _ = covers.records[n]
+            covers.records[n] = (n_rows, rest, g, [int(v) for v in nus])
+
+        class Strict(proofs._Covers):
+            def add(self, *args):
+                super().add(*args)
+                base, rk, _ = scaled(self, *args)
+                sizes = range(1, self.k + 1)
+                fails = [np.asarray(base * t < rk, dtype=bool) for t in sizes]
+                nus = [min(base[~f], default=0) for f in fails]
+                rewrite(self, nus, fails)
+
+        def shifted(by):
+            class Shifted(proofs._Covers):
+                def add(self, *args):
+                    super().add(*args)
+                    *_, nus = self.records[-1]
+                    k = self.k
+                    moved = [nus[min(max(t + by, 0), k - 1)] for t in range(k)]
+                    rewrite(self, moved)
+
+            return Shifted
+
+        class OwnWeight(proofs._Covers):
+            def add(self, *args):
+                super().add(*args)
+                base, rk, v = scaled(self, *args)
+                fails = [
+                    np.asarray(base < v, dtype=bool) if rk < v * t else np.ones(base.size, bool)
+                    for t in range(1, self.k + 1)
+                ]
+                rewrite(self, [v] * self.k, fails)
+
+        class Subset(proofs._Covers):
+            def add(self, *args):
+                super().add(*args)
+                supports = args[2]
+                *_, nus = self.records[-1]
+                rewrite(self, nus, [~supports] * self.k)
+
+        return [Strict, shifted(1), shifted(-1), OwnWeight, Subset]
+
+    def test_records_propose_exactly_when_a_reweighted_certificate_holds(self):
         res = enumerate_histories(10, 8)
         siblings = [h for h in res.certificates if len(h.steps) == 2]
         assert len(siblings) == 85 and len({h.steps[1][0] for h in siblings}) == 1
-        holds = set()
-        for b, second in enumerate(siblings):
-            rows = history_system(second)
-            for a, first in enumerate(siblings):
-                if b != a and verify_farkas(rows, res.certificates[first]):
-                    holds.add((a, b))
+        holds = self.reweightable(siblings, res.certificates)
         assert 0 < len(holds) < 85 * 84
-        assert self.proposals(proofs._Covers, siblings, res.certificates) == holds
+        systems = [history_system(h) for h in siblings]
 
-        def last(covers):
-            return len(covers.certificates) - 1
+        def caught(proposed):
+            return proposed.keys() != holds or not all(
+                verify_farkas(systems[b], p) for (_, b), p in proposed.items()
+            )
 
-        class NoThreshold(proofs._Covers):
-            def add(self, *args):
-                super().add(*args)
-                self.least[last(self)] = 0
+        proposed = self.proposals(proofs._Covers, siblings, res.certificates)
+        assert proposed.keys() == holds
+        assert not caught(proposed)
+        for mutant in self.mutants():
+            changed = self.proposals(mutant, siblings, res.certificates)
+            assert changed != proposed and caught(changed), mutant
 
-        class NotStrict(proofs._Covers):
-            # r <= y_d |T_B| / k in place of r < y_d |T_B| / k.
-            def add(self, certificate, held, supports, size):
-                super().add(certificate, held, supports, size)
-                y_d = certificate.multiplier(certificate.n_rows - 1)
-                r = held.value + Fraction(y_d * size, self.k)
-                self.least[last(self)] = math.ceil(r * self.k / y_d) if y_d else 0
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=7, max_size=7),
+        st.lists(st.booleans(), min_size=7, max_size=7),
+        st.integers(0, 3),
+        st.integers(-4, 9),
+        st.lists(st.lists(st.booleans(), min_size=7, max_size=7).filter(any), min_size=1, max_size=8),
+        st.sampled_from([0, 59]),
+    )
+    @example([0, 1, 2, 3, 0, 1, 2], [False] * 7, 1, 0, [[True] + [False] * 6], 0)
+    @example([0, 1, 2, 3, 0, 1, 2], [False] * 7, 1, 30, [[True] + [False] * 6], 59)
+    def test_the_rule_on_small_records(self, sums, side, y_d, rk, others, shift):
+        # One record over the 7 ballots of m = 3 at k = 3, from made-up
+        # sums with r k = ``rk``, zero and negative included: it proposes
+        # for (S(T_B), t) iff the least base on S(T_B) exceeds r k / t, and
+        # then with v = the least base above r k / t. At the scale 2^59 the
+        # sums are still int64, and r k at that scale may not be.
+        k, supports = 3, np.array(side)
+        base = np.array(sums) + y_d * supports
+        certificate = FarkasCertificate(3, {0: 1, 2: y_d})
+        scaled = np.array(sums, dtype=np.int64) << shift
+        held = checker.FarkasSums(scaled, 1 << shift, Fraction(rk - y_d * 2, k))
+        covers = proofs._Covers(3, k)
+        covers.add(certificate, held, supports, 2)
+        for other in others:
+            S = np.array(other)
+            for t in range(1, k + 1):
+                proposal = covers.find(S, t)
+                assert (proposal is not None) == (base[S].min() * t > rk)
+                if proposal is not None:
+                    v = Fraction(proposal.multiplier(2), proposal.multiplier(0))
+                    assert v == min(b for b in base if b * t > rk)
 
-        class Subset(proofs._Covers):
-            # S(T_B) within S(T_A) in place of the base.
-            def add(self, certificate, held, supports, size):
-                super().add(certificate, held, supports, size)
-                self.fails[last(self)] = np.packbits(~supports)
-
-        for mutant in (NoThreshold, NotStrict, Subset):
-            assert self.proposals(mutant, siblings, res.certificates) != holds, mutant
+    def test_records_in_python_ints_propose_as_in_int64(self):
+        # A certificate times 2^62 has its sums in Python ints; its record
+        # makes the same rows and, divided by the gcd, the same proposals.
+        res = enumerate_histories(10, 8)
+        siblings = [h for h in res.certificates if len(h.steps) == 2]
+        big = {
+            h: FarkasCertificate(c.n_rows, {i: v << 62 for i, v in c.nonzero.items()})
+            for h, c in res.certificates.items()
+        }
+        assert _verify_certificate_fast(siblings[0], big[siblings[0]]).sums.dtype == object
+        small = self.proposals(proofs._Covers, siblings[::4], res.certificates)
+        assert small and self.proposals(proofs._Covers, siblings[::4], big) == small
 
     def test_a_proposal_that_fails_its_check_goes_to_the_lp(self, monkeypatch):
-        # Records that propose the first certificate for every sibling,
-        # the feasible (4, 2) continuation of the root included: the check
-        # on the sibling's own rows refuses what does not hold, and the LP
-        # decides those.
+        # Records that propose the first record's certificate for every
+        # sibling, the feasible (4, 2) continuation of the root included:
+        # the check on the sibling's own rows refuses what does not hold,
+        # and the LP decides those.
         def first(covers, supports, size):
-            return covers.certificates[0] if covers.certificates else None
+            return covers.proposal(0, size) if covers.records else None
 
         refused = []
         check = proofs._verify_certificate_fast
@@ -1323,6 +1473,11 @@ class TestCovers:
         assert any(refused)
         for hist, certificate in res.certificates.items():
             assert verify_farkas(history_system(hist), certificate)
+
+    @pytest.mark.parametrize("m, k", [(10, 8), (12, 7)])
+    def test_the_checker_refuses_no_proposal(self, monkeypatch, m, k):
+        res, counts = search_counts(monkeypatch, m, k)
+        assert res.complete and counts["refused"] == 0 and counts["lps"] < len(res.certificates)
 
 
 def test_proposition1_at_k8_m10():
@@ -1345,6 +1500,17 @@ def test_proposition1_at_m11(m, k, n_histories, n_certificates):
     assert len(res.histories) == n_histories
     assert len(res.certificates) == n_certificates
     assert check_proposition1(res.histories, k)
+
+
+@pytest.mark.paperscale
+def test_shared_certificates_at_12_8(monkeypatch):
+    # Records re-weight a sibling's deviation multiplier, so 207 of the
+    # 1041 continuations reach the LP, and the checker accepts every
+    # proposal.
+    res, counts = search_counts(monkeypatch, 12, 8)
+    assert res.complete and len(res.histories) == 2 and len(res.certificates) == 1041
+    assert counts == {"lps": 207, "refused": 0}
+    assert check_proposition1(res.histories, 8)
 
 
 @pytest.mark.parametrize("m, k", [(10, 8), pytest.param(11, 9, marks=pytest.mark.paperscale)])
